@@ -14,7 +14,7 @@
 //!   record by record via [`write::AppTraceTextWriter`].
 //! * [`parse`] — parse them back, validating record structure, identifier
 //!   references and time-stamp ordering.
-//! * [`record`] — the line-level record grammar shared by [`parse`] and the
+//! * [`record`] — the byte-level record grammar shared by [`parse`] and the
 //!   streaming parser in the `trace_stream` crate.
 //! * [`error::FormatError`] — the error type carrying the offending line.
 //!

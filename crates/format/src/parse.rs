@@ -6,14 +6,14 @@
 //! exactly the same language.
 
 use trace_model::{
-    AppTrace, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, StoredSegment,
-    Time,
+    AppTrace, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec,
+    StoredSegment, Time,
 };
 
 use crate::error::FormatError;
 use crate::record::{
-    parse_app_body_line, parse_context_ref, parse_event_line, parse_u32, parse_u64, AppBodyLine,
-    HeaderBuilder, TraceTables,
+    context_ref, event_fields, meaningful_line, parse_app_body_line, unexpected_record,
+    AppBodyLine, Cursor, HeaderBuilder, TraceTables,
 };
 use crate::write::{APP_HEADER, REDUCED_HEADER};
 
@@ -29,16 +29,16 @@ impl<'a> Lines<'a> {
         }
     }
 
-    fn next(&mut self) -> Option<(usize, &'a str)> {
+    fn next(&mut self) -> Option<(usize, &'a [u8])> {
         for (index, line) in self.inner.by_ref() {
-            if let Some(trimmed) = crate::record::meaningful_line(line) {
+            if let Some(trimmed) = meaningful_line(line.as_bytes()) {
                 return Some((index + 1, trimmed));
             }
         }
         None
     }
 
-    fn require(&mut self, what: &str) -> Result<(usize, &'a str), FormatError> {
+    fn require(&mut self, what: &str) -> Result<(usize, &'a [u8]), FormatError> {
         self.next().ok_or_else(|| {
             FormatError::structural(format!("unexpected end of input, expected {what}"))
         })
@@ -48,7 +48,8 @@ impl<'a> Lines<'a> {
 /// Checks the magic first line of a trace file.
 fn expect_magic(lines: &mut Lines<'_>, magic: &str) -> Result<(), FormatError> {
     let (line_no, first) = lines.require("header")?;
-    if first != magic {
+    if first != magic.as_bytes() {
+        let first = String::from_utf8_lossy(first);
         return Err(FormatError::at(
             line_no,
             format!("expected header {magic:?}, found {first:?}"),
@@ -59,14 +60,14 @@ fn expect_magic(lines: &mut Lines<'_>, magic: &str) -> Result<(), FormatError> {
 
 /// Parses the shared header, returning the tables plus the first body line
 /// (already consumed from the iterator) for the caller to process.
-fn parse_header(
-    lines: &mut Lines<'_>,
-) -> Result<(TraceTables, Option<(usize, String)>), FormatError> {
+fn parse_header<'a>(
+    lines: &mut Lines<'a>,
+) -> Result<(TraceTables, (usize, &'a [u8])), FormatError> {
     let mut builder = HeaderBuilder::new();
     loop {
         let (line_no, line) = lines.require(builder.expecting())?;
         if !builder.feed(line_no, line)? {
-            return Ok((builder.finish()?, Some((line_no, line.to_string()))));
+            return Ok((builder.finish()?, (line_no, line)));
         }
     }
 }
@@ -75,7 +76,8 @@ fn parse_header(
 pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {
     let mut lines = Lines::new(text);
     expect_magic(&mut lines, APP_HEADER)?;
-    let (tables, mut pending) = parse_header(&mut lines)?;
+    let (tables, first_body_line) = parse_header(&mut lines)?;
+    let mut pending = Some(first_body_line);
     let mut app = AppTrace {
         name: tables.name.clone(),
         regions: tables.regions.clone(),
@@ -86,21 +88,17 @@ pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {
     let mut open_rank: Option<RankTrace> = None;
     loop {
         let (line_no, line) = match pending.take() {
-            Some((n, l)) => (n, l),
-            None => {
-                let what = if open_rank.is_some() {
-                    "rank records or END_RANK"
-                } else {
-                    "RANK or END_TRACE"
-                };
-                let (n, l) = lines.require(what)?;
-                (n, l.to_string())
-            }
+            Some(first) => first,
+            None => lines.require(if open_rank.is_some() {
+                "rank records or END_RANK"
+            } else {
+                "RANK or END_TRACE"
+            })?,
         };
         // `parse_app_body_line` only yields records and END_RANK when told a
         // rank section is open, so these arms report a parser bug as a
         // structural error instead of trusting the invariant with a panic.
-        match parse_app_body_line(&tables, line_no, &line, open_rank.is_some())? {
+        match parse_app_body_line(&tables, line_no, line, open_rank.is_some())? {
             AppBodyLine::RankStart(rank) => open_rank = Some(RankTrace::new(rank)),
             AppBodyLine::Record(record) => match open_rank.as_mut() {
                 Some(rank) => rank.push(record),
@@ -128,11 +126,16 @@ pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {
     Ok(app)
 }
 
+/// `STORED … <n>` announces `n` EVENT lines; no more than this many slots
+/// are reserved on the header's word alone.
+const MAX_RESERVED_EVENTS: usize = 4096;
+
 /// Parses the text form of a reduced application trace.
 pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
     let mut lines = Lines::new(text);
     expect_magic(&mut lines, REDUCED_HEADER)?;
-    let (tables, mut pending) = parse_header(&mut lines)?;
+    let (tables, first_body_line) = parse_header(&mut lines)?;
+    let mut pending = Some(first_body_line);
     let mut reduced = ReducedAppTrace {
         name: tables.name.clone(),
         regions: tables.regions.clone(),
@@ -142,95 +145,16 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
 
     loop {
         let (line_no, line) = match pending.take() {
-            Some((n, l)) => (n, l),
-            None => {
-                let (n, l) = lines.require("RANK or END_TRACE")?;
-                (n, l.to_string())
-            }
+            Some(first) => first,
+            None => lines.require("RANK or END_TRACE")?,
         };
-        let mut tokens = line.split_whitespace();
-        match tokens.next() {
-            Some("END_TRACE") => break,
-            Some("RANK") => {
-                let rank_id = parse_u32(line_no, tokens.next(), "rank id")?;
-                let mut rank = ReducedRankTrace::new(trace_model::Rank(rank_id));
-                loop {
-                    let (line_no, line) = lines.require("STORED/EXEC records or END_RANK")?;
-                    let mut tokens = line.split_whitespace();
-                    match tokens.next() {
-                        Some("END_RANK") => break,
-                        Some("STORED") => {
-                            let id = parse_u32(line_no, tokens.next(), "stored segment id")?;
-                            if id as usize != rank.stored.len() {
-                                return Err(FormatError::at(
-                                    line_no,
-                                    format!(
-                                        "stored ids must be dense; expected {} got {id}",
-                                        rank.stored.len()
-                                    ),
-                                ));
-                            }
-                            let represented =
-                                parse_u32(line_no, tokens.next(), "represented count")?;
-                            let context = parse_context_ref(&tables, line_no, tokens.next())?;
-                            let end = parse_u64(line_no, tokens.next(), "segment end")?;
-                            let n_events =
-                                parse_u64(line_no, tokens.next(), "event count")? as usize;
-                            let mut events = Vec::with_capacity(n_events);
-                            for _ in 0..n_events {
-                                let (event_line_no, event_line) = lines.require("EVENT line")?;
-                                if !event_line.starts_with("EVENT") {
-                                    return Err(FormatError::at(
-                                        event_line_no,
-                                        "expected EVENT line inside a STORED segment",
-                                    ));
-                                }
-                                events.push(parse_event_line(&tables, event_line_no, event_line)?);
-                            }
-                            rank.stored.push(StoredSegment {
-                                id,
-                                segment: Segment {
-                                    context,
-                                    start: Time::ZERO,
-                                    end: Time::from_nanos(end),
-                                    events,
-                                },
-                                represented,
-                            });
-                        }
-                        Some("EXEC") => {
-                            let segment = parse_u32(line_no, tokens.next(), "stored segment id")?;
-                            if segment as usize >= rank.stored.len() {
-                                return Err(FormatError::at(
-                                    line_no,
-                                    format!(
-                                        "execution references unknown stored segment {segment}"
-                                    ),
-                                ));
-                            }
-                            let start = parse_u64(line_no, tokens.next(), "execution start")?;
-                            rank.execs.push(SegmentExec {
-                                segment,
-                                start: Time::from_nanos(start),
-                            });
-                        }
-                        other => {
-                            return Err(FormatError::at(
-                                line_no,
-                                format!("unexpected record {other:?} inside a rank section"),
-                            ));
-                        }
-                    }
-                }
-                reduced.ranks.push(rank);
-            }
-            other => {
-                return Err(FormatError::at(
-                    line_no,
-                    format!("expected RANK or END_TRACE, found {other:?}"),
-                ));
-            }
-        }
+        let rank_id = match parse_app_body_line(&tables, line_no, line, false)? {
+            AppBodyLine::RankStart(rank_id) => rank_id,
+            _ => break,
+        };
+        reduced
+            .ranks
+            .push(parse_reduced_rank(&tables, &mut lines, rank_id)?);
     }
 
     if reduced.ranks.len() != tables.declared_ranks {
@@ -241,6 +165,67 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
         )));
     }
     Ok(reduced)
+}
+
+/// Parses the records of one rank section of a reduced trace, up to and
+/// including its `END_RANK`.
+fn parse_reduced_rank(
+    tables: &TraceTables,
+    lines: &mut Lines<'_>,
+    rank_id: Rank,
+) -> Result<ReducedRankTrace, FormatError> {
+    let mut rank = ReducedRankTrace::new(rank_id);
+    loop {
+        let (line_no, line) = lines.require("STORED/EXEC records or END_RANK")?;
+        let cur = &mut Cursor::new(line_no, line);
+        match cur.token() {
+            Some(b"END_RANK") => return Ok(rank),
+            Some(b"STORED") => {
+                let id = cur.u32("stored segment id")?;
+                if id as usize != rank.stored.len() {
+                    let expected = rank.stored.len();
+                    let message = format!("stored ids must be dense; expected {expected} got {id}");
+                    return Err(cur.error(message));
+                }
+                let represented = cur.u32("represented count")?;
+                let context = context_ref(tables, cur)?;
+                let end = cur.u64("segment end")?;
+                let n_events = cur.u64("event count")? as usize;
+                let mut events = Vec::with_capacity(n_events.min(MAX_RESERVED_EVENTS));
+                for _ in 0..n_events {
+                    let (line_no, line) = lines.require("EVENT line")?;
+                    let cur = &mut Cursor::new(line_no, line);
+                    if !cur.token().is_some_and(|t| t.starts_with(b"EVENT")) {
+                        return Err(cur.error("expected EVENT line inside a STORED segment"));
+                    }
+                    events.push(event_fields(tables, cur)?);
+                }
+                rank.stored.push(StoredSegment {
+                    id,
+                    segment: Segment {
+                        context,
+                        start: Time::ZERO,
+                        end: Time::from_nanos(end),
+                        events,
+                    },
+                    represented,
+                });
+            }
+            Some(b"EXEC") => {
+                let segment = cur.u32("stored segment id")?;
+                if segment as usize >= rank.stored.len() {
+                    let message = format!("execution references unknown stored segment {segment}");
+                    return Err(cur.error(message));
+                }
+                let start = cur.u64("execution start")?;
+                rank.execs.push(SegmentExec {
+                    segment,
+                    start: Time::from_nanos(start),
+                });
+            }
+            other => return Err(unexpected_record(cur, other, true)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -396,6 +381,47 @@ END_TRACE
 ";
         let err = parse_reduced_trace(text).unwrap_err();
         assert!(err.message.contains("unknown stored segment"), "{err}");
+    }
+
+    #[test]
+    fn reduced_ids_beyond_u32_and_absurd_event_counts_are_rejected() {
+        let reduced = |records: &str| {
+            parse_reduced_trace(&format!(
+                "TRACEFORMAT_REDUCED 1\nTRACE RANKS 1 NAME bad\nREGION 0 do_work\n\
+                 CONTEXT 0 main.1\n{records}END_RANK\nEND_TRACE\n"
+            ))
+        };
+        let over = u64::from(u32::MAX) + 1;
+        for (records, line, what) in [
+            (format!("RANK {over}\n"), 5, "rank id"),
+            (
+                format!("RANK 0\nSTORED {over} 1 0 5 0\n"),
+                6,
+                "stored segment id",
+            ),
+            (
+                format!("RANK 0\nSTORED 0 {over} 0 5 0\n"),
+                6,
+                "represented count",
+            ),
+            (format!("RANK 0\nSTORED 0 1 {over} 5 0\n"), 6, "context id"),
+            (
+                format!("RANK 0\nSTORED 0 1 0 5 0\nEXEC {over} 9\n"),
+                7,
+                "stored segment id",
+            ),
+        ] {
+            let err = reduced(&records).unwrap_err();
+            assert_eq!(
+                (err.line, err.message),
+                (line, format!("invalid {what}: \"{over}\"")),
+                "{records}"
+            );
+            assert!(reduced(&records.replace(&over.to_string(), "0")).is_ok());
+        }
+        // The announced event count is not trusted with an allocation.
+        let err = reduced(&format!("RANK 0\nSTORED 0 1 0 5 {}\n", u64::MAX)).unwrap_err();
+        assert_eq!(err.message, "expected EVENT line inside a STORED segment");
     }
 
     #[test]

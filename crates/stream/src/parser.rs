@@ -4,58 +4,166 @@
 //! reusing the exact line-level grammar of `trace_format` (the
 //! [`trace_format::record`] module), so it accepts precisely the same
 //! language as the in-memory [`trace_format::parse_app_trace`] — without
-//! ever holding more than one line of the file in memory.
+//! ever holding more than one block of the file in memory.
+//!
+//! Lines are not copied out of the input: the reader owns one block buffer,
+//! refills it with plain `read` calls, finds line ends a word at a time and
+//! hands each trimmed line to the byte grammar as a slice of that buffer.
 
 use std::io::{self, BufRead};
+use std::ops::Range;
 
-use trace_format::record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
+use trace_format::record::{
+    meaningful_line, parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables,
+};
 use trace_format::write::APP_HEADER;
 use trace_format::FormatError;
 use trace_model::{Rank, TraceRecord};
 
 use crate::error::StreamError;
 
+/// Size of the block buffer: large enough that refills (one `read` and one
+/// move of the unfinished line to the front) are rare next to line parsing.
+const BLOCK_BYTES: usize = 128 * 1024;
+
+/// The longest line, terminator included, the reader accepts.  The block
+/// buffer grows towards this bound only when a single line does not fit it;
+/// input without newlines is a typed error, not unbounded memory.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Index of the first `\n` in `haystack`, examined eight bytes at a time.
+fn find_newline(haystack: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut words = haystack.chunks_exact(8);
+    let mut offset = 0;
+    for word in words.by_ref() {
+        // A byte of `x` is zero exactly where the input holds `\n`; the
+        // subtraction borrows only out of zero bytes, so the lowest flagged
+        // byte is the first newline (higher flags may be borrow artefacts).
+        let x = u64::from_le_bytes(*word.first_chunk::<8>()?) ^ (ONES * u64::from(b'\n'));
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(offset + (zeros.trailing_zeros() / 8) as usize);
+        }
+        offset += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n')?;
+    Some(offset + tail)
+}
+
 /// Reads meaningful lines (blank and `#`-comment lines skipped) from a
-/// buffered source, tracking 1-based line numbers.  Only one line is
-/// buffered at a time.
+/// source, tracking 1-based line numbers.  Lines are slices of one block
+/// buffer; nothing is copied per line.
 struct LineReader<R> {
     inner: R,
-    buf: String,
+    /// Unread input is `buf[start..filled]`.
+    buf: Vec<u8>,
+    start: usize,
+    filled: usize,
+    eof: bool,
     line_no: usize,
+    /// The raw line last returned, and whether to return it once more.
+    last: Range<usize>,
+    replay: bool,
 }
 
 impl<R: BufRead> LineReader<R> {
     fn new(inner: R) -> Self {
         LineReader {
             inner,
-            buf: String::new(),
+            buf: vec![0; BLOCK_BYTES],
+            start: 0,
+            filled: 0,
+            eof: false,
             line_no: 0,
+            last: 0..0,
+            replay: false,
         }
     }
 
-    /// Advances to the next meaningful line, returning its number (the text
-    /// is available via [`LineReader::current`]) or `None` at end of input.
-    /// Line classification is the shared rule in
-    /// [`trace_format::record::meaningful_line`].
-    fn next_line(&mut self) -> io::Result<Option<usize>> {
+    /// Advances to the next meaningful line and returns what `parse` makes
+    /// of its number and trimmed text; the end of input is an error naming
+    /// what the caller was `expecting`.  Line classification is the shared
+    /// rule in [`trace_format::record::meaningful_line`]; a line with
+    /// non-ASCII bytes — record or comment — must be UTF-8, as `read_line`
+    /// demanded.
+    fn next_line<T, E: Into<StreamError>>(
+        &mut self,
+        expecting: &str,
+        parse: impl FnOnce(usize, &[u8]) -> Result<T, E>,
+    ) -> Result<T, StreamError> {
         loop {
-            self.buf.clear();
-            if self.inner.read_line(&mut self.buf)? == 0 {
-                return Ok(None);
+            let Some(raw) = self.next_raw()? else {
+                return Err(FormatError::structural(format!(
+                    "unexpected end of input, expected {expecting}"
+                ))
+                .into());
+            };
+            let raw = self.buf.get(raw).unwrap_or_default();
+            if !raw.is_ascii() && std::str::from_utf8(raw).is_err() {
+                // The error `BufRead::read_line` gives for such a line.
+                let message = "stream did not contain valid UTF-8";
+                return Err(io::Error::new(io::ErrorKind::InvalidData, message).into());
             }
-            self.line_no += 1;
-            if trace_format::record::meaningful_line(&self.buf).is_some() {
-                return Ok(Some(self.line_no));
+            if let Some(line) = meaningful_line(raw) {
+                return parse(self.line_no, line).map_err(Into::into);
             }
         }
     }
 
-    /// The text of the line [`LineReader::next_line`] advanced to.
-    /// `next_line` only stops on meaningful lines, so the fallback empty
-    /// string is never produced in practice; an empty line simply fails the
-    /// caller's grammar with a parse error instead of panicking here.
-    fn current(&self) -> &str {
-        trace_format::record::meaningful_line(&self.buf).unwrap_or("")
+    /// Advances past the next line of input and returns its range in `buf`,
+    /// terminator excluded, or `None` at end of input.
+    fn next_raw(&mut self) -> Result<Option<Range<usize>>, StreamError> {
+        if std::mem::take(&mut self.replay) {
+            return Ok(Some(self.last.clone()));
+        }
+        // `buf[start..scanned]` is known to hold no newline.
+        let mut scanned = self.start;
+        let end = loop {
+            let unread = self.buf.get(scanned..self.filled).unwrap_or_default();
+            if let Some(at) = find_newline(unread) {
+                break scanned + at;
+            }
+            if self.eof {
+                if self.start == self.filled {
+                    return Ok(None);
+                }
+                break self.filled;
+            }
+            scanned = self.filled - self.start;
+            self.refill()?;
+        };
+        self.line_no += 1;
+        self.last = self.start..end;
+        self.start = (end + 1).min(self.filled);
+        Ok(Some(self.last.clone()))
+    }
+
+    /// Moves the unfinished line to the front of the buffer and reads more
+    /// input behind it, growing the buffer only if that line fills it.
+    fn refill(&mut self) -> Result<(), StreamError> {
+        self.buf.copy_within(self.start..self.filled, 0);
+        self.filled -= self.start;
+        self.start = 0;
+        if self.filled == self.buf.len() {
+            if self.filled >= MAX_LINE_BYTES {
+                let message = format!("line exceeds {MAX_LINE_BYTES} bytes");
+                return Err(FormatError::at(self.line_no + 1, message).into());
+            }
+            self.buf.resize((self.filled * 2).min(MAX_LINE_BYTES), 0);
+        }
+        let free = self.buf.get_mut(self.filled..).unwrap_or_default();
+        let read = loop {
+            match self.inner.read(free) {
+                Ok(read) => break read,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        };
+        self.eof = read == 0;
+        self.filled += read;
+        Ok(())
     }
 }
 
@@ -77,6 +185,16 @@ enum State {
     Done,
 }
 
+impl State {
+    /// What the next line has to be, for end-of-input error messages.
+    fn expecting(self) -> &'static str {
+        match self {
+            State::InRank(_) => "rank records or END_RANK",
+            State::Body | State::Done => "RANK or END_TRACE",
+        }
+    }
+}
+
 /// Pull parser for the full-trace text format over any [`BufRead`] source.
 ///
 /// Construction parses the magic line and the header tables; each
@@ -86,8 +204,6 @@ enum State {
 pub struct StreamParser<R> {
     lines: LineReader<R>,
     tables: TraceTables,
-    /// First body line, already consumed while detecting the header's end.
-    pending: Option<(usize, String)>,
     state: State,
     ranks_seen: usize,
 }
@@ -96,39 +212,25 @@ impl<R: BufRead> StreamParser<R> {
     /// Reads the magic line and header tables from `reader`.
     pub fn new(reader: R) -> Result<Self, StreamError> {
         let mut lines = LineReader::new(reader);
-        let line_no = lines
-            .next_line()?
-            .ok_or_else(|| FormatError::structural("unexpected end of input, expected header"))?;
-        let first = lines.current();
-        if first != APP_HEADER {
-            return Err(FormatError::at(
-                line_no,
-                format!("expected header {APP_HEADER:?}, found {first:?}"),
-            )
-            .into());
-        }
+        lines.next_line("header", |line_no, first| {
+            if first == APP_HEADER.as_bytes() {
+                return Ok(());
+            }
+            let first = String::from_utf8_lossy(first);
+            let message = format!("expected header {APP_HEADER:?}, found {first:?}");
+            Err(FormatError::at(line_no, message))
+        })?;
 
         let mut builder = HeaderBuilder::new();
-        let pending;
-        loop {
-            let Some(line_no) = lines.next_line()? else {
-                return Err(FormatError::structural(format!(
-                    "unexpected end of input, expected {}",
-                    builder.expecting()
-                ))
-                .into());
-            };
-            let line = lines.current();
-            if !builder.feed(line_no, line)? {
-                pending = Some((line_no, line.to_string()));
-                break;
-            }
-        }
+        while lines.next_line(builder.expecting(), |line_no, line| {
+            builder.feed(line_no, line)
+        })? {}
+        // The line that ended the header is the first of the body.
+        lines.replay = true;
 
         Ok(StreamParser {
             lines,
             tables: builder.finish()?,
-            pending,
             state: State::Body,
             ranks_seen: 0,
         })
@@ -152,22 +254,10 @@ impl<R: BufRead> StreamParser<R> {
             return Ok(None);
         }
 
-        let parsed = if let Some((line_no, line)) = self.pending.take() {
-            parse_app_body_line(&self.tables, line_no, &line, in_rank)?
-        } else {
-            let what = if in_rank {
-                "rank records or END_RANK"
-            } else {
-                "RANK or END_TRACE"
-            };
-            let Some(line_no) = self.lines.next_line()? else {
-                return Err(FormatError::structural(format!(
-                    "unexpected end of input, expected {what}"
-                ))
-                .into());
-            };
-            parse_app_body_line(&self.tables, line_no, self.lines.current(), in_rank)?
-        };
+        let (tables, expecting) = (&self.tables, self.state.expecting());
+        let parsed = self.lines.next_line(expecting, |line_no, line| {
+            parse_app_body_line(tables, line_no, line, in_rank)
+        })?;
 
         match parsed {
             AppBodyLine::RankStart(rank) => {
@@ -212,28 +302,21 @@ impl<R: BufRead> StreamParser<R> {
                 FormatError::structural("skip_current_rank called outside a rank section").into(),
             );
         };
-        debug_assert!(self.pending.is_none(), "pending line inside a rank section");
-        loop {
-            let Some(line_no) = self.lines.next_line()? else {
-                return Err(FormatError::structural(
-                    "unexpected end of input, expected rank records or END_RANK",
-                )
-                .into());
-            };
-            let line = self.lines.current();
-            if line == "END_RANK" {
-                self.state = State::Body;
-                self.ranks_seen += 1;
-                return Ok(rank);
+        let section_ended = |line_no, line: &[u8]| {
+            if line.starts_with(b"RANK") || line == b"END_TRACE" {
+                let line = String::from_utf8_lossy(line);
+                let message = format!("unexpected record {line:?} inside a rank section");
+                return Err(FormatError::at(line_no, message));
             }
-            if line.starts_with("RANK") || line == "END_TRACE" {
-                return Err(FormatError::at(
-                    line_no,
-                    format!("unexpected record {line:?} inside a rank section"),
-                )
-                .into());
-            }
-        }
+            Ok(line == b"END_RANK")
+        };
+        while !self
+            .lines
+            .next_line(self.state.expecting(), section_ended)?
+        {}
+        self.state = State::Body;
+        self.ranks_seen += 1;
+        Ok(rank)
     }
 }
 
@@ -328,6 +411,78 @@ mod tests {
             err.as_format().unwrap().message.contains("rank sections"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn newline_search_agrees_with_a_bytewise_scan() {
+        let mut haystack = vec![b'x'; 41];
+        assert_eq!(find_newline(&haystack), None);
+        assert_eq!(find_newline(&[]), None);
+        for at in (0..haystack.len()).rev() {
+            // Bytes that differ from `\n` in one bit, and a later newline,
+            // must not move the answer.
+            haystack[at] = b'\n';
+            for decoy in [0x0B, 0x8A, 0x0A ^ 0x01, 0x00, 0xFF] {
+                if let Some(next) = haystack.get_mut(at + 1) {
+                    *next = decoy;
+                }
+                assert_eq!(find_newline(&haystack), Some(at), "decoy {decoy:#x}");
+                assert_eq!(find_newline(&haystack[at..]), Some(0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_beyond_the_cap_is_a_typed_error_and_the_buffer_stays_bounded() {
+        // Lines up to the cap grow the buffer and parse …
+        let long_comment = format!("# {}\n", "x".repeat(MAX_LINE_BYTES - 3));
+        let fits = format!("TRACEFORMAT 1\n{long_comment}TRACE RANKS 0 NAME x\nEND_TRACE\n");
+        let mut parser = parser_for(&fits);
+        assert_eq!(parser.next_item().unwrap(), None);
+        assert_eq!(parser.lines.buf.len(), MAX_LINE_BYTES);
+
+        // … input that never ends its line is refused at the cap.
+        let endless = format!(
+            "TRACEFORMAT 1\nTRACE RANKS 1 NAME x\nRANK 0\n{}",
+            "x".repeat(2 << 20)
+        );
+        let mut parser = parser_for(&endless);
+        assert_eq!(
+            parser.next_item().unwrap(),
+            Some(AppItem::RankStart(Rank(0)))
+        );
+        let err = parser.next_item().unwrap_err();
+        let err = err.as_format().expect("a format error");
+        assert_eq!(err.line, 4);
+        assert_eq!(err.message, format!("line exceeds {MAX_LINE_BYTES} bytes"));
+        assert_eq!(parser.lines.buf.len(), MAX_LINE_BYTES);
+        assert!(parser.lines.buf.capacity() <= 2 * MAX_LINE_BYTES);
+        // The same from `skip_current_rank`, which rides the same reader.
+        let mut parser = parser_for(&endless);
+        parser.next_item().unwrap();
+        let err = parser.skip_current_rank().unwrap_err();
+        assert_eq!(err.as_format().unwrap().line, 4);
+    }
+
+    #[test]
+    fn lines_that_are_not_utf8_are_the_io_error_read_line_gave() {
+        let head = b"TRACEFORMAT 1\nTRACE RANKS 1 NAME x\nREGION 0 r\nRANK 0\n";
+        let bad_lines: [&[u8]; 3] = [b"EVENT 0 5 10 2 COMPUTE \xE9\n", b"# caf\xE9\n", b"  \xE9"];
+        for bad in bad_lines {
+            let bytes = [head, bad].concat();
+            let mut parser = StreamParser::new(Cursor::new(&bytes[..])).unwrap();
+            parser.next_item().unwrap();
+            let StreamError::Io(err) = parser.next_item().unwrap_err() else {
+                panic!("{:?} must be an i/o error", String::from_utf8_lossy(bad));
+            };
+            // Exactly what `BufRead::read_line` reports.
+            let mut line = String::new();
+            let expected = Cursor::new(&b"\xE9\n"[..])
+                .read_line(&mut line)
+                .unwrap_err();
+            assert_eq!(err.kind(), expected.kind());
+            assert_eq!(err.to_string(), expected.to_string());
+        }
     }
 
     #[test]

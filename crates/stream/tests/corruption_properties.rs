@@ -7,14 +7,15 @@
 //! (with a line number for text input) or parse to something valid, never
 //! unwind.
 
-use std::io::Cursor;
+use std::io::{self, BufRead, BufReader, Cursor, Read};
 
 use proptest::prelude::*;
 use trace_container::{encode_app_container, ChunkSpec};
-use trace_format::write_app_trace;
+use trace_format::{parse_app_trace, write_app_trace};
 use trace_reduce::{Method, MethodConfig};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
-use trace_stream::{reduce_container_stream, reduce_stream, StreamError};
+use trace_sim::{SizePreset, Workload, WorkloadKind};
+use trace_stream::{reduce_container_stream, reduce_stream, AppItem, StreamError, StreamParser};
 
 fn build_trace(rank_specs: &[Vec<SegmentSpec>]) -> trace_model::AppTrace {
     trace_from_specs("corrupttrace", rank_specs)
@@ -48,8 +49,150 @@ fn assert_text_outcome(result: Result<(), StreamError>, input: &[u8]) {
     }
 }
 
+/// A reader that hands its bytes out in chunks of `sizes` (cycled) and
+/// reports `Interrupted` before every third chunk, so that every line of the
+/// input straddles a refill of the parser's block buffer at some size.
+struct Chunked<'a> {
+    data: &'a [u8],
+    sizes: Vec<usize>,
+    calls: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.calls += 1;
+        if self.calls.is_multiple_of(3) {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let size = self.sizes[self.calls % self.sizes.len()];
+        let (chunk, rest) = self.data.split_at(size.min(buf.len()).min(self.data.len()));
+        buf[..chunk.len()].copy_from_slice(chunk);
+        self.data = rest;
+        Ok(chunk.len())
+    }
+}
+
+/// Everything a parse yields: the items up to the first error, and that
+/// error (line and message for a format error, kind and text for I/O).
+fn drain(reader: impl BufRead) -> (Vec<AppItem>, Option<String>) {
+    let mut items = Vec::new();
+    let mut parser = match StreamParser::new(reader) {
+        Ok(parser) => parser,
+        Err(err) => return (items, Some(format!("{err:?}"))),
+    };
+    loop {
+        match parser.next_item() {
+            Ok(Some(item)) => items.push(item),
+            Ok(None) => return (items, None),
+            Err(err) => return (items, Some(format!("{err:?}"))),
+        }
+    }
+}
+
+/// The chunked parses of `input` must equal its whole-buffer parse, and —
+/// where the input is text at all — the in-memory parser's verdict.
+fn assert_chunking_is_invisible(input: &[u8], random_sizes: Vec<usize>) {
+    let whole = drain(Cursor::new(input));
+    for sizes in [vec![1], vec![7], random_sizes] {
+        // `BufReader` passes reads as large as the parser's straight through.
+        let chunked = BufReader::new(Chunked {
+            data: input,
+            sizes: sizes.clone(),
+            calls: 0,
+        });
+        assert_eq!(drain(chunked), whole, "chunk sizes {sizes:?}");
+    }
+    match std::str::from_utf8(input).map(parse_app_trace) {
+        Ok(Ok(app)) => {
+            let items: Vec<AppItem> = app
+                .ranks
+                .iter()
+                .flat_map(|rank| {
+                    let records = rank.records.iter().cloned().map(AppItem::Record);
+                    std::iter::once(AppItem::RankStart(rank.rank))
+                        .chain(records)
+                        .chain(std::iter::once(AppItem::RankEnd(rank.rank)))
+                })
+                .collect();
+            assert_eq!(whole, (items, None));
+        }
+        Ok(Err(err)) => assert_eq!(whole.1, Some(format!("{:?}", StreamError::Format(err)))),
+        Err(_) => {
+            let err = whole.1.expect("input that is not UTF-8 must fail");
+            assert!(
+                err.contains("InvalidData") && err.contains("valid UTF-8"),
+                "{err}"
+            );
+        }
+    }
+}
+
+/// Byte-level mutations of a text trace, picked by `seed`.
+fn mutate_text(text: &str, seed: u64) -> Vec<u8> {
+    let lines: Vec<&str> = text.lines().collect();
+    let at = (seed >> 8) as usize % lines.len();
+    let splice = |replacement: Vec<u8>| {
+        let mut out = Vec::new();
+        for (index, line) in lines.iter().enumerate() {
+            out.extend_from_slice(if index == at {
+                &replacement
+            } else {
+                line.as_bytes()
+            });
+            out.push(b'\n');
+        }
+        out
+    };
+    let line = lines[at];
+    match seed % 12 {
+        0 => text.as_bytes().to_vec(),
+        1 => text.replace('\n', "\r\n").into_bytes(),
+        2 => text.trim_end().as_bytes().to_vec(),
+        3 => text
+            .replace('\n', " \n\n\u{2003}# caf\u{e9}\n\u{a0}\n")
+            .into_bytes(),
+        4 => splice(line.replace(' ', "\u{a0}").into_bytes()),
+        5 => splice(line.replace(' ', "\t\x0B\x0C").into_bytes()),
+        // Invalid UTF-8: inside a record, and inside a comment.
+        6 => splice([line.as_bytes(), b"\xff"].concat()),
+        7 => splice([line.as_bytes(), b"\n# caf\xe9"].concat()),
+        // A comment longer than the parser's block buffer.
+        8 => splice([line.as_bytes(), b"\n# ", "x".repeat(300_000).as_bytes()].concat()),
+        9 => splice(format!("{line} 4294967296 extra").into_bytes()),
+        10 => splice(line.replacen(' ', " 4294967296 ", 1).into_bytes()),
+        _ => {
+            let mut bytes = text.as_bytes().to_vec();
+            let pos = (seed >> 8) as usize % bytes.len();
+            bytes[pos] ^= 1 << ((seed >> 4) % 8);
+            bytes
+        }
+    }
+}
+
+#[test]
+fn chunked_reads_of_all_paper_workloads_match_the_whole_buffer_parse() {
+    for kind in WorkloadKind::all_paper() {
+        let text = write_app_trace(&Workload::new(kind, SizePreset::Tiny).generate());
+        assert_chunking_is_invisible(text.as_bytes(), vec![3, 64, 1, 4096, 13, 100_000]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn chunked_reads_of_mutated_text_match_the_whole_buffer_parse(
+        rank_specs in spec_strategy(),
+        seeds in prop::collection::vec(any::<u64>(), 12),
+        sizes in prop::collection::vec(1usize..200, 1..8),
+    ) {
+        let text = write_app_trace(&build_trace(&rank_specs));
+        for (kind, seed) in seeds.into_iter().enumerate() {
+            // Every mutation kind once per case, at a random place.
+            let seed = seed - seed % 12 + kind as u64;
+            assert_chunking_is_invisible(&mutate_text(&text, seed), sizes.clone());
+        }
+    }
 
     #[test]
     fn truncated_text_never_panics(
