@@ -33,6 +33,17 @@
 //! value can overflow the transform.  Time streams reuse the row codec's
 //! exact svarint delta rule (including the per-chunk and per-segment clock
 //! restarts) so the reconstructed deltas match the originals bit for bit.
+//!
+//! The two directions are fed differently.  Decoding rebuilds the row
+//! payload, so it reads streams and writes rows.  Encoding never reads rows
+//! on the container writer's path: the writer hands each record, stored
+//! segment or execution to a `ColumnWriter` as it appends it to the row
+//! body, and by the time a chunk is cut its streams are complete.
+//! [`column_encode`] — rows in, columns out — parses the rows and makes the
+//! same pushes, so there is one place where a field is assigned to a
+//! stream.  The stream buffers belong to the writer's
+//! [`ChunkEncoder`](crate::ChunkEncoder) and are cleared, not reallocated,
+//! between chunks.
 
 use trace_model::codec::varint::{read_i64, read_u64, write_i64, write_u64};
 use trace_model::codec::{
@@ -117,6 +128,11 @@ impl DeltaWriter {
         write_i64(&mut self.buf, value.wrapping_sub(self.last) as i64);
         self.last = value;
     }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.last = 0;
+    }
 }
 
 /// Read half of a wrapping-delta stream.
@@ -148,13 +164,17 @@ impl<'a> DeltaReader<'a> {
 struct TimeWriter {
     buf: Vec<u8>,
     prev: Time,
+    /// A time stamp past `i64::MAX` ns went in: [`TimeReader`] (and the row
+    /// codec) would refuse the stream, so [`ColumnWriter::finish`] does.
+    out_of_range: bool,
 }
 
 impl TimeWriter {
     fn push(&mut self, time: Time) {
+        self.out_of_range |= time.as_nanos() > i64::MAX as u64;
         write_i64(
             &mut self.buf,
-            time.as_nanos() as i64 - self.prev.as_nanos() as i64,
+            (time.as_nanos() as i64).wrapping_sub(self.prev.as_nanos() as i64),
         );
         self.prev = time;
     }
@@ -163,6 +183,12 @@ impl TimeWriter {
     /// per segment, exactly as in the row codec).
     fn restart(&mut self) {
         self.prev = Time::ZERO;
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.prev = Time::ZERO;
+        self.out_of_range = false;
     }
 }
 
@@ -207,16 +233,17 @@ fn next_tag(reader: &mut Reader<'_>, what: &'static str) -> Result<u8, CompressE
         .map_err(|_| CompressError::Truncated { what })
 }
 
-/// Serializes `count` plus the given streams in order.
-fn write_streams(count: u64, streams: &[&[u8]]) -> Vec<u8> {
+/// Serializes `count` plus the given streams in order, replacing the
+/// contents of `out`.
+fn write_streams(out: &mut Vec<u8>, count: u64, streams: &[&[u8]]) {
     let total: usize = streams.iter().map(|s| s.len()).sum();
-    let mut out = Vec::with_capacity(total + streams.len() * 3 + 4);
-    write_u64(&mut out, count);
+    out.clear();
+    out.reserve(total + streams.len() * 3 + 4);
+    write_u64(out, count);
     for stream in streams {
-        write_u64(&mut out, stream.len() as u64);
+        write_u64(out, stream.len() as u64);
         out.extend_from_slice(stream);
     }
-    out
 }
 
 /// Reads `N` length-prefixed streams, requiring them to exhaust the input.
@@ -345,6 +372,16 @@ impl EventColumnsW {
             &self.sizes.buf,
         ]
     }
+
+    fn clear(&mut self) {
+        self.tags.clear();
+        self.regions.clear();
+        self.durations.clear();
+        self.waits.clear();
+        self.peers.clear();
+        self.meta.clear();
+        self.sizes.clear();
+    }
 }
 
 struct EventColumnsR<'a> {
@@ -436,44 +473,202 @@ impl<'a> EventColumnsR<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// RECORDS chunks
+// Write side: columns filled from records
 // ---------------------------------------------------------------------------
 
-fn encode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
-    let mut reader = Reader::new(payload);
-    let count = read_u64(&mut reader)?;
-    let mut tags = Vec::new();
-    let mut contexts = DeltaWriter::default();
-    let mut times = TimeWriter::default();
-    let mut events = EventColumnsW::default();
-    let mut prev_time = Time::ZERO;
-    for _ in 0..count {
-        let (record, new_prev) = read_record(&mut reader, prev_time)?;
-        prev_time = new_prev;
+/// The column streams of one chunk, filled item by item.
+///
+/// The container writer pushes every record (stored segment, execution) it
+/// appends to a chunk's row body, so that by the time the chunk is cut its
+/// columns are already there and nothing has to parse the row bytes back;
+/// [`column_encode`] is the same pushes driven from a parsed row payload.
+/// A chunk holds items of one [`PayloadClass`] only — the classes share
+/// stream storage — and [`ColumnWriter::finish`] empties the writer for the
+/// next chunk, keeping the buffers.
+#[derive(Default)]
+pub(crate) struct ColumnWriter {
+    /// Items pushed (records, stored segments or executions).
+    count: u64,
+    /// `RECORDS`: one record tag per item.
+    tags: Vec<u8>,
+    /// `STORED`, `EXECS`.
+    seg_ids: DeltaWriter,
+    /// `STORED`: represented counts, segment bounds, events per segment.
+    reps: DeltaWriter,
+    starts: DeltaWriter,
+    ends: DeltaWriter,
+    counts: DeltaWriter,
+    /// `RECORDS`, `STORED`.
+    contexts: DeltaWriter,
+    /// Every class.
+    times: TimeWriter,
+    /// `RECORDS`, `STORED`.
+    events: EventColumnsW,
+}
+
+impl ColumnWriter {
+    /// Adds one trace record to the columns of a `RECORDS` chunk.
+    pub(crate) fn push_record(&mut self, record: &TraceRecord) {
+        self.count += 1;
         match record {
             TraceRecord::SegmentBegin { context, time } => {
-                tags.push(tag::SEGMENT_BEGIN);
-                contexts.push(u64::from(context.as_u32()));
-                times.push(time);
+                self.tags.push(tag::SEGMENT_BEGIN);
+                self.contexts.push(u64::from(context.as_u32()));
+                self.times.push(*time);
             }
             TraceRecord::SegmentEnd { context, time } => {
-                tags.push(tag::SEGMENT_END);
-                contexts.push(u64::from(context.as_u32()));
-                times.push(time);
+                self.tags.push(tag::SEGMENT_END);
+                self.contexts.push(u64::from(context.as_u32()));
+                self.times.push(*time);
             }
             TraceRecord::Event(event) => {
-                tags.push(tag::EVENT);
-                times.push(event.start);
-                events.push(&event);
+                self.tags.push(tag::EVENT);
+                self.times.push(event.start);
+                self.events.push(event);
             }
         }
     }
-    require_at_end(&reader, "the declared records of a RECORDS payload")?;
-    let event_streams = events.streams();
-    let mut streams: Vec<&[u8]> = vec![&tags, &contexts.buf, &times.buf];
-    streams.extend_from_slice(&event_streams);
-    Ok(write_streams(count, &streams))
+
+    /// Adds one stored representative to the columns of a `STORED` chunk.
+    pub(crate) fn push_stored(&mut self, stored: &StoredSegment) {
+        self.count += 1;
+        self.seg_ids.push(u64::from(stored.id));
+        self.reps.push(u64::from(stored.represented));
+        self.contexts
+            .push(u64::from(stored.segment.context.as_u32()));
+        self.starts.push(stored.segment.start.as_nanos());
+        self.ends.push(stored.segment.end.as_nanos());
+        self.counts.push(stored.segment.events.len() as u64);
+        self.times.restart();
+        for event in &stored.segment.events {
+            self.times.push(event.start);
+            self.events.push(event);
+        }
+    }
+
+    /// Adds one segment execution to the columns of an `EXECS` chunk.
+    pub(crate) fn push_exec(&mut self, exec: &SegmentExec) {
+        self.count += 1;
+        self.seg_ids.push(u64::from(exec.segment));
+        self.times.push(exec.start);
+    }
+
+    /// Parses a row payload of `class` and pushes its items.
+    fn push_rows(&mut self, class: PayloadClass, rows: &[u8]) -> Result<(), CompressError> {
+        let mut reader = Reader::new(rows);
+        let what = match class {
+            PayloadClass::Records => {
+                let mut prev = Time::ZERO;
+                for _ in 0..read_u64(&mut reader)? {
+                    let (record, new_prev) = read_record(&mut reader, prev)?;
+                    prev = new_prev;
+                    self.push_record(&record);
+                }
+                "the declared records of a RECORDS payload"
+            }
+            PayloadClass::Stored => {
+                for _ in 0..read_u64(&mut reader)? {
+                    self.push_stored(&read_stored_segment(&mut reader)?);
+                }
+                "the declared segments of a STORED payload"
+            }
+            PayloadClass::Execs => {
+                let mut prev = Time::ZERO;
+                for _ in 0..read_u64(&mut reader)? {
+                    let (exec, new_prev) = read_exec(&mut reader, prev)?;
+                    prev = new_prev;
+                    self.push_exec(&exec);
+                }
+                "the declared executions of an EXECS payload"
+            }
+            PayloadClass::Opaque => return Ok(()),
+        };
+        require_at_end(&reader, what)
+    }
+
+    /// Writes the columnar form of the chunk into `out` (replacing its
+    /// contents) and empties the writer.  `rows` is the chunk's row payload,
+    /// which *is* the columnar form of a [`PayloadClass::Opaque`] chunk; the
+    /// other classes are serialized from the pushed items alone.
+    ///
+    /// Fails, like the row codec reading `rows` back would, when a pushed
+    /// time stamp lies past `i64::MAX` ns.
+    pub(crate) fn finish(
+        &mut self,
+        class: PayloadClass,
+        rows: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
+        let [ev_tags, regions, durations, waits, peers, meta, sizes] = self.events.streams();
+        let times = &self.times.buf;
+        match class {
+            PayloadClass::Records => write_streams(
+                out,
+                self.count,
+                &[
+                    &self.tags,
+                    &self.contexts.buf,
+                    times,
+                    ev_tags,
+                    regions,
+                    durations,
+                    waits,
+                    peers,
+                    meta,
+                    sizes,
+                ],
+            ),
+            PayloadClass::Stored => write_streams(
+                out,
+                self.count,
+                &[
+                    &self.seg_ids.buf,
+                    &self.reps.buf,
+                    &self.contexts.buf,
+                    &self.starts.buf,
+                    &self.ends.buf,
+                    &self.counts.buf,
+                    times,
+                    ev_tags,
+                    regions,
+                    durations,
+                    waits,
+                    peers,
+                    meta,
+                    sizes,
+                ],
+            ),
+            PayloadClass::Execs => write_streams(out, self.count, &[&self.seg_ids.buf, times]),
+            PayloadClass::Opaque => {
+                out.clear();
+                out.extend_from_slice(rows);
+            }
+        }
+        let out_of_range = self.times.out_of_range;
+        self.clear();
+        if out_of_range {
+            return Err(CompressError::Codec(CodecError::NegativeTime));
+        }
+        Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.count = 0;
+        self.tags.clear();
+        self.seg_ids.clear();
+        self.reps.clear();
+        self.starts.clear();
+        self.ends.clear();
+        self.counts.clear();
+        self.contexts.clear();
+        self.times.clear();
+        self.events.clear();
+    }
 }
+
+// ---------------------------------------------------------------------------
+// Read side: RECORDS chunks
+// ---------------------------------------------------------------------------
 
 fn decode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let (count, streams) = read_streams::<10>(payload)?;
@@ -519,46 +714,6 @@ fn decode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
 // ---------------------------------------------------------------------------
 // STORED chunks
 // ---------------------------------------------------------------------------
-
-fn encode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
-    let mut reader = Reader::new(payload);
-    let count = read_u64(&mut reader)?;
-    let mut seg_ids = DeltaWriter::default();
-    let mut reps = DeltaWriter::default();
-    let mut contexts = DeltaWriter::default();
-    let mut starts = DeltaWriter::default();
-    let mut ends = DeltaWriter::default();
-    let mut counts = DeltaWriter::default();
-    let mut times = TimeWriter::default();
-    let mut events = EventColumnsW::default();
-    for _ in 0..count {
-        let stored = read_stored_segment(&mut reader)?;
-        seg_ids.push(u64::from(stored.id));
-        reps.push(u64::from(stored.represented));
-        contexts.push(u64::from(stored.segment.context.as_u32()));
-        starts.push(stored.segment.start.as_nanos());
-        ends.push(stored.segment.end.as_nanos());
-        counts.push(stored.segment.events.len() as u64);
-        times.restart();
-        for event in &stored.segment.events {
-            times.push(event.start);
-            events.push(event);
-        }
-    }
-    require_at_end(&reader, "the declared segments of a STORED payload")?;
-    let event_streams = events.streams();
-    let mut streams: Vec<&[u8]> = vec![
-        &seg_ids.buf,
-        &reps.buf,
-        &contexts.buf,
-        &starts.buf,
-        &ends.buf,
-        &counts.buf,
-        &times.buf,
-    ];
-    streams.extend_from_slice(&event_streams);
-    Ok(write_streams(count, &streams))
-}
 
 fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let (count, streams) = read_streams::<14>(payload)?;
@@ -617,22 +772,6 @@ fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
 // EXECS chunks
 // ---------------------------------------------------------------------------
 
-fn encode_execs(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
-    let mut reader = Reader::new(payload);
-    let count = read_u64(&mut reader)?;
-    let mut seg_ids = DeltaWriter::default();
-    let mut times = TimeWriter::default();
-    let mut prev = Time::ZERO;
-    for _ in 0..count {
-        let (exec, new_prev) = read_exec(&mut reader, prev)?;
-        prev = new_prev;
-        seg_ids.push(u64::from(exec.segment));
-        times.push(exec.start);
-    }
-    require_at_end(&reader, "the declared executions of an EXECS payload")?;
-    Ok(write_streams(count, &[&seg_ids.buf, &times.buf]))
-}
-
 fn decode_execs(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let (count, streams) = read_streams::<2>(payload)?;
     let [seg_ids, times] = streams;
@@ -661,15 +800,15 @@ fn decode_execs(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
 /// Applies the columnar transform to a row payload of the given class.
 ///
 /// The payload must be canonical row bytes as produced by the container
-/// writer (the transform parses it with the row codec); malformed input is
-/// a typed error.
+/// writer (it is parsed with the row codec and its items pushed into the
+/// column streams, as [`crate::ChunkEncoder`] pushes them unparsed);
+/// malformed input is a typed error.
 pub fn column_encode(class: PayloadClass, payload: &[u8]) -> Result<Vec<u8>, CompressError> {
-    match class {
-        PayloadClass::Records => encode_records(payload),
-        PayloadClass::Stored => encode_stored(payload),
-        PayloadClass::Execs => encode_execs(payload),
-        PayloadClass::Opaque => Ok(payload.to_vec()),
-    }
+    let mut columns = ColumnWriter::default();
+    columns.push_rows(class, payload)?;
+    let mut out = Vec::new();
+    columns.finish(class, payload, &mut out)?;
+    Ok(out)
 }
 
 /// Inverts [`column_encode`], reconstructing the row payload byte-for-byte.
@@ -849,7 +988,12 @@ mod tests {
             Err(CompressError::LengthOverflow { .. })
         ));
         // An unknown record tag inside the tags column.
-        let bad = write_streams(1, &[&[9u8], &[], &[], &[], &[], &[], &[], &[], &[], &[]]);
+        let mut bad = Vec::new();
+        write_streams(
+            &mut bad,
+            1,
+            &[&[9u8], &[], &[], &[], &[], &[], &[], &[], &[], &[]],
+        );
         assert!(matches!(
             column_decode(PayloadClass::Records, &bad),
             Err(CompressError::Codec(CodecError::BadTag { .. }))
@@ -862,7 +1006,8 @@ mod tests {
             Err(CompressError::TrailingBytes { .. })
         ));
         // A count larger than the columns actually hold.
-        let empty_streams = write_streams(5, &[&[], &[], &[], &[], &[], &[], &[], &[], &[], &[]]);
+        let mut empty_streams = Vec::new();
+        write_streams(&mut empty_streams, 5, &[&[][..]; 10]);
         assert!(matches!(
             column_decode(PayloadClass::Records, &empty_streams),
             Err(CompressError::Truncated { .. })
@@ -881,7 +1026,8 @@ mod tests {
         let mut seg_ids = Vec::new();
         write_i64(&mut seg_ids, 0);
         write_i64(&mut seg_ids, 0);
-        let crafted = write_streams(2, &[&seg_ids, &times]);
+        let mut crafted = Vec::new();
+        write_streams(&mut crafted, 2, &[&seg_ids, &times]);
         assert!(matches!(
             column_decode(PayloadClass::Execs, &crafted),
             Err(CompressError::Codec(CodecError::NegativeTime))

@@ -25,6 +25,17 @@
 //! bytes is total (typed [`CompressError`], never a panic or unbounded
 //! allocation).
 //!
+//! Two ways in on the encode side, one implementation.  [`compress`] takes
+//! a finished row payload and is what tools and tests call on single
+//! blocks.  A container writer, which encodes thousands of small chunks,
+//! holds a [`ChunkEncoder`] instead: it owns everything a chunk's encoding
+//! needs and the next chunk can reuse — the [`LzEncoder`]'s match-finder
+//! tables (`lz` module docs: the `base` scheme that empties them for free),
+//! the column stream buffers (filled from the records themselves as the
+//! writer appends them, `column` module docs) and the output buffers.  Both
+//! produce the same bytes; `tests/encoder_equivalence.rs` holds them, and
+//! the implementation they replaced, to that.
+//!
 //! # Quick start
 //!
 //! ```
@@ -41,9 +52,10 @@ pub mod column;
 pub mod error;
 pub mod lz;
 
+use column::ColumnWriter;
 pub use column::{column_decode, column_encode, PayloadClass};
 pub use error::CompressError;
-pub use lz::{lz_compress, lz_decompress};
+pub use lz::{lz_compress, lz_decompress, LzEncoder};
 
 /// A chunk-payload codec, addressed by the codec id byte in the `.trc` v2
 /// chunk framing.
@@ -116,8 +128,8 @@ pub fn compress(
     Ok(match codec {
         Codec::None => payload.to_vec(),
         Codec::Delta => column_encode(class, payload)?,
-        Codec::Lz => lz_compress(payload),
-        Codec::DeltaLz => lz_compress(&column_encode(class, payload)?),
+        Codec::Lz => lz_compress(payload)?,
+        Codec::DeltaLz => lz_compress(&column_encode(class, payload)?)?,
     })
 }
 
@@ -138,22 +150,99 @@ pub fn decompress(
     })
 }
 
-/// [`compress`] with observability: records a
-/// [`trace_obs::Stage::Compress`] span plus `compress.bytes_in/out`
-/// counters (one clock read pair per chunk, nothing per byte).  With a
-/// disabled shard this is exactly [`compress`].
-pub fn compress_observed(
+/// Everything the encode side of one container writer reuses from chunk to
+/// chunk: the column streams, the LZ match finder's tables and the two
+/// output buffers.
+///
+/// The writer pushes each item it appends to a chunk's row body
+/// ([`ChunkEncoder::record`], [`ChunkEncoder::stored`],
+/// [`ChunkEncoder::exec`]) and, when it cuts the chunk, asks for the stored
+/// form with [`ChunkEncoder::finish`].  The bytes are exactly
+/// [`compress`]`(codec, class, rows)`; what differs is that nothing is
+/// allocated, zeroed or parsed back per chunk.
+pub struct ChunkEncoder {
     codec: Codec,
-    class: PayloadClass,
-    payload: &[u8],
-    obs: &mut trace_obs::ObsShard,
-) -> Result<Vec<u8>, CompressError> {
-    let span = obs.start();
-    let packed = compress(codec, class, payload)?;
-    obs.end(trace_obs::Stage::Compress, span);
-    obs.add(trace_obs::names::COMPRESS_BYTES_IN, payload.len() as u64);
-    obs.add(trace_obs::names::COMPRESS_BYTES_OUT, packed.len() as u64);
-    Ok(packed)
+    columns: ColumnWriter,
+    lz: LzEncoder,
+    /// The column stage's output (`delta`: the stored form; `delta-lz`: the
+    /// LZ stage's input).
+    columnar: Vec<u8>,
+    /// The LZ stage's output.
+    packed: Vec<u8>,
+}
+
+impl ChunkEncoder {
+    /// Scratch for chunks stored under `codec`.
+    pub fn new(codec: Codec) -> Self {
+        ChunkEncoder {
+            codec,
+            columns: ColumnWriter::default(),
+            lz: LzEncoder::new(),
+            columnar: Vec::new(),
+            packed: Vec::new(),
+        }
+    }
+
+    fn has_column_stage(&self) -> bool {
+        matches!(self.codec, Codec::Delta | Codec::DeltaLz)
+    }
+
+    /// Notes a record appended to the current `RECORDS` chunk.
+    pub fn record(&mut self, record: &trace_model::TraceRecord) {
+        if self.has_column_stage() {
+            self.columns.push_record(record);
+        }
+    }
+
+    /// Notes a stored segment appended to the current `STORED` chunk.
+    pub fn stored(&mut self, stored: &trace_model::StoredSegment) {
+        if self.has_column_stage() {
+            self.columns.push_stored(stored);
+        }
+    }
+
+    /// Notes an execution appended to the current `EXECS` chunk.
+    pub fn exec(&mut self, exec: &trace_model::SegmentExec) {
+        if self.has_column_stage() {
+            self.columns.push_exec(exec);
+        }
+    }
+
+    /// The current chunk under the encoder's codec; `rows` is its row
+    /// payload, the very items pushed since the previous call.  The result
+    /// is *not* guaranteed smaller than `rows` (see [`compress`]).
+    ///
+    /// Records a [`trace_obs::Stage::Compress`] span plus
+    /// `compress.bytes_in/out` counters (one clock read pair per chunk,
+    /// nothing per byte; nothing at all with a disabled shard).
+    pub fn finish<'a>(
+        &'a mut self,
+        class: PayloadClass,
+        rows: &'a [u8],
+        obs: &mut trace_obs::ObsShard,
+    ) -> Result<&'a [u8], CompressError> {
+        let span = obs.start();
+        let packed: &[u8] = match self.codec {
+            Codec::None => rows,
+            Codec::Delta => {
+                self.columns.finish(class, rows, &mut self.columnar)?;
+                &self.columnar
+            }
+            Codec::Lz => {
+                self.lz.compress(rows, &mut self.packed)?;
+                &self.packed
+            }
+            Codec::DeltaLz => {
+                self.columns.finish(class, rows, &mut self.columnar)?;
+                self.lz.compress(&self.columnar, &mut self.packed)?;
+                &self.packed
+            }
+        };
+        obs.end(trace_obs::Stage::Compress, span);
+        obs.add(trace_obs::names::COMPRESS_BYTES_IN, rows.len() as u64);
+        obs.add(trace_obs::names::COMPRESS_BYTES_OUT, packed.len() as u64);
+        Ok(packed)
+    }
 }
 
 /// [`decompress`] with observability: records a

@@ -86,7 +86,7 @@ proptest! {
 
     #[test]
     fn lz_round_trips_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let packed = lz_compress(&bytes);
+        let packed = lz_compress(&bytes).expect("compress");
         prop_assert_eq!(lz_decompress(&packed).expect("round trip"), bytes);
     }
 

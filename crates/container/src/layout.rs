@@ -384,7 +384,7 @@ mod tests {
         // Control chunks are opaque to the columnar transform, so LZ is the
         // only codec that changes their bytes.
         let payload = vec![42u8; 4096];
-        let stored = trace_compress::lz_compress(&payload);
+        let stored = trace_compress::lz_compress(&payload).unwrap();
         assert!(stored.len() < payload.len());
         let mut file = Vec::new();
         write_header(&mut file, PayloadKind::App).unwrap();

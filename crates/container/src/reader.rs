@@ -23,6 +23,10 @@ use trace_model::{
 use crate::error::ContainerError;
 use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind, CONTAINER_MAGIC};
 
+/// The preamble's rank count is a bare varint: readers reserve no more than
+/// this many rank slots on its word alone (a 28-byte file can declare 2^60).
+const MAX_RESERVED_RANKS: usize = 4096;
+
 /// The decoded preamble chunk: program name, declared rank count and the
 /// interned string tables shared by every section.
 #[derive(Clone, Debug, PartialEq)]
@@ -369,7 +373,7 @@ pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError
         name: preamble.name,
         regions: preamble.regions,
         contexts: preamble.contexts,
-        ranks: Vec::with_capacity(preamble.declared_ranks),
+        ranks: Vec::with_capacity(preamble.declared_ranks.min(MAX_RESERVED_RANKS)),
     };
     let mut open: Option<RankTrace> = None;
     while let Some(item) = chunks.next_item()? {
@@ -417,7 +421,7 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
         name: preamble.name,
         regions: preamble.regions,
         contexts: preamble.contexts,
-        ranks: Vec::with_capacity(preamble.declared_ranks),
+        ranks: Vec::with_capacity(preamble.declared_ranks.min(MAX_RESERVED_RANKS)),
     };
 
     let mut open: Option<ReducedRankTrace> = None;

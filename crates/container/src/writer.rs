@@ -10,7 +10,7 @@
 
 use std::io::{self, Write};
 
-use trace_compress::{compress_observed, Codec};
+use trace_compress::{ChunkEncoder, Codec};
 use trace_model::codec::varint::write_u64 as varint_write_u64;
 use trace_model::codec::{
     write_exec, write_record, write_stored_segment, write_string, write_string_table,
@@ -119,6 +119,10 @@ pub struct ChunkWriter<W: Write> {
     /// Encoded items of the chunk being assembled (without the leading
     /// count varint, which is prepended at flush time).
     body: Vec<u8>,
+    /// The row payload of the chunk being flushed: count varint plus `body`.
+    payload: Vec<u8>,
+    /// The codec stages' scratch; sees every item `body` receives.
+    encoder: ChunkEncoder,
     items_in_chunk: u64,
     segments_in_chunk: usize,
     prev_time: Time,
@@ -158,6 +162,8 @@ impl<W: Write> ChunkWriter<W> {
             },
             declared_ranks: rank_count,
             body: Vec::new(),
+            payload: Vec::new(),
+            encoder: ChunkEncoder::new(spec.codec),
             items_in_chunk: 0,
             segments_in_chunk: 0,
             prev_time: Time::ZERO,
@@ -226,31 +232,29 @@ impl<W: Write> ChunkWriter<W> {
         if self.items_in_chunk == 0 {
             return Ok(());
         }
-        let mut payload = Vec::with_capacity(self.body.len() + 4);
-        varint_write_u64(&mut payload, self.items_in_chunk);
-        payload.extend_from_slice(&self.body);
+        self.payload.clear();
+        varint_write_u64(&mut self.payload, self.items_in_chunk);
+        self.payload.extend_from_slice(&self.body);
+        let payload = &self.payload;
         // The codec byte actually written (after the raw fallback decided)
         // and the stored payload length, for the per-codec counters.
         let (stored_codec, stored_len) = if self.spec.codec == Codec::None {
-            write_chunk(&mut self.out, kind, Codec::None, &payload)?;
+            write_chunk(&mut self.out, kind, Codec::None, payload)?;
             (Codec::None, payload.len())
         } else {
-            // The payload was just produced by the row codec, so the
-            // transform cannot fail; surface the impossible as io::Error
-            // rather than panicking.
-            let packed = compress_observed(
-                self.spec.codec,
-                kind.payload_class(),
-                &payload,
-                &mut self.obs,
-            )
-            .map_err(|e| io::Error::other(format!("chunk compression failed: {e}")))?;
+            // The encoder saw the very items the payload holds, so this
+            // cannot fail short of a time stamp no reader would accept;
+            // surface it as io::Error rather than panicking.
+            let packed = self
+                .encoder
+                .finish(kind.payload_class(), payload, &mut self.obs)
+                .map_err(|e| io::Error::other(format!("chunk compression failed: {e}")))?;
             if packed.len() < payload.len() {
-                write_chunk(&mut self.out, kind, self.spec.codec, &packed)?;
+                write_chunk(&mut self.out, kind, self.spec.codec, packed)?;
                 (self.spec.codec, packed.len())
             } else {
                 self.obs.add(trace_obs::names::CHUNK_COMPRESS_FALLBACKS, 1);
-                write_chunk(&mut self.out, kind, Codec::None, &payload)?;
+                write_chunk(&mut self.out, kind, Codec::None, payload)?;
                 (Codec::None, payload.len())
             }
         };
@@ -322,6 +326,7 @@ impl<W: Write> ChunkWriter<W> {
             return Err(Self::state_error("record outside a rank section"));
         };
         self.prev_time = write_record(&mut self.body, record, self.prev_time);
+        self.encoder.record(record);
         self.items_in_chunk += 1;
         section.records += 1;
         match record {
@@ -353,6 +358,7 @@ impl<W: Write> ChunkWriter<W> {
         section.records += 1;
         section.segments += 1;
         write_stored_segment(&mut self.body, stored);
+        self.encoder.stored(stored);
         self.items_in_chunk += 1;
         self.segments_in_chunk += 1;
         if self.segments_in_chunk >= self.spec.segments_per_chunk {
@@ -377,6 +383,7 @@ impl<W: Write> ChunkWriter<W> {
             }
         }
         self.prev_time = write_exec(&mut self.body, exec, self.prev_time);
+        self.encoder.exec(exec);
         self.items_in_chunk += 1;
         let Some(section) = self.section.as_mut() else {
             return Err(Self::state_error("exec outside a rank section"));

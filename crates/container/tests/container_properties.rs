@@ -174,6 +174,35 @@ fn crafted_compressed_payloads_with_valid_crcs_are_typed_errors() {
 }
 
 #[test]
+fn a_preamble_declaring_2_to_the_60_ranks_is_a_typed_error_not_an_allocation() {
+    // Header plus one CRC-valid PREAMBLE chunk: empty name, empty tables and
+    // a rank count of 2^60 — 28 bytes in all.  Both whole-file readers must
+    // run out of input, not reserve 2^60 rank slots on the varint's word.
+    let mut preamble = vec![0u8, 0, 0];
+    trace_model::codec::varint::write_u64(&mut preamble, 1 << 60);
+    for payload_kind in [0u8, 1] {
+        let mut crafted = trace_container::CONTAINER_MAGIC.to_vec();
+        crafted.extend_from_slice(&[trace_container::CONTAINER_VERSION, payload_kind]);
+        trace_container::layout::write_chunk(
+            &mut crafted,
+            trace_container::ChunkKind::Preamble,
+            Codec::None,
+            &preamble,
+        )
+        .unwrap();
+        assert_eq!(crafted.len(), 28);
+        let err = if payload_kind == 0 {
+            read_app_container(&crafted[..]).map(|_| ()).unwrap_err()
+        } else {
+            read_reduced_container(&crafted[..])
+                .map(|_| ())
+                .unwrap_err()
+        };
+        assert!(matches!(err, ContainerError::Truncated { .. }), "{err:?}");
+    }
+}
+
+#[test]
 fn bad_magic_version_and_trailer_are_typed_errors() {
     let app = build_trace(&[vec![(0, 0, 1)]]);
     let bytes = encode_app_container(&app, ChunkSpec::default());

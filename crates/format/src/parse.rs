@@ -72,6 +72,10 @@ fn parse_header<'a>(
     }
 }
 
+/// `TRACE RANKS <n>` announces `n` rank sections; no more than this many
+/// slots are reserved on the header's word alone.
+const MAX_RESERVED_RANKS: usize = 4096;
+
 /// Parses the text form of a full application trace.
 pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {
     let mut lines = Lines::new(text);
@@ -82,7 +86,7 @@ pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {
         name: tables.name.clone(),
         regions: tables.regions.clone(),
         contexts: tables.contexts.clone(),
-        ranks: Vec::with_capacity(tables.declared_ranks),
+        ranks: Vec::with_capacity(tables.declared_ranks.min(MAX_RESERVED_RANKS)),
     };
 
     let mut open_rank: Option<RankTrace> = None;
@@ -140,7 +144,7 @@ pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
         name: tables.name.clone(),
         regions: tables.regions.clone(),
         contexts: tables.contexts.clone(),
-        ranks: Vec::with_capacity(tables.declared_ranks),
+        ranks: Vec::with_capacity(tables.declared_ranks.min(MAX_RESERVED_RANKS)),
     };
 
     loop {
@@ -422,6 +426,17 @@ END_TRACE
         // The announced event count is not trusted with an allocation.
         let err = reduced(&format!("RANK 0\nSTORED 0 1 0 5 {}\n", u64::MAX)).unwrap_err();
         assert_eq!(err.message, "expected EVENT line inside a STORED segment");
+    }
+
+    #[test]
+    fn a_header_declaring_2_to_the_60_ranks_is_a_typed_error_not_an_allocation() {
+        // Three lines are a complete (empty) trace; only the count lies.
+        let body = format!("TRACE RANKS {} NAME crafted\nEND_TRACE\n", 1u64 << 60);
+        let expected = "header declares 1152921504606846976 ranks but 0 rank sections were found";
+        let err = parse_app_trace(&format!("TRACEFORMAT 1\n{body}")).unwrap_err();
+        assert_eq!(err.message, expected);
+        let err = parse_reduced_trace(&format!("TRACEFORMAT_REDUCED 1\n{body}")).unwrap_err();
+        assert_eq!(err.message, expected);
     }
 
     #[test]
