@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trace_bench::preset_from_env;
 use trace_container::{read_app_container, ChunkSpec, Codec};
 use trace_model::codec::encode_app_trace;
-use trace_reduce::{Method, MethodConfig};
+use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{reduce_container_file, reduce_container_stream};
 
@@ -35,7 +35,7 @@ fn bench_compression(c: &mut Criterion) {
         .expect("writing to a Vec cannot fail");
     let app = read_app_container(&baseline[..]).expect("container decodes");
     let monolithic = encode_app_trace(&app);
-    let config = MethodConfig::with_default_threshold(Method::AvgWave);
+    let reducer = Reducer::with_default_threshold(Method::AvgWave);
 
     // One compressed container per codec, with the size story printed once.
     println!(
@@ -65,7 +65,7 @@ fn bench_compression(c: &mut Criterion) {
     group.sample_size(10);
     for (codec, bytes) in &containers {
         group.bench_function(BenchmarkId::from_parameter(codec.name()), |b| {
-            b.iter(|| reduce_container_stream(config, Cursor::new(bytes)).unwrap())
+            b.iter(|| reduce_container_stream(&reducer, Cursor::new(bytes)).unwrap())
         });
     }
     group.finish();
@@ -82,7 +82,7 @@ fn bench_compression(c: &mut Criterion) {
     for (codec, bytes) in &containers {
         std::fs::write(&path, bytes).expect("temp file");
         group.bench_function(BenchmarkId::from_parameter(codec.name()), |b| {
-            b.iter(|| reduce_container_file(config, &path, 4).unwrap())
+            b.iter(|| reduce_container_file(&reducer, &path, 4).unwrap())
         });
     }
     group.finish();

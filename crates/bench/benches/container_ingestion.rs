@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trace_bench::preset_from_env;
 use trace_container::{encode_app_container, read_app_container, ChunkSpec};
 use trace_model::codec::{decode_app_trace, encode_app_trace};
-use trace_reduce::{Method, MethodConfig, Reducer};
+use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{reduce_container_file, reduce_container_stream};
 
@@ -36,12 +36,12 @@ fn bench_container_ingestion(c: &mut Criterion) {
     // The same amplified trace as one monolithic v1 buffer.
     let app = read_app_container(&container[..]).expect("container decodes");
     let monolithic = encode_app_trace(&app);
-    let config = MethodConfig::with_default_threshold(Method::AvgWave);
+    let reducer = Reducer::with_default_threshold(Method::AvgWave);
 
     // Report the memory story once, through the same run-report formatter
     // the CLI's `--obs` flag uses (a monolithic decode holds the whole v1
     // buffer; the streaming reader only `stream.peak_chunk_bytes`).
-    let reduction = reduce_container_stream(config, Cursor::new(&container)).unwrap();
+    let reduction = reduce_container_stream(&reducer, Cursor::new(&container)).unwrap();
     println!(
         "container {}: v1 {} bytes, v2 {} bytes",
         workload.name(),
@@ -64,16 +64,16 @@ fn bench_container_ingestion(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("monolithic_v1"), |b| {
         b.iter(|| {
             let app = decode_app_trace(&monolithic).unwrap();
-            Reducer::new(config).reduce_app(&app)
+            reducer.reduce_app(&app)
         })
     });
     group.bench_function(BenchmarkId::from_parameter("container_stream"), |b| {
-        b.iter(|| reduce_container_stream(config, Cursor::new(&container)).unwrap())
+        b.iter(|| reduce_container_stream(&reducer, Cursor::new(&container)).unwrap())
     });
     for shards in [2usize, 4] {
         group.bench_function(
             BenchmarkId::from_parameter(format!("container_shards_{shards}")),
-            |b| b.iter(|| reduce_container_file(config, &path, shards).unwrap()),
+            |b| b.iter(|| reduce_container_file(&reducer, &path, shards).unwrap()),
         );
     }
     group.finish();

@@ -19,7 +19,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use trace_bench::{matching_sweep_scales, preset_from_env, scaled_dynload};
-use trace_reduce::{reduce_app_reference, CandidateSearch, Method, MethodConfig, Reducer};
+use trace_reduce::{
+    reduce_app_parallel_with_stats, reduce_app_reference, CandidateSearch, Method, MethodConfig,
+    Reducer,
+};
 use trace_sim::SizePreset;
 
 fn metric_methods() -> impl Iterator<Item = Method> {
@@ -45,10 +48,11 @@ fn bench_matching_scaling(c: &mut Criterion) {
         let largest = *scale == *scales.last().unwrap();
         for method in metric_methods() {
             let config = MethodConfig::with_default_threshold(method);
-            let (reduced, indexed) =
-                Reducer::with_search(config, CandidateSearch::Indexed).reduce_app_with_stats(app);
-            let (scan_reduced, linear) = Reducer::with_search(config, CandidateSearch::LinearScan)
-                .reduce_app_with_stats(app);
+            let run = |search| {
+                reduce_app_parallel_with_stats(&Reducer::with_search(config, search), app, 1)
+            };
+            let (reduced, indexed) = run(CandidateSearch::Indexed);
+            let (scan_reduced, linear) = run(CandidateSearch::LinearScan);
             assert_eq!(
                 reduced, scan_reduced,
                 "{method} x{scale}: indexed must be bit-identical to the linear scan"

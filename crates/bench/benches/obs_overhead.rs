@@ -1,8 +1,8 @@
 //! Overhead of the observability layer (the `trace_obs` subsystem).
 //!
-//! Every pipeline entry point takes a [`trace_obs::Recorder`]; the default
-//! is a disabled recorder whose shards are `None` inside, so the
-//! instrumented paths must cost nothing when recording is off and stay
+//! Every driver records through the [`trace_obs::Recorder`] its `Reducer`
+//! carries; the default is a disabled recorder whose shards are `None`
+//! inside, so the paths must cost nothing when recording is off and stay
 //! within the documented budget (<= 2% on the matching path, see
 //! EXPERIMENTS.md) when it is on.  This bench measures both states for the
 //! in-memory reducer and the streaming reducer on the same workload.  Size
@@ -16,9 +16,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trace_bench::preset_from_env;
 use trace_format::parse_app_trace;
 use trace_obs::Recorder;
-use trace_reduce::{Method, MethodConfig, Reducer};
+use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::reduce_stream_obs;
+use trace_stream::reduce_stream;
 
 /// The run replayed back-to-back (same amplification as the other
 /// streaming benches) so the measured work is the matching pipeline, not
@@ -37,28 +37,24 @@ fn bench_obs_overhead(c: &mut Criterion) {
         .expect("writing to a Vec cannot fail");
     let app = parse_app_trace(std::str::from_utf8(&text).expect("generated text is UTF-8"))
         .expect("generated text parses");
-    let config = MethodConfig::with_default_threshold(Method::AvgWave);
-    let reducer = Reducer::new(config);
+    let disabled = Reducer::with_default_threshold(Method::AvgWave);
+    let enabled = || disabled.clone().with_recorder(&Recorder::enabled());
 
     // Each enabled iteration pays the whole realistic cost: recorder
     // construction, span recording, counter draining and the final merge.
     let mut group = c.benchmark_group("obs/overhead");
     group.sample_size(10);
     group.bench_function(BenchmarkId::from_parameter("in_memory_disabled"), |b| {
-        b.iter(|| reducer.reduce_app_obs(&app, &Recorder::disabled()))
+        b.iter(|| disabled.reduce_app(&app))
     });
     group.bench_function(BenchmarkId::from_parameter("in_memory_enabled"), |b| {
-        b.iter(|| reducer.reduce_app_obs(&app, &Recorder::enabled()))
+        b.iter(|| enabled().reduce_app(&app))
     });
     group.bench_function(BenchmarkId::from_parameter("stream_disabled"), |b| {
-        b.iter(|| {
-            reduce_stream_obs(config, Cursor::new(text.as_slice()), &Recorder::disabled()).unwrap()
-        })
+        b.iter(|| reduce_stream(&disabled, Cursor::new(text.as_slice())).unwrap())
     });
     group.bench_function(BenchmarkId::from_parameter("stream_enabled"), |b| {
-        b.iter(|| {
-            reduce_stream_obs(config, Cursor::new(text.as_slice()), &Recorder::enabled()).unwrap()
-        })
+        b.iter(|| reduce_stream(&enabled(), Cursor::new(text.as_slice())).unwrap())
     });
     group.finish();
 }

@@ -13,7 +13,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use trace_bench::preset_from_env;
-use trace_reduce::{reduce_app_reference, Method, MethodConfig, Reducer};
+use trace_reduce::{
+    reduce_app_parallel_with_stats, reduce_app_reference, Method, MethodConfig, Reducer,
+};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
 fn bench_similarity_matching(c: &mut Criterion) {
@@ -38,7 +40,7 @@ fn bench_similarity_matching(c: &mut Criterion) {
     for method in Method::ALL {
         let config = MethodConfig::with_default_threshold(method);
         let reducer = Reducer::new(config);
-        let (fast, stats) = reducer.reduce_app_with_stats(&app);
+        let (fast, stats) = reduce_app_parallel_with_stats(&reducer, &app, 1);
         assert_eq!(
             fast,
             reduce_app_reference(config, &app),

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trace_bench::preset_from_env;
 use trace_format::parse_app_trace;
-use trace_reduce::{Method, MethodConfig, Reducer};
+use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{reduce_stream, reduce_stream_sharded};
 
@@ -30,12 +30,12 @@ fn bench_streaming_reduction(c: &mut Criterion) {
     let text = workload
         .write_text_amplified_to(Vec::new(), REPEATS)
         .expect("writing to a Vec cannot fail");
-    let config = MethodConfig::with_default_threshold(Method::AvgWave);
+    let reducer = Reducer::with_default_threshold(Method::AvgWave);
 
     // Report the memory and pruning story once, through the same run-report
     // formatter the CLI's `--obs` flag uses (one rendering, no bench-local
     // stat formatting to drift out of sync).
-    let reduction = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
+    let reduction = reduce_stream(&reducer, Cursor::new(text.as_slice())).unwrap();
     println!(
         "streaming {}: {} bytes of text",
         workload.name(),
@@ -52,18 +52,18 @@ fn bench_streaming_reduction(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("in_memory"), |b| {
         b.iter(|| {
             let app = parse_app_trace(std::str::from_utf8(&text).unwrap()).unwrap();
-            Reducer::new(config).reduce_app(&app)
+            reducer.reduce_app(&app)
         })
     });
     group.bench_function(BenchmarkId::from_parameter("stream"), |b| {
-        b.iter(|| reduce_stream(config, Cursor::new(text.as_slice())).unwrap())
+        b.iter(|| reduce_stream(&reducer, Cursor::new(text.as_slice())).unwrap())
     });
     for shards in [2usize, 4] {
         group.bench_function(
             BenchmarkId::from_parameter(format!("stream_shards_{shards}")),
             |b| {
                 b.iter(|| {
-                    reduce_stream_sharded(config, shards, |_| Ok(Cursor::new(text.clone())))
+                    reduce_stream_sharded(&reducer, shards, |_| Ok(Cursor::new(text.clone())))
                         .unwrap()
                 })
             },

@@ -14,7 +14,8 @@ use trace_eval::file_size_percent;
 use trace_format::parse_app_trace;
 use trace_model::codec::{decode_app_trace, encode_app_trace};
 use trace_reduce::{
-    reduce_app_reference, CandidateSearch, MatchStats, Method, MethodConfig, Reducer,
+    reduce_app_parallel_with_stats, reduce_app_reference, CandidateSearch, MatchStats, Method,
+    MethodConfig, Reducer,
 };
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{
@@ -87,7 +88,7 @@ fn main() {
     let in_memory_wall = started.elapsed();
 
     let started = Instant::now();
-    let streamed = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
+    let streamed = reduce_stream(&reducer, Cursor::new(text.as_slice())).unwrap();
     let stream_wall = started.elapsed();
     assert_eq!(
         streamed.reduced, in_memory,
@@ -95,7 +96,7 @@ fn main() {
     );
 
     let started = Instant::now();
-    let sharded = reduce_stream_sharded(config, 4, |_| Ok(Cursor::new(text.clone()))).unwrap();
+    let sharded = reduce_stream_sharded(&reducer, 4, |_| Ok(Cursor::new(text.clone()))).unwrap();
     let sharded_wall = started.elapsed();
     assert_eq!(sharded.reduced, in_memory, "sharding must match in-memory");
 
@@ -140,7 +141,7 @@ fn main() {
     let v1_wall = started.elapsed();
 
     let started = Instant::now();
-    let container_streamed = reduce_container_stream(config, Cursor::new(&v2)).unwrap();
+    let container_streamed = reduce_container_stream(&reducer, Cursor::new(&v2)).unwrap();
     let container_wall = started.elapsed();
     assert_eq!(
         container_streamed.reduced, v1_reduced,
@@ -148,7 +149,7 @@ fn main() {
     );
 
     let started = Instant::now();
-    let container_sharded = reduce_container_file(config, &container_path, 4).unwrap();
+    let container_sharded = reduce_container_file(&reducer, &container_path, 4).unwrap();
     let container_sharded_wall = started.elapsed();
     assert_eq!(
         container_sharded.reduced, v1_reduced,
@@ -226,7 +227,7 @@ fn main() {
         std::fs::write(&container_path, &bytes).expect("temp container file");
 
         let started = Instant::now();
-        let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+        let streamed = reduce_container_stream(&reducer, Cursor::new(&bytes)).unwrap();
         let stream_wall = started.elapsed();
         assert_eq!(
             streamed.reduced, expected,
@@ -234,7 +235,7 @@ fn main() {
         );
 
         let started = Instant::now();
-        let sharded = reduce_container_file(config, &container_path, 4).unwrap();
+        let sharded = reduce_container_file(&reducer, &container_path, 4).unwrap();
         let sharded_wall = started.elapsed();
         assert_eq!(sharded.reduced, expected);
 
@@ -281,7 +282,7 @@ fn main() {
         let fast: Vec<_> = traces
             .iter()
             .map(|t| {
-                let (reduced, trace_stats) = reducer.reduce_app_with_stats(t);
+                let (reduced, trace_stats) = reduce_app_parallel_with_stats(&reducer, t, 1);
                 stats.absorb(&trace_stats);
                 reduced
             })
@@ -339,10 +340,11 @@ fn main() {
         let app = scaled_dynload(preset, scale);
         for method in Method::ALL.into_iter().filter(|m| m.is_distance_method()) {
             let config = MethodConfig::with_default_threshold(method);
-            let (reduced, indexed) =
-                Reducer::with_search(config, CandidateSearch::Indexed).reduce_app_with_stats(&app);
-            let (scan_reduced, linear) = Reducer::with_search(config, CandidateSearch::LinearScan)
-                .reduce_app_with_stats(&app);
+            let run = |search| {
+                reduce_app_parallel_with_stats(&Reducer::with_search(config, search), &app, 1)
+            };
+            let (reduced, indexed) = run(CandidateSearch::Indexed);
+            let (scan_reduced, linear) = run(CandidateSearch::LinearScan);
             assert_eq!(reduced, scan_reduced, "{method} x{scale}: paths must agree");
             println!(
                 "| {scale} | {} | {} | {:.3} | {} / {} | {:.1}% | {:.1}% |",

@@ -1,10 +1,12 @@
 //! Subcommand implementations for `trace-tools`.
 
+use std::io::Write;
 use std::path::Path;
 
 use trace_analysis::diagnose;
 use trace_eval::{evaluate_method, file_size_percent};
-use trace_reduce::{ExtendedConfig, ExtendedMethod, ExtendedReducer, MethodConfig};
+use trace_obs::Recorder;
+use trace_reduce::{ExtendedConfig, ExtendedMethod, ExtendedReducer, MethodConfig, Reducer};
 use trace_sampling::{sample_app, AdaptiveConfig, SamplingPolicy};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -12,8 +14,8 @@ use trace_container::{ChunkSpec, Codec};
 
 use crate::cli::{check_flags, Invocation};
 use crate::io::{
-    load_app_trace, load_app_trace_obs, load_reduced_trace, store_app_trace, store_reduced_trace,
-    store_reduced_trace_obs, BinaryFormat,
+    load_app_trace, load_reduced_trace, store_app_trace, store_reduced_trace, write_file_atomic,
+    BinaryFormat,
 };
 
 /// The usage text printed by `trace-tools help` and after errors.
@@ -245,19 +247,24 @@ fn parse_obs(invocation: &Invocation) -> Result<Option<ObsSettings>, String> {
 }
 
 /// Creates the recorder for a command: enabled when obs flags were given.
-fn obs_recorder(settings: &Option<ObsSettings>) -> trace_obs::Recorder {
+fn obs_recorder(settings: &Option<ObsSettings>) -> Recorder {
     if settings.is_some() {
-        trace_obs::Recorder::enabled()
+        Recorder::enabled()
     } else {
-        trace_obs::Recorder::disabled()
+        Recorder::disabled()
     }
+}
+
+/// Writes a rendered report to `path`, all or nothing.
+fn write_text(path: &Path, text: &str) -> Result<(), String> {
+    write_file_atomic(path, |file| file.write_all(text.as_bytes()))
 }
 
 /// Renders the run report and either writes it to `--obs-out` or appends
 /// it to the command output.
 fn emit_obs(
     settings: &Option<ObsSettings>,
-    recorder: &trace_obs::Recorder,
+    recorder: &Recorder,
     message: &mut String,
 ) -> Result<(), String> {
     let Some(settings) = settings else {
@@ -271,8 +278,7 @@ fn emit_obs(
     };
     match &settings.out {
         Some(path) => {
-            std::fs::write(path, &rendered)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            write_text(path, &rendered)?;
             message.push_str(&format!(
                 "\nrun report ({}) -> {}",
                 settings.format.label(),
@@ -319,7 +325,7 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
     let app = Workload::new(kind, preset).generate();
-    let written = crate::io::store_app_trace_obs(out, &app, format, &recorder)?;
+    let written = store_app_trace(out, &app, format, &recorder)?;
     let encoding = if crate::io::is_text_path(out) {
         "text".to_string()
     } else {
@@ -336,19 +342,26 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-/// `reduce --stream`: one-pass, bounded-memory reduction of a trace file.
-/// Text, monolithic binary v1 and chunked container v2 inputs are
-/// autodetected by magic bytes; v1 has no streamable structure and falls
-/// back to in-memory decoding.
-fn cmd_reduce_stream(invocation: &Invocation) -> Result<String, String> {
+/// `reduce`: the prologue (method, paths, format, obs) and the epilogue
+/// (store, `--report`, run report) are shared; only the reduce step and the
+/// summary line differ between the in-memory path and `--stream`.
+fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
+    let stream = invocation.has("stream");
+    if !stream && invocation.has("shards") {
+        return Err("--shards only applies to streaming reduction; add --stream".to_string());
+    }
     let config = parse_method(invocation)?;
-    let ExtendedMethod::Paper(method) = config.method else {
+    let paper = match config.method {
+        ExtendedMethod::Paper(method) => Some(MethodConfig::new(method, config.threshold)),
+        _ => None,
+    };
+    if stream && paper.is_none() {
         return Err(format!(
             "--stream supports the nine paper methods; {} needs the in-memory path \
              (drop --stream)",
             config.label()
         ));
-    };
+    }
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
     let format = parse_binary_format(invocation, out)?;
@@ -356,129 +369,104 @@ fn cmd_reduce_stream(invocation: &Invocation) -> Result<String, String> {
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
-
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
-    let method_config = MethodConfig::new(method, config.threshold);
-    let (result, kind) = trace_stream::reduce_any_file_obs(method_config, input, shards, &recorder)
-        .map_err(|e| format!("{}: {e}", input.display()))?;
-    store_reduced_trace_obs(out, &result.reduced, format, &recorder)?;
-    // The v1 fallback decodes the whole file single-threaded: no sharding
-    // happened and the "peak" is simply every segment, so the message must
-    // not claim otherwise.
-    let v1_fallback = kind == trace_stream::TraceInputKind::BinaryV1;
-    let pipeline = if v1_fallback {
-        "in memory (--shards not applicable)".to_string()
-    } else {
-        format!("over {shards} shard(s)")
-    };
-    // With several shards the stat is the sum of per-worker peaks — an
-    // upper bound on the concurrent total, not a single observation.
-    let peak = if !v1_fallback && shards > 1 {
-        format!(
-            "resident segments <= {}",
-            result.stats.peak_resident_segments
-        )
-    } else {
-        format!(
-            "peak resident segments {}",
-            result.stats.peak_resident_segments
-        )
-    };
-    let mut message = format!(
-        "stream-reduced {} ({} input) with {} {pipeline}: {} stored segments for \
-         {} executions, degree of matching {:.3}, {peak} (of {} streamed) -> {}",
-        result.reduced.name,
-        kind.label(),
-        config.label(),
-        result.stats.stored,
-        result.stats.execs,
-        result.reduced.degree_of_matching(),
-        result.stats.segments,
-        out.display()
-    );
-    if kind == trace_stream::TraceInputKind::ContainerV2 {
-        message.push_str(&format!(
-            ", peak chunk {} bytes",
-            result.stats.peak_chunk_bytes
-        ));
-    }
-    if kind == trace_stream::TraceInputKind::BinaryV1 {
-        message.push_str(
-            "\nnote: monolithic v1 input was decoded in memory; convert with \
-             `--container` for true streaming",
-        );
-    }
-    if invocation.has("report") {
-        let run = obs.as_ref().map(|_| recorder.report());
-        write_reduce_report(
-            invocation.require("report")?,
-            &result.reduced,
-            None,
-            Some(method_config),
-            run,
-            &mut message,
-        )?;
-    }
-    emit_obs(&obs, &recorder, &mut message)?;
-    Ok(message)
-}
+    let reducer = paper.map(|method| Reducer::new(method).with_recorder(&recorder));
 
-fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
-    if invocation.has("stream") {
-        return cmd_reduce_stream(invocation);
-    }
-    if invocation.has("shards") {
-        return Err("--shards only applies to streaming reduction; add --stream".to_string());
-    }
-    let config = parse_method(invocation)?;
-    let input = Path::new(invocation.require("in")?);
-    let out = Path::new(invocation.require("out")?);
-    let format = parse_binary_format(invocation, out)?;
-    let obs = parse_obs(invocation)?;
-    let recorder = obs_recorder(&obs);
-    let app = load_app_trace_obs(input, &recorder)?;
-    // Paper methods reduce through the instrumented core path (identical
-    // output — `ExtendedReducer` delegates Paper methods to `Reducer`);
-    // extension methods record one coarse Match span around the reduction.
-    let reduced = match config.method {
-        ExtendedMethod::Paper(method) => {
-            let (reduced, _stats) =
-                trace_reduce::Reducer::new(MethodConfig::new(method, config.threshold))
-                    .reduce_app_obs(&app, &recorder);
-            reduced
+    let (reduced, app, mut message) = match &reducer {
+        // One bounded-memory pass over the file: text, monolithic binary v1
+        // and chunked container v2 inputs are autodetected by magic bytes;
+        // v1 has no streamable structure and is decoded in memory.
+        Some(reducer) if stream => {
+            let (result, kind) = trace_stream::reduce_any_file(reducer, input, shards)
+                .map_err(|e| format!("{}: {e}", input.display()))?;
+            // The v1 fallback decodes the whole file single-threaded: no
+            // sharding happened and the "peak" is simply every segment, so
+            // the message must not claim otherwise.
+            let v1_fallback = kind == trace_stream::TraceInputKind::BinaryV1;
+            let pipeline = if v1_fallback {
+                "in memory (--shards not applicable)".to_string()
+            } else {
+                format!("over {shards} shard(s)")
+            };
+            // With several shards the stat is the sum of per-worker peaks —
+            // an upper bound on the concurrent total, not one observation.
+            let peak = if !v1_fallback && shards > 1 {
+                format!(
+                    "resident segments <= {}",
+                    result.stats.peak_resident_segments
+                )
+            } else {
+                format!(
+                    "peak resident segments {}",
+                    result.stats.peak_resident_segments
+                )
+            };
+            let mut message = format!(
+                "stream-reduced {} ({} input) with {} {pipeline}: {} stored segments for \
+                 {} executions, degree of matching {:.3}, {peak} (of {} streamed) -> {}",
+                result.reduced.name,
+                kind.label(),
+                config.label(),
+                result.stats.stored,
+                result.stats.execs,
+                result.reduced.degree_of_matching(),
+                result.stats.segments,
+                out.display()
+            );
+            if kind == trace_stream::TraceInputKind::ContainerV2 {
+                message.push_str(&format!(
+                    ", peak chunk {} bytes",
+                    result.stats.peak_chunk_bytes
+                ));
+            }
+            if v1_fallback {
+                message.push_str(
+                    "\nnote: monolithic v1 input was decoded in memory; convert with \
+                     `--container` for true streaming",
+                );
+            }
+            (result.reduced, None, message)
         }
+        // The in-memory path: the only one that holds the full trace.
         _ => {
-            let mut shard = recorder.shard();
-            let span = shard.start();
-            let reduced = ExtendedReducer::new(config).reduce_app(&app);
-            shard.end(trace_obs::Stage::Match, span);
-            shard.finish();
-            reduced
+            let app = load_app_trace(input, &recorder)?;
+            // Paper methods reduce through the instrumented core path
+            // (identical output — `ExtendedReducer` delegates Paper methods
+            // to `Reducer`); extension methods record one coarse Match span
+            // around the reduction.
+            let reduced = match &reducer {
+                Some(reducer) => reducer.reduce_app(&app),
+                None => {
+                    let mut shard = recorder.shard();
+                    let span = shard.start();
+                    let reduced = ExtendedReducer::new(config).reduce_app(&app);
+                    shard.end(trace_obs::Stage::Match, span);
+                    reduced
+                }
+            };
+            let message = format!(
+                "reduced {} with {}: {} stored segments for {} executions, {:.2}% of the full size, degree of matching {:.3} -> {}",
+                app.name,
+                config.label(),
+                reduced.total_stored(),
+                reduced.total_execs(),
+                file_size_percent(&app, &reduced),
+                reduced.degree_of_matching(),
+                out.display()
+            );
+            (reduced, Some(app), message)
         }
     };
-    store_reduced_trace_obs(out, &reduced, format, &recorder)?;
-    let mut message = format!(
-        "reduced {} with {}: {} stored segments for {} executions, {:.2}% of the full size, degree of matching {:.3} -> {}",
-        app.name,
-        config.label(),
-        reduced.total_stored(),
-        reduced.total_execs(),
-        file_size_percent(&app, &reduced),
-        reduced.degree_of_matching(),
-        out.display()
-    );
+
+    store_reduced_trace(out, &reduced, format, &recorder)?;
     if invocation.has("report") {
-        let method = match config.method {
-            ExtendedMethod::Paper(method) => Some(MethodConfig::new(method, config.threshold)),
-            _ => None,
-        };
         let run = obs.as_ref().map(|_| recorder.report());
         write_reduce_report(
             invocation.require("report")?,
             &reduced,
-            Some(&app),
-            method,
+            app.as_ref(),
+            paper,
             run,
             &mut message,
         )?;
@@ -491,9 +479,10 @@ fn cmd_sample(invocation: &Invocation) -> Result<String, String> {
     let policy = parse_policy(invocation)?;
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
-    let app = load_app_trace(input)?;
+    let off = Recorder::disabled();
+    let app = load_app_trace(input, &off)?;
     let reduced = sample_app(&app, policy);
-    store_reduced_trace(out, &reduced, BinaryFormat::default())?;
+    store_reduced_trace(out, &reduced, BinaryFormat::default(), &off)?;
     Ok(format!(
         "sampled {} with {}: {} stored segments for {} executions, {:.2}% of the full size -> {}",
         app.name,
@@ -510,7 +499,7 @@ fn cmd_reconstruct(invocation: &Invocation) -> Result<String, String> {
     let out = Path::new(invocation.require("out")?);
     let reduced = load_reduced_trace(input)?;
     let approx = reduced.reconstruct();
-    store_app_trace(out, &approx, BinaryFormat::default())?;
+    store_app_trace(out, &approx, BinaryFormat::default(), &Recorder::disabled())?;
     Ok(format!(
         "reconstructed {}: {} ranks, {} events -> {}",
         approx.name,
@@ -529,8 +518,8 @@ fn cmd_convert(invocation: &Invocation) -> Result<String, String> {
     let format = parse_binary_format(invocation, out)?;
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
-    let app = load_app_trace_obs(input, &recorder)?;
-    let written = crate::io::store_app_trace_obs(out, &app, format, &recorder)?;
+    let app = load_app_trace(input, &recorder)?;
+    let written = store_app_trace(out, &app, format, &recorder)?;
     let encoding = if crate::io::is_text_path(out) {
         "text".to_string()
     } else {
@@ -547,7 +536,7 @@ fn cmd_convert(invocation: &Invocation) -> Result<String, String> {
 
 fn cmd_analyze(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
-    let app = load_app_trace(input)?;
+    let app = load_app_trace(input, &Recorder::disabled())?;
     let diagnosis = diagnose(&app);
     Ok(format!(
         "diagnosis of {} ({} ranks, {} events):\n{}",
@@ -591,7 +580,10 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
     let reduced = load_reduced_trace(input)?;
     let original = if invocation.has("full") {
-        Some(load_app_trace(Path::new(invocation.require("full")?))?)
+        Some(load_app_trace(
+            Path::new(invocation.require("full")?),
+            &Recorder::disabled(),
+        )?)
     } else {
         None
     };
@@ -607,14 +599,15 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     let mut message = trace_report::render_text(&model);
     if invocation.has("html") {
         let path = invocation.require("html")?;
-        std::fs::write(path, trace_report::render_html(&model))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_text(Path::new(path), &trace_report::render_html(&model))?;
         message.push_str(&format!("\nhtml report -> {path}"));
     }
     if invocation.has("chrome") {
         let path = invocation.require("chrome")?;
-        std::fs::write(path, trace_report::render_chrome_trace(&reduced))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_text(
+            Path::new(path),
+            &trace_report::render_chrome_trace(&reduced),
+        )?;
         message.push_str(&format!("\nchrome trace -> {path}"));
     }
     Ok(message)
@@ -636,8 +629,7 @@ fn write_reduce_report(
         options.method = method;
     }
     let model = trace_report::build_model(reduced, original, run.as_ref(), &options);
-    std::fs::write(path, trace_report::render_html(&model))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    write_text(Path::new(path), &trace_report::render_html(&model))?;
     message.push_str(&format!("\nanalysis report -> {path}"));
     Ok(())
 }
@@ -695,7 +687,8 @@ fn cmd_cluster(invocation: &Invocation) -> Result<String, String> {
     }
     let algorithm = invocation.get("algorithm").unwrap_or("kmeans");
 
-    let app = load_app_trace(input)?;
+    let off = Recorder::disabled();
+    let app = load_app_trace(input, &off)?;
     let features = rank_features(&app, Normalization::MinMax);
     let matrix = euclidean_distance_matrix(&features);
     let assignments = match algorithm {
@@ -738,7 +731,12 @@ fn cmd_cluster(invocation: &Invocation) -> Result<String, String> {
     ));
 
     if let Some(out) = invocation.get("out") {
-        store_app_trace(Path::new(out), &clustered.retained, BinaryFormat::default())?;
+        store_app_trace(
+            Path::new(out),
+            &clustered.retained,
+            BinaryFormat::default(),
+            &off,
+        )?;
         output.push_str(&format!("\nretained representative traces -> {out}"));
     }
     Ok(output)
@@ -945,8 +943,8 @@ mod tests {
         assert!(out.contains("binary v1"), "{out}");
         assert_eq!(&std::fs::read(&trace_v1).unwrap()[..4], b"TRCF");
         assert_eq!(
-            crate::io::load_app_trace(&trace_v2).unwrap(),
-            crate::io::load_app_trace(&trace_v1).unwrap()
+            crate::io::load_app_trace(&trace_v2, &Recorder::disabled()).unwrap(),
+            crate::io::load_app_trace(&trace_v1, &Recorder::disabled()).unwrap()
         );
 
         run(&Invocation::new(
@@ -1088,8 +1086,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("codec none"), "{out}");
         assert_eq!(
-            crate::io::load_app_trace(&default_out).unwrap(),
-            crate::io::load_app_trace(&none_out).unwrap()
+            crate::io::load_app_trace(&default_out, &Recorder::disabled()).unwrap(),
+            crate::io::load_app_trace(&none_out, &Recorder::disabled()).unwrap()
         );
         let compressed = std::fs::metadata(&default_out).unwrap().len();
         let uncompressed = std::fs::metadata(&none_out).unwrap().len();
@@ -1119,8 +1117,8 @@ mod tests {
         }
         // Same trace back from both encodings, smaller file under delta-lz.
         assert_eq!(
-            crate::io::load_app_trace(&none).unwrap(),
-            crate::io::load_app_trace(&dlz).unwrap()
+            crate::io::load_app_trace(&none, &Recorder::disabled()).unwrap(),
+            crate::io::load_app_trace(&dlz, &Recorder::disabled()).unwrap()
         );
         let none_len = std::fs::metadata(&none).unwrap().len();
         let dlz_len = std::fs::metadata(&dlz).unwrap().len();
@@ -1213,8 +1211,8 @@ mod tests {
         assert!(out.contains("converted"));
         // The text file parses back to the same trace.
         assert_eq!(
-            crate::io::load_app_trace(&trace).unwrap(),
-            crate::io::load_app_trace(&text).unwrap()
+            crate::io::load_app_trace(&trace, &Recorder::disabled()).unwrap(),
+            crate::io::load_app_trace(&text, &Recorder::disabled()).unwrap()
         );
 
         let out = run(&Invocation::new(
@@ -1294,7 +1292,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("retained"), "{out}");
         assert!(retained.exists());
-        let loaded = crate::io::load_app_trace(&retained).unwrap();
+        let loaded = crate::io::load_app_trace(&retained, &Recorder::disabled()).unwrap();
         assert!(loaded.rank_count() <= 2);
 
         let err = run(&Invocation::new(

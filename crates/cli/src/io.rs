@@ -9,10 +9,14 @@
 //! ([`BinaryFormat::default`]) with uncompressed chunks available via
 //! `--codec none` and the monolithic v1 path kept reachable via `--v1`.
 
+use std::fmt::Display;
 use std::fs;
+use std::io::{self, Write};
 use std::path::Path;
 
-use trace_container::{decode_app_any, decode_reduced_any, ChunkSpec};
+use trace_container::{
+    decode_app_any, decode_reduced_any, write_app_container, write_reduced_container, ChunkSpec,
+};
 use trace_format::{parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace};
 use trace_model::codec::{encode_app_trace, encode_reduced_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
@@ -44,110 +48,121 @@ pub fn is_text_path(path: &Path) -> bool {
     )
 }
 
-/// Loads a full application trace from `path` (text or binary by extension).
-pub fn load_app_trace(path: &Path) -> Result<AppTrace, String> {
-    load_app_trace_obs(path, &trace_obs::Recorder::disabled())
+/// Writes `path` all-or-nothing: `write` fills a sibling temp file, which is
+/// renamed over the target only once it succeeded and removed otherwise —
+/// so a failed write never leaves a truncated file or clobbers the previous
+/// output.  A target that exists and is not a regular file (`/dev/null`, a
+/// pipe) is written in place; renaming over it would replace the device.
+pub fn write_file_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut fs::File) -> io::Result<()>,
+) -> Result<(), String> {
+    let describe = |e: io::Error| format!("cannot write {}: {e}", path.display());
+    if fs::metadata(path).is_ok_and(|meta| !meta.is_file()) {
+        return fs::File::create(path)
+            .and_then(|mut file| write(&mut file))
+            .map_err(describe);
+    }
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let temp = path.with_file_name(format!(".{name}.{}.tmp", std::process::id()));
+    fs::File::create(&temp)
+        .and_then(|mut file| write(&mut file))
+        .and_then(|()| fs::rename(&temp, path))
+        .map_err(|e| {
+            let _ = fs::remove_file(&temp);
+            describe(e)
+        })
 }
 
-/// [`load_app_trace`] with observability: the whole read-and-decode is
-/// bracketed by one [`trace_obs::Stage::Parse`] span.  With a disabled
-/// recorder this is exactly [`load_app_trace`].
-pub fn load_app_trace_obs(path: &Path, recorder: &trace_obs::Recorder) -> Result<AppTrace, String> {
+/// Reads `path` and decodes it: text by extension, otherwise binary.
+fn load<T, P: Display, D: Display>(
+    path: &Path,
+    parse: impl FnOnce(&str) -> Result<T, P>,
+    decode: impl FnOnce(&[u8]) -> Result<T, D>,
+) -> Result<T, String> {
+    let unreadable = |e: io::Error| format!("cannot read {}: {e}", path.display());
+    if is_text_path(path) {
+        let text = fs::read_to_string(path).map_err(unreadable)?;
+        parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    } else {
+        let bytes = fs::read(path).map_err(unreadable)?;
+        decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+    }
+}
+
+/// Loads a full application trace from `path` (text or binary by
+/// extension); the whole read-and-decode is one [`trace_obs::Stage::Parse`]
+/// span in `recorder`.
+pub fn load_app_trace(path: &Path, recorder: &trace_obs::Recorder) -> Result<AppTrace, String> {
     let mut obs = recorder.shard();
     let span = obs.start();
-    let result = if is_text_path(path) {
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        parse_app_trace(&text).map_err(|e| format!("{}: {e}", path.display()))
-    } else {
-        let bytes = fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        decode_app_any(&bytes).map_err(|e| format!("{}: {e}", path.display()))
-    };
+    let result = load(path, parse_app_trace, decode_app_any);
     obs.end(trace_obs::Stage::Parse, span);
-    obs.finish();
     result
+}
+
+/// Loads a reduced trace from `path` (text or binary by extension).
+pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
+    load(path, parse_reduced_trace, decode_reduced_any)
+}
+
+/// Encodes with `encode` and writes the bytes to `path` atomically, the two
+/// together under one [`trace_obs::Stage::Store`] span.  Returns the number
+/// of bytes written.
+fn store(
+    path: &Path,
+    recorder: &trace_obs::Recorder,
+    encode: impl FnOnce() -> io::Result<Vec<u8>>,
+) -> Result<usize, String> {
+    let mut obs = recorder.shard();
+    let span = obs.start();
+    let bytes = encode().map_err(|e| format!("cannot encode {}: {e}", path.display()))?;
+    write_file_atomic(path, |file| file.write_all(&bytes))?;
+    obs.end(trace_obs::Stage::Store, span);
+    Ok(bytes.len())
 }
 
 /// Stores a full application trace to `path`: text by extension, otherwise
 /// the requested binary format.  Returns the number of bytes written.
-pub fn store_app_trace(path: &Path, app: &AppTrace, format: BinaryFormat) -> Result<usize, String> {
-    store_app_trace_obs(path, app, format, &trace_obs::Recorder::disabled())
-}
-
-/// [`store_app_trace`] with observability: the encode-and-write is
-/// bracketed by one [`trace_obs::Stage::Store`] span, and container writes
-/// additionally record per-chunk compression spans and codec byte
-/// counters.  The bytes written are identical.
-pub fn store_app_trace_obs(
+/// Container writes additionally record per-chunk compression spans and
+/// codec byte counters into `recorder`; the bytes do not depend on it.
+pub fn store_app_trace(
     path: &Path,
     app: &AppTrace,
     format: BinaryFormat,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
-    let mut obs = recorder.shard();
-    let span = obs.start();
-    let bytes = if is_text_path(path) {
-        write_app_trace(app).into_bytes()
-    } else {
+    store(path, recorder, || {
+        if is_text_path(path) {
+            return Ok(write_app_trace(app).into_bytes());
+        }
         match format {
             BinaryFormat::ContainerV2(spec) => {
-                trace_container::encode_app_container_obs(app, spec, recorder.shard())
+                write_app_container(Vec::new(), app, spec, recorder.shard())
             }
-            BinaryFormat::MonolithicV1 => encode_app_trace(app),
+            BinaryFormat::MonolithicV1 => Ok(encode_app_trace(app)),
         }
-    };
-    fs::write(path, &bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    obs.end(trace_obs::Stage::Store, span);
-    obs.finish();
-    Ok(bytes.len())
+    })
 }
 
-/// Loads a reduced trace from `path` (text or binary by extension).
-pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
-    if is_text_path(path) {
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        parse_reduced_trace(&text).map_err(|e| format!("{}: {e}", path.display()))
-    } else {
-        let bytes = fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        decode_reduced_any(&bytes).map_err(|e| format!("{}: {e}", path.display()))
-    }
-}
-
-/// Stores a reduced trace to `path`: text by extension, otherwise the
-/// requested binary format.  Returns the number of bytes written.
+/// Stores a reduced trace to `path`, like [`store_app_trace`].
 pub fn store_reduced_trace(
-    path: &Path,
-    reduced: &ReducedAppTrace,
-    format: BinaryFormat,
-) -> Result<usize, String> {
-    store_reduced_trace_obs(path, reduced, format, &trace_obs::Recorder::disabled())
-}
-
-/// [`store_reduced_trace`] with observability (see
-/// [`store_app_trace_obs`]).
-pub fn store_reduced_trace_obs(
     path: &Path,
     reduced: &ReducedAppTrace,
     format: BinaryFormat,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
-    let mut obs = recorder.shard();
-    let span = obs.start();
-    let bytes = if is_text_path(path) {
-        write_reduced_trace(reduced).into_bytes()
-    } else {
+    store(path, recorder, || {
+        if is_text_path(path) {
+            return Ok(write_reduced_trace(reduced).into_bytes());
+        }
         match format {
             BinaryFormat::ContainerV2(spec) => {
-                trace_container::encode_reduced_container_obs(reduced, spec, recorder.shard())
+                write_reduced_container(Vec::new(), reduced, spec, recorder.shard())
             }
-            BinaryFormat::MonolithicV1 => encode_reduced_trace(reduced),
+            BinaryFormat::MonolithicV1 => Ok(encode_reduced_trace(reduced)),
         }
-    };
-    fs::write(path, &bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    obs.end(trace_obs::Stage::Store, span);
-    obs.finish();
-    Ok(bytes.len())
+    })
 }
 
 #[cfg(test)]
@@ -156,6 +171,10 @@ mod tests {
     use std::path::PathBuf;
     use trace_reduce::{Method, Reducer};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
+
+    fn off() -> trace_obs::Recorder {
+        trace_obs::Recorder::disabled()
+    }
 
     /// A unique temporary file path for a test (removed by the caller).
     fn temp_path(name: &str) -> PathBuf {
@@ -185,9 +204,9 @@ mod tests {
             ("app_roundtrip.txt", BinaryFormat::default()),
         ] {
             let path = temp_path(name);
-            let written = store_app_trace(&path, &app, format).unwrap();
+            let written = store_app_trace(&path, &app, format, &off()).unwrap();
             assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
-            let loaded = load_app_trace(&path).unwrap();
+            let loaded = load_app_trace(&path, &off()).unwrap();
             assert_eq!(loaded, app, "{name}");
             let _ = std::fs::remove_file(&path);
         }
@@ -197,9 +216,9 @@ mod tests {
     fn binary_writes_default_to_v2_containers() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let path = temp_path("default_is_v2.bin");
-        store_app_trace(&path, &app, BinaryFormat::default()).unwrap();
+        store_app_trace(&path, &app, BinaryFormat::default(), &off()).unwrap();
         assert_eq!(&std::fs::read(&path).unwrap()[..4], b"TRC2");
-        store_app_trace(&path, &app, BinaryFormat::MonolithicV1).unwrap();
+        store_app_trace(&path, &app, BinaryFormat::MonolithicV1, &off()).unwrap();
         assert_eq!(&std::fs::read(&path).unwrap()[..4], b"TRCF");
         let _ = std::fs::remove_file(&path);
     }
@@ -218,7 +237,7 @@ mod tests {
             ("reduced_roundtrip.txt", BinaryFormat::default()),
         ] {
             let path = temp_path(name);
-            store_reduced_trace(&path, &reduced, format).unwrap();
+            store_reduced_trace(&path, &reduced, format, &off()).unwrap();
             let loaded = load_reduced_trace(&path).unwrap();
             assert_eq!(loaded, reduced, "{name}");
             let _ = std::fs::remove_file(&path);
@@ -228,12 +247,12 @@ mod tests {
     #[test]
     fn missing_files_and_garbage_content_report_errors() {
         let missing = Path::new("/nonexistent/definitely/missing.trc");
-        assert!(load_app_trace(missing).is_err());
+        assert!(load_app_trace(missing, &off()).is_err());
         assert!(load_reduced_trace(missing).is_err());
 
         let path = temp_path("garbage.txt");
         std::fs::write(&path, "this is not a trace").unwrap();
-        let err = load_app_trace(&path).unwrap_err();
+        let err = load_app_trace(&path, &off()).unwrap_err();
         assert!(err.contains("trace format error"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

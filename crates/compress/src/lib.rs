@@ -245,26 +245,6 @@ impl ChunkEncoder {
     }
 }
 
-/// [`decompress`] with observability: records a
-/// [`trace_obs::Stage::Compress`] span plus `decompress.bytes_in/out`
-/// counters.  With a disabled shard this is exactly [`decompress`].
-pub fn decompress_observed(
-    codec: Codec,
-    class: PayloadClass,
-    payload: &[u8],
-    obs: &mut trace_obs::ObsShard,
-) -> Result<Vec<u8>, CompressError> {
-    let span = obs.start();
-    let unpacked = decompress(codec, class, payload)?;
-    obs.end(trace_obs::Stage::Compress, span);
-    obs.add(trace_obs::names::DECOMPRESS_BYTES_IN, payload.len() as u64);
-    obs.add(
-        trace_obs::names::DECOMPRESS_BYTES_OUT,
-        unpacked.len() as u64,
-    );
-    Ok(unpacked)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@
 
 use std::io::{self, Read, Write};
 
-use trace_compress::{decompress_observed, Codec, PayloadClass};
+use trace_compress::{decompress, Codec, PayloadClass};
 
 use crate::crc::crc32;
 use crate::error::ContainerError;
@@ -286,7 +286,15 @@ impl<R: Read> ChunkStream<R> {
         self.obs.add(trace_obs::names::CHUNK_READS, 1);
         self.peak_payload_bytes = self.peak_payload_bytes.max(payload.len());
         if codec != Codec::None {
-            payload = decompress_observed(codec, kind.payload_class(), &payload, &mut self.obs)?;
+            let span = self.obs.start();
+            let unpacked = decompress(codec, kind.payload_class(), &payload)?;
+            self.obs.end(trace_obs::Stage::Compress, span);
+            let (bytes_in, bytes_out) = (payload.len() as u64, unpacked.len() as u64);
+            self.obs
+                .add(trace_obs::names::DECOMPRESS_BYTES_IN, bytes_in);
+            self.obs
+                .add(trace_obs::names::DECOMPRESS_BYTES_OUT, bytes_out);
+            payload = unpacked;
             self.peak_payload_bytes = self.peak_payload_bytes.max(payload.len());
         }
         Ok(RawChunk {

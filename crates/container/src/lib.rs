@@ -58,9 +58,8 @@ pub use reader::{
 };
 pub use trace_compress::{Codec, CompressError};
 pub use writer::{
-    encode_app_container, encode_app_container_obs, encode_reduced_container,
-    encode_reduced_container_obs, write_app_container, write_app_container_obs,
-    write_reduced_container, write_reduced_container_obs, ChunkSpec, ChunkWriter,
+    encode_app_container, encode_reduced_container, write_app_container, write_reduced_container,
+    ChunkSpec, ChunkWriter,
 };
 
 #[cfg(test)]

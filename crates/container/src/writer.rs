@@ -455,15 +455,12 @@ impl<W: Write> ChunkWriter<W> {
     }
 }
 
-/// Writes `app` as a chunked container to `out` and returns the sink.
-pub fn write_app_container<W: Write>(out: W, app: &AppTrace, spec: ChunkSpec) -> io::Result<W> {
-    write_app_container_obs(out, app, spec, trace_obs::ObsShard::disabled())
-}
-
-/// [`write_app_container`] with observability: the writer records
-/// per-chunk compression spans and chunk/codec byte counters into `obs`
-/// (see [`ChunkWriter::set_obs`]).  The encoded bytes are identical.
-pub fn write_app_container_obs<W: Write>(
+/// Writes `app` as a chunked container to `out` and returns the sink.  The
+/// writer records per-chunk compression spans and chunk/codec byte counters
+/// into `obs` (see [`ChunkWriter::set_obs`]; pass
+/// [`trace_obs::ObsShard::disabled`] for none) — the bytes do not depend on
+/// it.
+pub fn write_app_container<W: Write>(
     out: W,
     app: &AppTrace,
     spec: ChunkSpec,
@@ -488,18 +485,9 @@ pub fn write_app_container_obs<W: Write>(
     writer.finish()
 }
 
-/// Writes `reduced` as a chunked container to `out` and returns the sink.
+/// Writes `reduced` as a chunked container to `out` and returns the sink,
+/// recording into `obs` like [`write_app_container`].
 pub fn write_reduced_container<W: Write>(
-    out: W,
-    reduced: &ReducedAppTrace,
-    spec: ChunkSpec,
-) -> io::Result<W> {
-    write_reduced_container_obs(out, reduced, spec, trace_obs::ObsShard::disabled())
-}
-
-/// [`write_reduced_container`] with observability (see
-/// [`write_app_container_obs`]).
-pub fn write_reduced_container_obs<W: Write>(
     out: W,
     reduced: &ReducedAppTrace,
     spec: ChunkSpec,
@@ -528,36 +516,17 @@ pub fn write_reduced_container_obs<W: Write>(
 }
 
 /// Encodes `app` as a chunked container into a byte buffer.
-pub fn encode_app_container(app: &AppTrace, spec: ChunkSpec) -> Vec<u8> {
-    encode_app_container_obs(app, spec, trace_obs::ObsShard::disabled())
-}
-
-/// [`encode_app_container`] with observability (see
-/// [`write_app_container_obs`]).
 #[allow(clippy::expect_used)]
-pub fn encode_app_container_obs(
-    app: &AppTrace,
-    spec: ChunkSpec,
-    obs: trace_obs::ObsShard,
-) -> Vec<u8> {
-    // lint:allow(expect) -- Vec<u8> as a Write sink is infallible and the writer is driven in order
-    write_app_container_obs(Vec::new(), app, spec, obs).expect("writing to a Vec cannot fail")
+pub fn encode_app_container(app: &AppTrace, spec: ChunkSpec) -> Vec<u8> {
+    write_app_container(Vec::new(), app, spec, trace_obs::ObsShard::disabled())
+        // lint:allow(expect) -- Vec<u8> as a Write sink is infallible and the writer is driven in order
+        .expect("writing to a Vec cannot fail")
 }
 
 /// Encodes `reduced` as a chunked container into a byte buffer.
-pub fn encode_reduced_container(reduced: &ReducedAppTrace, spec: ChunkSpec) -> Vec<u8> {
-    encode_reduced_container_obs(reduced, spec, trace_obs::ObsShard::disabled())
-}
-
-/// [`encode_reduced_container`] with observability (see
-/// [`write_app_container_obs`]).
 #[allow(clippy::expect_used)]
-pub fn encode_reduced_container_obs(
-    reduced: &ReducedAppTrace,
-    spec: ChunkSpec,
-    obs: trace_obs::ObsShard,
-) -> Vec<u8> {
-    write_reduced_container_obs(Vec::new(), reduced, spec, obs)
+pub fn encode_reduced_container(reduced: &ReducedAppTrace, spec: ChunkSpec) -> Vec<u8> {
+    write_reduced_container(Vec::new(), reduced, spec, trace_obs::ObsShard::disabled())
         // lint:allow(expect) -- Vec<u8> as a Write sink is infallible and the writer is driven in order
         .expect("writing to a Vec cannot fail")
 }

@@ -13,8 +13,8 @@
 //!   value.  Stored representatives compute features once at store time;
 //!   incoming segments compute them once per segment (not per candidate).
 //! * [`MatchScratch`] owns the reusable buffers (and the running
-//!   [`MatchStats`]), so a whole rank — or, via
-//!   [`crate::reducer::OnlineRankReducer::with_scratch`], a whole stream of
+//!   [`MatchStats`]), so a whole rank — or, handed from one
+//!   [`crate::reducer::OnlineRankReducer`] to the next, a whole stream of
 //!   ranks — is matched without per-comparison allocations.
 //! * [`segments_match_cached`] runs cheap *admissible* prefilters before
 //!   any full kernel (per-method lower bounds from the segment duration,
@@ -343,9 +343,9 @@ fn fraction(part: usize, whole: usize) -> f64 {
 /// working buffers and the run's [`MatchStats`].
 ///
 /// One scratch serves an entire rank — and survives across ranks via
-/// [`crate::reducer::OnlineRankReducer::with_scratch`] /
-/// `finish_with_scratch`, so the streaming and parallel drivers allocate a
-/// feature buffer set once per worker, not once per segment.
+/// [`crate::reducer::OnlineRankReducer::new`] /
+/// [`crate::reducer::OnlineRankReducer::finish`], so every driver allocates
+/// a feature buffer set once per worker, not once per segment.
 #[derive(Clone, Debug, Default)]
 pub struct MatchScratch {
     /// Features of the segment currently being matched.

@@ -14,7 +14,10 @@
 //! * [`metric`] — the similarity predicates for the distance methods
 //!   (Section 3.2).
 //! * [`reducer`] — the stored-segments matching algorithm that turns a full
-//!   trace into a [`trace_model::ReducedAppTrace`].
+//!   trace into a [`trace_model::ReducedAppTrace`].  A [`Reducer`] is a
+//!   method, a candidate search and a recorder (disabled unless
+//!   [`Reducer::with_recorder`] attaches one); every driver, here and in
+//!   `trace_stream`, is one function of `(&Reducer, source[, workers])`.
 //! * [`features`] — cached per-segment features ([`SegmentFeatures`]),
 //!   reusable matching buffers ([`MatchScratch`]) and the allocation-free,
 //!   prefiltered, early-abandoning similarity kernels the reducer runs by
@@ -27,9 +30,10 @@
 //!   order so first-match semantics are preserved bit-identically
 //!   (`docs/index-design.md`; the linear scan survives as
 //!   [`CandidateSearch::LinearScan`]).
-//! * [`parallel`] — per-rank parallel reduction on top of crossbeam scoped
-//!   threads (each rank's trace is reduced independently, exactly as the
-//!   paper's intra-process technique allows).
+//! * [`parallel`] — the in-memory application loop: per-rank reduction on
+//!   crossbeam scoped threads (each rank's trace is reduced independently,
+//!   exactly as the paper's intra-process technique allows), with
+//!   [`Reducer::reduce_app`] as its one-worker case.
 //! * [`dtw`] / [`extended`] — the extended method catalogue (dynamic time
 //!   warping, cosine, normalized Euclidean, CDF 9/7 wavelet, delta-time
 //!   histograms) that the paper's conclusion lists as future work, plugged
@@ -53,6 +57,11 @@
 //!
 //! assert_eq!(approx.rank_count(), full.rank_count());
 //! assert!(reduced.degree_of_matching() > 0.5);
+//!
+//! // Observed, the same run reduces to the same trace.
+//! let recorder = trace_obs::Recorder::enabled();
+//! assert_eq!(reducer.with_recorder(&recorder).reduce_app(&full), reduced);
+//! assert!(recorder.report().counters.contains_key("match.comparisons"));
 //! ```
 
 #![warn(missing_docs)]
@@ -73,9 +82,7 @@ pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatu
 pub use index::CandidateSearch;
 pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
-pub use parallel::{
-    reduce_app_parallel, reduce_app_parallel_obs, reduce_app_parallel_with_stats, scoped_workers,
-};
+pub use parallel::{reduce_app_parallel, reduce_app_parallel_with_stats, scoped_workers};
 pub use reducer::{
     reduce_app_reference, reduce_app_with_predicate, reduce_rank_reference,
     reduce_rank_with_predicate, OnlineRankReducer, RankReduction, Reducer,

@@ -17,9 +17,9 @@ use crate::reducer::Reducer;
 
 /// Runs `work(worker_index)` on `workers` crossbeam scoped threads and
 /// joins them all.  A worker count of 0 or 1 runs `work(0)` on the calling
-/// thread.  This is the scoped-thread fan-out shared by the in-memory
-/// parallel reduction below and the sharded streaming driver in the
-/// `trace_stream` crate.
+/// thread, which makes every sequential driver the one-worker case of its
+/// parallel one.  This is the scoped-thread fan-out shared by the in-memory
+/// reduction below and the streaming drivers in the `trace_stream` crate.
 ///
 /// # Panics
 /// Propagates a panic from any worker.
@@ -41,7 +41,7 @@ where
 }
 
 /// Reduces every rank of `app` in parallel using up to `threads` worker
-/// threads (values of 0 or 1 fall back to the sequential path).
+/// threads (values of 0 or 1 run on the calling thread).
 ///
 /// The output is identical to [`Reducer::reduce_app`]; parallelism only
 /// changes wall-clock time, never the result, because ranks are independent.
@@ -49,36 +49,20 @@ pub fn reduce_app_parallel(reducer: &Reducer, app: &AppTrace, threads: usize) ->
     reduce_app_parallel_with_stats(reducer, app, threads).0
 }
 
-/// Like [`reduce_app_parallel`], but also returns the aggregated
-/// similarity-matching counters (visited comparisons, prefilter hits and
-/// index prunes summed over every rank).  The counter totals are identical
-/// to the sequential [`Reducer::reduce_app_with_stats`] — ranks are
-/// independent and each rank's counters are deterministic — only the order
-/// in which workers produced them differs.
+/// The in-memory application loop: [`reduce_app_parallel`] that also returns
+/// the aggregated similarity-matching counters (visited comparisons,
+/// prefilter hits and index prunes summed over every rank).  The totals do
+/// not depend on `threads` — ranks are independent and each rank's counters
+/// are deterministic — only the order in which workers produced them does.
+/// They are drained into the reducer's recorder once, after the merge, so
+/// the per-worker shards never double-count.
 pub fn reduce_app_parallel_with_stats(
     reducer: &Reducer,
     app: &AppTrace,
     threads: usize,
 ) -> (ReducedAppTrace, MatchStats) {
-    reduce_app_parallel_obs(reducer, app, threads, &trace_obs::Recorder::disabled())
-}
-
-/// Like [`reduce_app_parallel_with_stats`], recording per-rank stage spans
-/// into one [`trace_obs::ObsShard`] per worker and draining the merged
-/// matching counters into the recorder once (so shards never double-count).
-/// With a disabled recorder this is exactly
-/// [`reduce_app_parallel_with_stats`].
-pub fn reduce_app_parallel_obs(
-    reducer: &Reducer,
-    app: &AppTrace,
-    threads: usize,
-    recorder: &trace_obs::Recorder,
-) -> (ReducedAppTrace, MatchStats) {
     let n_ranks = app.rank_count();
-    if threads <= 1 || n_ranks <= 1 {
-        return reducer.reduce_app_obs(app, recorder);
-    }
-
+    let recorder = reducer.recorder();
     let slots: Vec<Mutex<Option<ReducedRankTrace>>> =
         (0..n_ranks).map(|_| Mutex::new(None)).collect();
     let total_stats = Mutex::new(MatchStats::default());
@@ -97,8 +81,7 @@ pub fn reduce_app_parallel_obs(
             if index >= n_ranks {
                 break;
             }
-            let reduction =
-                reducer.reduce_rank_with_scratch_obs(&app.ranks[index], &mut scratch, &mut obs);
+            let reduction = reducer.reduce_rank_on(&app.ranks[index], &mut scratch, &mut obs);
             worker_stats.absorb(&reduction.matching);
             *slots[index].lock() = Some(reduction.reduced);
         }
@@ -113,9 +96,7 @@ pub fn reduce_app_parallel_obs(
             .push(slot.into_inner().expect("every rank slot must be filled"));
     }
     let stats = total_stats.into_inner();
-    let mut obs = recorder.shard();
-    stats.record_into(&mut obs);
-    obs.finish();
+    stats.record_into(&mut recorder.shard());
     (reduced, stats)
 }
 

@@ -141,42 +141,16 @@ pub struct OnlineRankReducer {
 }
 
 impl OnlineRankReducer {
-    /// Creates an empty reduction state for one rank.
-    pub fn new(config: MethodConfig, rank: trace_model::Rank) -> Self {
-        OnlineRankReducer::with_scratch(config, rank, MatchScratch::new())
-    }
-
-    /// Creates an empty reduction state reusing the buffers of `scratch`
-    /// (its counters are reset).  Drivers that reduce many ranks — the
-    /// parallel in-memory reducer, the streaming loop — pass the scratch
-    /// from rank to rank via [`OnlineRankReducer::finish_with_scratch`] so
+    /// Creates an empty reduction state for one rank under `reducer`'s
+    /// method and candidate search, reusing the buffers of `scratch` (its
+    /// counters are reset).  Drivers that reduce many ranks thread the
+    /// scratch from rank to rank through [`OnlineRankReducer::finish`], so
     /// feature buffers are allocated once per worker.
-    pub fn with_scratch(
-        config: MethodConfig,
-        rank: trace_model::Rank,
-        scratch: MatchScratch,
-    ) -> Self {
-        OnlineRankReducer::with_scratch_and_search(
-            config,
-            rank,
-            scratch,
-            CandidateSearch::default(),
-        )
-    }
-
-    /// Like [`OnlineRankReducer::with_scratch`] with an explicit candidate
-    /// search strategy (the linear scan exists for benchmarks and
-    /// equivalence tests; both strategies produce bit-identical output).
-    pub fn with_scratch_and_search(
-        config: MethodConfig,
-        rank: trace_model::Rank,
-        mut scratch: MatchScratch,
-        search: CandidateSearch,
-    ) -> Self {
+    pub fn new(reducer: &Reducer, rank: trace_model::Rank, mut scratch: MatchScratch) -> Self {
         scratch.reset_stats();
         OnlineRankReducer {
-            config,
-            search,
+            config: reducer.config,
+            search: reducer.search,
             reduced: ReducedRankTrace::new(rank),
             buckets: BTreeMap::new(),
             averages: BTreeMap::new(),
@@ -185,18 +159,12 @@ impl OnlineRankReducer {
         }
     }
 
-    /// Feeds the next segment in trace order.
-    pub fn push_segment(&mut self, segment: Segment) {
-        self.push_segment_obs(segment, &mut trace_obs::ObsShard::disabled());
-    }
-
-    /// Like [`OnlineRankReducer::push_segment`], recording an
-    /// [`trace_obs::Stage::Index`] span when a stored representative is
-    /// inserted into the candidate index.  Store events are rare (one per
-    /// representative, not one per segment), so the clock is only read on
-    /// that path; with a disabled shard this is identical to
-    /// [`OnlineRankReducer::push_segment`].
-    pub fn push_segment_obs(&mut self, segment: Segment, obs: &mut trace_obs::ObsShard) {
+    /// Feeds the next segment in trace order, recording an
+    /// [`trace_obs::Stage::Index`] span into `obs` when a stored
+    /// representative is inserted into the candidate index.  Store events
+    /// are rare (one per representative, not one per segment), so the clock
+    /// is only read on that path, and never with a disabled shard.
+    pub fn push_segment(&mut self, segment: Segment, obs: &mut trace_obs::ObsShard) {
         let key = segment.key();
         let start = segment.start;
         let config = self.config;
@@ -293,25 +261,15 @@ impl OnlineRankReducer {
         self.reduced.stored_count()
     }
 
-    /// Number of segment executions so far.
-    pub fn exec_count(&self) -> usize {
-        self.reduced.exec_count()
-    }
-
     /// The similarity-matching counters accumulated by this reducer.
     pub fn match_stats(&self) -> MatchStats {
         self.scratch.stats()
     }
 
     /// Completes the reduction (finalizing `iter_avg` running averages) and
-    /// returns the reduced rank trace.
-    pub fn finish(self) -> ReducedRankTrace {
-        self.finish_with_scratch().0
-    }
-
-    /// Like [`OnlineRankReducer::finish`], but also hands the scratch back
-    /// so the caller can thread it into the next rank's reducer.
-    pub fn finish_with_scratch(mut self) -> (ReducedRankTrace, MatchScratch) {
+    /// returns the reduced rank trace together with the scratch, for the
+    /// caller to thread into the next rank's reducer.
+    pub fn finish(mut self) -> (ReducedRankTrace, MatchScratch) {
         if self.config.method == Method::IterAvg {
             for stored in &mut self.reduced.stored {
                 if let Some(avg) = self.averages.get(&stored.id) {
@@ -323,11 +281,17 @@ impl OnlineRankReducer {
     }
 }
 
-/// Reduces traces with a configured similarity method.
-#[derive(Clone, Copy, Debug)]
+/// Reduces traces: a similarity method, a candidate-search strategy and the
+/// recorder the run is observed through, which every driver — here, in
+/// [`crate::parallel`] and in the `trace_stream` crate — takes together as
+/// one `&Reducer`.  The recorder is disabled unless
+/// [`Reducer::with_recorder`] attaches one; recording observes a run and
+/// never steers it, so the reduced output is bit-identical either way.
+#[derive(Clone, Debug)]
 pub struct Reducer {
     config: MethodConfig,
     search: CandidateSearch,
+    recorder: trace_obs::Recorder,
 }
 
 impl Reducer {
@@ -341,12 +305,24 @@ impl Reducer {
     /// linear scan exists so benches and tests can measure/verify the
     /// index against PR 5's behaviour; both strategies are bit-identical.
     pub fn with_search(config: MethodConfig, search: CandidateSearch) -> Self {
-        Reducer { config, search }
+        Reducer {
+            config,
+            search,
+            recorder: trace_obs::Recorder::disabled(),
+        }
     }
 
     /// Convenience constructor using the paper's default threshold.
     pub fn with_default_threshold(method: Method) -> Self {
         Reducer::new(MethodConfig::with_default_threshold(method))
+    }
+
+    /// Returns the reducer observed through `recorder`: drivers record
+    /// their stage spans into one shard per worker and drain the merged
+    /// counters into it exactly once per run.
+    pub fn with_recorder(mut self, recorder: &trace_obs::Recorder) -> Self {
+        self.recorder = recorder.clone();
+        self
     }
 
     /// The method configuration in use.
@@ -359,28 +335,24 @@ impl Reducer {
         self.search
     }
 
-    /// Reduces a single rank trace.
+    /// The recorder runs are observed through (disabled by default).
+    pub fn recorder(&self) -> &trace_obs::Recorder {
+        &self.recorder
+    }
+
+    /// Reduces a single rank trace.  The rank's stage spans go to the
+    /// recorder; its counters are returned in the [`RankReduction`], not
+    /// drained — whoever merges ranks drains the total once.
     pub fn reduce_rank(&self, trace: &RankTrace) -> RankReduction {
-        let mut scratch = MatchScratch::new();
-        self.reduce_rank_with_scratch(trace, &mut scratch)
+        self.reduce_rank_on(trace, &mut MatchScratch::new(), &mut self.recorder.shard())
     }
 
-    /// Reduces a single rank trace reusing the caller's [`MatchScratch`]
-    /// (buffers are threaded through; the counters in the returned
-    /// [`RankReduction::matching`] cover only this rank).
-    pub fn reduce_rank_with_scratch(
-        &self,
-        trace: &RankTrace,
-        scratch: &mut MatchScratch,
-    ) -> RankReduction {
-        self.reduce_rank_with_scratch_obs(trace, scratch, &mut trace_obs::ObsShard::disabled())
-    }
-
-    /// Like [`Reducer::reduce_rank_with_scratch`], recording per-rank
-    /// [`trace_obs::Stage::Segment`] and [`trace_obs::Stage::Match`] spans
-    /// (two clock reads per rank; nothing per segment).  With a disabled
-    /// shard the reduction is identical — recording observes, never steers.
-    pub fn reduce_rank_with_scratch_obs(
+    /// [`Reducer::reduce_rank`] on a worker's own scratch and shard: the
+    /// buffers are threaded from rank to rank (the counters in the returned
+    /// [`RankReduction::matching`] cover only this rank), and the shard
+    /// takes one [`trace_obs::Stage::Segment`] and one
+    /// [`trace_obs::Stage::Match`] span per rank — nothing per segment.
+    pub(crate) fn reduce_rank_on(
         &self,
         trace: &RankTrace,
         scratch: &mut MatchScratch,
@@ -389,19 +361,14 @@ impl Reducer {
         let span = obs.start();
         let (segments, segmentation) = segments_of_rank_with_stats(trace);
         obs.end(trace_obs::Stage::Segment, span);
-        let mut online = OnlineRankReducer::with_scratch_and_search(
-            self.config,
-            trace.rank,
-            std::mem::take(scratch),
-            self.search,
-        );
+        let mut online = OnlineRankReducer::new(self, trace.rank, std::mem::take(scratch));
         let span = obs.start();
         for segment in segments {
-            online.push_segment_obs(segment, obs);
+            online.push_segment(segment, obs);
         }
         obs.end(trace_obs::Stage::Match, span);
         let matching = online.match_stats();
-        let (reduced, returned) = online.finish_with_scratch();
+        let (reduced, returned) = online.finish();
         *scratch = returned;
         RankReduction {
             reduced,
@@ -410,39 +377,10 @@ impl Reducer {
         }
     }
 
-    /// Reduces every rank of an application trace sequentially.
+    /// Reduces every rank of an application trace on the calling thread:
+    /// [`crate::reduce_app_parallel_with_stats`] with one worker.
     pub fn reduce_app(&self, app: &AppTrace) -> ReducedAppTrace {
-        self.reduce_app_with_stats(app).0
-    }
-
-    /// Like [`Reducer::reduce_app`], but also returns the aggregated
-    /// similarity-matching counters — the exact same reduction loop, so
-    /// benches and recorders can report pruning rates without a second
-    /// pass.
-    pub fn reduce_app_with_stats(&self, app: &AppTrace) -> (ReducedAppTrace, MatchStats) {
-        self.reduce_app_obs(app, &trace_obs::Recorder::disabled())
-    }
-
-    /// Like [`Reducer::reduce_app_with_stats`], recording per-rank stage
-    /// spans and draining the matching counters into `recorder`.  With a
-    /// disabled recorder this is exactly [`Reducer::reduce_app_with_stats`].
-    pub fn reduce_app_obs(
-        &self,
-        app: &AppTrace,
-        recorder: &trace_obs::Recorder,
-    ) -> (ReducedAppTrace, MatchStats) {
-        let mut obs = recorder.shard();
-        let mut scratch = MatchScratch::new();
-        let mut stats = MatchStats::default();
-        let mut reduced = ReducedAppTrace::for_app(app);
-        for rank in &app.ranks {
-            let reduction = self.reduce_rank_with_scratch_obs(rank, &mut scratch, &mut obs);
-            stats.absorb(&reduction.matching);
-            reduced.ranks.push(reduction.reduced);
-        }
-        stats.record_into(&mut obs);
-        obs.finish();
-        (reduced, stats)
+        crate::parallel::reduce_app_parallel_with_stats(self, app, 1).0
     }
 }
 

@@ -127,7 +127,7 @@ fn parallel_driver_with_index_matches_reference_and_aggregates_counters() {
         let config = MethodConfig::with_default_threshold(method);
         let reducer = Reducer::with_search(config, CandidateSearch::Indexed);
         let reference = reduce_app_reference(config, &app);
-        let (sequential, seq_stats) = reducer.reduce_app_with_stats(&app);
+        let (sequential, seq_stats) = reduce_app_parallel_with_stats(&reducer, &app, 1);
         assert_eq!(sequential, reference, "{method} sequential");
         for threads in [2, 8] {
             let (parallel, stats) = reduce_app_parallel_with_stats(&reducer, &app, threads);

@@ -132,6 +132,14 @@ pub struct Recorder {
     inner: Option<Arc<RecorderInner>>,
 }
 
+impl std::fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recorder")
+            .field("enabled", &self.is_enabled())
+            .finish()
+    }
+}
+
 impl Recorder {
     /// A recorder that records nothing, at no cost.
     pub fn disabled() -> Recorder {

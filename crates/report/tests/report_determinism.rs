@@ -39,12 +39,14 @@ fn sinks_are_byte_identical_across_all_four_drivers() {
 
     let sequential = Reducer::new(config).reduce_app(&app);
     let parallel = reduce_app_parallel(&Reducer::new(config), &app, 3);
-    let streamed = reduce_stream(config, text.as_bytes())
+    let streamed = reduce_stream(&Reducer::new(config), text.as_bytes())
         .expect("stream reduce")
         .reduced;
-    let sharded = reduce_stream_sharded(config, 3, |_| Ok(Cursor::new(text.clone().into_bytes())))
-        .expect("sharded reduce")
-        .reduced;
+    let sharded = reduce_stream_sharded(&Reducer::new(config), 3, |_| {
+        Ok(Cursor::new(text.clone().into_bytes()))
+    })
+    .expect("sharded reduce")
+    .reduced;
 
     let drivers = [
         ("sequential", &sequential),

@@ -237,7 +237,7 @@ impl Workload {
         out: W,
         spec: trace_container::ChunkSpec,
     ) -> std::io::Result<W> {
-        trace_container::write_app_container(out, &self.generate(), spec)
+        self.write_container_amplified_to(out, 1, spec)
     }
 
     /// Writes the workload to `out` as a chunked container with every

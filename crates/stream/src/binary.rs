@@ -8,7 +8,9 @@
 //! byte offset, so workers *seek* straight to their sections instead of
 //! scanning and skipping the whole file — cross-shard file-level
 //! parallelism with no redundant reads.  [`reduce_any_file`] autodetects
-//! text, monolithic v1 and chunked v2 inputs by their magic bytes.
+//! text, monolithic v1 and chunked v2 inputs by their magic bytes.  Every
+//! driver here supplies only what one worker does; [`crate::shard`]'s
+//! fan-out merges the ranks and drains the counters.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -20,12 +22,12 @@ use trace_container::{
 };
 use trace_model::codec::APP_TRACE_MAGIC;
 use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace};
-use trace_reduce::{scoped_workers, MethodConfig, Reducer};
+use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::reduce::{reduce_selected_ranks_obs, StreamReduction, StreamStats};
-use crate::shard::reduce_trace_file_obs;
+use crate::reduce::{reduce_selected_ranks, StreamReduction, StreamStats};
+use crate::shard::{fan_out, reduce_stream_sharded, take_reader};
 use crate::source::AppItemSource;
 
 /// [`AppItemSource`] over a chunked binary container.
@@ -79,75 +81,70 @@ impl<R: Read> AppItemSource for ContainerSource<R> {
     }
 }
 
-/// Reduces an app-trace container stream in one pass with bounded memory:
-/// the resident state is the stored representatives, at most one in-flight
-/// segment, and one decoded chunk payload.
-pub fn reduce_container_stream<R: Read>(
-    config: MethodConfig,
-    reader: R,
-) -> Result<StreamReduction, StreamError> {
-    reduce_container_stream_obs(config, reader, &trace_obs::Recorder::disabled())
-}
-
-/// [`reduce_container_stream`] with observability: the chunk reader records
-/// per-chunk `chunk_io`/`compress` spans, the reduction loop records
-/// per-rank `rank` spans, and the final [`StreamStats`] drain into
-/// `recorder`.  With a disabled recorder this is exactly
-/// [`reduce_container_stream`].
-pub fn reduce_container_stream_obs<R: Read>(
-    config: MethodConfig,
-    reader: R,
-    recorder: &trace_obs::Recorder,
-) -> Result<StreamReduction, StreamError> {
-    let mut obs = recorder.shard();
-    let mut source = ContainerSource::new(reader)?;
-    source.set_obs(recorder.shard());
-    let Some(preamble) = source.preamble().cloned() else {
+/// The output trace's name tables (no ranks yet) and the declared rank
+/// count, from the preamble of a whole-file source; a container that
+/// reaches its first rank section without one is malformed.
+fn header_of<R: Read>(
+    source: &ContainerSource<R>,
+) -> Result<(ReducedAppTrace, usize), StreamError> {
+    let Some(preamble) = source.preamble() else {
         return Err(StreamError::Container(ContainerError::UnexpectedChunk {
             expected: "a PREAMBLE chunk",
             found: "no preamble before the first rank section",
         }));
     };
-    let (ranks, mut stats) = reduce_selected_ranks_obs(config, &mut source, |_| true, &mut obs)?;
+    let header = ReducedAppTrace {
+        name: preamble.name.clone(),
+        regions: preamble.regions.clone(),
+        contexts: preamble.contexts.clone(),
+        ranks: Vec::new(),
+    };
+    Ok((header, preamble.declared_ranks))
+}
+
+/// Reduces every rank section `source` yields; the chunk reader records its
+/// `chunk_io`/`compress` spans into a recorder shard of its own.
+fn reduce_sections<R: Read>(
+    reducer: &Reducer,
+    mut source: ContainerSource<R>,
+    obs: &mut trace_obs::ObsShard,
+) -> Result<(Vec<(usize, ReducedRankTrace)>, StreamStats), StreamError> {
+    source.set_obs(reducer.recorder().shard());
+    let (ranks, mut stats) = reduce_selected_ranks(reducer, &mut source, |_| true, obs)?;
     stats.peak_chunk_bytes = source.peak_chunk_bytes();
-    stats.record_into(&mut obs);
-    obs.finish();
-    Ok(StreamReduction {
-        reduced: ReducedAppTrace {
-            name: preamble.name,
-            regions: preamble.regions,
-            contexts: preamble.contexts,
-            ranks: ranks.into_iter().map(|(_, rank)| rank).collect(),
-        },
-        stats,
+    Ok((ranks, stats))
+}
+
+/// Reduces an app-trace container stream in one pass with bounded memory:
+/// the resident state is the stored representatives, at most one in-flight
+/// segment, and one decoded chunk payload.
+pub fn reduce_container_stream<R: Read + Send>(
+    reducer: &Reducer,
+    reader: R,
+) -> Result<StreamReduction, StreamError> {
+    let reader = Mutex::new(Some(reader));
+    fan_out(reducer, 1, |_, obs| {
+        let source = ContainerSource::new(take_reader(&reader)?)?;
+        let (header, _) = header_of(&source)?;
+        let (ranks, stats) = reduce_sections(reducer, source, obs)?;
+        Ok((header, ranks, stats))
     })
 }
 
 /// Reduces a container file with `shards` workers, each seeking directly
 /// to the rank sections assigned to it (`section index % shards`) via the
 /// index footer.  Output is bit-identical to the sequential
-/// [`reduce_container_stream`]; only wall-clock time changes.
+/// [`reduce_container_stream`]; only wall-clock time changes.  One shard
+/// *is* that sequential scan: it needs no index footer and validates every
+/// chunk up to the trailer, which seeking workers never reach.
 pub fn reduce_container_file(
-    config: MethodConfig,
+    reducer: &Reducer,
     path: impl AsRef<Path>,
     shards: usize,
-) -> Result<StreamReduction, StreamError> {
-    reduce_container_file_obs(config, path, shards, &trace_obs::Recorder::disabled())
-}
-
-/// [`reduce_container_file`] with observability: every worker's chunk
-/// reader and reduction loop record into their own recorder shards, and
-/// the merged [`StreamStats`] drain into `recorder` once.  With a disabled
-/// recorder this is exactly [`reduce_container_file`].
-pub fn reduce_container_file_obs(
-    config: MethodConfig,
-    path: impl AsRef<Path>,
-    shards: usize,
-    recorder: &trace_obs::Recorder,
 ) -> Result<StreamReduction, StreamError> {
     let path = path.as_ref();
     if shards <= 1 {
-        return reduce_container_stream_obs(config, BufReader::new(File::open(path)?), recorder);
+        return reduce_container_stream(reducer, BufReader::new(File::open(path)?));
     }
 
     let mut file = File::open(path)?;
@@ -159,93 +156,39 @@ pub fn reduce_container_file_obs(
         }));
     }
     file.seek(SeekFrom::Start(0))?;
-    let preamble = {
-        let source = ContainerSource::new(BufReader::new(file))?;
-        let Some(preamble) = source.preamble().cloned() else {
-            return Err(StreamError::Container(ContainerError::UnexpectedChunk {
-                expected: "a PREAMBLE chunk",
-                found: "no preamble before the first rank section",
-            }));
-        };
-        preamble
-    };
+    let (header, declared_ranks) = header_of(&ContainerSource::new(BufReader::new(file))?)?;
     // The sequential reader validates this when it reaches the INDEX
     // chunk; the sharded path never scans that far, so a short index must
     // be rejected here or ranks would silently drop from the output.
-    if index.sections.len() != preamble.declared_ranks {
+    if index.sections.len() != declared_ranks {
         return Err(StreamError::Container(ContainerError::CountMismatch {
             what: "rank sections",
-            declared: preamble.declared_ranks as u64,
+            declared: declared_ranks as u64,
             found: index.sections.len() as u64,
         }));
     }
 
     let workers = shards.min(index.sections.len()).max(1);
-    type WorkerOut = (Vec<(usize, ReducedRankTrace)>, StreamStats);
-    let slots: Vec<Mutex<Option<Result<WorkerOut, StreamError>>>> =
-        (0..workers).map(|_| Mutex::new(None)).collect();
-
-    scoped_workers(workers, |worker| {
-        let result = (|| {
-            let file = File::open(path)?;
-            let mut obs = recorder.shard();
-            let mut out: Vec<(usize, ReducedRankTrace)> = Vec::new();
-            let mut stats = StreamStats::default();
-            for (section_index, entry) in index
-                .sections
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % workers == worker)
-            {
-                // `&File` implements `Read + Seek`, so every section gets a
-                // fresh buffered cursor over the worker's single handle.
-                let mut handle = &file;
-                handle.seek(SeekFrom::Start(entry.offset))?;
-                let mut source = ContainerSource::section(BufReader::new(handle), entry.offset);
-                source.set_obs(recorder.shard());
-                let (ranks, mut section_stats) =
-                    reduce_selected_ranks_obs(config, &mut source, |_| true, &mut obs)?;
-                section_stats.peak_chunk_bytes = source.peak_chunk_bytes();
-                stats.absorb(&section_stats);
-                out.extend(ranks.into_iter().map(|(_, rank)| (section_index, rank)));
-            }
-            obs.finish();
-            Ok((out, stats))
-        })();
-        // lint:allow(indexing) -- worker < workers == slots.len() by construction
-        *slots[worker].lock() = Some(result);
-    });
-
-    let mut all: Vec<(usize, ReducedRankTrace)> = Vec::new();
-    let mut stats = StreamStats::default();
-    for slot in slots {
-        // `scoped_workers` joins every worker before returning and each
-        // worker unconditionally fills its slot; an empty slot means a
-        // worker died, which surfaces as an error rather than a panic.
-        let (ranks, worker_stats) = slot.into_inner().unwrap_or_else(|| {
-            Err(std::io::Error::other("reduction worker left no result").into())
-        })?;
-        all.extend(ranks);
-        stats.absorb(&worker_stats);
-    }
-    all.sort_by_key(|(index, _)| *index);
-    debug_assert!(
-        all.iter().enumerate().all(|(i, (index, _))| i == *index),
-        "every indexed section is reduced exactly once"
-    );
-
-    let mut obs = recorder.shard();
-    stats.record_into(&mut obs);
-    obs.finish();
-
-    Ok(StreamReduction {
-        reduced: ReducedAppTrace {
-            name: preamble.name,
-            regions: preamble.regions,
-            contexts: preamble.contexts,
-            ranks: all.into_iter().map(|(_, rank)| rank).collect(),
-        },
-        stats,
+    fan_out(reducer, workers, |worker, obs| {
+        let file = File::open(path)?;
+        let mut out: Vec<(usize, ReducedRankTrace)> = Vec::new();
+        let mut stats = StreamStats::default();
+        for (section_index, entry) in index
+            .sections
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % workers == worker)
+        {
+            // `&File` implements `Read + Seek`, so every section gets a
+            // fresh buffered cursor over the worker's single handle.
+            let mut handle = &file;
+            handle.seek(SeekFrom::Start(entry.offset))?;
+            let source = ContainerSource::section(BufReader::new(handle), entry.offset);
+            let (ranks, section_stats) = reduce_sections(reducer, source, obs)?;
+            stats.absorb(&section_stats);
+            out.extend(ranks.into_iter().map(|(_, rank)| (section_index, rank)));
+        }
+        Ok((header.clone(), out, stats))
     })
 }
 
@@ -289,71 +232,45 @@ pub fn detect_input(path: impl AsRef<Path>) -> Result<TraceInputKind, StreamErro
 /// Reduces a trace file of any supported format, autodetected by magic:
 /// text and v2 containers stream with bounded memory (`shards` workers);
 /// monolithic v1 files fall back to decoding the whole buffer and reducing
-/// in memory, with stats reflecting that everything was resident.
+/// it rank by rank in one worker, with stats reflecting that everything
+/// was resident.
 pub fn reduce_any_file(
-    config: MethodConfig,
+    reducer: &Reducer,
     path: impl AsRef<Path>,
     shards: usize,
-) -> Result<(StreamReduction, TraceInputKind), StreamError> {
-    reduce_any_file_obs(config, path, shards, &trace_obs::Recorder::disabled())
-}
-
-/// [`reduce_any_file`] with observability, threading `recorder` through
-/// whichever driver the magic bytes select.  With a disabled recorder this
-/// is exactly [`reduce_any_file`] — same dispatch, bit-identical output.
-pub fn reduce_any_file_obs(
-    config: MethodConfig,
-    path: impl AsRef<Path>,
-    shards: usize,
-    recorder: &trace_obs::Recorder,
 ) -> Result<(StreamReduction, TraceInputKind), StreamError> {
     let path = path.as_ref();
     let kind = detect_input(path)?;
     let reduction = match kind {
-        TraceInputKind::Text => reduce_trace_file_obs(config, path, shards, recorder)?,
-        TraceInputKind::ContainerV2 => reduce_container_file_obs(config, path, shards, recorder)?,
-        TraceInputKind::BinaryV1 => {
-            let mut obs = recorder.shard();
+        TraceInputKind::Text => {
+            reduce_stream_sharded(reducer, shards, |_| File::open(path).map(BufReader::new))?
+        }
+        TraceInputKind::ContainerV2 => reduce_container_file(reducer, path, shards)?,
+        TraceInputKind::BinaryV1 => fan_out(reducer, 1, |_, obs| {
             let span = obs.start();
             let bytes = std::fs::read(path)?;
             let app =
                 trace_model::codec::decode_app_trace(&bytes).map_err(ContainerError::Codec)?;
             obs.end(trace_obs::Stage::Parse, span);
-            // The matching counters drain inside `reduce_app_obs`; the
-            // stream-level stats drain below.
-            let (reduced, matching) = Reducer::new(config).reduce_app_obs(&app, recorder);
-            let segments: usize = app.ranks.iter().map(|r| r.segment_instance_count()).sum();
-            let stats = StreamStats {
+            let mut stats = StreamStats {
                 ranks: app.rank_count(),
                 events: app.total_events(),
-                segments,
-                stored: reduced.total_stored(),
-                execs: reduced.total_execs(),
-                // Monolithic: every segment (and the whole file) resident.
-                peak_resident_segments: segments,
                 peak_chunk_bytes: bytes.len(),
-                matching,
                 ..StreamStats::default()
             };
-            if obs.is_enabled() {
-                use trace_obs::names;
-                obs.add(names::STREAM_RANKS, stats.ranks as u64);
-                obs.add(names::STREAM_EVENTS, stats.events as u64);
-                obs.add(names::STREAM_SEGMENTS, stats.segments as u64);
-                obs.add(names::STREAM_STORED, stats.stored as u64);
-                obs.add(names::STREAM_EXECS, stats.execs as u64);
-                obs.gauge_max(
-                    names::STREAM_PEAK_RESIDENT_SEGMENTS,
-                    stats.peak_resident_segments as u64,
-                );
-                obs.gauge_max(
-                    names::STREAM_PEAK_CHUNK_BYTES,
-                    stats.peak_chunk_bytes as u64,
-                );
+            let mut ranks = Vec::with_capacity(app.rank_count());
+            for (index, rank) in app.ranks.iter().enumerate() {
+                let reduction = reducer.reduce_rank(rank);
+                stats.segments += reduction.segmentation.segments;
+                stats.orphan_events += reduction.segmentation.orphan_events;
+                stats.unterminated_segments += reduction.segmentation.unterminated_segments;
+                stats.matching.absorb(&reduction.matching);
+                ranks.push((index, reduction.reduced));
             }
-            obs.finish();
-            StreamReduction { reduced, stats }
-        }
+            // Monolithic: every segment (and the whole file) resident.
+            stats.peak_resident_segments = stats.segments;
+            Ok((ReducedAppTrace::for_app(&app), ranks, stats))
+        })?,
     };
     Ok((reduction, kind))
 }
@@ -377,11 +294,11 @@ mod tests {
     #[test]
     fn container_stream_equals_in_memory_for_every_chunk_size() {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
-        let config = MethodConfig::with_default_threshold(Method::AvgWave);
-        let in_memory = Reducer::new(config).reduce_app(&app);
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let in_memory = reducer.reduce_app(&app);
         for segments_per_chunk in [1, 3, 64, usize::MAX] {
             let bytes = encode_app_container(&app, ChunkSpec::with_segments(segments_per_chunk));
-            let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+            let streamed = reduce_container_stream(&reducer, Cursor::new(&bytes)).unwrap();
             assert_eq!(
                 streamed.reduced, in_memory,
                 "{segments_per_chunk} seg/chunk"
@@ -397,10 +314,10 @@ mod tests {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         let bytes = encode_app_container(&app, ChunkSpec::with_segments(8));
         let path = temp_file("sharded.trc", &bytes);
-        let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let sequential = reduce_container_file(config, &path, 1).unwrap();
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let sequential = reduce_container_file(&reducer, &path, 1).unwrap();
         for shards in [2, 3, 8, 64] {
-            let sharded = reduce_container_file(config, &path, shards).unwrap();
+            let sharded = reduce_container_file(&reducer, &path, shards).unwrap();
             assert_eq!(sharded.reduced, sequential.reduced, "{shards} shards");
         }
         let _ = std::fs::remove_file(&path);
@@ -409,8 +326,8 @@ mod tests {
     #[test]
     fn autodetect_dispatches_all_three_input_kinds() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-        let config = MethodConfig::with_default_threshold(Method::Euclidean);
-        let expected = Reducer::new(config).reduce_app(&app);
+        let reducer = Reducer::with_default_threshold(Method::Euclidean);
+        let expected = reducer.reduce_app(&app);
 
         let text = temp_file("auto.txt", trace_format::write_app_trace(&app).as_bytes());
         let v1 = temp_file("auto_v1.trc", &encode_app_trace(&app));
@@ -424,7 +341,7 @@ mod tests {
             (&v1, TraceInputKind::BinaryV1),
             (&v2, TraceInputKind::ContainerV2),
         ] {
-            let (reduction, kind) = reduce_any_file(config, path, 2).unwrap();
+            let (reduction, kind) = reduce_any_file(&reducer, path, 2).unwrap();
             assert_eq!(kind, want_kind);
             assert_eq!(reduction.reduced, expected, "{}", kind.label());
         }
@@ -437,15 +354,15 @@ mod tests {
     #[test]
     fn reduced_containers_are_rejected_as_streaming_input() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-        let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let reduced = Reducer::new(config).reduce_app(&app);
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let reduced = reducer.reduce_app(&app);
         let bytes = encode_reduced_container(&reduced, ChunkSpec::default());
 
-        let err = reduce_container_stream(config, Cursor::new(&bytes)).unwrap_err();
+        let err = reduce_container_stream(&reducer, Cursor::new(&bytes)).unwrap_err();
         assert!(err.as_container().is_some(), "{err}");
 
         let path = temp_file("reduced.trc", &bytes);
-        let err = reduce_container_file(config, &path, 4).unwrap_err();
+        let err = reduce_container_file(&reducer, &path, 4).unwrap_err();
         assert!(err.as_container().is_some(), "{err}");
         let _ = std::fs::remove_file(&path);
     }

@@ -7,8 +7,8 @@ use trace_container::ContainerError;
 use trace_format::FormatError;
 
 /// An error encountered while streaming a trace: the underlying reader
-/// failed, a text line did not parse, or a binary container chunk was
-/// malformed.
+/// failed, a text line did not parse, a binary container chunk was
+/// malformed, or the reduction loop was handed items out of order.
 #[derive(Debug)]
 pub enum StreamError {
     /// The underlying reader failed.
@@ -17,6 +17,10 @@ pub enum StreamError {
     Format(FormatError),
     /// A chunked binary container was malformed (bad magic, CRC, …).
     Container(ContainerError),
+    /// The reduction loop's contract was broken: an
+    /// [`crate::AppItemSource`] yielded a record or a rank end outside a
+    /// rank section (the bundled sources never do), or a worker left no result.
+    Protocol(&'static str),
 }
 
 impl fmt::Display for StreamError {
@@ -25,6 +29,7 @@ impl fmt::Display for StreamError {
             StreamError::Io(e) => write!(f, "trace stream i/o error: {e}"),
             StreamError::Format(e) => e.fmt(f),
             StreamError::Container(e) => e.fmt(f),
+            StreamError::Protocol(what) => write!(f, "trace stream out of order: {what}"),
         }
     }
 }
@@ -35,6 +40,7 @@ impl std::error::Error for StreamError {
             StreamError::Io(e) => Some(e),
             StreamError::Format(e) => Some(e),
             StreamError::Container(e) => Some(e),
+            StreamError::Protocol(_) => None,
         }
     }
 }

@@ -21,34 +21,49 @@
 //!   in-flight segment per active rank), never O(total events), and the
 //!   output is identical to the in-memory [`trace_reduce::Reducer`] —
 //!   both paths drive the same state machines.
-//! * [`shard::reduce_stream_sharded`] / [`shard::reduce_trace_file`] —
-//!   batch rank sections across crossbeam worker threads
-//!   ([`trace_reduce::scoped_workers`]), each worker streaming its own
-//!   reader and skipping the sections owned by other workers.
-//! * [`binary::reduce_container_file`] — the binary counterpart goes
-//!   further: workers *seek* straight to their rank sections via the
+//! * [`shard::reduce_stream_sharded`] — batches rank sections across
+//!   crossbeam worker threads ([`trace_reduce::scoped_workers`]), each
+//!   worker streaming its own reader and skipping the sections owned by
+//!   other workers.
+//! * [`binary::reduce_container_stream`] / [`binary::reduce_container_file`]
+//!   — the binary counterparts; the file driver goes further than text
+//!   sharding can: workers *seek* straight to their rank sections via the
 //!   container's index footer instead of scanning the file.
 //!   [`binary::reduce_any_file`] autodetects text, monolithic v1 and
 //!   container v2 inputs by magic bytes.
+//!
+//! One rule covers all five drivers: each is a function of a
+//! [`trace_reduce::Reducer`] — method, candidate search and recorder
+//! together — a source, and (where it shards) a worker count.  They share
+//! one worker fan-out, which merges the ranks back in stream order and
+//! drains the merged [`StreamStats`] into the reducer's recorder exactly
+//! once; the sequential drivers are its one-worker case.
 //!
 //! # Quick start
 //!
 //! ```
 //! use std::io::Cursor;
 //! use trace_format::write_app_trace;
-//! use trace_reduce::{Method, MethodConfig, Reducer};
+//! use trace_reduce::{Method, Reducer};
 //! use trace_sim::{SizePreset, Workload, WorkloadKind};
 //! use trace_stream::reduce_stream;
 //!
 //! let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
 //! let text = write_app_trace(&app);
 //!
-//! let config = MethodConfig::with_default_threshold(Method::AvgWave);
-//! let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+//! let reducer = Reducer::with_default_threshold(Method::AvgWave);
+//! let streamed = reduce_stream(&reducer, Cursor::new(text.as_bytes())).unwrap();
 //!
 //! // Identical to the in-memory path, with bounded resident state.
-//! assert_eq!(streamed.reduced, Reducer::new(config).reduce_app(&app));
+//! assert_eq!(streamed.reduced, reducer.reduce_app(&app));
 //! assert!(streamed.stats.peak_resident_segments <= streamed.stats.stored + 1);
+//!
+//! // Observed: same bytes, and the run report carries the driver's counters.
+//! let recorder = trace_obs::Recorder::enabled();
+//! let observed = reducer.with_recorder(&recorder);
+//! let again = reduce_stream(&observed, Cursor::new(text.as_bytes())).unwrap();
+//! assert_eq!(again.reduced, streamed.reduced);
+//! assert_eq!(recorder.report().counters["stream.events"], again.stats.events as u64);
 //! ```
 
 #![warn(missing_docs)]
@@ -61,14 +76,11 @@ pub mod shard;
 pub mod source;
 
 pub use binary::{
-    detect_input, reduce_any_file, reduce_any_file_obs, reduce_container_file,
-    reduce_container_file_obs, reduce_container_stream, reduce_container_stream_obs,
-    ContainerSource, TraceInputKind,
+    detect_input, reduce_any_file, reduce_container_file, reduce_container_stream, ContainerSource,
+    TraceInputKind,
 };
 pub use error::StreamError;
 pub use parser::{AppItem, StreamParser};
-pub use reduce::{reduce_stream, reduce_stream_obs, StreamReduction, StreamStats};
-pub use shard::{
-    reduce_stream_sharded, reduce_stream_sharded_obs, reduce_trace_file, reduce_trace_file_obs,
-};
+pub use reduce::{reduce_stream, StreamReduction, StreamStats};
+pub use shard::reduce_stream_sharded;
 pub use source::AppItemSource;

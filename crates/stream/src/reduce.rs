@@ -1,6 +1,6 @@
 //! Online, bounded-memory reduction of a streamed trace.
 //!
-//! The reducer consumes [`StreamParser`] items and feeds each completed
+//! The reducer consumes [`AppItemSource`] items and feeds each completed
 //! segment straight into the stored-segments loop
 //! ([`trace_reduce::OnlineRankReducer`]) as it arrives.  At any instant the
 //! resident segment state is the stored representatives accumulated so far
@@ -10,11 +10,13 @@
 
 use std::io::BufRead;
 
+use parking_lot::Mutex;
 use trace_model::{ReducedAppTrace, ReducedRankTrace, TraceRecord};
-use trace_reduce::{MatchScratch, MatchStats, MethodConfig, OnlineRankReducer, OnlineSegmenter};
+use trace_reduce::{MatchScratch, MatchStats, OnlineRankReducer, OnlineSegmenter, Reducer};
 
 use crate::error::StreamError;
-use crate::parser::{AppItem, StreamParser};
+use crate::parser::AppItem;
+use crate::shard::{reduce_stream_sharded, take_reader};
 use crate::source::AppItemSource;
 
 /// Instrumentation counters from one streaming reduction.
@@ -73,9 +75,9 @@ impl StreamStats {
     }
 
     /// Drains these counters into an observability shard under the
-    /// canonical `stream.*` (and nested `match.*`) metric names.  Call once
-    /// on the merged total — not per worker — so sharded drivers don't
-    /// double-count.
+    /// canonical `stream.*` (and nested `match.*`) metric names.  Called
+    /// once per run, on the merged total, by the one fan-out every driver
+    /// goes through — not per worker, so sharded drivers don't double-count.
     pub fn record_into(&self, obs: &mut trace_obs::ObsShard) {
         if !obs.is_enabled() {
             return;
@@ -112,17 +114,19 @@ pub struct StreamReduction {
 
 /// Reduces the rank sections selected by `take` (by 0-based section index),
 /// skipping the rest, and returns `(index, reduced rank)` pairs in stream
-/// order together with the instrumentation counters.  The source may be
-/// the text parser or the binary container reader — the loop is identical.
+/// order together with the instrumentation counters (`stored` and `execs`
+/// are left for [`crate::shard::fan_out`], which sees every worker's
+/// ranks).  The source may be the text parser or the binary container
+/// reader — the loop is identical.
 ///
 /// Each processed rank section is bracketed by a
 /// [`trace_obs::Stage::Rank`] span (the streaming loop fuses parse,
 /// segment and match per record, so the rank is the finest honestly
 /// separable unit — two clock reads per rank, nothing per record).  With a
 /// disabled shard the reduction is identical — recording never steers.
-pub(crate) fn reduce_selected_ranks_obs<S: AppItemSource>(
-    config: MethodConfig,
-    parser: &mut S,
+pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
+    reducer: &Reducer,
+    source: &mut S,
     mut take: impl FnMut(usize) -> bool,
     obs: &mut trace_obs::ObsShard,
 ) -> Result<(Vec<(usize, ReducedRankTrace)>, StreamStats), StreamError> {
@@ -143,7 +147,7 @@ pub(crate) fn reduce_selected_ranks_obs<S: AppItemSource>(
         trace_obs::SpanStart,
     )> = None;
 
-    while let Some(item) = parser.next_item()? {
+    while let Some(item) = source.next_item()? {
         match item {
             AppItem::RankStart(rank) => {
                 let index = next_index;
@@ -152,42 +156,42 @@ pub(crate) fn reduce_selected_ranks_obs<S: AppItemSource>(
                     active = Some((
                         index,
                         OnlineSegmenter::new(),
-                        OnlineRankReducer::with_scratch(config, rank, std::mem::take(&mut scratch)),
+                        OnlineRankReducer::new(reducer, rank, std::mem::take(&mut scratch)),
                         obs.start(),
                     ));
                 } else {
-                    parser.skip_current_rank()?;
+                    source.skip_current_rank()?;
                 }
             }
             AppItem::Record(record) => {
-                let (_, segmenter, reducer, _) = active
-                    .as_mut()
-                    .expect("records only arrive inside a processed rank");
+                let Some((_, segmenter, online, _)) = active.as_mut() else {
+                    return Err(StreamError::Protocol("a record outside a rank section"));
+                };
                 if matches!(record, TraceRecord::Event(_)) {
                     stats.events += 1;
                 }
                 if let Some(segment) = segmenter.push(&record) {
                     stats.segments += 1;
-                    reducer.push_segment_obs(segment, obs);
+                    online.push_segment(segment, obs);
                 }
                 let resident = stored_retained
-                    + reducer.stored_count()
+                    + online.stored_count()
                     + usize::from(segmenter.has_open_segment());
                 stats.peak_resident_segments = stats.peak_resident_segments.max(resident);
             }
             AppItem::RankEnd(_) => {
-                let (index, mut segmenter, mut reducer, span) = active
-                    .take()
-                    .expect("END_RANK only arrives inside a processed rank");
+                let Some((index, mut segmenter, mut online, span)) = active.take() else {
+                    return Err(StreamError::Protocol("a rank end outside a rank section"));
+                };
                 if let Some(segment) = segmenter.finish() {
                     stats.segments += 1;
-                    reducer.push_segment_obs(segment, obs);
+                    online.push_segment(segment, obs);
                 }
                 let seg_stats = segmenter.stats();
                 stats.orphan_events += seg_stats.orphan_events;
                 stats.unterminated_segments += seg_stats.unterminated_segments;
-                stats.matching.absorb(&reducer.match_stats());
-                let (reduced, returned) = reducer.finish_with_scratch();
+                stats.matching.absorb(&online.match_stats());
+                let (reduced, returned) = online.finish();
                 scratch = returned;
                 stored_retained += reduced.stored_count();
                 stats.peak_resident_segments = stats.peak_resident_segments.max(stored_retained);
@@ -197,49 +201,23 @@ pub(crate) fn reduce_selected_ranks_obs<S: AppItemSource>(
             }
         }
     }
-
-    stats.stored = out.iter().map(|(_, r)| r.stored_count()).sum();
-    stats.execs = out.iter().map(|(_, r)| r.exec_count()).sum();
     Ok((out, stats))
 }
 
-/// Reduces a full-trace text stream with one pass and bounded memory.
+/// Reduces a full-trace text stream with one pass and bounded memory: the
+/// one-worker case of [`reduce_stream_sharded`].
 ///
-/// The output [`ReducedAppTrace`] is semantically identical to parsing the
-/// whole trace and running [`trace_reduce::Reducer::reduce_app`] — both
-/// paths drive the same online segmenter and stored-segments state
-/// machines — but the full [`trace_model::AppTrace`] is never constructed.
-pub fn reduce_stream<R: BufRead>(
-    config: MethodConfig,
+/// The output [`trace_model::ReducedAppTrace`] is semantically identical to
+/// parsing the whole trace and running
+/// [`trace_reduce::Reducer::reduce_app`] — both paths drive the same online
+/// segmenter and stored-segments state machines — but the full
+/// [`trace_model::AppTrace`] is never constructed.
+pub fn reduce_stream<R: BufRead + Send>(
+    reducer: &Reducer,
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
-    reduce_stream_obs(config, reader, &trace_obs::Recorder::disabled())
-}
-
-/// [`reduce_stream`] with observability: records per-rank
-/// [`trace_obs::Stage::Rank`] spans and drains the final [`StreamStats`]
-/// into `recorder`.  With a disabled recorder this is exactly
-/// [`reduce_stream`] — the reduced output is bit-identical either way.
-pub fn reduce_stream_obs<R: BufRead>(
-    config: MethodConfig,
-    reader: R,
-    recorder: &trace_obs::Recorder,
-) -> Result<StreamReduction, StreamError> {
-    let mut obs = recorder.shard();
-    let mut parser = StreamParser::new(reader)?;
-    let tables = parser.tables().clone();
-    let (ranks, stats) = reduce_selected_ranks_obs(config, &mut parser, |_| true, &mut obs)?;
-    stats.record_into(&mut obs);
-    obs.finish();
-    Ok(StreamReduction {
-        reduced: ReducedAppTrace {
-            name: tables.name,
-            regions: tables.regions,
-            contexts: tables.contexts,
-            ranks: ranks.into_iter().map(|(_, rank)| rank).collect(),
-        },
-        stats,
-    })
+    let reader = Mutex::new(Some(reader));
+    reduce_stream_sharded(reducer, 1, |_| take_reader(&reader))
 }
 
 #[cfg(test)]
@@ -247,7 +225,7 @@ mod tests {
     use super::*;
     use std::io::Cursor;
     use trace_format::write_app_trace;
-    use trace_reduce::{Method, Reducer};
+    use trace_reduce::Method;
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
     #[test]
@@ -255,9 +233,9 @@ mod tests {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         let text = write_app_trace(&app);
         for method in Method::ALL {
-            let config = MethodConfig::with_default_threshold(method);
-            let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+            let reducer = Reducer::with_default_threshold(method);
+            let in_memory = reducer.reduce_app(&app);
+            let streamed = reduce_stream(&reducer, Cursor::new(text.as_bytes())).unwrap();
             assert_eq!(streamed.reduced, in_memory, "{method}");
             assert_eq!(streamed.stats.execs, in_memory.total_execs(), "{method}");
             assert_eq!(streamed.stats.stored, in_memory.total_stored(), "{method}");
@@ -268,8 +246,8 @@ mod tests {
     fn stats_count_ranks_events_and_segments() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let text = write_app_trace(&app);
-        let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let streamed = reduce_stream(&reducer, Cursor::new(text.as_bytes())).unwrap();
         assert_eq!(streamed.stats.ranks, app.rank_count());
         assert_eq!(streamed.stats.events, app.total_events());
         let segment_instances: usize = app
@@ -298,10 +276,34 @@ mod tests {
         }
         text.push_str("END_RANK\nEND_TRACE\n");
 
-        let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let streamed = reduce_stream(&reducer, Cursor::new(text.as_bytes())).unwrap();
         assert_eq!(streamed.stats.segments, 200);
         assert_eq!(streamed.stats.stored, 1);
         assert_eq!(streamed.stats.peak_resident_segments, 2);
+    }
+
+    #[test]
+    fn items_outside_a_rank_section_are_an_error_not_a_panic() {
+        struct Fake(std::vec::IntoIter<AppItem>);
+        impl AppItemSource for Fake {
+            fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
+                Ok(self.0.next())
+            }
+            fn skip_current_rank(&mut self) -> Result<trace_model::Rank, StreamError> {
+                Ok(trace_model::Rank(0))
+            }
+        }
+        let rank = trace_model::Rank(0);
+        let record = AppItem::Record(TraceRecord::SegmentBegin {
+            context: trace_model::ContextId(0),
+            time: trace_model::Time::ZERO,
+        });
+        let items = vec![record, AppItem::RankStart(rank), AppItem::RankEnd(rank)];
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let mut obs = trace_obs::ObsShard::disabled();
+        let err = reduce_selected_ranks(&reducer, &mut Fake(items.into_iter()), |_| true, &mut obs)
+            .unwrap_err();
+        assert!(matches!(err, StreamError::Protocol(_)), "{err}");
     }
 }

@@ -17,7 +17,9 @@ use crate::error::StreamError;
 use crate::parser::{AppItem, StreamParser};
 
 /// A pull source of [`AppItem`]s: rank boundaries and records, in stream
-/// order, with cheap skipping of unwanted rank sections.
+/// order, with cheap skipping of unwanted rank sections.  Records and rank
+/// ends belong between a `RankStart` and its `RankEnd`; the reduction loop
+/// answers an item outside that bracket with [`StreamError::Protocol`].
 pub trait AppItemSource {
     /// Pulls the next item, or `Ok(None)` once the trace trailer has been
     /// consumed.

@@ -33,7 +33,7 @@ proptest! {
             for method in Method::ALL {
                 let config = MethodConfig::with_default_threshold(method);
                 let in_memory = Reducer::new(config).reduce_app(&app);
-                let streamed = reduce_container_stream(config, Cursor::new(&bytes))
+                let streamed = reduce_container_stream(&Reducer::new(config), Cursor::new(&bytes))
                     .expect("generated containers decode");
                 prop_assert_eq!(&streamed.reduced, &in_memory, "{} ({})", method, codec.name());
                 prop_assert!(
@@ -65,9 +65,9 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
 
         let config = MethodConfig::with_default_threshold(Method::AvgWave);
-        let sequential = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+        let sequential = reduce_container_stream(&Reducer::new(config), Cursor::new(&bytes)).unwrap();
         for shards in [2usize, 3] {
-            let sharded = reduce_container_file(config, &path, shards).unwrap();
+            let sharded = reduce_container_file(&Reducer::new(config), &path, shards).unwrap();
             prop_assert_eq!(
                 &sharded.reduced, &sequential.reduced,
                 "{} shards ({})", shards, codec.name()
@@ -93,7 +93,8 @@ fn thresholded_methods_agree_across_the_threshold_grid_on_compressed_input() {
         for threshold in method.threshold_grid() {
             let config = MethodConfig::new(method, threshold);
             let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+            let streamed =
+                reduce_container_stream(&Reducer::new(config), Cursor::new(&bytes)).unwrap();
             assert_eq!(streamed.reduced, in_memory, "{method} @ {threshold}");
         }
     }

@@ -7,7 +7,7 @@ use std::io::Cursor;
 use trace_format::parse_app_trace;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_stream, reduce_trace_file};
+use trace_stream::{reduce_any_file, reduce_stream};
 
 /// Generates an amplified Late Sender trace (the run replayed back-to-back)
 /// directly into a byte buffer via the sim's writer integration.
@@ -21,7 +21,7 @@ fn amplified_text(repeats: usize) -> Vec<u8> {
 fn resident_state_stays_an_order_of_magnitude_below_the_stream() {
     let text = amplified_text(60);
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
-    let streamed = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
+    let streamed = reduce_stream(&Reducer::new(config), Cursor::new(text.as_slice())).unwrap();
 
     // The amplified trace streams ≥ 10× more segments than the reducer
     // ever holds at once (stored representatives + one in-flight segment
@@ -50,8 +50,8 @@ fn big_trace_end_to_end_through_a_file_with_shards() {
     std::fs::write(&path, &text).unwrap();
 
     let config = MethodConfig::with_default_threshold(Method::RelDiff);
-    let sequential = reduce_stream(config, Cursor::new(text.as_slice())).unwrap();
-    let sharded = reduce_trace_file(config, &path, 4).unwrap();
+    let sequential = reduce_stream(&Reducer::new(config), Cursor::new(text.as_slice())).unwrap();
+    let (sharded, _) = reduce_any_file(&Reducer::new(config), &path, 4).unwrap();
     assert_eq!(sharded.reduced, sequential.reduced);
     // Every shard obeys the per-worker bound; the merged peak is the sum of
     // concurrent workers, still far below the streamed segment count.

@@ -39,7 +39,7 @@ fn resident_state_stays_an_order_of_magnitude_below_the_container() {
     for codec in [Codec::None, Codec::DeltaLz] {
         let bytes = amplified_container(60, 8, codec);
         let config = MethodConfig::with_default_threshold(Method::AvgWave);
-        let streamed = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+        let streamed = reduce_container_stream(&Reducer::new(config), Cursor::new(&bytes)).unwrap();
 
         // Segment bound: stored representatives + one in-flight segment.
         let bound = streamed.stats.stored + 1;
@@ -89,9 +89,10 @@ fn big_container_end_to_end_through_a_file_with_shards() {
         std::fs::write(&path, &bytes).unwrap();
 
         let config = MethodConfig::with_default_threshold(Method::RelDiff);
-        let sequential = reduce_container_stream(config, Cursor::new(&bytes)).unwrap();
+        let sequential =
+            reduce_container_stream(&Reducer::new(config), Cursor::new(&bytes)).unwrap();
         for shards in [2, 4] {
-            let sharded = reduce_container_file(config, &path, shards).unwrap();
+            let sharded = reduce_container_file(&Reducer::new(config), &path, shards).unwrap();
             // Index-sharded ingestion matches the single-shard output
             // bit-for-bit.
             assert_eq!(
@@ -138,8 +139,8 @@ fn paper_preset_delta_lz_at_least_halves_the_container() {
     // The compressed container reduces to the bit-identical output of both
     // the uncompressed streaming path and the in-memory path.
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
-    let from_dlz = reduce_container_stream(config, Cursor::new(&dlz)).unwrap();
-    let from_none = reduce_container_stream(config, Cursor::new(&none)).unwrap();
+    let from_dlz = reduce_container_stream(&Reducer::new(config), Cursor::new(&dlz)).unwrap();
+    let from_none = reduce_container_stream(&Reducer::new(config), Cursor::new(&none)).unwrap();
     let in_memory = Reducer::new(config).reduce_app(&read_app_container(&none[..]).unwrap());
     assert_eq!(from_dlz.reduced, from_none.reduced);
     assert_eq!(

@@ -12,7 +12,7 @@ use std::io::{self, BufRead, BufReader, Cursor, Read};
 use proptest::prelude::*;
 use trace_container::{encode_app_container, ChunkSpec};
 use trace_format::{parse_app_trace, write_app_trace};
-use trace_reduce::{Method, MethodConfig};
+use trace_reduce::{Method, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{reduce_container_stream, reduce_stream, AppItem, StreamError, StreamParser};
@@ -28,8 +28,8 @@ fn spec_strategy() -> impl Strategy<Value = Vec<Vec<(u8, u8, u16)>>> {
     )
 }
 
-fn config() -> MethodConfig {
-    MethodConfig::with_default_threshold(Method::AvgWave)
+fn reducer() -> Reducer {
+    Reducer::with_default_threshold(Method::AvgWave)
 }
 
 /// Asserts a text parse outcome is sane: success, or a format error whose
@@ -203,7 +203,7 @@ proptest! {
         let bytes = text.as_bytes();
         let cut = cut_seed % (bytes.len() + 1);
         let truncated = &bytes[..cut];
-        let result = reduce_stream(config(), Cursor::new(truncated)).map(|_| ());
+        let result = reduce_stream(&reducer(), Cursor::new(truncated)).map(|_| ());
         if cut < bytes.len() {
             prop_assert!(result.is_err(), "truncation at {cut} must not parse");
         }
@@ -220,7 +220,7 @@ proptest! {
         let mut bytes = text.into_bytes();
         let pos = pos_seed % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let result = reduce_stream(config(), Cursor::new(&bytes[..])).map(|_| ());
+        let result = reduce_stream(&reducer(), Cursor::new(&bytes[..])).map(|_| ());
         assert_text_outcome(result, &bytes);
     }
 
@@ -228,7 +228,7 @@ proptest! {
     fn garbage_prefix_text_never_panics(garbage in prop::collection::vec(any::<u8>(), 0..256)) {
         // Arbitrary bytes are (at best) not a valid header; either way the
         // parser must return, not unwind.
-        let _ = reduce_stream(config(), Cursor::new(&garbage[..]));
+        let _ = reduce_stream(&reducer(), Cursor::new(&garbage[..]));
     }
 
     #[test]
@@ -238,7 +238,7 @@ proptest! {
     ) {
         let bytes = encode_app_container(&build_trace(&rank_specs), ChunkSpec::with_segments(3));
         let cut = cut_seed % bytes.len();
-        let result = reduce_container_stream(config(), Cursor::new(&bytes[..cut]));
+        let result = reduce_container_stream(&reducer(), Cursor::new(&bytes[..cut]));
         prop_assert!(result.is_err(), "truncation at {cut} of {} must not parse", bytes.len());
     }
 
@@ -249,14 +249,14 @@ proptest! {
         bit in 0u8..8,
     ) {
         let mut bytes = encode_app_container(&build_trace(&rank_specs), ChunkSpec::with_segments(3));
-        let reference = reduce_container_stream(config(), Cursor::new(&bytes[..]))
+        let reference = reduce_container_stream(&reducer(), Cursor::new(&bytes[..]))
             .expect("pristine container parses");
         let pos = pos_seed % bytes.len();
         bytes[pos] ^= 1 << bit;
         // A flip is either detected (CRC, magic, structure) or lands in a
         // byte that keeps the container decodable; both are fine — only a
         // panic or a silent wrong answer on detectable corruption is not.
-        if let Ok(reduction) = reduce_container_stream(config(), Cursor::new(&bytes[..])) {
+        if let Ok(reduction) = reduce_container_stream(&reducer(), Cursor::new(&bytes[..])) {
             let _ = (reduction, &reference);
         }
     }

@@ -1,91 +1,189 @@
-//! Acceptance test: observability is behaviour-neutral (ISSUE 8).
+//! Acceptance test: observability is behaviour-neutral, and every driver
+//! drains its counters exactly once.
 //!
-//! For every paper method and every reduction driver — sequential
-//! in-memory, parallel in-memory, streaming, sharded streaming and
-//! container streaming — the reduced trace produced with an enabled
-//! recorder must be bit-identical to the one produced with recording off.
-//! The comparison is on the *encoded bytes*, not just `PartialEq`, so even
-//! an ordering or serialization drift would fail.  Each enabled run is
-//! also asserted to have actually recorded (non-empty report), so the
-//! neutrality claim is never vacuous.
+//! A `Reducer` carries the recorder and every driver is one function of
+//! `(&Reducer, source[, workers])`, so both claims are properties over
+//! *source × workers × recorder* — the in-memory trace, a text stream, a
+//! container stream, a container file through its index, and a file of any
+//! of the three formats through the magic-byte dispatch:
+//!
+//! * **Neutral.**  The reduced trace produced under an enabled recorder is
+//!   bit-identical to the one produced with recording off.  The comparison
+//!   is on the *encoded bytes*, not just `PartialEq`, so even an ordering or
+//!   serialization drift would fail, and each enabled run is asserted to
+//!   have actually recorded, so the claim is never vacuous.
+//! * **Drained once.**  The run report's counters equal the counters the
+//!   driver returns, field by field, and there is one span per rank — the
+//!   guard against a double drain when one driver calls another.
 
 use std::io::Cursor;
+use std::path::PathBuf;
 
 use trace_container::{encode_app_container, ChunkSpec};
-use trace_model::codec::encode_reduced_trace;
-use trace_model::ReducedAppTrace;
-use trace_obs::Recorder;
-use trace_reduce::{reduce_app_parallel_obs, Method, MethodConfig, Reducer};
+use trace_model::codec::{encode_app_trace, encode_reduced_trace};
+use trace_model::{AppTrace, ReducedAppTrace};
+use trace_obs::{names, Recorder, RunReport, Stage};
+use trace_reduce::{reduce_app_parallel_with_stats, MatchStats, Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{reduce_container_stream_obs, reduce_stream_obs, reduce_stream_sharded_obs};
+use trace_stream::{
+    reduce_any_file, reduce_container_file, reduce_container_stream, reduce_stream,
+    reduce_stream_sharded, StreamError, StreamReduction, StreamStats,
+};
 
-/// A reduction driver: one way of running a method over the workload.
-type Driver<'a> = Box<dyn Fn(&Recorder) -> ReducedAppTrace + 'a>;
+/// One workload in every form a driver can read it from.
+struct Sources {
+    app: AppTrace,
+    text: Vec<u8>,
+    container: Vec<u8>,
+    text_file: PathBuf,
+    v1_file: PathBuf,
+    v2_file: PathBuf,
+}
 
-/// Runs `drive` twice — recording off, then on — and returns both reduced
-/// traces plus the enabled run's report emptiness.
-fn both_states(drive: impl Fn(&Recorder) -> ReducedAppTrace) -> (Vec<u8>, Vec<u8>, bool) {
-    let off = drive(&Recorder::disabled());
-    let enabled = Recorder::enabled();
-    let on = drive(&enabled);
-    (
-        encode_reduced_trace(&off),
-        encode_reduced_trace(&on),
-        enabled.report().is_empty(),
-    )
+impl Sources {
+    fn new(kind: WorkloadKind, tag: &str) -> Sources {
+        let app = Workload::new(kind, SizePreset::Tiny).generate();
+        let text = trace_format::write_app_trace(&app).into_bytes();
+        let container = encode_app_container(&app, ChunkSpec::with_segments(8));
+        let file = |name: &str, bytes: &[u8]| {
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "obs_neutrality_{}_{tag}_{name}",
+                std::process::id()
+            ));
+            std::fs::write(&path, bytes).unwrap();
+            path
+        };
+        Sources {
+            text_file: file("in.txt", &text),
+            v1_file: file("in_v1.trc", &encode_app_trace(&app)),
+            v2_file: file("in_v2.trc", &container),
+            app,
+            text,
+            container,
+        }
+    }
+}
+
+impl Drop for Sources {
+    fn drop(&mut self) {
+        for path in [&self.text_file, &self.v1_file, &self.v2_file] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// What one run hands back: the reduced trace and the counters the driver
+/// returned (`stream` is `None` for the in-memory drivers).
+struct Outcome {
+    reduced: ReducedAppTrace,
+    matching: MatchStats,
+    stream: Option<StreamStats>,
+}
+
+/// Which per-rank spans a driver records: the fused streaming loop one
+/// `Rank` span, the in-memory loop (and the v1 fallback, which decodes the
+/// whole file and runs it) one `Segment` and one `Match` span.
+#[derive(Clone, Copy)]
+enum Spans {
+    Fused,
+    InMemory,
+}
+
+type Driver<'a> = (&'a str, Spans, Box<dyn Fn(&Reducer) -> Outcome + 'a>);
+
+fn drivers(src: &Sources) -> Vec<Driver<'_>> {
+    fn in_memory((reduced, matching): (ReducedAppTrace, MatchStats)) -> Outcome {
+        Outcome {
+            reduced,
+            matching,
+            stream: None,
+        }
+    }
+    fn streamed(reduction: Result<StreamReduction, StreamError>) -> Outcome {
+        let reduction = reduction.unwrap();
+        Outcome {
+            reduced: reduction.reduced,
+            matching: reduction.stats.matching,
+            stream: Some(reduction.stats),
+        }
+    }
+    let text = || Cursor::new(src.text.as_slice());
+    vec![
+        (
+            "in memory, 1 worker",
+            Spans::InMemory,
+            Box::new(|r| in_memory(reduce_app_parallel_with_stats(r, &src.app, 1))),
+        ),
+        (
+            "in memory, 4 workers",
+            Spans::InMemory,
+            Box::new(|r| in_memory(reduce_app_parallel_with_stats(r, &src.app, 4))),
+        ),
+        (
+            "text stream",
+            Spans::Fused,
+            Box::new(move |r| streamed(reduce_stream(r, text()))),
+        ),
+        (
+            "text stream, 3 shards",
+            Spans::Fused,
+            Box::new(move |r| streamed(reduce_stream_sharded(r, 3, |_| Ok(text())))),
+        ),
+        (
+            "container stream",
+            Spans::Fused,
+            Box::new(|r| streamed(reduce_container_stream(r, Cursor::new(&src.container[..])))),
+        ),
+        (
+            "container file, 1 worker",
+            Spans::Fused,
+            Box::new(|r| streamed(reduce_container_file(r, &src.v2_file, 1))),
+        ),
+        (
+            "container file, 2 workers",
+            Spans::Fused,
+            Box::new(|r| streamed(reduce_container_file(r, &src.v2_file, 2))),
+        ),
+        (
+            "container file, 3 workers",
+            Spans::Fused,
+            Box::new(|r| streamed(reduce_container_file(r, &src.v2_file, 3))),
+        ),
+        (
+            "any file: text, 2 shards",
+            Spans::Fused,
+            Box::new(|r| streamed(reduce_any_file(r, &src.text_file, 2).map(|(r, _)| r))),
+        ),
+        (
+            "any file: v1",
+            Spans::InMemory,
+            Box::new(|r| streamed(reduce_any_file(r, &src.v1_file, 2).map(|(r, _)| r))),
+        ),
+        (
+            "any file: v2, 2 shards",
+            Spans::Fused,
+            Box::new(|r| streamed(reduce_any_file(r, &src.v2_file, 2).map(|(r, _)| r))),
+        ),
+    ]
 }
 
 #[test]
 fn recording_never_changes_the_reduction_for_any_method_or_driver() {
-    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
-    let text = trace_format::write_app_trace(&app).into_bytes();
-    let container = encode_app_container(&app, ChunkSpec::with_segments(8));
-
+    let src = Sources::new(WorkloadKind::DynLoadBalance, "neutral");
     for method in Method::ALL {
         let config = MethodConfig::with_default_threshold(method);
-        let reducer = Reducer::new(config);
-        let drivers: Vec<(&str, Driver)> = vec![
-            (
-                "sequential",
-                Box::new(|rec| reducer.reduce_app_obs(&app, rec).0),
-            ),
-            (
-                "parallel",
-                Box::new(|rec| reduce_app_parallel_obs(&reducer, &app, 4, rec).0),
-            ),
-            (
-                "streaming",
-                Box::new(|rec| {
-                    reduce_stream_obs(config, Cursor::new(text.as_slice()), rec)
-                        .unwrap()
-                        .reduced
-                }),
-            ),
-            (
-                "sharded",
-                Box::new(|rec| {
-                    reduce_stream_sharded_obs(config, 3, |_| Ok(Cursor::new(text.clone())), rec)
-                        .unwrap()
-                        .reduced
-                }),
-            ),
-            (
-                "container",
-                Box::new(|rec| {
-                    reduce_container_stream_obs(config, Cursor::new(container.as_slice()), rec)
-                        .unwrap()
-                        .reduced
-                }),
-            ),
-        ];
-        for (driver, drive) in drivers {
-            let (off, on, report_empty) = both_states(drive);
+        for (driver, _, drive) in drivers(&src) {
+            let off = drive(&Reducer::new(config));
+            let recorder = Recorder::enabled();
+            let on = drive(&Reducer::new(config).with_recorder(&recorder));
             assert_eq!(
-                off, on,
+                encode_reduced_trace(&off.reduced),
+                encode_reduced_trace(&on.reduced),
                 "{method} / {driver}: recording changed the reduced bytes"
             );
             assert!(
-                !report_empty,
+                !recorder.report().is_empty(),
                 "{method} / {driver}: the enabled run recorded nothing — the \
                  neutrality assertion would be vacuous"
             );
@@ -93,39 +191,119 @@ fn recording_never_changes_the_reduction_for_any_method_or_driver() {
     }
 }
 
+/// Asserts that `report` carries exactly the counters `outcome` returned.
+fn assert_drained_once(what: &str, spans: Spans, report: &RunReport, outcome: &Outcome) {
+    let span_count = |stage: Stage| report.spans.iter().filter(|s| s.stage == stage).count();
+    let check = |kind: &str, found: Option<&u64>, name: &str, want: usize| {
+        assert_eq!(found.copied(), Some(want as u64), "{what}: {kind} {name}");
+    };
+    let counter = |name: &str, want: usize| check("counter", report.counters.get(name), name, want);
+    let gauge = |name: &str, want: usize| check("gauge", report.gauges.get(name), name, want);
+
+    let matching = &outcome.matching;
+    counter(names::MATCH_COMPARISONS, matching.comparisons);
+    counter(names::MATCH_ELIGIBLE, matching.eligible);
+    counter(names::MATCH_MATCHES, matching.matches);
+    counter(
+        names::MATCH_INDEX_WINDOW_PRUNES,
+        matching.index_window_prunes,
+    );
+    counter(names::MATCH_INDEX_PIVOT_PRUNES, matching.index_pivot_prunes);
+
+    let ranks = outcome.reduced.rank_count();
+    if let Some(stats) = &outcome.stream {
+        counter(names::STREAM_RANKS, stats.ranks);
+        counter(names::STREAM_EVENTS, stats.events);
+        counter(names::STREAM_SEGMENTS, stats.segments);
+        counter(names::STREAM_STORED, stats.stored);
+        counter(names::STREAM_EXECS, stats.execs);
+        counter(names::STREAM_ORPHAN_EVENTS, stats.orphan_events);
+        counter(
+            names::STREAM_UNTERMINATED_SEGMENTS,
+            stats.unterminated_segments,
+        );
+        gauge(
+            names::STREAM_PEAK_RESIDENT_SEGMENTS,
+            stats.peak_resident_segments,
+        );
+        gauge(names::STREAM_PEAK_CHUNK_BYTES, stats.peak_chunk_bytes);
+        assert_eq!(stats.ranks, ranks, "{what}: every rank is counted");
+        assert_eq!(stats.stored, outcome.reduced.total_stored(), "{what}");
+        assert_eq!(stats.execs, outcome.reduced.total_execs(), "{what}");
+    } else {
+        assert!(
+            !report.counters.contains_key(names::STREAM_RANKS),
+            "{what}: an in-memory run streams nothing"
+        );
+    }
+    // One span per rank: a driver that re-ran or re-drained a rank shows here.
+    let (fused, in_memory) = match spans {
+        Spans::Fused => (ranks, 0),
+        Spans::InMemory => (0, ranks),
+    };
+    assert_eq!(span_count(Stage::Rank), fused, "{what}: rank spans");
+    assert_eq!(span_count(Stage::Segment), in_memory, "{what}: segment");
+    assert_eq!(span_count(Stage::Match), in_memory, "{what}: match");
+}
+
 #[test]
 fn enabled_reports_carry_the_drained_pipeline_counters() {
-    let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-    let text = trace_format::write_app_trace(&app).into_bytes();
-    let config = MethodConfig::with_default_threshold(Method::AvgWave);
+    let src = Sources::new(WorkloadKind::LateSender, "drain");
+    for method in [Method::AvgWave, Method::RelDiff, Method::IterK] {
+        let config = MethodConfig::with_default_threshold(method);
+        for (driver, spans, drive) in drivers(&src) {
+            let recorder = Recorder::enabled();
+            let outcome = drive(&Reducer::new(config).with_recorder(&recorder));
+            let what = format!("{method} / {driver}");
+            assert_drained_once(&what, spans, &recorder.report(), &outcome);
+        }
+    }
+}
 
-    let recorder = Recorder::enabled();
-    let reduction = reduce_stream_obs(config, Cursor::new(text.as_slice()), &recorder).unwrap();
-    let report = recorder.report();
-
-    // The unified registry mirrors the legacy stats structs exactly —
-    // counters are drained once, not once per shard.
-    assert_eq!(
-        report.counters.get("stream.events").copied(),
-        Some(reduction.stats.events as u64)
-    );
-    assert_eq!(
-        report.counters.get("stream.stored").copied(),
-        Some(reduction.stats.stored as u64)
-    );
-    assert_eq!(
-        report.counters.get("match.comparisons").copied(),
-        Some(reduction.stats.matching.comparisons as u64)
-    );
-    assert_eq!(
-        report.gauges.get("stream.peak_resident_segments").copied(),
-        Some(reduction.stats.peak_resident_segments as u64)
-    );
-    // One Rank span per rank section streamed.
-    let rank_spans = report
-        .spans
+#[test]
+fn malformed_marker_counters_are_identical_across_input_formats() {
+    // One event before the first SEG_BEGIN (an orphan) and one segment with
+    // no SEG_END (unterminated): every format must report both, and the same
+    // `stream.*` / `match.*` counters altogether.  The two peaks are gauges
+    // and legitimately differ (a v1 file is resident whole).  Before the v1
+    // arm drained a complete `StreamStats` it reported neither counter.
+    let text = "TRACEFORMAT 1\nTRACE RANKS 1 NAME odd\nREGION 0 work\nCONTEXT 0 main.1\n\
+                RANK 0\nEVENT 0 5 9 0 COMPUTE\nSEG_BEGIN 0 10\nEVENT 0 20 90 0 COMPUTE\n\
+                SEG_END 0 100\nSEG_BEGIN 0 100\nEVENT 0 110 190 0 COMPUTE\nEND_RANK\n\
+                END_TRACE\n";
+    assert_eq!(text.lines().count(), 13);
+    let app = trace_format::parse_app_trace(text).unwrap();
+    let inputs = [
+        ("odd.txt", text.as_bytes().to_vec()),
+        ("odd_v1.trc", encode_app_trace(&app)),
+        (
+            "odd_v2.trc",
+            encode_app_container(&app, ChunkSpec::default()),
+        ),
+    ];
+    let runs: Vec<_> = inputs
         .iter()
-        .filter(|s| s.stage == trace_obs::Stage::Rank)
-        .count();
-    assert_eq!(rank_spans, reduction.stats.ranks);
+        .map(|(name, bytes)| {
+            let mut path = std::env::temp_dir();
+            path.push(format!("obs_neutrality_{}_{name}", std::process::id()));
+            std::fs::write(&path, bytes).unwrap();
+            let recorder = Recorder::enabled();
+            let reducer = Reducer::with_default_threshold(Method::RelDiff).with_recorder(&recorder);
+            let (reduction, _) = reduce_any_file(&reducer, &path, 1).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(reduction.stats.orphan_events, 1, "{name}");
+            assert_eq!(reduction.stats.unterminated_segments, 1, "{name}");
+            let counters: std::collections::BTreeMap<String, u64> = recorder
+                .report()
+                .counters
+                .into_iter()
+                .filter(|(key, _)| key.starts_with("stream.") || key.starts_with("match."))
+                .collect();
+            assert_eq!(counters[names::STREAM_ORPHAN_EVENTS], 1, "{name}");
+            assert_eq!(counters[names::STREAM_UNTERMINATED_SEGMENTS], 1, "{name}");
+            (counters, reduction.reduced)
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "text vs v1");
+    assert_eq!(runs[0], runs[2], "text vs v2");
 }

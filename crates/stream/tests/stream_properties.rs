@@ -11,7 +11,9 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use trace_format::write_app_trace;
-use trace_reduce::{reduce_app_reference, reduce_rank_reference, Method, MethodConfig, Reducer};
+use trace_reduce::{
+    reduce_app_reference, reduce_rank_reference, CandidateSearch, Method, MethodConfig, Reducer,
+};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_stream::{reduce_stream, reduce_stream_sharded};
 
@@ -34,7 +36,7 @@ proptest! {
         for method in Method::ALL {
             let config = MethodConfig::with_default_threshold(method);
             let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes()))
+            let streamed = reduce_stream(&Reducer::new(config), Cursor::new(text.as_bytes()))
                 .expect("generated traces parse");
             // Same stored segments, same execution logs, for every rank.
             prop_assert_eq!(&streamed.reduced, &in_memory, "{}", method);
@@ -58,9 +60,9 @@ proptest! {
         let app = build_trace(&rank_specs);
         let text = write_app_trace(&app);
         let config = MethodConfig::with_default_threshold(Method::AvgWave);
-        let sequential = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+        let sequential = reduce_stream(&Reducer::new(config), Cursor::new(text.as_bytes())).unwrap();
         for shards in [2usize, 3] {
-            let sharded = reduce_stream_sharded(config, shards, |_| {
+            let sharded = reduce_stream_sharded(&Reducer::new(config), shards, |_| {
                 Ok(Cursor::new(text.as_bytes().to_vec()))
             })
             .unwrap();
@@ -88,7 +90,8 @@ fn thresholded_methods_agree_across_the_threshold_grid() {
         for threshold in method.threshold_grid() {
             let config = MethodConfig::new(method, threshold);
             let in_memory = Reducer::new(config).reduce_app(&app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+            let streamed =
+                reduce_stream(&Reducer::new(config), Cursor::new(text.as_bytes())).unwrap();
             assert_eq!(streamed.reduced, in_memory, "{method} @ {threshold}");
         }
     }
@@ -120,7 +123,8 @@ fn streaming_and_sharded_drivers_match_the_naive_reference_path() {
         {
             let config = MethodConfig::new(method, threshold);
             let reference = reduce_app_reference(config, &app);
-            let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+            let streamed =
+                reduce_stream(&Reducer::new(config), Cursor::new(text.as_bytes())).unwrap();
             assert_eq!(streamed.reduced, reference, "{method} @ {threshold}");
             // Fast-path counters partition; matches are the same decisions
             // the reference made.
@@ -131,7 +135,7 @@ fn streaming_and_sharded_drivers_match_the_naive_reference_path() {
                 "{method} @ {threshold}"
             );
             for shards in [2usize, 3] {
-                let sharded = reduce_stream_sharded(config, shards, |_| {
+                let sharded = reduce_stream_sharded(&Reducer::new(config), shards, |_| {
                     Ok(Cursor::new(text.as_bytes().to_vec()))
                 })
                 .unwrap();
@@ -175,7 +179,7 @@ fn streaming_index_counters_reconcile_with_the_reference_scan() {
             .iter()
             .map(|rank| reduce_rank_reference(config, rank).matching.comparisons)
             .sum();
-        let streamed = reduce_stream(config, Cursor::new(text.as_bytes())).unwrap();
+        let streamed = reduce_stream(&Reducer::new(config), Cursor::new(text.as_bytes())).unwrap();
         assert_eq!(
             streamed.stats.matching.candidates(),
             reference_comparisons,
@@ -186,7 +190,7 @@ fn streaming_index_counters_reconcile_with_the_reference_scan() {
             "{method}: the index must never visit more than the scan"
         );
         for shards in [2usize, 3] {
-            let sharded = reduce_stream_sharded(config, shards, |_| {
+            let sharded = reduce_stream_sharded(&Reducer::new(config), shards, |_| {
                 Ok(Cursor::new(text.as_bytes().to_vec()))
             })
             .unwrap();
@@ -195,5 +199,20 @@ fn streaming_index_counters_reconcile_with_the_reference_scan() {
                 "{method} with {shards} shards: counters aggregate identically"
             );
         }
+        // The streaming drivers honour the reducer's candidate search: the
+        // linear scan visits every candidate the reference did, prunes
+        // nothing, and reduces to the same bits.
+        let linear = Reducer::with_search(config, CandidateSearch::LinearScan);
+        let scanned = reduce_stream(&linear, Cursor::new(text.as_bytes())).unwrap();
+        assert_eq!(scanned.reduced, streamed.reduced, "{method}: linear scan");
+        assert_eq!(
+            scanned.stats.matching.comparisons, reference_comparisons,
+            "{method}: the linear scan is the reference scan"
+        );
+        assert_eq!(
+            scanned.stats.matching.index_window_prunes + scanned.stats.matching.index_pivot_prunes,
+            0,
+            "{method}: no index, no prunes"
+        );
     }
 }

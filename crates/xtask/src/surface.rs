@@ -54,8 +54,7 @@ pub const DECODE_SURFACE: &[&str] = &[
     "crates/compress/src/",
     "crates/format/src/parse.rs",
     "crates/format/src/record.rs",
-    "crates/stream/src/parser.rs",
-    "crates/stream/src/binary.rs",
+    "crates/stream/src/",
     "crates/trace-model/src/codec/",
     "crates/obs/src/json.rs",
     "crates/obs/src/chrome.rs",
@@ -133,8 +132,11 @@ mod tests {
         assert!(class("crates/compress/src/lz.rs").unwrap().decode_surface);
         assert!(class("crates/format/src/parse.rs").unwrap().decode_surface);
         assert!(!class("crates/format/src/write.rs").unwrap().decode_surface);
+        // The streaming crate's loops consume untrusted items, not only
+        // its parsers: the whole src tree is decode surface.
         assert!(class("crates/stream/src/parser.rs").unwrap().decode_surface);
-        assert!(!class("crates/stream/src/reduce.rs").unwrap().decode_surface);
+        assert!(class("crates/stream/src/reduce.rs").unwrap().decode_surface);
+        assert!(class("crates/stream/src/shard.rs").unwrap().decode_surface);
         assert!(
             class("crates/trace-model/src/codec/varint.rs")
                 .unwrap()
