@@ -416,7 +416,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
             );
             if kind == trace_stream::TraceInputKind::ContainerV2 {
                 message.push_str(&format!(
-                    ", peak chunk {} bytes",
+                    ", peak chunk {} bytes decoded",
                     result.stats.peak_chunk_bytes
                 ));
             }

@@ -34,27 +34,28 @@
 //! exact svarint delta rule (including the per-chunk and per-segment clock
 //! restarts) so the reconstructed deltas match the originals bit for bit.
 //!
-//! The two directions are fed differently.  Decoding rebuilds the row
-//! payload, so it reads streams and writes rows.  Encoding never reads rows
-//! on the container writer's path: the writer hands each record, stored
-//! segment or execution to a `ColumnWriter` as it appends it to the row
-//! body, and by the time a chunk is cut its streams are complete.
-//! [`column_encode`] — rows in, columns out — parses the rows and makes the
-//! same pushes, so there is one place where a field is assigned to a
-//! stream.  The stream buffers belong to the writer's
-//! [`ChunkEncoder`](crate::ChunkEncoder) and are cleared, not reallocated,
-//! between chunks.
+//! Neither direction goes through row bytes on a container's path.  The
+//! writer hands each record, stored segment or execution to a
+//! `ColumnWriter` as it appends it to the row body, and by the time a chunk
+//! is cut its streams are complete; the reader's
+//! [`ChunkDecoder`](crate::ChunkDecoder) reads the streams straight into
+//! typed items ([`ChunkItem::decode_columns`](crate::ChunkItem)) appended to
+//! a buffer the caller reuses.  The row-level entry points are the same code
+//! driven from the other side: [`column_encode`] parses the rows into items
+//! and makes the writer's pushes, [`column_decode`] decodes the items and
+//! writes them back as rows — so each direction has exactly one place where
+//! a field is assigned to a stream.  The stream buffers belong to the
+//! writer's [`ChunkEncoder`](crate::ChunkEncoder) and are cleared, not
+//! reallocated, between chunks.
 
-use trace_model::codec::varint::{read_i64, read_u64, write_i64, write_u64};
-use trace_model::codec::{
-    read_exec, read_record, read_stored_segment, write_exec, write_record, write_stored_segment,
-    CodecError, Reader,
-};
+use trace_model::codec::varint::{narrow_u32, read_i64, read_u64, write_i64, write_u64};
+use trace_model::codec::{write_exec, write_record, write_stored_segment, CodecError, Reader};
 use trace_model::{
     CollectiveOp, CommInfo, ContextId, Event, Rank, RegionId, Segment, SegmentExec, StoredSegment,
     Time, TraceRecord,
 };
 
+use crate::decode::{clamp_count, ChunkItem};
 use crate::error::CompressError;
 
 /// Which column schema a chunk payload uses.
@@ -149,10 +150,21 @@ impl<'a> DeltaReader<'a> {
         }
     }
 
+    // The stream readers are forced into the decode loops: as calls each
+    // returned a 40-byte `Result` through memory, once per field, and the
+    // columns → records loop ran at half the speed (EXPERIMENTS.md,
+    // "Container decode").
+    #[inline(always)]
     fn next(&mut self) -> Result<u64, CompressError> {
         let delta = read_i64(&mut self.reader)?;
         self.last = self.last.wrapping_add(delta as u64);
         Ok(self.last)
+    }
+
+    /// The next value of a stream whose field is a `u32` (`what` names it).
+    #[inline(always)]
+    fn next_u32(&mut self, what: &'static str) -> Result<u32, CompressError> {
+        Ok(narrow_u32(self.next()?, what)?)
     }
 }
 
@@ -206,6 +218,7 @@ impl<'a> TimeReader<'a> {
         }
     }
 
+    #[inline(always)]
     fn next(&mut self) -> Result<Time, CompressError> {
         let delta = read_i64(&mut self.reader)?;
         // checked_add, not +: a crafted stream can pair deltas that
@@ -227,6 +240,7 @@ impl<'a> TimeReader<'a> {
 }
 
 /// Reads one byte off a raw byte stream (a tags column).
+#[inline]
 fn next_tag(reader: &mut Reader<'_>, what: &'static str) -> Result<u8, CompressError> {
     reader
         .read_byte()
@@ -410,26 +424,27 @@ impl<'a> EventColumnsR<'a> {
 
     /// Reads back every field [`EventColumnsW::push`] wrote; `start` comes
     /// from the caller's time stream.
+    #[inline(always)]
     fn next(&mut self, start: Time) -> Result<Event, CompressError> {
-        let region = RegionId(self.regions.next()? as u32);
+        let region = RegionId(self.regions.next_u32("region id")?);
         let duration = Time::from_nanos(read_u64(&mut self.durations)?);
         let wait = Time::from_nanos(read_u64(&mut self.waits)?);
         let comm = match next_tag(&mut self.tags, "a columnar comm-tags stream")? {
             tag::COMM_COMPUTE => CommInfo::Compute,
             tag::COMM_SEND => CommInfo::Send {
-                peer: Rank(self.peers.next()? as u32),
-                tag: self.meta.next()? as u32,
+                peer: Rank(self.peers.next_u32("peer rank")?),
+                tag: self.meta.next_u32("message tag")?,
                 bytes: self.sizes.next()?,
             },
             tag::COMM_RECV => CommInfo::Recv {
-                peer: Rank(self.peers.next()? as u32),
-                tag: self.meta.next()? as u32,
+                peer: Rank(self.peers.next_u32("peer rank")?),
+                tag: self.meta.next_u32("message tag")?,
                 bytes: self.sizes.next()?,
             },
             tag::COMM_SENDRECV => CommInfo::SendRecv {
-                to: Rank(self.peers.next()? as u32),
-                from: Rank(self.peers.next()? as u32),
-                tag: self.meta.next()? as u32,
+                to: Rank(self.peers.next_u32("peer rank")?),
+                from: Rank(self.peers.next_u32("peer rank")?),
+                tag: self.meta.next_u32("message tag")?,
                 bytes: self.sizes.next()?,
             },
             tag::COMM_COLLECTIVE => {
@@ -439,8 +454,8 @@ impl<'a> EventColumnsR<'a> {
                 )?)?;
                 CommInfo::Collective {
                     op,
-                    root: Rank(self.peers.next()? as u32),
-                    comm_size: self.meta.next()? as u32,
+                    root: Rank(self.peers.next_u32("root rank")?),
+                    comm_size: self.meta.next_u32("communicator size")?,
                     bytes: self.sizes.next()?,
                 }
             }
@@ -555,35 +570,18 @@ impl ColumnWriter {
 
     /// Parses a row payload of `class` and pushes its items.
     fn push_rows(&mut self, class: PayloadClass, rows: &[u8]) -> Result<(), CompressError> {
-        let mut reader = Reader::new(rows);
-        let what = match class {
-            PayloadClass::Records => {
-                let mut prev = Time::ZERO;
-                for _ in 0..read_u64(&mut reader)? {
-                    let (record, new_prev) = read_record(&mut reader, prev)?;
-                    prev = new_prev;
-                    self.push_record(&record);
-                }
-                "the declared records of a RECORDS payload"
-            }
-            PayloadClass::Stored => {
-                for _ in 0..read_u64(&mut reader)? {
-                    self.push_stored(&read_stored_segment(&mut reader)?);
-                }
-                "the declared segments of a STORED payload"
-            }
-            PayloadClass::Execs => {
-                let mut prev = Time::ZERO;
-                for _ in 0..read_u64(&mut reader)? {
-                    let (exec, new_prev) = read_exec(&mut reader, prev)?;
-                    prev = new_prev;
-                    self.push_exec(&exec);
-                }
-                "the declared executions of an EXECS payload"
-            }
-            PayloadClass::Opaque => return Ok(()),
-        };
-        require_at_end(&reader, what)
+        fn items<T: ChunkItem>(rows: &[u8]) -> Result<Vec<T>, CompressError> {
+            let mut items = Vec::new();
+            T::decode_rows(rows, &mut items)?;
+            Ok(items)
+        }
+        match class {
+            PayloadClass::Records => items(rows)?.iter().for_each(|r| self.push_record(r)),
+            PayloadClass::Stored => items(rows)?.iter().for_each(|s| self.push_stored(s)),
+            PayloadClass::Execs => items(rows)?.iter().for_each(|e| self.push_exec(e)),
+            PayloadClass::Opaque => {}
+        }
+        Ok(())
     }
 
     /// Writes the columnar form of the chunk into `out` (replacing its
@@ -667,58 +665,64 @@ impl ColumnWriter {
 }
 
 // ---------------------------------------------------------------------------
-// Read side: RECORDS chunks
+// Read side: column streams read into items
 // ---------------------------------------------------------------------------
 
-fn decode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+/// Appends the records of a columnar `RECORDS` payload to `out`.
+pub(crate) fn records_from_columns(
+    payload: &[u8],
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), CompressError> {
     let (count, streams) = read_streams::<10>(payload)?;
     let [tags, contexts, times, ev_tags, regions, durations, waits, peers, meta, sizes] = streams;
+    // One tag byte per record backs the declared count.
+    out.reserve(clamp_count(count, tags.len()));
     let mut tags = Reader::new(tags);
     let mut contexts = DeltaReader::new(contexts);
     let mut times = TimeReader::new(times);
     let mut events = EventColumnsR::new([ev_tags, regions, durations, waits, peers, meta, sizes]);
 
-    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
-    write_u64(&mut out, count);
-    let mut prev_time = Time::ZERO;
     for _ in 0..count {
-        let record = match next_tag(&mut tags, "a columnar record-tags stream")? {
-            tag::SEGMENT_BEGIN => TraceRecord::SegmentBegin {
-                context: ContextId(contexts.next()? as u32),
-                time: times.next()?,
+        out.push(
+            match next_tag(&mut tags, "a columnar record-tags stream")? {
+                tag::SEGMENT_BEGIN => TraceRecord::SegmentBegin {
+                    context: ContextId(contexts.next_u32("context id")?),
+                    time: times.next()?,
+                },
+                tag::SEGMENT_END => TraceRecord::SegmentEnd {
+                    context: ContextId(contexts.next_u32("context id")?),
+                    time: times.next()?,
+                },
+                tag::EVENT => {
+                    let start = times.next()?;
+                    TraceRecord::Event(events.next(start)?)
+                }
+                other => {
+                    return Err(CompressError::Codec(CodecError::BadTag {
+                        what: "columnar trace record",
+                        tag: other,
+                    }))
+                }
             },
-            tag::SEGMENT_END => TraceRecord::SegmentEnd {
-                context: ContextId(contexts.next()? as u32),
-                time: times.next()?,
-            },
-            tag::EVENT => {
-                let start = times.next()?;
-                TraceRecord::Event(events.next(start)?)
-            }
-            other => {
-                return Err(CompressError::Codec(CodecError::BadTag {
-                    what: "columnar trace record",
-                    tag: other,
-                }))
-            }
-        };
-        prev_time = write_record(&mut out, &record, prev_time);
+        );
     }
     require_at_end(&tags, "the items of a record-tags column")?;
     require_at_end(&contexts.reader, "the items of a contexts column")?;
     require_at_end(&times.reader, "the items of a times column")?;
-    events.finish()?;
-    Ok(out)
+    events.finish()
 }
 
-// ---------------------------------------------------------------------------
-// STORED chunks
-// ---------------------------------------------------------------------------
-
-fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+/// Appends the representatives of a columnar `STORED` payload to `out`.
+pub(crate) fn stored_from_columns(
+    payload: &[u8],
+    out: &mut Vec<StoredSegment>,
+) -> Result<(), CompressError> {
     let (count, streams) = read_streams::<14>(payload)?;
     let [seg_ids, reps, contexts, starts, ends, counts, times, ev_tags, regions, durations, waits, peers, meta, sizes] =
         streams;
+    // At least one id byte per segment and one comm tag per event back the
+    // declared counts.
+    out.reserve(clamp_count(count, seg_ids.len()));
     let mut seg_ids = DeltaReader::new(seg_ids);
     let mut reps = DeltaReader::new(reps);
     let mut contexts = DeltaReader::new(contexts);
@@ -728,34 +732,30 @@ fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     let mut times = TimeReader::new(times);
     let mut events = EventColumnsR::new([ev_tags, regions, durations, waits, peers, meta, sizes]);
 
-    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
-    write_u64(&mut out, count);
     for _ in 0..count {
-        let id = seg_ids.next()? as u32;
-        let represented = reps.next()? as u32;
-        let context = ContextId(contexts.next()? as u32);
+        let id = seg_ids.next_u32("stored segment id")?;
+        let represented = reps.next_u32("represented count")?;
+        let context = ContextId(contexts.next_u32("context id")?);
         let start = Time::from_nanos(starts.next()?);
         let end = Time::from_nanos(ends.next()?);
         let event_count = counts.next()?;
         times.restart();
-        let mut segment_events = Vec::new();
+        let mut segment_events =
+            Vec::with_capacity(clamp_count(event_count, events.tags.remaining()));
         for _ in 0..event_count {
             let event_start = times.next()?;
             segment_events.push(events.next(event_start)?);
         }
-        write_stored_segment(
-            &mut out,
-            &StoredSegment {
-                id,
-                represented,
-                segment: Segment {
-                    context,
-                    start,
-                    end,
-                    events: segment_events,
-                },
+        out.push(StoredSegment {
+            id,
+            represented,
+            segment: Segment {
+                context,
+                start,
+                end,
+                events: segment_events,
             },
-        );
+        });
     }
     require_at_end(&seg_ids.reader, "the items of a segment-ids column")?;
     require_at_end(&reps.reader, "the items of a represented column")?;
@@ -764,33 +764,43 @@ fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     require_at_end(&ends.reader, "the items of an ends column")?;
     require_at_end(&counts.reader, "the items of a counts column")?;
     require_at_end(&times.reader, "the items of a times column")?;
-    events.finish()?;
-    Ok(out)
+    events.finish()
 }
 
-// ---------------------------------------------------------------------------
-// EXECS chunks
-// ---------------------------------------------------------------------------
-
-fn decode_execs(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+/// Appends the executions of a columnar `EXECS` payload to `out`.
+pub(crate) fn execs_from_columns(
+    payload: &[u8],
+    out: &mut Vec<SegmentExec>,
+) -> Result<(), CompressError> {
     let (count, streams) = read_streams::<2>(payload)?;
     let [seg_ids, times] = streams;
+    // At least one id byte per execution backs the declared count.
+    out.reserve(clamp_count(count, seg_ids.len()));
     let mut seg_ids = DeltaReader::new(seg_ids);
     let mut times = TimeReader::new(times);
 
-    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
-    write_u64(&mut out, count);
-    let mut prev = Time::ZERO;
     for _ in 0..count {
-        let exec = SegmentExec {
-            segment: seg_ids.next()? as u32,
+        out.push(SegmentExec {
+            segment: seg_ids.next_u32("executed segment id")?,
             start: times.next()?,
-        };
-        prev = write_exec(&mut out, &exec, prev);
+        });
     }
     require_at_end(&seg_ids.reader, "the items of a segment-ids column")?;
-    require_at_end(&times.reader, "the items of a times column")?;
-    Ok(out)
+    require_at_end(&times.reader, "the items of a times column")
+}
+
+/// The items of a columnar payload, through `write` back into the row
+/// payload they were encoded from: the declared count, then every item.
+fn rows_from_columns<T: ChunkItem>(
+    payload: &[u8],
+    write: impl FnOnce(&mut Vec<u8>, &[T]),
+) -> Result<Vec<u8>, CompressError> {
+    let mut items = Vec::new();
+    T::decode_columns(payload, &mut items)?;
+    let mut rows = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
+    write_u64(&mut rows, items.len() as u64);
+    write(&mut rows, &items);
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -811,12 +821,28 @@ pub fn column_encode(class: PayloadClass, payload: &[u8]) -> Result<Vec<u8>, Com
     Ok(out)
 }
 
-/// Inverts [`column_encode`], reconstructing the row payload byte-for-byte.
+/// Inverts [`column_encode`], reconstructing the row payload byte-for-byte:
+/// the items are decoded as a reader decodes them and written back with the
+/// row codec, whose varints are canonical.
 pub fn column_decode(class: PayloadClass, payload: &[u8]) -> Result<Vec<u8>, CompressError> {
     match class {
-        PayloadClass::Records => decode_records(payload),
-        PayloadClass::Stored => decode_stored(payload),
-        PayloadClass::Execs => decode_execs(payload),
+        PayloadClass::Records => rows_from_columns(payload, |rows, records: &[TraceRecord]| {
+            let mut prev = Time::ZERO;
+            for record in records {
+                prev = write_record(rows, record, prev);
+            }
+        }),
+        PayloadClass::Stored => rows_from_columns(payload, |rows, stored: &[StoredSegment]| {
+            for segment in stored {
+                write_stored_segment(rows, segment);
+            }
+        }),
+        PayloadClass::Execs => rows_from_columns(payload, |rows, execs: &[SegmentExec]| {
+            let mut prev = Time::ZERO;
+            for exec in execs {
+                prev = write_exec(rows, exec, prev);
+            }
+        }),
         PayloadClass::Opaque => Ok(payload.to_vec()),
     }
 }

@@ -79,6 +79,68 @@ impl std::error::Error for CompressError {
     }
 }
 
+/// Why a stored chunk payload did not decode into items
+/// ([`ChunkDecoder::decode`](crate::ChunkDecoder::decode)).  A chunk stored
+/// under `none` or `lz` is rows parsed by the record codec, one stored under
+/// `delta` or `delta-lz` is column streams; the two fail differently, and a
+/// container reader reports them differently.
+#[derive(Debug)]
+pub enum DecodeError {
+    /// The LZ block or the column streams were malformed.
+    Compress(CompressError),
+    /// A row payload failed to decode with the record codec.
+    Rows(CodecError),
+    /// Bytes were left over after the declared items of a row payload.
+    TrailingRows {
+        /// Which payload carried the extra bytes.
+        what: &'static str,
+        /// How many undeclared bytes were found.
+        bytes: usize,
+    },
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Compress(e) => e.fmt(f),
+            DecodeError::Rows(e) => write!(f, "row payload error: {e}"),
+            DecodeError::TrailingRows { what, bytes } => {
+                write!(f, "{bytes} trailing bytes after {what}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            DecodeError::Compress(e) => Some(e),
+            DecodeError::Rows(e) => Some(e),
+            DecodeError::TrailingRows { .. } => None,
+        }
+    }
+}
+
+impl From<CompressError> for DecodeError {
+    fn from(e: CompressError) -> Self {
+        DecodeError::Compress(e)
+    }
+}
+
+/// For the block-level [`column_encode`](crate::column_encode), whose one
+/// error type covers its row input too.
+impl From<DecodeError> for CompressError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Compress(e) => e,
+            DecodeError::Rows(e) => e.into(),
+            DecodeError::TrailingRows { what, bytes } => {
+                CompressError::TrailingBytes { what, bytes }
+            }
+        }
+    }
+}
+
 impl From<CodecError> for CompressError {
     fn from(e: CodecError) -> Self {
         match e {
@@ -112,5 +174,16 @@ mod tests {
             limit: 5,
         };
         assert!(e.to_string().contains("limit is 5"), "{e}");
+        let e = DecodeError::TrailingRows {
+            what: "the declared records of a RECORDS payload",
+            bytes: 2,
+        };
+        assert!(e.to_string().contains("2 trailing bytes"), "{e}");
+        assert!(matches!(
+            CompressError::from(e),
+            CompressError::TrailingBytes { bytes: 2, .. }
+        ));
+        let e = DecodeError::Rows(CodecError::NegativeTime);
+        assert!(e.to_string().contains("row payload"), "{e}");
     }
 }

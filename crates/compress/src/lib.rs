@@ -36,6 +36,15 @@
 //! produce the same bytes; `tests/encoder_equivalence.rs` holds them, and
 //! the implementation they replaced, to that.
 //!
+//! The decode side mirrors it.  [`decompress`] returns a block's row bytes
+//! and is what tools and tests call.  A container reader wants the records,
+//! not their row image, and holds a [`ChunkDecoder`]: stored payload in,
+//! typed items appended to the reader's own reused buffer out — rows parsed
+//! once, column streams read straight into the items, the LZ output in a
+//! scratch buffer kept from chunk to chunk ([`decode`](mod@decode) module
+//! docs).  `tests/decoder_equivalence.rs` holds it to the items, and the
+//! verdicts on hostile payloads, of the row-rebuilding path it replaced.
+//!
 //! # Quick start
 //!
 //! ```
@@ -49,12 +58,14 @@
 #![warn(missing_docs)]
 
 pub mod column;
+pub mod decode;
 pub mod error;
 pub mod lz;
 
 use column::ColumnWriter;
 pub use column::{column_decode, column_encode, PayloadClass};
-pub use error::CompressError;
+pub use decode::{ChunkDecoder, ChunkItem};
+pub use error::{CompressError, DecodeError};
 pub use lz::{lz_compress, lz_decompress, LzEncoder};
 
 /// A chunk-payload codec, addressed by the codec id byte in the `.trc` v2

@@ -338,6 +338,16 @@ pub fn lz_compress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
 /// length, trailing bytes — is a typed [`CompressError`]; the output buffer
 /// grows only as bytes are actually produced.
 pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let mut out = Vec::new();
+    lz_decompress_into(input, &mut out)?;
+    Ok(out)
+}
+
+/// [`lz_decompress`] into a buffer the caller reuses from block to block:
+/// `out` is emptied first and holds the block afterwards (a prefix of it
+/// when the input is malformed).
+pub(crate) fn lz_decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
+    out.clear();
     let mut reader = Reader::new(input);
     let raw_len = trace_model::codec::varint::read_u64(&mut reader)?;
     if raw_len > MAX_RAW_LEN {
@@ -348,7 +358,7 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
         });
     }
     let raw_len = raw_len as usize;
-    let mut out: Vec<u8> = Vec::with_capacity(raw_len.min(1 << 20));
+    out.reserve(raw_len.min(1 << 20));
     while out.len() < raw_len {
         let ctrl = reader.read_byte().map_err(|_| CompressError::Truncated {
             what: "lz sequence control byte",
@@ -422,7 +432,7 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
             bytes: reader.remaining(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -2,12 +2,25 @@
 //! record-fed column writers: `lz_compress` and `column_encode` verbatim
 //! (only visibility and the `use` lines differ), kept as the reference the
 //! differential suite in `encoder_equivalence.rs` compares the production
-//! encoder against, byte for byte.  Nothing outside `tests/` links this.
+//! encoder against, byte for byte.  Below them, the decoder as it stood
+//! before chunks decoded straight into items — `column_decode`, which
+//! rebuilt the row payload, and the row loops of the container readers that
+//! parsed it again — the reference of `decoder_equivalence.rs`.  Nothing
+//! outside `tests/` links this.
 
-use trace_compress::{CompressError, PayloadClass};
-use trace_model::codec::varint::{read_u64, write_i64, write_u64};
-use trace_model::codec::{read_exec, read_record, read_stored_segment, Reader};
-use trace_model::{CollectiveOp, CommInfo, Event, Time, TraceRecord};
+// Each suite uses its half.
+#![allow(dead_code)]
+
+use trace_compress::{lz_decompress, Codec, CompressError, PayloadClass};
+use trace_model::codec::varint::{read_i64, read_u64, write_i64, write_u64};
+use trace_model::codec::{
+    read_exec, read_record, read_stored_segment, write_exec, write_record, write_stored_segment,
+    CodecError, Reader,
+};
+use trace_model::{
+    CollectiveOp, CommInfo, ContextId, Event, Rank, RegionId, Segment, SegmentExec, StoredSegment,
+    Time, TraceRecord,
+};
 
 // ---------------------------------------------------------------------------
 // lz.rs
@@ -432,4 +445,429 @@ pub fn column_encode(class: PayloadClass, payload: &[u8]) -> Result<Vec<u8>, Com
         PayloadClass::Execs => encode_execs(payload),
         PayloadClass::Opaque => Ok(payload.to_vec()),
     }
+}
+
+// ---------------------------------------------------------------------------
+// column.rs, read side: columns back into row bytes
+// ---------------------------------------------------------------------------
+
+fn collective_op_from_tag(byte: u8) -> Result<CollectiveOp, CompressError> {
+    CollectiveOp::ALL
+        .get(byte as usize)
+        .copied()
+        .ok_or(CompressError::Codec(CodecError::BadTag {
+            what: "columnar collective op",
+            tag: byte,
+        }))
+}
+
+/// Read half of a wrapping-delta stream.
+struct DeltaReader<'a> {
+    reader: Reader<'a>,
+    last: u64,
+}
+
+impl<'a> DeltaReader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        DeltaReader {
+            reader: Reader::new(bytes),
+            last: 0,
+        }
+    }
+
+    fn next(&mut self) -> Result<u64, CompressError> {
+        let delta = read_i64(&mut self.reader)?;
+        self.last = self.last.wrapping_add(delta as u64);
+        Ok(self.last)
+    }
+}
+
+/// Read half of a time stream, with the row codec's negative-time check.
+struct TimeReader<'a> {
+    reader: Reader<'a>,
+    prev: Time,
+}
+
+impl<'a> TimeReader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        TimeReader {
+            reader: Reader::new(bytes),
+            prev: Time::ZERO,
+        }
+    }
+
+    fn next(&mut self) -> Result<Time, CompressError> {
+        let delta = read_i64(&mut self.reader)?;
+        // checked_add, not +: a crafted stream can pair deltas that
+        // overflow i64, and totality on untrusted input is part of this
+        // crate's contract (debug builds would otherwise panic).
+        let nanos = (self.prev.as_nanos() as i64).checked_add(delta);
+        match nanos {
+            Some(nanos) if nanos >= 0 => {
+                self.prev = Time::from_nanos(nanos as u64);
+                Ok(self.prev)
+            }
+            _ => Err(CompressError::Codec(CodecError::NegativeTime)),
+        }
+    }
+
+    fn restart(&mut self) {
+        self.prev = Time::ZERO;
+    }
+}
+
+/// Reads one byte off a raw byte stream (a tags column).
+fn next_tag(reader: &mut Reader<'_>, what: &'static str) -> Result<u8, CompressError> {
+    reader
+        .read_byte()
+        .map_err(|_| CompressError::Truncated { what })
+}
+
+/// Reads `N` length-prefixed streams, requiring them to exhaust the input.
+fn read_streams<const N: usize>(payload: &[u8]) -> Result<(u64, [&[u8]; N]), CompressError> {
+    let mut reader = Reader::new(payload);
+    let count = read_u64(&mut reader)?;
+    let mut streams: [&[u8]; N] = [&[]; N];
+    for stream in streams.iter_mut() {
+        let len = read_u64(&mut reader)?;
+        if len > reader.remaining() as u64 {
+            return Err(CompressError::LengthOverflow {
+                what: "columnar stream",
+                declared: len,
+                limit: reader.remaining() as u64,
+            });
+        }
+        *stream = reader
+            .read_bytes(len as usize)
+            .map_err(|_| CompressError::Truncated {
+                what: "columnar stream",
+            })?;
+    }
+    if !reader.is_at_end() {
+        return Err(CompressError::TrailingBytes {
+            what: "the declared columnar streams",
+            bytes: reader.remaining(),
+        });
+    }
+    Ok((count, streams))
+}
+
+struct EventColumnsR<'a> {
+    tags: Reader<'a>,
+    regions: DeltaReader<'a>,
+    durations: Reader<'a>,
+    waits: Reader<'a>,
+    peers: DeltaReader<'a>,
+    meta: DeltaReader<'a>,
+    sizes: DeltaReader<'a>,
+}
+
+impl<'a> EventColumnsR<'a> {
+    fn new(streams: [&'a [u8]; 7]) -> Self {
+        let [tags, regions, durations, waits, peers, meta, sizes] = streams;
+        EventColumnsR {
+            tags: Reader::new(tags),
+            regions: DeltaReader::new(regions),
+            durations: Reader::new(durations),
+            waits: Reader::new(waits),
+            peers: DeltaReader::new(peers),
+            meta: DeltaReader::new(meta),
+            sizes: DeltaReader::new(sizes),
+        }
+    }
+
+    /// Reads back every field [`EventColumnsW::push`] wrote; `start` comes
+    /// from the caller's time stream.
+    fn next(&mut self, start: Time) -> Result<Event, CompressError> {
+        let region = RegionId(self.regions.next()? as u32);
+        let duration = Time::from_nanos(read_u64(&mut self.durations)?);
+        let wait = Time::from_nanos(read_u64(&mut self.waits)?);
+        let comm = match next_tag(&mut self.tags, "a columnar comm-tags stream")? {
+            tag::COMM_COMPUTE => CommInfo::Compute,
+            tag::COMM_SEND => CommInfo::Send {
+                peer: Rank(self.peers.next()? as u32),
+                tag: self.meta.next()? as u32,
+                bytes: self.sizes.next()?,
+            },
+            tag::COMM_RECV => CommInfo::Recv {
+                peer: Rank(self.peers.next()? as u32),
+                tag: self.meta.next()? as u32,
+                bytes: self.sizes.next()?,
+            },
+            tag::COMM_SENDRECV => CommInfo::SendRecv {
+                to: Rank(self.peers.next()? as u32),
+                from: Rank(self.peers.next()? as u32),
+                tag: self.meta.next()? as u32,
+                bytes: self.sizes.next()?,
+            },
+            tag::COMM_COLLECTIVE => {
+                let op = collective_op_from_tag(next_tag(
+                    &mut self.tags,
+                    "a columnar comm-tags stream",
+                )?)?;
+                CommInfo::Collective {
+                    op,
+                    root: Rank(self.peers.next()? as u32),
+                    comm_size: self.meta.next()? as u32,
+                    bytes: self.sizes.next()?,
+                }
+            }
+            other => {
+                return Err(CompressError::Codec(CodecError::BadTag {
+                    what: "columnar comm info",
+                    tag: other,
+                }))
+            }
+        };
+        Ok(Event {
+            region,
+            start,
+            end: start + duration,
+            comm,
+            wait,
+        })
+    }
+
+    /// Requires every event stream to be fully consumed.
+    fn finish(&self) -> Result<(), CompressError> {
+        require_at_end(&self.tags, "the items of a comm-tags column")?;
+        require_at_end(&self.regions.reader, "the items of a regions column")?;
+        require_at_end(&self.durations, "the items of a durations column")?;
+        require_at_end(&self.waits, "the items of a waits column")?;
+        require_at_end(&self.peers.reader, "the items of a peers column")?;
+        require_at_end(&self.meta.reader, "the items of a meta column")?;
+        require_at_end(&self.sizes.reader, "the items of a sizes column")
+    }
+}
+
+fn decode_records(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let (count, streams) = read_streams::<10>(payload)?;
+    let [tags, contexts, times, ev_tags, regions, durations, waits, peers, meta, sizes] = streams;
+    let mut tags = Reader::new(tags);
+    let mut contexts = DeltaReader::new(contexts);
+    let mut times = TimeReader::new(times);
+    let mut events = EventColumnsR::new([ev_tags, regions, durations, waits, peers, meta, sizes]);
+
+    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
+    write_u64(&mut out, count);
+    let mut prev_time = Time::ZERO;
+    for _ in 0..count {
+        let record = match next_tag(&mut tags, "a columnar record-tags stream")? {
+            tag::SEGMENT_BEGIN => TraceRecord::SegmentBegin {
+                context: ContextId(contexts.next()? as u32),
+                time: times.next()?,
+            },
+            tag::SEGMENT_END => TraceRecord::SegmentEnd {
+                context: ContextId(contexts.next()? as u32),
+                time: times.next()?,
+            },
+            tag::EVENT => {
+                let start = times.next()?;
+                TraceRecord::Event(events.next(start)?)
+            }
+            other => {
+                return Err(CompressError::Codec(CodecError::BadTag {
+                    what: "columnar trace record",
+                    tag: other,
+                }))
+            }
+        };
+        prev_time = write_record(&mut out, &record, prev_time);
+    }
+    require_at_end(&tags, "the items of a record-tags column")?;
+    require_at_end(&contexts.reader, "the items of a contexts column")?;
+    require_at_end(&times.reader, "the items of a times column")?;
+    events.finish()?;
+    Ok(out)
+}
+
+fn decode_stored(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let (count, streams) = read_streams::<14>(payload)?;
+    let [seg_ids, reps, contexts, starts, ends, counts, times, ev_tags, regions, durations, waits, peers, meta, sizes] =
+        streams;
+    let mut seg_ids = DeltaReader::new(seg_ids);
+    let mut reps = DeltaReader::new(reps);
+    let mut contexts = DeltaReader::new(contexts);
+    let mut starts = DeltaReader::new(starts);
+    let mut ends = DeltaReader::new(ends);
+    let mut counts = DeltaReader::new(counts);
+    let mut times = TimeReader::new(times);
+    let mut events = EventColumnsR::new([ev_tags, regions, durations, waits, peers, meta, sizes]);
+
+    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
+    write_u64(&mut out, count);
+    for _ in 0..count {
+        let id = seg_ids.next()? as u32;
+        let represented = reps.next()? as u32;
+        let context = ContextId(contexts.next()? as u32);
+        let start = Time::from_nanos(starts.next()?);
+        let end = Time::from_nanos(ends.next()?);
+        let event_count = counts.next()?;
+        times.restart();
+        let mut segment_events = Vec::new();
+        for _ in 0..event_count {
+            let event_start = times.next()?;
+            segment_events.push(events.next(event_start)?);
+        }
+        write_stored_segment(
+            &mut out,
+            &StoredSegment {
+                id,
+                represented,
+                segment: Segment {
+                    context,
+                    start,
+                    end,
+                    events: segment_events,
+                },
+            },
+        );
+    }
+    require_at_end(&seg_ids.reader, "the items of a segment-ids column")?;
+    require_at_end(&reps.reader, "the items of a represented column")?;
+    require_at_end(&contexts.reader, "the items of a contexts column")?;
+    require_at_end(&starts.reader, "the items of a starts column")?;
+    require_at_end(&ends.reader, "the items of an ends column")?;
+    require_at_end(&counts.reader, "the items of a counts column")?;
+    require_at_end(&times.reader, "the items of a times column")?;
+    events.finish()?;
+    Ok(out)
+}
+
+fn decode_execs(payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let (count, streams) = read_streams::<2>(payload)?;
+    let [seg_ids, times] = streams;
+    let mut seg_ids = DeltaReader::new(seg_ids);
+    let mut times = TimeReader::new(times);
+
+    let mut out = Vec::with_capacity(payload.len() + payload.len() / 2 + 8);
+    write_u64(&mut out, count);
+    let mut prev = Time::ZERO;
+    for _ in 0..count {
+        let exec = SegmentExec {
+            segment: seg_ids.next()? as u32,
+            start: times.next()?,
+        };
+        prev = write_exec(&mut out, &exec, prev);
+    }
+    require_at_end(&seg_ids.reader, "the items of a segment-ids column")?;
+    require_at_end(&times.reader, "the items of a times column")?;
+    Ok(out)
+}
+
+/// Inverts [`column_encode`], reconstructing the row payload byte-for-byte.
+pub fn column_decode(class: PayloadClass, payload: &[u8]) -> Result<Vec<u8>, CompressError> {
+    match class {
+        PayloadClass::Records => decode_records(payload),
+        PayloadClass::Stored => decode_stored(payload),
+        PayloadClass::Execs => decode_execs(payload),
+        PayloadClass::Opaque => Ok(payload.to_vec()),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// lib.rs and the container readers: stored payload to rows, rows to items
+// ---------------------------------------------------------------------------
+
+/// Decompresses a chunk payload stored under `codec` back to row bytes.
+pub fn decompress(
+    codec: Codec,
+    class: PayloadClass,
+    payload: &[u8],
+) -> Result<Vec<u8>, CompressError> {
+    Ok(match codec {
+        Codec::None => payload.to_vec(),
+        Codec::Delta => column_decode(class, payload)?,
+        Codec::Lz => lz_decompress(payload)?,
+        Codec::DeltaLz => column_decode(class, &lz_decompress(payload)?)?,
+    })
+}
+
+/// What the container readers made of a chunk that did not decode: the
+/// variants of `ContainerError` a payload could end in.
+#[derive(Debug)]
+pub enum ChunkError {
+    Compress(CompressError),
+    Codec(CodecError),
+    TrailingBytes { what: &'static str, bytes: usize },
+}
+
+impl From<CompressError> for ChunkError {
+    fn from(e: CompressError) -> Self {
+        ChunkError::Compress(e)
+    }
+}
+
+impl From<CodecError> for ChunkError {
+    fn from(e: CodecError) -> Self {
+        ChunkError::Codec(e)
+    }
+}
+
+/// `ChunkCursor::load` and then `ChunkCursor::next_record` until the chunk
+/// is used up, as `ChunkReader::next_item` drove them.
+pub fn records(codec: Codec, stored: &[u8]) -> Result<Vec<TraceRecord>, ChunkError> {
+    let payload = decompress(codec, PayloadClass::Records, stored)?;
+    let mut reader = Reader::new(&payload);
+    let mut remaining = read_u64(&mut reader)?;
+    if remaining == 0 && !reader.is_at_end() {
+        return Err(ChunkError::TrailingBytes {
+            what: "the declared records of a RECORDS chunk",
+            bytes: reader.remaining(),
+        });
+    }
+    let mut records = Vec::new();
+    let mut prev_time = Time::ZERO;
+    while remaining > 0 {
+        let (record, new_prev) = read_record(&mut reader, prev_time)?;
+        prev_time = new_prev;
+        remaining -= 1;
+        if remaining == 0 && reader.remaining() != 0 {
+            return Err(ChunkError::TrailingBytes {
+                what: "the declared records of a RECORDS chunk",
+                bytes: reader.remaining(),
+            });
+        }
+        records.push(record);
+    }
+    Ok(records)
+}
+
+/// The `STORED` arm of `read_reduced_container`.
+pub fn stored(codec: Codec, stored: &[u8]) -> Result<Vec<StoredSegment>, ChunkError> {
+    let payload = decompress(codec, PayloadClass::Stored, stored)?;
+    let mut segments = Vec::new();
+    let mut reader = Reader::new(&payload);
+    let count = read_u64(&mut reader)?;
+    for _ in 0..count {
+        segments.push(read_stored_segment(&mut reader)?);
+    }
+    if !reader.is_at_end() {
+        return Err(ChunkError::TrailingBytes {
+            what: "the declared segments of a STORED chunk",
+            bytes: reader.remaining(),
+        });
+    }
+    Ok(segments)
+}
+
+/// The `EXECS` arm of `read_reduced_container`.
+pub fn execs(codec: Codec, stored: &[u8]) -> Result<Vec<SegmentExec>, ChunkError> {
+    let payload = decompress(codec, PayloadClass::Execs, stored)?;
+    let mut execs = Vec::new();
+    let mut reader = Reader::new(&payload);
+    let count = read_u64(&mut reader)?;
+    let mut prev_start = Time::ZERO;
+    for _ in 0..count {
+        let (exec, new_prev) = read_exec(&mut reader, prev_start)?;
+        prev_start = new_prev;
+        execs.push(exec);
+    }
+    if !reader.is_at_end() {
+        return Err(ChunkError::TrailingBytes {
+            what: "the declared executions of an EXECS chunk",
+            bytes: reader.remaining(),
+        });
+    }
+    Ok(execs)
 }

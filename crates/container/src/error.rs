@@ -3,7 +3,7 @@
 use std::fmt;
 use std::io;
 
-use trace_compress::CompressError;
+use trace_compress::{CompressError, DecodeError};
 use trace_model::codec::CodecError;
 
 /// Errors produced while reading or writing a chunked trace container.
@@ -141,6 +141,22 @@ impl From<CodecError> for ContainerError {
 impl From<CompressError> for ContainerError {
     fn from(e: CompressError) -> Self {
         ContainerError::Compress(e)
+    }
+}
+
+/// A payload chunk that did not decode keeps the variant it always had:
+/// rows that fail the record codec are [`ContainerError::Codec`], bytes
+/// after them [`ContainerError::TrailingBytes`], a bad LZ block or column
+/// stream [`ContainerError::Compress`].
+impl From<DecodeError> for ContainerError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Compress(e) => ContainerError::Compress(e),
+            DecodeError::Rows(e) => ContainerError::Codec(e),
+            DecodeError::TrailingRows { what, bytes } => {
+                ContainerError::TrailingBytes { what, bytes }
+            }
+        }
     }
 }
 

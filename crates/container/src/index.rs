@@ -8,7 +8,7 @@
 
 use std::io::{Read, Seek, SeekFrom};
 
-use trace_model::codec::varint::read_u64 as varint_read_u64;
+use trace_model::codec::varint::{read_u32, read_u64 as varint_read_u64};
 use trace_model::codec::Reader;
 use trace_model::Rank;
 
@@ -48,7 +48,7 @@ pub(crate) fn parse_index_payload(payload: &[u8]) -> Result<Vec<RankSectionEntry
     let mut sections = Vec::with_capacity(count.min(1 << 20) as usize);
     for _ in 0..count {
         sections.push(RankSectionEntry {
-            rank: Rank(varint_read_u64(&mut reader)? as u32),
+            rank: Rank(read_u32(&mut reader, "rank")?),
             offset: varint_read_u64(&mut reader)?,
             chunks: varint_read_u64(&mut reader)?,
             records: varint_read_u64(&mut reader)?,
@@ -111,6 +111,6 @@ pub fn read_index<R: Read + Seek>(reader: &mut R) -> Result<ContainerIndex, Cont
     }
     Ok(ContainerIndex {
         kind,
-        sections: parse_index_payload(&chunk.payload)?,
+        sections: parse_index_payload(stream.payload()?)?,
     })
 }

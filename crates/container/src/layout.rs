@@ -21,7 +21,7 @@
 
 use std::io::{self, Read, Write};
 
-use trace_compress::{decompress, Codec, PayloadClass};
+use trace_compress::{ChunkDecoder, ChunkItem, Codec, PayloadClass};
 
 use crate::crc::crc32;
 use crate::error::ContainerError;
@@ -165,28 +165,48 @@ pub fn write_chunk<W: Write>(
     Ok(CHUNK_HEADER_LEN + u64::from(len))
 }
 
-/// One framed chunk as read from the stream.
-#[derive(Debug)]
+/// The framing of one chunk as read from the stream.  Its payload stays in
+/// the stream, which hands it out decoded: [`ChunkStream::payload`] for a
+/// control chunk, [`ChunkStream::decode`] for a payload chunk.
+#[derive(Clone, Copy, Debug)]
 pub struct RawChunk {
     /// The chunk kind.
     pub kind: ChunkKind,
-    /// The codec the payload was stored under on disk (the `payload` field
-    /// is already decompressed).
+    /// The codec the payload is stored under on disk.
     pub codec: Codec,
     /// Byte offset of the chunk's framing header in the file.
     pub offset: u64,
-    /// The verified, decompressed payload bytes.
-    pub payload: Vec<u8>,
 }
 
 /// Sequentially reads framed chunks, verifying each payload's CRC-32 and
-/// tracking byte offsets plus the largest payload buffered so far (the
-/// reader's resident-memory high-water mark).
+/// tracking byte offsets plus the most memory one chunk has taken so far
+/// (the reader's resident-memory high-water mark).  The stored bytes of the
+/// current chunk and the decoder's scratch are buffers the stream keeps
+/// from chunk to chunk.
 pub struct ChunkStream<R> {
     inner: R,
     offset: u64,
+    /// The stored payload of the chunk last read, and its codec.
+    stored: Vec<u8>,
+    codec: Codec,
+    decoder: ChunkDecoder,
     peak_payload_bytes: usize,
     obs: trace_obs::ObsShard,
+}
+
+/// `read_exact` with end-of-input as a typed truncation of `what`.
+fn read_exact_from<R: Read>(
+    inner: &mut R,
+    buf: &mut [u8],
+    what: &'static str,
+) -> Result<(), ContainerError> {
+    inner.read_exact(buf).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            ContainerError::Truncated { what }
+        } else {
+            ContainerError::Io(e)
+        }
+    })
 }
 
 impl<R: Read> ChunkStream<R> {
@@ -196,15 +216,19 @@ impl<R: Read> ChunkStream<R> {
         ChunkStream {
             inner,
             offset,
+            stored: Vec::new(),
+            codec: Codec::None,
+            decoder: ChunkDecoder::new(),
             peak_payload_bytes: 0,
             obs: trace_obs::ObsShard::disabled(),
         }
     }
 
     /// Attaches an observability shard: subsequent chunk reads record
-    /// [`trace_obs::Stage::ChunkIo`]/[`trace_obs::Stage::Compress`] spans
-    /// and `chunk.reads` counters.  The shard flushes to its recorder when
-    /// the stream is dropped.
+    /// [`trace_obs::Stage::ChunkIo`] (read + CRC), [`trace_obs::Stage::Compress`]
+    /// (the LZ stage) and [`trace_obs::Stage::Parse`] (payload into items)
+    /// spans and `chunk.reads` counters.  The shard flushes to its recorder
+    /// when the stream is dropped.
     pub fn set_obs(&mut self, obs: trace_obs::ObsShard) {
         self.obs = obs;
     }
@@ -214,19 +238,15 @@ impl<R: Read> ChunkStream<R> {
         self.offset
     }
 
-    /// Largest chunk payload held in memory so far, in bytes.
+    /// The most memory one chunk has taken so far, in bytes: the larger of
+    /// its stored payload, the LZ stage's output and the items it decoded
+    /// to (`count * size_of::<item>()`).
     pub fn peak_payload_bytes(&self) -> usize {
         self.peak_payload_bytes
     }
 
     fn read_exact(&mut self, buf: &mut [u8], what: &'static str) -> Result<(), ContainerError> {
-        self.inner.read_exact(buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                ContainerError::Truncated { what }
-            } else {
-                ContainerError::Io(e)
-            }
-        })?;
+        read_exact_from(&mut self.inner, buf, what)?;
         self.offset += buf.len() as u64;
         Ok(())
     }
@@ -252,29 +272,30 @@ impl<R: Read> ChunkStream<R> {
         ))
     }
 
-    /// Reads, verifies and decompresses the next chunk in full.
+    /// Reads the next chunk in full and verifies it; the payload waits in
+    /// the stream for [`ChunkStream::payload`] or [`ChunkStream::decode`].
     ///
     /// The payload buffer grows as bytes actually arrive, in bounded steps,
     /// so a corrupt length field costs a `Truncated` error — never a
     /// multi-gigabyte upfront allocation from untrusted input.  The CRC
-    /// covers the stored bytes and is checked *before* decompression, so a
-    /// flipped bit is a [`ContainerError::BadCrc`]; a crafted payload that
-    /// passes the CRC but is not a valid codec stream is a typed
-    /// [`ContainerError::Compress`].
+    /// covers the stored bytes and is checked here, *before* any decoding,
+    /// so a flipped bit is a [`ContainerError::BadCrc`].
     pub fn next_chunk(&mut self) -> Result<RawChunk, ContainerError> {
         const READ_STEP: u64 = 1 << 20;
         let offset = self.offset;
         let io_span = self.obs.start();
         let (kind, codec, len, expected) = self.read_frame()?;
-        let mut payload = Vec::with_capacity(len.min(READ_STEP) as usize);
-        while (payload.len() as u64) < len {
-            let take = (len - payload.len() as u64).min(READ_STEP) as usize;
-            let start = payload.len();
-            payload.resize(start + take, 0);
-            // lint:allow(indexing) -- start < payload.len() by the resize on the previous line
-            self.read_exact(&mut payload[start..], "chunk payload")?;
+        self.codec = codec;
+        self.stored.clear();
+        while (self.stored.len() as u64) < len {
+            let take = (len - self.stored.len() as u64).min(READ_STEP) as usize;
+            let start = self.stored.len();
+            self.stored.resize(start + take, 0);
+            // lint:allow(indexing) -- start < stored.len() by the resize on the previous line
+            read_exact_from(&mut self.inner, &mut self.stored[start..], "chunk payload")?;
+            self.offset += take as u64;
         }
-        let found = crc32(&payload);
+        let found = crc32(&self.stored);
         if found != expected {
             return Err(ContainerError::BadCrc {
                 offset,
@@ -284,25 +305,44 @@ impl<R: Read> ChunkStream<R> {
         }
         self.obs.end(trace_obs::Stage::ChunkIo, io_span);
         self.obs.add(trace_obs::names::CHUNK_READS, 1);
-        self.peak_payload_bytes = self.peak_payload_bytes.max(payload.len());
-        if codec != Codec::None {
-            let span = self.obs.start();
-            let unpacked = decompress(codec, kind.payload_class(), &payload)?;
-            self.obs.end(trace_obs::Stage::Compress, span);
-            let (bytes_in, bytes_out) = (payload.len() as u64, unpacked.len() as u64);
-            self.obs
-                .add(trace_obs::names::DECOMPRESS_BYTES_IN, bytes_in);
-            self.obs
-                .add(trace_obs::names::DECOMPRESS_BYTES_OUT, bytes_out);
-            payload = unpacked;
-            self.peak_payload_bytes = self.peak_payload_bytes.max(payload.len());
-        }
+        self.peak_payload_bytes = self.peak_payload_bytes.max(self.stored.len());
         Ok(RawChunk {
             kind,
             codec,
             offset,
-            payload,
         })
+    }
+
+    /// The payload of the chunk last read with its byte-level compression
+    /// undone — what a control chunk's fields are parsed from (the column
+    /// transform leaves control chunks alone).  A crafted payload that
+    /// passed the CRC but is not a valid LZ block is a typed
+    /// [`ContainerError::Compress`].
+    pub fn payload(&mut self) -> Result<&[u8], ContainerError> {
+        let bytes = self
+            .decoder
+            .unpack(self.codec, &self.stored, &mut self.obs)?;
+        self.peak_payload_bytes = self.peak_payload_bytes.max(bytes.len());
+        Ok(bytes)
+    }
+
+    /// Appends the items of the payload chunk last read — records of a
+    /// `RECORDS` chunk, representatives of a `STORED` chunk, executions of
+    /// an `EXECS` chunk, as `T` says — to `out`, which is left as it was
+    /// when the payload does not decode.  Rows that fail the record codec
+    /// are a [`ContainerError::Codec`], bytes after them a
+    /// [`ContainerError::TrailingBytes`], a bad LZ block or column stream a
+    /// [`ContainerError::Compress`].
+    pub fn decode<T: ChunkItem>(&mut self, out: &mut Vec<T>) -> Result<(), ContainerError> {
+        let kept = out.len();
+        self.decoder
+            .decode(self.codec, &self.stored, out, &mut self.obs)?;
+        let items = (out.len() - kept) * std::mem::size_of::<T>();
+        self.peak_payload_bytes = self
+            .peak_payload_bytes
+            .max(self.decoder.unpacked_len())
+            .max(items);
+        Ok(())
     }
 
     /// Reads the next chunk's framing header and discards its payload
@@ -383,7 +423,7 @@ mod tests {
         assert_eq!(chunk.kind, ChunkKind::Records);
         assert_eq!(chunk.codec, Codec::None);
         assert_eq!(chunk.offset, HEADER_LEN);
-        assert_eq!(chunk.payload, b"payload");
+        assert_eq!(stream.payload().unwrap(), b"payload");
         assert_eq!(stream.peak_payload_bytes(), 7);
     }
 
@@ -402,7 +442,7 @@ mod tests {
         read_header(&mut stream).unwrap();
         let chunk = stream.next_chunk().unwrap();
         assert_eq!(chunk.codec, Codec::Lz);
-        assert_eq!(chunk.payload, payload);
+        assert_eq!(stream.payload().unwrap(), payload);
         // The peak tracks the *decompressed* resident payload.
         assert_eq!(stream.peak_payload_bytes(), payload.len());
     }

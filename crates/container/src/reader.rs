@@ -1,22 +1,25 @@
 //! Streaming container readers.
 //!
-//! [`ChunkReader`] pulls one record at a time out of an app-trace container
-//! over any [`std::io::Read`] source, holding at most one decoded chunk
-//! payload in memory — the binary analogue of the text
-//! `trace_stream::StreamParser`.  [`read_reduced_container`] materializes a
-//! reduced trace chunk by chunk, and [`decode_app_any`] /
+//! [`ChunkReader`] pulls the items of an app-trace container over any
+//! [`std::io::Read`] source, holding at most one decoded chunk in memory —
+//! the binary analogue of the text `trace_stream::StreamParser`.  A
+//! `RECORDS` chunk is decoded in one call, straight from its stored bytes
+//! into a batch of records the reader reuses, and handed on either record
+//! by record ([`ChunkReader::next_item`]) or as a slice
+//! ([`ChunkReader::take_records`]).  [`read_reduced_container`] materializes
+//! a reduced trace chunk by chunk, and [`decode_app_any`] /
 //! [`decode_reduced_any`] fall back to the monolithic v1 codec when the
 //! magic bytes say so.
 
 use std::io::Read;
 
-use trace_model::codec::varint::read_u64 as varint_read_u64;
+use trace_model::codec::varint::{read_u32, read_u64 as varint_read_u64};
 use trace_model::codec::{
-    decode_app_trace, decode_reduced_trace, read_exec, read_record, read_stored_segment,
-    read_string, read_string_table, Reader, APP_TRACE_MAGIC, REDUCED_TRACE_MAGIC,
+    decode_app_trace, decode_reduced_trace, read_string, read_string_table, Reader,
+    APP_TRACE_MAGIC, REDUCED_TRACE_MAGIC,
 };
 use trace_model::{
-    AppTrace, ContextTable, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, RegionTable, Time,
+    AppTrace, ContextTable, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, RegionTable,
     TraceRecord,
 };
 
@@ -55,6 +58,45 @@ fn parse_preamble(payload: &[u8]) -> Result<Preamble, ContainerError> {
     })
 }
 
+/// Reads the preamble chunk that follows the file header.
+fn read_preamble<R: Read>(stream: &mut ChunkStream<R>) -> Result<Preamble, ContainerError> {
+    let chunk = stream.next_chunk()?;
+    if chunk.kind != ChunkKind::Preamble {
+        return Err(ContainerError::UnexpectedChunk {
+            expected: "PREAMBLE",
+            found: chunk.kind.name(),
+        });
+    }
+    parse_preamble(stream.payload()?)
+}
+
+/// The rank a `RANK_BEGIN` payload names.
+fn parse_rank_begin(payload: &[u8]) -> Result<Rank, ContainerError> {
+    Ok(Rank(read_u32(&mut Reader::new(payload), "rank")?))
+}
+
+/// The item counts of one rank section: what its `RANK_END` chunk declares,
+/// or what a reader has seen of it so far.
+#[derive(Clone, Copy)]
+struct SectionCounts {
+    rank: Rank,
+    records: u64,
+    segments: u64,
+    events: u64,
+}
+
+fn parse_rank_end(payload: &[u8]) -> Result<SectionCounts, ContainerError> {
+    let mut reader = Reader::new(payload);
+    let rank = Rank(read_u32(&mut reader, "rank")?);
+    let _chunks = varint_read_u64(&mut reader)?;
+    Ok(SectionCounts {
+        rank,
+        records: varint_read_u64(&mut reader)?,
+        segments: varint_read_u64(&mut reader)?,
+        events: varint_read_u64(&mut reader)?,
+    })
+}
+
 /// One item pulled from an app-trace container, mirroring the text
 /// streaming parser's item stream.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,64 +109,12 @@ pub enum ContainerItem {
     RankEnd(Rank),
 }
 
-/// Decode cursor over the payload of the current `RECORDS` chunk.
-#[derive(Default)]
-struct ChunkCursor {
-    payload: Vec<u8>,
-    pos: usize,
-    remaining: u64,
-    prev_time: Time,
-}
-
-impl ChunkCursor {
-    fn load(&mut self, payload: Vec<u8>) -> Result<(), ContainerError> {
-        let mut reader = Reader::new(&payload);
-        let remaining = varint_read_u64(&mut reader)?;
-        let pos = payload.len() - reader.remaining();
-        if remaining == 0 && pos != payload.len() {
-            return Err(ContainerError::TrailingBytes {
-                what: "the declared records of a RECORDS chunk",
-                bytes: payload.len() - pos,
-            });
-        }
-        self.payload = payload;
-        self.pos = pos;
-        self.remaining = remaining;
-        self.prev_time = Time::ZERO;
-        Ok(())
-    }
-
-    fn next_record(&mut self) -> Result<TraceRecord, ContainerError> {
-        // A broken position invariant degrades to an empty slice, which the
-        // record decoder reports as a typed truncation error.
-        let slice = self.payload.get(self.pos..).unwrap_or(&[]);
-        let mut reader = Reader::new(slice);
-        let (record, new_prev) = read_record(&mut reader, self.prev_time)?;
-        self.pos += slice.len() - reader.remaining();
-        self.prev_time = new_prev;
-        self.remaining -= 1;
-        if self.remaining == 0 && reader.remaining() != 0 {
-            return Err(ContainerError::TrailingBytes {
-                what: "the declared records of a RECORDS chunk",
-                bytes: reader.remaining(),
-            });
-        }
-        Ok(record)
-    }
-}
-
-struct SectionProgress {
-    rank: Rank,
-    records: u64,
-    segments: u64,
-    events: u64,
-}
-
 enum ReaderState {
     /// Between rank sections.
     Idle,
-    /// Inside a rank section, decoding `RECORDS` chunks.
-    InSection(SectionProgress),
+    /// Inside a rank section, decoding `RECORDS` chunks; the counts are
+    /// those of the chunks decoded so far.
+    InSection(SectionCounts),
     /// The index (or the single section) has been consumed.
     Done,
 }
@@ -135,11 +125,18 @@ enum ReaderState {
 /// whole file; [`ChunkReader::section`] starts directly at a `RANK_BEGIN`
 /// chunk (located via the index footer) and yields exactly that section —
 /// the entry point the index-sharded parallel ingestion uses.
+///
+/// A chunk is decoded whole, so what is wrong with any of its records — and
+/// a count that disagrees with its bytes — surfaces when the chunk is
+/// reached, before its first record is handed out.
 pub struct ChunkReader<R> {
     stream: ChunkStream<R>,
     preamble: Option<Preamble>,
     state: ReaderState,
-    cursor: ChunkCursor,
+    /// The records of the current `RECORDS` chunk; `batch[next..]` have not
+    /// been handed out yet.  One buffer, reused from chunk to chunk.
+    batch: Vec<TraceRecord>,
+    next: usize,
     ranks_seen: usize,
     single_section: bool,
 }
@@ -156,20 +153,10 @@ impl<R: Read> ChunkReader<R> {
                 found: "a reduced payload",
             });
         }
-        let chunk = stream.next_chunk()?;
-        if chunk.kind != ChunkKind::Preamble {
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "PREAMBLE",
-                found: chunk.kind.name(),
-            });
-        }
+        let preamble = read_preamble(&mut stream)?;
         Ok(ChunkReader {
-            stream,
-            preamble: Some(parse_preamble(&chunk.payload)?),
-            state: ReaderState::Idle,
-            cursor: ChunkCursor::default(),
-            ranks_seen: 0,
-            single_section: false,
+            preamble: Some(preamble),
+            ..ChunkReader::section_of(stream, false)
         })
     }
 
@@ -178,13 +165,18 @@ impl<R: Read> ChunkReader<R> {
     /// the index footer).  The iteration ends after that section's
     /// `RANK_END`; no preamble is available in this mode.
     pub fn section(reader: R, offset: u64) -> Self {
+        ChunkReader::section_of(ChunkStream::new(reader, offset), true)
+    }
+
+    fn section_of(stream: ChunkStream<R>, single_section: bool) -> Self {
         ChunkReader {
-            stream: ChunkStream::new(reader, offset),
+            stream,
             preamble: None,
             state: ReaderState::Idle,
-            cursor: ChunkCursor::default(),
+            batch: Vec::new(),
+            next: 0,
             ranks_seen: 0,
-            single_section: true,
+            single_section,
         }
     }
 
@@ -198,8 +190,10 @@ impl<R: Read> ChunkReader<R> {
         self.ranks_seen
     }
 
-    /// Largest chunk payload buffered so far, in bytes — the reader's
-    /// resident-memory high-water mark (excluding constant-size state).
+    /// The most memory one chunk has taken so far, in bytes — the reader's
+    /// resident-memory high-water mark (excluding constant-size state): the
+    /// larger of the chunk's stored payload, its LZ output and its decoded
+    /// batch, `records * size_of::<TraceRecord>()`.
     pub fn peak_chunk_bytes(&self) -> usize {
         self.stream.peak_payload_bytes()
     }
@@ -210,9 +204,9 @@ impl<R: Read> ChunkReader<R> {
         self.stream.set_obs(obs);
     }
 
-    fn end_section(&mut self, payload: &[u8]) -> Result<ContainerItem, ContainerError> {
-        let ReaderState::InSection(progress) =
-            std::mem::replace(&mut self.state, ReaderState::Idle)
+    /// Closes the open section against the counts its `RANK_END` declares.
+    fn end_section(&mut self, declared: SectionCounts) -> Result<ContainerItem, ContainerError> {
+        let ReaderState::InSection(found) = std::mem::replace(&mut self.state, ReaderState::Idle)
         else {
             // Only reachable through a caller bug; still a typed error so the
             // decode surface stays panic-free.
@@ -221,22 +215,16 @@ impl<R: Read> ChunkReader<R> {
                 found: "no open section",
             });
         };
-        let mut reader = Reader::new(payload);
-        let rank = Rank(varint_read_u64(&mut reader)? as u32);
-        let _chunks = varint_read_u64(&mut reader)?;
-        let records = varint_read_u64(&mut reader)?;
-        let segments = varint_read_u64(&mut reader)?;
-        let events = varint_read_u64(&mut reader)?;
-        if rank != progress.rank {
+        if declared.rank != found.rank {
             return Err(ContainerError::UnexpectedChunk {
                 expected: "RANK_END for the open rank",
                 found: "RANK_END for another rank",
             });
         }
         for (what, declared, found) in [
-            ("section records", records, progress.records),
-            ("section segments", segments, progress.segments),
-            ("section events", events, progress.events),
+            ("section records", declared.records, found.records),
+            ("section segments", declared.segments, found.segments),
+            ("section events", declared.events, found.events),
         ] {
             if declared != found {
                 return Err(ContainerError::CountMismatch {
@@ -250,7 +238,7 @@ impl<R: Read> ChunkReader<R> {
         if self.single_section {
             self.state = ReaderState::Done;
         }
-        Ok(ContainerItem::RankEnd(rank))
+        Ok(ContainerItem::RankEnd(declared.rank))
     }
 
     /// Pulls the next item, or `Ok(None)` once the index footer (or, in
@@ -259,21 +247,30 @@ impl<R: Read> ChunkReader<R> {
         loop {
             match &mut self.state {
                 ReaderState::Done => return Ok(None),
-                ReaderState::InSection(progress) => {
-                    if self.cursor.remaining > 0 {
-                        let record = self.cursor.next_record()?;
-                        progress.records += 1;
-                        match &record {
-                            TraceRecord::Event(_) => progress.events += 1,
-                            TraceRecord::SegmentEnd { .. } => progress.segments += 1,
-                            TraceRecord::SegmentBegin { .. } => {}
-                        }
-                        return Ok(Some(ContainerItem::Record(record)));
+                ReaderState::InSection(seen) => {
+                    if let Some(record) = self.batch.get(self.next) {
+                        self.next += 1;
+                        return Ok(Some(ContainerItem::Record(*record)));
                     }
                     let chunk = self.stream.next_chunk()?;
                     match chunk.kind {
-                        ChunkKind::Records => self.cursor.load(chunk.payload)?,
-                        ChunkKind::RankEnd => return Ok(Some(self.end_section(&chunk.payload)?)),
+                        ChunkKind::Records => {
+                            self.batch.clear();
+                            self.next = 0;
+                            self.stream.decode(&mut self.batch)?;
+                            seen.records += self.batch.len() as u64;
+                            for record in &self.batch {
+                                match record {
+                                    TraceRecord::Event(_) => seen.events += 1,
+                                    TraceRecord::SegmentEnd { .. } => seen.segments += 1,
+                                    TraceRecord::SegmentBegin { .. } => {}
+                                }
+                            }
+                        }
+                        ChunkKind::RankEnd => {
+                            let declared = parse_rank_end(self.stream.payload()?)?;
+                            return Ok(Some(self.end_section(declared)?));
+                        }
                         other => {
                             return Err(ContainerError::UnexpectedChunk {
                                 expected: "RECORDS or RANK_END",
@@ -286,9 +283,8 @@ impl<R: Read> ChunkReader<R> {
                     let chunk = self.stream.next_chunk()?;
                     match chunk.kind {
                         ChunkKind::RankBegin => {
-                            let mut reader = Reader::new(&chunk.payload);
-                            let rank = Rank(varint_read_u64(&mut reader)? as u32);
-                            self.state = ReaderState::InSection(SectionProgress {
+                            let rank = parse_rank_begin(self.stream.payload()?)?;
+                            self.state = ReaderState::InSection(SectionCounts {
                                 rank,
                                 records: 0,
                                 segments: 0,
@@ -297,7 +293,8 @@ impl<R: Read> ChunkReader<R> {
                             return Ok(Some(ContainerItem::RankStart(rank)));
                         }
                         ChunkKind::Index => {
-                            let sections = crate::index::parse_index_payload(&chunk.payload)?;
+                            let sections =
+                                crate::index::parse_index_payload(self.stream.payload()?)?;
                             let declared = self
                                 .preamble
                                 .as_ref()
@@ -325,11 +322,21 @@ impl<R: Read> ChunkReader<R> {
         }
     }
 
+    /// Hands out, as one slice, the records of the current chunk that
+    /// [`ChunkReader::next_item`] has not yielded yet — they follow the
+    /// record it returned last.  Empty when the chunk is used up (and
+    /// outside a section): the next chunk is decoded by the next
+    /// `next_item` call.
+    pub fn take_records(&mut self) -> &[TraceRecord] {
+        let rest = self.batch.get(self.next..).unwrap_or_default();
+        self.next = self.batch.len();
+        rest
+    }
+
     /// Skips the remainder of the open rank section without decoding (or
     /// CRC-checking) its chunk payloads.  Returns the skipped rank.
     pub fn skip_current_rank(&mut self) -> Result<Rank, ContainerError> {
-        let ReaderState::InSection(progress) =
-            std::mem::replace(&mut self.state, ReaderState::Idle)
+        let ReaderState::InSection(section) = std::mem::replace(&mut self.state, ReaderState::Idle)
         else {
             self.state = ReaderState::Done;
             return Err(ContainerError::UnexpectedChunk {
@@ -337,8 +344,8 @@ impl<R: Read> ChunkReader<R> {
                 found: "no section",
             });
         };
-        let rank = progress.rank;
-        self.cursor = ChunkCursor::default();
+        self.batch.clear();
+        self.next = 0;
         loop {
             match self.stream.skip_chunk()? {
                 ChunkKind::Records => {}
@@ -347,7 +354,7 @@ impl<R: Read> ChunkReader<R> {
                     if self.single_section {
                         self.state = ReaderState::Done;
                     }
-                    return Ok(rank);
+                    return Ok(section.rank);
                 }
                 other => {
                     return Err(ContainerError::UnexpectedChunk {
@@ -379,13 +386,15 @@ pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError
     while let Some(item) = chunks.next_item()? {
         match item {
             ContainerItem::RankStart(rank) => open = Some(RankTrace::new(rank)),
-            ContainerItem::Record(record) => open
-                .as_mut()
-                .ok_or(ContainerError::UnexpectedChunk {
+            ContainerItem::Record(record) => {
+                let section = open.as_mut().ok_or(ContainerError::UnexpectedChunk {
                     expected: "RANK_BEGIN",
                     found: "RECORDS",
-                })?
-                .push(record),
+                })?;
+                // The chunk's first record, then the rest of its batch.
+                section.push(record);
+                section.records.extend_from_slice(chunks.take_records());
+            }
             ContainerItem::RankEnd(_) => {
                 let section = open.take().ok_or(ContainerError::UnexpectedChunk {
                     expected: "RANK_BEGIN",
@@ -399,7 +408,7 @@ pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError
 }
 
 /// Materializes a [`ReducedAppTrace`] from a reduced-trace container,
-/// decoding one chunk at a time.
+/// decoding one chunk at a time straight into the rank it belongs to.
 pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, ContainerError> {
     let mut stream = ChunkStream::new(reader, 0);
     let kind = read_header(&mut stream)?;
@@ -409,14 +418,7 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
             found: "an app payload",
         });
     }
-    let chunk = stream.next_chunk()?;
-    if chunk.kind != ChunkKind::Preamble {
-        return Err(ContainerError::UnexpectedChunk {
-            expected: "PREAMBLE",
-            found: chunk.kind.name(),
-        });
-    }
-    let preamble = parse_preamble(&chunk.payload)?;
+    let preamble = read_preamble(&mut stream)?;
     let mut reduced = ReducedAppTrace {
         name: preamble.name,
         regions: preamble.regions,
@@ -439,10 +441,7 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                         found: "RANK_BEGIN",
                     });
                 }
-                let mut reader = Reader::new(&chunk.payload);
-                open = Some(ReducedRankTrace::new(Rank(
-                    varint_read_u64(&mut reader)? as u32
-                )));
+                open = Some(ReducedRankTrace::new(parse_rank_begin(stream.payload()?)?));
                 exec_phase = false;
             }
             ChunkKind::Stored => {
@@ -456,17 +455,7 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                         found: "STORED",
                     });
                 }
-                let mut reader = Reader::new(&chunk.payload);
-                let count = varint_read_u64(&mut reader)?;
-                for _ in 0..count {
-                    rank.stored.push(read_stored_segment(&mut reader)?);
-                }
-                if !reader.is_at_end() {
-                    return Err(ContainerError::TrailingBytes {
-                        what: "the declared segments of a STORED chunk",
-                        bytes: reader.remaining(),
-                    });
-                }
+                stream.decode(&mut rank.stored)?;
             }
             ChunkKind::Execs => {
                 let rank = open.as_mut().ok_or(ContainerError::UnexpectedChunk {
@@ -474,50 +463,34 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
                     found: "EXECS",
                 })?;
                 exec_phase = true;
-                let mut reader = Reader::new(&chunk.payload);
-                let count = varint_read_u64(&mut reader)?;
-                let mut prev_start = Time::ZERO;
-                for _ in 0..count {
-                    let (exec, new_prev) = read_exec(&mut reader, prev_start)?;
-                    prev_start = new_prev;
-                    rank.execs.push(exec);
-                }
-                if !reader.is_at_end() {
-                    return Err(ContainerError::TrailingBytes {
-                        what: "the declared executions of an EXECS chunk",
-                        bytes: reader.remaining(),
-                    });
-                }
+                stream.decode(&mut rank.execs)?;
             }
             ChunkKind::RankEnd => {
                 let rank = open.take().ok_or(ContainerError::UnexpectedChunk {
                     expected: "RANK_BEGIN",
                     found: "RANK_END",
                 })?;
-                let mut reader = Reader::new(&chunk.payload);
-                let end_rank = Rank(varint_read_u64(&mut reader)? as u32);
-                let _chunks = varint_read_u64(&mut reader)?;
-                let records = varint_read_u64(&mut reader)?;
-                let segments = varint_read_u64(&mut reader)?;
-                let events = varint_read_u64(&mut reader)?;
-                if end_rank != rank.rank {
+                let declared = parse_rank_end(stream.payload()?)?;
+                if declared.rank != rank.rank {
                     return Err(ContainerError::UnexpectedChunk {
                         expected: "RANK_END for the open rank",
                         found: "RANK_END for another rank",
                     });
                 }
                 let found = (rank.stored.len() + rank.execs.len()) as u64;
-                if records != found {
+                if declared.records != found {
                     return Err(ContainerError::CountMismatch {
                         what: "reduced section items",
-                        declared: records,
+                        declared: declared.records,
                         found,
                     });
                 }
-                if segments != rank.stored.len() as u64 || events != rank.execs.len() as u64 {
+                if declared.segments != rank.stored.len() as u64
+                    || declared.events != rank.execs.len() as u64
+                {
                     return Err(ContainerError::CountMismatch {
                         what: "reduced section stored/exec split",
-                        declared: segments,
+                        declared: declared.segments,
                         found: rank.stored.len() as u64,
                     });
                 }

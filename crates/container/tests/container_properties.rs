@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use trace_container::{
     decode_app_any, encode_app_container, encode_reduced_container, read_app_container, read_index,
-    read_reduced_container, ChunkSpec, Codec, ContainerError,
+    read_reduced_container, ChunkReader, ChunkSpec, Codec, ContainerError, ContainerItem,
 };
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
@@ -147,17 +147,10 @@ fn crafted_compressed_payloads_with_valid_crcs_are_typed_errors() {
         .iter()
         .position(|c| c[0] == 3 && c[1] == Codec::DeltaLz.as_byte())
         .expect("a compressed RECORDS chunk");
-    {
-        let chunk = &mut chunks[records_pos];
-        // Truncate the compressed payload by one byte and re-frame it.
-        let new_payload = chunk[10..chunk.len() - 1].to_vec();
-        let len = (new_payload.len() as u32).to_le_bytes();
-        let crc = trace_container::crc32(&new_payload).to_le_bytes();
-        chunk.truncate(2);
-        chunk.extend_from_slice(&len);
-        chunk.extend_from_slice(&crc);
-        chunk.extend_from_slice(&new_payload);
-    }
+    // Truncate the compressed payload by one byte and re-frame it.
+    let chunk = &mut chunks[records_pos];
+    let new_payload = chunk[10..chunk.len() - 1].to_vec();
+    reframe(chunk, &new_payload);
     let mut crafted = header;
     let mut index_offset = crafted.len() as u64;
     for (i, chunk) in chunks.iter().enumerate() {
@@ -278,6 +271,141 @@ fn split_chunks(bytes: &[u8]) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) {
         pos += 10 + len;
     }
     (header, chunks, trailer)
+}
+
+/// Replaces a framed chunk's payload, with a CRC that matches it.
+fn reframe(chunk: &mut Vec<u8>, payload: &[u8]) {
+    chunk.truncate(2);
+    chunk.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    chunk.extend_from_slice(&trace_container::crc32(payload).to_le_bytes());
+    chunk.extend_from_slice(payload);
+}
+
+/// Everything a reader yields up to its first error, pulled one item at a
+/// time or — `by_slice` — with the rest of each chunk taken as a slice
+/// behind its first record.
+fn drain(bytes: &[u8], by_slice: bool) -> (Vec<ContainerItem>, Option<String>) {
+    let mut reader = ChunkReader::new(bytes).unwrap();
+    let mut items = Vec::new();
+    loop {
+        match reader.next_item() {
+            Ok(Some(item)) => {
+                let is_record = matches!(item, ContainerItem::Record(_));
+                items.push(item);
+                if by_slice && is_record {
+                    let rest = reader.take_records();
+                    items.extend(rest.iter().map(|record| ContainerItem::Record(*record)));
+                }
+            }
+            Ok(None) => return (items, None),
+            Err(err) => return (items, Some(format!("{err:?}"))),
+        }
+    }
+}
+
+#[test]
+fn item_and_slice_iteration_agree_also_on_a_rank_end_that_lies() {
+    let app = build_trace(&[
+        (0..9)
+            .map(|i| (0u8, (i % 3) as u8, (i * 41) as u16))
+            .collect(),
+        (0..5).map(|i| (1u8, 0u8, (i * 17) as u16)).collect(),
+    ]);
+    let expected: Vec<ContainerItem> = app
+        .ranks
+        .iter()
+        .flat_map(|rank| {
+            let records = rank.records.iter().map(|r| ContainerItem::Record(*r));
+            std::iter::once(ContainerItem::RankStart(rank.rank))
+                .chain(records)
+                .chain(std::iter::once(ContainerItem::RankEnd(rank.rank)))
+        })
+        .collect();
+    for segments_per_chunk in [1, 3, 128] {
+        for codec in [Codec::None, Codec::DeltaLz] {
+            let spec = ChunkSpec::with_segments(segments_per_chunk).codec(codec);
+            let bytes = encode_app_container(&app, spec);
+            let by_item = drain(&bytes, false);
+            assert_eq!(by_item, (expected.clone(), None), "{segments_per_chunk}");
+            assert_eq!(drain(&bytes, true), by_item, "{segments_per_chunk}");
+
+            // The last section's RANK_END declares one record too many
+            // (rank, chunks, then the record count: one byte each here).
+            let (header, mut chunks, trailer) = split_chunks(&bytes);
+            let rank_end = chunks.iter().rposition(|c| c[0] == 6).unwrap();
+            let mut summary = chunks[rank_end][10..].to_vec();
+            assert!(summary[2] < 0x7f, "a one-byte count");
+            summary[2] += 1;
+            reframe(&mut chunks[rank_end], &summary);
+            let mut lying = header;
+            chunks
+                .iter()
+                .for_each(|chunk| lying.extend_from_slice(chunk));
+            lying.extend_from_slice(&trailer);
+
+            let (items, err) = drain(&lying, false);
+            assert_eq!(
+                items,
+                expected[..expected.len() - 1],
+                "{segments_per_chunk}"
+            );
+            let err = err.expect("the count does not reconcile");
+            assert!(
+                err.contains("CountMismatch") && err.contains("section records"),
+                "{err}"
+            );
+            assert_eq!(
+                drain(&lying, true),
+                (items, Some(err)),
+                "{segments_per_chunk}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_chunk_that_fails_to_decode_leaves_no_records_behind() {
+    // One segment per chunk; the second chunk of the section loses its last
+    // byte (CRC recomputed), so it fails only after most of its records have
+    // decoded.  None of them may come out — not with the error, and not in
+    // front of the third chunk's records.
+    let app = build_trace(&[(0..3).map(|i| (0u8, 1u8, (600 + i * 7) as u16)).collect()]);
+    for codec in [Codec::None, Codec::Delta, Codec::Lz, Codec::DeltaLz] {
+        let bytes = encode_app_container(&app, ChunkSpec::with_segments(1).codec(codec));
+        let (header, mut chunks, trailer) = split_chunks(&bytes);
+        let records: Vec<usize> = (0..chunks.len()).filter(|&i| chunks[i][0] == 3).collect();
+        assert_eq!(records.len(), 3);
+        let cut = chunks[records[1]][10..chunks[records[1]].len() - 1].to_vec();
+        reframe(&mut chunks[records[1]], &cut);
+        let mut crafted = header;
+        chunks
+            .iter()
+            .for_each(|chunk| crafted.extend_from_slice(chunk));
+        crafted.extend_from_slice(&trailer);
+
+        let per_chunk = app.ranks[0].records.len() / 3;
+        let mut reader = ChunkReader::new(&crafted[..]).unwrap();
+        assert!(matches!(
+            reader.next_item().unwrap(),
+            Some(ContainerItem::RankStart(_))
+        ));
+        let first = reader.next_item().unwrap().unwrap();
+        assert_eq!(first, ContainerItem::Record(app.ranks[0].records[0]));
+        assert_eq!(reader.take_records(), &app.ranks[0].records[1..per_chunk]);
+        assert!(reader.next_item().is_err(), "{}", codec.name());
+        assert!(reader.take_records().is_empty(), "{}", codec.name());
+        let third = reader.next_item().unwrap().unwrap();
+        assert_eq!(
+            third,
+            ContainerItem::Record(app.ranks[0].records[2 * per_chunk]),
+            "{}",
+            codec.name()
+        );
+        assert_eq!(
+            reader.take_records(),
+            &app.ranks[0].records[2 * per_chunk + 1..]
+        );
+    }
 }
 
 #[test]

@@ -54,9 +54,11 @@ pub const CHUNK_COMPRESS_FALLBACKS: &str = "chunk.compress_fallbacks";
 pub const COMPRESS_BYTES_IN: &str = "compress.bytes_in";
 /// Bytes leaving `compress()` (compressed payload bytes).
 pub const COMPRESS_BYTES_OUT: &str = "compress.bytes_out";
-/// Bytes entering `decompress()` (stored payload bytes).
+/// Bytes entering a reader's LZ stage (stored payload bytes of the chunks
+/// kept under `lz` or `delta-lz`).
 pub const DECOMPRESS_BYTES_IN: &str = "decompress.bytes_in";
-/// Bytes leaving `decompress()` (decoded payload bytes).
+/// Bytes leaving a reader's LZ stage (row bytes under `lz`, column streams
+/// under `delta-lz`).
 pub const DECOMPRESS_BYTES_OUT: &str = "decompress.bytes_out";
 
 /// Spans dropped by the per-shard cap (never silently: see

@@ -21,7 +21,7 @@ use trace_container::{
     read_index, ChunkReader, ContainerError, ContainerItem, PayloadKind, Preamble, CONTAINER_MAGIC,
 };
 use trace_model::codec::APP_TRACE_MAGIC;
-use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace};
+use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
@@ -55,13 +55,14 @@ impl<R: Read> ContainerSource<R> {
         self.inner.preamble()
     }
 
-    /// Largest chunk payload buffered so far, in bytes.
+    /// The most memory one chunk has taken so far, in bytes (see
+    /// [`ChunkReader::peak_chunk_bytes`]).
     pub fn peak_chunk_bytes(&self) -> usize {
         self.inner.peak_chunk_bytes()
     }
 
     /// Attaches an observability shard to the underlying chunk reader, so
-    /// chunk reads record `chunk_io`/`compress` spans and counters.
+    /// chunk reads record `chunk_io`/`compress`/`parse` spans and counters.
     pub fn set_obs(&mut self, obs: trace_obs::ObsShard) {
         self.inner.set_obs(obs);
     }
@@ -78,6 +79,10 @@ impl<R: Read> AppItemSource for ContainerSource<R> {
 
     fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
         Ok(self.inner.skip_current_rank()?)
+    }
+
+    fn take_records(&mut self) -> &[TraceRecord] {
+        self.inner.take_records()
     }
 }
 
@@ -103,7 +108,7 @@ fn header_of<R: Read>(
 }
 
 /// Reduces every rank section `source` yields; the chunk reader records its
-/// `chunk_io`/`compress` spans into a recorder shard of its own.
+/// `chunk_io`/`compress`/`parse` spans into a recorder shard of its own.
 fn reduce_sections<R: Read>(
     reducer: &Reducer,
     mut source: ContainerSource<R>,
@@ -117,7 +122,7 @@ fn reduce_sections<R: Read>(
 
 /// Reduces an app-trace container stream in one pass with bounded memory:
 /// the resident state is the stored representatives, at most one in-flight
-/// segment, and one decoded chunk payload.
+/// segment, and one decoded chunk.
 pub fn reduce_container_stream<R: Read + Send>(
     reducer: &Reducer,
     reader: R,

@@ -43,11 +43,16 @@ pub struct StreamStats {
     pub orphan_events: usize,
     /// Segments closed implicitly (missing or mismatched end markers).
     pub unterminated_segments: usize,
-    /// Largest chunk payload buffered by any one reader, in bytes.  Zero
-    /// for text streams (they buffer one line, not chunks); for monolithic
-    /// v1 binary inputs this is the whole file, which is the point of the
-    /// chunked container.  Merging keeps the per-reader maximum, so the
-    /// concurrent total of a sharded run is at most `shards ×` this value.
+    /// The most memory one chunk took in any one reader, in bytes: the
+    /// largest of its stored payload, its LZ output and its decoded batch,
+    /// `records * size_of::<TraceRecord>()`.  The batch is what counts in
+    /// practice — a record is 56 bytes in memory and under ten in a row
+    /// payload, so a default 128-segment chunk of ≈ 8 KB decodes to ≈ 45 KB.
+    /// Zero for text streams (they buffer one block of lines, not chunks);
+    /// for monolithic v1 binary inputs this is the whole file, which is the
+    /// point of the chunked container.  Merging keeps the per-reader
+    /// maximum, so the concurrent total of a sharded run is at most
+    /// `shards ×` this value.
     pub peak_chunk_bytes: usize,
     /// Similarity-matching counters from the cached fast path: candidate
     /// comparisons, prefilter rejects, early abandons and matches across
@@ -120,9 +125,10 @@ pub struct StreamReduction {
 /// reader — the loop is identical.
 ///
 /// Each processed rank section is bracketed by a
-/// [`trace_obs::Stage::Rank`] span (the streaming loop fuses parse,
-/// segment and match per record, so the rank is the finest honestly
-/// separable unit — two clock reads per rank, nothing per record).  With a
+/// [`trace_obs::Stage::Rank`] span (the streaming loop fuses segment and
+/// match per record — and, for text, parse — so the rank is the finest
+/// honestly separable unit: two clock reads per rank, nothing per record;
+/// a container source times its own chunk decodes inside it).  With a
 /// disabled shard the reduction is identical — recording never steers.
 pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
     reducer: &Reducer,
@@ -163,21 +169,27 @@ pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
                     source.skip_current_rank()?;
                 }
             }
-            AppItem::Record(record) => {
+            AppItem::Record(first) => {
                 let Some((_, segmenter, online, _)) = active.as_mut() else {
                     return Err(StreamError::Protocol("a record outside a rank section"));
                 };
-                if matches!(record, TraceRecord::Event(_)) {
-                    stats.events += 1;
-                }
-                if let Some(segment) = segmenter.push(&record) {
-                    stats.segments += 1;
-                    online.push_segment(segment, obs);
-                }
-                let resident = stored_retained
-                    + online.stored_count()
-                    + usize::from(segmenter.has_open_segment());
-                stats.peak_resident_segments = stats.peak_resident_segments.max(resident);
+                let mut push = |record: &TraceRecord| {
+                    if matches!(record, TraceRecord::Event(_)) {
+                        stats.events += 1;
+                    }
+                    if let Some(segment) = segmenter.push(record) {
+                        stats.segments += 1;
+                        online.push_segment(segment, obs);
+                    }
+                    let resident = stored_retained
+                        + online.stored_count()
+                        + usize::from(segmenter.has_open_segment());
+                    stats.peak_resident_segments = stats.peak_resident_segments.max(resident);
+                };
+                // The record, then whatever the source has decoded behind
+                // it: the rest of a container chunk, nothing for text.
+                push(&first);
+                source.take_records().iter().for_each(push);
             }
             AppItem::RankEnd(_) => {
                 let Some((index, mut segmenter, mut online, span)) = active.take() else {

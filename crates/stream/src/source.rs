@@ -7,11 +7,14 @@
 //! drives the line-oriented text parser ([`crate::parser::StreamParser`])
 //! and the chunked binary container reader
 //! ([`crate::binary::ContainerSource`]) without caring which format the
-//! bytes were in.
+//! bytes were in.  A source that decodes records in batches — a container
+//! chunk at a time — can also hand the rest of a batch over as a slice
+//! ([`AppItemSource::take_records`]), which spares the loop one item
+//! hand-off per record.
 
 use std::io::BufRead;
 
-use trace_model::Rank;
+use trace_model::{Rank, TraceRecord};
 
 use crate::error::StreamError;
 use crate::parser::{AppItem, StreamParser};
@@ -28,6 +31,14 @@ pub trait AppItemSource {
     /// Skips the remainder of the open rank section without decoding its
     /// payloads; returns the skipped rank.
     fn skip_current_rank(&mut self) -> Result<Rank, StreamError>;
+
+    /// The records that follow the one [`AppItemSource::next_item`] returned
+    /// last and are already decoded, handed over all at once (the source
+    /// will not yield them again).  A source that decodes record by record
+    /// has none, which is the default.
+    fn take_records(&mut self) -> &[TraceRecord] {
+        &[]
+    }
 }
 
 impl<R: BufRead> AppItemSource for StreamParser<R> {

@@ -6,8 +6,9 @@
 //!   bit-identical to decoding the container in memory and reducing it
 //!   with the batch reducer, and
 //! * peak resident state stays bounded — both the segment bound
-//!   (stored + one in-flight) and the chunk bound (one decompressed chunk
-//!   payload, far below the file size the monolithic v1 decoder would
+//!   (stored + one in-flight) and the chunk bound (one decoded chunk: its
+//!   stored bytes, its LZ output or its batch of records, whichever is
+//!   largest — far below the decoded trace the monolithic v1 decoder would
 //!   materialize), and
 //! * index-sharded ingestion (`--shards N`) matches the single-shard
 //!   output, and
@@ -18,6 +19,7 @@ use std::io::Cursor;
 
 use trace_container::{read_app_container, ChunkSpec, Codec};
 use trace_model::codec::encode_reduced_trace;
+use trace_model::{AppTrace, TraceRecord};
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{reduce_container_file, reduce_container_stream};
@@ -32,6 +34,13 @@ fn amplified_container(repeats: usize, segments_per_chunk: usize, codec: Codec) 
             ChunkSpec::with_segments(segments_per_chunk).codec(codec),
         )
         .expect("writing to a Vec cannot fail")
+}
+
+/// What the trace takes once decoded, in the unit `peak_chunk_bytes` counts
+/// a chunk's batch in: records times the size of one.
+fn decoded_bytes(app: &AppTrace) -> usize {
+    let records: usize = app.ranks.iter().map(|rank| rank.records.len()).sum();
+    records * std::mem::size_of::<TraceRecord>()
 }
 
 #[test]
@@ -51,22 +60,23 @@ fn resident_state_stays_an_order_of_magnitude_below_the_container() {
             streamed.stats.peak_resident_segments
         );
 
-        // Chunk bound: the largest buffered payload — decompressed, for
-        // compressed chunks — is far below the file size (the monolithic v1
-        // path would hold all of it, the whole-file decompression of a
-        // gzip-style envelope would hold even more).
-        assert!(streamed.stats.peak_chunk_bytes > 0);
+        // Chunk bound: the most one chunk takes — its decoded batch of
+        // records, which outweighs its stored and its decompressed bytes —
+        // is far below the decoded trace (the monolithic v1 path would hold
+        // all of it).
+        let app = read_app_container(&bytes[..]).unwrap();
+        let one_record = std::mem::size_of::<TraceRecord>();
+        assert!(streamed.stats.peak_chunk_bytes >= one_record);
         assert!(
-            bytes.len() >= 10 * streamed.stats.peak_chunk_bytes,
-            "{}: peak chunk {} vs container {} bytes",
+            decoded_bytes(&app) >= 10 * streamed.stats.peak_chunk_bytes,
+            "{}: peak chunk {} vs decoded trace {} bytes",
             codec.name(),
             streamed.stats.peak_chunk_bytes,
-            bytes.len()
+            decoded_bytes(&app)
         );
 
         // Bit-identical to the in-memory binary path: decode the whole
         // container, reduce in memory, and compare the *encoded* outputs.
-        let app = read_app_container(&bytes[..]).unwrap();
         let in_memory = Reducer::new(config).reduce_app(&app);
         assert_eq!(streamed.reduced, in_memory);
         assert_eq!(
@@ -80,6 +90,7 @@ fn resident_state_stays_an_order_of_magnitude_below_the_container() {
 fn big_container_end_to_end_through_a_file_with_shards() {
     for codec in [Codec::None, Codec::DeltaLz] {
         let bytes = amplified_container(40, 16, codec);
+        let decoded = decoded_bytes(&read_app_container(&bytes[..]).unwrap());
         let mut path = std::env::temp_dir();
         path.push(format!(
             "trace_stream_big_container_{}_{}.trc",
@@ -102,7 +113,7 @@ fn big_container_end_to_end_through_a_file_with_shards() {
                 codec.name()
             );
             // Per-reader chunk bound holds under sharding too.
-            assert!(bytes.len() >= 10 * sharded.stats.peak_chunk_bytes);
+            assert!(decoded >= 10 * sharded.stats.peak_chunk_bytes);
             assert!(sharded.stats.segments >= 10 * sharded.stats.peak_resident_segments);
         }
 
@@ -112,7 +123,7 @@ fn big_container_end_to_end_through_a_file_with_shards() {
 
 /// ISSUE 4 acceptance criterion: at the paper preset, `delta-lz` halves
 /// the container (at least) and changes nothing about the reduction output
-/// or the one-decompressed-chunk residency.  The workload is the paper's
+/// or the one-decoded-chunk residency.  The workload is the paper's
 /// real-application trace (Sweep3D); the interference-heavy benchmarks
 /// carry deliberately injected timing noise that no lossless codec can
 /// remove (whole-file zlib-9 manages ~1.8× on `dyn_load_balance`, this
@@ -141,20 +152,21 @@ fn paper_preset_delta_lz_at_least_halves_the_container() {
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
     let from_dlz = reduce_container_stream(&Reducer::new(config), Cursor::new(&dlz)).unwrap();
     let from_none = reduce_container_stream(&Reducer::new(config), Cursor::new(&none)).unwrap();
-    let in_memory = Reducer::new(config).reduce_app(&read_app_container(&none[..]).unwrap());
+    let app = read_app_container(&none[..]).unwrap();
+    let in_memory = Reducer::new(config).reduce_app(&app);
     assert_eq!(from_dlz.reduced, from_none.reduced);
     assert_eq!(
         encode_reduced_trace(&from_dlz.reduced),
         encode_reduced_trace(&in_memory)
     );
 
-    // Still one decompressed chunk resident: the compressed reader's peak
-    // matches the uncompressed reader's (same chunk grouping, decoded
-    // payloads identical) and stays an order of magnitude below the
-    // uncompressed byte volume it represents.
+    // Still one decoded chunk resident: the compressed reader's peak
+    // matches the uncompressed reader's (same chunk grouping, so the same
+    // largest batch of records, which outweighs either file's bytes for
+    // that chunk) and stays an order of magnitude below the decoded trace.
     assert_eq!(
         from_dlz.stats.peak_chunk_bytes,
         from_none.stats.peak_chunk_bytes
     );
-    assert!(none.len() >= 10 * from_dlz.stats.peak_chunk_bytes);
+    assert!(decoded_bytes(&app) >= 10 * from_dlz.stats.peak_chunk_bytes);
 }

@@ -1,0 +1,199 @@
+//! Ids that do not fit `u32` are malformed input on every binary decode
+//! surface — never an alias of their low 32 bits.
+//!
+//! The model keeps region, context, rank, message-tag and segment ids as
+//! `u32`; the binary formats carry them as `u64` varints.  A CRC-valid chunk
+//! holding `u32::MAX + 1` used to decode as id 0 (the text reader closed the
+//! same hole earlier).  Each container here is written by the real writer
+//! with `u32::MAX` in one field — which must round-trip — and then has that
+//! one value raised by one in place, CRC recomputed: `u32::MAX` and
+//! `u32::MAX + 1` encode to the same number of bytes, as a varint and as a
+//! zig-zag delta alike, so nothing else in the file moves.
+
+use std::io::Cursor;
+
+use trace_container::{
+    crc32, encode_app_container, encode_reduced_container, read_app_container,
+    read_reduced_container, ChunkSpec, Codec, ContainerError,
+};
+use trace_model::codec::CodecError;
+use trace_model::{
+    AppTrace, CommInfo, ContextId, Event, Rank, ReducedAppTrace, ReducedRankTrace, RegionId,
+    Segment, SegmentExec, StoredSegment, Time,
+};
+use trace_reduce::{Method, Reducer};
+use trace_stream::{reduce_container_file, reduce_container_stream};
+
+const RECORDS: u8 = 3;
+const STORED: u8 = 4;
+const EXECS: u8 = 5;
+
+/// The field of the generated trace that holds `u32::MAX`.
+#[derive(Clone, Copy, Debug)]
+enum Field {
+    Region,
+    Context,
+    Peer,
+    Tag,
+}
+
+/// Two ranks of eight one-event segments, `u32::MAX` in `field` of every
+/// record that has it (so that the column form, which stores the value once
+/// and zero deltas after it, is smaller than the rows and the writer keeps
+/// the `delta` codec for the chunk).
+fn app_with_max_in(field: Field) -> AppTrace {
+    let pick = |this: bool| if this { u32::MAX } else { 1 };
+    let mut app = AppTrace::new("id_range", 2);
+    for rank in &mut app.ranks {
+        for i in 0..8u64 {
+            let context = ContextId(pick(matches!(field, Field::Context)));
+            rank.begin_segment(context, Time::from_nanos(i * 100));
+            rank.push_event(Event::with_comm(
+                RegionId(pick(matches!(field, Field::Region))),
+                Time::from_nanos(i * 100 + 10),
+                Time::from_nanos(i * 100 + 60),
+                CommInfo::Send {
+                    peer: Rank(pick(matches!(field, Field::Peer))),
+                    tag: pick(matches!(field, Field::Tag)),
+                    bytes: 64,
+                },
+            ));
+            rank.end_segment(context, Time::from_nanos(i * 100 + 90));
+        }
+    }
+    app
+}
+
+/// One rank whose eight representatives and eight executions all carry
+/// segment id `u32::MAX`.
+fn reduced_with_max_ids() -> ReducedAppTrace {
+    let mut rank = ReducedRankTrace::new(Rank(0));
+    for i in 0..8u64 {
+        rank.stored.push(StoredSegment {
+            id: u32::MAX,
+            represented: 1,
+            segment: Segment {
+                context: ContextId(0),
+                start: Time::ZERO,
+                end: Time::from_nanos(50),
+                events: vec![Event::compute(
+                    RegionId(0),
+                    Time::from_nanos(5),
+                    Time::from_nanos(45),
+                )],
+            },
+        });
+        rank.execs.push(SegmentExec {
+            segment: u32::MAX,
+            start: Time::from_nanos(i * 100),
+        });
+    }
+    ReducedAppTrace {
+        name: "id_range".to_string(),
+        regions: Default::default(),
+        contexts: Default::default(),
+        ranks: vec![rank],
+    }
+}
+
+/// Raises the first `u32::MAX` in the first chunk of `kind` to
+/// `u32::MAX + 1` and re-frames the chunk; asserts the chunk is stored
+/// under `codec`, so the test reaches the decoder it means to.
+fn raise_first_max_id(container: &[u8], kind: u8, codec: Codec) -> Vec<u8> {
+    // As a plain varint in a row payload, as a zig-zag first delta in a
+    // column stream.
+    let (max, past_max): ([u8; 5], [u8; 5]) = match codec {
+        Codec::None => (
+            [0xff, 0xff, 0xff, 0xff, 0x0f],
+            [0x80, 0x80, 0x80, 0x80, 0x10],
+        ),
+        _ => (
+            [0xfe, 0xff, 0xff, 0xff, 0x1f],
+            [0x80, 0x80, 0x80, 0x80, 0x20],
+        ),
+    };
+    let mut out = container.to_vec();
+    let mut pos = 6;
+    while pos < container.len() - 12 {
+        let len = u32::from_le_bytes(container[pos + 2..pos + 6].try_into().unwrap()) as usize;
+        if container[pos] == kind {
+            assert_eq!(container[pos + 1], codec.as_byte(), "chunk codec");
+            let payload = &mut out[pos + 10..pos + 10 + len];
+            let at = payload
+                .windows(5)
+                .position(|window| window == max)
+                .expect("the chunk holds u32::MAX");
+            payload[at..at + 5].copy_from_slice(&past_max);
+            let crc = crc32(payload).to_le_bytes();
+            out[pos + 6..pos + 10].copy_from_slice(&crc);
+            return out;
+        }
+        pos += 10 + len;
+    }
+    panic!("no chunk of kind {kind}");
+}
+
+fn is_out_of_range(err: &ContainerError) -> bool {
+    let codec = match err {
+        ContainerError::Codec(e) => e,
+        ContainerError::Compress(trace_container::CompressError::Codec(e)) => e,
+        _ => return false,
+    };
+    matches!(codec, CodecError::IdOutOfRange { value, .. } if *value == 1 << 32)
+}
+
+#[test]
+fn app_containers_reject_an_id_one_past_u32_max_and_keep_u32_max() {
+    let reducer = Reducer::with_default_threshold(Method::RelDiff);
+    for codec in [Codec::None, Codec::Delta] {
+        for field in [Field::Region, Field::Context, Field::Peer, Field::Tag] {
+            let what = format!("{field:?} under {}", codec.name());
+            let app = app_with_max_in(field);
+            let valid = encode_app_container(&app, ChunkSpec::with_codec(codec));
+            assert_eq!(read_app_container(&valid[..]).unwrap(), app, "{what}");
+            let streamed = reduce_container_stream(&reducer, Cursor::new(&valid)).unwrap();
+            assert_eq!(streamed.reduced, reducer.reduce_app(&app), "{what}");
+
+            let crafted = raise_first_max_id(&valid, RECORDS, codec);
+            let err = read_app_container(&crafted[..]).unwrap_err();
+            assert!(is_out_of_range(&err), "{what}: {err:?}");
+            let err = reduce_container_stream(&reducer, Cursor::new(&crafted)).unwrap_err();
+            assert!(
+                err.as_container().is_some_and(is_out_of_range),
+                "{what}: {err:?}"
+            );
+
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "id_range_{}_{field:?}_{}.trc",
+                std::process::id(),
+                codec.name()
+            ));
+            std::fs::write(&path, &crafted).unwrap();
+            let err = reduce_container_file(&reducer, &path, 2).unwrap_err();
+            let _ = std::fs::remove_file(&path);
+            assert!(
+                err.as_container().is_some_and(is_out_of_range),
+                "{what}: {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn reduced_containers_reject_a_segment_id_one_past_u32_max_and_keep_u32_max() {
+    let reduced = reduced_with_max_ids();
+    for codec in [Codec::None, Codec::Delta] {
+        let valid = encode_reduced_container(&reduced, ChunkSpec::with_codec(codec));
+        assert_eq!(read_reduced_container(&valid[..]).unwrap(), reduced);
+        for kind in [STORED, EXECS] {
+            let crafted = raise_first_max_id(&valid, kind, codec);
+            let err = read_reduced_container(&crafted[..]).unwrap_err();
+            assert!(
+                is_out_of_range(&err),
+                "chunk kind {kind} under {}: {err:?}",
+                codec.name()
+            );
+        }
+    }
+}

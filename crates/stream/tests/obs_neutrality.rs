@@ -14,12 +14,16 @@
 //!   have actually recorded, so the claim is never vacuous.
 //! * **Drained once.**  The run report's counters equal the counters the
 //!   driver returns, field by field, and there is one span per rank — the
-//!   guard against a double drain when one driver calls another.
+//!   guard against a double drain when one driver calls another.  A
+//!   container source adds its per-chunk spans, whose counts are facts of
+//!   the file, whatever the worker count: one `ChunkIo` span per chunk read,
+//!   one `Parse` span per `RECORDS` chunk, one `Compress` span per chunk
+//!   stored under an LZ codec.
 
 use std::io::Cursor;
 use std::path::PathBuf;
 
-use trace_container::{encode_app_container, ChunkSpec};
+use trace_container::{encode_app_container, ChunkSpec, Codec};
 use trace_model::codec::{encode_app_trace, encode_reduced_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_obs::{names, Recorder, RunReport, Stage};
@@ -35,16 +39,39 @@ struct Sources {
     app: AppTrace,
     text: Vec<u8>,
     container: Vec<u8>,
+    /// `RECORDS` chunks in `container`, and how many of them kept an LZ
+    /// codec (the writer stores a chunk raw when compression does not pay).
+    records_chunks: usize,
+    lz_chunks: usize,
     text_file: PathBuf,
     v1_file: PathBuf,
     v2_file: PathBuf,
+}
+
+/// `(RECORDS chunks, of them LZ-coded)` of a container, off its framing.
+fn count_records_chunks(container: &[u8]) -> (usize, usize) {
+    let (mut records, mut lz) = (0, 0);
+    let mut pos = 6;
+    while pos < container.len() - 12 {
+        let len = u32::from_le_bytes(container[pos + 2..pos + 6].try_into().unwrap()) as usize;
+        if container[pos] == 3 {
+            records += 1;
+            let codec = Codec::from_byte(container[pos + 1]).unwrap();
+            lz += usize::from(matches!(codec, Codec::Lz | Codec::DeltaLz));
+        }
+        pos += 10 + len;
+    }
+    (records, lz)
 }
 
 impl Sources {
     fn new(kind: WorkloadKind, tag: &str) -> Sources {
         let app = Workload::new(kind, SizePreset::Tiny).generate();
         let text = trace_format::write_app_trace(&app).into_bytes();
-        let container = encode_app_container(&app, ChunkSpec::with_segments(8));
+        let spec = ChunkSpec::with_segments(8).codec(Codec::DeltaLz);
+        let container = encode_app_container(&app, spec);
+        let (records_chunks, lz_chunks) = count_records_chunks(&container);
+        assert!(lz_chunks > 0 && records_chunks > app.rank_count());
         let file = |name: &str, bytes: &[u8]| {
             let mut path = std::env::temp_dir();
             path.push(format!(
@@ -61,6 +88,8 @@ impl Sources {
             app,
             text,
             container,
+            records_chunks,
+            lz_chunks,
         }
     }
 }
@@ -81,13 +110,17 @@ struct Outcome {
     stream: Option<StreamStats>,
 }
 
-/// Which per-rank spans a driver records: the fused streaming loop one
+/// Which spans a driver records.  Per rank: the fused streaming loop one
 /// `Rank` span, the in-memory loop (and the v1 fallback, which decodes the
-/// whole file and runs it) one `Segment` and one `Match` span.
+/// whole file and runs it) one `Segment` and one `Match` span.  For its
+/// input: nothing for text, which parses inside the `Rank` span, the
+/// per-chunk spans for a container, one `Parse` span for a v1 file.
 #[derive(Clone, Copy)]
 enum Spans {
-    Fused,
+    FusedText,
+    FusedContainer,
     InMemory,
+    InMemoryV1,
 }
 
 type Driver<'a> = (&'a str, Spans, Box<dyn Fn(&Reducer) -> Outcome + 'a>);
@@ -122,47 +155,47 @@ fn drivers(src: &Sources) -> Vec<Driver<'_>> {
         ),
         (
             "text stream",
-            Spans::Fused,
+            Spans::FusedText,
             Box::new(move |r| streamed(reduce_stream(r, text()))),
         ),
         (
             "text stream, 3 shards",
-            Spans::Fused,
+            Spans::FusedText,
             Box::new(move |r| streamed(reduce_stream_sharded(r, 3, |_| Ok(text())))),
         ),
         (
             "container stream",
-            Spans::Fused,
+            Spans::FusedContainer,
             Box::new(|r| streamed(reduce_container_stream(r, Cursor::new(&src.container[..])))),
         ),
         (
             "container file, 1 worker",
-            Spans::Fused,
+            Spans::FusedContainer,
             Box::new(|r| streamed(reduce_container_file(r, &src.v2_file, 1))),
         ),
         (
             "container file, 2 workers",
-            Spans::Fused,
+            Spans::FusedContainer,
             Box::new(|r| streamed(reduce_container_file(r, &src.v2_file, 2))),
         ),
         (
             "container file, 3 workers",
-            Spans::Fused,
+            Spans::FusedContainer,
             Box::new(|r| streamed(reduce_container_file(r, &src.v2_file, 3))),
         ),
         (
             "any file: text, 2 shards",
-            Spans::Fused,
+            Spans::FusedText,
             Box::new(|r| streamed(reduce_any_file(r, &src.text_file, 2).map(|(r, _)| r))),
         ),
         (
             "any file: v1",
-            Spans::InMemory,
+            Spans::InMemoryV1,
             Box::new(|r| streamed(reduce_any_file(r, &src.v1_file, 2).map(|(r, _)| r))),
         ),
         (
             "any file: v2, 2 shards",
-            Spans::Fused,
+            Spans::FusedContainer,
             Box::new(|r| streamed(reduce_any_file(r, &src.v2_file, 2).map(|(r, _)| r))),
         ),
     ]
@@ -191,8 +224,15 @@ fn recording_never_changes_the_reduction_for_any_method_or_driver() {
     }
 }
 
-/// Asserts that `report` carries exactly the counters `outcome` returned.
-fn assert_drained_once(what: &str, spans: Spans, report: &RunReport, outcome: &Outcome) {
+/// Asserts that `report` carries exactly the counters `outcome` returned,
+/// and the spans `spans` says a driver over `src` records.
+fn assert_drained_once(
+    what: &str,
+    spans: Spans,
+    src: &Sources,
+    report: &RunReport,
+    outcome: &Outcome,
+) {
     let span_count = |stage: Stage| report.spans.iter().filter(|s| s.stage == stage).count();
     let check = |kind: &str, found: Option<&u64>, name: &str, want: usize| {
         assert_eq!(found.copied(), Some(want as u64), "{what}: {kind} {name}");
@@ -238,12 +278,27 @@ fn assert_drained_once(what: &str, spans: Spans, report: &RunReport, outcome: &O
     }
     // One span per rank: a driver that re-ran or re-drained a rank shows here.
     let (fused, in_memory) = match spans {
-        Spans::Fused => (ranks, 0),
-        Spans::InMemory => (0, ranks),
+        Spans::FusedText | Spans::FusedContainer => (ranks, 0),
+        Spans::InMemory | Spans::InMemoryV1 => (0, ranks),
     };
     assert_eq!(span_count(Stage::Rank), fused, "{what}: rank spans");
     assert_eq!(span_count(Stage::Segment), in_memory, "{what}: segment");
     assert_eq!(span_count(Stage::Match), in_memory, "{what}: match");
+    // The input's spans: per chunk for a container, however many workers
+    // shared its sections; one for a v1 file; none of its own for text.
+    let (parse, lz) = match spans {
+        Spans::FusedContainer => (src.records_chunks, src.lz_chunks),
+        Spans::InMemoryV1 => (1, 0),
+        Spans::FusedText | Spans::InMemory => (0, 0),
+    };
+    assert_eq!(span_count(Stage::Parse), parse, "{what}: parse spans");
+    assert_eq!(span_count(Stage::Compress), lz, "{what}: compress spans");
+    let chunk_reads = report
+        .counters
+        .get(names::CHUNK_READS)
+        .copied()
+        .unwrap_or(0);
+    assert_eq!(span_count(Stage::ChunkIo) as u64, chunk_reads, "{what}");
 }
 
 #[test]
@@ -255,7 +310,7 @@ fn enabled_reports_carry_the_drained_pipeline_counters() {
             let recorder = Recorder::enabled();
             let outcome = drive(&Reducer::new(config).with_recorder(&recorder));
             let what = format!("{method} / {driver}");
-            assert_drained_once(&what, spans, &recorder.report(), &outcome);
+            assert_drained_once(&what, spans, &src, &recorder.report(), &outcome);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Decoders for full and reduced application traces.
 
 use super::encode::tags;
-use super::varint::{read_i64, read_u64};
+use super::varint::{read_i64, read_u32, read_u64};
 use super::{CodecError, Reader, APP_TRACE_MAGIC, FORMAT_VERSION, REDUCED_TRACE_MAGIC};
 use crate::event::{CollectiveOp, CommInfo, Event};
 use crate::ids::{ContextId, ContextTable, Rank, RegionId, RegionTable};
@@ -67,32 +67,36 @@ pub fn read_string_table(reader: &mut Reader<'_>) -> Result<Vec<String>, CodecEr
     Ok(names)
 }
 
+// The record-level readers are `#[inline]` for the chunk decoders of
+// `trace_compress`, which call them once per record from another crate: as
+// plain calls they hand a 64-byte `Result` back through memory each time.
+#[inline]
 fn read_comm(reader: &mut Reader<'_>) -> Result<CommInfo, CodecError> {
     let tag = reader.read_byte()?;
     Ok(match tag {
         tags::COMM_COMPUTE => CommInfo::Compute,
         tags::COMM_SEND => CommInfo::Send {
-            peer: Rank(read_u64(reader)? as u32),
-            tag: read_u64(reader)? as u32,
+            peer: Rank(read_u32(reader, "peer rank")?),
+            tag: read_u32(reader, "message tag")?,
             bytes: read_u64(reader)?,
         },
         tags::COMM_RECV => CommInfo::Recv {
-            peer: Rank(read_u64(reader)? as u32),
-            tag: read_u64(reader)? as u32,
+            peer: Rank(read_u32(reader, "peer rank")?),
+            tag: read_u32(reader, "message tag")?,
             bytes: read_u64(reader)?,
         },
         tags::COMM_SENDRECV => CommInfo::SendRecv {
-            to: Rank(read_u64(reader)? as u32),
-            from: Rank(read_u64(reader)? as u32),
-            tag: read_u64(reader)? as u32,
+            to: Rank(read_u32(reader, "peer rank")?),
+            from: Rank(read_u32(reader, "peer rank")?),
+            tag: read_u32(reader, "message tag")?,
             bytes: read_u64(reader)?,
         },
         tags::COMM_COLLECTIVE => {
             let op = collective_op_from_tag(reader.read_byte()?)?;
             CommInfo::Collective {
                 op,
-                root: Rank(read_u64(reader)? as u32),
-                comm_size: read_u64(reader)? as u32,
+                root: Rank(read_u32(reader, "root rank")?),
+                comm_size: read_u32(reader, "communicator size")?,
                 bytes: read_u64(reader)?,
             }
         }
@@ -107,8 +111,9 @@ fn read_comm(reader: &mut Reader<'_>) -> Result<CommInfo, CodecError> {
 
 /// Reads one event with its start delta-encoded against `prev_time`; returns
 /// the event and the new `prev_time`.
+#[inline]
 fn read_event(reader: &mut Reader<'_>, prev_time: Time) -> Result<(Event, Time), CodecError> {
-    let region = RegionId(read_u64(reader)? as u32);
+    let region = RegionId(read_u32(reader, "region id")?);
     let delta = read_i64(reader)?;
     let start = apply_time_delta(prev_time, delta)?;
     let duration = Time::from_nanos(read_u64(reader)?);
@@ -128,6 +133,7 @@ fn read_event(reader: &mut Reader<'_>, prev_time: Time) -> Result<(Event, Time),
 /// crafted file can pair a huge clock with a huge delta, and decoding
 /// untrusted bytes must yield typed errors, never a debug-build overflow
 /// panic.
+#[inline]
 fn apply_time_delta(prev: Time, delta: i64) -> Result<Time, CodecError> {
     match (prev.as_nanos() as i64).checked_add(delta) {
         Some(ns) if ns >= 0 => Ok(Time::from_nanos(ns as u64)),
@@ -135,6 +141,7 @@ fn apply_time_delta(prev: Time, delta: i64) -> Result<Time, CodecError> {
     }
 }
 
+#[inline]
 fn read_marker_time(reader: &mut Reader<'_>, prev_time: Time) -> Result<Time, CodecError> {
     let delta = read_i64(reader)?;
     apply_time_delta(prev_time, delta)
@@ -146,6 +153,7 @@ fn read_marker_time(reader: &mut Reader<'_>, prev_time: Time) -> Result<Time, Co
 /// Inverse of [`super::write_record`]; the chunked container format
 /// (`trace_container`) decodes chunk payloads with this, restarting
 /// `prev_time` at [`Time::ZERO`] for every chunk.
+#[inline]
 pub fn read_record(
     reader: &mut Reader<'_>,
     prev_time: Time,
@@ -153,12 +161,12 @@ pub fn read_record(
     let tag = reader.read_byte()?;
     match tag {
         tags::RECORD_SEGMENT_BEGIN => {
-            let context = ContextId(read_u64(reader)? as u32);
+            let context = ContextId(read_u32(reader, "context id")?);
             let time = read_marker_time(reader, prev_time)?;
             Ok((TraceRecord::SegmentBegin { context, time }, time))
         }
         tags::RECORD_SEGMENT_END => {
-            let context = ContextId(read_u64(reader)? as u32);
+            let context = ContextId(read_u32(reader, "context id")?);
             let time = read_marker_time(reader, prev_time)?;
             Ok((TraceRecord::SegmentEnd { context, time }, time))
         }
@@ -184,7 +192,7 @@ pub fn decode_app_trace(bytes: &[u8]) -> Result<AppTrace, CodecError> {
     let rank_count = read_u64(&mut reader)?;
     let mut ranks = Vec::with_capacity(rank_count.min(1 << 20) as usize);
     for _ in 0..rank_count {
-        let rank = Rank(read_u64(&mut reader)? as u32);
+        let rank = Rank(read_u32(&mut reader, "rank")?);
         let record_count = read_u64(&mut reader)?;
         if record_count > (reader.remaining() as u64 + 1) * 8 {
             return Err(CodecError::LengthTooLarge(record_count));
@@ -209,7 +217,7 @@ pub fn decode_app_trace(bytes: &[u8]) -> Result<AppTrace, CodecError> {
 
 /// Reads one rebased segment (inverse of [`super::write_segment`]).
 pub fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
-    let context = ContextId(read_u64(reader)? as u32);
+    let context = ContextId(read_u32(reader, "context id")?);
     let start = Time::from_nanos(read_u64(reader)?);
     let end = Time::from_nanos(read_u64(reader)?);
     let event_count = read_u64(reader)?;
@@ -234,8 +242,8 @@ pub fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
 /// Reads one stored representative segment (inverse of
 /// [`super::write_stored_segment`]).
 pub fn read_stored_segment(reader: &mut Reader<'_>) -> Result<StoredSegment, CodecError> {
-    let id = read_u64(reader)? as u32;
-    let represented = read_u64(reader)? as u32;
+    let id = read_u32(reader, "stored segment id")?;
+    let represented = read_u32(reader, "represented count")?;
     let segment = read_segment(reader)?;
     Ok(StoredSegment {
         id,
@@ -246,11 +254,12 @@ pub fn read_stored_segment(reader: &mut Reader<'_>) -> Result<StoredSegment, Cod
 
 /// Reads one segment execution with its start delta-encoded against
 /// `prev_start`; returns the execution and the new `prev_start`.
+#[inline]
 pub fn read_exec(
     reader: &mut Reader<'_>,
     prev_start: Time,
 ) -> Result<(SegmentExec, Time), CodecError> {
-    let segment = read_u64(reader)? as u32;
+    let segment = read_u32(reader, "executed segment id")?;
     let delta = read_i64(reader)?;
     let start = apply_time_delta(prev_start, delta)?;
     Ok((SegmentExec { segment, start }, start))
@@ -267,7 +276,7 @@ pub fn decode_reduced_trace(bytes: &[u8]) -> Result<ReducedAppTrace, CodecError>
     let rank_count = read_u64(&mut reader)?;
     let mut ranks = Vec::with_capacity(rank_count.min(1 << 20) as usize);
     for _ in 0..rank_count {
-        let rank = Rank(read_u64(&mut reader)? as u32);
+        let rank = Rank(read_u32(&mut reader, "rank")?);
         let mut reduced = ReducedRankTrace::new(rank);
         let stored_count = read_u64(&mut reader)?;
         if stored_count > (reader.remaining() as u64 + 1) * 4 {

@@ -59,6 +59,14 @@ pub enum CodecError {
     NegativeTime,
     /// A length prefix was implausibly large for the remaining input.
     LengthTooLarge(u64),
+    /// An id, rank, tag or count the model holds as `u32` was encoded with a
+    /// value that does not fit one.
+    IdOutOfRange {
+        /// Which field carried the value.
+        what: &'static str,
+        /// The value found.
+        value: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -72,6 +80,9 @@ impl fmt::Display for CodecError {
             CodecError::VarintOverflow => write!(f, "varint does not fit in 64 bits"),
             CodecError::NegativeTime => write!(f, "delta-encoded time stamp went negative"),
             CodecError::LengthTooLarge(n) => write!(f, "length prefix {n} exceeds remaining input"),
+            CodecError::IdOutOfRange { what, value } => {
+                write!(f, "{what} {value} does not fit 32 bits")
+            }
         }
     }
 }
@@ -92,6 +103,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_byte(&mut self) -> Result<u8, CodecError> {
         let b = *self.data.get(self.pos).ok_or(CodecError::UnexpectedEof)?;
         self.pos += 1;
@@ -99,6 +111,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads exactly `n` bytes.
+    #[inline]
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::UnexpectedEof)?;
         let slice = self
@@ -293,6 +306,47 @@ mod tests {
             decode_app_trace(&bytes),
             Err(CodecError::UnsupportedVersion(99))
         ));
+    }
+
+    #[test]
+    fn v1_ids_one_past_u32_max_are_rejected_and_u32_max_round_trips() {
+        // `u32::MAX` and `u32::MAX + 1` are five varint bytes each, so the
+        // value is raised in place: the first in the file is a region id,
+        // the stored-segment id or the executed segment id.
+        let (max, past_max) = (
+            [0xff, 0xff, 0xff, 0xff, 0x0f],
+            [0x80, 0x80, 0x80, 0x80, 0x10],
+        );
+        let raise = |bytes: &mut Vec<u8>| {
+            let at = bytes.windows(5).position(|w| w == max).unwrap();
+            bytes[at..at + 5].copy_from_slice(&past_max);
+        };
+        let out_of_range =
+            |e: CodecError| matches!(e, CodecError::IdOutOfRange { value, .. } if value == 1 << 32);
+
+        let mut app = sample_app_trace();
+        for record in &mut app.ranks[0].records {
+            if let crate::TraceRecord::Event(event) = record {
+                event.region = crate::RegionId(u32::MAX);
+            }
+        }
+        let mut bytes = encode_app_trace(&app);
+        assert_eq!(decode_app_trace(&bytes).unwrap(), app);
+        raise(&mut bytes);
+        assert!(out_of_range(decode_app_trace(&bytes).unwrap_err()));
+
+        for stored_id in [true, false] {
+            let mut reduced = sample_reduced_trace();
+            if stored_id {
+                reduced.ranks[0].stored[0].id = u32::MAX;
+            } else {
+                reduced.ranks[0].execs[0].segment = u32::MAX;
+            }
+            let mut bytes = encode_reduced_trace(&reduced);
+            assert_eq!(decode_reduced_trace(&bytes).unwrap(), reduced);
+            raise(&mut bytes);
+            assert!(out_of_range(decode_reduced_trace(&bytes).unwrap_err()));
+        }
     }
 
     #[test]

@@ -25,27 +25,54 @@ pub fn write_i64(out: &mut Vec<u8>, value: i64) {
 }
 
 /// Reads an unsigned LEB128 varint.
+#[inline]
 pub fn read_u64(reader: &mut Reader<'_>) -> Result<u64, CodecError> {
+    // Nine bytes carry 63 bits and cannot overflow; only the tenth needs a
+    // range check, so the common one- to three-byte values pay for none.
     let mut value: u64 = 0;
-    let mut shift = 0u32;
-    loop {
+    for shift in (0..63).step_by(7) {
         let byte = reader.read_byte()?;
-        if shift >= 64 {
-            return Err(CodecError::VarintOverflow);
-        }
-        // The final (10th) byte of a 64-bit varint may only contribute one bit.
-        if shift == 63 && (byte & 0x7e) != 0 {
-            return Err(CodecError::VarintOverflow);
-        }
         value |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(value);
         }
-        shift += 7;
     }
+    read_u64_last(reader, value)
+}
+
+/// The tenth byte of a varint whose first nine all continued.
+#[cold]
+fn read_u64_last(reader: &mut Reader<'_>, value: u64) -> Result<u64, CodecError> {
+    // The final (10th) byte of a 64-bit varint may only contribute one bit.
+    let byte = reader.read_byte()?;
+    if byte & 0x7e != 0 {
+        return Err(CodecError::VarintOverflow);
+    }
+    if byte & 0x80 != 0 {
+        // An eleventh byte, if the input has one, is the overflow.
+        reader.read_byte()?;
+        return Err(CodecError::VarintOverflow);
+    }
+    Ok(value | u64::from(byte) << 63)
+}
+
+/// Narrows a decoded value to the `u32` its field holds.  Every id, rank,
+/// tag and count that the model keeps as `u32` travels as a `u64` varint;
+/// one that does not fit is malformed input, never an alias of its low 32
+/// bits.  `what` names the field for the error.
+#[inline]
+pub fn narrow_u32(value: u64, what: &'static str) -> Result<u32, CodecError> {
+    u32::try_from(value).map_err(|_| CodecError::IdOutOfRange { what, value })
+}
+
+/// Reads an unsigned LEB128 varint that must fit `u32` (see [`narrow_u32`]).
+#[inline]
+pub fn read_u32(reader: &mut Reader<'_>, what: &'static str) -> Result<u32, CodecError> {
+    narrow_u32(read_u64(reader)?, what)
 }
 
 /// Reads a zig-zag-encoded signed LEB128 varint.
+#[inline]
 pub fn read_i64(reader: &mut Reader<'_>) -> Result<i64, CodecError> {
     Ok(zigzag_decode(read_u64(reader)?))
 }
@@ -142,6 +169,22 @@ mod tests {
         buf.pop();
         let mut r = Reader::new(&buf);
         assert!(matches!(read_u64(&mut r), Err(CodecError::UnexpectedEof)));
+    }
+
+    #[test]
+    fn values_past_u32_are_out_of_range_not_aliased() {
+        let mut buf = Vec::new();
+        write_u64(&mut buf, u64::from(u32::MAX));
+        write_u64(&mut buf, u64::from(u32::MAX) + 1);
+        let mut r = Reader::new(&buf);
+        assert_eq!(read_u32(&mut r, "region id"), Ok(u32::MAX));
+        assert_eq!(
+            read_u32(&mut r, "region id"),
+            Err(CodecError::IdOutOfRange {
+                what: "region id",
+                value: 1 << 32,
+            })
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ pub const RULE_NAMES: &[&str] = &[
     "expect",
     "panic",
     "indexing",
+    "narrowing_cast",
     "hash_collection",
     "wall_clock",
     "float_eq",
@@ -300,6 +301,23 @@ fn scan(tokens: &[Token], class: FileClass) -> Vec<Violation> {
                     );
                 }
             }
+            TokenKind::Punct
+                if tok.text == "?"
+                    && class.decode_surface
+                    && next_text == "as"
+                    && tokens
+                        .get(i + 2)
+                        .is_some_and(|t| matches!(t.text.as_str(), "u8" | "u16" | "u32")) =>
+            {
+                push(
+                    &mut out,
+                    tok.line,
+                    "narrowing_cast",
+                    "a fallible read narrowed with `as` on a decode surface; an out-of-range \
+                     value must be a typed error (`try_from`), not an alias of its low bits"
+                        .to_string(),
+                );
+            }
             TokenKind::Punct if (tok.text == "==" || tok.text == "!=") && class.determinism => {
                 let float_adjacent = prev.is_some_and(|p| p.kind == TokenKind::Float)
                     || next.is_some_and(|n| n.kind == TokenKind::Float);
@@ -481,6 +499,38 @@ mod tests {
         );
         assert!(!fired("#[derive(Clone)] struct S;"), "attribute");
         assert!(!fired("fn f() -> Vec<u8> { vec![1] }"), "macro bang");
+    }
+
+    #[test]
+    fn narrowing_cast_flags_a_fallible_read_cast_down_unchecked() {
+        let aliased = "fn f(r: &mut R) -> Result<u32, E> { Ok(read_u64(r)? as u32) }";
+        assert_eq!(
+            rules_of(&lint_source(aliased, decode())),
+            ["narrowing_cast"]
+        );
+        assert!(lint_source(aliased, FileClass::default())
+            .violations
+            .is_empty());
+        for narrow in ["u16", "u8"] {
+            let src = format!("fn f(s: &mut S) -> Result<T, E> {{ Ok(s.next()? as {narrow}) }}");
+            assert_eq!(
+                rules_of(&lint_source(&src, decode())),
+                ["narrowing_cast"],
+                "{narrow}"
+            );
+        }
+        // A local that was range-checked first, a widening cast and a cast
+        // to a pointer-sized count are not this rule's business.
+        for fine in [
+            "fn f(x: u64) -> Option<u32> { if x > 9 { return None; } Some(x as u32) }",
+            "fn f(r: &mut R) -> Result<u64, E> { Ok(read_u32(r)? as u64) }",
+            "fn f(r: &mut R) -> Result<usize, E> { Ok(read_u64(r)? as usize) }",
+        ] {
+            assert!(lint_source(fine, decode()).violations.is_empty(), "{fine}");
+        }
+        // Test code narrows as it likes.
+        let in_tests = format!("#[cfg(test)]\nmod tests {{ {aliased} }}\n");
+        assert!(lint_source(&in_tests, decode()).violations.is_empty());
     }
 
     #[test]

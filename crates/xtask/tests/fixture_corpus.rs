@@ -33,6 +33,7 @@ const CASES: &[(&str, &str, FileClass)] = &[
     ("expect.rs", "expect", DECODE),
     ("panic.rs", "panic", DECODE),
     ("indexing.rs", "indexing", DECODE),
+    ("narrowing_cast.rs", "narrowing_cast", DECODE),
     ("hash_collection.rs", "hash_collection", DETERMINISM),
     ("wall_clock.rs", "wall_clock", DETERMINISM),
     ("float_eq.rs", "float_eq", DETERMINISM),
