@@ -36,9 +36,7 @@ use crate::dtw::dtw_within;
 use crate::features::{FeatureKind, SegmentFeatures};
 use crate::method::{Method, MethodConfig};
 use crate::metric::{segments_match, wavelet_match};
-use crate::reducer::{
-    reduce_rank_with_cached_features, reduce_rank_with_predicate, RankReduction, Reducer,
-};
+use crate::reducer::{reduce_rank_by, reduce_rank_with_predicate, RankReduction, Reducer};
 
 /// Number of bins used by the delta-time histogram method.
 const HISTOGRAM_BINS: usize = 16;
@@ -393,19 +391,19 @@ impl ExtendedReducer {
                 Reducer::new(MethodConfig::new(m, threshold)).reduce_rank(trace)
             }
             ExtendedMethod::Cosine => {
-                reduce_rank_with_cached_features(trace, FeatureKind::Measurements, move |a, b| {
+                reduce_rank_by(trace, FeatureKind::Measurements, move |_, a, _, b| {
                     cosine_dissimilarity_cached(a, b) <= threshold
                 })
             }
             ExtendedMethod::NormalizedEuclidean => {
-                reduce_rank_with_cached_features(trace, FeatureKind::Measurements, move |a, b| {
+                reduce_rank_by(trace, FeatureKind::Measurements, move |_, a, _, b| {
                     normalized_euclidean_cached(a, b, threshold)
                 })
             }
-            ExtendedMethod::Cdf97Wave => reduce_rank_with_cached_features(
+            ExtendedMethod::Cdf97Wave => reduce_rank_by(
                 trace,
                 FeatureKind::Wavelet(WaveletKind::Cdf97),
-                move |a, b| cdf97_wave_cached(a, b, threshold),
+                move |_, a, _, b| cdf97_wave_cached(a, b, threshold),
             ),
             ExtendedMethod::Dtw | ExtendedMethod::HistogramDelta => {
                 let config = self.config;

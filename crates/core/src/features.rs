@@ -55,7 +55,7 @@
 //!   `SUP_GAP_MARGIN` suffices there.
 //!
 //! The pre-PR code path is preserved as
-//! [`crate::reducer::reduce_rank_reference`]; the property tests in
+//! [`crate::reference::reduce_rank_reference`]; the property tests in
 //! `tests/fast_path_equivalence.rs` drive both paths across all nine
 //! methods and a threshold grid and require identical output.
 

@@ -6,7 +6,8 @@
 //! evaluates:
 //!
 //! * [`segmenter`] — cuts a per-rank trace into [`trace_model::Segment`]s at
-//!   the segment markers and rebases each to its start time (Section 3.1).
+//!   the segment markers and rebases each to its start time (Section 3.1),
+//!   lending each one out ([`SegmentRef`]) with a hash of its shape.
 //! * [`method`] — the method catalogue: `relDiff`, `absDiff`, `Manhattan`,
 //!   `Euclidean`, `Chebyshev`, `avgWave`, `haarWave`, `iter_k`, `iter_avg`,
 //!   together with the paper's threshold grids and per-method default
@@ -21,9 +22,11 @@
 //! * [`features`] — cached per-segment features ([`SegmentFeatures`]),
 //!   reusable matching buffers ([`MatchScratch`]) and the allocation-free,
 //!   prefiltered, early-abandoning similarity kernels the reducer runs by
-//!   default; the naive reference loop survives as
-//!   [`reducer::reduce_rank_reference`] and the two paths are
-//!   property-tested to produce bit-identical reduced traces.
+//!   default.
+//! * [`mod@reference`] — the naive loop the fast path replaced
+//!   ([`reduce_rank_reference`]): owned shape keys, allocating predicates.
+//!   The two paths are property-tested to produce bit-identical reduced
+//!   traces.
 //! * [`index`] — the sub-linear candidate index in front of the match
 //!   loop: duration-sorted windows plus triangle-inequality pivot pruning
 //!   over the cached features, returning surviving candidates in insertion
@@ -74,6 +77,7 @@ pub mod method;
 pub mod metric;
 pub mod parallel;
 pub mod reducer;
+pub mod reference;
 pub mod segmenter;
 
 pub use dtw::{dtw_distance, dtw_within, normalized_dtw_distance};
@@ -84,7 +88,8 @@ pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
 pub use parallel::{reduce_app_parallel, reduce_app_parallel_with_stats, scoped_workers};
 pub use reducer::{
-    reduce_app_reference, reduce_app_with_predicate, reduce_rank_reference,
-    reduce_rank_with_predicate, OnlineRankReducer, RankReduction, Reducer,
+    reduce_app_with_predicate, reduce_rank_with_predicate, OnlineRankReducer, RankReduction,
+    Reducer,
 };
-pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentationStats};
+pub use reference::{reduce_app_reference, reduce_rank_reference};
+pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentRef, SegmentationStats};

@@ -16,6 +16,20 @@
 //! * `iter_avg` stores exactly one instance per pattern whose measurements
 //!   are the running average over all instances.
 //!
+//! # Borrowed segments, hashed shapes
+//!
+//! [`OnlineRankReducer::push_segment`] takes a [`SegmentRef`]: the segment
+//! stays in its producer's buffer, and an owned [`Segment`] is built only
+//! for the minority that end up stored.  Eligibility is one probe of an
+//! ordered `shape hash → bucket numbers` map, each candidate bucket verified
+//! with [`Segment::same_shape`] against the first representative stored in
+//! it, then an index into a `Vec` of buckets.  Verification needs no table of
+//! shapes because a bucket only comes into being when its first
+//! representative is stored — the representative *is* the shape — so no
+//! shape is kept twice, and a hash collision costs one extra compare, never
+//! a wrong match.  The worst case is the one the algorithm already has: a
+//! linear scan of the eligible candidates.
+//!
 //! Distance methods run through the cached-feature fast path
 //! ([`crate::features`]): each stored representative carries a
 //! [`SegmentFeatures`] cache computed once at store time, the incoming
@@ -23,14 +37,14 @@
 //! [`MatchScratch`], and admissible prefilters / early-abandoning kernels
 //! prune comparisons the similarity test would reject anyway.  The
 //! pre-fast-path behaviour is preserved verbatim as
-//! [`reduce_rank_reference`] for equivalence testing — both paths produce
-//! bit-identical [`ReducedRankTrace`]s.
+//! [`crate::reference::reduce_rank_reference`] for equivalence testing — both
+//! paths produce bit-identical [`ReducedRankTrace`]s.
 
 use std::collections::BTreeMap;
 
 use trace_model::{
-    AppTrace, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, SegmentKey,
-    StoredSegment, Time,
+    AppTrace, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, StoredSegment,
+    Time,
 };
 
 use crate::features::{
@@ -38,8 +52,7 @@ use crate::features::{
 };
 use crate::index::{CandidateIndex, CandidateSearch};
 use crate::method::{Method, MethodConfig};
-use crate::metric::segments_match;
-use crate::segmenter::{segments_of_rank_with_stats, SegmentationStats};
+use crate::segmenter::{segments_of_rank_with_stats, SegmentRef, SegmentationStats};
 
 /// The result of reducing one rank's trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,14 +69,14 @@ pub struct RankReduction {
 
 /// Running-average accumulator used by `iter_avg`.
 #[derive(Clone, Debug)]
-struct AverageState {
+pub(crate) struct AverageState {
     count: f64,
     end_sum: f64,
     event_sums: Vec<(f64, f64)>,
 }
 
 impl AverageState {
-    fn new(segment: &Segment) -> Self {
+    pub(crate) fn new(segment: &Segment) -> Self {
         AverageState {
             count: 1.0,
             end_sum: segment.end.as_f64(),
@@ -75,7 +88,7 @@ impl AverageState {
         }
     }
 
-    fn accumulate(&mut self, segment: &Segment) {
+    pub(crate) fn accumulate(&mut self, segment: &Segment) {
         self.count += 1.0;
         self.end_sum += segment.end.as_f64();
         for (sum, event) in self.event_sums.iter_mut().zip(&segment.events) {
@@ -85,7 +98,7 @@ impl AverageState {
     }
 
     /// Writes the averaged measurements into `segment`.
-    fn finalize_into(&self, segment: &mut Segment) {
+    pub(crate) fn finalize_into(&self, segment: &mut Segment) {
         segment.end = Time::from_f64(self.end_sum / self.count);
         for (event, sum) in segment.events.iter_mut().zip(&self.event_sums) {
             event.start = Time::from_f64(sum.0 / self.count);
@@ -104,10 +117,57 @@ impl AverageState {
 /// over their cached features.
 #[derive(Clone, Debug, Default)]
 struct Bucket {
-    /// Stored ids in insertion order — the paper's scan order.
+    /// Stored ids in insertion order — the paper's scan order.  `ids[0]` is
+    /// the representative the bucket's shape is read from; it is pushed by
+    /// the call that creates the bucket, so no lookup sees `ids` empty.
     ids: Vec<u32>,
     /// Candidate index; only maintained under [`CandidateSearch::Indexed`].
     index: CandidateIndex,
+}
+
+/// The eligibility lookup every loop that buckets by shape goes through:
+/// stored-representative ids grouped by structural identity.  Scanning a
+/// bucket in insertion order is equivalent to the paper's linear scan
+/// restricted to eligible segments.
+#[derive(Clone, Debug, Default)]
+struct ShapeBuckets {
+    /// Bucket numbers by shape hash, in creation order; more than one only
+    /// where distinct shapes collide.
+    by_hash: BTreeMap<u64, Vec<u32>>,
+    buckets: Vec<Bucket>,
+}
+
+impl ShapeBuckets {
+    /// The bucket of `incoming`'s shape, told from the others under its hash
+    /// by the first representative `stored` in each.  A shape not seen before
+    /// gets a new, empty bucket: nothing in it can match, so the caller
+    /// stores `incoming` and pushes its id before the next lookup.
+    fn bucket_of(&mut self, incoming: SegmentRef<'_>, stored: &[StoredSegment]) -> &mut Bucket {
+        let chain = self.by_hash.entry(incoming.shape_hash).or_default();
+        let known = chain.iter().map(|&number| number as usize).find(|&number| {
+            let first = self.buckets[number].ids[0] as usize;
+            incoming.segment.same_shape(&stored[first].segment)
+        });
+        let number = known.unwrap_or_else(|| {
+            chain.push(self.buckets.len() as u32);
+            self.buckets.push(Bucket::default());
+            self.buckets.len() - 1
+        });
+        &mut self.buckets[number]
+    }
+}
+
+/// The owned copy of `incoming` that is stored: rebased, with the absolute
+/// start kept only in the execution log.
+fn stored_segment(id: u32, incoming: &Segment) -> StoredSegment {
+    StoredSegment {
+        id,
+        segment: Segment {
+            start: Time::ZERO,
+            ..incoming.clone()
+        },
+        represented: 1,
+    }
 }
 
 /// Online (segment-at-a-time) form of the stored-segments algorithm.
@@ -117,19 +177,16 @@ struct Bucket {
 /// reduced identically whether its segments arrive from an in-memory
 /// [`RankTrace`] or one at a time from a file.  The state held between
 /// segments is exactly the reduced trace under construction (stored
-/// representatives plus the execution log) and the per-key match buckets —
+/// representatives plus the execution log) and the per-shape match buckets —
 /// never the full segment stream.
 #[derive(Clone, Debug)]
 pub struct OnlineRankReducer {
     config: MethodConfig,
     search: CandidateSearch,
     reduced: ReducedRankTrace,
-    // Stored-representative ids grouped by segment key (structural
-    // identity); scanning a bucket in insertion order is equivalent to
-    // the paper's linear scan restricted to eligible segments.  The
-    // indexed path visits the same candidates minus the ones its window /
-    // pivot bounds prove unmatchable — in the same order.
-    buckets: BTreeMap<SegmentKey, Bucket>,
+    // The indexed path visits a bucket's candidates minus the ones its
+    // window / pivot bounds prove unmatchable — in the same order.
+    shapes: ShapeBuckets,
     // Running averages for iter_avg, indexed by stored id.
     averages: BTreeMap<u32, AverageState>,
     // Cached features per stored representative, indexed like
@@ -152,20 +209,21 @@ impl OnlineRankReducer {
             config: reducer.config,
             search: reducer.search,
             reduced: ReducedRankTrace::new(rank),
-            buckets: BTreeMap::new(),
+            shapes: ShapeBuckets::default(),
             averages: BTreeMap::new(),
             features: Vec::new(),
             scratch,
         }
     }
 
-    /// Feeds the next segment in trace order, recording an
-    /// [`trace_obs::Stage::Index`] span into `obs` when a stored
-    /// representative is inserted into the candidate index.  Store events
-    /// are rare (one per representative, not one per segment), so the clock
-    /// is only read on that path, and never with a disabled shard.
-    pub fn push_segment(&mut self, segment: Segment, obs: &mut trace_obs::ObsShard) {
-        let key = segment.key();
+    /// Feeds the next segment in trace order — on loan: it is copied only if
+    /// it ends up stored — recording an [`trace_obs::Stage::Index`] span into
+    /// `obs` when a stored representative is inserted into the candidate
+    /// index.  Store events are rare (one per representative, not one per
+    /// segment), so the clock is only read on that path, and never with a
+    /// disabled shard.
+    pub fn push_segment(&mut self, incoming: SegmentRef<'_>, obs: &mut trace_obs::ObsShard) {
+        let segment = incoming.segment;
         let start = segment.start;
         let config = self.config;
         let is_distance = config.method.is_distance_method();
@@ -173,10 +231,10 @@ impl OnlineRankReducer {
             // Features are computed once per incoming segment and reused
             // for every candidate in the bucket — and, if the segment ends
             // up stored, cloned into its representative cache.
-            self.scratch.prepare_incoming(config.method, &segment);
+            self.scratch.prepare_incoming(config.method, segment);
         }
         let search = self.search;
-        let bucket = self.buckets.entry(key).or_default();
+        let bucket = self.shapes.bucket_of(incoming, &self.reduced.stored);
 
         let matched: Option<u32> = match config.method {
             Method::IterAvg => bucket.ids.first().copied(),
@@ -223,14 +281,14 @@ impl OnlineRankReducer {
                     self.averages
                         .get_mut(&id)
                         .expect("iter_avg representative must have an accumulator")
-                        .accumulate(&segment);
+                        .accumulate(segment);
                 }
             }
             None => {
                 let id = self.reduced.stored.len() as u32;
                 bucket.ids.push(id);
                 if config.method == Method::IterAvg {
-                    self.averages.insert(id, AverageState::new(&segment));
+                    self.averages.insert(id, AverageState::new(segment));
                 }
                 if is_distance {
                     let span = obs.start();
@@ -240,17 +298,10 @@ impl OnlineRankReducer {
                     }
                     obs.end(trace_obs::Stage::Index, span);
                 }
-                let mut stored_segment = segment;
-                // Representatives are stored rebased; keep the absolute
-                // start only in the execution log.  The cached features are
-                // unaffected: they only read times that are already
-                // relative to the segment start.
-                stored_segment.start = Time::ZERO;
-                self.reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
+                // The cached features are unaffected by the rebase: they
+                // only read times that are already relative to the segment
+                // start.
+                self.reduced.stored.push(stored_segment(id, segment));
                 self.reduced.execs.push(SegmentExec { segment: id, start });
             }
         }
@@ -363,8 +414,8 @@ impl Reducer {
         obs.end(trace_obs::Stage::Segment, span);
         let mut online = OnlineRankReducer::new(self, trace.rank, std::mem::take(scratch));
         let span = obs.start();
-        for segment in segments {
-            online.push_segment(segment, obs);
+        for segment in &segments {
+            online.push_segment(SegmentRef::of(segment), obs);
         }
         obs.end(trace_obs::Stage::Match, span);
         let matching = online.match_stats();
@@ -384,107 +435,6 @@ impl Reducer {
     }
 }
 
-/// Naive reference implementation of the stored-segments reduction: the
-/// pre-fast-path behaviour, comparing the incoming segment against each
-/// stored representative with the allocating [`segments_match`] predicate
-/// (measurement vectors and wavelet transforms recomputed per comparison,
-/// no prefilters, no early abandoning).
-///
-/// Kept — and exported — purely so property tests and benches can assert
-/// that the cached fast path produces bit-identical output and measure the
-/// speedup; production callers should use [`Reducer`].
-pub fn reduce_rank_reference(config: MethodConfig, trace: &RankTrace) -> RankReduction {
-    let (segments, segmentation) = segments_of_rank_with_stats(trace);
-    let mut reduced = ReducedRankTrace::new(trace.rank);
-    let mut buckets: BTreeMap<SegmentKey, Vec<u32>> = BTreeMap::new();
-    let mut averages: BTreeMap<u32, AverageState> = BTreeMap::new();
-    let mut matching = MatchStats::default();
-
-    for segment in segments {
-        let key = segment.key();
-        let start = segment.start;
-        let bucket = buckets.entry(key).or_default();
-
-        let matched: Option<u32> = match config.method {
-            Method::IterAvg => bucket.first().copied(),
-            Method::IterK => {
-                if bucket.len() >= config.iter_k() {
-                    bucket.last().copied()
-                } else {
-                    None
-                }
-            }
-            _ => {
-                matching.eligible += bucket.len();
-                bucket.iter().copied().find(|&id| {
-                    let stored = &reduced.stored[id as usize].segment;
-                    matching.comparisons += 1;
-                    matching.full_kernels += 1;
-                    let accepted = segments_match(&config, &segment, stored);
-                    if accepted {
-                        matching.matches += 1;
-                    }
-                    accepted
-                })
-            }
-        };
-
-        match matched {
-            Some(id) => {
-                reduced.execs.push(SegmentExec { segment: id, start });
-                reduced.stored[id as usize].represented += 1;
-                if config.method == Method::IterAvg {
-                    averages
-                        .get_mut(&id)
-                        .expect("iter_avg representative must have an accumulator")
-                        .accumulate(&segment);
-                }
-            }
-            None => {
-                let id = reduced.stored.len() as u32;
-                bucket.push(id);
-                if config.method == Method::IterAvg {
-                    averages.insert(id, AverageState::new(&segment));
-                }
-                let mut stored_segment = segment;
-                stored_segment.start = Time::ZERO;
-                reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
-                reduced.execs.push(SegmentExec { segment: id, start });
-            }
-        }
-    }
-
-    if config.method == Method::IterAvg {
-        for stored in &mut reduced.stored {
-            if let Some(avg) = averages.get(&stored.id) {
-                avg.finalize_into(&mut stored.segment);
-            }
-        }
-    }
-
-    RankReduction {
-        reduced,
-        segmentation,
-        matching,
-    }
-}
-
-/// Naive reference reduction of a whole application trace (see
-/// [`reduce_rank_reference`]).
-pub fn reduce_app_reference(config: MethodConfig, app: &AppTrace) -> ReducedAppTrace {
-    let mut reduced = ReducedAppTrace::for_app(app);
-    for rank in &app.ranks {
-        reduced
-            .ranks
-            .push(reduce_rank_reference(config, rank).reduced);
-    }
-    reduced
-}
-
 /// Reduces one rank trace with a caller-supplied similarity predicate.
 ///
 /// This is the extension point used by the extended method catalogue
@@ -497,53 +447,9 @@ pub fn reduce_rank_with_predicate<F>(trace: &RankTrace, predicate: F) -> RankRed
 where
     F: Fn(&Segment, &Segment) -> bool,
 {
-    let (segments, segmentation) = segments_of_rank_with_stats(trace);
-    let mut reduced = ReducedRankTrace::new(trace.rank);
-    let mut buckets: BTreeMap<SegmentKey, Vec<u32>> = BTreeMap::new();
-    let mut matching = MatchStats::default();
-
-    for segment in segments {
-        let key = segment.key();
-        let start = segment.start;
-        let bucket = buckets.entry(key).or_default();
-
-        matching.eligible += bucket.len();
-        let matched = bucket.iter().copied().find(|&id| {
-            let stored = &reduced.stored[id as usize].segment;
-            matching.comparisons += 1;
-            matching.full_kernels += 1;
-            let accepted = predicate(&segment, stored);
-            if accepted {
-                matching.matches += 1;
-            }
-            accepted
-        });
-
-        match matched {
-            Some(id) => {
-                reduced.execs.push(SegmentExec { segment: id, start });
-                reduced.stored[id as usize].represented += 1;
-            }
-            None => {
-                let id = reduced.stored.len() as u32;
-                bucket.push(id);
-                let mut stored_segment = segment;
-                stored_segment.start = Time::ZERO;
-                reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
-                reduced.execs.push(SegmentExec { segment: id, start });
-            }
-        }
-    }
-
-    RankReduction {
-        reduced,
-        segmentation,
-        matching,
-    }
+    reduce_rank_by(trace, FeatureKind::None, |new, _, stored, _| {
+        predicate(new, stored)
+    })
 }
 
 /// Reduces every rank of an application trace with a caller-supplied
@@ -561,67 +467,61 @@ where
     reduced
 }
 
-/// Reduces one rank trace with a predicate over *cached features* instead
-/// of raw segments: the same stored-segments candidate path as the paper
-/// methods (one feature computation per incoming segment, one per stored
-/// representative — never one per comparison).
+/// The stored-segments loop with the similarity test left open:
+/// `accepts(new, new features, stored, stored features)`, the features being
+/// those of `kind` — one computation per incoming segment, one per stored
+/// representative, never one per comparison (empty for
+/// [`FeatureKind::None`]).  Every candidate is a full comparison: no index,
+/// no prefilter.
 ///
 /// This is how the extended catalogue's measurement/wavelet-space methods
 /// (`cosine`, `normEuclidean`, `cdf97Wave`) run; methods that read raw
-/// segment structure (DTW's banded warping, the delta-time histograms)
-/// stay on [`reduce_rank_with_predicate`].
-pub(crate) fn reduce_rank_with_cached_features<F>(
-    trace: &RankTrace,
-    kind: FeatureKind,
-    predicate: F,
-) -> RankReduction
+/// segment structure (DTW's banded warping, the delta-time histograms) go
+/// through [`reduce_rank_with_predicate`].
+pub(crate) fn reduce_rank_by<F>(trace: &RankTrace, kind: FeatureKind, accepts: F) -> RankReduction
 where
-    F: Fn(&SegmentFeatures, &SegmentFeatures) -> bool,
+    F: Fn(&Segment, &SegmentFeatures, &Segment, &SegmentFeatures) -> bool,
 {
     let (segments, segmentation) = segments_of_rank_with_stats(trace);
     let mut reduced = ReducedRankTrace::new(trace.rank);
-    let mut buckets: BTreeMap<SegmentKey, Vec<u32>> = BTreeMap::new();
+    let mut shapes = ShapeBuckets::default();
     let mut features: Vec<SegmentFeatures> = Vec::new();
     let mut scratch = MatchScratch::new();
     let mut matching = MatchStats::default();
 
-    for segment in segments {
-        let key = segment.key();
-        let start = segment.start;
-        scratch.prepare_incoming_kind(kind, &segment);
-        let bucket = buckets.entry(key).or_default();
+    for segment in &segments {
+        scratch.prepare_incoming_kind(kind, segment);
+        let ids = &mut shapes
+            .bucket_of(SegmentRef::of(segment), &reduced.stored)
+            .ids;
 
-        let incoming = &scratch.incoming;
-        matching.eligible += bucket.len();
-        let matched = bucket.iter().copied().find(|&id| {
+        matching.eligible += ids.len();
+        let matched = ids.iter().copied().find(|&id| {
+            let stored = &reduced.stored[id as usize].segment;
             matching.comparisons += 1;
             matching.full_kernels += 1;
-            let accepted = predicate(incoming, &features[id as usize]);
+            let accepted = accepts(segment, &scratch.incoming, stored, &features[id as usize]);
             if accepted {
                 matching.matches += 1;
             }
             accepted
         });
 
-        match matched {
+        let id = match matched {
             Some(id) => {
-                reduced.execs.push(SegmentExec { segment: id, start });
                 reduced.stored[id as usize].represented += 1;
+                id
             }
             None => {
                 let id = reduced.stored.len() as u32;
-                bucket.push(id);
+                ids.push(id);
                 features.push(scratch.clone_incoming());
-                let mut stored_segment = segment;
-                stored_segment.start = Time::ZERO;
-                reduced.stored.push(StoredSegment {
-                    id,
-                    segment: stored_segment,
-                    represented: 1,
-                });
-                reduced.execs.push(SegmentExec { segment: id, start });
+                reduced.stored.push(stored_segment(id, segment));
+                id
             }
-        }
+        };
+        let start = segment.start;
+        reduced.execs.push(SegmentExec { segment: id, start });
     }
 
     RankReduction {
@@ -634,6 +534,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::segments_match;
     use trace_model::{ContextId, Event, Rank, RegionId};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -887,5 +788,46 @@ mod tests {
         let via_predicate = reduce_app_with_predicate(&app, |a, b| segments_match(&config, a, b));
         assert_eq!(via_reducer.total_stored(), via_predicate.total_stored());
         assert_eq!(via_reducer.total_execs(), via_predicate.total_execs());
+    }
+
+    #[test]
+    fn colliding_shape_hashes_cannot_change_the_output() {
+        // Every segment of every rank is filed under hash 0, so all shapes
+        // share one chain and only `same_shape` tells them apart.
+        let mut longest_chain = 0;
+        for workload in Workload::all(SizePreset::Tiny) {
+            let app = workload.generate();
+            for method in Method::ALL {
+                let config = MethodConfig::with_default_threshold(method);
+                let reducer = Reducer::new(config);
+                for rank in &app.ranks {
+                    let mut online =
+                        OnlineRankReducer::new(&reducer, rank.rank, MatchScratch::new());
+                    let mut obs = trace_obs::ObsShard::disabled();
+                    for segment in &crate::segments_of_rank(rank) {
+                        let shape_hash = 0;
+                        online.push_segment(
+                            SegmentRef {
+                                segment,
+                                shape_hash,
+                            },
+                            &mut obs,
+                        );
+                    }
+                    assert!(online.shapes.by_hash.len() <= 1);
+                    let distinct = online.shapes.buckets.len();
+                    longest_chain = longest_chain.max(distinct);
+                    let reference = crate::reduce_rank_reference(config, rank);
+                    assert_eq!(
+                        online.finish().0,
+                        reference.reduced,
+                        "{method} on {} rank {}, {distinct} shapes in one chain",
+                        workload.kind.name(),
+                        rank.rank.0
+                    );
+                }
+            }
+        }
+        assert!(longest_chain > 1, "no rank had two shapes to collide");
     }
 }

@@ -4,8 +4,72 @@
 //! segment markers; the segmenter walks the raw record stream, collects the
 //! events between a `SegmentBegin` and its matching `SegmentEnd`, and rebases
 //! their time stamps to the segment start.
+//!
+//! # What is borrowed
+//!
+//! [`OnlineSegmenter::push`] does not build a segment per segment.  Each
+//! event is rebased as it arrives into a buffer the segmenter owns and
+//! reuses, and a completed segment is *lent* to the caller as a
+//! [`SegmentRef`] that lives until the next `push`.  In the common case — the
+//! reducer finds a match and appends one execution — nothing is allocated
+//! between the record and the execution log; only a segment that gets stored
+//! is copied into an owned [`Segment`].
+//!
+//! # What the shape hash covers
+//!
+//! A [`SegmentRef`] carries a 64-bit hash of exactly what
+//! [`Segment::same_shape`] compares: the context, then every event's region
+//! and call parameters in order (never a time stamp), folded in one event at
+//! a time while the segment fills.  The fold is a fixed multiply-rotate, so
+//! the value is the same in every run, on every worker and for every driver;
+//! same shape implies same hash, and the reducer treats the converse as a
+//! hint it verifies (see [`crate::reducer`]).
 
-use trace_model::{RankTrace, Segment, Time, TraceRecord};
+use trace_model::{CommInfo, ContextId, Event, RankTrace, Segment, Time, TraceRecord};
+
+/// Odd multiplier of the shape-hash fold (the 64-bit golden-ratio constant).
+const SHAPE_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One fold step: a bijection of the state for every `word`, and order
+/// sensitive, so swapping two fields or dropping a trailing event moves the
+/// hash.
+#[inline]
+fn fold(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(23) ^ word).wrapping_mul(SHAPE_HASH_MUL)
+}
+
+/// The hash of an empty segment in `context`.
+#[inline]
+fn shape_hash_seed(context: ContextId) -> u64 {
+    fold(SHAPE_HASH_MUL, u64::from(context.0))
+}
+
+/// Folds one event's shape — region and call parameters — into `hash`.  The
+/// first word carries the variant, which fixes what the later words mean, so
+/// distinct shape sequences are distinct word sequences.
+#[inline]
+fn fold_event(hash: u64, event: &Event) -> u64 {
+    let pair = |low: u32, high: u32| u64::from(low) | u64::from(high) << 32;
+    let (variant, ranks, tag, bytes) = match event.comm {
+        CommInfo::Compute => return fold(hash, pair(event.region.0, 0)),
+        CommInfo::Send { peer, tag, bytes } => (1, pair(peer.0, 0), tag, bytes),
+        CommInfo::Recv { peer, tag, bytes } => (2, pair(peer.0, 0), tag, bytes),
+        CommInfo::SendRecv {
+            to,
+            from,
+            tag,
+            bytes,
+        } => (3, pair(to.0, from.0), tag, bytes),
+        CommInfo::Collective {
+            op,
+            root,
+            comm_size,
+            bytes,
+        } => (4 + op as u32, pair(root.0, 0), comm_size, bytes),
+    };
+    let head = fold(hash, pair(event.region.0, variant));
+    fold(fold(fold(head, ranks), u64::from(tag)), bytes)
+}
 
 /// Statistics about a segmentation pass, used for trace-quality checks and
 /// reporting.
@@ -22,6 +86,40 @@ pub struct SegmentationStats {
     pub unterminated_segments: usize,
 }
 
+/// A completed segment on loan, with the hash of its shape.
+///
+/// Made by [`OnlineSegmenter::push`] / [`OnlineSegmenter::finish`] (hash
+/// folded in as the events arrived) or by [`SegmentRef::of`] (hash computed
+/// in one walk); either way `shape_hash` is a function of the segment's
+/// shape alone, which is why no caller can set the fields.
+#[derive(Clone, Copy, Debug)]
+pub struct SegmentRef<'a> {
+    pub(crate) segment: &'a Segment,
+    pub(crate) shape_hash: u64,
+}
+
+impl<'a> SegmentRef<'a> {
+    /// Lends an owned segment, hashing its shape in one walk.
+    pub fn of(segment: &'a Segment) -> Self {
+        let seed = shape_hash_seed(segment.context);
+        SegmentRef {
+            segment,
+            shape_hash: segment.events.iter().fold(seed, fold_event),
+        }
+    }
+
+    /// The rebased segment.
+    pub fn segment(&self) -> &'a Segment {
+        self.segment
+    }
+
+    /// The hash of the segment's context and event shapes: equal for any two
+    /// segments for which [`Segment::same_shape`] holds.
+    pub fn shape_hash(&self) -> u64 {
+        self.shape_hash
+    }
+}
+
 /// Online (record-at-a-time) segmenter.
 ///
 /// The batch helpers below and the streaming reduction path (the
@@ -29,11 +127,36 @@ pub struct SegmentationStats {
 /// is segmented identically whether it arrives from an in-memory
 /// [`RankTrace`] or one line at a time from a file.  At most one segment is
 /// in flight per segmenter — the bounded-memory guarantee the streaming
-/// reducer relies on.
-#[derive(Clone, Debug, Default)]
+/// reducer relies on — and its events live in a buffer that is reused from
+/// segment to segment.
+#[derive(Clone, Debug)]
 pub struct OnlineSegmenter {
-    current: Option<(trace_model::ContextId, Time, Vec<trace_model::Event>)>,
+    /// The segment being filled while `open`.  Until it closes, `end` holds
+    /// the latest rebased event end: where an unterminated segment is closed.
+    current: Segment,
+    /// The segment last closed, the one on loan.  Closing swaps the two, so
+    /// a begin marker inside an open segment can start the next one while
+    /// its predecessor is still out.
+    closed: Segment,
+    open: bool,
+    /// Shape hash of `current` so far.
+    current_hash: u64,
+    closed_hash: u64,
     stats: SegmentationStats,
+}
+
+impl Default for OnlineSegmenter {
+    fn default() -> Self {
+        let empty = || Segment::from_absolute(ContextId(0), Time::ZERO, Time::ZERO, []);
+        OnlineSegmenter {
+            current: empty(),
+            closed: empty(),
+            open: false,
+            current_hash: 0,
+            closed_hash: 0,
+            stats: SegmentationStats::default(),
+        }
+    }
 }
 
 impl OnlineSegmenter {
@@ -42,37 +165,39 @@ impl OnlineSegmenter {
         OnlineSegmenter::default()
     }
 
-    /// Feeds one record, returning a segment if this record completed one.
-    pub fn push(&mut self, record: &TraceRecord) -> Option<Segment> {
+    /// Feeds one record, lending out a segment if this record completed one.
+    pub fn push(&mut self, record: &TraceRecord) -> Option<SegmentRef<'_>> {
         match record {
             TraceRecord::SegmentBegin { context, time } => {
-                let closed = self.current.take().map(|(ctx, start, events)| {
-                    // Unterminated segment: close it at the latest known time.
-                    self.stats.unterminated_segments += 1;
-                    let end = events.iter().map(|e| e.end).max().unwrap_or(start);
-                    self.emit(ctx, start, end, events)
-                });
-                self.current = Some((*context, *time, Vec::new()));
-                closed
-            }
-            TraceRecord::SegmentEnd { context, time } => {
-                match self.current.take() {
-                    Some((ctx, start, events)) => {
-                        if ctx != *context {
-                            // Mismatched end marker: close the open segment at
-                            // the marker time anyway, attributing it to its
-                            // own context.
-                            self.stats.unterminated_segments += 1;
-                        }
-                        Some(self.emit(ctx, start, *time, events))
-                    }
-                    // End without a begin: ignore.
-                    None => None,
+                // An open segment is unterminated: close it at the latest
+                // known time.
+                let unterminated = self.open;
+                if unterminated {
+                    self.close(true);
                 }
+                self.open = true;
+                self.current.context = *context;
+                self.current.start = *time;
+                self.current.end = Time::ZERO;
+                self.current.events.clear();
+                self.current_hash = shape_hash_seed(*context);
+                unterminated.then(|| self.lent())
             }
+            // A mismatched end marker closes the open segment at the marker
+            // time anyway, attributing it to its own context.
+            TraceRecord::SegmentEnd { context, time } if self.open => {
+                self.current.end = *time - self.current.start;
+                self.close(self.current.context != *context);
+                Some(self.lent())
+            }
+            // End without a begin: ignore.
+            TraceRecord::SegmentEnd { .. } => None,
             TraceRecord::Event(event) => {
-                if let Some((_, _, events)) = self.current.as_mut() {
-                    events.push(*event);
+                if self.open {
+                    let event = event.rebased(self.current.start);
+                    self.current_hash = fold_event(self.current_hash, &event);
+                    self.current.end = self.current.end.max(event.end);
+                    self.current.events.push(event);
                 } else {
                     self.stats.orphan_events += 1;
                 }
@@ -83,17 +208,17 @@ impl OnlineSegmenter {
 
     /// Closes the in-flight segment (if any) at its latest known time.  Call
     /// once at the end of the record stream.
-    pub fn finish(&mut self) -> Option<Segment> {
-        self.current.take().map(|(ctx, start, events)| {
-            self.stats.unterminated_segments += 1;
-            let end = events.iter().map(|e| e.end).max().unwrap_or(start);
-            self.emit(ctx, start, end, events)
-        })
+    pub fn finish(&mut self) -> Option<SegmentRef<'_>> {
+        if !self.open {
+            return None;
+        }
+        self.close(true);
+        Some(self.lent())
     }
 
     /// True if a segment is currently in flight.
     pub fn has_open_segment(&self) -> bool {
-        self.current.is_some()
+        self.open
     }
 
     /// Statistics accumulated so far.
@@ -101,16 +226,21 @@ impl OnlineSegmenter {
         self.stats
     }
 
-    fn emit(
-        &mut self,
-        ctx: trace_model::ContextId,
-        start: Time,
-        end: Time,
-        events: Vec<trace_model::Event>,
-    ) -> Segment {
-        self.stats.events_in_segments += events.len();
+    /// Moves the open segment, its end set, to `closed`.
+    fn close(&mut self, unterminated: bool) {
+        self.open = false;
+        self.stats.unterminated_segments += usize::from(unterminated);
+        self.stats.events_in_segments += self.current.events.len();
         self.stats.segments += 1;
-        Segment::from_absolute(ctx, start, end, events)
+        std::mem::swap(&mut self.current, &mut self.closed);
+        self.closed_hash = self.current_hash;
+    }
+
+    fn lent(&self) -> SegmentRef<'_> {
+        SegmentRef {
+            segment: &self.closed,
+            shape_hash: self.closed_hash,
+        }
     }
 }
 
@@ -120,12 +250,12 @@ pub fn segments_of_rank_with_stats(trace: &RankTrace) -> (Vec<Segment>, Segmenta
     let mut segmenter = OnlineSegmenter::new();
     let mut segments = Vec::new();
     for record in &trace.records {
-        if let Some(segment) = segmenter.push(record) {
-            segments.push(segment);
+        if let Some(lent) = segmenter.push(record) {
+            segments.push(lent.segment().clone());
         }
     }
-    if let Some(segment) = segmenter.finish() {
-        segments.push(segment);
+    if let Some(lent) = segmenter.finish() {
+        segments.push(lent.segment().clone());
     }
     (segments, segmenter.stats())
 }

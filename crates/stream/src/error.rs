@@ -19,7 +19,8 @@ pub enum StreamError {
     Container(ContainerError),
     /// The reduction loop's contract was broken: an
     /// [`crate::AppItemSource`] yielded a record or a rank end outside a
-    /// rank section (the bundled sources never do), or a worker left no result.
+    /// rank section, a rank start inside one, or ended inside one (the
+    /// bundled sources never do), or a worker left no result.
     Protocol(&'static str),
 }
 

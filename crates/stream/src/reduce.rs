@@ -130,6 +130,10 @@ pub struct StreamReduction {
 /// honestly separable unit: two clock reads per rank, nothing per record;
 /// a container source times its own chunk decodes inside it).  With a
 /// disabled shard the reduction is identical — recording never steers.
+///
+/// A source that starts a rank inside a rank section, or ends inside one,
+/// is refused with [`StreamError::Protocol`]: the open rank's reduction
+/// would otherwise be dropped without a trace.
 pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
     reducer: &Reducer,
     source: &mut S,
@@ -156,6 +160,9 @@ pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
     while let Some(item) = source.next_item()? {
         match item {
             AppItem::RankStart(rank) => {
+                if active.is_some() {
+                    return Err(StreamError::Protocol("a rank start inside a rank section"));
+                }
                 let index = next_index;
                 next_index += 1;
                 if take(index) {
@@ -174,17 +181,18 @@ pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
                     return Err(StreamError::Protocol("a record outside a rank section"));
                 };
                 let mut push = |record: &TraceRecord| {
-                    if matches!(record, TraceRecord::Event(_)) {
-                        stats.events += 1;
-                    }
                     if let Some(segment) = segmenter.push(record) {
-                        stats.segments += 1;
                         online.push_segment(segment, obs);
                     }
-                    let resident = stored_retained
-                        + online.stored_count()
-                        + usize::from(segmenter.has_open_segment());
-                    stats.peak_resident_segments = stats.peak_resident_segments.max(resident);
+                    // Only a marker opens or closes a segment, and only a
+                    // closed segment can be stored: between markers the
+                    // resident count cannot move.
+                    if !matches!(record, TraceRecord::Event(_)) {
+                        let resident = stored_retained
+                            + online.stored_count()
+                            + usize::from(segmenter.has_open_segment());
+                        stats.peak_resident_segments = stats.peak_resident_segments.max(resident);
+                    }
                 };
                 // The record, then whatever the source has decoded behind
                 // it: the rest of a container chunk, nothing for text.
@@ -196,10 +204,11 @@ pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
                     return Err(StreamError::Protocol("a rank end outside a rank section"));
                 };
                 if let Some(segment) = segmenter.finish() {
-                    stats.segments += 1;
                     online.push_segment(segment, obs);
                 }
                 let seg_stats = segmenter.stats();
+                stats.events += seg_stats.events_in_segments + seg_stats.orphan_events;
+                stats.segments += seg_stats.segments;
                 stats.orphan_events += seg_stats.orphan_events;
                 stats.unterminated_segments += seg_stats.unterminated_segments;
                 stats.matching.absorb(&online.match_stats());
@@ -212,6 +221,11 @@ pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
                 out.push((index, reduced));
             }
         }
+    }
+    if active.is_some() {
+        return Err(StreamError::Protocol(
+            "the stream ended inside a rank section",
+        ));
     }
     Ok((out, stats))
 }
@@ -307,15 +321,44 @@ mod tests {
             }
         }
         let rank = trace_model::Rank(0);
-        let record = AppItem::Record(TraceRecord::SegmentBegin {
-            context: trace_model::ContextId(0),
-            time: trace_model::Time::ZERO,
-        });
-        let items = vec![record, AppItem::RankStart(rank), AppItem::RankEnd(rank)];
+        let record = || {
+            AppItem::Record(TraceRecord::SegmentBegin {
+                context: trace_model::ContextId(0),
+                time: trace_model::Time::ZERO,
+            })
+        };
+        let (start, end) = (AppItem::RankStart(rank), AppItem::RankEnd(rank));
         let reducer = Reducer::with_default_threshold(Method::RelDiff);
-        let mut obs = trace_obs::ObsShard::disabled();
-        let err = reduce_selected_ranks(&reducer, &mut Fake(items.into_iter()), |_| true, &mut obs)
-            .unwrap_err();
-        assert!(matches!(err, StreamError::Protocol(_)), "{err}");
+        let reduce = |items: Vec<AppItem>| {
+            let mut obs = trace_obs::ObsShard::disabled();
+            reduce_selected_ranks(&reducer, &mut Fake(items.into_iter()), |_| true, &mut obs)
+        };
+        for (items, message) in [
+            (
+                vec![record(), start.clone(), end.clone()],
+                "a record outside a rank section",
+            ),
+            (
+                vec![start.clone(), end.clone(), end.clone()],
+                "a rank end outside a rank section",
+            ),
+            // Accepting either would lose the open rank's reduction.
+            (
+                vec![start.clone(), record(), start.clone(), end.clone()],
+                "a rank start inside a rank section",
+            ),
+            (
+                vec![start.clone(), end.clone(), start.clone(), record()],
+                "the stream ended inside a rank section",
+            ),
+        ] {
+            match reduce(items) {
+                Err(StreamError::Protocol(found)) => assert_eq!(found, message),
+                other => panic!("{message}: got {other:?}"),
+            }
+        }
+        let (ranks, stats) =
+            reduce(vec![start.clone(), record(), end.clone(), start, end]).unwrap();
+        assert_eq!((ranks.len(), stats.ranks, stats.segments), (2, 2, 1));
     }
 }
