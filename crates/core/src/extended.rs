@@ -33,7 +33,7 @@ use trace_model::{stats, AppTrace, RankTrace, ReducedAppTrace, Segment};
 use trace_wavelet::{coefficient_distance, WaveletKind};
 
 use crate::dtw::dtw_within;
-use crate::features::{FeatureKind, SegmentFeatures};
+use crate::features::{FeatureKind, Norm, SegmentFeatures};
 use crate::method::{Method, MethodConfig};
 use crate::metric::{segments_match, wavelet_match};
 use crate::reducer::{reduce_rank_by, reduce_rank_with_predicate, RankReduction, Reducer};
@@ -292,7 +292,7 @@ pub fn normalized_euclidean_match(a: &Segment, b: &Segment, threshold: f64) -> b
 
 /// Cosine dissimilarity over cached measurement features: only the dot
 /// product is computed per pair; the norms come from the feature cache.
-/// The cache fills `norm_l2` with the identical expression
+/// The cache fills its L2 `norm` with the identical expression
 /// [`cosine_dissimilarity`] evaluates, so the result is bit-identical to
 /// running the naive predicate on the raw measurement vectors.
 fn cosine_dissimilarity_cached(a: &SegmentFeatures, b: &SegmentFeatures) -> f64 {
@@ -302,8 +302,8 @@ fn cosine_dissimilarity_cached(a: &SegmentFeatures, b: &SegmentFeatures) -> f64 
         .zip(&b.measurements)
         .map(|(x, y)| x * y)
         .sum();
-    let norm_a = a.norm_l2;
-    let norm_b = b.norm_l2;
+    let norm_a = a.norm;
+    let norm_b = b.norm;
     // lint:allow(float_eq) -- exact zero-vector guards mirroring `cosine_dissimilarity`; norms are non-negative
     if norm_a == 0.0 && norm_b == 0.0 {
         0.0
@@ -390,16 +390,16 @@ impl ExtendedReducer {
             ExtendedMethod::Paper(m) => {
                 Reducer::new(MethodConfig::new(m, threshold)).reduce_rank(trace)
             }
-            ExtendedMethod::Cosine => {
-                reduce_rank_by(trace, FeatureKind::Measurements, move |_, a, _, b| {
-                    cosine_dissimilarity_cached(a, b) <= threshold
-                })
-            }
-            ExtendedMethod::NormalizedEuclidean => {
-                reduce_rank_by(trace, FeatureKind::Measurements, move |_, a, _, b| {
-                    normalized_euclidean_cached(a, b, threshold)
-                })
-            }
+            ExtendedMethod::Cosine => reduce_rank_by(
+                trace,
+                FeatureKind::Measurements(Norm::L2),
+                move |_, a, _, b| cosine_dissimilarity_cached(a, b) <= threshold,
+            ),
+            ExtendedMethod::NormalizedEuclidean => reduce_rank_by(
+                trace,
+                FeatureKind::Measurements(Norm::None),
+                move |_, a, _, b| normalized_euclidean_cached(a, b, threshold),
+            ),
             ExtendedMethod::Cdf97Wave => reduce_rank_by(
                 trace,
                 FeatureKind::Wavelet(WaveletKind::Cdf97),

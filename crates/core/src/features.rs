@@ -7,11 +7,22 @@
 //! *both* segments — for every candidate comparison.  This module removes
 //! that repeated work without changing a single match decision:
 //!
-//! * [`SegmentFeatures`] caches, per segment, everything the configured
-//!   method reads: the measurement vector with its maximum, duration and
-//!   L1/L2 norms, or the wavelet coefficients with their largest absolute
-//!   value.  Stored representatives compute features once at store time;
-//!   incoming segments compute them once per segment (not per candidate).
+//! * [`SegmentFeatures`] caches, per segment, what the configured method
+//!   reads on every comparison.  For the measurement-vector family that is
+//!   the vector with its duration and maximum, plus the one norm the
+//!   method's prefilter or index reads: L1 for Manhattan, L2 for Euclidean
+//!   (and the extended cosine), none for relDiff, absDiff and Chebyshev.
+//!   For the wavelet methods it is the coefficients and their largest
+//!   magnitude, computed in one pass straight from the events
+//!   ([`WaveletKind::transform_pairs_into`] over [`Segment::wavelet_pairs`]):
+//!   no time-stamp vector, no copy-back between levels, no second pass for
+//!   the maximum.  Stored representatives compute features once at store
+//!   time; incoming segments once per segment (not per candidate).
+//! * What only the candidate index reads is computed on demand there: the
+//!   L2 norm of the wavelet coefficients, the origin-pivot distance, at
+//!   insert for each stored entry and once per query in a bucket large
+//!   enough for the index to engage ([`crate::index`]).  Most segments
+//!   never pay for it.
 //! * [`MatchScratch`] owns the reusable buffers (and the running
 //!   [`MatchStats`]), so a whole rank — or, handed from one
 //!   [`crate::reducer::OnlineRankReducer`] to the next, a whole stream of
@@ -53,6 +64,15 @@
 //!   "prefilter rejects ⇒ naive kernel rejects".  The sup-norm
 //!   (Chebyshev) gap involves no accumulation, so a relative
 //!   `SUP_GAP_MARGIN` suffices there.
+//! * **One-pass features.**  The fused transform computes every
+//!   coefficient as the same `(a ± b) * scale` on the same operands as
+//!   [`trace_wavelet::average_transform`] / [`trace_wavelet::haar_transform`]
+//!   of [`Segment::wavelet_vector`] — zero padding included, whose pairs
+//!   give `(0 ± 0) * scale = +0.0` — so the coefficients are bit-identical.
+//!   Its running maximum folds `|c|` as coefficients are written rather
+//!   than in vector order, and `max` over non-negative finite values does
+//!   not depend on order.  A norm computed on demand uses the identical
+//!   expression, a sequential sum in vector order, wherever it is computed.
 //!
 //! The pre-PR code path is preserved as
 //! [`crate::reference::reduce_rank_reference`]; the property tests in
@@ -60,7 +80,7 @@
 //! methods and a threshold grid and require identical output.
 
 use trace_model::{stats, Segment};
-use trace_wavelet::{max_abs_coefficient, WaveletKind};
+use trace_wavelet::WaveletKind;
 
 use crate::method::{Method, MethodConfig};
 use crate::metric::abs_diff_limit;
@@ -106,20 +126,32 @@ pub(crate) fn distance_error_factor(n: usize) -> f64 {
 pub(crate) enum FeatureKind {
     /// Iteration-based methods: no similarity kernel, no features.
     None,
-    /// Measurement-vector methods (relDiff, absDiff, Minkowski family).
-    Measurements,
+    /// Measurement-vector methods (relDiff, absDiff, Minkowski family), with
+    /// the one norm of the vector the method reads.
+    Measurements(Norm),
     /// Wavelet methods: transformed time-stamp vector.
     Wavelet(WaveletKind),
+}
+
+/// The norm of the measurement vector a method's kernel or index reads.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Norm {
+    /// Nothing reads a norm (relDiff, absDiff, Chebyshev, normEuclidean).
+    None,
+    /// Sum of absolute values (Manhattan).
+    L1,
+    /// Square root of the sum of squares (Euclidean, cosine).
+    L2,
 }
 
 /// The features the given method reads during matching.
 pub(crate) fn feature_kind(method: Method) -> FeatureKind {
     match method {
-        Method::RelDiff
-        | Method::AbsDiff
-        | Method::Manhattan
-        | Method::Euclidean
-        | Method::Chebyshev => FeatureKind::Measurements,
+        Method::RelDiff | Method::AbsDiff | Method::Chebyshev => {
+            FeatureKind::Measurements(Norm::None)
+        }
+        Method::Manhattan => FeatureKind::Measurements(Norm::L1),
+        Method::Euclidean => FeatureKind::Measurements(Norm::L2),
         Method::AvgWave => FeatureKind::Wavelet(WaveletKind::Average),
         Method::HaarWave => FeatureKind::Wavelet(WaveletKind::Haar),
         Method::IterK | Method::IterAvg => FeatureKind::None,
@@ -130,8 +162,8 @@ pub(crate) fn feature_kind(method: Method) -> FeatureKind {
 /// one side of a comparison, computed once instead of once per candidate.
 ///
 /// Only the fields the configured method needs are populated (the
-/// measurement-vector family fills the vector/norm fields, the wavelet
-/// methods the coefficient fields); the unused representation stays
+/// measurement-vector family fills the vector fields and its one norm, the
+/// wavelet methods the coefficient fields); the unused representation stays
 /// empty.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SegmentFeatures {
@@ -142,18 +174,14 @@ pub struct SegmentFeatures {
     /// Segment duration — `measurements[0]`, the first value every
     /// measurement-vector kernel compares.
     pub(crate) duration: f64,
-    /// L1 norm of the measurement vector (sum of absolute values).
-    pub(crate) norm_l1: f64,
-    /// L2 norm of the measurement vector.
-    pub(crate) norm_l2: f64,
+    /// The [`Norm`] of the measurement vector the method reads; 0 when it
+    /// reads none.
+    pub(crate) norm: f64,
     /// Wavelet coefficients of the time-stamp vector for the configured
     /// transform ([`Segment::wavelet_vector`] padded and transformed).
     pub(crate) coeffs: Vec<f64>,
     /// Largest absolute wavelet coefficient.
     pub(crate) coeff_max_abs: f64,
-    /// L2 norm of the coefficient vector — the coefficient distance to the
-    /// zero vector, used by the candidate index's origin pivot.
-    pub(crate) coeff_norm_l2: f64,
 }
 
 impl SegmentFeatures {
@@ -163,46 +191,34 @@ impl SegmentFeatures {
     /// itself goes through [`MatchScratch`] so buffers are reused.
     pub fn for_config(config: &MethodConfig, segment: &Segment) -> SegmentFeatures {
         let mut features = SegmentFeatures::default();
-        let mut wavelet_input = Vec::new();
-        let mut level_tmp = Vec::new();
-        features.fill(
-            feature_kind(config.method),
-            segment,
-            &mut wavelet_input,
-            &mut level_tmp,
-        );
+        features.fill(feature_kind(config.method), segment, &mut Vec::new());
         features
     }
 
     /// (Re)computes the features for `segment`, reusing this value's
-    /// buffers plus the caller's wavelet scratch.
-    fn fill(
-        &mut self,
-        kind: FeatureKind,
-        segment: &Segment,
-        wavelet_input: &mut Vec<f64>,
-        level_tmp: &mut Vec<f64>,
-    ) {
+    /// buffers plus the caller's wavelet level scratch.
+    fn fill(&mut self, kind: FeatureKind, segment: &Segment, level_tmp: &mut Vec<f64>) {
         match kind {
             FeatureKind::None => {
                 self.measurements.clear();
                 self.coeffs.clear();
             }
-            FeatureKind::Measurements => {
+            FeatureKind::Measurements(norm) => {
                 segment.measurement_vector_into(&mut self.measurements);
                 // The measurement vector always starts with the segment end
                 // time, so it is never empty.
                 self.duration = self.measurements[0];
                 self.max_measurement = stats::max(&self.measurements);
-                self.norm_l1 = self.measurements.iter().map(|v| v.abs()).sum();
-                self.norm_l2 = self.measurements.iter().map(|v| v * v).sum::<f64>().sqrt();
+                self.norm = match norm {
+                    Norm::None => 0.0,
+                    Norm::L1 => self.measurements.iter().map(|v| v.abs()).sum(),
+                    Norm::L2 => self.measurements.iter().map(|v| v * v).sum::<f64>().sqrt(),
+                };
                 self.coeffs.clear();
             }
             FeatureKind::Wavelet(kind) => {
-                segment.wavelet_vector_into(wavelet_input);
-                kind.transform_into(wavelet_input, &mut self.coeffs, level_tmp);
-                self.coeff_max_abs = max_abs_coefficient(&self.coeffs, &[]);
-                self.coeff_norm_l2 = self.coeffs.iter().map(|v| v * v).sum::<f64>().sqrt();
+                self.coeff_max_abs =
+                    kind.transform_pairs_into(segment.wavelet_pairs(), &mut self.coeffs, level_tmp);
                 self.measurements.clear();
             }
         }
@@ -350,8 +366,6 @@ fn fraction(part: usize, whole: usize) -> f64 {
 pub struct MatchScratch {
     /// Features of the segment currently being matched.
     pub(crate) incoming: SegmentFeatures,
-    /// Time-stamp vector buffer feeding the wavelet transform.
-    pub(crate) wavelet_input: Vec<f64>,
     /// Per-level scratch for the in-place wavelet transform.
     pub(crate) level_tmp: Vec<f64>,
     /// Surviving-candidate positions buffer for the candidate index.
@@ -385,13 +399,7 @@ impl MatchScratch {
     /// [`FeatureKind`] — the cached-predicate drivers of the extended
     /// catalogue use feature kinds with no paper-method name (CDF 9/7).
     pub(crate) fn prepare_incoming_kind(&mut self, kind: FeatureKind, segment: &Segment) {
-        let MatchScratch {
-            incoming,
-            wavelet_input,
-            level_tmp,
-            ..
-        } = self;
-        incoming.fill(kind, segment, wavelet_input, level_tmp);
+        self.incoming.fill(kind, segment, &mut self.level_tmp);
     }
 
     /// Clones the incoming features into an owned cache entry for a newly
@@ -493,8 +501,8 @@ fn manhattan_cached(
     // Reverse triangle inequality on the cached L1 norms, with absolute
     // slack for the norms' accumulation error (see `norm_gap_slack`).
     let n = incoming.measurements.len();
-    let norm_gap = (incoming.norm_l1 - stored.norm_l1).abs()
-        - norm_gap_slack(n, incoming.norm_l1, stored.norm_l1);
+    let norm_gap =
+        (incoming.norm - stored.norm).abs() - norm_gap_slack(n, incoming.norm, stored.norm);
     if norm_gap > bound * distance_error_factor(n) {
         stats.prefilter_rejects += 1;
         return false;
@@ -527,8 +535,8 @@ fn euclidean_cached(
         return false;
     }
     let n = incoming.measurements.len();
-    let norm_gap = (incoming.norm_l2 - stored.norm_l2).abs()
-        - norm_gap_slack(n, incoming.norm_l2, stored.norm_l2);
+    let norm_gap =
+        (incoming.norm - stored.norm).abs() - norm_gap_slack(n, incoming.norm, stored.norm);
     if norm_gap > bound * distance_error_factor(n) {
         stats.prefilter_rejects += 1;
         return false;
@@ -790,6 +798,18 @@ mod tests {
         assert_eq!(meas.measurements, s0.measurement_vector());
         assert_eq!(meas.duration, 50.0);
         assert_eq!(meas.max_measurement, 50.0);
+        let sum_of_squares: f64 = s0.measurement_vector().iter().map(|v| v * v).sum();
+        assert_eq!(meas.norm, sum_of_squares.sqrt());
+        let l1 = SegmentFeatures::for_config(
+            &MethodConfig::with_default_threshold(Method::Manhattan),
+            &s0,
+        );
+        assert_eq!(l1.norm, 141.0, "50 + 1 + 20 + 21 + 49");
+        let rel = SegmentFeatures::for_config(
+            &MethodConfig::with_default_threshold(Method::RelDiff),
+            &s0,
+        );
+        assert_eq!(rel.norm, 0.0, "relDiff reads no norm");
         let iter = SegmentFeatures::for_config(
             &MethodConfig::with_default_threshold(Method::IterAvg),
             &s0,

@@ -21,8 +21,8 @@
 //!   Euclidean / Chebyshev / absDiff and the wavelet coefficient
 //!   distances), each entry stores its exact kernel distance to a small
 //!   pivot set: the *origin* (the zero vector — whose "distance" is the
-//!   cached L1/L2/sup norm, making PR 5's norm-gap prefilter the 0-cost
-//!   special case of pivoting) plus the first few stored representatives
+//!   L1/L2/sup norm, making the norm-gap prefilter of [`crate::features`]
+//!   the special case of pivoting) plus the first few stored representatives
 //!   of the bucket.  A candidate whose pivot distance differs from the
 //!   incoming segment's by more than the (slack-adjusted) threshold bound
 //!   cannot match and is skipped without being visited.
@@ -137,7 +137,7 @@ struct IndexEntry {
     /// Scale of the entry: largest measurement / largest absolute wavelet
     /// coefficient.  Bounds the candidate-dependent threshold scale.
     extent: f64,
-    /// Exact kernel distance to the zero vector — the cached norm that the
+    /// Exact kernel distance to the zero vector — the norm that the
     /// configured metric induces (L1/L2/sup norm, or the L2 norm of the
     /// wavelet coefficients).  Unused (0) for `relDiff`.
     origin_dist: f64,
@@ -364,7 +364,8 @@ impl CandidateIndex {
     ) -> bool {
         let bound = match_bound(config, incoming, entry.extent);
         let inflated = bound * factor;
-        // Origin pivot: free (both distances are cached norms).
+        // Origin pivot: both distances are norms, the query's computed once
+        // per `find_first`.
         let gap = (origin_incoming - entry.origin_dist).abs()
             - norm_gap_slack(n, origin_incoming, entry.origin_dist);
         if gap > inflated {
@@ -502,16 +503,20 @@ fn uses_pivots(method: Method) -> bool {
     )
 }
 
-/// The distance of a segment to the zero vector under the method's metric
-/// — exactly the cached norms: pivoting against the origin costs nothing.
+/// The distance of a segment to the zero vector under the method's metric:
+/// the cached L1 / L2 / sup norm of the measurement vector, or the L2 norm
+/// of the wavelet coefficients.  Only the index reads that last one, so it
+/// is computed here — once per stored entry at insert, once per query of a
+/// bucket the index engages on — not once per segment.
 fn origin_distance(method: Method, features: &SegmentFeatures) -> f64 {
     match method {
-        Method::Manhattan => features.norm_l1,
-        Method::Euclidean => features.norm_l2,
+        Method::Manhattan | Method::Euclidean => features.norm,
         // Measurements are non-negative, so the cached maximum *is* the
         // sup norm the Chebyshev / absDiff per-pair tests induce.
         Method::Chebyshev | Method::AbsDiff => features.max_measurement,
-        Method::AvgWave | Method::HaarWave => features.coeff_norm_l2,
+        Method::AvgWave | Method::HaarWave => {
+            features.coeffs.iter().map(|v| v * v).sum::<f64>().sqrt()
+        }
         Method::RelDiff | Method::IterK | Method::IterAvg => 0.0,
     }
 }

@@ -187,8 +187,9 @@ pub struct OnlineRankReducer {
     // The indexed path visits a bucket's candidates minus the ones its
     // window / pivot bounds prove unmatchable — in the same order.
     shapes: ShapeBuckets,
-    // Running averages for iter_avg, indexed by stored id.
-    averages: BTreeMap<u32, AverageState>,
+    // Running averages for iter_avg, indexed by stored id: every stored
+    // representative has one, pushed when it is stored.
+    averages: Vec<AverageState>,
     // Cached features per stored representative, indexed like
     // `reduced.stored`.  Empty for the iteration-based methods, which
     // never run a similarity kernel.
@@ -210,7 +211,7 @@ impl OnlineRankReducer {
             search: reducer.search,
             reduced: ReducedRankTrace::new(rank),
             shapes: ShapeBuckets::default(),
-            averages: BTreeMap::new(),
+            averages: Vec::new(),
             features: Vec::new(),
             scratch,
         }
@@ -278,17 +279,14 @@ impl OnlineRankReducer {
                 self.reduced.execs.push(SegmentExec { segment: id, start });
                 self.reduced.stored[id as usize].represented += 1;
                 if config.method == Method::IterAvg {
-                    self.averages
-                        .get_mut(&id)
-                        .expect("iter_avg representative must have an accumulator")
-                        .accumulate(segment);
+                    self.averages[id as usize].accumulate(segment);
                 }
             }
             None => {
                 let id = self.reduced.stored.len() as u32;
                 bucket.ids.push(id);
                 if config.method == Method::IterAvg {
-                    self.averages.insert(id, AverageState::new(segment));
+                    self.averages.push(AverageState::new(segment));
                 }
                 if is_distance {
                     let span = obs.start();
@@ -321,12 +319,8 @@ impl OnlineRankReducer {
     /// returns the reduced rank trace together with the scratch, for the
     /// caller to thread into the next rank's reducer.
     pub fn finish(mut self) -> (ReducedRankTrace, MatchScratch) {
-        if self.config.method == Method::IterAvg {
-            for stored in &mut self.reduced.stored {
-                if let Some(avg) = self.averages.get(&stored.id) {
-                    avg.finalize_into(&mut stored.segment);
-                }
-            }
+        for (stored, avg) in self.reduced.stored.iter_mut().zip(&self.averages) {
+            avg.finalize_into(&mut stored.segment);
         }
         (self.reduced, self.scratch)
     }

@@ -210,13 +210,12 @@ impl RunReport {
                 counter(crate::names::MATCH_FULL_KERNELS),
             ));
         }
-        let index_prunes = counter(crate::names::MATCH_INDEX_WINDOW_PRUNES)
-            + counter(crate::names::MATCH_INDEX_PIVOT_PRUNES);
         if eligible > 0 {
             out.push_str(&format!(
-                "  {} of {} eligible candidates index-pruned before any kernel\n",
-                percent(index_prunes, eligible),
+                "  of {} eligible candidates, {} window-pruned and {} pivot-pruned before any kernel\n",
                 eligible,
+                percent(counter(crate::names::MATCH_INDEX_WINDOW_PRUNES), eligible),
+                percent(counter(crate::names::MATCH_INDEX_PIVOT_PRUNES), eligible),
             ));
         }
     }
@@ -465,6 +464,7 @@ mod tests {
         shard.add(names::MATCH_MATCHES, 450);
         shard.add(names::MATCH_ELIGIBLE, 4000);
         shard.add(names::MATCH_INDEX_WINDOW_PRUNES, 2500);
+        shard.add(names::MATCH_INDEX_PIVOT_PRUNES, 500);
         shard.gauge_max(names::STREAM_PEAK_CHUNK_BYTES, 65_536);
         let span = shard.start();
         clock.advance(1_500_000);
@@ -517,7 +517,12 @@ mod tests {
         assert!(text.contains("match.comparisons"), "{text}");
         assert!(text.contains("40.0% prefilter-rejected"), "{text}");
         assert!(text.contains("10.0% early-abandoned"), "{text}");
-        assert!(text.contains("62.5% of 4000 eligible"), "{text}");
+        assert!(
+            text.contains(
+                "of 4000 eligible candidates, 62.5% window-pruned and 12.5% pivot-pruned"
+            ),
+            "{text}"
+        );
         assert!(text.contains("rank"), "{text}");
         assert!(text.contains("1.500ms"), "{text}");
     }

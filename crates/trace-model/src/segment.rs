@@ -127,22 +127,31 @@ impl Segment {
     /// of two.
     pub fn wavelet_vector(&self) -> Vec<f64> {
         let mut v = Vec::with_capacity(2 + 2 * self.events.len());
-        self.wavelet_vector_into(&mut v);
+        v.push(0.0);
+        for e in &self.events {
+            v.push(e.start.as_f64());
+            v.push(e.end.as_f64());
+        }
+        v.push(self.end.as_f64());
         v
     }
 
-    /// Fills `out` with the time-stamp vector (see
-    /// [`Segment::wavelet_vector`]), clearing it first.  The scratch-buffer
-    /// counterpart used by the allocation-free similarity kernels.
-    pub fn wavelet_vector_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(2 + 2 * self.events.len());
-        out.push(0.0);
-        for e in &self.events {
-            out.push(e.start.as_f64());
-            out.push(e.end.as_f64());
-        }
-        out.push(self.end.as_f64());
+    /// The time-stamp vector (see [`Segment::wavelet_vector`]) as its
+    /// consecutive pairs `(0, s₀), (e₀, s₁), …, (e_{k−1}, end)`: the level-1
+    /// operands of the wavelet transforms, read straight from the events
+    /// so the allocation-free similarity kernels need no vector at all.
+    pub fn wavelet_pairs(&self) -> impl ExactSizeIterator<Item = (f64, f64)> + '_ {
+        let events = &self.events;
+        let end = self.end.as_f64();
+        (0..events.len() + 1).map(move |i| {
+            let before = if i == 0 {
+                0.0
+            } else {
+                events[i - 1].end.as_f64()
+            };
+            let after = events.get(i).map_or(end, |e| e.start.as_f64());
+            (before, after)
+        })
     }
 
     /// Total time spent in events that are message-passing calls.
@@ -238,8 +247,10 @@ mod tests {
         s.measurement_vector_into(&mut buf);
         assert_eq!(buf, s.measurement_vector());
         assert_eq!(buf.len(), s.measurement_len());
-        s.wavelet_vector_into(&mut buf);
-        assert_eq!(buf, s.wavelet_vector());
+        let pairs = s.wavelet_pairs();
+        assert_eq!(pairs.len(), 3);
+        let flattened: Vec<f64> = pairs.flat_map(|(a, b)| [a, b]).collect();
+        assert_eq!(flattened, s.wavelet_vector());
     }
 
     #[test]

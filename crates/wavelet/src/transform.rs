@@ -35,28 +35,67 @@ impl WaveletKind {
         }
     }
 
-    /// Applies this transform writing the coefficients into `out` (cleared
-    /// first), using `tmp` as level scratch.  Produces bit-identical output
-    /// to [`WaveletKind::transform`] — every coefficient is computed with
-    /// the exact same floating-point expression — but performs no
-    /// allocations once the two buffers have grown to the padded length,
-    /// which is what the similarity fast path relies on when it transforms
-    /// one incoming segment per stored-segment *scan* instead of two per
-    /// stored-segment *comparison*.
-    pub fn transform_into(self, values: &[f64], out: &mut Vec<f64>, tmp: &mut Vec<f64>) {
-        match self {
-            WaveletKind::Average => transform_in_place(values, 0.5, out, tmp),
-            WaveletKind::Haar => {
-                transform_in_place(values, std::f64::consts::FRAC_1_SQRT_2, out, tmp)
-            }
+    /// Transforms the signal `[a₀, b₀, a₁, b₁, …]`, handed over as its
+    /// consecutive pairs `(aᵢ, bᵢ)`, writing the coefficients into `out`
+    /// (replacing its contents) with `tmp` as level scratch, and returns the
+    /// largest absolute coefficient.
+    ///
+    /// Bit-identical to [`WaveletKind::transform`] of the flattened signal
+    /// followed by [`crate::max_abs_coefficient`], with no signal buffer and
+    /// no allocation once the two buffers have grown.  For the average and
+    /// Haar transforms level 1 is computed straight from the pairs, the
+    /// coarser levels in place in `tmp`, each fluctuation is written once
+    /// into its final slot of `out` and its magnitude folded into the
+    /// maximum as it is written.  Every coefficient is the same
+    /// `(a ± b) * scale` on the same operands as in the allocating form, and
+    /// `max` over non-negative values does not depend on their order.  The
+    /// CDF 9/7 lifting scheme, reachable only from the extended catalogue,
+    /// collects the signal and runs [`crate::cdf97::cdf97_transform`].
+    pub fn transform_pairs_into(
+        self,
+        pairs: impl ExactSizeIterator<Item = (f64, f64)>,
+        out: &mut Vec<f64>,
+        tmp: &mut Vec<f64>,
+    ) -> f64 {
+        let scale = match self {
+            WaveletKind::Average => 0.5,
+            WaveletKind::Haar => std::f64::consts::FRAC_1_SQRT_2,
             WaveletKind::Cdf97 => {
-                // The lifting-scheme transform keeps its own working set;
-                // it is only reachable from the extended catalogue, not the
-                // paper fast path.
-                out.clear();
-                out.extend(crate::cdf97::cdf97_transform(values));
+                let values: Vec<f64> = pairs.flat_map(|(a, b)| [a, b]).collect();
+                *out = crate::cdf97::cdf97_transform(&values);
+                return crate::max_abs_coefficient(out, &[]);
             }
+        };
+        let n = crate::pad::next_power_of_two(2 * pairs.len());
+        // Pairs past the signal are zero padding: their trend and
+        // fluctuation `(0 ± 0) * scale` are the +0.0 both buffers start with.
+        out.clear();
+        out.resize(n, 0.0);
+        tmp.clear();
+        tmp.resize(n.div_ceil(2), 0.0);
+        let mut len = n / 2;
+        let mut max_abs = 0.0f64;
+        for ((a, b), (trend, fluctuation)) in pairs.zip(tmp.iter_mut().zip(&mut out[len..])) {
+            *trend = (a + b) * scale;
+            *fluctuation = (a - b) * scale;
+            raise_to_abs(&mut max_abs, *fluctuation);
         }
+        // Trend `i` of a coarser level overwrites `tmp[i]` only after pair
+        // `(2i, 2i + 1)` has been read, and no later pair reads index `i`.
+        while len > 1 {
+            let half = len / 2;
+            for i in 0..half {
+                let (a, b) = (tmp[2 * i], tmp[2 * i + 1]);
+                tmp[i] = (a + b) * scale;
+                let fluctuation = (a - b) * scale;
+                out[half + i] = fluctuation;
+                raise_to_abs(&mut max_abs, fluctuation);
+            }
+            len = half;
+        }
+        out[0] = tmp[0];
+        raise_to_abs(&mut max_abs, out[0]);
+        max_abs
     }
 
     /// Human-readable name matching the paper (and, for the extension
@@ -67,6 +106,16 @@ impl WaveletKind {
             WaveletKind::Haar => "haarWave",
             WaveletKind::Cdf97 => "cdf97Wave",
         }
+    }
+}
+
+/// Raises the running maximum `max` (never NaN) to `|value|`.  The same
+/// maximum `f64::max` folds, NaN included (it leaves `max` unchanged), but a
+/// plain compare keeps `f64::max`'s NaN handling off the accumulator's
+/// dependency chain.
+fn raise_to_abs(max: &mut f64, value: f64) {
+    if value.abs() > *max {
+        *max = value.abs();
     }
 }
 
@@ -106,34 +155,6 @@ fn full_transform(values: &[f64], scale: f64) -> Vec<f64> {
         out.extend(fluctuations);
     }
     out
-}
-
-/// Allocation-free multi-level decomposition into caller-provided buffers.
-///
-/// `out` ends up holding the padded signal length; each level reads the
-/// current trends from `out[..len]`, writes `(a + b) * scale` trends and
-/// `(a - b) * scale` fluctuations into `tmp`, and copies them back — so the
-/// final layout `[trend | coarsest .. finest fluctuations]` and every
-/// coefficient value match [`full_transform`] exactly.
-fn transform_in_place(values: &[f64], scale: f64, out: &mut Vec<f64>, tmp: &mut Vec<f64>) {
-    let n = crate::pad::next_power_of_two(values.len());
-    out.clear();
-    out.extend_from_slice(values);
-    out.resize(n, 0.0);
-    tmp.clear();
-    tmp.resize(n, 0.0);
-    let mut len = n;
-    while len > 1 {
-        let half = len / 2;
-        for i in 0..half {
-            let a = out[2 * i];
-            let b = out[2 * i + 1];
-            tmp[i] = (a + b) * scale;
-            tmp[half + i] = (a - b) * scale;
-        }
-        out[..len].copy_from_slice(&tmp[..len]);
-        len = half;
-    }
 }
 
 /// The average wavelet transform (`avgWave`): pairwise averages and halved
@@ -268,24 +289,27 @@ mod tests {
     }
 
     #[test]
-    fn transform_into_is_bit_identical_to_the_allocating_transform() {
+    fn transform_pairs_into_is_bit_identical_to_the_allocating_transform() {
         let signals: Vec<Vec<f64>> = vec![
             vec![],
-            vec![5.0],
+            vec![5.0, 0.0],
             vec![0.0, 1.0, 17.0, 18.0, 48.0, 49.0],
             vec![4.0, 6.0, 10.0, 12.0],
-            (0..37).map(|i| (i as f64) * 1.75 - 11.0).collect(),
+            (0..38).map(|i| (i as f64) * 1.75 - 11.0).collect(),
         ];
-        let mut out = Vec::new();
-        let mut tmp = Vec::new();
+        let mut out = vec![f64::NAN; 3];
+        let mut tmp = vec![f64::NAN; 70];
         for kind in [WaveletKind::Average, WaveletKind::Haar, WaveletKind::Cdf97] {
             for signal in &signals {
-                kind.transform_into(signal, &mut out, &mut tmp);
+                let pairs = signal.chunks_exact(2).map(|pair| (pair[0], pair[1]));
+                let max_abs = kind.transform_pairs_into(pairs, &mut out, &mut tmp);
                 let reference = kind.transform(signal);
                 assert_eq!(out.len(), reference.len(), "{kind:?} {signal:?}");
                 for (a, b) in out.iter().zip(&reference) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} {signal:?}");
                 }
+                let expected = crate::max_abs_coefficient(&reference, &[]);
+                assert_eq!(max_abs.to_bits(), expected.to_bits(), "{kind:?} {signal:?}");
             }
         }
     }
