@@ -1,28 +1,33 @@
-//! Stored-set-size sweep: candidate index vs linear scan vs reference.
+//! Stored-set-size sweep: the candidate index vs a linear scan vs the
+//! naive reference.
 //!
 //! The candidate index exists so per-segment matching cost stays bounded
 //! as the stored-representative set grows.  This bench makes that scaling
 //! claim measurable: `dyn_load_balance` is regenerated with its drift
 //! range (and therefore its stored set) scaled 1×..16× while the match
 //! rate stays high — the matching-heavy regime of the paper — and each
-//! size is reduced through the indexed path, the preserved linear scan
-//! and the naive reference.  The printed table reports the visited
-//! fraction (comparisons / eligible stored candidates) per method and
-//! size; the indexed fraction must *fall* as the stored set grows while
-//! the linear scan's stays flat.
+//! size is reduced through the reducer.  The printed table reports the
+//! visited fraction (comparisons / eligible stored candidates) per method
+//! and size, beside what a linear first-match scan would have visited:
+//! `MatchStats::candidates()`, the visited comparisons plus the window
+//! prunes.  The indexed fraction must *fall* as the stored set grows while
+//! the linear scan's stays flat.  The sweep endpoints are then timed
+//! against the naive reference, after checking it reduces to the same
+//! bits.
 //!
 //! The aggregate assertion at the largest swept size (indexed strictly
 //! below linear on visited candidates) runs at every preset, so CI's tiny
 //! smoke run fails the build if an index regression makes pruning decay.
 //! Size with `TRACE_REPRO_PRESET=paper|small|tiny` (default tiny).
 
+#[path = "../../core/tests/support/reference.rs"]
+mod reference;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use reference::reduce_app_reference;
 use trace_bench::{matching_sweep_scales, preset_from_env, scaled_dynload};
-use trace_reduce::{
-    reduce_app_parallel_with_stats, reduce_app_reference, CandidateSearch, Method, MethodConfig,
-    Reducer,
-};
+use trace_reduce::{reduce_app_parallel_with_stats, Method, MethodConfig, Reducer};
 use trace_sim::SizePreset;
 
 fn metric_methods() -> impl Iterator<Item = Method> {
@@ -48,33 +53,21 @@ fn bench_matching_scaling(c: &mut Criterion) {
         let largest = *scale == *scales.last().unwrap();
         for method in metric_methods() {
             let config = MethodConfig::with_default_threshold(method);
-            let run = |search| {
-                reduce_app_parallel_with_stats(&Reducer::with_search(config, search), app, 1)
-            };
-            let (reduced, indexed) = run(CandidateSearch::Indexed);
-            let (scan_reduced, linear) = run(CandidateSearch::LinearScan);
-            assert_eq!(
-                reduced, scan_reduced,
-                "{method} x{scale}: indexed must be bit-identical to the linear scan"
-            );
-            assert_eq!(
-                indexed.candidates(),
-                linear.comparisons,
-                "{method} x{scale}: every scanned candidate is visited or attributed to a prune"
-            );
+            let (reduced, indexed) = reduce_app_parallel_with_stats(&Reducer::new(config), app, 1);
+            let linear = indexed.candidates();
             println!(
                 "| {scale} | {} | {} | {:.3} | {} | {} | {:.1}% | {:.1}% |",
                 config.label(),
                 reduced.total_stored(),
                 reduced.degree_of_matching(),
                 indexed.comparisons,
-                linear.comparisons,
+                linear,
                 100.0 * indexed.visited_fraction(),
-                100.0 * linear.visited_fraction(),
+                100.0 * linear as f64 / indexed.eligible.max(1) as f64,
             );
             if largest {
                 indexed_total += indexed.comparisons;
-                linear_total += linear.comparisons;
+                linear_total += linear;
             }
         }
     }
@@ -101,21 +94,14 @@ fn bench_matching_scaling(c: &mut Criterion) {
         group.throughput(Throughput::Elements(segments as u64));
         for method in [Method::Euclidean, Method::AvgWave] {
             let config = MethodConfig::with_default_threshold(method);
-            group.bench_function(
-                BenchmarkId::new(format!("indexed/{}", method.name()), scale),
-                |b| {
-                    b.iter(|| {
-                        Reducer::with_search(config, CandidateSearch::Indexed).reduce_app(app)
-                    })
-                },
+            assert_eq!(
+                Reducer::new(config).reduce_app(app),
+                reduce_app_reference(config, app),
+                "{method} x{scale}: the reducer must be bit-identical to the reference"
             );
             group.bench_function(
-                BenchmarkId::new(format!("linear/{}", method.name()), scale),
-                |b| {
-                    b.iter(|| {
-                        Reducer::with_search(config, CandidateSearch::LinearScan).reduce_app(app)
-                    })
-                },
+                BenchmarkId::new(format!("indexed/{}", method.name()), scale),
+                |b| b.iter(|| Reducer::new(config).reduce_app(app)),
             );
             group.bench_function(
                 BenchmarkId::new(format!("reference/{}", method.name()), scale),

@@ -3,19 +3,21 @@
 //! The stored-segments match loop is the innermost layer every reduction
 //! method flows through; this bench isolates it by reducing the same
 //! workload twice per method — once through the cached-feature fast path
-//! (`Reducer`, the production path) and once through the preserved naive
-//! reference (`reduce_rank_reference`, which recomputes measurement
-//! vectors and wavelet transforms per comparison).  Both produce the
-//! identical `ReducedAppTrace` (asserted before measuring); throughput is
-//! reported in segments/s.  Size the workload with
+//! (`Reducer`, the production path) and once through the naive reference
+//! the differential suites use (`reduce_app_reference`, which recomputes
+//! measurement vectors and wavelet transforms per comparison).  Both
+//! produce the identical `ReducedAppTrace` (asserted before measuring);
+//! throughput is reported in segments/s.  Size the workload with
 //! `TRACE_REPRO_PRESET=paper|small|tiny` (default tiny so CI stays fast).
+
+#[path = "../../core/tests/support/reference.rs"]
+mod reference;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use reference::reduce_app_reference;
 use trace_bench::preset_from_env;
-use trace_reduce::{
-    reduce_app_parallel_with_stats, reduce_app_reference, Method, MethodConfig, Reducer,
-};
+use trace_reduce::{reduce_app_parallel_with_stats, Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
 fn bench_similarity_matching(c: &mut Criterion) {
@@ -48,13 +50,12 @@ fn bench_similarity_matching(c: &mut Criterion) {
         );
         println!(
             "  {}: {} of {} eligible candidates visited ({:.1}%), {} window-pruned, \
-             {} pivot-pruned, {:.1}% prefilter-rejected, {:.1}% early-abandoned, {} full kernels",
+             {:.1}% prefilter-rejected, {:.1}% early-abandoned, {} full kernels",
             config.label(),
             stats.comparisons,
             stats.eligible,
             100.0 * stats.visited_fraction(),
             stats.index_window_prunes,
-            stats.index_pivot_prunes,
             100.0 * stats.prefilter_reject_rate(),
             100.0 * stats.early_abandon_rate(),
             stats.full_kernels

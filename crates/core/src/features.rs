@@ -10,19 +10,16 @@
 //! * [`SegmentFeatures`] caches, per segment, what the configured method
 //!   reads on every comparison.  For the measurement-vector family that is
 //!   the vector with its duration and maximum, plus the one norm the
-//!   method's prefilter or index reads: L1 for Manhattan, L2 for Euclidean
-//!   (and the extended cosine), none for relDiff, absDiff and Chebyshev.
+//!   method's prefilter reads: L1 for Manhattan, L2 for Euclidean (and the
+//!   extended cosine), none for relDiff, absDiff and Chebyshev.
 //!   For the wavelet methods it is the coefficients and their largest
 //!   magnitude, computed in one pass straight from the events
 //!   ([`WaveletKind::transform_pairs_into`] over [`Segment::wavelet_pairs`]):
 //!   no time-stamp vector, no copy-back between levels, no second pass for
 //!   the maximum.  Stored representatives compute features once at store
-//!   time; incoming segments once per segment (not per candidate).
-//! * What only the candidate index reads is computed on demand there: the
-//!   L2 norm of the wavelet coefficients, the origin-pivot distance, at
-//!   insert for each stored entry and once per query in a bucket large
-//!   enough for the index to engage ([`crate::index`]).  Most segments
-//!   never pay for it.
+//!   time; incoming segments once per segment (not per candidate).  No
+//!   L2 norm of the wavelet coefficients is ever computed: no kernel and no
+//!   window of the candidate index ([`crate::index`]) reads one.
 //! * [`MatchScratch`] owns the reusable buffers (and the running
 //!   [`MatchStats`]), so a whole rank — or, handed from one
 //!   [`crate::reducer::OnlineRankReducer`] to the next, a whole stream of
@@ -71,13 +68,13 @@
 //!   give `(0 ± 0) * scale = +0.0` — so the coefficients are bit-identical.
 //!   Its running maximum folds `|c|` as coefficients are written rather
 //!   than in vector order, and `max` over non-negative finite values does
-//!   not depend on order.  A norm computed on demand uses the identical
-//!   expression, a sequential sum in vector order, wherever it is computed.
+//!   not depend on order.
 //!
-//! The pre-PR code path is preserved as
-//! [`crate::reference::reduce_rank_reference`]; the property tests in
-//! `tests/fast_path_equivalence.rs` drive both paths across all nine
-//! methods and a threshold grid and require identical output.
+//! The naive loop these kernels replaced survives as test support
+//! (`tests/support/reference.rs`); the differential suite in
+//! `tests/index_equivalence.rs` drives the reducer and that reference
+//! across all nine methods and the threshold grids and requires identical
+//! output.
 
 use trace_model::{stats, Segment};
 use trace_wavelet::WaveletKind;
@@ -109,14 +106,13 @@ const SUP_GAP_MARGIN: f64 = 1.0 - 1e-9;
 /// and the comparison side inflates the threshold bound by the matching
 /// `1 + 4 · n · ε` to absorb the distance computation's own accumulation
 /// error.
-pub(crate) fn norm_gap_slack(n: usize, norm_a: f64, norm_b: f64) -> f64 {
+fn norm_gap_slack(n: usize, norm_a: f64, norm_b: f64) -> f64 {
     4.0 * n as f64 * f64::EPSILON * (norm_a + norm_b)
 }
 
 /// The comparison-side inflation factor paired with [`norm_gap_slack`].
-/// Shared with the candidate index ([`crate::index`]), whose pivot bounds
-/// generalize the norm prefilters (a norm is the distance to the zero
-/// vector — a pivot that happens to be cached).
+/// Shared with the candidate index ([`crate::index`]), which inflates the
+/// threshold by it before deriving its window.
 pub(crate) fn distance_error_factor(n: usize) -> f64 {
     1.0 + 4.0 * n as f64 * f64::EPSILON
 }
@@ -133,7 +129,7 @@ pub(crate) enum FeatureKind {
     Wavelet(WaveletKind),
 }
 
-/// The norm of the measurement vector a method's kernel or index reads.
+/// The norm of the measurement vector a method's kernel reads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Norm {
     /// Nothing reads a norm (relDiff, absDiff, Chebyshev, normEuclidean).
@@ -233,11 +229,10 @@ impl SegmentFeatures {
 ///
 /// With the candidate index ([`crate::index`]) in front of the match loop,
 /// `comparisons` counts only the candidates actually *visited*; the
-/// candidates the index skipped are split into `index_window_prunes` and
-/// `index_pivot_prunes`.  [`MatchStats::candidates`] reconstructs the
-/// number of candidates a plain linear scan would have examined (including
-/// its truncation at the first match), so the indexed path's `candidates()`
-/// equals the linear scan's `comparisons` exactly.
+/// candidates the index skipped are `index_window_prunes`.
+/// [`MatchStats::candidates`] reconstructs the number of candidates a plain
+/// linear scan would have examined (including its truncation at the first
+/// match), so `candidates()` equals a linear scan's `comparisons` exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Candidate pairs tested (visited) after shape bucketing and index
@@ -255,9 +250,6 @@ pub struct MatchStats {
     /// Candidates skipped unvisited because they fell outside the index's
     /// sorted center window.
     pub index_window_prunes: usize,
-    /// Candidates skipped unvisited because an origin/pivot triangle bound
-    /// proved they cannot match.
-    pub index_pivot_prunes: usize,
     /// Total same-shape stored candidates eligible across all queries (the
     /// summed bucket sizes), regardless of how each scan terminated.  The
     /// denominator of [`MatchStats::visited_fraction`]: a full scan with
@@ -274,7 +266,6 @@ impl MatchStats {
         self.full_kernels += other.full_kernels;
         self.matches += other.matches;
         self.index_window_prunes += other.index_window_prunes;
-        self.index_pivot_prunes += other.index_pivot_prunes;
         self.eligible += other.eligible;
     }
 
@@ -298,17 +289,13 @@ impl MatchStats {
             names::MATCH_INDEX_WINDOW_PRUNES,
             self.index_window_prunes as u64,
         );
-        obs.add(
-            names::MATCH_INDEX_PIVOT_PRUNES,
-            self.index_pivot_prunes as u64,
-        );
         obs.add(names::MATCH_ELIGIBLE, self.eligible as u64);
     }
 
     /// Candidates a linear first-match scan would have examined: the
     /// visited comparisons plus everything the index pruned.
     pub fn candidates(&self) -> usize {
-        self.comparisons + self.index_window_prunes + self.index_pivot_prunes
+        self.comparisons + self.index_window_prunes
     }
 
     /// Fraction of *eligible* stored candidates actually visited — the
@@ -322,10 +309,7 @@ impl MatchStats {
     /// Fraction of scan-equivalent candidates the index skipped unvisited
     /// (relative to what a linear first-match scan would have examined).
     pub fn index_prune_rate(&self) -> f64 {
-        fraction(
-            self.index_window_prunes + self.index_pivot_prunes,
-            self.candidates(),
-        )
+        fraction(self.index_window_prunes, self.candidates())
     }
 
     /// Fraction of comparisons resolved by a prefilter (0.0 when none ran).
@@ -368,8 +352,8 @@ pub struct MatchScratch {
     pub(crate) incoming: SegmentFeatures,
     /// Per-level scratch for the in-place wavelet transform.
     pub(crate) level_tmp: Vec<f64>,
-    /// Surviving-candidate positions buffer for the candidate index.
-    pub(crate) index_buf: Vec<u32>,
+    /// Surviving-candidate bitset for the candidate index.
+    pub(crate) index_buf: Vec<u64>,
     /// Counters accumulated since the last [`MatchScratch::reset_stats`].
     pub(crate) stats: MatchStats,
 }
@@ -842,16 +826,14 @@ mod tests {
             early_abandons: 2,
             full_kernels: 4,
             matches: 3,
-            index_window_prunes: 25,
-            index_pivot_prunes: 5,
+            index_window_prunes: 30,
             eligible: 50,
         };
         let b = a;
         a.absorb(&b);
         assert_eq!(a.comparisons, 20);
         assert_eq!(a.matches, 6);
-        assert_eq!(a.index_window_prunes, 50);
-        assert_eq!(a.index_pivot_prunes, 10);
+        assert_eq!(a.index_window_prunes, 60);
         assert_eq!(a.candidates(), 80);
         assert_eq!(a.eligible, 100);
         assert!((a.prefilter_reject_rate() - 0.4).abs() < 1e-12);

@@ -16,23 +16,19 @@
 //!   (Section 3.2).
 //! * [`reducer`] — the stored-segments matching algorithm that turns a full
 //!   trace into a [`trace_model::ReducedAppTrace`].  A [`Reducer`] is a
-//!   method, a candidate search and a recorder (disabled unless
-//!   [`Reducer::with_recorder`] attaches one); every driver, here and in
-//!   `trace_stream`, is one function of `(&Reducer, source[, workers])`.
+//!   method and a recorder (disabled unless [`Reducer::with_recorder`]
+//!   attaches one); every driver, here and in `trace_stream`, is one
+//!   function of `(&Reducer, source[, workers])`, and all of them run the
+//!   same match loop.
 //! * [`features`] — cached per-segment features ([`SegmentFeatures`]),
 //!   reusable matching buffers ([`MatchScratch`]) and the allocation-free,
-//!   prefiltered, early-abandoning similarity kernels the reducer runs by
-//!   default.
-//! * [`mod@reference`] — the naive loop the fast path replaced
-//!   ([`reduce_rank_reference`]): owned shape keys, allocating predicates.
-//!   The two paths are property-tested to produce bit-identical reduced
-//!   traces.
-//! * [`index`] — the sub-linear candidate index in front of the match
-//!   loop: duration-sorted windows plus triangle-inequality pivot pruning
-//!   over the cached features, returning surviving candidates in insertion
-//!   order so first-match semantics are preserved bit-identically
-//!   (`docs/index-design.md`; the linear scan survives as
-//!   [`CandidateSearch::LinearScan`]).
+//!   prefiltered, early-abandoning similarity kernels the match loop runs.
+//! * [`index`] — the reducer's one candidate search: a duration-sorted
+//!   window over the cached features, scanning small buckets directly and
+//!   returning surviving candidates in insertion order, so first-match
+//!   semantics are preserved bit-identically (`docs/index-design.md`).  The
+//!   naive loop it replaced is test support only; the differential suite
+//!   requires bit-identical reduced traces from both.
 //! * [`parallel`] — the in-memory application loop: per-rank reduction on
 //!   crossbeam scoped threads (each rank's trace is reduced independently,
 //!   exactly as the paper's intra-process technique allows), with
@@ -77,13 +73,11 @@ pub mod method;
 pub mod metric;
 pub mod parallel;
 pub mod reducer;
-pub mod reference;
 pub mod segmenter;
 
 pub use dtw::{dtw_distance, dtw_within, normalized_dtw_distance};
 pub use extended::{segments_match_extended, ExtendedConfig, ExtendedMethod, ExtendedReducer};
 pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatures};
-pub use index::CandidateSearch;
 pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
 pub use parallel::{reduce_app_parallel, reduce_app_parallel_with_stats, scoped_workers};
@@ -91,5 +85,4 @@ pub use reducer::{
     reduce_app_with_predicate, reduce_rank_with_predicate, OnlineRankReducer, RankReduction,
     Reducer,
 };
-pub use reference::{reduce_app_reference, reduce_rank_reference};
 pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentRef, SegmentationStats};

@@ -30,15 +30,16 @@
 //! a wrong match.  The worst case is the one the algorithm already has: a
 //! linear scan of the eligible candidates.
 //!
-//! Distance methods run through the cached-feature fast path
-//! ([`crate::features`]): each stored representative carries a
+//! Distance methods run through one match loop: the bucket's
+//! [`crate::index`] window skips the candidates it proves unmatchable and
+//! visits the rest in insertion order through the cached-feature kernels
+//! ([`crate::features`]).  Each stored representative carries a
 //! [`SegmentFeatures`] cache computed once at store time, the incoming
 //! segment's features are computed once per segment into a reusable
 //! [`MatchScratch`], and admissible prefilters / early-abandoning kernels
-//! prune comparisons the similarity test would reject anyway.  The
-//! pre-fast-path behaviour is preserved verbatim as
-//! [`crate::reference::reduce_rank_reference`] for equivalence testing — both
-//! paths produce bit-identical [`ReducedRankTrace`]s.
+//! prune comparisons the similarity test would reject anyway.  The naive
+//! loop this replaced lives on as test support, and the differential suite
+//! requires bit-identical [`ReducedRankTrace`]s from both.
 
 use std::collections::BTreeMap;
 
@@ -50,7 +51,7 @@ use trace_model::{
 use crate::features::{
     segments_match_cached, FeatureKind, MatchScratch, MatchStats, SegmentFeatures,
 };
-use crate::index::{CandidateIndex, CandidateSearch};
+use crate::index::CandidateIndex;
 use crate::method::{Method, MethodConfig};
 use crate::segmenter::{segments_of_rank_with_stats, SegmentRef, SegmentationStats};
 
@@ -62,21 +63,20 @@ pub struct RankReduction {
     /// Statistics from the segmentation pass.
     pub segmentation: SegmentationStats,
     /// Similarity-matching counters (comparisons, prefilter hits, early
-    /// abandons).  The naive reference path only fills the comparison and
-    /// match counts — it has no prefilters to hit.
+    /// abandons, index prunes).
     pub matching: MatchStats,
 }
 
 /// Running-average accumulator used by `iter_avg`.
 #[derive(Clone, Debug)]
-pub(crate) struct AverageState {
+struct AverageState {
     count: f64,
     end_sum: f64,
     event_sums: Vec<(f64, f64)>,
 }
 
 impl AverageState {
-    pub(crate) fn new(segment: &Segment) -> Self {
+    fn new(segment: &Segment) -> Self {
         AverageState {
             count: 1.0,
             end_sum: segment.end.as_f64(),
@@ -88,7 +88,7 @@ impl AverageState {
         }
     }
 
-    pub(crate) fn accumulate(&mut self, segment: &Segment) {
+    fn accumulate(&mut self, segment: &Segment) {
         self.count += 1.0;
         self.end_sum += segment.end.as_f64();
         for (sum, event) in self.event_sums.iter_mut().zip(&segment.events) {
@@ -98,7 +98,7 @@ impl AverageState {
     }
 
     /// Writes the averaged measurements into `segment`.
-    pub(crate) fn finalize_into(&self, segment: &mut Segment) {
+    fn finalize_into(&self, segment: &mut Segment) {
         segment.end = Time::from_f64(self.end_sum / self.count);
         for (event, sum) in segment.events.iter_mut().zip(&self.event_sums) {
             event.start = Time::from_f64(sum.0 / self.count);
@@ -113,7 +113,7 @@ impl AverageState {
 }
 
 /// One same-shape candidate bucket: stored-representative ids in insertion
-/// order plus (on the indexed path) the sorted/pivoted candidate index
+/// order plus, for the distance methods, the center-sorted candidate index
 /// over their cached features.
 #[derive(Clone, Debug, Default)]
 struct Bucket {
@@ -121,7 +121,7 @@ struct Bucket {
     /// the representative the bucket's shape is read from; it is pushed by
     /// the call that creates the bucket, so no lookup sees `ids` empty.
     ids: Vec<u32>,
-    /// Candidate index; only maintained under [`CandidateSearch::Indexed`].
+    /// Candidate index; empty for the iteration-based methods.
     index: CandidateIndex,
 }
 
@@ -182,10 +182,9 @@ fn stored_segment(id: u32, incoming: &Segment) -> StoredSegment {
 #[derive(Clone, Debug)]
 pub struct OnlineRankReducer {
     config: MethodConfig,
-    search: CandidateSearch,
     reduced: ReducedRankTrace,
-    // The indexed path visits a bucket's candidates minus the ones its
-    // window / pivot bounds prove unmatchable — in the same order.
+    // The match loop visits a bucket's candidates minus the ones its window
+    // proves unmatchable — in insertion order.
     shapes: ShapeBuckets,
     // Running averages for iter_avg, indexed by stored id: every stored
     // representative has one, pushed when it is stored.
@@ -200,15 +199,14 @@ pub struct OnlineRankReducer {
 
 impl OnlineRankReducer {
     /// Creates an empty reduction state for one rank under `reducer`'s
-    /// method and candidate search, reusing the buffers of `scratch` (its
-    /// counters are reset).  Drivers that reduce many ranks thread the
-    /// scratch from rank to rank through [`OnlineRankReducer::finish`], so
-    /// feature buffers are allocated once per worker.
+    /// method, reusing the buffers of `scratch` (its counters are reset).
+    /// Drivers that reduce many ranks thread the scratch from rank to rank
+    /// through [`OnlineRankReducer::finish`], so feature buffers are
+    /// allocated once per worker.
     pub fn new(reducer: &Reducer, rank: trace_model::Rank, mut scratch: MatchScratch) -> Self {
         scratch.reset_stats();
         OnlineRankReducer {
             config: reducer.config,
-            search: reducer.search,
             reduced: ReducedRankTrace::new(rank),
             shapes: ShapeBuckets::default(),
             averages: Vec::new(),
@@ -234,7 +232,6 @@ impl OnlineRankReducer {
             // up stored, cloned into its representative cache.
             self.scratch.prepare_incoming(config.method, segment);
         }
-        let search = self.search;
         let bucket = self.shapes.bucket_of(incoming, &self.reduced.stored);
 
         let matched: Option<u32> = match config.method {
@@ -256,21 +253,11 @@ impl OnlineRankReducer {
                 let incoming = &*incoming;
                 let features = &self.features;
                 stats.eligible += bucket.ids.len();
-                match search {
-                    CandidateSearch::Indexed => bucket.index.find_first(
-                        &config,
-                        incoming,
-                        features,
-                        stats,
-                        index_buf,
-                        |id, stats| {
-                            segments_match_cached(&config, incoming, &features[id as usize], stats)
-                        },
-                    ),
-                    CandidateSearch::LinearScan => bucket.ids.iter().copied().find(|&id| {
+                bucket
+                    .index
+                    .find_first(&config, incoming, stats, index_buf, |id, stats| {
                         segments_match_cached(&config, incoming, &features[id as usize], stats)
-                    }),
-                }
+                    })
             }
         };
 
@@ -290,10 +277,9 @@ impl OnlineRankReducer {
                 }
                 if is_distance {
                     let span = obs.start();
-                    self.features.push(self.scratch.clone_incoming());
-                    if search == CandidateSearch::Indexed {
-                        bucket.index.insert(id, &config, &self.features);
-                    }
+                    let features = self.scratch.clone_incoming();
+                    bucket.index.insert(id, config.method, &features);
+                    self.features.push(features);
                     obs.end(trace_obs::Stage::Index, span);
                 }
                 // The cached features are unaffected by the rebase: they
@@ -326,33 +312,22 @@ impl OnlineRankReducer {
     }
 }
 
-/// Reduces traces: a similarity method, a candidate-search strategy and the
-/// recorder the run is observed through, which every driver — here, in
-/// [`crate::parallel`] and in the `trace_stream` crate — takes together as
-/// one `&Reducer`.  The recorder is disabled unless
+/// Reduces traces: a similarity method and the recorder the run is observed
+/// through, which every driver — here, in [`crate::parallel`] and in the
+/// `trace_stream` crate — takes together as one `&Reducer`.  The recorder is disabled unless
 /// [`Reducer::with_recorder`] attaches one; recording observes a run and
 /// never steers it, so the reduced output is bit-identical either way.
 #[derive(Clone, Debug)]
 pub struct Reducer {
     config: MethodConfig,
-    search: CandidateSearch,
     recorder: trace_obs::Recorder,
 }
 
 impl Reducer {
-    /// Creates a reducer for the given method configuration (using the
-    /// default [`CandidateSearch::Indexed`] candidate search).
+    /// Creates a reducer for the given method configuration.
     pub fn new(config: MethodConfig) -> Self {
-        Reducer::with_search(config, CandidateSearch::default())
-    }
-
-    /// Creates a reducer with an explicit candidate-search strategy.  The
-    /// linear scan exists so benches and tests can measure/verify the
-    /// index against PR 5's behaviour; both strategies are bit-identical.
-    pub fn with_search(config: MethodConfig, search: CandidateSearch) -> Self {
         Reducer {
             config,
-            search,
             recorder: trace_obs::Recorder::disabled(),
         }
     }
@@ -373,11 +348,6 @@ impl Reducer {
     /// The method configuration in use.
     pub fn config(&self) -> MethodConfig {
         self.config
-    }
-
-    /// The candidate-search strategy in use.
-    pub fn search(&self) -> CandidateSearch {
-        self.search
     }
 
     /// The recorder runs are observed through (disabled by default).
@@ -689,11 +659,6 @@ mod tests {
             for threshold in [1.0, 0.6, 0.2, 0.05] {
                 let reduced = Reducer::new(MethodConfig::new(method, threshold)).reduce_app(&app);
                 let stored = reduced.total_stored();
-                assert!(
-                    stored <= previous.max(stored),
-                    "{method}: tightening the threshold must not reduce stored segments"
-                );
-                // (monotonicity checked in the next assertion)
                 assert!(stored >= 1);
                 if previous != usize::MAX {
                     assert!(
@@ -787,7 +752,8 @@ mod tests {
     #[test]
     fn colliding_shape_hashes_cannot_change_the_output() {
         // Every segment of every rank is filed under hash 0, so all shapes
-        // share one chain and only `same_shape` tells them apart.
+        // share one chain and only `same_shape` tells them apart; the output
+        // must equal the same reducer's with real hashes.
         let mut longest_chain = 0;
         for workload in Workload::all(SizePreset::Tiny) {
             let app = workload.generate();
@@ -811,10 +777,10 @@ mod tests {
                     assert!(online.shapes.by_hash.len() <= 1);
                     let distinct = online.shapes.buckets.len();
                     longest_chain = longest_chain.max(distinct);
-                    let reference = crate::reduce_rank_reference(config, rank);
+                    let hashed = reducer.reduce_rank(rank);
                     assert_eq!(
                         online.finish().0,
-                        reference.reduced,
+                        hashed.reduced,
                         "{method} on {} rank {}, {distinct} shapes in one chain",
                         workload.kind.name(),
                         rank.rank.0

@@ -1,105 +1,86 @@
-//! Property: the candidate index ≡ the linear scan ≡ the naive reference.
+//! Property: the production reducer ≡ the naive reference.
 //!
-//! The reducer's default path routes every incoming segment through the
-//! [`trace_reduce::index`] module — duration-sorted windows plus
-//! triangle-inequality pivot pruning over cached features — before any
-//! similarity kernel runs.  The index is only allowed to *skip* candidates
-//! it can prove unmatchable; every surviving candidate is visited in
-//! insertion order, so the reduction must stay bit-identical to both the
-//! pre-index linear scan ([`trace_reduce::CandidateSearch::LinearScan`])
-//! and the naive reference path ([`trace_reduce::reduce_rank_reference`]).
-//! These tests require exactly that, across all nine methods, the paper's
-//! threshold grids, simulated and random traces, and the sequential and
-//! parallel drivers — plus the counter identity
-//! `indexed.candidates() == reference.comparisons` that makes the pruning
-//! auditable.
+//! The reducer's one match loop ([`trace_reduce::OnlineRankReducer`]) runs
+//! every incoming segment through the candidate index of its shape bucket —
+//! a duration-sorted window over cached [`trace_reduce::SegmentFeatures`] —
+//! and visits the survivors in insertion order through admissible
+//! prefilters and early-abandoning kernels.  The index may only *skip*
+//! candidates it can prove unmatchable, and the kernels may only shortcut
+//! decisions the naive predicate makes too, so the reduction must stay
+//! bit-identical to the naive loop in `support/reference.rs`: owned shape
+//! keys, the allocating `segments_match`, every candidate compared.  These
+//! tests require exactly that — every stored segment, every execution,
+//! every timestamp — across all nine methods, the paper's threshold grids,
+//! simulated and random traces, and the sequential and parallel drivers,
+//! plus the counter identity `candidates() == reference comparisons` that
+//! makes the pruning auditable.  `fast_path_equivalence.rs` holds the
+//! application-driver half: the same inputs through `reduce_app_parallel`
+//! and its aggregated counters.
 //!
-//! The adversarial half of the suite attacks the two ways an index like
-//! this classically goes wrong: returning the *nearest* stored candidate
-//! instead of the *first inserted* one (the paper's scan semantics), and
-//! pruning with bounds that are not admissible under f64 accumulation
-//! error at large norms (the PR 5 counterexample family: 1500-event
-//! segments with timestamps up to 7.5·10¹², where one ulp of the L1 norm
-//! is 2 ns).
+//! The adversarial half of the suite attacks the two ways such a loop
+//! classically goes wrong: returning the *nearest* stored candidate instead
+//! of the *first inserted* one (the paper's scan semantics), and pruning
+//! with bounds that are not admissible under f64 accumulation error at
+//! large norms (the 1500-event counterexample family with timestamps up to
+//! 7.5·10¹², where one ulp of the L1 norm is 2 ns).
+
+#[path = "support/inputs.rs"]
+mod inputs;
+#[path = "support/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 
-use trace_model::{AppTrace, Event, RegionId, Time};
+use inputs::{all_configs, specs_strategy};
+use reference::{reduce_app_reference, reduce_rank_reference};
+use trace_model::{AppTrace, Event, ReducedAppTrace, RegionId, Time};
 use trace_reduce::{
-    reduce_app_parallel_with_stats, reduce_app_reference, reduce_rank_reference, CandidateSearch,
-    Method, MethodConfig, Reducer,
+    reduce_app_parallel_with_stats, reduce_app_with_predicate, segments_match, ExtendedConfig,
+    ExtendedMethod, ExtendedReducer, Method, MethodConfig, Reducer,
 };
-use trace_sim::specgen::{trace_from_specs, SegmentSpec};
+use trace_sim::specgen::trace_from_specs;
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
-/// Every method at its default threshold plus its full paper grid.
-fn all_configs() -> Vec<MethodConfig> {
-    Method::ALL
-        .into_iter()
-        .flat_map(|method| {
-            std::iter::once(MethodConfig::with_default_threshold(method)).chain(
-                method
-                    .threshold_grid()
-                    .into_iter()
-                    .map(move |t| MethodConfig::new(method, t)),
-            )
-        })
-        .collect()
-}
-
-/// Asserts indexed ≡ linear-scan ≡ reference on every rank of `app`,
-/// including the match-counter reconciliation: the index visits a subset
-/// of the reference's comparisons and accounts for every skipped candidate
-/// in its prune counters.
-fn assert_rank_equivalence(config: MethodConfig, app: &AppTrace, context: &str) {
-    let indexed = Reducer::with_search(config, CandidateSearch::Indexed);
-    let linear = Reducer::with_search(config, CandidateSearch::LinearScan);
+/// Asserts reducer ≡ reference on every rank of `app` and on the whole
+/// application, including the match-counter reconciliation: the reducer
+/// visits a subset of the reference's comparisons and accounts for every
+/// skipped candidate as a window prune.
+fn assert_equivalent(config: MethodConfig, app: &AppTrace, context: &str) {
+    let reducer = Reducer::new(config);
+    let mut reference_app = ReducedAppTrace::for_app(app);
     for rank in &app.ranks {
         let reference = reduce_rank_reference(config, rank);
-        let fast = indexed.reduce_rank(rank);
-        let scan = linear.reduce_rank(rank);
-        // The reduced traces are bit-identical on all three paths; the
-        // *stats breakdowns* legitimately differ (the index resolves some
-        // candidates by window/pivot prune where the scan used a
-        // prefilter), which is what the counter identities below audit.
-        assert_eq!(fast.reduced, scan.reduced, "indexed vs linear: {context}");
-        assert_eq!(fast.reduced, reference.reduced, "indexed vs ref: {context}");
-        assert_eq!(fast.segmentation, scan.segmentation, "{context}");
+        let fast = reducer.reduce_rank(rank);
+        assert_eq!(fast.reduced, reference.reduced, "{context}");
+        assert_eq!(fast.segmentation, reference.segmentation, "{context}");
         if config.method.is_distance_method() {
-            // Counter identity: every candidate the reference compared is
-            // either visited or attributed to a window / pivot prune.
+            let (fast, reference) = (fast.matching, reference.matching);
             assert_eq!(
-                fast.matching.candidates(),
-                reference.matching.comparisons,
+                fast.prefilter_rejects + fast.early_abandons + fast.full_kernels,
+                fast.comparisons,
+                "counters must partition: {context}"
+            );
+            // Every candidate the reference compared is either visited or
+            // attributed to a window prune.
+            assert_eq!(
+                fast.candidates(),
+                reference.comparisons,
                 "candidates: {context}"
             );
-            assert_eq!(
-                scan.matching.comparisons, reference.matching.comparisons,
-                "scan comparisons: {context}"
-            );
-            assert_eq!(
-                scan.matching.candidates(),
-                scan.matching.comparisons,
-                "the linear scan must not report index prunes: {context}"
-            );
-            assert_eq!(
-                fast.matching.matches, reference.matching.matches,
-                "matches: {context}"
-            );
-            assert_eq!(
-                fast.matching.eligible, reference.matching.eligible,
-                "eligible: {context}"
-            );
+            assert_eq!(fast.matches, reference.matches, "matches: {context}");
+            assert_eq!(fast.eligible, reference.eligible, "eligible: {context}");
             assert!(
-                fast.matching.comparisons <= fast.matching.eligible,
+                fast.comparisons <= fast.eligible,
                 "visited cannot exceed the eligible candidate set: {context}"
             );
             assert!(
-                fast.matching.full_kernels <= reference.matching.full_kernels,
+                fast.full_kernels <= reference.full_kernels,
                 "full kernels: {context}"
             );
         }
+        reference_app.ranks.push(reference.reduced);
     }
+    assert_eq!(reducer.reduce_app(app), reference_app, "{context}");
 }
 
 #[test]
@@ -111,7 +92,7 @@ fn indexed_path_is_bit_identical_on_workloads_across_the_threshold_grid() {
     ] {
         let app = Workload::new(kind, SizePreset::Tiny).generate();
         for config in all_configs() {
-            assert_rank_equivalence(
+            assert_equivalent(
                 config,
                 &app,
                 &format!("{} on {}", config.label(), kind.name()),
@@ -125,7 +106,7 @@ fn parallel_driver_with_index_matches_reference_and_aggregates_counters() {
     let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
     for method in Method::ALL {
         let config = MethodConfig::with_default_threshold(method);
-        let reducer = Reducer::with_search(config, CandidateSearch::Indexed);
+        let reducer = Reducer::new(config);
         let reference = reduce_app_reference(config, &app);
         let (sequential, seq_stats) = reduce_app_parallel_with_stats(&reducer, &app, 1);
         assert_eq!(sequential, reference, "{method} sequential");
@@ -136,6 +117,39 @@ fn parallel_driver_with_index_matches_reference_and_aggregates_counters() {
             // parallel aggregate equals the sequential aggregate exactly.
             assert_eq!(stats, seq_stats, "{method} stats with {threads} threads");
         }
+    }
+}
+
+#[test]
+fn fast_path_matches_the_predicate_reducer_for_distance_methods() {
+    // The predicate-based reducer recomputes everything per comparison via
+    // the naive `segments_match`; a third independent witness.
+    let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
+    for method in Method::ALL.into_iter().filter(|m| m.is_distance_method()) {
+        let config = MethodConfig::with_default_threshold(method);
+        let fast = Reducer::new(config).reduce_app(&app);
+        let naive = reduce_app_with_predicate(&app, |a, b| segments_match(&config, a, b));
+        assert_eq!(fast, naive, "{method}");
+    }
+}
+
+#[test]
+fn extended_dtw_early_abandon_does_not_change_reductions() {
+    use trace_reduce::normalized_dtw_distance;
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    for threshold in [0.01, 0.1, 0.2, 0.6] {
+        let fast = ExtendedReducer::new(ExtendedConfig::new(ExtendedMethod::Dtw, threshold))
+            .reduce_app(&app);
+        // Naive witness: the pre-abandon formulation — full band-limited
+        // DTW distance compared against the scaled threshold.
+        let naive = reduce_app_with_predicate(&app, |a, b| {
+            let va = a.measurement_vector();
+            let vb = b.measurement_vector();
+            let distance = normalized_dtw_distance(&va, &vb, Some(2));
+            let max_value = trace_model::stats::max(&va).max(trace_model::stats::max(&vb));
+            distance <= threshold * max_value
+        });
+        assert_eq!(fast, naive, "dtw({threshold})");
     }
 }
 
@@ -203,7 +217,7 @@ fn threshold_where_both_accept(method: Method, a: u64, b: u64, c: u64) -> f64 {
 /// them matches anything at the small calibrated thresholds.  Prepending
 /// them grows the candidate bucket past the index's small-bucket fallback
 /// (which scans in insertion order by construction), forcing the ordering
-/// assertions through the real window + pivot machinery.
+/// assertions through the real window machinery.
 const ORDER_PADS: [u64; 6] = [
     1_600_000,
     25_600_000,
@@ -239,7 +253,7 @@ fn index_returns_the_first_inserted_match_not_the_nearest() {
             a_id,
             "{method}"
         );
-        let indexed = Reducer::with_search(config, CandidateSearch::Indexed).reduce_rank(rank);
+        let indexed = Reducer::new(config).reduce_rank(rank);
         assert_eq!(indexed.reduced, reference.reduced, "{method}");
         assert_eq!(
             indexed.reduced.execs[a_id as usize + 2].segment,
@@ -277,7 +291,7 @@ fn equidistant_candidates_resolve_to_the_earliest_insertion() {
                 a_id,
                 "{method}"
             );
-            let indexed = Reducer::with_search(config, CandidateSearch::Indexed).reduce_rank(rank);
+            let indexed = Reducer::new(config).reduce_rank(rank);
             assert_eq!(indexed.reduced, reference.reduced, "{method}");
         }
     }
@@ -288,8 +302,8 @@ fn threshold_boundary_decisions_survive_the_index() {
     // Thresholds straddling the exact accept/reject boundary of the probe
     // against its nearest stored candidate.  Whatever the kernel decides
     // at these knife-edge thresholds, the indexed path must decide
-    // identically — its window and pivot bounds may only be *wider* than
-    // the kernel's acceptance region, never narrower.  (Padded past the
+    // identically — its window may only be *wider* than the kernel's
+    // acceptance region, never narrower.  (Padded past the
     // small-bucket fallback so the window actually runs.)
     let mut durations = ORDER_PADS.to_vec();
     durations.extend([100_000, 130_000, 118_000]);
@@ -323,18 +337,18 @@ fn threshold_boundary_decisions_survive_the_index() {
         };
         for threshold in thresholds {
             let config = MethodConfig::new(method, threshold);
-            assert_rank_equivalence(config, &app, &format!("{method} at {threshold}"));
+            assert_equivalent(config, &app, &format!("{method} at {threshold}"));
         }
     }
 }
 
-/// The PR 5 counterexample family scaled to a whole candidate bucket:
+/// The large-norm counterexample family scaled to a whole candidate bucket:
 /// 1500-event segments with timestamps up to 7.5·10¹² ns, whose L1 norms
 /// (~1.1·10¹⁶) sit above 2⁵³ where one ulp is 2 ns.  `delta` shifts every
 /// event end, so two members at deltas `d₁, d₂` differ by `1500·|d₁ − d₂|`
 /// in L1 — with all segment durations *equal*, so the duration window
-/// admits everything and correctness rests entirely on the origin-norm
-/// and representative-pivot bounds.
+/// admits everything and correctness rests entirely on the kernels'
+/// norm-gap and sup-gap prefilters and their early abandons.
 fn large_norm_segment_events(delta: u64) -> Vec<Event> {
     (0..1500u64)
         .map(|i| {
@@ -350,7 +364,7 @@ fn large_norm_segment_events(delta: u64) -> Vec<Event> {
 }
 
 fn large_norm_bucket_trace(deltas: &[u64]) -> AppTrace {
-    let mut app = AppTrace::new("pivot-slack", 1);
+    let mut app = AppTrace::new("norm-slack", 1);
     let region_names: Vec<_> = (0..4).map(|i| format!("r{i}")).collect();
     for name in &region_names {
         app.regions.intern(name);
@@ -383,12 +397,11 @@ const METRIC_METHODS: [Method; 5] = [
 ];
 
 #[test]
-fn pivot_bounds_are_admissible_for_long_large_timestamp_segments() {
-    // Ten stored representatives (≥ the pivot-engagement bucket size, so
-    // the first four serve as triangle-inequality pivots) separated by
-    // 1 ms steps, then three probes 3 ns off stored members — the exact
-    // regime where PR 5 showed a multiplicative margin on a norm gap is
-    // inadmissible.  Bounds sweep the ns-scale decision boundaries of
+fn norm_gap_prefilters_are_admissible_for_long_large_timestamp_segments() {
+    // Ten stored representatives (past the small-bucket fallback, so the
+    // window runs and admits them all) separated by 1 ms steps, then three
+    // probes 3 ns off stored members — the exact regime where a
+    // multiplicative margin on a norm gap is inadmissible.  Bounds sweep the ns-scale decision boundaries of
     // every metric (Chebyshev flips at 3 ns, Euclidean at ~116 ns,
     // Manhattan at 4 500 ns).
     let deltas: Vec<u64> = (0..10u64)
@@ -402,7 +415,7 @@ fn pivot_bounds_are_admissible_for_long_large_timestamp_segments() {
             1.0f64, 2.0, 3.0, 3.5, 4.0, 115.0, 117.0, 4_499.0, 4_500.0, 4_501.0, 1e6,
         ] {
             let config = MethodConfig::new(method, bound_ns / max);
-            assert_rank_equivalence(config, &app, &format!("{method} at a {bound_ns} ns bound"));
+            assert_equivalent(config, &app, &format!("{method} at a {bound_ns} ns bound"));
         }
     }
 }
@@ -435,27 +448,20 @@ fn duration_window_is_admissible_for_large_duration_gaps() {
     for method in METRIC_METHODS {
         for bound_ns in [1.0f64, 2.0, 3.0, 4.0, 6.0, 7.0, 1e6] {
             let config = MethodConfig::new(method, bound_ns / base as f64);
-            assert_rank_equivalence(config, &app, &format!("{method} at a {bound_ns} ns bound"));
+            assert_equivalent(config, &app, &format!("{method} at a {bound_ns} ns bound"));
         }
     }
 }
 
-fn specs_strategy() -> impl Strategy<Value = Vec<Vec<SegmentSpec>>> {
-    prop::collection::vec(
-        prop::collection::vec((0u8..4, 0u8..4, 0u16..2000), 0..12),
-        1..4,
-    )
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn indexed_path_is_bit_identical_on_random_traces(rank_specs in specs_strategy()) {
         let app = trace_from_specs("indexed", &rank_specs);
         prop_assert!(app.is_well_formed());
         for config in all_configs() {
-            assert_rank_equivalence(config, &app, &config.label());
+            assert_equivalent(config, &app, &config.label());
         }
     }
 
@@ -467,21 +473,21 @@ proptest! {
         let app = trace_from_specs("indexed", &rank_specs);
         for method in Method::ALL {
             let config = MethodConfig::new(method, threshold);
-            assert_rank_equivalence(config, &app, &format!("{method} at {threshold}"));
+            assert_equivalent(config, &app, &format!("{method} at {threshold}"));
         }
     }
 
     #[test]
-    fn pivot_pruning_is_admissible_under_accumulation_error(
+    fn norm_gap_prefilters_are_admissible_under_accumulation_error(
         deltas in prop::collection::vec(0u64..1_000_000_000, 9..13),
         probe_offset in 0u64..8,
         probe_jitter in 0u64..16,
         bound_ns in 1.0..10_000.0f64,
     ) {
-        // Random large-norm buckets: enough members to engage the
-        // representative pivots, a probe a few ns off a random stored
-        // member, and a random ns-scale bound.  Every decision the
-        // kernels make must survive the pivot bounds bit-identically.
+        // Random large-norm buckets: enough members to engage the window,
+        // a probe a few ns off a random stored member, and a random
+        // ns-scale bound.  Every decision the naive kernels make must
+        // survive the prefilters bit-identically.
         let mut all: Vec<u64> = deltas.clone();
         let target = deltas[(probe_offset as usize) % deltas.len()];
         all.push(target.saturating_add(probe_jitter));
@@ -489,7 +495,7 @@ proptest! {
         let max = 1500.0 * 5.0e9;
         for method in METRIC_METHODS {
             let config = MethodConfig::new(method, bound_ns / max);
-            assert_rank_equivalence(config, &app, &format!("{method} at {bound_ns} ns"));
+            assert_equivalent(config, &app, &format!("{method} at {bound_ns} ns"));
         }
     }
 }

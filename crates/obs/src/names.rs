@@ -19,7 +19,10 @@ pub const MATCH_FULL_KERNELS: &str = "match.full_kernels";
 pub const MATCH_MATCHES: &str = "match.matches";
 /// Candidates skipped unvisited by the index's sorted center window.
 pub const MATCH_INDEX_WINDOW_PRUNES: &str = "match.index_window_prunes";
-/// Candidates skipped unvisited by an origin/pivot triangle bound.
+/// Retired: candidates skipped unvisited by an origin/pivot triangle
+/// bound.  The candidate index prunes by its window alone, so nothing
+/// emits this counter any more; the name stays because run reports from
+/// earlier builds carry it and the benchmark harness still reads it.
 pub const MATCH_INDEX_PIVOT_PRUNES: &str = "match.index_pivot_prunes";
 /// Same-shape stored candidates eligible across all queries.
 pub const MATCH_ELIGIBLE: &str = "match.eligible";

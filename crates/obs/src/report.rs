@@ -212,10 +212,9 @@ impl RunReport {
         }
         if eligible > 0 {
             out.push_str(&format!(
-                "  of {} eligible candidates, {} window-pruned and {} pivot-pruned before any kernel\n",
+                "  of {} eligible candidates, {} window-pruned before any kernel\n",
                 eligible,
                 percent(counter(crate::names::MATCH_INDEX_WINDOW_PRUNES), eligible),
-                percent(counter(crate::names::MATCH_INDEX_PIVOT_PRUNES), eligible),
             ));
         }
     }
@@ -464,7 +463,6 @@ mod tests {
         shard.add(names::MATCH_MATCHES, 450);
         shard.add(names::MATCH_ELIGIBLE, 4000);
         shard.add(names::MATCH_INDEX_WINDOW_PRUNES, 2500);
-        shard.add(names::MATCH_INDEX_PIVOT_PRUNES, 500);
         shard.gauge_max(names::STREAM_PEAK_CHUNK_BYTES, 65_536);
         let span = shard.start();
         clock.advance(1_500_000);
@@ -518,11 +516,10 @@ mod tests {
         assert!(text.contains("40.0% prefilter-rejected"), "{text}");
         assert!(text.contains("10.0% early-abandoned"), "{text}");
         assert!(
-            text.contains(
-                "of 4000 eligible candidates, 62.5% window-pruned and 12.5% pivot-pruned"
-            ),
+            text.contains("of 4000 eligible candidates, 62.5% window-pruned before any kernel"),
             "{text}"
         );
+        assert!(!text.contains("pivot"), "{text}");
         assert!(text.contains("rank"), "{text}");
         assert!(text.contains("1.500ms"), "{text}");
     }

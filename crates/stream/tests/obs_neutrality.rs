@@ -248,7 +248,12 @@ fn assert_drained_once(
         names::MATCH_INDEX_WINDOW_PRUNES,
         matching.index_window_prunes,
     );
-    counter(names::MATCH_INDEX_PIVOT_PRUNES, matching.index_pivot_prunes);
+    assert!(
+        !report
+            .counters
+            .contains_key(names::MATCH_INDEX_PIVOT_PRUNES),
+        "{what}: nothing emits the retired pivot-prune counter"
+    );
 
     let ranks = outcome.reduced.rank_count();
     if let Some(stats) = &outcome.stream {

@@ -5,15 +5,18 @@
 //! serialized to the text format and reduced twice — once in memory via
 //! [`trace_reduce::Reducer`], once via [`trace_stream::reduce_stream`] —
 //! for every `Method` variant.  Stored segments and execution logs must be
-//! identical, and the sharded driver must agree with both.
+//! identical, and the sharded driver must agree with both — and with the
+//! naive reference reduction the core differential suite uses.
+
+#[path = "../../core/tests/support/reference.rs"]
+mod reference;
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
+use reference::{reduce_app_reference, reduce_rank_reference};
 use trace_format::write_app_trace;
-use trace_reduce::{
-    reduce_app_reference, reduce_rank_reference, CandidateSearch, Method, MethodConfig, Reducer,
-};
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_stream::{reduce_stream, reduce_stream_sharded};
 
@@ -150,11 +153,11 @@ fn streaming_and_sharded_drivers_match_the_naive_reference_path() {
 
 #[test]
 fn streaming_index_counters_reconcile_with_the_reference_scan() {
-    // The streaming loop drives the candidate index by default.  Every
-    // candidate the naive reference compared must be accounted for by the
-    // streamed counters — either visited (`comparisons`) or attributed to
-    // a window / pivot prune — and the sharded driver must aggregate the
-    // identical totals, merely in a different worker order.  (60 segments
+    // The streaming loop drives the candidate index.  Every candidate the
+    // naive reference compared must be accounted for by the streamed
+    // counters — either visited (`comparisons`) or attributed to a window
+    // prune — and the sharded driver must aggregate the identical totals,
+    // merely in a different worker order.  (60 segments
     // per rank: the per-shape buckets must outgrow the index's
     // small-bucket fallback for the prune counters to be non-trivial.)
     let specs: Vec<Vec<SegmentSpec>> = (0..3)
@@ -199,20 +202,5 @@ fn streaming_index_counters_reconcile_with_the_reference_scan() {
                 "{method} with {shards} shards: counters aggregate identically"
             );
         }
-        // The streaming drivers honour the reducer's candidate search: the
-        // linear scan visits every candidate the reference did, prunes
-        // nothing, and reduces to the same bits.
-        let linear = Reducer::with_search(config, CandidateSearch::LinearScan);
-        let scanned = reduce_stream(&linear, Cursor::new(text.as_bytes())).unwrap();
-        assert_eq!(scanned.reduced, streamed.reduced, "{method}: linear scan");
-        assert_eq!(
-            scanned.stats.matching.comparisons, reference_comparisons,
-            "{method}: the linear scan is the reference scan"
-        );
-        assert_eq!(
-            scanned.stats.matching.index_window_prunes + scanned.stats.matching.index_pivot_prunes,
-            0,
-            "{method}: no index, no prunes"
-        );
     }
 }
