@@ -11,7 +11,7 @@
 
 use std::fmt::Display;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use trace_container::{
@@ -106,20 +106,41 @@ pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
     load(path, parse_reduced_trace, decode_reduced_any)
 }
 
-/// Encodes with `encode` and writes the bytes to `path` atomically, the two
-/// together under one [`trace_obs::Stage::Store`] span.  Returns the number
-/// of bytes written.
+/// A sink and the number of bytes it has taken.
+struct Counted<W>(W, usize);
+
+impl<W: Write> Write for Counted<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.0.write(buf)?;
+        self.1 += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// Streams what `encode` writes through a buffer into `path` atomically,
+/// under one [`trace_obs::Stage::Store`] span.  Returns the number of bytes
+/// written.
 fn store(
     path: &Path,
     recorder: &trace_obs::Recorder,
-    encode: impl FnOnce() -> io::Result<Vec<u8>>,
+    encode: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> Result<usize, String> {
     let mut obs = recorder.shard();
     let span = obs.start();
-    let bytes = encode().map_err(|e| format!("cannot encode {}: {e}", path.display()))?;
-    write_file_atomic(path, |file| file.write_all(&bytes))?;
+    let mut written = 0;
+    write_file_atomic(path, |file| {
+        let mut out = Counted(BufWriter::new(file), 0);
+        encode(&mut out)?;
+        out.flush()?;
+        written = out.1;
+        Ok(())
+    })?;
     obs.end(trace_obs::Stage::Store, span);
-    Ok(bytes.len())
+    Ok(written)
 }
 
 /// Stores a full application trace to `path`: text by extension, otherwise
@@ -132,16 +153,10 @@ pub fn store_app_trace(
     format: BinaryFormat,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
-    store(path, recorder, || {
-        if is_text_path(path) {
-            return Ok(write_app_trace(app).into_bytes());
-        }
-        match format {
-            BinaryFormat::ContainerV2(spec) => {
-                write_app_container(Vec::new(), app, spec, recorder.shard())
-            }
-            BinaryFormat::MonolithicV1 => Ok(encode_app_trace(app)),
-        }
+    store(path, recorder, |out| match format {
+        _ if is_text_path(path) => out.write_all(write_app_trace(app).as_bytes()),
+        BinaryFormat::ContainerV2(spec) => write_app_container(out, app, spec, recorder).map(drop),
+        BinaryFormat::MonolithicV1 => out.write_all(&encode_app_trace(app)),
     })
 }
 
@@ -152,16 +167,12 @@ pub fn store_reduced_trace(
     format: BinaryFormat,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
-    store(path, recorder, || {
-        if is_text_path(path) {
-            return Ok(write_reduced_trace(reduced).into_bytes());
+    store(path, recorder, |out| match format {
+        _ if is_text_path(path) => out.write_all(write_reduced_trace(reduced).as_bytes()),
+        BinaryFormat::ContainerV2(spec) => {
+            write_reduced_container(out, reduced, spec, recorder).map(drop)
         }
-        match format {
-            BinaryFormat::ContainerV2(spec) => {
-                write_reduced_container(Vec::new(), reduced, spec, recorder.shard())
-            }
-            BinaryFormat::MonolithicV1 => Ok(encode_reduced_trace(reduced)),
-        }
+        BinaryFormat::MonolithicV1 => out.write_all(&encode_reduced_trace(reduced)),
     })
 }
 

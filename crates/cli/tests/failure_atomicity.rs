@@ -4,9 +4,11 @@
 //! clobbered previous output, and no write leaves its temp file behind.
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use trace_container::{encode_app_container, write_app_container, ChunkSpec, Codec};
+use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
 
@@ -51,6 +53,60 @@ fn a_failed_write_leaves_no_target_no_temp_and_no_clobber() {
     // And a later success replaces it whole.
     write_file_atomic(&path, |file| file.write_all(b"new")).unwrap();
     assert_eq!(std::fs::read(&path).unwrap(), b"new");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A file that fills up once `budget` more bytes have gone into it.
+struct FillsUp<'a> {
+    file: &'a mut File,
+    budget: usize,
+}
+
+impl Write for FillsUp<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.budget == 0 {
+            return Err(io::Error::other("disk full"));
+        }
+        let n = self.file.write(&buf[..buf.len().min(self.budget)])?;
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+#[test]
+fn a_container_store_failing_partway_keeps_the_previous_bytes() {
+    // Several ranks, so the container's sections are encoded on as many
+    // workers as the host has cores while the sink fails under them.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
+    let full = encode_app_container(&app, spec);
+    let off = trace_obs::Recorder::disabled();
+    let path = temp_path("container_partway.trc");
+    write_file_atomic(&path, |file| file.write_all(b"previous output")).unwrap();
+    for budget in [0, 100, full.len() / 2, full.len() - 1] {
+        let err = write_file_atomic(&path, |file| {
+            let sink = BufWriter::with_capacity(256, FillsUp { file, budget });
+            write_app_container(sink, &app, spec, &off).map(drop)
+        })
+        .unwrap_err();
+        assert!(err.contains("disk full"), "{budget} bytes: {err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"previous output");
+        assert_eq!(temp_siblings(&path), Vec::<String>::new(), "{budget} bytes");
+    }
+    // With room for all of it, the same store replaces the target whole.
+    write_file_atomic(&path, |file| {
+        let sink = BufWriter::new(FillsUp {
+            file,
+            budget: full.len(),
+        });
+        write_app_container(sink, &app, spec, &off).map(drop)
+    })
+    .unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), full);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -20,15 +20,11 @@ use trace_model::codec::{
 };
 use trace_model::{
     AppTrace, ContextTable, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, RegionTable,
-    TraceRecord,
+    TraceRecord, MAX_RESERVED_RANKS,
 };
 
 use crate::error::ContainerError;
 use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind, CONTAINER_MAGIC};
-
-/// The preamble's rank count is a bare varint: readers reserve no more than
-/// this many rank slots on its word alone (a 28-byte file can declare 2^60).
-const MAX_RESERVED_RANKS: usize = 4096;
 
 /// The decoded preamble chunk: program name, declared rank count and the
 /// interned string tables shared by every section.

@@ -7,8 +7,16 @@
 //! writer's resident state is O(one chunk) regardless of trace length.
 //! Chunk offsets are tracked as bytes go out, which is what lets the
 //! seekable index footer be written at the end without ever seeking.
+//!
+//! [`write_app_container`] / [`write_reduced_container`] spread whole
+//! traces' rank sections over worker threads: sections are
+//! position-independent (only `INDEX` holds absolute offsets), so each is
+//! encoded into its own buffer and stitched into the sink in rank order.
 
+use std::collections::BTreeMap;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 use trace_compress::{ChunkEncoder, Codec};
 use trace_model::codec::varint::write_u64 as varint_write_u64;
@@ -16,6 +24,7 @@ use trace_model::codec::{
     write_exec, write_record, write_stored_segment, write_string, write_string_table,
 };
 use trace_model::{AppTrace, Rank, ReducedAppTrace, SegmentExec, StoredSegment, Time, TraceRecord};
+use trace_model::{RankTrace, ReducedRankTrace};
 
 use crate::index::RankSectionEntry;
 use crate::layout::{write_chunk, write_header, ChunkKind, PayloadKind, INDEX_MAGIC};
@@ -128,39 +137,25 @@ pub struct ChunkWriter<W: Write> {
     prev_time: Time,
     section: Option<SectionState>,
     sections: Vec<RankSectionEntry>,
+    /// Where chunk flushes record: live only on section encoders.
     obs: trace_obs::ObsShard,
 }
 
 impl<W: Write> ChunkWriter<W> {
-    fn new(
-        out: W,
-        kind: PayloadKind,
-        name: &str,
-        rank_count: usize,
-        regions: &[String],
-        contexts: &[String],
-        spec: ChunkSpec,
-    ) -> io::Result<Self> {
-        let mut out = CountingWriter {
-            inner: out,
-            written: 0,
-        };
-        write_header(&mut out, kind)?;
-        let mut preamble = Vec::new();
-        write_string(&mut preamble, name);
-        write_string_table(&mut preamble, regions);
-        write_string_table(&mut preamble, contexts);
-        varint_write_u64(&mut preamble, rank_count as u64);
-        write_chunk(&mut out, ChunkKind::Preamble, Codec::None, &preamble)?;
-        Ok(ChunkWriter {
-            out,
+    /// A writer over `out` that has written nothing yet, not even a header.
+    fn bare(out: W, kind: PayloadKind, declared_ranks: usize, spec: ChunkSpec) -> Self {
+        ChunkWriter {
+            out: CountingWriter {
+                inner: out,
+                written: 0,
+            },
             kind,
             spec: ChunkSpec {
                 segments_per_chunk: spec.segments_per_chunk.max(1),
                 execs_per_chunk: spec.execs_per_chunk.max(1),
                 codec: spec.codec,
             },
-            declared_ranks: rank_count,
+            declared_ranks,
             body: Vec::new(),
             payload: Vec::new(),
             encoder: ChunkEncoder::new(spec.codec),
@@ -170,15 +165,27 @@ impl<W: Write> ChunkWriter<W> {
             section: None,
             sections: Vec::new(),
             obs: trace_obs::ObsShard::disabled(),
-        })
+        }
     }
 
-    /// Attaches an observability shard: subsequent chunk flushes record
-    /// [`trace_obs::Stage::Compress`] spans, `chunk.writes` and per-codec
-    /// stored/raw byte counters.  The shard flushes to its recorder when
-    /// the writer is finished or dropped.
-    pub fn set_obs(&mut self, obs: trace_obs::ObsShard) {
-        self.obs = obs;
+    fn new(
+        out: W,
+        kind: PayloadKind,
+        name: &str,
+        rank_count: usize,
+        regions: &[String],
+        contexts: &[String],
+        spec: ChunkSpec,
+    ) -> io::Result<Self> {
+        let mut writer = Self::bare(out, kind, rank_count, spec);
+        write_header(&mut writer.out, kind)?;
+        let mut preamble = Vec::new();
+        write_string(&mut preamble, name);
+        write_string_table(&mut preamble, regions);
+        write_string_table(&mut preamble, contexts);
+        varint_write_u64(&mut preamble, rank_count as u64);
+        write_chunk(&mut writer.out, ChunkKind::Preamble, Codec::None, &preamble)?;
+        Ok(writer)
     }
 
     /// Starts an application-trace container (header + preamble chunk).
@@ -455,70 +462,155 @@ impl<W: Write> ChunkWriter<W> {
     }
 }
 
-/// Writes `app` as a chunked container to `out` and returns the sink.  The
-/// writer records per-chunk compression spans and chunk/codec byte counters
-/// into `obs` (see [`ChunkWriter::set_obs`]; pass
-/// [`trace_obs::ObsShard::disabled`] for none) — the bytes do not depend on
-/// it.
+/// A section's bytes and its index entry, offset from the section's start.
+type Section = (Vec<u8>, RankSectionEntry);
+
+impl ChunkWriter<Vec<u8>> {
+    /// A headerless writer that encodes one rank section at a time into its
+    /// own buffer, recording into `obs`.
+    fn section(kind: PayloadKind, spec: ChunkSpec, obs: trace_obs::ObsShard) -> Self {
+        ChunkWriter {
+            obs,
+            ..Self::bare(Vec::new(), kind, 0, spec)
+        }
+    }
+
+    /// Hands back the section just closed, leaving the writer empty.
+    fn take_section(&mut self) -> io::Result<Section> {
+        let entry = self.sections.pop();
+        let entry = entry.ok_or_else(|| Self::state_error("no closed section to take"))?;
+        self.out.written = 0;
+        Ok((std::mem::take(&mut self.out.inner), entry))
+    }
+}
+
+/// Encodes `ranks` as the sections of `writer`'s container on up to
+/// `workers` threads, the calling thread among them, then finishes it.
+///
+/// Workers claim ranks in order and encode each into a buffer of their own.
+/// After each section it encodes, and whenever it has nothing left to
+/// claim, the calling thread writes every finished section that is next in
+/// rank order and drops its buffer.  A failing sink or encoder ends the
+/// loop with its error; the other workers stop at their next section.
+fn write_sections<W: Write, R: Sync>(
+    mut writer: ChunkWriter<W>,
+    ranks: &[R],
+    recorder: &trace_obs::Recorder,
+    workers: usize,
+    encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &R) -> io::Result<()> + Sync,
+) -> io::Result<W> {
+    let (kind, spec) = (writer.kind, writer.spec);
+    // Only hands out indices: the sections travel through the channel,
+    // which orders them, so `Relaxed` publishes nothing it must.
+    let next = AtomicUsize::new(0);
+    let encode_next = |section: &mut ChunkWriter<Vec<u8>>| {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let rank = ranks.get(index)?;
+        let encoded = encode(section, rank).and_then(|()| section.take_section());
+        Some(encoded.map(|s| (index, s)))
+    };
+    let encode_next = &encode_next;
+    std::thread::scope(|scope| {
+        let (done, finished) = mpsc::channel();
+        for _ in 1..workers.clamp(1, ranks.len().max(1)) {
+            let done = done.clone();
+            scope.spawn(move || {
+                let mut section = ChunkWriter::section(kind, spec, recorder.shard());
+                while let Some(result) = encode_next(&mut section) {
+                    if done.send(result).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(done);
+        let mut section = ChunkWriter::section(kind, spec, recorder.shard());
+        let mut pending = BTreeMap::new();
+        let mut stitched = 0;
+        while stitched < ranks.len() {
+            let first = match encode_next(&mut section) {
+                Some(result) => result,
+                None => finished
+                    .recv()
+                    .map_err(|_| io::Error::other("a section encoder stopped early"))?,
+            };
+            for result in std::iter::once(first).chain(finished.try_iter()) {
+                let (index, encoded) = result?;
+                pending.insert(index, encoded);
+            }
+            while let Some((bytes, mut entry)) = pending.remove(&stitched) {
+                entry.offset += writer.out.written;
+                writer.out.write_all(&bytes)?;
+                writer.sections.push(entry);
+                stitched += 1;
+            }
+        }
+        Ok::<_, io::Error>(())
+    })?;
+    writer.finish()
+}
+
+/// One section encoder per core (`write_sections` caps it at the ranks).
+fn section_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// One `begin_rank` … `end_rank` section of an app container.
+fn app_section(writer: &mut ChunkWriter<Vec<u8>>, rank: &RankTrace) -> io::Result<()> {
+    writer.begin_rank(rank.rank)?;
+    for record in &rank.records {
+        writer.record(record)?;
+    }
+    writer.end_rank()
+}
+
+/// One `begin_rank` … `end_rank` section of a reduced container.
+fn reduced_section(writer: &mut ChunkWriter<Vec<u8>>, rank: &ReducedRankTrace) -> io::Result<()> {
+    writer.begin_rank(rank.rank)?;
+    for stored in &rank.stored {
+        writer.stored(stored)?;
+    }
+    for exec in &rank.execs {
+        writer.exec(exec)?;
+    }
+    writer.end_rank()
+}
+
+/// Writes `app` as a chunked container to `out` and returns the sink, its
+/// rank sections encoded on up to one thread per core.  Each worker records
+/// its per-chunk compression spans and chunk/codec byte counters into a
+/// shard of `recorder` (pass [`trace_obs::Recorder::disabled`] for none);
+/// neither the bytes nor the counters depend on it or on the thread count.
 pub fn write_app_container<W: Write>(
     out: W,
     app: &AppTrace,
     spec: ChunkSpec,
-    obs: trace_obs::ObsShard,
+    recorder: &trace_obs::Recorder,
 ) -> io::Result<W> {
-    let mut writer = ChunkWriter::app(
-        out,
-        &app.name,
-        app.rank_count(),
-        app.regions.names(),
-        app.contexts.names(),
-        spec,
-    )?;
-    writer.set_obs(obs);
-    for rank in &app.ranks {
-        writer.begin_rank(rank.rank)?;
-        for record in &rank.records {
-            writer.record(record)?;
-        }
-        writer.end_rank()?;
-    }
-    writer.finish()
+    let (regions, contexts) = (app.regions.names(), app.contexts.names());
+    let writer = ChunkWriter::app(out, &app.name, app.rank_count(), regions, contexts, spec)?;
+    write_sections(writer, &app.ranks, recorder, section_workers(), app_section)
 }
 
 /// Writes `reduced` as a chunked container to `out` and returns the sink,
-/// recording into `obs` like [`write_app_container`].
+/// like [`write_app_container`].
 pub fn write_reduced_container<W: Write>(
     out: W,
     reduced: &ReducedAppTrace,
     spec: ChunkSpec,
-    obs: trace_obs::ObsShard,
+    recorder: &trace_obs::Recorder,
 ) -> io::Result<W> {
-    let mut writer = ChunkWriter::reduced(
-        out,
-        &reduced.name,
-        reduced.rank_count(),
-        reduced.regions.names(),
-        reduced.contexts.names(),
-        spec,
-    )?;
-    writer.set_obs(obs);
-    for rank in &reduced.ranks {
-        writer.begin_rank(rank.rank)?;
-        for stored in &rank.stored {
-            writer.stored(stored)?;
-        }
-        for exec in &rank.execs {
-            writer.exec(exec)?;
-        }
-        writer.end_rank()?;
-    }
-    writer.finish()
+    let (regions, contexts) = (reduced.regions.names(), reduced.contexts.names());
+    let (name, ranks) = (&reduced.name, reduced.rank_count());
+    let writer = ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)?;
+    let workers = section_workers();
+    write_sections(writer, &reduced.ranks, recorder, workers, reduced_section)
 }
 
 /// Encodes `app` as a chunked container into a byte buffer.
 #[allow(clippy::expect_used)]
 pub fn encode_app_container(app: &AppTrace, spec: ChunkSpec) -> Vec<u8> {
-    write_app_container(Vec::new(), app, spec, trace_obs::ObsShard::disabled())
+    write_app_container(Vec::new(), app, spec, &trace_obs::Recorder::disabled())
         // lint:allow(expect) -- Vec<u8> as a Write sink is infallible and the writer is driven in order
         .expect("writing to a Vec cannot fail")
 }
@@ -526,7 +618,259 @@ pub fn encode_app_container(app: &AppTrace, spec: ChunkSpec) -> Vec<u8> {
 /// Encodes `reduced` as a chunked container into a byte buffer.
 #[allow(clippy::expect_used)]
 pub fn encode_reduced_container(reduced: &ReducedAppTrace, spec: ChunkSpec) -> Vec<u8> {
-    write_reduced_container(Vec::new(), reduced, spec, trace_obs::ObsShard::disabled())
+    write_reduced_container(Vec::new(), reduced, spec, &trace_obs::Recorder::disabled())
         // lint:allow(expect) -- Vec<u8> as a Write sink is infallible and the writer is driven in order
         .expect("writing to a Vec cannot fail")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trace_obs::{ManualClock, Recorder, Stage};
+    use trace_reduce::{Method, Reducer};
+    use trace_sim::{SizePreset, Workload, WorkloadKind};
+
+    /// The reference: the public streaming writer, one section after
+    /// another on the calling thread.
+    fn app_section_at_a_time(app: &AppTrace, spec: ChunkSpec) -> Vec<u8> {
+        let (regions, contexts) = (app.regions.names(), app.contexts.names());
+        let mut writer = ChunkWriter::app(
+            Vec::new(),
+            &app.name,
+            app.rank_count(),
+            regions,
+            contexts,
+            spec,
+        )
+        .unwrap();
+        for rank in &app.ranks {
+            writer.begin_rank(rank.rank).unwrap();
+            for record in &rank.records {
+                writer.record(record).unwrap();
+            }
+            writer.end_rank().unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    fn reduced_section_at_a_time(reduced: &ReducedAppTrace, spec: ChunkSpec) -> Vec<u8> {
+        let (regions, contexts) = (reduced.regions.names(), reduced.contexts.names());
+        let (name, ranks) = (&reduced.name, reduced.rank_count());
+        let mut writer =
+            ChunkWriter::reduced(Vec::new(), name, ranks, regions, contexts, spec).unwrap();
+        for rank in &reduced.ranks {
+            writer.begin_rank(rank.rank).unwrap();
+            for stored in &rank.stored {
+                writer.stored(stored).unwrap();
+            }
+            for exec in &rank.execs {
+                writer.exec(exec).unwrap();
+            }
+            writer.end_rank().unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    /// [`write_app_container`] on `workers` threads.
+    fn write_app<W: Write>(
+        out: W,
+        app: &AppTrace,
+        spec: ChunkSpec,
+        recorder: &Recorder,
+        workers: usize,
+    ) -> io::Result<W> {
+        let (regions, contexts) = (app.regions.names(), app.contexts.names());
+        let writer = ChunkWriter::app(out, &app.name, app.rank_count(), regions, contexts, spec)?;
+        write_sections(writer, &app.ranks, recorder, workers, app_section)
+    }
+
+    /// [`write_reduced_container`] on `workers` threads.
+    fn write_reduced<W: Write>(
+        out: W,
+        reduced: &ReducedAppTrace,
+        spec: ChunkSpec,
+        recorder: &Recorder,
+        workers: usize,
+    ) -> io::Result<W> {
+        let (regions, contexts) = (reduced.regions.names(), reduced.contexts.names());
+        let (name, ranks) = (&reduced.name, reduced.rank_count());
+        let writer = ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)?;
+        write_sections(writer, &reduced.ranks, recorder, workers, reduced_section)
+    }
+
+    /// Every codec at one segment per chunk and at the default 128.
+    fn specs() -> impl Iterator<Item = ChunkSpec> {
+        Codec::ALL
+            .into_iter()
+            .flat_map(|codec| [1, 128].map(|n| ChunkSpec::with_segments(n).codec(codec)))
+    }
+
+    /// One worker, two, three, and more workers than ranks.
+    fn worker_counts(ranks: usize) -> [usize; 4] {
+        [1, 2, 3, ranks + 3]
+    }
+
+    fn assert_app_bytes_independent_of_workers(app: &AppTrace) {
+        let off = Recorder::disabled();
+        for spec in specs() {
+            let expected = app_section_at_a_time(app, spec);
+            for workers in worker_counts(app.ranks.len()) {
+                let bytes = write_app(Vec::new(), app, spec, &off, workers).unwrap();
+                assert!(bytes == expected, "{} {spec:?} {workers} workers", app.name);
+            }
+        }
+    }
+
+    fn assert_reduced_bytes_independent_of_workers(reduced: &ReducedAppTrace) {
+        let off = Recorder::disabled();
+        for spec in specs() {
+            let expected = reduced_section_at_a_time(reduced, spec);
+            for workers in worker_counts(reduced.ranks.len()) {
+                let bytes = write_reduced(Vec::new(), reduced, spec, &off, workers).unwrap();
+                assert!(
+                    bytes == expected,
+                    "{} {spec:?} {workers} workers",
+                    reduced.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_sections_equal_a_section_at_a_time_writer_on_every_tiny_workload() {
+        for workload in Workload::all(SizePreset::Tiny) {
+            let app = workload.generate();
+            assert_app_bytes_independent_of_workers(&app);
+            let reduced = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&app);
+            assert_reduced_bytes_independent_of_workers(&reduced);
+        }
+    }
+
+    #[test]
+    fn sections_finished_out_of_rank_order_are_stitched_in_rank_order() {
+        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
+        let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
+        // Whichever of the two workers claims rank 0 waits until the other
+        // has encoded rank 1, so rank 1's section is finished first.
+        let (rank1_done, wait_for_rank1) = mpsc::sync_channel(1);
+        let wait_for_rank1 = std::sync::Mutex::new(wait_for_rank1);
+        let held_back = |writer: &mut ChunkWriter<Vec<u8>>, rank: &RankTrace| {
+            if rank.rank == app.ranks[0].rank {
+                wait_for_rank1.lock().unwrap().recv().unwrap();
+            }
+            app_section(writer, rank)?;
+            if rank.rank == app.ranks[1].rank {
+                rank1_done.send(()).unwrap();
+            }
+            Ok(())
+        };
+        let (regions, contexts) = (app.regions.names(), app.contexts.names());
+        let writer = ChunkWriter::app(
+            Vec::new(),
+            &app.name,
+            app.rank_count(),
+            regions,
+            contexts,
+            spec,
+        );
+        let off = Recorder::disabled();
+        let bytes = write_sections(writer.unwrap(), &app.ranks, &off, 2, held_back).unwrap();
+        assert!(bytes == app_section_at_a_time(&app, spec));
+    }
+
+    #[test]
+    fn no_rank_one_rank_and_an_empty_rank_encode_the_same_on_any_worker_count() {
+        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
+        let reduced = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&app);
+        let mut empty_rank = app.clone();
+        empty_rank.ranks[1].records.clear();
+        let mut empty_reduced_rank = reduced.clone();
+        empty_reduced_rank.ranks[1].stored.clear();
+        empty_reduced_rank.ranks[1].execs.clear();
+        for ranks in [0, 1] {
+            assert_app_bytes_independent_of_workers(&AppTrace {
+                ranks: app.ranks[..ranks].to_vec(),
+                ..app.clone()
+            });
+            assert_reduced_bytes_independent_of_workers(&ReducedAppTrace {
+                ranks: reduced.ranks[..ranks].to_vec(),
+                ..reduced.clone()
+            });
+        }
+        assert_app_bytes_independent_of_workers(&empty_rank);
+        assert_reduced_bytes_independent_of_workers(&empty_reduced_rank);
+        let bytes = encode_app_container(&empty_rank, ChunkSpec::with_codec(Codec::DeltaLz));
+        assert_eq!(crate::read_app_container(&bytes[..]).unwrap(), empty_rank);
+    }
+
+    #[test]
+    fn recording_counters_and_spans_do_not_depend_on_the_worker_count() {
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let spec = ChunkSpec::with_segments(4).codec(Codec::DeltaLz);
+        let expected = app_section_at_a_time(&app, spec);
+        let mut one_worker = None;
+        for workers in worker_counts(app.ranks.len()) {
+            let recorder = Recorder::with_clock(ManualClock::new(0));
+            let bytes = write_app(Vec::new(), &app, spec, &recorder, workers).unwrap();
+            assert!(bytes == expected, "{workers} workers");
+            let report = recorder.report();
+            let writes = report.counters[trace_obs::names::CHUNK_WRITES];
+            let compress_spans = report.spans.iter().filter(|s| s.stage == Stage::Compress);
+            assert_eq!(compress_spans.count() as u64, writes, "{workers} workers");
+            let counters = one_worker.get_or_insert_with(|| report.counters.clone());
+            assert_eq!(&report.counters, counters, "{workers} workers");
+        }
+    }
+
+    /// A sink that takes `budget` bytes and then fails every write.
+    #[derive(Debug)]
+    struct FailAfter {
+        budget: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sink_failing_mid_stream_ends_every_worker_with_its_error() {
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let reduced = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&app);
+        let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
+        let off = Recorder::disabled();
+        let app_len = encode_app_container(&app, spec).len();
+        let reduced_len = encode_reduced_container(&reduced, spec).len();
+        for workers in [2, 3, app.ranks.len() + 3] {
+            for budget in [0, 7, app_len / 3, app_len / 2, app_len - 13, app_len - 1] {
+                let err = write_app(FailAfter { budget }, &app, spec, &off, workers).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    "sink full",
+                    "{workers} workers, {budget} bytes"
+                );
+            }
+            for budget in [0, reduced_len / 2, reduced_len - 1] {
+                let sink = FailAfter { budget };
+                let err = write_reduced(sink, &reduced, spec, &off, workers).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    "sink full",
+                    "{workers} workers, {budget} bytes"
+                );
+            }
+            let sink = FailAfter { budget: app_len };
+            assert!(write_app(sink, &app, spec, &off, workers).is_ok());
+        }
+    }
 }

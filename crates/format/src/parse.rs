@@ -7,7 +7,7 @@
 
 use trace_model::{
     AppTrace, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec,
-    StoredSegment, Time,
+    StoredSegment, Time, MAX_RESERVED_RANKS,
 };
 
 use crate::error::FormatError;
@@ -71,10 +71,6 @@ fn parse_header<'a>(
         }
     }
 }
-
-/// `TRACE RANKS <n>` announces `n` rank sections; no more than this many
-/// slots are reserved on the header's word alone.
-const MAX_RESERVED_RANKS: usize = 4096;
 
 /// Parses the text form of a full application trace.
 pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {

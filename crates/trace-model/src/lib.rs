@@ -47,4 +47,4 @@ pub use record::TraceRecord;
 pub use reduced::{ReducedAppTrace, ReducedRankTrace, SegmentExec, StoredSegment};
 pub use segment::{Segment, SegmentKey};
 pub use time::{Duration, Time};
-pub use trace::{AppTrace, RankTrace};
+pub use trace::{AppTrace, RankTrace, MAX_RESERVED_RANKS};

@@ -115,6 +115,12 @@ impl RankTrace {
     }
 }
 
+/// Most rank slots a trace reader reserves on a declared rank count alone.
+/// The text header's `TRACE RANKS <n>` and the container preamble's count
+/// are bare numbers, and a 28-byte file can declare 2^60 ranks; past this
+/// many, the rank list grows only as sections actually arrive.
+pub const MAX_RESERVED_RANKS: usize = 4096;
+
 /// A merged application trace: one [`RankTrace`] per rank plus the shared
 /// region and context name tables.
 #[derive(Clone, Debug, Default, PartialEq)]
