@@ -11,12 +11,10 @@
 //! [`write_app_container`] / [`write_reduced_container`] spread whole
 //! traces' rank sections over worker threads: sections are
 //! position-independent (only `INDEX` holds absolute offsets), so each is
-//! encoded into its own buffer and stitched into the sink in rank order.
+//! encoded into its own buffer on the workspace's one ordered fan-out,
+//! [`trace_obs::ordered()`], and stitched into the sink in rank order.
 
-use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use trace_compress::{ChunkEncoder, Codec};
 use trace_model::codec::varint::write_u64 as varint_write_u64;
@@ -462,9 +460,6 @@ impl<W: Write> ChunkWriter<W> {
     }
 }
 
-/// A section's bytes and its index entry, offset from the section's start.
-type Section = (Vec<u8>, RankSectionEntry);
-
 impl ChunkWriter<Vec<u8>> {
     /// A headerless writer that encodes one rank section at a time into its
     /// own buffer, recording into `obs`.
@@ -474,24 +469,12 @@ impl ChunkWriter<Vec<u8>> {
             ..Self::bare(Vec::new(), kind, 0, spec)
         }
     }
-
-    /// Hands back the section just closed, leaving the writer empty.
-    fn take_section(&mut self) -> io::Result<Section> {
-        let entry = self.sections.pop();
-        let entry = entry.ok_or_else(|| Self::state_error("no closed section to take"))?;
-        self.out.written = 0;
-        Ok((std::mem::take(&mut self.out.inner), entry))
-    }
 }
 
 /// Encodes `ranks` as the sections of `writer`'s container on up to
 /// `workers` threads, the calling thread among them, then finishes it.
-///
-/// Workers claim ranks in order and encode each into a buffer of their own.
-/// After each section it encodes, and whenever it has nothing left to
-/// claim, the calling thread writes every finished section that is next in
-/// rank order and drops its buffer.  A failing sink or encoder ends the
-/// loop with its error; the other workers stop at their next section.
+/// Each worker encodes the ranks it claims into a buffer of its own, and
+/// each buffer goes into the sink as soon as it is next in rank order.
 fn write_sections<W: Write, R: Sync>(
     mut writer: ChunkWriter<W>,
     ranks: &[R],
@@ -500,53 +483,32 @@ fn write_sections<W: Write, R: Sync>(
     encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &R) -> io::Result<()> + Sync,
 ) -> io::Result<W> {
     let (kind, spec) = (writer.kind, writer.spec);
-    // Only hands out indices: the sections travel through the channel,
-    // which orders them, so `Relaxed` publishes nothing it must.
-    let next = AtomicUsize::new(0);
-    let encode_next = |section: &mut ChunkWriter<Vec<u8>>| {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let rank = ranks.get(index)?;
-        let encoded = encode(section, rank).and_then(|()| section.take_section());
-        Some(encoded.map(|s| (index, s)))
-    };
-    let encode_next = &encode_next;
-    std::thread::scope(|scope| {
-        let (done, finished) = mpsc::channel();
-        for _ in 1..workers.clamp(1, ranks.len().max(1)) {
-            let done = done.clone();
-            scope.spawn(move || {
-                let mut section = ChunkWriter::section(kind, spec, recorder.shard());
-                while let Some(result) = encode_next(&mut section) {
-                    if done.send(result).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(done);
-        let mut section = ChunkWriter::section(kind, spec, recorder.shard());
-        let mut pending = BTreeMap::new();
-        let mut stitched = 0;
-        while stitched < ranks.len() {
-            let first = match encode_next(&mut section) {
-                Some(result) => result,
-                None => finished
-                    .recv()
-                    .map_err(|_| io::Error::other("a section encoder stopped early"))?,
-            };
-            for result in std::iter::once(first).chain(finished.try_iter()) {
-                let (index, encoded) = result?;
-                pending.insert(index, encoded);
-            }
-            while let Some((bytes, mut entry)) = pending.remove(&stitched) {
-                entry.offset += writer.out.written;
-                writer.out.write_all(&bytes)?;
-                writer.sections.push(entry);
-                stitched += 1;
-            }
-        }
-        Ok::<_, io::Error>(())
-    })?;
+    let encoders = (0..workers.clamp(1, ranks.len().max(1)))
+        .map(|_| ChunkWriter::section(kind, spec, recorder.shard()))
+        .collect();
+    let misuse = ChunkWriter::<Vec<u8>>::state_error;
+    trace_obs::ordered(
+        encoders,
+        ranks.len(),
+        |section, index| {
+            encode(
+                section,
+                ranks.get(index).ok_or_else(|| misuse("no such rank"))?,
+            )?;
+            // Hand back the section just closed, leaving the writer empty;
+            // its entry's offset is from the section's start.
+            let entry = section.sections.pop().ok_or_else(|| misuse("no section"))?;
+            section.out.written = 0;
+            Ok((std::mem::take(&mut section.out.inner), entry))
+        },
+        |_| io::Result::Ok(()),
+        |_, (bytes, mut entry)| {
+            entry.offset += writer.out.written;
+            writer.out.write_all(&bytes)?;
+            writer.sections.push(entry);
+            Ok(())
+        },
+    )?;
     writer.finish()
 }
 
@@ -752,7 +714,7 @@ mod tests {
         let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
         // Whichever of the two workers claims rank 0 waits until the other
         // has encoded rank 1, so rank 1's section is finished first.
-        let (rank1_done, wait_for_rank1) = mpsc::sync_channel(1);
+        let (rank1_done, wait_for_rank1) = std::sync::mpsc::sync_channel(1);
         let wait_for_rank1 = std::sync::Mutex::new(wait_for_rank1);
         let held_back = |writer: &mut ChunkWriter<Vec<u8>>, rank: &RankTrace| {
             if rank.rank == app.ranks[0].rank {

@@ -30,9 +30,10 @@
 //!   naive loop it replaced is test support only; the differential suite
 //!   requires bit-identical reduced traces from both.
 //! * [`parallel`] — the in-memory application loop: per-rank reduction on
-//!   crossbeam scoped threads (each rank's trace is reduced independently,
-//!   exactly as the paper's intra-process technique allows), with
-//!   [`Reducer::reduce_app`] as its one-worker case.
+//!   the workspace's one ordered fan-out, [`trace_obs::ordered()`] (each
+//!   rank's trace is reduced independently, exactly as the paper's
+//!   intra-process technique allows), with [`Reducer::reduce_app`] as its
+//!   one-worker case, which spawns no thread.
 //! * [`dtw`] / [`extended`] — the extended method catalogue (dynamic time
 //!   warping, cosine, normalized Euclidean, CDF 9/7 wavelet, delta-time
 //!   histograms) that the paper's conclusion lists as future work, plugged
@@ -80,7 +81,7 @@ pub use extended::{segments_match_extended, ExtendedConfig, ExtendedMethod, Exte
 pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatures};
 pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
-pub use parallel::{reduce_app_parallel, reduce_app_parallel_with_stats, scoped_workers};
+pub use parallel::{reduce_app_parallel, reduce_app_parallel_with_stats};
 pub use reducer::{
     reduce_app_with_predicate, reduce_rank_with_predicate, OnlineRankReducer, RankReduction,
     Reducer,

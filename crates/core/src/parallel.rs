@@ -3,48 +3,26 @@
 //! The paper's technique is strictly intra-process: each rank's trace is
 //! reduced independently and the per-rank results are merged afterwards.
 //! That makes the reduction embarrassingly parallel over ranks, which this
-//! module exploits with crossbeam scoped threads.  Results are collected
-//! into a pre-sized slot table guarded by a `parking_lot::Mutex`, so rank
-//! order is preserved regardless of which worker finishes first.
+//! module runs on the workspace's one ordered fan-out, [`trace_obs::ordered()`]:
+//! each worker keeps a match scratch, its counters and a recorder shard from
+//! rank to rank, and the reduced ranks arrive in rank order whichever worker
+//! finishes first.
 
-use crossbeam::thread;
-use parking_lot::Mutex;
-
-use trace_model::{AppTrace, ReducedAppTrace, ReducedRankTrace};
+use trace_model::{AppTrace, ReducedAppTrace};
+use trace_obs::{ordered, WorkerPanic};
 
 use crate::features::{MatchScratch, MatchStats};
 use crate::reducer::Reducer;
-
-/// Runs `work(worker_index)` on `workers` crossbeam scoped threads and
-/// joins them all.  A worker count of 0 or 1 runs `work(0)` on the calling
-/// thread, which makes every sequential driver the one-worker case of its
-/// parallel one.  This is the scoped-thread fan-out shared by the in-memory
-/// reduction below and the streaming drivers in the `trace_stream` crate.
-///
-/// # Panics
-/// Propagates a panic from any worker.
-pub fn scoped_workers<F>(workers: usize, work: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if workers <= 1 {
-        work(0);
-        return;
-    }
-    thread::scope(|scope| {
-        for worker in 0..workers {
-            let work = &work;
-            scope.spawn(move |_| work(worker));
-        }
-    })
-    .expect("scoped worker panicked");
-}
 
 /// Reduces every rank of `app` in parallel using up to `threads` worker
 /// threads (values of 0 or 1 run on the calling thread).
 ///
 /// The output is identical to [`Reducer::reduce_app`]; parallelism only
 /// changes wall-clock time, never the result, because ranks are independent.
+///
+/// # Panics
+/// A panic in any worker stops the others at their next rank and is
+/// re-raised on the calling thread.
 pub fn reduce_app_parallel(reducer: &Reducer, app: &AppTrace, threads: usize) -> ReducedAppTrace {
     reduce_app_parallel_with_stats(reducer, app, threads).0
 }
@@ -56,46 +34,43 @@ pub fn reduce_app_parallel(reducer: &Reducer, app: &AppTrace, threads: usize) ->
 /// are deterministic — only the order in which workers produced them does.
 /// They are drained into the reducer's recorder once, after the merge, so
 /// the per-worker shards never double-count.
+///
+/// # Panics
+/// As [`reduce_app_parallel`]: there is no error channel, so a worker's
+/// panic is re-raised on the calling thread with
+/// [`std::panic::resume_unwind`].
 pub fn reduce_app_parallel_with_stats(
     reducer: &Reducer,
     app: &AppTrace,
     threads: usize,
 ) -> (ReducedAppTrace, MatchStats) {
-    let n_ranks = app.rank_count();
     let recorder = reducer.recorder();
-    let slots: Vec<Mutex<Option<ReducedRankTrace>>> =
-        (0..n_ranks).map(|_| Mutex::new(None)).collect();
-    let total_stats = Mutex::new(MatchStats::default());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-
-    scoped_workers(threads.min(n_ranks), |_| {
-        // One match scratch per worker: the feature buffers grow to the
-        // largest segment once and are reused across every rank this
-        // worker reduces.  Likewise one obs shard per worker, flushed into
-        // the recorder when the worker finishes.
-        let mut scratch = MatchScratch::new();
-        let mut worker_stats = MatchStats::default();
-        let mut obs = recorder.shard();
-        loop {
-            let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if index >= n_ranks {
-                break;
-            }
-            let reduction = reducer.reduce_rank_on(&app.ranks[index], &mut scratch, &mut obs);
-            worker_stats.absorb(&reduction.matching);
-            *slots[index].lock() = Some(reduction.reduced);
-        }
-        obs.finish();
-        total_stats.lock().absorb(&worker_stats);
-    });
-
+    // One match scratch per worker: the feature buffers grow to the largest
+    // segment once and are reused across every rank the worker reduces.
+    let workers = (0..threads.clamp(1, app.rank_count().max(1)))
+        .map(|_| (MatchScratch::new(), MatchStats::default(), recorder.shard()))
+        .collect();
     let mut reduced = ReducedAppTrace::for_app(app);
-    for slot in slots {
-        reduced
-            .ranks
-            .push(slot.into_inner().expect("every rank slot must be filled"));
+    let run = ordered(
+        workers,
+        app.rank_count(),
+        |(scratch, stats, obs), index| {
+            let reduction = reducer.reduce_rank_on(&app.ranks[index], scratch, obs);
+            stats.absorb(&reduction.matching);
+            Ok::<_, WorkerPanic>(reduction.reduced)
+        },
+        |_| Ok(()),
+        |_, rank| {
+            reduced.ranks.push(rank);
+            Ok(())
+        },
+    );
+    let workers = run.unwrap_or_else(|WorkerPanic(payload)| std::panic::resume_unwind(payload));
+    let mut stats = MatchStats::default();
+    for (_, worker_stats, obs) in workers {
+        stats.absorb(&worker_stats);
+        obs.finish();
     }
-    let stats = total_stats.into_inner();
     stats.record_into(&mut recorder.shard());
     (reduced, stats)
 }

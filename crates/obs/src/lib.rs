@@ -26,6 +26,9 @@
 //! sinks: a text summary ([`RunReport::render_text`]), versioned JSON
 //! ([`RunReport::render_json`], schema in `docs/observability.md`) and a
 //! chrome://tracing span export ([`RunReport::render_chrome_trace`]).
+//!
+//! The crate also owns the workspace's one worker fan-out, [`ordered()`]:
+//! every crate that runs ranks in parallel gives each worker a shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,11 +38,13 @@ pub mod clock;
 pub mod json;
 pub mod metrics;
 pub mod names;
+pub mod ordered;
 pub mod recorder;
 pub mod report;
 
 pub use chrome::ChromeEvent;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{Histogram, MetricSet};
+pub use ordered::{ordered, WorkerPanic};
 pub use recorder::{ObsShard, Recorder, SpanRecord, SpanStart, Stage, MAX_SPANS_PER_SHARD};
 pub use report::{HistogramSnapshot, RunReport, SCHEMA_NAME, SCHEMA_VERSION};

@@ -9,9 +9,7 @@
 //! a span can bracket code that also records counters on the same shard.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::MetricSet;
@@ -196,7 +194,7 @@ impl Recorder {
         match &self.inner {
             None => RunReport::default(),
             Some(inner) => {
-                let merged = inner.merged.lock();
+                let merged = inner.merged.lock().unwrap_or_else(PoisonError::into_inner);
                 let mut metrics = merged.metrics.clone();
                 if merged.dropped_spans > 0 {
                     metrics.add(OBS_SPANS_DROPPED, merged.dropped_spans);
@@ -301,7 +299,13 @@ impl ObsShard {
         let Some(inner) = self.inner.take() else {
             return;
         };
-        let mut merged = inner.home.merged.lock();
+        // A panic mid-merge poisons the lock, not the data: a merge is
+        // counter addition and a report is diagnostics, so recover it.
+        let mut merged = inner
+            .home
+            .merged
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         merged.metrics.absorb(&inner.metrics);
         merged.spans.extend_from_slice(&inner.spans);
         merged.dropped_spans += inner.dropped_spans;

@@ -13,21 +13,21 @@
 //! fan-out merges the ranks and drains the counters.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
-use parking_lot::Mutex;
 use trace_container::{
-    read_index, ChunkReader, ContainerError, ContainerItem, PayloadKind, Preamble, CONTAINER_MAGIC,
+    read_index, ChunkReader, ContainerError, ContainerIndex, ContainerItem, PayloadKind, Preamble,
+    CONTAINER_MAGIC,
 };
 use trace_model::codec::APP_TRACE_MAGIC;
-use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord};
+use trace_model::{Rank, ReducedAppTrace, TraceRecord};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::reduce::{reduce_selected_ranks, StreamReduction, StreamStats};
-use crate::shard::{fan_out, reduce_stream_sharded, take_reader};
+use crate::reduce::{StreamReduction, StreamStats};
+use crate::shard::{fan_out, no_second_source, reduce_sources, reduce_stream_sharded};
 use crate::source::AppItemSource;
 
 /// [`AppItemSource`] over a chunked binary container.
@@ -55,12 +55,6 @@ impl<R: Read> ContainerSource<R> {
         self.inner.preamble()
     }
 
-    /// The most memory one chunk has taken so far, in bytes (see
-    /// [`ChunkReader::peak_chunk_bytes`]).
-    pub fn peak_chunk_bytes(&self) -> usize {
-        self.inner.peak_chunk_bytes()
-    }
-
     /// Attaches an observability shard to the underlying chunk reader, so
     /// chunk reads record `chunk_io`/`compress`/`parse` spans and counters.
     pub fn set_obs(&mut self, obs: trace_obs::ObsShard) {
@@ -83,6 +77,11 @@ impl<R: Read> AppItemSource for ContainerSource<R> {
 
     fn take_records(&mut self) -> &[TraceRecord] {
         self.inner.take_records()
+    }
+
+    /// See [`ChunkReader::peak_chunk_bytes`].
+    fn peak_chunk_bytes(&self) -> usize {
+        self.inner.peak_chunk_bytes()
     }
 }
 
@@ -107,19 +106,6 @@ fn header_of<R: Read>(
     Ok((header, preamble.declared_ranks))
 }
 
-/// Reduces every rank section `source` yields; the chunk reader records its
-/// `chunk_io`/`compress`/`parse` spans into a recorder shard of its own.
-fn reduce_sections<R: Read>(
-    reducer: &Reducer,
-    mut source: ContainerSource<R>,
-    obs: &mut trace_obs::ObsShard,
-) -> Result<(Vec<(usize, ReducedRankTrace)>, StreamStats), StreamError> {
-    source.set_obs(reducer.recorder().shard());
-    let (ranks, mut stats) = reduce_selected_ranks(reducer, &mut source, |_| true, obs)?;
-    stats.peak_chunk_bytes = source.peak_chunk_bytes();
-    Ok((ranks, stats))
-}
-
 /// Reduces an app-trace container stream in one pass with bounded memory:
 /// the resident state is the stored representatives, at most one in-flight
 /// segment, and one decoded chunk.
@@ -127,21 +113,19 @@ pub fn reduce_container_stream<R: Read + Send>(
     reducer: &Reducer,
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
-    let reader = Mutex::new(Some(reader));
-    fan_out(reducer, 1, |_, obs| {
-        let source = ContainerSource::new(take_reader(&reader)?)?;
-        let (header, _) = header_of(&source)?;
-        let (ranks, stats) = reduce_sections(reducer, source, obs)?;
-        Ok((header, ranks, stats))
-    })
+    let mut source = ContainerSource::new(reader)?;
+    let (header, declared_ranks) = header_of(&source)?;
+    source.set_obs(reducer.recorder().shard());
+    reduce_sources(reducer, header, source, declared_ranks, 1, no_second_source)
 }
 
-/// Reduces a container file with `shards` workers, each seeking directly
-/// to the rank sections assigned to it (`section index % shards`) via the
-/// index footer.  Output is bit-identical to the sequential
+/// Reduces a container file with `shards` workers, each claiming rank
+/// sections as it falls free and seeking straight to them via the index
+/// footer.  Output is bit-identical to the sequential
 /// [`reduce_container_stream`]; only wall-clock time changes.  One shard
 /// *is* that sequential scan: it needs no index footer and validates every
-/// chunk up to the trailer, which seeking workers never reach.
+/// chunk up to the trailer, which seeking workers never reach.  A failing
+/// section is a [`StreamError::Section`], which says where it is.
 pub fn reduce_container_file(
     reducer: &Reducer,
     path: impl AsRef<Path>,
@@ -153,8 +137,8 @@ pub fn reduce_container_file(
     }
 
     let mut file = File::open(path)?;
-    let index = read_index(&mut file)?;
-    if index.kind == PayloadKind::Reduced {
+    let ContainerIndex { kind, sections } = read_index(&mut file)?;
+    if kind == PayloadKind::Reduced {
         return Err(StreamError::Container(ContainerError::UnexpectedChunk {
             expected: "an app-trace container",
             found: "a reduced-trace container",
@@ -165,36 +149,46 @@ pub fn reduce_container_file(
     // The sequential reader validates this when it reaches the INDEX
     // chunk; the sharded path never scans that far, so a short index must
     // be rejected here or ranks would silently drop from the output.
-    if index.sections.len() != declared_ranks {
+    if sections.len() != declared_ranks {
         return Err(StreamError::Container(ContainerError::CountMismatch {
             what: "rank sections",
             declared: declared_ranks as u64,
-            found: index.sections.len() as u64,
+            found: sections.len() as u64,
         }));
     }
 
-    let workers = shards.min(index.sections.len()).max(1);
-    fan_out(reducer, workers, |worker, obs| {
-        let file = File::open(path)?;
-        let mut out: Vec<(usize, ReducedRankTrace)> = Vec::new();
-        let mut stats = StreamStats::default();
-        for (section_index, entry) in index
-            .sections
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % workers == worker)
-        {
-            // `&File` implements `Read + Seek`, so every section gets a
-            // fresh buffered cursor over the worker's single handle.
-            let mut handle = &file;
-            handle.seek(SeekFrom::Start(entry.offset))?;
-            let source = ContainerSource::section(BufReader::new(handle), entry.offset);
-            let (ranks, section_stats) = reduce_sections(reducer, source, obs)?;
-            stats.absorb(&section_stats);
-            out.extend(ranks.into_iter().map(|(_, rank)| (section_index, rank)));
-        }
-        Ok((header.clone(), out, stats))
-    })
+    let files = (0..shards.min(declared_ranks).max(1)).map(|_| File::open(path));
+    let files = files.collect::<io::Result<Vec<_>>>()?;
+    fan_out(
+        reducer,
+        header,
+        files,
+        declared_ranks,
+        |worker, file, index| {
+            let Some(entry) = sections.get(index) else {
+                return Err(StreamError::Protocol("a section the index does not list"));
+            };
+            let mut reduce_section = || -> Result<_, StreamError> {
+                // `&File` implements `Read + Seek`, so every section gets a
+                // fresh buffered cursor over the worker's single handle.
+                let mut handle = &*file;
+                handle.seek(SeekFrom::Start(entry.offset))?;
+                let mut source = ContainerSource::section(BufReader::new(handle), entry.offset);
+                source.set_obs(reducer.recorder().shard());
+                let reduced = worker.reduce_rank(reducer, &mut source)?;
+                let peak = &mut worker.stats.peak_chunk_bytes;
+                *peak = source.peak_chunk_bytes().max(*peak);
+                Ok(reduced)
+            };
+            reduce_section().map_err(|error| StreamError::Section {
+                index,
+                rank: entry.rank,
+                offset: entry.offset,
+                error: Box::new(error),
+            })
+        },
+        |_, _| Ok(()),
+    )
 }
 
 /// What kind of trace input a file holds, detected from its magic bytes.
@@ -251,7 +245,8 @@ pub fn reduce_any_file(
             reduce_stream_sharded(reducer, shards, |_| File::open(path).map(BufReader::new))?
         }
         TraceInputKind::ContainerV2 => reduce_container_file(reducer, path, shards)?,
-        TraceInputKind::BinaryV1 => fan_out(reducer, 1, |_, obs| {
+        TraceInputKind::BinaryV1 => {
+            let mut obs = reducer.recorder().shard();
             let span = obs.start();
             let bytes = std::fs::read(path)?;
             let app =
@@ -263,19 +258,19 @@ pub fn reduce_any_file(
                 peak_chunk_bytes: bytes.len(),
                 ..StreamStats::default()
             };
-            let mut ranks = Vec::with_capacity(app.rank_count());
-            for (index, rank) in app.ranks.iter().enumerate() {
+            let mut reduced = ReducedAppTrace::for_app(&app);
+            for rank in &app.ranks {
                 let reduction = reducer.reduce_rank(rank);
                 stats.segments += reduction.segmentation.segments;
                 stats.orphan_events += reduction.segmentation.orphan_events;
                 stats.unterminated_segments += reduction.segmentation.unterminated_segments;
                 stats.matching.absorb(&reduction.matching);
-                ranks.push((index, reduction.reduced));
+                reduced.ranks.push(reduction.reduced);
             }
             // Monolithic: every segment (and the whole file) resident.
             stats.peak_resident_segments = stats.segments;
-            Ok((ReducedAppTrace::for_app(&app), ranks, stats))
-        })?,
+            StreamReduction::drained(reducer, reduced, stats)
+        }
     };
     Ok((reduction, kind))
 }
@@ -326,6 +321,46 @@ mod tests {
             assert_eq!(sharded.reduced, sequential.reduced, "{shards} shards");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_corrupt_section_names_its_index_rank_and_byte_offset() {
+        let mut app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        app.ranks.truncate(4);
+        let mut bytes = encode_app_container(&app, ChunkSpec::with_segments(8));
+        let entry = read_index(&mut Cursor::new(&bytes)).unwrap().sections[2];
+        // Frames are kind, codec, payload length, CRC, payload: flip the
+        // first payload byte of the RECORDS chunk after section 2's
+        // RANK_BEGIN.
+        let start = entry.offset as usize;
+        let rank_begin = u32::from_le_bytes(bytes[start + 2..start + 6].try_into().unwrap());
+        let records = start + 10 + rank_begin as usize;
+        bytes[records + 10] ^= 0x40;
+        let path = temp_file("crc_flip.trc", &bytes);
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let err = reduce_container_file(&reducer, &path, 2).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+
+        let StreamError::Section {
+            index: 2,
+            rank,
+            offset,
+            ..
+        } = &err
+        else {
+            panic!("not section 2: {err}");
+        };
+        assert_eq!((*rank, *offset), (entry.rank, entry.offset));
+        let cause = err.as_container();
+        assert!(
+            matches!(cause, Some(ContainerError::BadCrc { offset, .. }) if *offset == records as u64),
+            "{err}"
+        );
+        let place = format!(
+            "rank section 2 ({}, byte offset {})",
+            entry.rank, entry.offset
+        );
+        assert!(err.to_string().starts_with(&place), "{err}");
     }
 
     #[test]

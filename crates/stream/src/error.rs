@@ -5,10 +5,13 @@ use std::io;
 
 use trace_container::ContainerError;
 use trace_format::FormatError;
+use trace_model::Rank;
+use trace_obs::WorkerPanic;
 
 /// An error encountered while streaming a trace: the underlying reader
 /// failed, a text line did not parse, a binary container chunk was
-/// malformed, or the reduction loop was handed items out of order.
+/// malformed, the reduction loop was handed items out of order, or a worker
+/// panicked.
 #[derive(Debug)]
 pub enum StreamError {
     /// The underlying reader failed.
@@ -20,8 +23,19 @@ pub enum StreamError {
     /// The reduction loop's contract was broken: an
     /// [`crate::AppItemSource`] yielded a record or a rank end outside a
     /// rank section, a rank start inside one, or ended inside one (the
-    /// bundled sources never do), or a worker left no result.
+    /// bundled sources never do), or a worker panicked.
     Protocol(&'static str),
+    /// A container file's rank section, read via its index entry, failed.
+    Section {
+        /// The section's position in the file, from 0.
+        index: usize,
+        /// The rank its index entry names.
+        rank: Rank,
+        /// Byte offset of its `RANK_BEGIN` chunk, from its index entry.
+        offset: u64,
+        /// What went wrong inside it.
+        error: Box<StreamError>,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -31,6 +45,15 @@ impl fmt::Display for StreamError {
             StreamError::Format(e) => e.fmt(f),
             StreamError::Container(e) => e.fmt(f),
             StreamError::Protocol(what) => write!(f, "trace stream out of order: {what}"),
+            StreamError::Section {
+                index,
+                rank,
+                offset,
+                error,
+            } => write!(
+                f,
+                "rank section {index} ({rank}, byte offset {offset}): {error}"
+            ),
         }
     }
 }
@@ -42,6 +65,7 @@ impl std::error::Error for StreamError {
             StreamError::Format(e) => Some(e),
             StreamError::Container(e) => Some(e),
             StreamError::Protocol(_) => None,
+            StreamError::Section { error, .. } => Some(error.as_ref()),
         }
     }
 }
@@ -64,11 +88,18 @@ impl From<ContainerError> for StreamError {
     }
 }
 
+impl From<WorkerPanic> for StreamError {
+    fn from(_: WorkerPanic) -> Self {
+        StreamError::Protocol("a worker panicked")
+    }
+}
+
 impl StreamError {
     /// The format error, if this is a text parse failure.
     pub fn as_format(&self) -> Option<&FormatError> {
         match self {
             StreamError::Format(e) => Some(e),
+            StreamError::Section { error, .. } => error.as_format(),
             _ => None,
         }
     }
@@ -77,6 +108,7 @@ impl StreamError {
     pub fn as_container(&self) -> Option<&ContainerError> {
         match self {
             StreamError::Container(e) => Some(e),
+            StreamError::Section { error, .. } => error.as_container(),
             _ => None,
         }
     }

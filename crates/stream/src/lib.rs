@@ -21,23 +21,26 @@
 //!   in-flight segment per active rank), never O(total events), and the
 //!   output is identical to the in-memory [`trace_reduce::Reducer`] —
 //!   both paths drive the same state machines.
-//! * [`shard::reduce_stream_sharded`] — batches rank sections across
-//!   crossbeam worker threads ([`trace_reduce::scoped_workers`]), each
-//!   worker streaming its own reader and skipping the sections owned by
-//!   other workers.
+//! * [`shard::reduce_stream_sharded`] — spreads rank sections over worker
+//!   threads, each streaming its own reader: a worker claims the next
+//!   unreduced section, skips forward to it without parsing the sections
+//!   in between, and after its last claim reads on to the trailer.
 //! * [`binary::reduce_container_stream`] / [`binary::reduce_container_file`]
 //!   — the binary counterparts; the file driver goes further than text
-//!   sharding can: workers *seek* straight to their rank sections via the
-//!   container's index footer instead of scanning the file.
+//!   sharding can: workers *seek* straight to the rank sections they claim
+//!   via the container's index footer instead of scanning the file.
 //!   [`binary::reduce_any_file`] autodetects text, monolithic v1 and
 //!   container v2 inputs by magic bytes.
 //!
 //! One rule covers all five drivers: each is a function of a
 //! [`trace_reduce::Reducer`] — method, candidate search and recorder
 //! together — a source, and (where it shards) a worker count.  They share
-//! one worker fan-out, which merges the ranks back in stream order and
-//! drains the merged [`StreamStats`] into the reducer's recorder exactly
-//! once; the sequential drivers are its one-worker case.
+//! the workspace's one ordered fan-out, [`trace_obs::ordered()`]: the calling
+//! thread is a worker too, appends each reduced rank as soon as it is next
+//! in stream order, and drains the merged [`StreamStats`] into the
+//! reducer's recorder exactly once.  The sequential entry points are its
+//! one-worker case, which spawns no thread, and a panicking worker is a
+//! [`StreamError`], not a panic.
 //!
 //! # Quick start
 //!

@@ -10,13 +10,12 @@
 
 use std::io::BufRead;
 
-use parking_lot::Mutex;
-use trace_model::{ReducedAppTrace, ReducedRankTrace, TraceRecord};
+use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord};
 use trace_reduce::{MatchScratch, MatchStats, OnlineRankReducer, OnlineSegmenter, Reducer};
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::shard::{reduce_stream_sharded, take_reader};
+use crate::shard::{no_second_source, reduce_text};
 use crate::source::AppItemSource;
 
 /// Instrumentation counters from one streaming reduction.
@@ -34,10 +33,12 @@ pub struct StreamStats {
     pub execs: usize,
     /// Peak number of segments resident at once: stored representatives
     /// accumulated so far plus in-flight segments.  The streaming guarantee
-    /// is `peak_resident_segments ≤ total stored + active ranks`, however
-    /// long the trace is.  For sharded runs this is the *sum* of the
-    /// per-worker peaks — an upper bound on the true concurrent total,
-    /// since workers generally peak at different moments.
+    /// is `peak_resident_segments ≤ total stored + workers`, however long
+    /// the trace is.  For sharded runs this is the *sum* of the per-worker
+    /// peaks — an upper bound on the true concurrent total, since workers
+    /// generally peak at different moments — and, as workers claim rank
+    /// sections as they fall free, it depends on which worker reduced which
+    /// section; the bound holds whatever the assignment.
     pub peak_resident_segments: usize,
     /// Events encountered outside any segment (dropped).
     pub orphan_events: usize,
@@ -81,8 +82,8 @@ impl StreamStats {
 
     /// Drains these counters into an observability shard under the
     /// canonical `stream.*` (and nested `match.*`) metric names.  Called
-    /// once per run, on the merged total, by the one fan-out every driver
-    /// goes through — not per worker, so sharded drivers don't double-count.
+    /// once per run, on the merged total, after the fan-out returns — not
+    /// per worker, so sharded runs don't double-count.
     pub fn record_into(&self, obs: &mut trace_obs::ObsShard) {
         if !obs.is_enabled() {
             return;
@@ -117,121 +118,139 @@ pub struct StreamReduction {
     pub stats: StreamStats,
 }
 
-/// Reduces the rank sections selected by `take` (by 0-based section index),
-/// skipping the rest, and returns `(index, reduced rank)` pairs in stream
-/// order together with the instrumentation counters (`stored` and `execs`
-/// are left for [`crate::shard::fan_out`], which sees every worker's
-/// ranks).  The source may be the text parser or the binary container
-/// reader — the loop is identical.
-///
-/// Each processed rank section is bracketed by a
-/// [`trace_obs::Stage::Rank`] span (the streaming loop fuses segment and
-/// match per record — and, for text, parse — so the rank is the finest
-/// honestly separable unit: two clock reads per rank, nothing per record;
-/// a container source times its own chunk decodes inside it).  With a
-/// disabled shard the reduction is identical — recording never steers.
-///
-/// A source that starts a rank inside a rank section, or ends inside one,
-/// is refused with [`StreamError::Protocol`]: the open rank's reduction
-/// would otherwise be dropped without a trace.
-pub(crate) fn reduce_selected_ranks<S: AppItemSource>(
-    reducer: &Reducer,
-    source: &mut S,
-    mut take: impl FnMut(usize) -> bool,
-    obs: &mut trace_obs::ObsShard,
-) -> Result<(Vec<(usize, ReducedRankTrace)>, StreamStats), StreamError> {
-    let mut out: Vec<(usize, ReducedRankTrace)> = Vec::new();
-    let mut stats = StreamStats::default();
-    let mut next_index = 0usize;
-    // Stored representatives retained by already-finished ranks; the final
-    // ReducedAppTrace keeps them, so they count toward resident state.
-    let mut stored_retained = 0usize;
-    // One match scratch for the whole stream: the feature buffers are
-    // threaded from rank to rank, so the matching loop stays allocation
-    // free however many ranks flow past.
-    let mut scratch = MatchScratch::new();
-    let mut active: Option<(
-        usize,
-        OnlineSegmenter,
-        OnlineRankReducer,
-        trace_obs::SpanStart,
-    )> = None;
+impl StreamReduction {
+    /// Completes `stats` with the output's stored and execution totals and
+    /// drains them into the reducer's recorder, once per run.
+    pub(crate) fn drained(
+        reducer: &Reducer,
+        reduced: ReducedAppTrace,
+        mut stats: StreamStats,
+    ) -> Self {
+        stats.stored = reduced.total_stored();
+        stats.execs = reduced.total_execs();
+        stats.record_into(&mut reducer.recorder().shard());
+        StreamReduction { reduced, stats }
+    }
+}
 
-    while let Some(item) = source.next_item()? {
-        match item {
-            AppItem::RankStart(rank) => {
-                if active.is_some() {
-                    return Err(StreamError::Protocol("a rank start inside a rank section"));
+/// Opens the next rank section of `source`: its rank, or `None` at the
+/// trailer.  A record or a rank end between sections is a protocol error.
+pub(crate) fn next_section<S: AppItemSource>(source: &mut S) -> Result<Option<Rank>, StreamError> {
+    match source.next_item()? {
+        Some(AppItem::RankStart(rank)) => Ok(Some(rank)),
+        Some(AppItem::Record(_)) => Err(StreamError::Protocol("a record outside a rank section")),
+        Some(AppItem::RankEnd(_)) => {
+            Err(StreamError::Protocol("a rank end outside a rank section"))
+        }
+        None => Ok(None),
+    }
+}
+
+/// What a streaming worker keeps from rank section to rank section: one
+/// match scratch (so the matching loop stays allocation free however many
+/// ranks flow past), its recorder shard and its counters.
+#[derive(Default)]
+pub(crate) struct RankWorker {
+    scratch: MatchScratch,
+    pub(crate) obs: trace_obs::ObsShard,
+    pub(crate) stats: StreamStats,
+    /// Stored representatives of the ranks this worker already reduced;
+    /// the output keeps them, so they count toward resident state.
+    stored_retained: usize,
+}
+
+impl RankWorker {
+    /// Reduces the rank section `source` opens next — the text parser or
+    /// the container reader, the loop is identical.
+    ///
+    /// The section is bracketed by a [`trace_obs::Stage::Rank`] span (the
+    /// loop fuses segment and match per record — and, for text, parse — so
+    /// the rank is the finest honestly separable unit: two clock reads per
+    /// rank; a container source times its own chunk decodes inside it).
+    /// An item out of place — a record or rank end before the rank start, a
+    /// second rank start, or the end of the stream — is a protocol error:
+    /// the open rank would otherwise be lost.
+    pub(crate) fn reduce_rank<S: AppItemSource>(
+        &mut self,
+        reducer: &Reducer,
+        source: &mut S,
+    ) -> Result<ReducedRankTrace, StreamError> {
+        let RankWorker {
+            scratch,
+            obs,
+            stats,
+            stored_retained,
+        } = self;
+        // The rank start is read by the same loop as the records: reading
+        // it on its own first measured 7 % slower on a text stream.
+        let mut active = None;
+        while let Some(item) = source.next_item()? {
+            match item {
+                AppItem::RankStart(rank) => {
+                    if active.is_some() {
+                        return Err(StreamError::Protocol("a rank start inside a rank section"));
+                    }
+                    let online = OnlineRankReducer::new(reducer, rank, std::mem::take(scratch));
+                    active = Some((OnlineSegmenter::new(), online, obs.start()));
                 }
-                let index = next_index;
-                next_index += 1;
-                if take(index) {
-                    active = Some((
-                        index,
-                        OnlineSegmenter::new(),
-                        OnlineRankReducer::new(reducer, rank, std::mem::take(&mut scratch)),
-                        obs.start(),
-                    ));
-                } else {
-                    source.skip_current_rank()?;
+                AppItem::Record(first) => {
+                    let Some((segmenter, online, _)) = active.as_mut() else {
+                        return Err(StreamError::Protocol("a record outside a rank section"));
+                    };
+                    let mut push = |record: &TraceRecord| {
+                        if let Some(segment) = segmenter.push(record) {
+                            online.push_segment(segment, obs);
+                        }
+                        // Only a marker opens or closes a segment, and only
+                        // a closed segment can be stored: between markers
+                        // the resident count cannot move.
+                        if !matches!(record, TraceRecord::Event(_)) {
+                            let resident = *stored_retained
+                                + online.stored_count()
+                                + usize::from(segmenter.has_open_segment());
+                            stats.peak_resident_segments =
+                                stats.peak_resident_segments.max(resident);
+                        }
+                    };
+                    // The record, then whatever the source has decoded
+                    // behind it: the rest of a container chunk, nothing for
+                    // text.
+                    push(&first);
+                    source.take_records().iter().for_each(push);
                 }
-            }
-            AppItem::Record(first) => {
-                let Some((_, segmenter, online, _)) = active.as_mut() else {
-                    return Err(StreamError::Protocol("a record outside a rank section"));
-                };
-                let mut push = |record: &TraceRecord| {
-                    if let Some(segment) = segmenter.push(record) {
+                AppItem::RankEnd(_) => {
+                    let Some((mut segmenter, mut online, span)) = active.take() else {
+                        return Err(StreamError::Protocol("a rank end outside a rank section"));
+                    };
+                    if let Some(segment) = segmenter.finish() {
                         online.push_segment(segment, obs);
                     }
-                    // Only a marker opens or closes a segment, and only a
-                    // closed segment can be stored: between markers the
-                    // resident count cannot move.
-                    if !matches!(record, TraceRecord::Event(_)) {
-                        let resident = stored_retained
-                            + online.stored_count()
-                            + usize::from(segmenter.has_open_segment());
-                        stats.peak_resident_segments = stats.peak_resident_segments.max(resident);
-                    }
-                };
-                // The record, then whatever the source has decoded behind
-                // it: the rest of a container chunk, nothing for text.
-                push(&first);
-                source.take_records().iter().for_each(push);
-            }
-            AppItem::RankEnd(_) => {
-                let Some((index, mut segmenter, mut online, span)) = active.take() else {
-                    return Err(StreamError::Protocol("a rank end outside a rank section"));
-                };
-                if let Some(segment) = segmenter.finish() {
-                    online.push_segment(segment, obs);
+                    let seg_stats = segmenter.stats();
+                    stats.events += seg_stats.events_in_segments + seg_stats.orphan_events;
+                    stats.segments += seg_stats.segments;
+                    stats.orphan_events += seg_stats.orphan_events;
+                    stats.unterminated_segments += seg_stats.unterminated_segments;
+                    stats.matching.absorb(&online.match_stats());
+                    let (reduced, returned) = online.finish();
+                    *scratch = returned;
+                    *stored_retained += reduced.stored_count();
+                    stats.peak_resident_segments =
+                        stats.peak_resident_segments.max(*stored_retained);
+                    stats.ranks += 1;
+                    obs.end(trace_obs::Stage::Rank, span);
+                    return Ok(reduced);
                 }
-                let seg_stats = segmenter.stats();
-                stats.events += seg_stats.events_in_segments + seg_stats.orphan_events;
-                stats.segments += seg_stats.segments;
-                stats.orphan_events += seg_stats.orphan_events;
-                stats.unterminated_segments += seg_stats.unterminated_segments;
-                stats.matching.absorb(&online.match_stats());
-                let (reduced, returned) = online.finish();
-                scratch = returned;
-                stored_retained += reduced.stored_count();
-                stats.peak_resident_segments = stats.peak_resident_segments.max(stored_retained);
-                stats.ranks += 1;
-                obs.end(trace_obs::Stage::Rank, span);
-                out.push((index, reduced));
             }
         }
+        Err(StreamError::Protocol(match active {
+            Some(_) => "the stream ended inside a rank section",
+            None => "the stream ended before a declared rank section",
+        }))
     }
-    if active.is_some() {
-        return Err(StreamError::Protocol(
-            "the stream ended inside a rank section",
-        ));
-    }
-    Ok((out, stats))
 }
 
 /// Reduces a full-trace text stream with one pass and bounded memory: the
-/// one-worker case of [`reduce_stream_sharded`].
+/// one-worker case of [`crate::reduce_stream_sharded`].
 ///
 /// The output [`trace_model::ReducedAppTrace`] is semantically identical to
 /// parsing the whole trace and running
@@ -242,8 +261,7 @@ pub fn reduce_stream<R: BufRead + Send>(
     reducer: &Reducer,
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
-    let reader = Mutex::new(Some(reader));
-    reduce_stream_sharded(reducer, 1, |_| take_reader(&reader))
+    reduce_text(reducer, reader, 1, no_second_source)
 }
 
 #[cfg(test)]
@@ -329,9 +347,11 @@ mod tests {
         };
         let (start, end) = (AppItem::RankStart(rank), AppItem::RankEnd(rank));
         let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        // Two declared rank sections, on one worker.
         let reduce = |items: Vec<AppItem>| {
-            let mut obs = trace_obs::ObsShard::disabled();
-            reduce_selected_ranks(&reducer, &mut Fake(items.into_iter()), |_| true, &mut obs)
+            let fake = Fake(items.into_iter());
+            let header = ReducedAppTrace::default();
+            crate::shard::reduce_sources(&reducer, header, fake, 2, 1, no_second_source)
         };
         for (items, message) in [
             (
@@ -357,8 +377,8 @@ mod tests {
                 other => panic!("{message}: got {other:?}"),
             }
         }
-        let (ranks, stats) =
-            reduce(vec![start.clone(), record(), end.clone(), start, end]).unwrap();
+        let run = reduce(vec![start.clone(), record(), end.clone(), start, end]).unwrap();
+        let (ranks, stats) = (run.reduced.ranks, run.stats);
         assert_eq!((ranks.len(), stats.ranks, stats.segments), (2, 2, 1));
     }
 }

@@ -1,123 +1,147 @@
 //! The worker fan-out every streaming driver goes through, and the sharded
 //! text driver built on it.
 //!
-//! `fan_out` is the one place that owns the shape *workers → merge in
-//! stream order → drain the counters once*: a driver only supplies what a
-//! single worker does.  Workers run on [`trace_reduce::scoped_workers`],
-//! which runs a single worker on the calling thread — so the sequential
-//! drivers are the one-worker case, not a second code path.
-//!
-//! For text, every worker opens its own reader over the same trace (a fresh
-//! [`std::fs::File`] handle, a cloned in-memory cursor, …), stream-parses
-//! it, and reduces only the rank sections assigned to it (`section index %
-//! shards == worker`), skipping the others without parsing their record
-//! payloads.  The per-rank reductions are merged back in stream order, so
-//! the result is bit-identical whatever the shard count — sharding changes
-//! wall-clock time, never the output.
+//! Drivers run on the workspace's one ordered fan-out,
+//! [`trace_obs::ordered()`]: workers claim rank sections by index, the
+//! calling thread (worker 0) appends each reduced rank as soon as it is
+//! next, and the merged counters drain once.  A text worker reads its own
+//! copy of the trace, skips forward to each section it claims, and after
+//! its last claim reads on to the trailer, checking the declared rank
+//! count.  The output is bit-identical whatever the shard count.
 
 use std::io::{self, BufRead};
 
-use parking_lot::Mutex;
 use trace_model::{ReducedAppTrace, ReducedRankTrace};
-use trace_reduce::{scoped_workers, Reducer};
+use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::parser::StreamParser;
-use crate::reduce::{reduce_selected_ranks, StreamReduction, StreamStats};
+use crate::reduce::{next_section, RankWorker, StreamReduction, StreamStats};
+use crate::source::AppItemSource;
 
-/// What one worker hands back: the output trace's name tables (with no
-/// ranks yet), its `(section index, reduced rank)` pairs and its counters.
-pub(crate) type WorkerOut = (ReducedAppTrace, Vec<(usize, ReducedRankTrace)>, StreamStats);
-
-/// Runs `work(worker, shard)` on `workers` workers, each with its own shard
-/// of the reducer's recorder, and merges what they return: ranks sorted
-/// back into section order under the first worker's name tables, counters
-/// absorbed, and the total drained into the recorder exactly once.  Any
-/// worker's error, or a worker that left no result, fails the run.
-pub(crate) fn fan_out<W>(
+/// Reduces `n` rank sections on one worker per input: `reduce` reduces
+/// the section it is given, `finish` runs after a worker's last claim.
+pub(crate) fn fan_out<I: Send>(
     reducer: &Reducer,
-    workers: usize,
-    work: W,
-) -> Result<StreamReduction, StreamError>
-where
-    W: Fn(usize, &mut trace_obs::ObsShard) -> Result<WorkerOut, StreamError> + Sync,
-{
-    let recorder = reducer.recorder();
-    let slots: Vec<Mutex<Option<Result<WorkerOut, StreamError>>>> =
-        (0..workers.max(1)).map(|_| Mutex::new(None)).collect();
-
-    scoped_workers(workers, |worker| {
-        let mut obs = recorder.shard();
-        let result = work(worker, &mut obs);
-        obs.finish();
-        if let Some(slot) = slots.get(worker) {
-            *slot.lock() = Some(result);
-        }
-    });
-
-    let mut reduced: Option<ReducedAppTrace> = None;
-    let mut all: Vec<(usize, ReducedRankTrace)> = Vec::new();
-    let mut stats = StreamStats::default();
-    for slot in slots {
-        // `scoped_workers` joins every worker before returning and each
-        // worker fills its slot; an empty slot means a worker died, which
-        // surfaces as an error rather than a panic.
-        let (tables, ranks, worker_stats) = slot
-            .into_inner()
-            .unwrap_or(Err(StreamError::Protocol("a worker left no result")))?;
-        reduced.get_or_insert(tables);
-        all.extend(ranks);
-        stats.absorb(&worker_stats);
-    }
-    let Some(mut reduced) = reduced else {
-        return Err(StreamError::Protocol("no worker ran"));
+    header: ReducedAppTrace,
+    inputs: Vec<I>,
+    n: usize,
+    reduce: impl Fn(&mut RankWorker, &mut I, usize) -> Result<ReducedRankTrace, StreamError> + Sync,
+    finish: impl Fn(&mut RankWorker, &mut I) -> Result<(), StreamError> + Sync,
+) -> Result<StreamReduction, StreamError> {
+    let worker = |input| {
+        let mut worker = RankWorker::default();
+        worker.obs = reducer.recorder().shard();
+        (worker, input)
     };
-
-    all.sort_by_key(|(index, _)| *index);
-    debug_assert!(
-        all.iter().enumerate().all(|(i, (index, _))| i == *index),
-        "every rank section is reduced exactly once"
-    );
-    reduced.ranks = all.into_iter().map(|(_, rank)| rank).collect();
-    stats.stored = reduced.total_stored();
-    stats.execs = reduced.total_execs();
-    stats.record_into(&mut recorder.shard());
-    Ok(StreamReduction { reduced, stats })
+    let mut reduced = header;
+    let workers = trace_obs::ordered(
+        inputs.into_iter().map(worker).collect(),
+        n,
+        |(worker, input), index| reduce(worker, input, index),
+        |(worker, input)| finish(worker, input),
+        |_, rank| {
+            reduced.ranks.push(rank);
+            Ok(())
+        },
+    )?;
+    let mut stats = StreamStats::default();
+    for (worker, _) in workers {
+        stats.absorb(&worker.stats);
+        worker.obs.finish();
+    }
+    Ok(StreamReduction::drained(reducer, reduced, stats))
 }
 
-/// Hands the single reader of a one-worker run to that worker (the worker
-/// closure is `Fn`, so the reader waits in a mutex and is taken, once).
-pub(crate) fn take_reader<R>(reader: &Mutex<Option<R>>) -> io::Result<R> {
-    let taken = reader.lock().take();
-    taken.ok_or_else(|| io::Error::other("the one reader was already taken"))
+/// The `open` of a one-worker run, whose one source is already open.
+pub(crate) fn no_second_source<S>(_: usize) -> Result<S, StreamError> {
+    Err(StreamError::Protocol(
+        "a one-worker run opens no second source",
+    ))
+}
+
+/// Reduces the `n` declared rank sections of a stream on up to `workers`
+/// workers, each reading its own copy front to back: `first` for worker 0,
+/// `open(worker)`, on first use, for the others.
+pub(crate) fn reduce_sources<S: AppItemSource + Send>(
+    reducer: &Reducer,
+    header: ReducedAppTrace,
+    first: S,
+    n: usize,
+    workers: usize,
+    open: impl Fn(usize) -> Result<S, StreamError> + Sync,
+) -> Result<StreamReduction, StreamError> {
+    // Per worker: its source, its index and the sections it has passed.
+    let mut first = Some(first);
+    let cursors = (0..workers.clamp(1, n.max(1))).map(|worker| (first.take(), worker, 0));
+    fan_out(
+        reducer,
+        header,
+        cursors.collect(),
+        n,
+        |worker, (source, id, passed), index| {
+            let source = match source {
+                Some(source) => source,
+                None => source.insert(open(*id)?),
+            };
+            while *passed < index && next_section(source)?.is_some() {
+                source.skip_current_rank()?;
+                *passed += 1;
+            }
+            *passed += 1;
+            worker.reduce_rank(reducer, source)
+        },
+        |worker, (source, id, _)| {
+            let source = match source {
+                Some(source) => source,
+                None => source.insert(open(*id)?),
+            };
+            while next_section(source)?.is_some() {
+                source.skip_current_rank()?;
+            }
+            worker.stats.peak_chunk_bytes = source.peak_chunk_bytes();
+            Ok(())
+        },
+    )
+}
+
+/// Reduces a text trace on up to `workers` workers: worker 0 reads `first`
+/// (whose header declares the rank count), the others `open(worker)`.
+pub(crate) fn reduce_text<R: BufRead + Send>(
+    reducer: &Reducer,
+    first: R,
+    workers: usize,
+    open: impl Fn(usize) -> Result<R, StreamError> + Sync,
+) -> Result<StreamReduction, StreamError> {
+    let first = StreamParser::new(first)?;
+    let tables = first.tables();
+    let header = ReducedAppTrace {
+        name: tables.name.clone(),
+        regions: tables.regions.clone(),
+        contexts: tables.contexts.clone(),
+        ranks: Vec::new(),
+    };
+    let n = tables.declared_ranks;
+    reduce_sources(reducer, header, first, n, workers, |worker| {
+        StreamParser::new(open(worker)?)
+    })
 }
 
 /// Reduces a trace stream with `shards` worker threads (0 is treated as
-/// 1), each reading its own source from `open(worker_index)`.  All readers
-/// must yield the same bytes.
+/// 1; no more run than the header declares ranks), each reading its own
+/// source from `open(worker_index)`.  All readers must yield the same
+/// bytes.  Worker 0 is the calling thread, and a panicking worker is a
+/// [`StreamError::Protocol`].
 pub fn reduce_stream_sharded<R, F>(
     reducer: &Reducer,
     shards: usize,
     open: F,
 ) -> Result<StreamReduction, StreamError>
 where
-    R: BufRead,
+    R: BufRead + Send,
     F: Fn(usize) -> io::Result<R> + Sync,
 {
-    let shards = shards.max(1);
-    fan_out(reducer, shards, |worker, obs| {
-        let mut parser = StreamParser::new(open(worker)?)?;
-        let tables = parser.tables();
-        let header = ReducedAppTrace {
-            name: tables.name.clone(),
-            regions: tables.regions.clone(),
-            contexts: tables.contexts.clone(),
-            ranks: Vec::new(),
-        };
-        let (ranks, stats) =
-            reduce_selected_ranks(reducer, &mut parser, |index| index % shards == worker, obs)?;
-        Ok((header, ranks, stats))
-    })
+    reduce_text(reducer, open(0)?, shards, |worker| Ok(open(worker)?))
 }
 
 #[cfg(test)]
@@ -143,6 +167,68 @@ mod tests {
                 assert_eq!(sharded.reduced, in_memory, "{method} with {shards} shards");
                 assert_eq!(sharded.stats.ranks, app.rank_count());
                 assert_eq!(sharded.stats.events, app.total_events());
+            }
+        }
+    }
+
+    /// A reader that panics the first time it is read.
+    struct PanicsOnRead;
+
+    impl io::Read for PanicsOnRead {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            panic!("this reader breaks on its first read");
+        }
+    }
+
+    impl BufRead for PanicsOnRead {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            panic!("this reader breaks on its first read");
+        }
+
+        fn consume(&mut self, _: usize) {}
+    }
+
+    #[test]
+    fn a_panicking_worker_is_an_error_not_a_panic_or_a_hang() {
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        assert!(app.rank_count() >= 3, "every one of the three workers runs");
+        let text = write_app_trace(&app).into_bytes();
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let err = reduce_stream_sharded(&reducer, 3, |worker| {
+            let reader: Box<dyn BufRead + Send> = match worker {
+                1 => Box::new(PanicsOnRead),
+                _ => Box::new(Cursor::new(text.clone())),
+            };
+            Ok(reader)
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, StreamError::Protocol("a worker panicked")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn every_worker_checks_the_declared_rank_count_and_the_trailer() {
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let text = write_app_trace(&app);
+        let ranks = app.rank_count();
+        let declared = format!("TRACE RANKS {ranks} ");
+        assert!(text.contains(&declared));
+        let broken = [
+            text.replace(&declared, &format!("TRACE RANKS {} ", ranks - 1)),
+            text.replace(&declared, &format!("TRACE RANKS {} ", ranks + 1)),
+            text.replace("END_TRACE\n", ""),
+        ];
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        for (case, bytes) in broken.iter().enumerate() {
+            for shards in [1, 2, 3, 8] {
+                let open = |_| Ok(Cursor::new(bytes.as_bytes()));
+                let err = reduce_stream_sharded(&reducer, shards, open).unwrap_err();
+                assert!(
+                    err.as_format().is_some(),
+                    "case {case}, {shards} shards: {err}"
+                );
             }
         }
     }

@@ -39,6 +39,13 @@ pub trait AppItemSource {
     fn take_records(&mut self) -> &[TraceRecord] {
         &[]
     }
+
+    /// The most memory one chunk of this source has taken so far, in bytes
+    /// (see [`crate::StreamStats::peak_chunk_bytes`]); a source that reads
+    /// no chunks has none, which is the default.
+    fn peak_chunk_bytes(&self) -> usize {
+        0
+    }
 }
 
 impl<R: BufRead> AppItemSource for StreamParser<R> {
