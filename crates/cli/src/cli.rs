@@ -183,11 +183,6 @@ pub const COMMAND_SPECS: &[CommandSpec] = &[
         own: &["in", "k", "algorithm", "out"],
         groups: &[],
     },
-    CommandSpec {
-        name: "extension-study",
-        own: &["workload", "preset"],
-        groups: &[],
-    },
 ];
 
 /// Looks up the spec for a subcommand; `--help`/`-h` alias `help`.

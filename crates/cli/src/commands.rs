@@ -6,7 +6,7 @@ use std::path::Path;
 use trace_analysis::diagnose;
 use trace_eval::{evaluate_method, file_size_percent};
 use trace_obs::Recorder;
-use trace_reduce::{ExtendedConfig, ExtendedMethod, ExtendedReducer, MethodConfig, Reducer};
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sampling::{sample_app, AdaptiveConfig, SamplingPolicy};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -53,8 +53,10 @@ subcommands:
              [--threshold T] [--preset P]
   cluster    --in FILE --k N             inter-process clustering of the ranks
              [--algorithm kmeans|single|complete|average] [--out FILE]
-  extension-study --workload W           compare similarity, sampling and
-             [--preset P]                clustering on one workload
+
+methods (reduce, report, evaluate): the paper's nine, listed by `list`;
+--threshold defaults to the method's paper threshold and must be a finite
+number >= 0
 
 binary output flags (generate, reduce, convert):
   --codec none|delta|lz|delta-lz         per-chunk compression codec (default delta-lz)
@@ -96,19 +98,34 @@ fn parse_workload(name: &str) -> Result<WorkloadKind, String> {
     })
 }
 
-fn parse_method(invocation: &Invocation) -> Result<ExtendedConfig, String> {
-    let name = invocation.require("method")?;
-    let method = ExtendedMethod::by_name(name).ok_or_else(|| {
-        let known: Vec<&str> = ExtendedMethod::all().iter().map(|m| m.name()).collect();
-        format!(
-            "unknown method {name:?}; known methods: {}",
-            known.join(", ")
-        )
-    })?;
-    let threshold = invocation
-        .get_f64("threshold")?
-        .unwrap_or_else(|| method.default_threshold());
-    Ok(ExtendedConfig::new(method, threshold))
+/// Parses `--method` and `--threshold`, shared by `reduce`, `evaluate` and
+/// `report`: one of the nine paper methods — `fallback` when `--method` is
+/// absent, required when there is none — at `--threshold`, or at the
+/// method's paper threshold.  A NaN, infinite or negative threshold is
+/// refused rather than run as a reduction that silently matches nothing.
+fn parse_method(invocation: &Invocation, fallback: Option<Method>) -> Result<MethodConfig, String> {
+    let method = match (invocation.get("method"), fallback) {
+        (None, Some(method)) => method,
+        _ => {
+            let name = invocation.require("method")?;
+            Method::by_name(name).ok_or_else(|| {
+                let known: Vec<&str> = Method::ALL.iter().map(|m| m.name()).collect();
+                format!(
+                    "unknown method {name:?}; known methods: {}",
+                    known.join(", ")
+                )
+            })?
+        }
+    };
+    match invocation.get_f64("threshold")? {
+        None => Ok(MethodConfig::with_default_threshold(method)),
+        Some(threshold) if threshold.is_finite() && threshold >= 0.0 => {
+            Ok(MethodConfig::new(method, threshold))
+        }
+        Some(threshold) => Err(format!(
+            "--threshold must be a finite number >= 0, got {threshold}"
+        )),
+    }
 }
 
 fn parse_policy(invocation: &Invocation) -> Result<SamplingPolicy, String> {
@@ -307,7 +324,7 @@ fn format_label(format: BinaryFormat) -> String {
 
 fn cmd_list() -> String {
     let workloads: Vec<String> = WorkloadKind::all_paper().iter().map(|k| k.name()).collect();
-    let methods: Vec<&str> = ExtendedMethod::all().iter().map(|m| m.name()).collect();
+    let methods: Vec<&str> = Method::ALL.iter().map(|m| m.name()).collect();
     format!(
         "workloads ({}):\n  {}\n\nsimilarity methods ({}):\n  {}\n\nsampling policies:\n  every:<n>  random:<fraction>  adaptive:<relative error>",
         workloads.len(),
@@ -350,18 +367,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     if !stream && invocation.has("shards") {
         return Err("--shards only applies to streaming reduction; add --stream".to_string());
     }
-    let config = parse_method(invocation)?;
-    let paper = match config.method {
-        ExtendedMethod::Paper(method) => Some(MethodConfig::new(method, config.threshold)),
-        _ => None,
-    };
-    if stream && paper.is_none() {
-        return Err(format!(
-            "--stream supports the nine paper methods; {} needs the in-memory path \
-             (drop --stream)",
-            config.label()
-        ));
-    }
+    let config = parse_method(invocation, None)?;
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
     let format = parse_binary_format(invocation, out)?;
@@ -371,92 +377,76 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     }
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
-    let reducer = paper.map(|method| Reducer::new(method).with_recorder(&recorder));
+    let reducer = Reducer::new(config).with_recorder(&recorder);
 
-    let (reduced, app, mut message) = match &reducer {
+    let (reduced, app, mut message) = if stream {
         // One bounded-memory pass over the file: text, monolithic binary v1
         // and chunked container v2 inputs are autodetected by magic bytes;
         // v1 has no streamable structure and is decoded in memory.
-        Some(reducer) if stream => {
-            let (result, kind) = trace_stream::reduce_any_file(reducer, input, shards)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            // The v1 fallback decodes the whole file single-threaded: no
-            // sharding happened and the "peak" is simply every segment, so
-            // the message must not claim otherwise.
-            let v1_fallback = kind == trace_stream::TraceInputKind::BinaryV1;
-            let pipeline = if v1_fallback {
-                "in memory (--shards not applicable)".to_string()
-            } else {
-                format!("over {shards} shard(s)")
-            };
-            // With several shards the stat is the sum of per-worker peaks —
-            // an upper bound on the concurrent total, not one observation.
-            let peak = if !v1_fallback && shards > 1 {
-                format!(
-                    "resident segments <= {}",
-                    result.stats.peak_resident_segments
-                )
-            } else {
-                format!(
-                    "peak resident segments {}",
-                    result.stats.peak_resident_segments
-                )
-            };
-            let mut message = format!(
-                "stream-reduced {} ({} input) with {} {pipeline}: {} stored segments for \
-                 {} executions, degree of matching {:.3}, {peak} (of {} streamed) -> {}",
-                result.reduced.name,
-                kind.label(),
-                config.label(),
-                result.stats.stored,
-                result.stats.execs,
-                result.reduced.degree_of_matching(),
-                result.stats.segments,
-                out.display()
-            );
-            if kind == trace_stream::TraceInputKind::ContainerV2 {
-                message.push_str(&format!(
-                    ", peak chunk {} bytes decoded",
-                    result.stats.peak_chunk_bytes
-                ));
-            }
-            if v1_fallback {
-                message.push_str(
-                    "\nnote: monolithic v1 input was decoded in memory; convert with \
-                     `--container` for true streaming",
-                );
-            }
-            (result.reduced, None, message)
+        let (result, kind) = trace_stream::reduce_any_file(&reducer, input, shards)
+            .map_err(|e| format!("{}: {e}", input.display()))?;
+        // The v1 fallback decodes the whole file single-threaded: no
+        // sharding happened and the "peak" is simply every segment, so
+        // the message must not claim otherwise.
+        let v1_fallback = kind == trace_stream::TraceInputKind::BinaryV1;
+        let pipeline = if v1_fallback {
+            "in memory (--shards not applicable)".to_string()
+        } else {
+            format!("over {shards} shard(s)")
+        };
+        // With several shards the stat is the sum of per-worker peaks —
+        // an upper bound on the concurrent total, not one observation.
+        let peak = if !v1_fallback && shards > 1 {
+            format!(
+                "resident segments <= {}",
+                result.stats.peak_resident_segments
+            )
+        } else {
+            format!(
+                "peak resident segments {}",
+                result.stats.peak_resident_segments
+            )
+        };
+        let mut message = format!(
+            "stream-reduced {} ({} input) with {} {pipeline}: {} stored segments for \
+             {} executions, degree of matching {:.3}, {peak} (of {} streamed) -> {}",
+            result.reduced.name,
+            kind.label(),
+            config.label(),
+            result.stats.stored,
+            result.stats.execs,
+            result.reduced.degree_of_matching(),
+            result.stats.segments,
+            out.display()
+        );
+        if kind == trace_stream::TraceInputKind::ContainerV2 {
+            message.push_str(&format!(
+                ", peak chunk {} bytes decoded",
+                result.stats.peak_chunk_bytes
+            ));
         }
+        if v1_fallback {
+            message.push_str(
+                "\nnote: monolithic v1 input was decoded in memory; convert with \
+                 `--container` for true streaming",
+            );
+        }
+        (result.reduced, None, message)
+    } else {
         // The in-memory path: the only one that holds the full trace.
-        _ => {
-            let app = load_app_trace(input, &recorder)?;
-            // Paper methods reduce through the instrumented core path
-            // (identical output — `ExtendedReducer` delegates Paper methods
-            // to `Reducer`); extension methods record one coarse Match span
-            // around the reduction.
-            let reduced = match &reducer {
-                Some(reducer) => reducer.reduce_app(&app),
-                None => {
-                    let mut shard = recorder.shard();
-                    let span = shard.start();
-                    let reduced = ExtendedReducer::new(config).reduce_app(&app);
-                    shard.end(trace_obs::Stage::Match, span);
-                    reduced
-                }
-            };
-            let message = format!(
-                "reduced {} with {}: {} stored segments for {} executions, {:.2}% of the full size, degree of matching {:.3} -> {}",
-                app.name,
-                config.label(),
-                reduced.total_stored(),
-                reduced.total_execs(),
-                file_size_percent(&app, &reduced),
-                reduced.degree_of_matching(),
-                out.display()
-            );
-            (reduced, Some(app), message)
-        }
+        let app = load_app_trace(input, &recorder)?;
+        let reduced = reducer.reduce_app(&app);
+        let message = format!(
+            "reduced {} with {}: {} stored segments for {} executions, {:.2}% of the full size, degree of matching {:.3} -> {}",
+            app.name,
+            config.label(),
+            reduced.total_stored(),
+            reduced.total_execs(),
+            file_size_percent(&app, &reduced),
+            reduced.degree_of_matching(),
+            out.display()
+        );
+        (reduced, Some(app), message)
     };
 
     store_reduced_trace(out, &reduced, format, &recorder)?;
@@ -466,7 +456,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
             invocation.require("report")?,
             &reduced,
             app.as_ref(),
-            paper,
+            config,
             run,
             &mut message,
         )?;
@@ -547,25 +537,14 @@ fn cmd_analyze(invocation: &Invocation) -> Result<String, String> {
     ))
 }
 
-/// Parses the report tunables shared by `report` and `reduce --report`.
+/// Parses the `report` tunables; `--method` defaults to the report's own
+/// default method.
 fn report_options(invocation: &Invocation) -> Result<trace_report::ReportOptions, String> {
-    let mut options = trace_report::ReportOptions::default();
-    if let Some(name) = invocation.get("method") {
-        let method = trace_reduce::Method::by_name(name).ok_or_else(|| {
-            let known: Vec<&str> = trace_reduce::Method::ALL
-                .into_iter()
-                .map(|m| m.name())
-                .collect();
-            format!(
-                "unknown method {name:?}; paper methods: {}",
-                known.join(", ")
-            )
-        })?;
-        options.method = MethodConfig::with_default_threshold(method);
-    }
-    if let Some(threshold) = invocation.get_f64("threshold")? {
-        options.method.threshold = threshold;
-    }
+    let defaults = trace_report::ReportOptions::default();
+    let mut options = trace_report::ReportOptions {
+        method: parse_method(invocation, Some(defaults.method.method))?,
+        ..defaults
+    };
     if let Some(threshold) = invocation.get_f64("divergence-threshold")? {
         if threshold.is_nan() || threshold <= 0.0 {
             return Err("--divergence-threshold must be positive".to_string());
@@ -577,6 +556,7 @@ fn report_options(invocation: &Invocation) -> Result<trace_report::ReportOptions
 
 /// `report`: analysis report over an already-reduced trace.
 fn cmd_report(invocation: &Invocation) -> Result<String, String> {
+    let options = report_options(invocation)?;
     let input = Path::new(invocation.require("in")?);
     let reduced = load_reduced_trace(input)?;
     let original = if invocation.has("full") {
@@ -594,7 +574,6 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     } else {
         None
     };
-    let options = report_options(invocation)?;
     let model = trace_report::build_model(&reduced, original.as_ref(), run.as_ref(), &options);
     let mut message = trace_report::render_text(&model);
     if invocation.has("html") {
@@ -620,14 +599,14 @@ fn write_reduce_report(
     path: &str,
     reduced: &trace_model::ReducedAppTrace,
     original: Option<&trace_model::AppTrace>,
-    method: Option<MethodConfig>,
+    method: MethodConfig,
     run: Option<trace_obs::RunReport>,
     message: &mut String,
 ) -> Result<(), String> {
-    let mut options = trace_report::ReportOptions::default();
-    if let Some(method) = method {
-        options.method = method;
-    }
+    let options = trace_report::ReportOptions {
+        method,
+        ..trace_report::ReportOptions::default()
+    };
     let model = trace_report::build_model(reduced, original, run.as_ref(), &options);
     write_text(Path::new(path), &trace_report::render_html(&model))?;
     message.push_str(&format!("\nanalysis report -> {path}"));
@@ -637,39 +616,18 @@ fn write_reduce_report(
 fn cmd_evaluate(invocation: &Invocation) -> Result<String, String> {
     let kind = parse_workload(invocation.require("workload")?)?;
     let preset = parse_preset(invocation.get("preset"))?;
-    let config = parse_method(invocation)?;
+    let config = parse_method(invocation, None)?;
     let app = Workload::new(kind, preset).generate();
-    // Paper methods go through the reference evaluation pipeline so every
-    // criterion (including degree of matching) is reported; extension
-    // methods report the criteria that apply to them.
-    let text = match config.method {
-        ExtendedMethod::Paper(method) => {
-            let eval = evaluate_method(&app, MethodConfig::new(method, config.threshold));
-            format!(
-                "workload {}  method {}\n  file size: {:.2}% of full\n  degree of matching: {:.3}\n  approximation distance: {:.2} us\n  trends retained: {}",
-                eval.workload,
-                eval.config.label(),
-                eval.file_size_percent,
-                eval.degree_of_matching,
-                eval.approximation_distance_us,
-                if eval.trends_retained { "yes" } else { "NO" }
-            )
-        }
-        _ => {
-            let technique = trace_eval::ExtensionTechnique::Similarity(config);
-            let eval = trace_eval::evaluate_technique(&app, technique);
-            format!(
-                "workload {}  method {}\n  file size: {:.2}% of full\n  approximation distance: {:.2} us\n  trends retained: {}\n  trace confidence: {:.3}",
-                eval.workload,
-                eval.technique,
-                eval.file_size_percent,
-                eval.approximation_distance_us,
-                if eval.trends_retained { "yes" } else { "NO" },
-                eval.confidence
-            )
-        }
-    };
-    Ok(text)
+    let eval = evaluate_method(&app, config);
+    Ok(format!(
+        "workload {}  method {}\n  file size: {:.2}% of full\n  degree of matching: {:.3}\n  approximation distance: {:.2} us\n  trends retained: {}",
+        eval.workload,
+        eval.config.label(),
+        eval.file_size_percent,
+        eval.degree_of_matching,
+        eval.approximation_distance_us,
+        if eval.trends_retained { "yes" } else { "NO" }
+    ))
 }
 
 fn cmd_cluster(invocation: &Invocation) -> Result<String, String> {
@@ -742,18 +700,6 @@ fn cmd_cluster(invocation: &Invocation) -> Result<String, String> {
     Ok(output)
 }
 
-fn cmd_extension_study(invocation: &Invocation) -> Result<String, String> {
-    let kind = parse_workload(invocation.require("workload")?)?;
-    let preset = parse_preset(invocation.get("preset"))?;
-    let app = Workload::new(kind, preset).generate();
-    let evaluations = trace_eval::extension_study(std::slice::from_ref(&app));
-    Ok(format!(
-        "{}\n{}",
-        trace_eval::extension_table(&evaluations).render(),
-        trace_eval::extension_summary_table(&evaluations).render()
-    ))
-}
-
 /// Runs a parsed invocation, returning the text to print.
 pub fn run(invocation: &Invocation) -> Result<String, String> {
     check_flags(invocation)?;
@@ -769,7 +715,6 @@ pub fn run(invocation: &Invocation) -> Result<String, String> {
         "report" => cmd_report(invocation),
         "evaluate" => cmd_evaluate(invocation),
         "cluster" => cmd_cluster(invocation),
-        "extension-study" => cmd_extension_study(invocation),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
@@ -791,15 +736,176 @@ mod tests {
         }
     }
 
+    /// The nine paper method names, in the order `list` and the error
+    /// messages print them.
+    fn paper_names() -> Vec<&'static str> {
+        vec![
+            "relDiff",
+            "absDiff",
+            "Manhattan",
+            "Euclidean",
+            "Chebyshev",
+            "iter_k",
+            "iter_avg",
+            "avgWave",
+            "haarWave",
+        ]
+    }
+
     #[test]
     fn list_and_help_are_informative() {
         let list = run(&Invocation::new("list", &[])).unwrap();
         assert!(list.contains("late_sender"));
         assert!(list.contains("avgWave"));
-        assert!(list.contains("dtw"));
         let help = run(&Invocation::new("help", &[])).unwrap();
         assert!(help.contains("subcommands"));
         assert!(run(&Invocation::new("bogus", &[])).is_err());
+    }
+
+    #[test]
+    fn list_prints_exactly_the_nine_paper_methods() {
+        let list = run(&Invocation::new("list", &[])).unwrap();
+        let (_, methods) = list.split_once("similarity methods (9):\n").unwrap();
+        let listed: Vec<&str> = methods
+            .lines()
+            .take_while(|line| !line.is_empty())
+            .map(str::trim)
+            .collect();
+        assert_eq!(listed, paper_names(), "{list}");
+    }
+
+    #[test]
+    fn methods_beyond_the_paper_are_unknown() {
+        let err = run(&Invocation::new(
+            "reduce",
+            &[("in", "a"), ("out", "b"), ("method", "dtw")],
+        ))
+        .unwrap_err();
+        assert!(err.contains("unknown method \"dtw\""), "{err}");
+        assert!(err.ends_with(&paper_names().join(", ")), "{err}");
+        let err = run(&Invocation::new(
+            "evaluate",
+            &[("workload", "late_sender"), ("method", "cosine")],
+        ))
+        .unwrap_err();
+        assert!(err.contains("unknown method \"cosine\""), "{err}");
+        assert!(err.ends_with(&paper_names().join(", ")), "{err}");
+    }
+
+    #[test]
+    fn extension_study_is_an_unknown_subcommand() {
+        let err = run(&Invocation::new(
+            "extension-study",
+            &[("workload", "late_sender")],
+        ))
+        .unwrap_err();
+        assert_eq!(err, "unknown subcommand \"extension-study\"");
+    }
+
+    /// Writes the tiny `late_sender` trace to `path`.
+    fn generate_late_sender(path: &Path) {
+        run(&Invocation::new(
+            "generate",
+            &[
+                ("workload", "late_sender"),
+                ("preset", "tiny"),
+                ("out", path.to_str().unwrap()),
+            ],
+        ))
+        .unwrap();
+    }
+
+    /// Asserts `invocation` fails on its `--threshold` before touching a file.
+    fn assert_threshold_refused(invocation: Invocation) {
+        let err = run(&invocation).unwrap_err();
+        assert!(
+            err.starts_with("--threshold must be a finite number >= 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn reduce_refuses_a_non_finite_or_negative_threshold() {
+        let trace = temp_path("threshold_in.trc");
+        let out = temp_path("threshold_out.trc");
+        generate_late_sender(&trace);
+        for (method, threshold) in [("relDiff", "NaN"), ("iter_k", "inf"), ("avgWave", "-1")] {
+            assert_threshold_refused(Invocation::new(
+                "reduce",
+                &[
+                    ("in", trace.to_str().unwrap()),
+                    ("out", out.to_str().unwrap()),
+                    ("method", method),
+                    ("threshold", threshold),
+                ],
+            ));
+        }
+        assert!(!out.exists());
+        cleanup(&[&trace]);
+    }
+
+    #[test]
+    fn stream_reduce_refuses_a_non_finite_or_negative_threshold() {
+        let trace = temp_path("threshold_stream_in.trc");
+        let out = temp_path("threshold_stream_out.trc");
+        generate_late_sender(&trace);
+        for threshold in ["-1", "nan", "-inf"] {
+            assert_threshold_refused(Invocation::new(
+                "reduce",
+                &[
+                    ("in", trace.to_str().unwrap()),
+                    ("out", out.to_str().unwrap()),
+                    ("method", "Euclidean"),
+                    ("threshold", threshold),
+                    ("stream", ""),
+                ],
+            ));
+        }
+        assert!(!out.exists());
+        cleanup(&[&trace]);
+    }
+
+    #[test]
+    fn evaluate_refuses_a_non_finite_or_negative_threshold() {
+        for threshold in ["nan", "inf", "-0.5"] {
+            assert_threshold_refused(Invocation::new(
+                "evaluate",
+                &[
+                    ("workload", "late_sender"),
+                    ("preset", "tiny"),
+                    ("method", "avgWave"),
+                    ("threshold", threshold),
+                ],
+            ));
+        }
+    }
+
+    #[test]
+    fn report_refuses_a_non_finite_or_negative_threshold() {
+        let trace = temp_path("threshold_report_in.trc");
+        let reduced = temp_path("threshold_report_reduced.trc");
+        generate_late_sender(&trace);
+        run(&Invocation::new(
+            "reduce",
+            &[
+                ("in", trace.to_str().unwrap()),
+                ("out", reduced.to_str().unwrap()),
+                ("method", "relDiff"),
+            ],
+        ))
+        .unwrap();
+        // With and without --method: the report's default method takes the
+        // same check.
+        for (method, threshold) in [
+            (None, "inf"),
+            (Some("Manhattan"), "NaN"),
+            (Some("absDiff"), "-10"),
+        ] {
+            let mut flags = vec![("in", reduced.to_str().unwrap()), ("threshold", threshold)];
+            flags.extend(method.map(|m| ("method", m)));
+            assert_threshold_refused(Invocation::new("report", &flags));
+        }
+        cleanup(&[&trace, &reduced]);
     }
 
     #[test]
@@ -1144,19 +1250,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_reduce_rejects_extension_methods_and_bad_shards() {
-        let err = run(&Invocation::new(
-            "reduce",
-            &[
-                ("in", "/tmp/x.txt"),
-                ("out", "/tmp/y.trc"),
-                ("method", "dtw"),
-                ("stream", ""),
-            ],
-        ))
-        .unwrap_err();
-        assert!(err.contains("paper methods"), "{err}");
-
+    fn stream_reduce_rejects_bad_shards() {
         let err = run(&Invocation::new(
             "reduce",
             &[
@@ -1230,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_reports_criteria_for_paper_and_extension_methods() {
+    fn evaluate_reports_the_paper_criteria() {
         let out = run(&Invocation::new(
             "evaluate",
             &[
@@ -1241,16 +1335,7 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("degree of matching"), "{out}");
-        let out = run(&Invocation::new(
-            "evaluate",
-            &[
-                ("workload", "late_sender"),
-                ("preset", "tiny"),
-                ("method", "dtw"),
-            ],
-        ))
-        .unwrap();
-        assert!(out.contains("trace confidence"), "{out}");
+        assert!(out.contains("trends retained: yes"), "{out}");
     }
 
     #[test]
@@ -1307,18 +1392,6 @@ mod tests {
         assert!(err.contains("clustering algorithm"), "{err}");
 
         cleanup(&[&trace, &retained]);
-    }
-
-    #[test]
-    fn extension_study_command_prints_both_tables() {
-        let out = run(&Invocation::new(
-            "extension-study",
-            &[("workload", "late_sender"), ("preset", "tiny")],
-        ))
-        .unwrap();
-        assert!(out.contains("Extension study"), "{out}");
-        assert!(out.contains("summary"), "{out}");
-        assert!(out.contains("sampling:every10"), "{out}");
     }
 
     #[test]
@@ -1381,7 +1454,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_covers_streaming_extension_and_chrome_formats() {
+    fn obs_covers_streaming_and_chrome_formats() {
         let trace = temp_path("obs_stream_in.trc");
         let reduced = temp_path("obs_stream_out.trc");
         run(&Invocation::new(
@@ -1410,19 +1483,6 @@ mod tests {
         assert!(out.contains("== run report =="), "{out}");
         assert!(out.contains("rank"), "{out}");
         assert!(out.contains("stream.events"), "{out}");
-
-        // Extension methods record the coarse Match span.
-        let out = run(&Invocation::new(
-            "reduce",
-            &[
-                ("in", trace.to_str().unwrap()),
-                ("out", reduced.to_str().unwrap()),
-                ("method", "dtw"),
-                ("obs", ""),
-            ],
-        ))
-        .unwrap();
-        assert!(out.contains("match"), "{out}");
 
         // convert emits a chrome trace with Parse and Store slices.
         let out = run(&Invocation::new(

@@ -9,7 +9,8 @@
 //! * [`io`] — load/store helpers that pick the binary codec or the text
 //!   format from the file extension.
 //! * [`commands`] — the subcommand implementations: `list`, `generate`,
-//!   `reduce`, `sample`, `reconstruct`, `convert`, `analyze`, `evaluate`.
+//!   `reduce`, `sample`, `reconstruct`, `convert`, `analyze`, `report`,
+//!   `evaluate`, `cluster`.
 
 #![warn(missing_docs)]
 

@@ -10,8 +10,8 @@
 //! * [`SegmentFeatures`] caches, per segment, what the configured method
 //!   reads on every comparison.  For the measurement-vector family that is
 //!   the vector with its duration and maximum, plus the one norm the
-//!   method's prefilter reads: L1 for Manhattan, L2 for Euclidean (and the
-//!   extended cosine), none for relDiff, absDiff and Chebyshev.
+//!   method's prefilter reads: L1 for Manhattan, L2 for Euclidean, none for
+//!   relDiff, absDiff and Chebyshev.
 //!   For the wavelet methods it is the coefficients and their largest
 //!   magnitude, computed in one pass straight from the events
 //!   ([`WaveletKind::transform_pairs_into`] over [`Segment::wavelet_pairs`]):
@@ -42,10 +42,10 @@
 //!   pruned produces the identical distance value.
 //! * **Monotone partial sums.**  Adding a non-negative f64 term never
 //!   decreases a rounded-to-nearest sum, and `sqrt`/division by a positive
-//!   constant are monotone; therefore a partial sum (or per-row DTW
-//!   minimum) that already exceeds the bound proves the completed naive
-//!   distance does too.  Early abandons only ever fire on comparisons the
-//!   naive predicate also rejects.
+//!   constant are monotone; therefore a partial sum that already exceeds
+//!   the bound proves the completed naive distance does too.  Early
+//!   abandons only ever fire on comparisons the naive predicate also
+//!   rejects.
 //! * **Exact duration prefilters.**  The first entry of the measurement
 //!   vector is the segment duration, so the duration lower bounds are
 //!   literally the first term of the naive computation, compared with the
@@ -119,7 +119,7 @@ pub(crate) fn distance_error_factor(n: usize) -> f64 {
 
 /// Which cached features a similarity method consumes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum FeatureKind {
+enum FeatureKind {
     /// Iteration-based methods: no similarity kernel, no features.
     None,
     /// Measurement-vector methods (relDiff, absDiff, Minkowski family), with
@@ -131,17 +131,17 @@ pub(crate) enum FeatureKind {
 
 /// The norm of the measurement vector a method's kernel reads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Norm {
-    /// Nothing reads a norm (relDiff, absDiff, Chebyshev, normEuclidean).
+enum Norm {
+    /// Nothing reads a norm (relDiff, absDiff, Chebyshev).
     None,
     /// Sum of absolute values (Manhattan).
     L1,
-    /// Square root of the sum of squares (Euclidean, cosine).
+    /// Square root of the sum of squares (Euclidean).
     L2,
 }
 
 /// The features the given method reads during matching.
-pub(crate) fn feature_kind(method: Method) -> FeatureKind {
+fn feature_kind(method: Method) -> FeatureKind {
     match method {
         Method::RelDiff | Method::AbsDiff | Method::Chebyshev => {
             FeatureKind::Measurements(Norm::None)
@@ -376,14 +376,8 @@ impl MatchScratch {
 
     /// Computes the incoming segment's features into the scratch buffers.
     pub(crate) fn prepare_incoming(&mut self, method: Method, segment: &Segment) {
-        self.prepare_incoming_kind(feature_kind(method), segment);
-    }
-
-    /// Like [`MatchScratch::prepare_incoming`], but for an explicit
-    /// [`FeatureKind`] — the cached-predicate drivers of the extended
-    /// catalogue use feature kinds with no paper-method name (CDF 9/7).
-    pub(crate) fn prepare_incoming_kind(&mut self, kind: FeatureKind, segment: &Segment) {
-        self.incoming.fill(kind, segment, &mut self.level_tmp);
+        self.incoming
+            .fill(feature_kind(method), segment, &mut self.level_tmp);
     }
 
     /// Clones the incoming features into an owned cache entry for a newly

@@ -34,11 +34,6 @@
 //!   rank's trace is reduced independently, exactly as the paper's
 //!   intra-process technique allows), with [`Reducer::reduce_app`] as its
 //!   one-worker case, which spawns no thread.
-//! * [`dtw`] / [`extended`] — the extended method catalogue (dynamic time
-//!   warping, cosine, normalized Euclidean, CDF 9/7 wavelet, delta-time
-//!   histograms) that the paper's conclusion lists as future work, plugged
-//!   into the same stored-segments algorithm via
-//!   [`reducer::reduce_rank_with_predicate`].
 //!
 //! # Quick start
 //!
@@ -66,8 +61,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dtw;
-pub mod extended;
 pub mod features;
 pub mod index;
 pub mod method;
@@ -76,14 +69,9 @@ pub mod parallel;
 pub mod reducer;
 pub mod segmenter;
 
-pub use dtw::{dtw_distance, dtw_within, normalized_dtw_distance};
-pub use extended::{segments_match_extended, ExtendedConfig, ExtendedMethod, ExtendedReducer};
 pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatures};
 pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
 pub use parallel::{reduce_app_parallel, reduce_app_parallel_with_stats};
-pub use reducer::{
-    reduce_app_with_predicate, reduce_rank_with_predicate, OnlineRankReducer, RankReduction,
-    Reducer,
-};
+pub use reducer::{OnlineRankReducer, RankReduction, Reducer};
 pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentRef, SegmentationStats};

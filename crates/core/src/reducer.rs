@@ -48,9 +48,7 @@ use trace_model::{
     Time,
 };
 
-use crate::features::{
-    segments_match_cached, FeatureKind, MatchScratch, MatchStats, SegmentFeatures,
-};
+use crate::features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatures};
 use crate::index::CandidateIndex;
 use crate::method::{Method, MethodConfig};
 use crate::segmenter::{segments_of_rank_with_stats, SegmentRef, SegmentationStats};
@@ -125,8 +123,8 @@ struct Bucket {
     index: CandidateIndex,
 }
 
-/// The eligibility lookup every loop that buckets by shape goes through:
-/// stored-representative ids grouped by structural identity.  Scanning a
+/// The eligibility lookup of the match loop: stored-representative ids
+/// grouped by structural identity.  Scanning a
 /// bucket in insertion order is equivalent to the paper's linear scan
 /// restricted to eligible segments.
 #[derive(Clone, Debug, Default)]
@@ -399,106 +397,9 @@ impl Reducer {
     }
 }
 
-/// Reduces one rank trace with a caller-supplied similarity predicate.
-///
-/// This is the extension point used by the extended method catalogue
-/// ([`crate::extended`]): the stored-segments algorithm is exactly the
-/// paper's (same-shape eligibility, scan stored representatives in insertion
-/// order, store a new representative on mismatch), but the similarity test
-/// between a new segment and a stored representative is `predicate(new,
-/// stored)` instead of one of the nine paper methods.
-pub fn reduce_rank_with_predicate<F>(trace: &RankTrace, predicate: F) -> RankReduction
-where
-    F: Fn(&Segment, &Segment) -> bool,
-{
-    reduce_rank_by(trace, FeatureKind::None, |new, _, stored, _| {
-        predicate(new, stored)
-    })
-}
-
-/// Reduces every rank of an application trace with a caller-supplied
-/// similarity predicate (see [`reduce_rank_with_predicate`]).
-pub fn reduce_app_with_predicate<F>(app: &AppTrace, predicate: F) -> ReducedAppTrace
-where
-    F: Fn(&Segment, &Segment) -> bool,
-{
-    let mut reduced = ReducedAppTrace::for_app(app);
-    for rank in &app.ranks {
-        reduced
-            .ranks
-            .push(reduce_rank_with_predicate(rank, &predicate).reduced);
-    }
-    reduced
-}
-
-/// The stored-segments loop with the similarity test left open:
-/// `accepts(new, new features, stored, stored features)`, the features being
-/// those of `kind` — one computation per incoming segment, one per stored
-/// representative, never one per comparison (empty for
-/// [`FeatureKind::None`]).  Every candidate is a full comparison: no index,
-/// no prefilter.
-///
-/// This is how the extended catalogue's measurement/wavelet-space methods
-/// (`cosine`, `normEuclidean`, `cdf97Wave`) run; methods that read raw
-/// segment structure (DTW's banded warping, the delta-time histograms) go
-/// through [`reduce_rank_with_predicate`].
-pub(crate) fn reduce_rank_by<F>(trace: &RankTrace, kind: FeatureKind, accepts: F) -> RankReduction
-where
-    F: Fn(&Segment, &SegmentFeatures, &Segment, &SegmentFeatures) -> bool,
-{
-    let (segments, segmentation) = segments_of_rank_with_stats(trace);
-    let mut reduced = ReducedRankTrace::new(trace.rank);
-    let mut shapes = ShapeBuckets::default();
-    let mut features: Vec<SegmentFeatures> = Vec::new();
-    let mut scratch = MatchScratch::new();
-    let mut matching = MatchStats::default();
-
-    for segment in &segments {
-        scratch.prepare_incoming_kind(kind, segment);
-        let ids = &mut shapes
-            .bucket_of(SegmentRef::of(segment), &reduced.stored)
-            .ids;
-
-        matching.eligible += ids.len();
-        let matched = ids.iter().copied().find(|&id| {
-            let stored = &reduced.stored[id as usize].segment;
-            matching.comparisons += 1;
-            matching.full_kernels += 1;
-            let accepted = accepts(segment, &scratch.incoming, stored, &features[id as usize]);
-            if accepted {
-                matching.matches += 1;
-            }
-            accepted
-        });
-
-        let id = match matched {
-            Some(id) => {
-                reduced.stored[id as usize].represented += 1;
-                id
-            }
-            None => {
-                let id = reduced.stored.len() as u32;
-                ids.push(id);
-                features.push(scratch.clone_incoming());
-                reduced.stored.push(stored_segment(id, segment));
-                id
-            }
-        };
-        let start = segment.start;
-        reduced.execs.push(SegmentExec { segment: id, start });
-    }
-
-    RankReduction {
-        reduced,
-        segmentation,
-        matching,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::segments_match;
     use trace_model::{ContextId, Event, Rank, RegionId};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -702,51 +603,6 @@ mod tests {
             rel.degree_of_matching() <= euc.degree_of_matching(),
             "relDiff must not out-match Euclidean on a regular benchmark"
         );
-    }
-
-    #[test]
-    fn predicate_reducer_with_always_true_matches_like_iter_avg_structure() {
-        let rt = looped_trace(&[1000, 2000, 3000, 4000]);
-        let r = reduce_rank_with_predicate(&rt, |_, _| true).reduced;
-        assert_eq!(r.stored_count(), 1);
-        assert_eq!(r.exec_count(), 4);
-        assert_eq!(r.stored[0].represented, 4);
-    }
-
-    #[test]
-    fn predicate_reducer_with_always_false_stores_every_instance() {
-        let rt = looped_trace(&[1000; 6]);
-        let r = reduce_rank_with_predicate(&rt, |_, _| false).reduced;
-        assert_eq!(r.stored_count(), 6);
-        assert_eq!(r.exec_count(), 6);
-        assert_eq!(r.degree_of_matching(), 0.0);
-    }
-
-    #[test]
-    fn predicate_reducer_never_mixes_shapes() {
-        // Even an always-true predicate only sees same-shape candidates.
-        let mut rt = RankTrace::new(Rank(0));
-        for (ctx, base) in [(0u32, 0u64), (1, 100), (0, 200)] {
-            rt.begin_segment(ContextId(ctx), Time::from_nanos(base));
-            rt.push_event(Event::compute(
-                RegionId(ctx),
-                Time::from_nanos(base + 1),
-                Time::from_nanos(base + 50),
-            ));
-            rt.end_segment(ContextId(ctx), Time::from_nanos(base + 60));
-        }
-        let r = reduce_rank_with_predicate(&rt, |_, _| true).reduced;
-        assert_eq!(r.stored_count(), 2);
-    }
-
-    #[test]
-    fn predicate_matching_paper_metric_reproduces_reducer_output() {
-        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-        let config = MethodConfig::with_default_threshold(Method::Euclidean);
-        let via_reducer = Reducer::new(config).reduce_app(&app);
-        let via_predicate = reduce_app_with_predicate(&app, |a, b| segments_match(&config, a, b));
-        assert_eq!(via_reducer.total_stored(), via_predicate.total_stored());
-        assert_eq!(via_reducer.total_execs(), via_predicate.total_execs());
     }
 
     #[test]

@@ -34,10 +34,7 @@ use proptest::prelude::*;
 use inputs::{all_configs, specs_strategy};
 use reference::{reduce_app_reference, reduce_rank_reference};
 use trace_model::{AppTrace, Event, ReducedAppTrace, RegionId, Time};
-use trace_reduce::{
-    reduce_app_parallel_with_stats, reduce_app_with_predicate, segments_match, ExtendedConfig,
-    ExtendedMethod, ExtendedReducer, Method, MethodConfig, Reducer,
-};
+use trace_reduce::{reduce_app_parallel_with_stats, Method, MethodConfig, Reducer};
 use trace_sim::specgen::trace_from_specs;
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -122,34 +119,13 @@ fn parallel_driver_with_index_matches_reference_and_aggregates_counters() {
 
 #[test]
 fn fast_path_matches_the_predicate_reducer_for_distance_methods() {
-    // The predicate-based reducer recomputes everything per comparison via
-    // the naive `segments_match`; a third independent witness.
+    // The reference recomputes everything per comparison via the naive
+    // `segments_match` predicate, at the paper's default thresholds.
     let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
     for method in Method::ALL.into_iter().filter(|m| m.is_distance_method()) {
         let config = MethodConfig::with_default_threshold(method);
         let fast = Reducer::new(config).reduce_app(&app);
-        let naive = reduce_app_with_predicate(&app, |a, b| segments_match(&config, a, b));
-        assert_eq!(fast, naive, "{method}");
-    }
-}
-
-#[test]
-fn extended_dtw_early_abandon_does_not_change_reductions() {
-    use trace_reduce::normalized_dtw_distance;
-    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
-    for threshold in [0.01, 0.1, 0.2, 0.6] {
-        let fast = ExtendedReducer::new(ExtendedConfig::new(ExtendedMethod::Dtw, threshold))
-            .reduce_app(&app);
-        // Naive witness: the pre-abandon formulation — full band-limited
-        // DTW distance compared against the scaled threshold.
-        let naive = reduce_app_with_predicate(&app, |a, b| {
-            let va = a.measurement_vector();
-            let vb = b.measurement_vector();
-            let distance = normalized_dtw_distance(&va, &vb, Some(2));
-            let max_value = trace_model::stats::max(&va).max(trace_model::stats::max(&vb));
-            distance <= threshold * max_value
-        });
-        assert_eq!(fast, naive, "dtw({threshold})");
+        assert_eq!(fast, reduce_app_reference(config, &app), "{method}");
     }
 }
 

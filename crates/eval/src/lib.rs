@@ -14,9 +14,6 @@
 //!   ranking).
 //! * [`threshold`] — the threshold study of Section 5.1: every method over
 //!   its threshold grid (Figures 9–19, Tables 1–18).
-//! * [`extension`] — the extension study (beyond the paper): similarity
-//!   methods versus trace sampling, periodicity-based reduction and
-//!   inter-process clustering, with a trace-confidence column.
 //! * [`report`] — plain-text/CSV table rendering used by the examples and
 //!   the benchmark harness.
 
@@ -25,15 +22,10 @@
 pub mod comparative;
 pub mod criteria;
 pub mod evaluation;
-pub mod extension;
 pub mod report;
 pub mod threshold;
 
 pub use comparative::{comparative_study, ComparativeStudy};
 pub use criteria::{approximation_distance_us, file_size_percent, trends_retained};
 pub use evaluation::{evaluate_method, MethodEvaluation};
-pub use extension::{
-    evaluate_technique, extension_study, extension_summary_table, extension_table,
-    ExtensionEvaluation, ExtensionTechnique,
-};
 pub use threshold::{threshold_study_for_method, ThresholdPoint};

@@ -154,24 +154,6 @@ impl Segment {
         })
     }
 
-    /// Total time spent in events that are message-passing calls.
-    pub fn communication_time(&self) -> Time {
-        self.events
-            .iter()
-            .filter(|e| e.comm.is_communication())
-            .map(|e| e.duration())
-            .sum()
-    }
-
-    /// Total time spent in compute (non-communication) events.
-    pub fn compute_time(&self) -> Time {
-        self.events
-            .iter()
-            .filter(|e| !e.comm.is_communication())
-            .map(|e| e.duration())
-            .sum()
-    }
-
     /// True if every event lies within the segment bounds and is itself
     /// well formed.  Used by property tests and debug assertions.
     pub fn is_well_formed(&self) -> bool {
@@ -267,12 +249,5 @@ mod tests {
         let mut d = b.clone();
         d.context = ContextId(9);
         assert!(!a.same_shape(&d), "different context");
-    }
-
-    #[test]
-    fn compute_and_communication_time_partition() {
-        let s = two_event_segment(0, (1, 17), (18, 48), 49);
-        assert_eq!(s.compute_time().as_nanos(), 16);
-        assert_eq!(s.communication_time().as_nanos(), 30);
     }
 }

@@ -18,13 +18,9 @@
 
 #![warn(missing_docs)]
 
-pub mod cdf97;
-pub mod compress;
 pub mod pad;
 pub mod transform;
 
-pub use cdf97::{cdf97_transform, inverse_cdf97_transform};
-pub use compress::{compress_top_k, normalized_rms_error, rms_error, CompressedSignal};
 pub use pad::{next_power_of_two, pad_to_power_of_two};
 pub use transform::{average_transform, haar_transform, WaveletKind};
 

@@ -21,8 +21,6 @@ pub enum WaveletKind {
     Average,
     /// The Haar transform (`haarWave` in the paper).
     Haar,
-    /// The CDF 9/7 transform (extension; see [`crate::cdf97`]).
-    Cdf97,
 }
 
 impl WaveletKind {
@@ -31,7 +29,6 @@ impl WaveletKind {
         match self {
             WaveletKind::Average => average_transform(values),
             WaveletKind::Haar => haar_transform(values),
-            WaveletKind::Cdf97 => crate::cdf97::cdf97_transform(values),
         }
     }
 
@@ -48,9 +45,7 @@ impl WaveletKind {
     /// into its final slot of `out` and its magnitude folded into the
     /// maximum as it is written.  Every coefficient is the same
     /// `(a ± b) * scale` on the same operands as in the allocating form, and
-    /// `max` over non-negative values does not depend on their order.  The
-    /// CDF 9/7 lifting scheme, reachable only from the extended catalogue,
-    /// collects the signal and runs [`crate::cdf97::cdf97_transform`].
+    /// `max` over non-negative values does not depend on their order.
     pub fn transform_pairs_into(
         self,
         pairs: impl ExactSizeIterator<Item = (f64, f64)>,
@@ -60,11 +55,6 @@ impl WaveletKind {
         let scale = match self {
             WaveletKind::Average => 0.5,
             WaveletKind::Haar => std::f64::consts::FRAC_1_SQRT_2,
-            WaveletKind::Cdf97 => {
-                let values: Vec<f64> = pairs.flat_map(|(a, b)| [a, b]).collect();
-                *out = crate::cdf97::cdf97_transform(&values);
-                return crate::max_abs_coefficient(out, &[]);
-            }
         };
         let n = crate::pad::next_power_of_two(2 * pairs.len());
         // Pairs past the signal are zero padding: their trend and
@@ -98,13 +88,11 @@ impl WaveletKind {
         max_abs
     }
 
-    /// Human-readable name matching the paper (and, for the extension
-    /// transforms, the naming convention of the extended method catalogue).
+    /// Human-readable name matching the paper.
     pub fn name(self) -> &'static str {
         match self {
             WaveletKind::Average => "avgWave",
             WaveletKind::Haar => "haarWave",
-            WaveletKind::Cdf97 => "cdf97Wave",
         }
     }
 }
@@ -299,7 +287,7 @@ mod tests {
         ];
         let mut out = vec![f64::NAN; 3];
         let mut tmp = vec![f64::NAN; 70];
-        for kind in [WaveletKind::Average, WaveletKind::Haar, WaveletKind::Cdf97] {
+        for kind in [WaveletKind::Average, WaveletKind::Haar] {
             for signal in &signals {
                 let pairs = signal.chunks_exact(2).map(|pair| (pair[0], pair[1]));
                 let max_abs = kind.transform_pairs_into(pairs, &mut out, &mut tmp);

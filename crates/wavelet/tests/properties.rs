@@ -5,10 +5,7 @@ use proptest::prelude::*;
 use trace_wavelet::transform::{
     average_transform, haar_transform, inverse_average_transform, inverse_haar_transform,
 };
-use trace_wavelet::{
-    cdf97_transform, coefficient_distance, inverse_cdf97_transform, max_abs_coefficient,
-    pad_to_power_of_two,
-};
+use trace_wavelet::{coefficient_distance, max_abs_coefficient, pad_to_power_of_two};
 
 fn signal() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e6..1.0e6f64, 1..64)
@@ -69,20 +66,6 @@ proptest! {
         let avg = max_abs_coefficient(&average_transform(&a), &[]);
         let haar = max_abs_coefficient(&haar_transform(&a), &[]);
         prop_assert!(avg <= haar + 1e-12);
-    }
-
-    #[test]
-    fn cdf97_then_inverse_recovers_padded_signal(v in signal()) {
-        let padded = pad_to_power_of_two(&v);
-        let recovered = inverse_cdf97_transform(&cdf97_transform(&v));
-        prop_assert!(close(&recovered, &padded, 1e-6 * (1.0 + max_abs_coefficient(&padded, &[]))));
-    }
-
-    #[test]
-    fn cdf97_produces_power_of_two_lengths(v in signal()) {
-        let t = cdf97_transform(&v);
-        prop_assert!(t.len().is_power_of_two());
-        prop_assert!(t.len() >= v.len());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * [`trace_model`] — trace/event/segment data model and binary codec.
 //! * [`trace_sim`] — virtual-time message-passing simulator and workloads.
 //! * [`trace_wavelet`] — discrete wavelet transforms used by wavelet metrics.
-//! * [`trace_reduce`] — segmentation, similarity metrics, reduction, reconstruction.
+//! * [`trace_reduce`] — segmentation, the nine similarity methods, reduction,
+//!   reconstruction.
 //! * [`trace_analysis`] — EXPERT-like wait-state analysis and trend comparison.
 //! * [`trace_eval`] — evaluation criteria and the paper's experiment drivers.
 //! * [`trace_sampling`] — sampling-based reduction (segment sampling,

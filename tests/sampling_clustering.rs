@@ -1,5 +1,5 @@
 //! Integration tests for the sampling- and clustering-based reduction
-//! families evaluated by the extension study.
+//! families.
 
 use trace_reduction::analysis::{diagnose, MetricKind};
 use trace_reduction::clustering::{
@@ -9,7 +9,6 @@ use trace_reduction::clustering::{
 use trace_reduction::eval::criteria::{
     approximation_distance_us, file_size_percent, trends_retained,
 };
-use trace_reduction::eval::{evaluate_technique, ExtensionTechnique};
 use trace_reduction::sampling::{
     reduce_by_periodicity, sample_app, statistical_profile, EventSamplingConfig, PeriodicityConfig,
     SamplingPolicy,
@@ -125,20 +124,4 @@ fn cluster_reduction_shrinks_retained_data_proportionally_to_k() {
         (sizes[1] - 1.0).abs() < 1e-9,
         "k = rank count retains everything"
     );
-}
-
-#[test]
-fn extension_study_rates_lossless_techniques_as_perfectly_confident() {
-    let full = generate(WorkloadKind::EarlyGather);
-    for technique in [
-        ExtensionTechnique::Sampling(SamplingPolicy::EveryNth(1)),
-        ExtensionTechnique::Clustering {
-            k: full.rank_count(),
-        },
-    ] {
-        let eval = evaluate_technique(&full, technique);
-        assert_eq!(eval.approximation_distance_us, 0.0, "{}", eval.technique);
-        assert_eq!(eval.confidence, 1.0, "{}", eval.technique);
-        assert!(eval.trends_retained, "{}", eval.technique);
-    }
 }
