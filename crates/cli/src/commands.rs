@@ -14,8 +14,8 @@ use trace_container::{ChunkSpec, Codec};
 
 use crate::cli::{check_flags, Invocation};
 use crate::io::{
-    load_app_trace, load_reduced_trace, store_app_trace, store_reduced_trace, write_file_atomic,
-    BinaryFormat,
+    convert_app_trace, load_app_trace, load_reduced_trace, store_app_trace, store_reduced_trace,
+    write_file_atomic, BinaryFormat,
 };
 
 /// The usage text printed by `trace-tools help` and after errors.
@@ -508,8 +508,7 @@ fn cmd_convert(invocation: &Invocation) -> Result<String, String> {
     let format = parse_binary_format(invocation, out)?;
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
-    let app = load_app_trace(input, &recorder)?;
-    let written = store_app_trace(out, &app, format, &recorder)?;
+    let written = convert_app_trace(input, out, format, &recorder)?;
     let encoding = if crate::io::is_text_path(out) {
         "text".to_string()
     } else {

@@ -8,18 +8,22 @@
 //! default to chunked v2 containers compressed with `delta-lz`
 //! ([`BinaryFormat::default`]) with uncompressed chunks available via
 //! `--codec none` and the monolithic v1 path kept reachable via `--v1`.
+//! [`convert_app_trace`] streams a text or v2 input into a v2 container
+//! without loading it.
 
 use std::fmt::Display;
 use std::fs;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use trace_container::{
-    decode_app_any, decode_reduced_any, write_app_container, write_reduced_container, ChunkSpec,
+    decode_app_any, decode_reduced_any, section_workers, write_app_container,
+    write_reduced_container, ChunkSpec,
 };
 use trace_format::{parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace};
 use trace_model::codec::{encode_app_trace, encode_reduced_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
+use trace_stream::{convert_container, convert_text, detect_input, StreamError, TraceInputKind};
 
 /// Which binary encoding a write produces (text paths ignore this).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,6 +178,54 @@ pub fn store_reduced_trace(
         }
         BinaryFormat::MonolithicV1 => out.write_all(&encode_reduced_trace(reduced)),
     })
+}
+
+/// Converts the full trace at `input` to `path`.  A text input (by
+/// extension) or a v2 container bound for a container streams: the trace
+/// is read one rank at a time while its sections encode, under one
+/// [`trace_obs::Stage::Store`] span.  Anything else (a v1 input, `--v1` or
+/// text output) loads the whole trace and stores it.  An input error reads
+/// as it does from [`load_app_trace`], however far the output got; either
+/// way no partial output is left.  Returns the number of bytes written.
+pub fn convert_app_trace(
+    input: &Path,
+    path: &Path,
+    format: BinaryFormat,
+    recorder: &trace_obs::Recorder,
+) -> Result<usize, String> {
+    let text = is_text_path(input);
+    let spec = match format {
+        BinaryFormat::ContainerV2(spec) if !is_text_path(path) => Some(spec),
+        _ => None,
+    };
+    // An input whose magic cannot be read takes the load path, which
+    // reports why.
+    let spec =
+        spec.filter(|_| text || matches!(detect_input(input), Ok(TraceInputKind::ContainerV2)));
+    let Some(spec) = spec else {
+        let app = load_app_trace(input, recorder)?;
+        return store_app_trace(path, &app, format, recorder);
+    };
+    let unreadable = |e: io::Error| format!("cannot read {}: {e}", input.display());
+    let file = fs::File::open(input).map_err(unreadable)?;
+    let mut failed_input = None;
+    let written = store(path, recorder, |out| {
+        let reader = BufReader::new(file);
+        let converted = if text {
+            convert_text(reader, out, spec, recorder, section_workers()).map(drop)
+        } else {
+            convert_container(reader, out, spec, recorder, section_workers()).map(drop)
+        };
+        converted.map_err(|e| match e {
+            StreamError::Sink(e) => e,
+            e => io::Error::other(failed_input.insert(e).to_string()),
+        })
+    });
+    match failed_input {
+        Some(StreamError::Io(e)) => Err(unreadable(e)),
+        Some(e) => Err(format!("{}: {e}", input.display())),
+        None => written,
+    }
 }
 
 #[cfg(test)]

@@ -4,11 +4,15 @@
 //! clobbered previous output, and no write leaves its temp file behind.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use trace_container::{encode_app_container, write_app_container, ChunkSpec, Codec};
+use trace_container::{
+    decode_app_any, encode_app_container, write_app_container, ChunkSpec, Codec,
+};
+use trace_format::{parse_app_trace, write_app_trace};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
+use trace_stream::{convert_container, convert_text, StreamError};
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
 
@@ -155,4 +159,144 @@ fn every_cli_output_is_renamed_into_place() {
     ))
     .unwrap_err();
     assert!(err.contains("cannot write"), "{err}");
+}
+
+/// A text trace of eight ranks, one truncated in rank 3's records, and one
+/// with a bad record line in rank 5.
+fn hostile_texts() -> (String, [(&'static str, String); 2]) {
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let text = write_app_trace(&app);
+    let records_of = |rank: usize| {
+        let start = text.find(&format!("RANK {rank}\n")).unwrap();
+        start + text[start..].find('\n').unwrap() + 1
+    };
+    let truncated = text[..records_of(3) + 100].to_string();
+    let at = records_of(5);
+    let bad_line = format!("{}EVENT 0 nonsense\n{}", &text[..at], &text[at..]);
+    (text, [("truncated", truncated), ("bad_line", bad_line)])
+}
+
+/// `trace-tools convert --in input --out target`.
+fn convert_cli(input: &Path, target: &Path) -> Result<String, String> {
+    let (input, target) = (input.to_str().unwrap(), target.to_str().unwrap());
+    run(&Invocation::new(
+        "convert",
+        &[("in", input), ("out", target)],
+    ))
+}
+
+#[test]
+fn a_streamed_convert_failing_on_its_input_names_the_input_and_keeps_the_target() {
+    let (text, cases) = hostile_texts();
+    let target = temp_path("stream_input.trc");
+    let spec = ChunkSpec::with_codec(Codec::DeltaLz);
+    let off = trace_obs::Recorder::disabled();
+    let keeps_the_target = |case: &str| {
+        assert_eq!(
+            std::fs::read(&target).unwrap(),
+            b"previous output",
+            "{case}"
+        );
+        assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{case}");
+    };
+    write_file_atomic(&target, |file| file.write_all(b"previous output")).unwrap();
+    for (name, hostile) in &cases {
+        let input = temp_path(&format!("stream_input_{name}.txt"));
+        std::fs::write(&input, hostile).unwrap();
+        // Through the CLI: the message reads as a whole-trace load's does.
+        let err = convert_cli(&input, &target).unwrap_err();
+        let expected = parse_app_trace(hostile).unwrap_err();
+        assert_eq!(err, format!("{}: {expected}", input.display()), "{name}");
+        assert!(err.contains("trace format error"), "{name}: {err}");
+        keeps_the_target(name);
+        // On one, two and three workers: the parser's typed error.
+        for workers in [1, 2, 3] {
+            let mut failed = None;
+            write_file_atomic(&target, |file| {
+                let reader = BufReader::new(File::open(&input)?);
+                convert_text(reader, BufWriter::new(file), spec, &off, workers)
+                    .map(drop)
+                    .map_err(|e| io::Error::other(failed.insert(e).to_string()))
+            })
+            .unwrap_err();
+            let err = failed.expect("the conversion failed");
+            assert!(
+                matches!(&err, StreamError::Format(e) if *e == expected),
+                "{name}, {workers} workers: {err}"
+            );
+            keeps_the_target(&format!("{name}, {workers} workers"));
+        }
+        let _ = std::fs::remove_file(&input);
+    }
+
+    // A container cut off half-way: the container decoder's error.
+    let bytes = encode_app_container(&parse_app_trace(&text).unwrap(), spec);
+    let cut = &bytes[..bytes.len() / 2];
+    let input = temp_path("stream_input_cut.trc");
+    std::fs::write(&input, cut).unwrap();
+    let expected = decode_app_any(cut).unwrap_err();
+    let err = convert_cli(&input, &target).unwrap_err();
+    assert_eq!(err, format!("{}: {expected}", input.display()));
+    keeps_the_target("cut container");
+    for workers in [1, 2, 3] {
+        let mut failed = None;
+        write_file_atomic(&target, |file| {
+            let reader = BufReader::new(File::open(&input)?);
+            convert_container(reader, BufWriter::new(file), spec, &off, workers)
+                .map(drop)
+                .map_err(|e| io::Error::other(failed.insert(e).to_string()))
+        })
+        .unwrap_err();
+        let err = failed.expect("the conversion failed");
+        assert!(
+            matches!(&err, StreamError::Container(e) if e.to_string() == expected.to_string()),
+            "{workers} workers: {err}"
+        );
+        keeps_the_target(&format!("cut container, {workers} workers"));
+    }
+    let _ = std::fs::remove_file(&input);
+    let _ = std::fs::remove_file(&target);
+}
+
+#[test]
+fn a_streamed_convert_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
+    let (text, _) = hostile_texts();
+    let spec = ChunkSpec::with_codec(Codec::DeltaLz);
+    let full = encode_app_container(&parse_app_trace(&text).unwrap(), spec);
+    let off = trace_obs::Recorder::disabled();
+    let path = temp_path("stream_sink.trc");
+    write_file_atomic(&path, |file| file.write_all(b"previous output")).unwrap();
+    let convert = |file: &mut File, budget, workers| {
+        let sink = BufWriter::with_capacity(256, FillsUp { file, budget });
+        match convert_text(text.as_bytes(), sink, spec, &off, workers) {
+            Ok(_) => Ok(()),
+            Err(StreamError::Sink(e)) => Err(e),
+            Err(e) => panic!("an input error from a valid trace: {e}"),
+        }
+    };
+    for workers in [1, 2, 3] {
+        for budget in [0, full.len() / 2, full.len() - 1] {
+            let err = write_file_atomic(&path, |file| convert(file, budget, workers)).unwrap_err();
+            assert!(
+                err.contains("disk full"),
+                "{workers} workers, {budget} bytes: {err}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), b"previous output");
+            assert_eq!(temp_siblings(&path), Vec::<String>::new());
+        }
+        write_file_atomic(&path, |file| convert(file, full.len(), workers)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), full, "{workers} workers");
+        write_file_atomic(&path, |file| file.write_all(b"previous output")).unwrap();
+    }
+    let _ = std::fs::remove_file(&path);
+
+    // Through the CLI, a device that is always full: the error names the
+    // output, not the input.
+    if Path::new("/dev/full").exists() {
+        let input = temp_path("stream_sink_input.txt");
+        std::fs::write(&input, &text).unwrap();
+        let err = convert_cli(&input, Path::new("/dev/full")).unwrap_err();
+        assert!(err.starts_with("cannot write /dev/full: "), "{err}");
+        let _ = std::fs::remove_file(&input);
+    }
 }

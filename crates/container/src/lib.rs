@@ -59,8 +59,8 @@ pub use reader::{
 };
 pub use trace_compress::{Codec, CompressError};
 pub use writer::{
-    encode_app_container, encode_reduced_container, write_app_container, write_reduced_container,
-    ChunkSpec, ChunkWriter,
+    encode_app_container, encode_reduced_container, section_workers, write_app_container,
+    write_reduced_container, write_sections, ChunkSpec, ChunkWriter,
 };
 
 #[cfg(test)]

@@ -8,11 +8,14 @@
 //! Chunk offsets are tracked as bytes go out, which is what lets the
 //! seekable index footer be written at the end without ever seeking.
 //!
-//! [`write_app_container`] / [`write_reduced_container`] spread whole
-//! traces' rank sections over worker threads: sections are
-//! position-independent (only `INDEX` holds absolute offsets), so each is
-//! encoded into its own buffer on the workspace's one ordered fan-out,
-//! [`trace_obs::ordered()`], and stitched into the sink in rank order.
+//! [`write_sections`] is the one section writer: rank sections are
+//! position-independent (only `INDEX` holds absolute offsets), so workers
+//! on the workspace's one ordered fan-out, [`trace_obs::ordered()`], each
+//! encode the sections they claim into buffers of their own, and the
+//! calling thread stitches them into the sink in rank order.
+//! [`write_app_container`] / [`write_reduced_container`] feed it whole
+//! traces' ranks from slices; `trace_stream`'s streaming `convert` feeds it
+//! each rank as it is read.
 
 use std::io::{self, Write};
 
@@ -471,30 +474,31 @@ impl ChunkWriter<Vec<u8>> {
     }
 }
 
-/// Encodes `ranks` as the sections of `writer`'s container on up to
-/// `workers` threads, the calling thread among them, then finishes it.
-/// Each worker encodes the ranks it claims into a buffer of its own, and
-/// each buffer goes into the sink as soon as it is next in rank order.
-fn write_sections<W: Write, R: Sync>(
+/// Encodes the `n` rank sections of `writer`'s container, one worker per
+/// `scratch` entry and the calling thread among them, then finishes it.
+/// `encode(section, scratch, index)` writes section `index` with that
+/// worker's own scratch; each finished section goes into the sink as soon
+/// as it is next in rank order.  This is the one section writer: the
+/// whole-trace writers below feed it from slices, and a streaming feeder
+/// reads each section's items as it claims it.
+pub fn write_sections<W: Write, S: Send>(
     mut writer: ChunkWriter<W>,
-    ranks: &[R],
+    n: usize,
+    scratch: Vec<S>,
     recorder: &trace_obs::Recorder,
-    workers: usize,
-    encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &R) -> io::Result<()> + Sync,
+    encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &mut S, usize) -> io::Result<()> + Sync,
 ) -> io::Result<W> {
     let (kind, spec) = (writer.kind, writer.spec);
-    let encoders = (0..workers.clamp(1, ranks.len().max(1)))
-        .map(|_| ChunkWriter::section(kind, spec, recorder.shard()))
+    let workers = scratch
+        .into_iter()
+        .map(|scratch| (ChunkWriter::section(kind, spec, recorder.shard()), scratch))
         .collect();
     let misuse = ChunkWriter::<Vec<u8>>::state_error;
     trace_obs::ordered(
-        encoders,
-        ranks.len(),
-        |section, index| {
-            encode(
-                section,
-                ranks.get(index).ok_or_else(|| misuse("no such rank"))?,
-            )?;
+        workers,
+        n,
+        |(section, scratch), index| {
+            encode(section, scratch, index)?;
             // Hand back the section just closed, leaving the writer empty;
             // its entry's offset is from the section's start.
             let entry = section.sections.pop().ok_or_else(|| misuse("no section"))?;
@@ -512,9 +516,35 @@ fn write_sections<W: Write, R: Sync>(
     writer.finish()
 }
 
-/// One section encoder per core (`write_sections` caps it at the ranks).
-fn section_workers() -> usize {
+/// One section encoder per core: the worker count of every container
+/// write.
+pub fn section_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Feeds `ranks` to [`write_sections`] on up to `workers` threads (never
+/// more than there are ranks).
+fn write_slice<W: Write, R: Sync>(
+    writer: ChunkWriter<W>,
+    ranks: &[R],
+    recorder: &trace_obs::Recorder,
+    workers: usize,
+    encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &R) -> io::Result<()> + Sync,
+) -> io::Result<W> {
+    let scratch = vec![(); workers.clamp(1, ranks.len().max(1))];
+    let misuse = ChunkWriter::<Vec<u8>>::state_error;
+    write_sections(
+        writer,
+        ranks.len(),
+        scratch,
+        recorder,
+        |section, (), index| {
+            encode(
+                section,
+                ranks.get(index).ok_or_else(|| misuse("no such rank"))?,
+            )
+        },
+    )
 }
 
 /// One `begin_rank` … `end_rank` section of an app container.
@@ -551,7 +581,7 @@ pub fn write_app_container<W: Write>(
 ) -> io::Result<W> {
     let (regions, contexts) = (app.regions.names(), app.contexts.names());
     let writer = ChunkWriter::app(out, &app.name, app.rank_count(), regions, contexts, spec)?;
-    write_sections(writer, &app.ranks, recorder, section_workers(), app_section)
+    write_slice(writer, &app.ranks, recorder, section_workers(), app_section)
 }
 
 /// Writes `reduced` as a chunked container to `out` and returns the sink,
@@ -566,7 +596,7 @@ pub fn write_reduced_container<W: Write>(
     let (name, ranks) = (&reduced.name, reduced.rank_count());
     let writer = ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)?;
     let workers = section_workers();
-    write_sections(writer, &reduced.ranks, recorder, workers, reduced_section)
+    write_slice(writer, &reduced.ranks, recorder, workers, reduced_section)
 }
 
 /// Encodes `app` as a chunked container into a byte buffer.
@@ -643,7 +673,7 @@ mod tests {
     ) -> io::Result<W> {
         let (regions, contexts) = (app.regions.names(), app.contexts.names());
         let writer = ChunkWriter::app(out, &app.name, app.rank_count(), regions, contexts, spec)?;
-        write_sections(writer, &app.ranks, recorder, workers, app_section)
+        write_slice(writer, &app.ranks, recorder, workers, app_section)
     }
 
     /// [`write_reduced_container`] on `workers` threads.
@@ -657,7 +687,7 @@ mod tests {
         let (regions, contexts) = (reduced.regions.names(), reduced.contexts.names());
         let (name, ranks) = (&reduced.name, reduced.rank_count());
         let writer = ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)?;
-        write_sections(writer, &reduced.ranks, recorder, workers, reduced_section)
+        write_slice(writer, &reduced.ranks, recorder, workers, reduced_section)
     }
 
     /// Every codec at one segment per chunk and at the default 128.
@@ -736,7 +766,7 @@ mod tests {
             spec,
         );
         let off = Recorder::disabled();
-        let bytes = write_sections(writer.unwrap(), &app.ranks, &off, 2, held_back).unwrap();
+        let bytes = write_slice(writer.unwrap(), &app.ranks, &off, 2, held_back).unwrap();
         assert!(bytes == app_section_at_a_time(&app, spec));
     }
 

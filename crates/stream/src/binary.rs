@@ -88,7 +88,7 @@ impl<R: Read> AppItemSource for ContainerSource<R> {
 /// The output trace's name tables (no ranks yet) and the declared rank
 /// count, from the preamble of a whole-file source; a container that
 /// reaches its first rank section without one is malformed.
-fn header_of<R: Read>(
+pub(crate) fn header_of<R: Read>(
     source: &ContainerSource<R>,
 ) -> Result<(ReducedAppTrace, usize), StreamError> {
     let Some(preamble) = source.preamble() else {

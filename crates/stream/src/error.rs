@@ -10,8 +10,8 @@ use trace_obs::WorkerPanic;
 
 /// An error encountered while streaming a trace: the underlying reader
 /// failed, a text line did not parse, a binary container chunk was
-/// malformed, the reduction loop was handed items out of order, or a worker
-/// panicked.
+/// malformed, the reduction loop was handed items out of order, a worker
+/// panicked, or the output a conversion streams into failed.
 #[derive(Debug)]
 pub enum StreamError {
     /// The underlying reader failed.
@@ -36,6 +36,8 @@ pub enum StreamError {
         /// What went wrong inside it.
         error: Box<StreamError>,
     },
+    /// The sink a streamed conversion was writing to failed.
+    Sink(io::Error),
 }
 
 impl fmt::Display for StreamError {
@@ -54,6 +56,7 @@ impl fmt::Display for StreamError {
                 f,
                 "rank section {index} ({rank}, byte offset {offset}): {error}"
             ),
+            StreamError::Sink(e) => write!(f, "trace output i/o error: {e}"),
         }
     }
 }
@@ -61,7 +64,7 @@ impl fmt::Display for StreamError {
 impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StreamError::Io(e) => Some(e),
+            StreamError::Io(e) | StreamError::Sink(e) => Some(e),
             StreamError::Format(e) => Some(e),
             StreamError::Container(e) => Some(e),
             StreamError::Protocol(_) => None,

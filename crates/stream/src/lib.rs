@@ -31,6 +31,10 @@
 //!   via the container's index footer instead of scanning the file.
 //!   [`binary::reduce_any_file`] autodetects text, monolithic v1 and
 //!   container v2 inputs by magic bytes.
+//! * [`convert::convert_text`] / [`convert::convert_container`] — the
+//!   write direction: a trace re-encoded as a container a rank at a time,
+//!   through the container's one section writer, reading rank k + 1 while
+//!   rank k encodes; never the whole trace resident.
 //!
 //! One rule covers all five drivers: each is a function of a
 //! [`trace_reduce::Reducer`] — method, candidate search and recorder
@@ -72,6 +76,7 @@
 #![warn(missing_docs)]
 
 pub mod binary;
+pub mod convert;
 pub mod error;
 pub mod parser;
 pub mod reduce;
@@ -82,6 +87,7 @@ pub use binary::{
     detect_input, reduce_any_file, reduce_container_file, reduce_container_stream, ContainerSource,
     TraceInputKind,
 };
+pub use convert::{convert_container, convert_text};
 pub use error::StreamError;
 pub use parser::{AppItem, StreamParser};
 pub use reduce::{reduce_stream, StreamReduction, StreamStats};
