@@ -140,18 +140,13 @@ pub const COMMAND_SPECS: &[CommandSpec] = &[
         groups: &[BINARY_OUTPUT_FLAGS, OBS_FLAGS],
     },
     CommandSpec {
-        name: "sample",
-        own: &["in", "out", "policy", "seed"],
-        groups: &[],
-    },
-    CommandSpec {
         name: "reconstruct",
         own: &["in", "out"],
         groups: &[],
     },
     CommandSpec {
         name: "convert",
-        own: &["in", "out", "container"],
+        own: &["in", "out"],
         groups: &[BINARY_OUTPUT_FLAGS, OBS_FLAGS],
     },
     CommandSpec {

@@ -7,7 +7,6 @@ use trace_analysis::diagnose;
 use trace_eval::{evaluate_method, file_size_percent};
 use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
-use trace_sampling::{sample_app, AdaptiveConfig, SamplingPolicy};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
 use trace_container::{ChunkSpec, Codec};
@@ -24,7 +23,7 @@ pub fn usage() -> String {
 trace-tools <subcommand> [--flag value]...
 
 subcommands:
-  list                                   list workloads, methods and sampling policies
+  list                                   list workloads and similarity methods
   generate   --workload W --out FILE     generate a benchmark/application trace
              [--preset tiny|small|paper] [binary output flags]
   reduce     --in FILE --out FILE        similarity-based reduction
@@ -35,8 +34,6 @@ subcommands:
                                          v2 containers shard by index footer
              [--report FILE]             also write a self-contained HTML
                                          analysis report of the reduction
-  sample     --in FILE --out FILE        sampling-based reduction
-             --policy every:N|random:F|adaptive:E [--seed S]
   reconstruct --in REDUCED --out FILE    rebuild an approximate full trace
   convert    --in FILE --out FILE        convert between binary (.trc) and text (.txt)
              [binary output flags]
@@ -128,29 +125,6 @@ fn parse_method(invocation: &Invocation, fallback: Option<Method>) -> Result<Met
     }
 }
 
-fn parse_policy(invocation: &Invocation) -> Result<SamplingPolicy, String> {
-    let raw = invocation.require("policy")?;
-    let seed = invocation.get_usize("seed")?.unwrap_or(0x5eed) as u64;
-    let (kind, value) = raw.split_once(':').ok_or_else(|| {
-        format!("policy {raw:?} must look like every:10, random:0.25 or adaptive:0.05")
-    })?;
-    match kind {
-        "every" => value
-            .parse::<usize>()
-            .map(SamplingPolicy::EveryNth)
-            .map_err(|_| format!("every:{value:?} expects an integer")),
-        "random" => value
-            .parse::<f64>()
-            .map(|fraction| SamplingPolicy::Random { fraction, seed })
-            .map_err(|_| format!("random:{value:?} expects a fraction")),
-        "adaptive" => value
-            .parse::<f64>()
-            .map(|err| SamplingPolicy::Adaptive(AdaptiveConfig::with_relative_error(err)))
-            .map_err(|_| format!("adaptive:{value:?} expects a relative error")),
-        other => Err(format!("unknown sampling policy kind {other:?}")),
-    }
-}
-
 /// Parses the binary output flags (`--codec`, `--chunk-segments`, `--v1`)
 /// shared by `generate`, `reduce` and `convert`.  The default is a chunked
 /// `.trc` v2 container with the default grouping compressed with
@@ -161,7 +135,7 @@ fn parse_binary_format(invocation: &Invocation, out: &Path) -> Result<BinaryForm
     // A text output takes none of the binary flags — rejected rather than
     // silently ignored, for every command that writes traces.
     if crate::io::is_text_path(out) {
-        for flag in ["container", "codec", "chunk-segments", "v1"] {
+        for flag in ["codec", "chunk-segments", "v1"] {
             if invocation.has(flag) {
                 return Err(format!(
                     "--{flag} configures binary output; {} has a text extension",
@@ -171,7 +145,7 @@ fn parse_binary_format(invocation: &Invocation, out: &Path) -> Result<BinaryForm
         }
     }
     if invocation.has("v1") {
-        for flag in ["codec", "chunk-segments", "container"] {
+        for flag in ["codec", "chunk-segments"] {
             if invocation.has(flag) {
                 return Err(format!(
                     "--{flag} configures the chunked v2 container; drop --v1 to use it"
@@ -326,7 +300,7 @@ fn cmd_list() -> String {
     let workloads: Vec<String> = WorkloadKind::all_paper().iter().map(|k| k.name()).collect();
     let methods: Vec<&str> = Method::ALL.iter().map(|m| m.name()).collect();
     format!(
-        "workloads ({}):\n  {}\n\nsimilarity methods ({}):\n  {}\n\nsampling policies:\n  every:<n>  random:<fraction>  adaptive:<relative error>",
+        "workloads ({}):\n  {}\n\nsimilarity methods ({}):\n  {}",
         workloads.len(),
         workloads.join("\n  "),
         methods.len(),
@@ -426,10 +400,12 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
             ));
         }
         if v1_fallback {
-            message.push_str(
-                "\nnote: monolithic v1 input was decoded in memory; convert with \
-                 `--container` for true streaming",
-            );
+            message.push_str(&format!(
+                "\nnote: monolithic v1 input was decoded in memory; \
+                 `trace-tools convert --in {} --out FILE.trc` rewrites it as a \
+                 v2 container, which streams",
+                input.display()
+            ));
         }
         (result.reduced, None, message)
     } else {
@@ -465,25 +441,6 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-fn cmd_sample(invocation: &Invocation) -> Result<String, String> {
-    let policy = parse_policy(invocation)?;
-    let input = Path::new(invocation.require("in")?);
-    let out = Path::new(invocation.require("out")?);
-    let off = Recorder::disabled();
-    let app = load_app_trace(input, &off)?;
-    let reduced = sample_app(&app, policy);
-    store_reduced_trace(out, &reduced, BinaryFormat::default(), &off)?;
-    Ok(format!(
-        "sampled {} with {}: {} stored segments for {} executions, {:.2}% of the full size -> {}",
-        app.name,
-        policy.label(),
-        reduced.total_stored(),
-        reduced.total_execs(),
-        file_size_percent(&app, &reduced),
-        out.display()
-    ))
-}
-
 fn cmd_reconstruct(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
@@ -502,9 +459,6 @@ fn cmd_reconstruct(invocation: &Invocation) -> Result<String, String> {
 fn cmd_convert(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
-    // `--container` is accepted for compatibility: the chunked container is
-    // the default binary write format now, so the flag only forbids `--v1`
-    // and text outputs (both checked inside parse_binary_format).
     let format = parse_binary_format(invocation, out)?;
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
@@ -707,7 +661,6 @@ pub fn run(invocation: &Invocation) -> Result<String, String> {
         "list" => Ok(cmd_list()),
         "generate" => cmd_generate(invocation),
         "reduce" => cmd_reduce(invocation),
-        "sample" => cmd_sample(invocation),
         "reconstruct" => cmd_reconstruct(invocation),
         "convert" => cmd_convert(invocation),
         "analyze" => cmd_analyze(invocation),
@@ -799,6 +752,18 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!(err, "unknown subcommand \"extension-study\"");
+    }
+
+    #[test]
+    fn sampling_is_gone_from_the_cli() {
+        let err = run(&Invocation::new(
+            "sample",
+            &[("in", "a"), ("out", "b"), ("policy", "every:4")],
+        ))
+        .unwrap_err();
+        assert_eq!(err, "unknown subcommand \"sample\"");
+        let list = run(&Invocation::new("list", &[])).unwrap();
+        assert!(!list.contains("sampling"), "{list}");
     }
 
     /// Writes the tiny `late_sender` trace to `path`.
@@ -1081,6 +1046,12 @@ mod tests {
             ))
             .unwrap();
             assert!(out.contains(marker), "{marker}: {out}");
+            if marker == "binary v1" {
+                // The note names the command that makes a streamable file.
+                let convert = format!("trace-tools convert --in {}", input.display());
+                assert!(out.contains(&convert), "{out}");
+                assert!(!out.contains("--container"), "{out}");
+            }
             // Bit-identical output regardless of the input encoding.
             assert_eq!(std::fs::read(&out_path).unwrap(), expected, "{marker}");
             cleanup(&[&out_path]);
@@ -1118,6 +1089,14 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("--v1"), "{err}");
+        // The chunked container is the default binary output; there is no
+        // switch for it.
+        let err = run(&Invocation::new(
+            "convert",
+            &[("in", "a"), ("out", "b.trc"), ("container", "")],
+        ))
+        .unwrap_err();
+        assert!(err.contains("unknown option --container"), "{err}");
 
         // Binary output flags are rejected for text outputs — on every
         // command that writes traces, not just convert (a silently dropped
@@ -1278,10 +1257,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_and_convert_commands_work() {
-        let trace = temp_path("sample.trc");
-        let text = temp_path("sample.txt");
-        let sampled = temp_path("sampled.trc");
+    fn convert_to_text_parses_back_to_the_same_trace() {
+        let trace = temp_path("convert_text.trc");
+        let text = temp_path("convert_text.txt");
 
         run(&Invocation::new(
             "generate",
@@ -1308,18 +1286,7 @@ mod tests {
             crate::io::load_app_trace(&text, &Recorder::disabled()).unwrap()
         );
 
-        let out = run(&Invocation::new(
-            "sample",
-            &[
-                ("in", text.to_str().unwrap()),
-                ("out", sampled.to_str().unwrap()),
-                ("policy", "every:4"),
-            ],
-        ))
-        .unwrap();
-        assert!(out.contains("every4"), "{out}");
-
-        cleanup(&[&trace, &text, &sampled]);
+        cleanup(&[&trace, &text]);
     }
 
     #[test]
@@ -1523,13 +1490,8 @@ mod tests {
 
         // Commands that never record reject the obs flags.
         let err = run(&Invocation::new(
-            "sample",
-            &[
-                ("in", "a"),
-                ("out", "b"),
-                ("policy", "every:4"),
-                ("obs", ""),
-            ],
+            "reconstruct",
+            &[("in", "a"), ("out", "b"), ("obs", "")],
         ))
         .unwrap_err();
         assert!(err.contains("unknown option --obs"), "{err}");
@@ -1632,13 +1594,6 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("known methods"), "{err}");
-
-        let err = run(&Invocation::new(
-            "sample",
-            &[("in", "a"), ("out", "b"), ("policy", "sometimes")],
-        ))
-        .unwrap_err();
-        assert!(err.contains("policy"), "{err}");
 
         let err = run(&Invocation::new("evaluate", &[("workload", "late_sender")])).unwrap_err();
         assert!(err.contains("--method"), "{err}");

@@ -1,7 +1,5 @@
 //! Full per-rank and application traces.
 
-use std::collections::BTreeMap;
-
 use crate::event::Event;
 use crate::ids::{ContextId, ContextTable, Rank, RegionTable};
 use crate::record::TraceRecord;
@@ -172,20 +170,6 @@ impl AppTrace {
             .unwrap_or(Time::ZERO)
     }
 
-    /// Per-region total inclusive time summed over all ranks, keyed by
-    /// region name.  Useful for coarse profile-style summaries in examples
-    /// and tests.
-    pub fn region_time_profile(&self) -> BTreeMap<String, Duration> {
-        let mut profile: BTreeMap<String, Duration> = BTreeMap::new();
-        for rank in &self.ranks {
-            for event in rank.events() {
-                let name = self.regions.name_or_unknown(event.region).to_owned();
-                *profile.entry(name).or_insert(Duration::ZERO) += event.duration();
-            }
-        }
-        profile
-    }
-
     /// True if every rank trace is well formed.
     pub fn is_well_formed(&self) -> bool {
         self.ranks.iter().all(RankTrace::is_well_formed)
@@ -260,9 +244,6 @@ mod tests {
         assert_eq!(app.total_records(), 8);
         assert_eq!(app.end_time().as_nanos(), 36);
         assert!(app.is_well_formed());
-        let profile = app.region_time_profile();
-        assert_eq!(profile["do_work"].as_nanos(), 18);
-        assert_eq!(profile["MPI_Recv"].as_nanos(), 40);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   reconstruction.
 //! * [`trace_analysis`] — EXPERT-like wait-state analysis and trend comparison.
 //! * [`trace_eval`] — evaluation criteria and the paper's experiment drivers.
-//! * [`trace_sampling`] — sampling-based reduction (segment sampling,
-//!   statistical event profiles, periodicity detection, trace confidence).
 //! * [`trace_clustering`] — inter-process clustering and representative-rank
 //!   reduction.
 //! * [`trace_format`] — OTF-style text trace format writer/parser.
@@ -36,7 +34,6 @@ pub use trace_model as model;
 pub use trace_obs as obs;
 pub use trace_reduce as reduce;
 pub use trace_report as report;
-pub use trace_sampling as sampling;
 pub use trace_sim as sim;
 pub use trace_stream as stream;
 pub use trace_wavelet as wavelet;

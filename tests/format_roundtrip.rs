@@ -7,7 +7,6 @@ use trace_reduction::format::{
 };
 use trace_reduction::model::codec::{decode_app_trace, encode_app_trace};
 use trace_reduction::reduce::{Method, Reducer};
-use trace_reduction::sampling::{sample_app, SamplingPolicy};
 use trace_reduction::sim::{SizePreset, Workload};
 
 #[test]
@@ -44,14 +43,6 @@ fn reduced_traces_from_every_method_round_trip() {
             "{method}"
         );
     }
-}
-
-#[test]
-fn sampled_traces_also_round_trip() {
-    let app = Workload::all(SizePreset::Tiny)[5].generate();
-    let sampled = sample_app(&app, SamplingPolicy::EveryNth(4));
-    let parsed = parse_reduced_trace(&write_reduced_trace(&sampled)).unwrap();
-    assert_eq!(parsed, sampled);
 }
 
 #[test]

@@ -49,7 +49,6 @@ fn facade_modules_all_resolve() {
     let _ = trace_reduction::format::parse_app_trace;
     let _ = trace_reduction::model::Time::from_nanos(1);
     let _ = trace_reduction::reduce::Method::AvgWave;
-    let _ = trace_reduction::sampling::SamplingPolicy::EveryNth(2);
     let _ = trace_reduction::sim::SizePreset::Tiny;
     let _ = trace_reduction::wavelet::next_power_of_two(3);
 }
