@@ -173,11 +173,6 @@ pub const COMMAND_SPECS: &[CommandSpec] = &[
         own: &["workload", "method", "threshold", "preset"],
         groups: &[],
     },
-    CommandSpec {
-        name: "cluster",
-        own: &["in", "k", "algorithm", "out"],
-        groups: &[],
-    },
 ];
 
 /// Looks up the spec for a subcommand; `--help`/`-h` alias `help`.

@@ -48,8 +48,6 @@ subcommands:
                                          chrome://tracing JSON file
   evaluate   --workload W --method M     run the paper's four criteria
              [--threshold T] [--preset P]
-  cluster    --in FILE --k N             inter-process clustering of the ranks
-             [--algorithm kmeans|single|complete|average] [--out FILE]
 
 methods (reduce, report, evaluate): the paper's nine, listed by `list`;
 --threshold defaults to the method's paper threshold and must be a finite
@@ -583,76 +581,6 @@ fn cmd_evaluate(invocation: &Invocation) -> Result<String, String> {
     ))
 }
 
-fn cmd_cluster(invocation: &Invocation) -> Result<String, String> {
-    use trace_clustering::{
-        cluster_reduce, euclidean_distance_matrix, hierarchical_clustering, kmeans, rank_features,
-        silhouette_score, KMeansConfig, Linkage, Normalization,
-    };
-
-    let input = Path::new(invocation.require("in")?);
-    let k = invocation
-        .get_usize("k")?
-        .ok_or_else(|| "missing required option --k for `cluster`".to_string())?;
-    if k == 0 {
-        return Err("--k must be at least 1".to_string());
-    }
-    let algorithm = invocation.get("algorithm").unwrap_or("kmeans");
-
-    let off = Recorder::disabled();
-    let app = load_app_trace(input, &off)?;
-    let features = rank_features(&app, Normalization::MinMax);
-    let matrix = euclidean_distance_matrix(&features);
-    let assignments = match algorithm {
-        "kmeans" => kmeans(&features, &KMeansConfig::new(k)).assignments,
-        "single" => hierarchical_clustering(&matrix, k, Linkage::Single),
-        "complete" => hierarchical_clustering(&matrix, k, Linkage::Complete),
-        "average" => hierarchical_clustering(&matrix, k, Linkage::Average),
-        other => {
-            return Err(format!(
-                "unknown clustering algorithm {other:?} \
-                 (expected kmeans, single, complete or average)"
-            ))
-        }
-    };
-    let score = silhouette_score(&matrix, &assignments);
-    let clustered = cluster_reduce(&app, &assignments, &matrix);
-
-    let mut output = format!(
-        "clustered {} ({} ranks) into {} clusters with {algorithm} (silhouette {score:.3})\n",
-        app.name,
-        app.rank_count(),
-        clustered.cluster_count()
-    );
-    for (cluster, &representative) in clustered.representatives.iter().enumerate() {
-        let members: Vec<String> = clustered
-            .assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c == cluster)
-            .map(|(rank, _)| rank.to_string())
-            .collect();
-        output.push_str(&format!(
-            "  cluster {cluster}: representative rank {representative}, members [{}]\n",
-            members.join(", ")
-        ));
-    }
-    output.push_str(&format!(
-        "retained {:.1}% of the rank traces",
-        100.0 * clustered.retained_fraction()
-    ));
-
-    if let Some(out) = invocation.get("out") {
-        store_app_trace(
-            Path::new(out),
-            &clustered.retained,
-            BinaryFormat::default(),
-            &off,
-        )?;
-        output.push_str(&format!("\nretained representative traces -> {out}"));
-    }
-    Ok(output)
-}
-
 /// Runs a parsed invocation, returning the text to print.
 pub fn run(invocation: &Invocation) -> Result<String, String> {
     check_flags(invocation)?;
@@ -666,7 +594,6 @@ pub fn run(invocation: &Invocation) -> Result<String, String> {
         "analyze" => cmd_analyze(invocation),
         "report" => cmd_report(invocation),
         "evaluate" => cmd_evaluate(invocation),
-        "cluster" => cmd_cluster(invocation),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
@@ -764,6 +691,19 @@ mod tests {
         assert_eq!(err, "unknown subcommand \"sample\"");
         let list = run(&Invocation::new("list", &[])).unwrap();
         assert!(!list.contains("sampling"), "{list}");
+    }
+
+    #[test]
+    fn clustering_is_gone_from_the_cli() {
+        let err = run(&Invocation::new(
+            "cluster",
+            &[("in", "a"), ("k", "2"), ("algorithm", "kmeans")],
+        ))
+        .unwrap_err();
+        assert_eq!(err, "unknown subcommand \"cluster\"");
+        let help = usage();
+        assert!(!help.contains("cluster"), "{help}");
+        assert!(!help.contains("--algorithm"), "{help}");
     }
 
     /// Writes the tiny `late_sender` trace to `path`.
@@ -1302,62 +1242,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("degree of matching"), "{out}");
         assert!(out.contains("trends retained: yes"), "{out}");
-    }
-
-    #[test]
-    fn cluster_command_reports_clusters_and_can_store_representatives() {
-        let trace = temp_path("cluster_in.trc");
-        let retained = temp_path("cluster_retained.trc");
-        run(&Invocation::new(
-            "generate",
-            &[
-                ("workload", "dyn_load_balance"),
-                ("preset", "tiny"),
-                ("out", trace.to_str().unwrap()),
-            ],
-        ))
-        .unwrap();
-
-        for algorithm in ["kmeans", "average"] {
-            let out = run(&Invocation::new(
-                "cluster",
-                &[
-                    ("in", trace.to_str().unwrap()),
-                    ("k", "2"),
-                    ("algorithm", algorithm),
-                ],
-            ))
-            .unwrap();
-            assert!(out.contains("cluster 0"), "{algorithm}: {out}");
-            assert!(out.contains("silhouette"), "{algorithm}: {out}");
-        }
-
-        let out = run(&Invocation::new(
-            "cluster",
-            &[
-                ("in", trace.to_str().unwrap()),
-                ("k", "2"),
-                ("out", retained.to_str().unwrap()),
-            ],
-        ))
-        .unwrap();
-        assert!(out.contains("retained"), "{out}");
-        assert!(retained.exists());
-        let loaded = crate::io::load_app_trace(&retained, &Recorder::disabled()).unwrap();
-        assert!(loaded.rank_count() <= 2);
-
-        let err = run(&Invocation::new(
-            "cluster",
-            &[
-                ("in", trace.to_str().unwrap()),
-                ("k", "2"),
-                ("algorithm", "voronoi"),
-            ],
-        ))
-        .unwrap_err();
-        assert!(err.contains("clustering algorithm"), "{err}");
-
-        cleanup(&[&trace, &retained]);
     }
 
     #[test]

@@ -1,24 +1,5 @@
 //! Small numeric helpers shared by the evaluation and analysis crates.
 
-/// Arithmetic mean of a slice; 0.0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Population standard deviation of a slice; 0.0 for fewer than two values.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64;
-    var.sqrt()
-}
-
 /// The `q`-quantile (0.0..=1.0) of the values using the nearest-rank method.
 ///
 /// The paper's *approximation distance* is the 90th percentile of absolute
@@ -103,15 +84,6 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_std_dev() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0, 6.0]), 4.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        let sd = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((sd - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn percentile_nearest_rank() {

@@ -34,15 +34,8 @@ pub struct FileClass {
 /// sites in `clock.rs` are the *only* places the whole workspace may touch
 /// time, and keeping the crate under the determinism rules means any new
 /// clock read elsewhere in it fails the lint instead of slipping in.
-pub const DETERMINISM_CRATES: &[&str] = &[
-    "core",
-    "wavelet",
-    "trace-model",
-    "stream",
-    "clustering",
-    "obs",
-    "report",
-];
+pub const DETERMINISM_CRATES: &[&str] =
+    &["core", "wavelet", "trace-model", "stream", "obs", "report"];
 
 /// Binary-interface crates exempt from the stdout/exit hygiene rules.
 pub const BIN_CRATES: &[&str] = &["cli", "xtask"];

@@ -9,8 +9,6 @@
 //!   reconstruction.
 //! * [`trace_analysis`] — EXPERT-like wait-state analysis and trend comparison.
 //! * [`trace_eval`] — evaluation criteria and the paper's experiment drivers.
-//! * [`trace_clustering`] — inter-process clustering and representative-rank
-//!   reduction.
 //! * [`trace_format`] — OTF-style text trace format writer/parser.
 //! * [`trace_stream`] — online, bounded-memory streaming reduction over
 //!   text trace files and chunked binary containers (incremental parsers,
@@ -25,7 +23,6 @@
 //!   region trie, HTML / chrome://tracing / text sinks.
 
 pub use trace_analysis as analysis;
-pub use trace_clustering as clustering;
 pub use trace_compress as compress;
 pub use trace_container as container;
 pub use trace_eval as eval;
