@@ -118,6 +118,33 @@ fn parallel_driver_with_index_matches_reference_and_aggregates_counters() {
 }
 
 #[test]
+fn index_visits_fewer_candidates_than_a_linear_scan_on_a_grown_stored_set() {
+    // `dyn_load_balance` with iterations *and* rebalance period scaled 16×:
+    // the drift sawtooth keeps its ten cycles, so later cycles still
+    // re-match the first cycle's representatives while the stored set
+    // grows.  There the window must prune: summed over the distance
+    // methods, the index visits strictly fewer candidates than a linear
+    // first-match scan (`MatchStats::candidates`).
+    use trace_sim::dynload::{dyn_load_balance, DynLoadParams};
+    let app = dyn_load_balance(&DynLoadParams {
+        iterations: 30 * 16,
+        rebalance_every: 30 * 16 / 10,
+        ..DynLoadParams::paper()
+    });
+    let (mut indexed, mut linear) = (0, 0);
+    for method in Method::ALL.into_iter().filter(|m| m.is_distance_method()) {
+        let reducer = Reducer::new(MethodConfig::with_default_threshold(method));
+        let (_, stats) = reduce_app_parallel_with_stats(&reducer, &app, 1);
+        indexed += stats.comparisons;
+        linear += stats.candidates();
+    }
+    assert!(
+        indexed < linear,
+        "index pruning regressed: visited {indexed} vs linear {linear}"
+    );
+}
+
+#[test]
 fn fast_path_matches_the_predicate_reducer_for_distance_methods() {
     // The reference recomputes everything per comparison via the naive
     // `segments_match` predicate, at the paper's default thresholds.

@@ -1,210 +1,12 @@
-//! The comparative study (Section 5.2): every method at its representative
-//! threshold, over a set of workloads.
-//!
-//! From one [`ComparativeStudy`] the benchmark harness and examples print:
-//!
-//! * Figure 5 — percentage file size and degree of matching per workload and
-//!   method;
-//! * Figure 6 — approximation distance per workload and method;
-//! * Figures 7/8 (and the Figure 4 representation) — KOJAK-style performance
-//!   trend charts for a chosen workload, full trace vs. every method;
-//! * the Section 5.2 summary ranking (average file size, correct-diagnosis
-//!   counts).
+//! Figures 7/8 (and the Figure 4 representation) of the comparative study
+//! (Section 5.2): KOJAK-style performance-trend charts for one workload, the
+//! full trace against every method at its representative threshold.  The
+//! study's numbers (Figures 5 and 6, the Section 5.2 rankings) are rows of
+//! the committed table, [`crate::results`].
 
 use trace_analysis::diagnose;
 use trace_model::AppTrace;
-use trace_reduce::{Method, MethodConfig, Reducer};
-
-use crate::evaluation::{evaluate_all_methods, MethodEvaluation};
-use crate::report::{fmt_f64, fmt_retained, Table};
-
-/// The full comparative-study result grid.
-#[derive(Clone, Debug, Default)]
-pub struct ComparativeStudy {
-    /// One evaluation per (workload, method) pair, workload-major, in paper
-    /// method order.
-    pub evaluations: Vec<MethodEvaluation>,
-}
-
-/// Runs the comparative study over the given full traces (all nine methods,
-/// each at its paper-default threshold).
-pub fn comparative_study(traces: &[AppTrace]) -> ComparativeStudy {
-    let mut evaluations = Vec::with_capacity(traces.len() * Method::ALL.len());
-    for trace in traces {
-        evaluations.extend(evaluate_all_methods(trace));
-    }
-    ComparativeStudy { evaluations }
-}
-
-impl ComparativeStudy {
-    /// The workloads covered, in evaluation order.
-    pub fn workloads(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for eval in &self.evaluations {
-            if !names.contains(&eval.workload) {
-                names.push(eval.workload.clone());
-            }
-        }
-        names
-    }
-
-    /// Figure 5 data: percentage file size and degree of matching for every
-    /// workload and method at the default thresholds.
-    pub fn figure5_table(&self) -> Table {
-        let mut table = Table::new(
-            "Figure 5: percentage file sizes and degree of matching (default thresholds)",
-            &["workload", "method", "file size %", "degree of matching"],
-        );
-        for eval in &self.evaluations {
-            table.push_row(vec![
-                eval.workload.clone(),
-                eval.config.method.name().to_string(),
-                fmt_f64(eval.file_size_percent),
-                fmt_f64(eval.degree_of_matching),
-            ]);
-        }
-        table
-    }
-
-    /// Figure 6 data: approximation distance for every workload and method.
-    pub fn figure6_table(&self) -> Table {
-        let mut table = Table::new(
-            "Figure 6: approximation distance (90th percentile time-stamp error, us)",
-            &["workload", "method", "approximation distance (us)"],
-        );
-        for eval in &self.evaluations {
-            table.push_row(vec![
-                eval.workload.clone(),
-                eval.config.method.name().to_string(),
-                fmt_f64(eval.approximation_distance_us),
-            ]);
-        }
-        table
-    }
-
-    /// Retention-of-trends summary per workload and method (the data behind
-    /// the Figures 7/8 discussion and the Section 5.2.3 counts).
-    pub fn trend_retention_table(&self) -> Table {
-        let mut table = Table::new(
-            "Retention of performance trends (default thresholds)",
-            &["workload", "method", "retained", "score"],
-        );
-        for eval in &self.evaluations {
-            table.push_row(vec![
-                eval.workload.clone(),
-                eval.config.method.name().to_string(),
-                fmt_retained(eval.trends_retained),
-                fmt_f64(eval.trend_score),
-            ]);
-        }
-        table
-    }
-
-    /// Average file-size percentage per method, smallest first — the ranking
-    /// the paper reports at the end of Section 5.2.1.
-    pub fn average_file_size_ranking(&self) -> Vec<(Method, f64)> {
-        let mut ranking: Vec<(Method, f64)> = Method::ALL
-            .into_iter()
-            .map(|method| {
-                let values: Vec<f64> = self
-                    .evaluations
-                    .iter()
-                    .filter(|e| e.config.method == method)
-                    .map(|e| e.file_size_percent)
-                    .collect();
-                let mean = if values.is_empty() {
-                    0.0
-                } else {
-                    values.iter().sum::<f64>() / values.len() as f64
-                };
-                (method, mean)
-            })
-            .collect();
-        ranking.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        ranking
-    }
-
-    /// Number of workloads each method diagnosed correctly (Section 5.2.3:
-    /// "Manhattan, Euclidean, and avgWave ... correctly diagnosed 17 out of
-    /// the 18 execution traces").
-    pub fn correct_diagnosis_counts(&self) -> Vec<(Method, usize)> {
-        let mut counts: Vec<(Method, usize)> = Method::ALL
-            .into_iter()
-            .map(|method| {
-                let count = self
-                    .evaluations
-                    .iter()
-                    .filter(|e| e.config.method == method && e.trends_retained)
-                    .count();
-                (method, count)
-            })
-            .collect();
-        counts.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-        counts
-    }
-
-    /// Mean approximation distance per method, smallest first (the ranking
-    /// discussed in Section 5.2.2).
-    pub fn average_approximation_ranking(&self) -> Vec<(Method, f64)> {
-        let mut ranking: Vec<(Method, f64)> = Method::ALL
-            .into_iter()
-            .map(|method| {
-                let values: Vec<f64> = self
-                    .evaluations
-                    .iter()
-                    .filter(|e| e.config.method == method)
-                    .map(|e| e.approximation_distance_us)
-                    .collect();
-                let mean = if values.is_empty() {
-                    0.0
-                } else {
-                    values.iter().sum::<f64>() / values.len() as f64
-                };
-                (method, mean)
-            })
-            .collect();
-        ranking.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        ranking
-    }
-
-    /// Section 5.2 summary table: per-method averages over all workloads.
-    pub fn summary_table(&self) -> Table {
-        let mut table = Table::new(
-            "Method summary (averages over all workloads, default thresholds)",
-            &[
-                "method",
-                "avg file size %",
-                "avg degree of matching",
-                "avg approx distance (us)",
-                "correct diagnoses",
-                "workloads",
-            ],
-        );
-        let n_workloads = self.workloads().len();
-        for method in Method::ALL {
-            let evals: Vec<&MethodEvaluation> = self
-                .evaluations
-                .iter()
-                .filter(|e| e.config.method == method)
-                .collect();
-            if evals.is_empty() {
-                continue;
-            }
-            let mean = |f: &dyn Fn(&MethodEvaluation) -> f64| {
-                evals.iter().map(|e| f(e)).sum::<f64>() / evals.len() as f64
-            };
-            table.push_row(vec![
-                method.name().to_string(),
-                fmt_f64(mean(&|e| e.file_size_percent)),
-                fmt_f64(mean(&|e| e.degree_of_matching)),
-                fmt_f64(mean(&|e| e.approximation_distance_us)),
-                format!("{}", evals.iter().filter(|e| e.trends_retained).count()),
-                format!("{n_workloads}"),
-            ]);
-        }
-        table
-    }
-}
+use trace_reduce::{MethodConfig, Reducer};
 
 /// Renders Figure 7/8-style trend charts for one workload: the full-trace
 /// diagnosis followed by the diagnosis of each method's reconstructed trace
@@ -229,58 +31,8 @@ pub fn trend_grids(full: &AppTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trace_reduce::Method;
     use trace_sim::{SizePreset, Workload, WorkloadKind};
-
-    fn tiny_study() -> ComparativeStudy {
-        let traces: Vec<AppTrace> = [WorkloadKind::LateSender, WorkloadKind::EarlyGather]
-            .into_iter()
-            .map(|kind| Workload::new(kind, SizePreset::Tiny).generate())
-            .collect();
-        comparative_study(&traces)
-    }
-
-    #[test]
-    fn study_covers_every_workload_method_pair() {
-        let study = tiny_study();
-        assert_eq!(study.evaluations.len(), 2 * Method::ALL.len());
-        assert_eq!(study.workloads(), vec!["late_sender", "early_gather"]);
-        assert_eq!(study.figure5_table().rows.len(), study.evaluations.len());
-        assert_eq!(study.figure6_table().rows.len(), study.evaluations.len());
-        assert_eq!(
-            study.trend_retention_table().rows.len(),
-            study.evaluations.len()
-        );
-    }
-
-    #[test]
-    fn rankings_cover_every_method_once() {
-        let study = tiny_study();
-        let sizes = study.average_file_size_ranking();
-        let counts = study.correct_diagnosis_counts();
-        assert_eq!(sizes.len(), Method::ALL.len());
-        assert_eq!(counts.len(), Method::ALL.len());
-        // The ranking is sorted ascending by size.
-        for pair in sizes.windows(2) {
-            assert!(pair[0].1 <= pair[1].1);
-        }
-        // iter_avg must be tied with (or beat) the smallest average size,
-        // since every same-shape segment matches by definition.
-        let best_size = sizes[0].1;
-        let iter_avg_size = sizes
-            .iter()
-            .find(|(m, _)| *m == Method::IterAvg)
-            .map(|(_, s)| *s)
-            .unwrap();
-        assert!(iter_avg_size <= best_size + 1e-9);
-    }
-
-    #[test]
-    fn summary_table_has_one_row_per_method() {
-        let study = tiny_study();
-        let table = study.summary_table();
-        assert_eq!(table.rows.len(), Method::ALL.len());
-        assert!(table.render().contains("avgWave"));
-    }
 
     #[test]
     fn trend_grids_include_full_trace_and_every_method() {

@@ -8,12 +8,12 @@ use trace_model::{stats, AppTrace, ReducedAppTrace};
 /// encoded reduced trace as a percentage of the encoded full trace
 /// (Section 4.3.1).
 pub fn file_size_percent(full: &AppTrace, reduced: &ReducedAppTrace) -> f64 {
-    let full_bytes = encode_app_trace(full).len() as f64;
-    if full_bytes == 0.0 {
+    let full_bytes = encode_app_trace(full).len();
+    if full_bytes == 0 {
         return 0.0;
     }
-    let reduced_bytes = encode_reduced_trace(reduced).len() as f64;
-    100.0 * reduced_bytes / full_bytes
+    let reduced_bytes = encode_reduced_trace(reduced).len();
+    100.0 * reduced_bytes as f64 / full_bytes as f64
 }
 
 /// Sizes in bytes of the encoded full and reduced traces (useful for

@@ -1,8 +1,7 @@
-//! Plain-text and CSV table rendering for experiment output.
-//!
-//! The benchmark harness and the examples print the regenerated data series
-//! for every figure and table through these helpers, so the output format is
-//! uniform across experiments.
+//! Plain-text and CSV table rendering: `trace_report`'s text sink lays out
+//! its tables through these helpers.
+
+use std::num::FpCategory;
 
 /// A simple column-aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -94,7 +93,7 @@ impl Table {
 
 /// Formats a float with a sensible fixed precision for tables.
 pub fn fmt_f64(value: f64) -> String {
-    if value == 0.0 {
+    if value.classify() == FpCategory::Zero {
         "0".to_string()
     } else if value.abs() >= 100.0 {
         format!("{value:.1}")
@@ -102,15 +101,6 @@ pub fn fmt_f64(value: f64) -> String {
         format!("{value:.2}")
     } else {
         format!("{value:.4}")
-    }
-}
-
-/// Formats a boolean as the paper's tables do (`yes` / `NO`).
-pub fn fmt_retained(retained: bool) -> String {
-    if retained {
-        "yes".to_string()
-    } else {
-        "NO".to_string()
     }
 }
 
@@ -151,7 +141,5 @@ mod tests {
         assert_eq!(fmt_f64(0.1234), "0.1234");
         assert_eq!(fmt_f64(std::f64::consts::PI), "3.14");
         assert_eq!(fmt_f64(123.456), "123.5");
-        assert_eq!(fmt_retained(true), "yes");
-        assert_eq!(fmt_retained(false), "NO");
     }
 }

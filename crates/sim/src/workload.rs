@@ -17,8 +17,8 @@ use crate::sweep3d::{sweep3d, Sweep3dParams};
 /// How large a run to generate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SizePreset {
-    /// Paper-scale runs: what `TRACE_REPRO_PRESET=paper cargo bench` and
-    /// the recorded numbers in `EXPERIMENTS.md` (repository root) use.
+    /// Paper-scale runs: what the committed table of the paper's numbers,
+    /// `PAPER_RESULTS.json` at the repository root, is generated at.
     Paper,
     /// Reduced iteration counts; keeps every behaviour but runs quickly.
     /// Used by the integration tests and examples.

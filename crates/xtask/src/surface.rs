@@ -34,8 +34,16 @@ pub struct FileClass {
 /// sites in `clock.rs` are the *only* places the whole workspace may touch
 /// time, and keeping the crate under the determinism rules means any new
 /// clock read elsewhere in it fails the lint instead of slipping in.
-pub const DETERMINISM_CRATES: &[&str] =
-    &["core", "wavelet", "trace-model", "stream", "obs", "report"];
+/// `eval` renders `PAPER_RESULTS.json`, which is compared byte for byte.
+pub const DETERMINISM_CRATES: &[&str] = &[
+    "core",
+    "wavelet",
+    "trace-model",
+    "stream",
+    "obs",
+    "report",
+    "eval",
+];
 
 /// Binary-interface crates exempt from the stdout/exit hygiene rules.
 pub const BIN_CRATES: &[&str] = &["cli", "xtask"];
@@ -168,6 +176,8 @@ mod tests {
         assert!(class("crates/cli/src/main.rs").unwrap().bin_crate);
         assert!(class("crates/xtask/src/main.rs").unwrap().bin_crate);
         assert!(!class("crates/eval/src/lib.rs").unwrap().bin_crate);
+        // The committed results table must regenerate byte for byte.
+        assert!(class("crates/eval/src/results.rs").unwrap().determinism);
     }
 
     #[test]

@@ -15,16 +15,10 @@
 use trace_reduction::eval::comparative::trend_grids;
 use trace_reduction::sim::{SizePreset, Workload, WorkloadKind};
 
-fn preset_from_env() -> SizePreset {
-    match std::env::var("TRACE_REPRO_PRESET").as_deref() {
-        Ok("paper") => SizePreset::Paper,
-        Ok("tiny") => SizePreset::Tiny,
-        _ => SizePreset::Small,
-    }
-}
+/// The workload size the charts are drawn at.
+const PRESET: SizePreset = SizePreset::Small;
 
 fn main() {
-    let preset = preset_from_env();
     let requested: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<String> = if requested.is_empty() {
         vec!["dyn_load_balance".into(), "1to1r_1024".into()]
@@ -40,7 +34,7 @@ fn main() {
             }
             std::process::exit(1);
         };
-        let full = Workload::new(kind, preset).generate();
+        let full = Workload::new(kind, PRESET).generate();
         println!("{}", trend_grids(&full));
     }
 }
