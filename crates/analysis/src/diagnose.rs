@@ -23,7 +23,7 @@
 //!   time in the operation in excess of the last-arriving rank's time.
 //! * **Execution Time** — inclusive time per code location and rank.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use trace_model::{AppTrace, CollectiveOp, CommInfo, Event};
 
@@ -65,8 +65,8 @@ fn execution_time(app: &AppTrace, diagnosis: &mut Diagnosis) {
 /// their receives) and attributes Late Sender / Late Receiver severities.
 fn point_to_point(app: &AppTrace, diagnosis: &mut Diagnosis) {
     type Key = (usize, usize, u32); // (sender, receiver, tag)
-    let mut sends: HashMap<Key, Vec<&Event>> = HashMap::new();
-    let mut recvs: HashMap<Key, Vec<&Event>> = HashMap::new();
+    let mut sends: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
+    let mut recvs: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
 
     for (rank_idx, rank) in app.ranks.iter().enumerate() {
         for event in rank.events() {
@@ -114,7 +114,7 @@ fn point_to_point(app: &AppTrace, diagnosis: &mut Diagnosis) {
 fn collectives(app: &AppTrace, diagnosis: &mut Diagnosis) {
     type Key = (CollectiveOp, u32, u32); // (op, root, comm_size)
                                          // key -> per-rank ordered list of events
-    let mut groups: HashMap<Key, Vec<Vec<&Event>>> = HashMap::new();
+    let mut groups: BTreeMap<Key, Vec<Vec<&Event>>> = BTreeMap::new();
     for (rank_idx, rank) in app.ranks.iter().enumerate() {
         for event in rank.events() {
             if let CommInfo::Collective {
@@ -195,7 +195,7 @@ fn collectives(app: &AppTrace, diagnosis: &mut Diagnosis) {
 /// Pairwise `MPI_Sendrecv` exchanges behave like a two-rank N×N operation.
 fn sendrecv_exchanges(app: &AppTrace, diagnosis: &mut Diagnosis) {
     type Key = (usize, usize, u32); // (low rank, high rank, tag)
-    let mut groups: HashMap<Key, Vec<Vec<&Event>>> = HashMap::new();
+    let mut groups: BTreeMap<Key, Vec<Vec<&Event>>> = BTreeMap::new();
     for (rank_idx, rank) in app.ranks.iter().enumerate() {
         for event in rank.events() {
             if let CommInfo::SendRecv { to, tag, .. } = event.comm {
@@ -327,6 +327,24 @@ mod tests {
             .entry(MetricKind::LateSender, "MPI_Recv")
             .expect("pipeline waits");
         assert!(entry.total_ms() > 0.1);
+    }
+
+    #[test]
+    fn repeated_diagnoses_are_bit_equal() {
+        // In the sweep3d wavefront a receiver hears from two upstream
+        // neighbours, so two (sender, receiver, tag) keys add into the same
+        // `MPI_Recv` cell: the key order fixes the float summation order.
+        let app = sweep3d("sweep3d_test", &Sweep3dParams::small());
+        let bits = |d: &Diagnosis| -> Vec<u64> {
+            d.entries
+                .values()
+                .flat_map(|e| e.per_rank_ms.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let reference = bits(&diagnose(&app));
+        for _ in 0..8 {
+            assert_eq!(bits(&diagnose(&app)), reference);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod diagnose;
 pub mod metrics;
 pub mod severity;
 
-pub use compare::{compare_diagnoses, ComparisonConfig, TrendComparison};
+pub use compare::{compare_diagnoses, ComparisonConfig, Discrepancy, TrendComparison};
 pub use diagnose::diagnose;
 pub use metrics::MetricKind;
 pub use severity::{Diagnosis, SeverityEntry};

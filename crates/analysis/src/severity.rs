@@ -32,10 +32,11 @@ impl SeverityEntry {
     /// (all zeros stay zero).  Used when comparing rank *patterns*.
     pub fn normalized(&self) -> Vec<f64> {
         let max = self.max_abs_ms();
-        if max == 0.0 {
-            return vec![0.0; self.per_rank_ms.len()];
+        if max > 0.0 {
+            self.per_rank_ms.iter().map(|v| v / max).collect()
+        } else {
+            vec![0.0; self.per_rank_ms.len()]
         }
-        self.per_rank_ms.iter().map(|v| v / max).collect()
     }
 }
 
@@ -113,12 +114,7 @@ impl Diagnosis {
             .values()
             .filter(|e| e.metric.is_wait_state() && e.total_ms().abs() >= budget)
             .collect();
-        entries.sort_by(|a, b| {
-            b.total_ms()
-                .abs()
-                .partial_cmp(&a.total_ms().abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        entries.sort_by(|a, b| b.total_ms().abs().total_cmp(&a.total_ms().abs()));
         entries
     }
 

@@ -168,11 +168,6 @@ pub const COMMAND_SPECS: &[CommandSpec] = &[
         ],
         groups: &[],
     },
-    CommandSpec {
-        name: "evaluate",
-        own: &["workload", "method", "threshold", "preset"],
-        groups: &[],
-    },
 ];
 
 /// Looks up the spec for a subcommand; `--help`/`-h` alias `help`.

@@ -4,7 +4,6 @@ use std::io::Write;
 use std::path::Path;
 
 use trace_analysis::diagnose;
-use trace_eval::{evaluate_method, file_size_percent};
 use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
@@ -40,16 +39,14 @@ subcommands:
   analyze    --in FILE                   KOJAK-style wait-state diagnosis
   report     --in REDUCED                analysis report of a reduced trace:
              [--full FILE]               per-rank divergence, region trie,
-             [--run-report FILE]         match quality; --full adds compression
-             [--method M [--threshold T]] numbers, --run-report embeds pipeline
+             [--run-report FILE]         match quality; --full adds the paper's
+             [--method M [--threshold T]] four criteria, --run-report pipeline
              [--divergence-threshold S]  metrics from an --obs-out JSON report
              [--html FILE]               write a self-contained HTML report
              [--chrome FILE]             write the reduced timeline as a
                                          chrome://tracing JSON file
-  evaluate   --workload W --method M     run the paper's four criteria
-             [--threshold T] [--preset P]
 
-methods (reduce, report, evaluate): the paper's nine, listed by `list`;
+methods (reduce, report): the paper's nine, listed by `list`;
 --threshold defaults to the method's paper threshold and must be a finite
 number >= 0
 
@@ -93,8 +90,8 @@ fn parse_workload(name: &str) -> Result<WorkloadKind, String> {
     })
 }
 
-/// Parses `--method` and `--threshold`, shared by `reduce`, `evaluate` and
-/// `report`: one of the nine paper methods — `fallback` when `--method` is
+/// Parses `--method` and `--threshold`, shared by `reduce` and `report`:
+/// one of the nine paper methods — `fallback` when `--method` is
 /// absent, required when there is none — at `--threshold`, or at the
 /// method's paper threshold.  A NaN, infinite or negative threshold is
 /// refused rather than run as a reduction that silently matches nothing.
@@ -332,8 +329,9 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
 }
 
 /// `reduce`: the prologue (method, paths, format, obs) and the epilogue
-/// (store, `--report`, run report) are shared; only the reduce step and the
-/// summary line differ between the in-memory path and `--stream`.
+/// (`--report`, run report) are shared; only the reduce step and the
+/// summary line differ between the in-memory path and `--stream`.  Both
+/// report the bytes written.
 fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let stream = invocation.has("stream");
     if !stream && invocation.has("shards") {
@@ -350,8 +348,9 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
     let reducer = Reducer::new(config).with_recorder(&recorder);
+    let store = |reduced| store_reduced_trace(out, reduced, format, &recorder);
 
-    let (reduced, app, mut message) = if stream {
+    let (reduced, mut message) = if stream {
         // One bounded-memory pass over the file: text, monolithic binary v1
         // and chunked container v2 inputs are autodetected by magic bytes;
         // v1 has no streamable structure and is decoded in memory.
@@ -379,9 +378,11 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
                 result.stats.peak_resident_segments
             )
         };
+        let written = store(&result.reduced)?;
         let mut message = format!(
             "stream-reduced {} ({} input) with {} {pipeline}: {} stored segments for \
-             {} executions, degree of matching {:.3}, {peak} (of {} streamed) -> {}",
+             {} executions, degree of matching {:.3}, {peak} (of {} streamed), \
+             {written} bytes -> {}",
             result.reduced.name,
             kind.label(),
             config.label(),
@@ -405,35 +406,38 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
                 input.display()
             ));
         }
-        (result.reduced, None, message)
+        (result.reduced, message)
     } else {
         // The in-memory path: the only one that holds the full trace.
         let app = load_app_trace(input, &recorder)?;
         let reduced = reducer.reduce_app(&app);
+        let written = store(&reduced)?;
         let message = format!(
-            "reduced {} with {}: {} stored segments for {} executions, {:.2}% of the full size, degree of matching {:.3} -> {}",
+            "reduced {} with {}: {} stored segments for {} executions, degree of matching {:.3}, {written} bytes -> {}",
             app.name,
             config.label(),
             reduced.total_stored(),
             reduced.total_execs(),
-            file_size_percent(&app, &reduced),
             reduced.degree_of_matching(),
             out.display()
         );
-        (reduced, Some(app), message)
+        (reduced, message)
     };
 
-    store_reduced_trace(out, &reduced, format, &recorder)?;
+    // `--report FILE`: the page `report --in OUT --html FILE` writes, with
+    // this run's method for the divergence kernels and, with `--obs`, its
+    // recorder for the pipeline metrics.
     if invocation.has("report") {
+        let path = invocation.require("report")?;
         let run = obs.as_ref().map(|_| recorder.report());
-        write_reduce_report(
-            invocation.require("report")?,
-            &reduced,
-            app.as_ref(),
-            config,
-            run,
-            &mut message,
-        )?;
+        let options = trace_report::ReportOptions {
+            method: config,
+            ..Default::default()
+        };
+        let model = trace_report::build_model(&reduced, None, run.as_ref(), &options)
+            .map_err(|e| e.to_string())?;
+        write_text(Path::new(path), &trace_report::render_html(&model))?;
+        message.push_str(&format!("\nanalysis report -> {path}"));
     }
     emit_obs(&obs, &recorder, &mut message)?;
     Ok(message)
@@ -510,14 +514,11 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     let options = report_options(invocation)?;
     let input = Path::new(invocation.require("in")?);
     let reduced = load_reduced_trace(input)?;
-    let original = if invocation.has("full") {
-        Some(load_app_trace(
-            Path::new(invocation.require("full")?),
-            &Recorder::disabled(),
-        )?)
-    } else {
-        None
-    };
+    let full = invocation.has("full").then(|| invocation.require("full"));
+    let full = full.transpose()?;
+    let original = full
+        .map(|path| load_app_trace(Path::new(path), &Recorder::disabled()))
+        .transpose()?;
     let run = if invocation.has("run-report") {
         let path = invocation.require("run-report")?;
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -525,7 +526,8 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     } else {
         None
     };
-    let model = trace_report::build_model(&reduced, original.as_ref(), run.as_ref(), &options);
+    let model = trace_report::build_model(&reduced, original.as_ref(), run.as_ref(), &options)
+        .map_err(|e| format!("{}: {e}", full.unwrap_or_default()))?;
     let mut message = trace_report::render_text(&model);
     if invocation.has("html") {
         let path = invocation.require("html")?;
@@ -543,44 +545,6 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-/// `reduce --report FILE`: writes the self-contained HTML analysis report
-/// for a reduction that just ran, reusing its method for the divergence
-/// kernels and its recorder (when `--obs` was given) for pipeline metrics.
-fn write_reduce_report(
-    path: &str,
-    reduced: &trace_model::ReducedAppTrace,
-    original: Option<&trace_model::AppTrace>,
-    method: MethodConfig,
-    run: Option<trace_obs::RunReport>,
-    message: &mut String,
-) -> Result<(), String> {
-    let options = trace_report::ReportOptions {
-        method,
-        ..trace_report::ReportOptions::default()
-    };
-    let model = trace_report::build_model(reduced, original, run.as_ref(), &options);
-    write_text(Path::new(path), &trace_report::render_html(&model))?;
-    message.push_str(&format!("\nanalysis report -> {path}"));
-    Ok(())
-}
-
-fn cmd_evaluate(invocation: &Invocation) -> Result<String, String> {
-    let kind = parse_workload(invocation.require("workload")?)?;
-    let preset = parse_preset(invocation.get("preset"))?;
-    let config = parse_method(invocation, None)?;
-    let app = Workload::new(kind, preset).generate();
-    let eval = evaluate_method(&app, config);
-    Ok(format!(
-        "workload {}  method {}\n  file size: {:.2}% of full\n  degree of matching: {:.3}\n  approximation distance: {:.2} us\n  trends retained: {}",
-        eval.workload,
-        eval.config.label(),
-        eval.file_size_percent,
-        eval.degree_of_matching,
-        eval.approximation_distance_us,
-        if eval.trends_retained { "yes" } else { "NO" }
-    ))
-}
-
 /// Runs a parsed invocation, returning the text to print.
 pub fn run(invocation: &Invocation) -> Result<String, String> {
     check_flags(invocation)?;
@@ -593,7 +557,6 @@ pub fn run(invocation: &Invocation) -> Result<String, String> {
         "convert" => cmd_convert(invocation),
         "analyze" => cmd_analyze(invocation),
         "report" => cmd_report(invocation),
-        "evaluate" => cmd_evaluate(invocation),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
@@ -663,8 +626,8 @@ mod tests {
         assert!(err.contains("unknown method \"dtw\""), "{err}");
         assert!(err.ends_with(&paper_names().join(", ")), "{err}");
         let err = run(&Invocation::new(
-            "evaluate",
-            &[("workload", "late_sender"), ("method", "cosine")],
+            "report",
+            &[("in", "a"), ("method", "cosine")],
         ))
         .unwrap_err();
         assert!(err.contains("unknown method \"cosine\""), "{err}");
@@ -673,12 +636,13 @@ mod tests {
 
     #[test]
     fn extension_study_is_an_unknown_subcommand() {
-        let err = run(&Invocation::new(
-            "extension-study",
-            &[("workload", "late_sender")],
-        ))
-        .unwrap_err();
-        assert_eq!(err, "unknown subcommand \"extension-study\"");
+        // `evaluate` went too: `generate` + `reduce` + `report --full` run
+        // the paper's four criteria on files.
+        for command in ["extension-study", "evaluate"] {
+            let err = run(&Invocation::new(command, &[("workload", "late_sender")])).unwrap_err();
+            assert_eq!(err, format!("unknown subcommand \"{command}\""));
+        }
+        assert!(!usage().contains("evaluate"), "{}", usage());
     }
 
     #[test]
@@ -767,21 +731,6 @@ mod tests {
         }
         assert!(!out.exists());
         cleanup(&[&trace]);
-    }
-
-    #[test]
-    fn evaluate_refuses_a_non_finite_or_negative_threshold() {
-        for threshold in ["nan", "inf", "-0.5"] {
-            assert_threshold_refused(Invocation::new(
-                "evaluate",
-                &[
-                    ("workload", "late_sender"),
-                    ("preset", "tiny"),
-                    ("method", "avgWave"),
-                    ("threshold", threshold),
-                ],
-            ));
-        }
     }
 
     #[test]
@@ -1230,18 +1179,105 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_reports_the_paper_criteria() {
-        let out = run(&Invocation::new(
-            "evaluate",
+    fn report_full_prints_the_committed_paper_row() {
+        // Files in, the four criteria out: the same evaluator as the table,
+        // so the committed late_sender avgWave(0.2) row comes back exactly.
+        let trace = temp_path("paper_row.trc");
+        let reduced = temp_path("paper_row_reduced.trc");
+        run(&Invocation::new(
+            "generate",
             &[
                 ("workload", "late_sender"),
-                ("preset", "tiny"),
+                ("preset", "paper"),
+                ("out", trace.to_str().unwrap()),
+            ],
+        ))
+        .unwrap();
+        run(&Invocation::new(
+            "reduce",
+            &[
+                ("in", trace.to_str().unwrap()),
+                ("out", reduced.to_str().unwrap()),
                 ("method", "avgWave"),
             ],
         ))
         .unwrap();
-        assert!(out.contains("degree of matching"), "{out}");
-        assert!(out.contains("trends retained: yes"), "{out}");
+        let out = run(&Invocation::new(
+            "report",
+            &[
+                ("in", reduced.to_str().unwrap()),
+                ("full", trace.to_str().unwrap()),
+            ],
+        ))
+        .unwrap();
+        cleanup(&[&trace, &reduced]);
+
+        let table =
+            trace_eval::results::parse(include_str!("../../../PAPER_RESULTS.json")).unwrap();
+        let block = table.iter().find(|b| b.name == "late_sender").unwrap();
+        let row = block
+            .rows
+            .iter()
+            .find(|r| r.method == Method::AvgWave && r.threshold_milli == 200)
+            .unwrap();
+        assert_eq!(
+            (row.full_bytes, row.reduced_bytes, row.matches, row.possible),
+            (27_355, 4_797, 792, 792)
+        );
+        assert!(row.retained);
+        for expected in [
+            format!("({} of {} v1 bytes)", row.reduced_bytes, row.full_bytes),
+            format!("({} of {} possible)", row.matches, row.possible),
+            format!("(p90 error {} ns)", row.approx_p90_ns),
+            "trends retained: yes".to_string(),
+        ] {
+            assert!(out.contains(&expected), "{expected:?} missing from\n{out}");
+        }
+        assert!(out.contains("-- severity chart (full trace) --"), "{out}");
+        assert!(
+            out.contains("-- severity chart (reconstructed trace) --"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn report_full_refuses_a_trace_that_is_not_the_original() {
+        let late_sender = temp_path("mismatch_ls.trc");
+        let early_gather = temp_path("mismatch_eg.trc");
+        let reduced = temp_path("mismatch_reduced.trc");
+        generate_late_sender(&late_sender);
+        run(&Invocation::new(
+            "generate",
+            &[
+                ("workload", "early_gather"),
+                ("preset", "tiny"),
+                ("out", early_gather.to_str().unwrap()),
+            ],
+        ))
+        .unwrap();
+        run(&Invocation::new(
+            "reduce",
+            &[
+                ("in", late_sender.to_str().unwrap()),
+                ("out", reduced.to_str().unwrap()),
+                ("method", "avgWave"),
+            ],
+        ))
+        .unwrap();
+        let err = run(&Invocation::new(
+            "report",
+            &[
+                ("in", reduced.to_str().unwrap()),
+                ("full", early_gather.to_str().unwrap()),
+            ],
+        ))
+        .unwrap_err();
+        cleanup(&[&late_sender, &early_gather, &reduced]);
+        assert!(err.starts_with(early_gather.to_str().unwrap()), "{err}");
+        assert!(
+            err.ends_with("it reduces \"late_sender\", not \"early_gather\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1479,7 +1515,11 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("known methods"), "{err}");
 
-        let err = run(&Invocation::new("evaluate", &[("workload", "late_sender")])).unwrap_err();
+        let err = run(&Invocation::new(
+            "reduce",
+            &[("in", "/tmp/x.trc"), ("out", "/tmp/y.trc")],
+        ))
+        .unwrap_err();
         assert!(err.contains("--method"), "{err}");
     }
 }

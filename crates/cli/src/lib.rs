@@ -9,7 +9,7 @@
 //! * [`io`] — load/store helpers that pick the binary codec or the text
 //!   format from the file extension.
 //! * [`commands`] — the subcommand implementations: `list`, `generate`,
-//!   `reduce`, `reconstruct`, `convert`, `analyze`, `report`, `evaluate`.
+//!   `reduce`, `reconstruct`, `convert`, `analyze`, `report`.
 
 #![warn(missing_docs)]
 

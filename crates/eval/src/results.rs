@@ -11,12 +11,14 @@
 //! thousandths, the approximation distance in nanoseconds, the trend score
 //! in parts per million, and the degree of matching as its two counts.
 
+use std::ops::Deref;
+
 use trace_model::AppTrace;
 use trace_obs::json::{self, JsonValue};
-use trace_reduce::{Method, MethodConfig};
+use trace_reduce::{reduce_app_parallel, Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload};
 
-use crate::evaluation::{evaluate_method, MethodEvaluation};
+use crate::{Criteria, Original};
 
 /// One workload's block of the table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,35 +33,41 @@ pub struct WorkloadResults {
     pub rows: Vec<ResultRow>,
 }
 
-/// One method at one threshold on one workload.
+/// One method at one threshold on one workload: the evaluator's record
+/// plus the grid point.  A row reads as its [`Criteria`] (`row.stored`,
+/// `row.file_size_percent()`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResultRow {
     /// The similarity method.
     pub method: Method,
     /// The threshold × 1000 (exact for every grid value; 0 for `iter_avg`).
     pub threshold_milli: u64,
-    /// Criterion 1: encoded reduced-trace size in bytes.
-    pub reduced_bytes: u64,
-    /// Stored representative segments across ranks.
-    pub stored: u64,
-    /// Segment executions across ranks.
-    pub execs: u64,
-    /// Criterion 2's numerator: executions that reused a representative.
-    pub matches: u64,
-    /// Criterion 2's denominator: executions that could have matched.
-    pub possible: u64,
-    /// Criterion 3: 90th-percentile time-stamp error, nanoseconds.
-    pub approx_p90_ns: u64,
-    /// Criterion 4: whether the wait-state diagnosis survived.
-    pub retained: bool,
-    /// Fraction of trend checks that passed, in parts per million.
-    pub trend_score_ppm: u64,
+    /// The four criteria of this reduction.
+    pub criteria: Criteria,
 }
 
-/// Evaluates every method over its threshold grid on one full trace.
+impl Deref for ResultRow {
+    type Target = Criteria;
+
+    fn deref(&self) -> &Criteria {
+        &self.criteria
+    }
+}
+
+/// Number of worker threads used for per-rank parallel reduction.
+fn reduction_threads() -> usize {
+    // lint:allow(thread_count) -- the reduced trace is identical for every worker count (the driver-equivalence suites)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
+}
+
+/// Reduces one full trace with every method over its threshold grid and
+/// evaluates each reduction.
 pub fn workload_results(full: &AppTrace) -> WorkloadResults {
+    let original = Original::new(full);
     let mut rows = Vec::new();
-    let mut full_bytes = 0;
     for method in Method::ALL {
         let grid = if method.has_threshold() {
             method.threshold_grid()
@@ -67,15 +75,20 @@ pub fn workload_results(full: &AppTrace) -> WorkloadResults {
             vec![0.0]
         };
         for threshold in grid {
-            let eval = evaluate_method(full, MethodConfig::new(method, threshold));
-            full_bytes = eval.full_bytes as u64;
-            rows.push(ResultRow::from_evaluation(&eval));
+            let reducer = Reducer::new(MethodConfig::new(method, threshold));
+            let reduced = reduce_app_parallel(&reducer, full, reduction_threads());
+            let evaluation = original.evaluate(&reduced).expect("its own reduction");
+            rows.push(ResultRow {
+                method,
+                threshold_milli: (threshold * 1_000.0).round() as u64,
+                criteria: evaluation.criteria,
+            });
         }
     }
     WorkloadResults {
         name: full.name.clone(),
         events: full.total_events() as u64,
-        full_bytes,
+        full_bytes: original.full_bytes(),
         rows,
     }
 }
@@ -126,16 +139,17 @@ impl WorkloadResults {
             .as_str()
             .ok_or("\"name\" is not a string")?
             .to_string();
+        let full_bytes = uint(value, "full_bytes")?;
         let rows = field(value, "rows")?
             .as_arr()
             .ok_or_else(|| format!("{name}: \"rows\" is not an array"))?
             .iter()
-            .map(ResultRow::from_json)
+            .map(|row| ResultRow::from_json(row, full_bytes))
             .collect::<Result<_, _>>()
             .map_err(|e| format!("{name}: {e}"))?;
         Ok(WorkloadResults {
             events: uint(value, "events")?,
-            full_bytes: uint(value, "full_bytes")?,
+            full_bytes,
             name,
             rows,
         })
@@ -143,40 +157,20 @@ impl WorkloadResults {
 }
 
 impl ResultRow {
-    fn from_evaluation(eval: &MethodEvaluation) -> Self {
-        ResultRow {
-            method: eval.config.method,
-            threshold_milli: (eval.config.threshold * 1_000.0).round() as u64,
-            reduced_bytes: eval.reduced_bytes as u64,
-            stored: eval.stored_segments as u64,
-            execs: eval.segment_executions as u64,
-            matches: eval.matches as u64,
-            possible: eval.possible_matches as u64,
-            // Exact for integer-nanosecond time stamps below 2^53 ns.
-            approx_p90_ns: (eval.approximation_distance_us * 1_000.0).round() as u64,
-            retained: eval.trends_retained,
-            trend_score_ppm: (eval.trend_score * 1e6).round() as u64,
-        }
-    }
-
-    /// The row as a JSON object, fields in table order.
+    /// The row as a JSON object, fields in table order: the grid point,
+    /// then the criteria but `full_bytes`, which the block holds.
     pub fn to_json(&self) -> JsonValue {
-        let uint = |key: &str, v: u64| (key.to_string(), JsonValue::UInt(v));
-        JsonValue::Obj(vec![
+        let threshold = JsonValue::UInt(self.threshold_milli);
+        let mut fields = vec![
             ("method".into(), JsonValue::Str(self.method.name().into())),
-            uint("threshold_milli", self.threshold_milli),
-            uint("reduced_bytes", self.reduced_bytes),
-            uint("stored", self.stored),
-            uint("execs", self.execs),
-            uint("matches", self.matches),
-            uint("possible", self.possible),
-            uint("approx_p90_ns", self.approx_p90_ns),
-            ("retained".into(), JsonValue::Bool(self.retained)),
-            uint("trend_score_ppm", self.trend_score_ppm),
-        ])
+            ("threshold_milli".into(), threshold),
+        ];
+        let criteria = self.criteria.json_fields().into_iter();
+        fields.extend(criteria.filter(|(key, _)| key != "full_bytes"));
+        JsonValue::Obj(fields)
     }
 
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
+    fn from_json(value: &JsonValue, full_bytes: u64) -> Result<Self, String> {
         let name = field(value, "method")?.as_str().unwrap_or_default();
         let method = Method::by_name(name).ok_or_else(|| format!("unknown method {name:?}"))?;
         let retained = match field(value, "retained")? {
@@ -186,14 +180,17 @@ impl ResultRow {
         Ok(ResultRow {
             method,
             threshold_milli: uint(value, "threshold_milli")?,
-            reduced_bytes: uint(value, "reduced_bytes")?,
-            stored: uint(value, "stored")?,
-            execs: uint(value, "execs")?,
-            matches: uint(value, "matches")?,
-            possible: uint(value, "possible")?,
-            approx_p90_ns: uint(value, "approx_p90_ns")?,
-            retained,
-            trend_score_ppm: uint(value, "trend_score_ppm")?,
+            criteria: Criteria {
+                full_bytes,
+                reduced_bytes: uint(value, "reduced_bytes")?,
+                stored: uint(value, "stored")?,
+                execs: uint(value, "execs")?,
+                matches: uint(value, "matches")?,
+                possible: uint(value, "possible")?,
+                approx_p90_ns: uint(value, "approx_p90_ns")?,
+                retained,
+                trend_score_ppm: uint(value, "trend_score_ppm")?,
+            },
         })
     }
 }

@@ -17,13 +17,13 @@
 use trace_eval::report::fmt_f64;
 use trace_obs::json::JsonValue;
 
-use crate::model::ReportModel;
+use crate::model::{discrepancy_line, ReportModel};
 use crate::trie::TrieNode;
 
 /// Schema name embedded in the JSON island.
 pub const HTML_SCHEMA_NAME: &str = "trace-report";
 /// Schema version embedded in the JSON island.
-pub const HTML_SCHEMA_VERSION: u64 = 1;
+pub const HTML_SCHEMA_VERSION: u64 = 2;
 
 const STYLE: &str = "\
 body{font-family:ui-monospace,Menlo,Consolas,monospace;margin:2rem auto;max-width:70rem;\
@@ -91,13 +91,12 @@ fn summary_section(model: &ReportModel, out: &mut String) {
         ));
     }
     out.push_str("</table>\n");
-    if let Some(compression) = &model.compression {
-        out.push_str(&format!(
-            "<p>file size: {}% of the full trace ({} events across {} ranks).</p>\n",
-            fmt_f64(compression.file_size_percent),
-            compression.full_events,
-            compression.full_ranks
-        ));
+    if let Some(full) = &model.full {
+        out.push_str("<h2>The paper's four criteria</h2>\n<ul id=\"criteria\">\n");
+        for line in full.criteria_lines() {
+            out.push_str(&format!("<li>{}</li>\n", escape_html(&line)));
+        }
+        out.push_str("</ul>\n");
     }
     out.push_str("</section>\n");
 }
@@ -185,7 +184,13 @@ fn trie_children(node: &TrieNode, total_ns: u64, depth: usize, out: &mut String)
 }
 
 fn severity_section(model: &ReportModel, out: &mut String) {
-    out.push_str("<section id=\"severity\">\n<h2>Severity chart</h2>\n<pre>");
+    out.push_str("<section id=\"severity\">\n<h2>Severity chart</h2>\n");
+    if let Some(full) = &model.full {
+        out.push_str("<p>full trace</p>\n<pre>");
+        escape_html_into(&full.severity_chart, out);
+        out.push_str("</pre>\n<p>reconstructed trace</p>\n");
+    }
+    out.push_str("<pre>");
     escape_html_into(&model.severity_chart, out);
     out.push_str("</pre>\n");
     if model.significant_waits.is_empty() {
@@ -326,24 +331,12 @@ fn embedded_json(model: &ReportModel) -> String {
             ]),
         ),
     ];
-    if let Some(compression) = &model.compression {
-        fields.push((
-            "compression".to_string(),
-            JsonValue::Obj(vec![
-                (
-                    "file_size_percent".to_string(),
-                    JsonValue::Str(fmt_f64(compression.file_size_percent)),
-                ),
-                (
-                    "full_events".to_string(),
-                    JsonValue::UInt(compression.full_events as u64),
-                ),
-                (
-                    "full_ranks".to_string(),
-                    JsonValue::UInt(compression.full_ranks as u64),
-                ),
-            ]),
-        ));
+    if let Some(full) = &model.full {
+        let lines = full.discrepancies.iter().map(discrepancy_line);
+        let mut criteria = full.criteria.json_fields();
+        let discrepancies = JsonValue::Arr(lines.map(JsonValue::Str).collect());
+        criteria.push(("discrepancies".to_string(), discrepancies));
+        fields.push(("criteria".to_string(), JsonValue::Obj(criteria)));
     }
     if let Some(pipeline) = &model.pipeline {
         fields.push((

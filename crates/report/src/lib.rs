@@ -20,8 +20,9 @@
 //! representatives drift from their peers, scored against an element-wise
 //! median baseline and cross-checked with the paper's own similarity
 //! kernels — see [`divergence`]), a region/callpath trie of where the
-//! reduced timeline spends time ([`trie`]), and match-quality /
-//! compression / pipeline summaries ([`model`]).
+//! reduced timeline spends time ([`trie`]), match-quality and pipeline
+//! summaries, and — given the original — the paper's four criteria from
+//! `trace_eval`'s one evaluator ([`model`]).
 //!
 //! Everything here is deterministic: ordered collections only, no clocks,
 //! no randomness, total float ordering.  The crate sits on the xtask
@@ -40,7 +41,7 @@ pub mod trie;
 pub use divergence::{DivergenceReport, RankDivergence};
 pub use html::render_html;
 pub use model::{
-    build_model, CompressionSummary, PipelineSummary, RankSummary, ReportModel, ReportOptions,
+    build_model, FullComparison, PipelineSummary, RankSummary, ReportModel, ReportOptions,
     StageSummary, WaitState,
 };
 pub use text::render_text;

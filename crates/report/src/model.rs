@@ -1,15 +1,16 @@
 //! The analysis model every sink renders from.
 //!
 //! [`build_model`] takes the reduced trace (always), plus optionally the
-//! original full trace (for compression/fidelity numbers that need both
+//! original full trace (for the paper's four criteria, which need both
 //! sides) and a [`trace_obs::RunReport`] from the run that produced the
 //! reduction (for pipeline metrics).  All derived analysis — divergence,
 //! region trie, severity diagnosis of the reconstruction — happens here
 //! once, so the HTML, chrome and text sinks cannot disagree about the
 //! numbers they show.
 
-use trace_analysis::diagnose;
-use trace_eval::file_size_percent;
+use trace_analysis::{diagnose, Discrepancy};
+use trace_eval::report::fmt_f64;
+use trace_eval::{Criteria, Mismatch, Original};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_obs::{RunReport, Stage};
 use trace_reduce::{Method, MethodConfig};
@@ -54,16 +55,47 @@ pub struct RankSummary {
     pub degree_of_matching: f64,
 }
 
-/// Numbers that need the original trace alongside the reduction.
+/// What the original trace adds: the reduction judged against it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CompressionSummary {
-    /// Reduced trace size as a percentage of the full trace (the paper's
-    /// file-size criterion).
-    pub file_size_percent: f64,
-    /// Events in the full trace.
-    pub full_events: usize,
-    /// Ranks in the full trace.
-    pub full_ranks: usize,
+pub struct FullComparison {
+    /// The paper's four criteria ([`Original::evaluate`]).
+    pub criteria: Criteria,
+    /// Why criterion 4 failed, when it did.
+    pub discrepancies: Vec<Discrepancy>,
+    /// ASCII severity chart of the full trace, shown beside the
+    /// reconstruction's.
+    pub severity_chart: String,
+}
+
+impl FullComparison {
+    /// The four criteria as report lines, in the paper's units, then one
+    /// line per discrepancy.  Both the text and the HTML sink print these.
+    pub fn criteria_lines(&self) -> Vec<String> {
+        let c = &self.criteria;
+        let (bytes, full, ns) = (c.reduced_bytes, c.full_bytes, c.approx_p90_ns);
+        let pct = fmt_f64(c.file_size_percent());
+        let dom = fmt_f64(c.degree_of_matching());
+        let us = fmt_f64(c.approximation_distance_us());
+        let score = fmt_f64(c.trend_score());
+        let retained = if c.retained { "yes" } else { "NO" };
+        let mut lines = vec![
+            format!("file size: {pct}% of the full trace ({bytes} of {full} v1 bytes)"),
+            format!(
+                "degree of matching: {dom} ({} of {} possible)",
+                c.matches, c.possible
+            ),
+            format!("approximation distance: {us} us (p90 error {ns} ns)"),
+            format!("trends retained: {retained} (score {score})"),
+        ];
+        lines.extend(self.discrepancies.iter().map(discrepancy_line));
+        lines
+    }
+}
+
+/// One trend discrepancy as the sinks print it.
+pub(crate) fn discrepancy_line(d: &Discrepancy) -> String {
+    let metric = d.metric.abbreviation();
+    format!("discrepancy: {metric} in {}: {}", d.region, d.description)
 }
 
 /// Per-stage pipeline timing from a [`RunReport`].
@@ -126,23 +158,37 @@ pub struct ReportModel {
     /// Wait states above the significance cutoff, worst first.
     pub significant_waits: Vec<WaitState>,
     /// Present when the original trace was supplied.
-    pub compression: Option<CompressionSummary>,
+    pub full: Option<FullComparison>,
     /// Present when a pipeline run report was supplied.
     pub pipeline: Option<PipelineSummary>,
 }
 
 /// Builds the analysis model for `reduced`.
 ///
-/// `original` enables the compression summary; `run` carries the pipeline
-/// metrics of the reduce that produced this trace.
+/// `original` adds the paper's four criteria and is refused when `reduced`
+/// is not a reduction of it; `run` carries the pipeline metrics of the
+/// reduce that produced this trace.
 pub fn build_model(
     reduced: &ReducedAppTrace,
     original: Option<&AppTrace>,
     run: Option<&RunReport>,
     options: &ReportOptions,
-) -> ReportModel {
-    let reconstructed = reduced.reconstruct();
-    let diagnosis = diagnose(&reconstructed);
+) -> Result<ReportModel, Mismatch> {
+    // The reconstruction is rebuilt and diagnosed once: by the evaluator
+    // when there is an original, here otherwise.
+    let (diagnosis, full) = match original {
+        Some(app) => {
+            let original = Original::new(app);
+            let evaluation = original.evaluate(reduced)?;
+            let full = FullComparison {
+                criteria: evaluation.criteria,
+                discrepancies: evaluation.discrepancies,
+                severity_chart: original.diagnosis().render_chart(),
+            };
+            (evaluation.diagnosis, Some(full))
+        }
+        None => (diagnose(&reduced.reconstruct()), None),
+    };
     let significant_waits = diagnosis
         .significant_wait_states(options.wait_fraction)
         .into_iter()
@@ -163,7 +209,7 @@ pub fn build_model(
             degree_of_matching: rank.degree_of_matching(),
         })
         .collect();
-    ReportModel {
+    Ok(ReportModel {
         trace_name: reduced.name.clone(),
         method_label: options.method.label(),
         rank_count: reduced.rank_count(),
@@ -175,13 +221,9 @@ pub fn build_model(
         trie: RegionTrie::build(reduced, &diagnosis),
         severity_chart: diagnosis.render_chart(),
         significant_waits,
-        compression: original.map(|app| CompressionSummary {
-            file_size_percent: file_size_percent(app, reduced),
-            full_events: app.total_events(),
-            full_ranks: app.rank_count(),
-        }),
+        full,
         pipeline: run.map(pipeline_summary),
-    }
+    })
 }
 
 fn pipeline_summary(run: &RunReport) -> PipelineSummary {

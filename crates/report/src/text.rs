@@ -24,14 +24,9 @@ pub fn render_text(model: &ReportModel) -> String {
         model.total_execs,
         fmt_f64(model.degree_of_matching)
     );
-    if let Some(compression) = &model.compression {
-        let _ = writeln!(
-            out,
-            "file size: {}% of full trace ({} events, {} ranks)",
-            fmt_f64(compression.file_size_percent),
-            compression.full_events,
-            compression.full_ranks
-        );
+    if let Some(full) = &model.full {
+        let lines = full.criteria_lines().join("\n");
+        let _ = writeln!(out, "\n-- the paper's four criteria --\n{lines}");
     }
     out.push('\n');
 
@@ -94,6 +89,10 @@ pub fn render_text(model: &ReportModel) -> String {
     out.push_str(&model.trie.render_text());
     out.push('\n');
 
+    if let Some(full) = &model.full {
+        let _ = writeln!(out, "-- severity chart (full trace) --");
+        out.push_str(&full.severity_chart);
+    }
     let _ = writeln!(out, "-- severity chart (reconstructed trace) --");
     out.push_str(&model.severity_chart);
     if !model.severity_chart.ends_with('\n') {

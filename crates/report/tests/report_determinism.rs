@@ -6,6 +6,7 @@
 
 use std::io::Cursor;
 
+use trace_eval::Original;
 use trace_reduce::{reduce_app_parallel, Method, MethodConfig, Reducer};
 use trace_report::{build_model, render_chrome_trace, render_html, render_text, ReportOptions};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
@@ -24,8 +25,8 @@ fn sinks_are_byte_identical_across_repeat_runs() {
     let config = MethodConfig::with_default_threshold(Method::RelDiff);
     let reduced = Reducer::new(config).reduce_app(&app);
 
-    let first = build_model(&reduced, Some(&app), None, &options());
-    let second = build_model(&reduced, Some(&app), None, &options());
+    let first = build_model(&reduced, Some(&app), None, &options()).unwrap();
+    let second = build_model(&reduced, Some(&app), None, &options()).unwrap();
     assert_eq!(render_text(&first), render_text(&second));
     assert_eq!(render_html(&first), render_html(&second));
     assert_eq!(render_chrome_trace(&reduced), render_chrome_trace(&reduced));
@@ -54,7 +55,7 @@ fn sinks_are_byte_identical_across_all_four_drivers() {
         ("streaming", &streamed),
         ("sharded", &sharded),
     ];
-    let reference_model = build_model(&sequential, None, None, &options());
+    let reference_model = build_model(&sequential, None, None, &options()).unwrap();
     let reference = (
         render_text(&reference_model),
         render_html(&reference_model),
@@ -65,7 +66,7 @@ fn sinks_are_byte_identical_across_all_four_drivers() {
         "html preamble missing"
     );
     for (name, reduced) in drivers {
-        let model = build_model(reduced, None, None, &options());
+        let model = build_model(reduced, None, None, &options()).unwrap();
         assert_eq!(render_text(&model), reference.0, "{name} text drifted");
         assert_eq!(render_html(&model), reference.1, "{name} html drifted");
         assert_eq!(
@@ -93,7 +94,7 @@ fn html_is_self_contained_and_escapes_the_json_island() {
     let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
     let config = MethodConfig::with_default_threshold(Method::RelDiff);
     let reduced = Reducer::new(config).reduce_app(&app);
-    let model = build_model(&reduced, Some(&app), None, &options());
+    let model = build_model(&reduced, Some(&app), None, &options()).unwrap();
     let html = render_html(&model);
 
     assert!(!html.contains("http://") && !html.contains("https://"));
@@ -116,4 +117,11 @@ fn html_is_self_contained_and_escapes_the_json_island() {
         parsed.get("ranks").and_then(|v| v.as_u64()),
         Some(reduced.rank_count() as u64)
     );
+    // With the original, the island carries the evaluator's record.
+    let criteria = Original::new(&app).evaluate(&reduced).unwrap().criteria;
+    let island = parsed.get("criteria").expect("criteria object");
+    for (key, value) in criteria.json_fields() {
+        assert_eq!(island.get(&key), Some(&value), "{key}");
+    }
+    assert!(island.get("discrepancies").is_some());
 }

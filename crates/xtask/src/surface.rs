@@ -34,7 +34,9 @@ pub struct FileClass {
 /// sites in `clock.rs` are the *only* places the whole workspace may touch
 /// time, and keeping the crate under the determinism rules means any new
 /// clock read elsewhere in it fails the lint instead of slipping in.
-/// `eval` renders `PAPER_RESULTS.json`, which is compared byte for byte.
+/// `eval` renders `PAPER_RESULTS.json`, which is compared byte for byte,
+/// and `analysis` computes that table's `retained` / `trend_score_ppm`
+/// and the report's severity charts.
 pub const DETERMINISM_CRATES: &[&str] = &[
     "core",
     "wavelet",
@@ -43,6 +45,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "obs",
     "report",
     "eval",
+    "analysis",
 ];
 
 /// Binary-interface crates exempt from the stdout/exit hygiene rules.
@@ -178,6 +181,12 @@ mod tests {
         assert!(!class("crates/eval/src/lib.rs").unwrap().bin_crate);
         // The committed results table must regenerate byte for byte.
         assert!(class("crates/eval/src/results.rs").unwrap().determinism);
+        // ... and so must the diagnosis that feeds its criterion 4.
+        assert!(
+            class("crates/analysis/src/diagnose.rs")
+                .unwrap()
+                .determinism
+        );
     }
 
     #[test]

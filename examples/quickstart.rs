@@ -9,9 +9,7 @@
 // Examples print their results to stdout by design.
 #![allow(clippy::print_stdout)]
 
-use trace_reduction::analysis::{compare_diagnoses, diagnose, ComparisonConfig};
-use trace_reduction::eval::criteria::{approximation_distance_us, file_size_percent};
-use trace_reduction::model::codec::{encode_app_trace, encode_reduced_trace};
+use trace_reduction::eval::Original;
 use trace_reduction::reduce::{Method, Reducer};
 use trace_reduction::sim::{SizePreset, Workload, WorkloadKind};
 
@@ -20,42 +18,44 @@ fn main() {
     //    the receivers of each rank pair block in MPI_Recv because their
     //    senders are late.
     let full = Workload::new(WorkloadKind::LateSender, SizePreset::Small).generate();
+    let original = Original::new(&full);
     println!(
         "full trace: {} ranks, {} events, {} bytes encoded",
         full.rank_count(),
         full.total_events(),
-        encode_app_trace(&full).len()
+        original.full_bytes()
     );
 
     // 2. Reduce each rank's trace with the average-wavelet similarity metric
     //    at the paper's recommended threshold (0.2).
-    let reducer = Reducer::with_default_threshold(Method::AvgWave);
-    let reduced = reducer.reduce_app(&full);
+    let reduced = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&full);
+
+    // 3. Reconstruct an approximate full trace, measure its time-stamp
+    //    error, and check that a performance analyst would still reach the
+    //    same conclusion (a Late Sender problem at MPI_Recv on the odd
+    //    ranks).
+    let evaluation = original.evaluate(&reduced).expect("its own reduction");
+    let c = evaluation.criteria;
     println!(
         "reduced trace: {} representative segments for {} segment executions ({} bytes, {:.1}% of full)",
-        reduced.total_stored(),
-        reduced.total_execs(),
-        encode_reduced_trace(&reduced).len(),
-        file_size_percent(&full, &reduced),
+        c.stored,
+        c.execs,
+        c.reduced_bytes,
+        c.file_size_percent(),
     );
-    println!("degree of matching: {:.3}", reduced.degree_of_matching());
-
-    // 3. Reconstruct an approximate full trace and measure the error.
-    let approx = reduced.reconstruct();
+    println!("degree of matching: {:.3}", c.degree_of_matching());
     println!(
         "approximation distance (90th pct time-stamp error): {:.1} us",
-        approximation_distance_us(&full, &approx)
+        c.approximation_distance_us()
     );
-
-    // 4. Check that a performance analyst would still reach the same
-    //    conclusion (a Late Sender problem at MPI_Recv on the odd ranks).
-    let reference = diagnose(&full);
-    let candidate = diagnose(&approx);
-    let comparison = compare_diagnoses(&reference, &candidate, &ComparisonConfig::default());
+    let (retained, score) = (c.retained, c.trend_score());
+    println!("performance trends retained: {retained} (score {score:.2})");
     println!(
-        "performance trends retained: {} (score {:.2})",
-        comparison.retained, comparison.score
+        "\nFull-trace diagnosis:\n{}",
+        original.diagnosis().render_chart()
     );
-    println!("\nFull-trace diagnosis:\n{}", reference.render_chart());
-    println!("Reduced-trace diagnosis:\n{}", candidate.render_chart());
+    println!(
+        "Reduced-trace diagnosis:\n{}",
+        evaluation.diagnosis.render_chart()
+    );
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from workload generation
 //! through reduction, serialization, reconstruction and analysis.
 
-use trace_reduction::eval::evaluation::evaluate_method;
+use trace_reduction::eval::Original;
 use trace_reduction::model::codec::{
     decode_app_trace, decode_reduced_trace, encode_app_trace, encode_reduced_trace,
 };
@@ -28,27 +28,32 @@ fn representative_workloads() -> Vec<Workload> {
 fn every_method_completes_the_full_pipeline_on_every_category() {
     for workload in representative_workloads() {
         let full = workload.generate();
+        let original = Original::new(&full);
         for method in Method::ALL {
-            let eval = evaluate_method(&full, MethodConfig::with_default_threshold(method));
+            let reducer = Reducer::new(MethodConfig::with_default_threshold(method));
+            let reduced = reduce_app_parallel(&reducer, &full, 2);
+            let eval = original
+                .evaluate(&reduced)
+                .unwrap_or_else(|e| panic!("{method} on {}: {e}", full.name))
+                .criteria;
             assert!(
-                eval.file_size_percent > 0.0 && eval.file_size_percent < 200.0,
+                eval.file_size_percent() > 0.0 && eval.file_size_percent() < 200.0,
                 "{method} on {}: implausible file size {}",
                 full.name,
-                eval.file_size_percent
+                eval.file_size_percent()
             );
             assert!(
-                eval.degree_of_matching >= 0.0 && eval.degree_of_matching <= 1.0,
+                eval.degree_of_matching() >= 0.0 && eval.degree_of_matching() <= 1.0,
                 "{method} on {}: degree of matching {}",
                 full.name,
-                eval.degree_of_matching
+                eval.degree_of_matching()
             );
             assert!(
-                eval.approximation_distance_us.is_finite(),
+                eval.approximation_distance_us().is_finite(),
                 "{method} on {}: non-finite approximation distance",
                 full.name
             );
-            assert!(eval.trend_score >= 0.0 && eval.trend_score <= 1.0);
-            assert_eq!(eval.workload, full.name);
+            assert!(eval.trend_score() >= 0.0 && eval.trend_score() <= 1.0);
         }
     }
 }

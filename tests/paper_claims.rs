@@ -6,18 +6,9 @@
 
 use std::sync::OnceLock;
 
-use trace_reduction::eval::results::{self, ResultRow, WorkloadResults};
+use trace_reduction::eval::results::{self, WorkloadResults};
+use trace_reduction::eval::Criteria;
 use trace_reduction::reduce::Method;
-
-/// One method at its paper-default threshold on one workload, with the
-/// criteria as the paper states them.
-struct Evaluation {
-    file_size_percent: f64,
-    degree_of_matching: f64,
-    approximation_distance_us: f64,
-    trends_retained: bool,
-    trend_score: f64,
-}
 
 fn table() -> &'static [WorkloadResults] {
     static TABLE: OnceLock<Vec<WorkloadResults>> = OnceLock::new();
@@ -26,28 +17,20 @@ fn table() -> &'static [WorkloadResults] {
     })
 }
 
-fn evaluation(workload: &str, method: Method) -> Evaluation {
+/// One method at its paper-default threshold on one workload; its
+/// accessors state the criteria as the paper does.
+fn evaluation(workload: &str, method: Method) -> &'static Criteria {
     let block = table()
         .iter()
         .find(|b| b.name == workload)
         .unwrap_or_else(|| panic!("{workload} is not in the table"));
     let default_milli = (method.default_threshold() * 1_000.0).round() as u64;
-    let row: &ResultRow = block
+    let row = block
         .rows
         .iter()
         .find(|r| r.method == method && r.threshold_milli == default_milli)
         .unwrap_or_else(|| panic!("{workload} has no {method} row at its default threshold"));
-    Evaluation {
-        file_size_percent: 100.0 * row.reduced_bytes as f64 / block.full_bytes as f64,
-        degree_of_matching: if row.possible == 0 {
-            1.0
-        } else {
-            row.matches as f64 / row.possible as f64
-        },
-        approximation_distance_us: row.approx_p90_ns as f64 / 1_000.0,
-        trends_retained: row.retained,
-        trend_score: row.trend_score_ppm as f64 / 1e6,
-    }
+    &row.criteria
 }
 
 /// The five regular-behaviour ATS benchmarks.
@@ -69,10 +52,10 @@ const SMALL: [&str; 6] = [
     "dyn_load_balance",
 ];
 
-fn average(workloads: &[&str], method: Method, f: impl Fn(&Evaluation) -> f64) -> f64 {
+fn average(workloads: &[&str], method: Method, f: impl Fn(&Criteria) -> f64) -> f64 {
     let values: Vec<f64> = workloads
         .iter()
-        .map(|workload| f(&evaluation(workload, method)))
+        .map(|workload| f(evaluation(workload, method)))
         .collect();
     values.iter().sum::<f64>() / values.len() as f64
 }
@@ -81,9 +64,9 @@ fn average(workloads: &[&str], method: Method, f: impl Fn(&Evaluation) -> f64) -
 fn iter_avg_achieves_the_best_file_size_reduction() {
     // Section 5.2.1: "The obvious best method in this category is iter_avg,
     // since all segments match by definition."
-    let iter_avg = average(&SMALL, Method::IterAvg, |e| e.file_size_percent);
+    let iter_avg = average(&SMALL, Method::IterAvg, Criteria::file_size_percent);
     for method in Method::ALL {
-        let other = average(&SMALL, method, |e| e.file_size_percent);
+        let other = average(&SMALL, method, Criteria::file_size_percent);
         // Allow sub-percent encoding noise: averaged time stamps can cost a
         // byte more per event than the first instance's time stamps.
         assert!(
@@ -97,8 +80,8 @@ fn iter_avg_achieves_the_best_file_size_reduction() {
 fn rel_diff_produces_the_largest_files_among_distance_methods() {
     // Section 5.2.1: "RelDiff had the highest file sizes and lowest degree
     // of matching scores."
-    let rel_size = average(&SMALL, Method::RelDiff, |e| e.file_size_percent);
-    let rel_dom = average(&SMALL, Method::RelDiff, |e| e.degree_of_matching);
+    let rel_size = average(&SMALL, Method::RelDiff, Criteria::file_size_percent);
+    let rel_dom = average(&SMALL, Method::RelDiff, Criteria::degree_of_matching);
     for method in [
         Method::AbsDiff,
         Method::Manhattan,
@@ -108,8 +91,8 @@ fn rel_diff_produces_the_largest_files_among_distance_methods() {
         Method::HaarWave,
         Method::IterAvg,
     ] {
-        let size = average(&SMALL, method, |e| e.file_size_percent);
-        let dom = average(&SMALL, method, |e| e.degree_of_matching);
+        let size = average(&SMALL, method, Criteria::file_size_percent);
+        let dom = average(&SMALL, method, Criteria::degree_of_matching);
         assert!(
             rel_size >= size - 1e-9,
             "relDiff ({rel_size:.2}%) must not be smaller than {method} ({size:.2}%)"
@@ -129,8 +112,16 @@ fn rel_diff_and_abs_diff_have_the_lowest_approximation_error() {
     // consistently low values" is made for; dyn_load_balance behaves
     // differently) the strict per-measurement methods must not be beaten by
     // the magnitude-scaled distance methods.
-    let rel = average(&REGULAR, Method::RelDiff, |e| e.approximation_distance_us);
-    let abs = average(&REGULAR, Method::AbsDiff, |e| e.approximation_distance_us);
+    let rel = average(
+        &REGULAR,
+        Method::RelDiff,
+        Criteria::approximation_distance_us,
+    );
+    let abs = average(
+        &REGULAR,
+        Method::AbsDiff,
+        Criteria::approximation_distance_us,
+    );
     for method in [
         Method::Manhattan,
         Method::Euclidean,
@@ -138,7 +129,7 @@ fn rel_diff_and_abs_diff_have_the_lowest_approximation_error() {
         Method::AvgWave,
         Method::HaarWave,
     ] {
-        let other = average(&REGULAR, method, |e| e.approximation_distance_us);
+        let other = average(&REGULAR, method, Criteria::approximation_distance_us);
         assert!(
             rel <= other * 1.05 + 1.0,
             "relDiff error ({rel:.1}us) should be at most {method}'s ({other:.1}us)"
@@ -172,9 +163,9 @@ fn regular_benchmarks_retain_trends_for_the_recommended_methods() {
         ] {
             let eval = evaluation(workload, method);
             assert!(
-                eval.trends_retained,
+                eval.retained,
                 "{method} must retain trends on {workload}: score {}",
-                eval.trend_score
+                eval.trend_score()
             );
         }
     }
@@ -189,14 +180,14 @@ fn averaging_smooths_away_interference_induced_waits() {
     let avg_wave = evaluation("NtoN_1024", Method::AvgWave);
     let iter_avg = evaluation("NtoN_1024", Method::IterAvg);
     assert!(
-        iter_avg.trend_score <= avg_wave.trend_score + 1e-9,
+        iter_avg.trend_score() <= avg_wave.trend_score() + 1e-9,
         "iter_avg (score {}) must not out-diagnose avgWave (score {}) under interference",
-        iter_avg.trend_score,
-        avg_wave.trend_score
+        iter_avg.trend_score(),
+        avg_wave.trend_score()
     );
     // And averaging cannot reproduce the original time stamps exactly: the
     // interference-induced variation shows up as approximation error.
-    assert!(iter_avg.approximation_distance_us > 0.0);
+    assert!(iter_avg.approximation_distance_us() > 0.0);
 }
 
 #[test]
@@ -208,15 +199,15 @@ fn iter_k_needs_far_more_space_than_similarity_matching_on_sweep3d() {
     let avg_wave = evaluation("sweep3d_8p", Method::AvgWave);
     let abs_diff = evaluation("sweep3d_8p", Method::AbsDiff);
     assert!(
-        iter_k.file_size_percent > avg_wave.file_size_percent,
+        iter_k.file_size_percent() > avg_wave.file_size_percent(),
         "iter_k ({:.1}%) must need more space than avgWave ({:.1}%) on sweep3d",
-        iter_k.file_size_percent,
-        avg_wave.file_size_percent
+        iter_k.file_size_percent(),
+        avg_wave.file_size_percent()
     );
-    assert!(iter_k.file_size_percent > abs_diff.file_size_percent);
-    assert!(iter_k.degree_of_matching <= avg_wave.degree_of_matching);
+    assert!(iter_k.file_size_percent() > abs_diff.file_size_percent());
+    assert!(iter_k.degree_of_matching() <= avg_wave.degree_of_matching());
     // The wavelet method still reduces the trace substantially.
-    assert!(avg_wave.file_size_percent < 60.0);
+    assert!(avg_wave.file_size_percent() < 60.0);
 }
 
 #[test]
@@ -226,8 +217,8 @@ fn dyn_load_balance_diagnosis_survives_the_recommended_method() {
     // do_work).
     let eval = evaluation("dyn_load_balance", Method::AvgWave);
     assert!(
-        eval.trends_retained,
+        eval.retained,
         "avgWave must retain the dyn_load_balance diagnosis (score {})",
-        eval.trend_score
+        eval.trend_score()
     );
 }

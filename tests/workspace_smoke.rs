@@ -44,7 +44,7 @@ fn facade_modules_all_resolve() {
     // One symbol per re-exported crate, so a dropped facade wire fails here
     // at compile time.
     let _ = trace_reduction::analysis::MetricKind::ExecutionTime;
-    let _ = trace_reduction::eval::criteria::file_size_percent;
+    let _ = trace_reduction::eval::Original::evaluate;
     let _ = trace_reduction::format::parse_app_trace;
     let _ = trace_reduction::model::Time::from_nanos(1);
     let _ = trace_reduction::reduce::Method::AvgWave;
