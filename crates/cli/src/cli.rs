@@ -74,7 +74,7 @@ impl Invocation {
 
 /// Binary-output flags shared by every command that writes `.trc` files
 /// (`generate`, `reduce`, `convert`).
-pub const BINARY_OUTPUT_FLAGS: &[&str] = &["codec", "chunk-segments", "v1"];
+pub const BINARY_OUTPUT_FLAGS: &[&str] = &["codec"];
 
 /// Observability flags shared by the instrumented commands.
 pub const OBS_FLAGS: &[&str] = &["obs", "obs-out", "obs-format"];

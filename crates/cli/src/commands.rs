@@ -13,7 +13,7 @@ use trace_container::{ChunkSpec, Codec};
 use crate::cli::{check_flags, Invocation};
 use crate::io::{
     convert_app_trace, load_app_trace, load_reduced_trace, store_app_trace, store_reduced_trace,
-    write_file_atomic, BinaryFormat,
+    write_file_atomic,
 };
 
 /// The usage text printed by `trace-tools help` and after errors.
@@ -51,10 +51,8 @@ methods (reduce, report): the paper's nine, listed by `list`;
 number >= 0
 
 binary output flags (generate, reduce, convert):
-  --codec none|delta|lz|delta-lz         per-chunk compression codec (default delta-lz)
-  --chunk-segments N                     segments per chunk (default 128)
-  --v1                                   write the monolithic v1 encoding instead
-                                         of the default chunked .trc v2 container
+  --codec delta-lz|none                  chunk codec of the .trc v2 container
+                                         (default delta-lz)
 
 observability flags (generate, reduce, convert):
   --obs                                  record pipeline metrics and stage spans
@@ -64,8 +62,9 @@ observability flags (generate, reduce, convert):
                                          --obs-out, text otherwise); `chrome`
                                          is a chrome://tracing event stream
 
-file formats are chosen by extension: .txt/.trctxt = text, anything else = binary
-(binary reads autodetect monolithic v1 and chunked v2 containers by magic)"
+file formats are chosen by extension: .txt/.trctxt = text, anything else = binary;
+binary writes are .trc v2 containers, binary reads also accept monolithic v1
+files (autodetected by magic)"
         .to_string()
 }
 
@@ -120,51 +119,33 @@ fn parse_method(invocation: &Invocation, fallback: Option<Method>) -> Result<Met
     }
 }
 
-/// Parses the binary output flags (`--codec`, `--chunk-segments`, `--v1`)
-/// shared by `generate`, `reduce` and `convert`.  The default is a chunked
-/// `.trc` v2 container with the default grouping compressed with
-/// `delta-lz` (2.3–2.7× smaller on the paper workloads, EXPERIMENTS.md
-/// Table 5; pass `--codec none` for uncompressed chunks); `--v1` selects
-/// the monolithic encoding and conflicts with the container-only flags.
-fn parse_binary_format(invocation: &Invocation, out: &Path) -> Result<BinaryFormat, String> {
-    // A text output takes none of the binary flags — rejected rather than
-    // silently ignored, for every command that writes traces.
-    if crate::io::is_text_path(out) {
-        for flag in ["codec", "chunk-segments", "v1"] {
-            if invocation.has(flag) {
-                return Err(format!(
-                    "--{flag} configures binary output; {} has a text extension",
-                    out.display()
-                ));
-            }
-        }
+/// The container the binary writes of `generate`, `reduce`, `convert` and
+/// `reconstruct` produce without `--codec`: the default chunk grouping
+/// under `delta-lz` (2.3–2.7× smaller on the paper workloads,
+/// EXPERIMENTS.md Table 5).
+fn default_spec() -> ChunkSpec {
+    ChunkSpec::with_codec(Codec::DeltaLz)
+}
+
+/// Parses the binary output flag (`--codec`) shared by `generate`,
+/// `reduce` and `convert`: `delta-lz` by default, `none` for uncompressed
+/// chunks.
+fn parse_chunk_spec(invocation: &Invocation, out: &Path) -> Result<ChunkSpec, String> {
+    // A text output takes no binary flag — rejected rather than silently
+    // ignored, for every command that writes traces.
+    if crate::io::is_text_path(out) && invocation.has("codec") {
+        return Err(format!(
+            "--codec configures binary output; {} has a text extension",
+            out.display()
+        ));
     }
-    if invocation.has("v1") {
-        for flag in ["codec", "chunk-segments"] {
-            if invocation.has(flag) {
-                return Err(format!(
-                    "--{flag} configures the chunked v2 container; drop --v1 to use it"
-                ));
-            }
-        }
-        return Ok(BinaryFormat::MonolithicV1);
+    match invocation.get("codec") {
+        None | Some("delta-lz") => Ok(default_spec()),
+        Some("none") => Ok(ChunkSpec::with_codec(Codec::None)),
+        Some(name) => Err(format!(
+            "unknown codec {name:?}; known codecs: delta-lz, none"
+        )),
     }
-    let mut spec = match invocation.get_usize("chunk-segments")? {
-        Some(0) => return Err("--chunk-segments must be at least 1".to_string()),
-        Some(n) => ChunkSpec::with_segments(n),
-        None => ChunkSpec::default(),
-    };
-    spec = match invocation.get("codec") {
-        Some(name) => {
-            let codec = Codec::by_name(name).ok_or_else(|| {
-                let known: Vec<&str> = Codec::ALL.iter().map(|c| c.name()).collect();
-                format!("unknown codec {name:?}; known codecs: {}", known.join(", "))
-            })?;
-            spec.codec(codec)
-        }
-        None => spec.codec(Codec::DeltaLz),
-    };
-    Ok(BinaryFormat::ContainerV2(spec))
 }
 
 /// Output format for the observability run report.
@@ -279,16 +260,9 @@ fn emit_obs(
     Ok(())
 }
 
-/// Short human-readable description of a binary write format.
-fn format_label(format: BinaryFormat) -> String {
-    match format {
-        BinaryFormat::MonolithicV1 => "binary v1 (monolithic)".to_string(),
-        BinaryFormat::ContainerV2(spec) => format!(
-            "container v2, codec {}, {} segments/chunk",
-            spec.codec.name(),
-            spec.segments_per_chunk
-        ),
-    }
+/// Short human-readable description of a binary write.
+fn format_label(spec: ChunkSpec) -> String {
+    format!("container v2, codec {}", spec.codec.name())
 }
 
 fn cmd_list() -> String {
@@ -307,15 +281,15 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
     let kind = parse_workload(invocation.require("workload")?)?;
     let preset = parse_preset(invocation.get("preset"))?;
     let out = Path::new(invocation.require("out")?);
-    let format = parse_binary_format(invocation, out)?;
+    let spec = parse_chunk_spec(invocation, out)?;
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
     let app = Workload::new(kind, preset).generate();
-    let written = store_app_trace(out, &app, format, &recorder)?;
+    let written = store_app_trace(out, &app, spec, &recorder)?;
     let encoding = if crate::io::is_text_path(out) {
         "text".to_string()
     } else {
-        format_label(format)
+        format_label(spec)
     };
     let mut message = format!(
         "generated {}: {} ranks, {} events, {written} bytes ({encoding}) -> {}",
@@ -340,7 +314,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let config = parse_method(invocation, None)?;
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
-    let format = parse_binary_format(invocation, out)?;
+    let spec = parse_chunk_spec(invocation, out)?;
     let shards = invocation.get_usize("shards")?.unwrap_or(1);
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
@@ -348,7 +322,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
     let reducer = Reducer::new(config).with_recorder(&recorder);
-    let store = |reduced| store_reduced_trace(out, reduced, format, &recorder);
+    let store = |reduced| store_reduced_trace(out, reduced, spec, &recorder);
 
     let (reduced, mut message) = if stream {
         // One bounded-memory pass over the file: text, monolithic binary v1
@@ -448,7 +422,7 @@ fn cmd_reconstruct(invocation: &Invocation) -> Result<String, String> {
     let out = Path::new(invocation.require("out")?);
     let reduced = load_reduced_trace(input)?;
     let approx = reduced.reconstruct();
-    store_app_trace(out, &approx, BinaryFormat::default(), &Recorder::disabled())?;
+    store_app_trace(out, &approx, default_spec(), &Recorder::disabled())?;
     Ok(format!(
         "reconstructed {}: {} ranks, {} events -> {}",
         approx.name,
@@ -461,14 +435,14 @@ fn cmd_reconstruct(invocation: &Invocation) -> Result<String, String> {
 fn cmd_convert(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
-    let format = parse_binary_format(invocation, out)?;
+    let spec = parse_chunk_spec(invocation, out)?;
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
-    let written = convert_app_trace(input, out, format, &recorder)?;
+    let written = convert_app_trace(input, out, spec, &recorder)?;
     let encoding = if crate::io::is_text_path(out) {
         "text".to_string()
     } else {
-        format_label(format)
+        format_label(spec)
     };
     let mut message = format!(
         "converted {} -> {} ({encoding}, {written} bytes)",
@@ -866,16 +840,16 @@ mod tests {
         let trace_v1 = temp_path("stream_any_v1.trc");
         let trace_v2 = temp_path("stream_any_v2.trc");
         let text = temp_path("stream_any.txt");
+        let converted = temp_path("stream_any_converted.trc");
         let reduced_mem = temp_path("stream_any_mem.trc");
 
-        // `generate` writes a chunked v2 container by default now.
+        // `generate` writes a chunked v2 container.
         let out = run(&Invocation::new(
             "generate",
             &[
                 ("workload", "late_sender"),
                 ("preset", "tiny"),
                 ("out", trace_v2.to_str().unwrap()),
-                ("chunk-segments", "4"),
             ],
         ))
         .unwrap();
@@ -889,22 +863,25 @@ mod tests {
             ],
         ))
         .unwrap();
-        // The monolithic v1 write path stays reachable via --v1.
-        let out = run(&Invocation::new(
+        // The CLI writes no v1; the model's encoder, criterion 1's
+        // yardstick, does.
+        let app = crate::io::load_app_trace(&trace_v2, &Recorder::disabled()).unwrap();
+        std::fs::write(&trace_v1, trace_model::codec::encode_app_trace(&app)).unwrap();
+        assert_eq!(&std::fs::read(&trace_v1).unwrap()[..4], b"TRCF");
+        assert_eq!(
+            crate::io::load_app_trace(&trace_v1, &Recorder::disabled()).unwrap(),
+            app
+        );
+        // `convert` turns v1 back into the very container `generate` wrote.
+        run(&Invocation::new(
             "convert",
             &[
-                ("in", trace_v2.to_str().unwrap()),
-                ("out", trace_v1.to_str().unwrap()),
-                ("v1", ""),
+                ("in", trace_v1.to_str().unwrap()),
+                ("out", converted.to_str().unwrap()),
             ],
         ))
         .unwrap();
-        assert!(out.contains("binary v1"), "{out}");
-        assert_eq!(&std::fs::read(&trace_v1).unwrap()[..4], b"TRCF");
-        assert_eq!(
-            crate::io::load_app_trace(&trace_v2, &Recorder::disabled()).unwrap(),
-            crate::io::load_app_trace(&trace_v1, &Recorder::disabled()).unwrap()
-        );
+        assert!(std::fs::read(&converted).unwrap() == std::fs::read(&trace_v2).unwrap());
 
         run(&Invocation::new(
             "reduce",
@@ -946,7 +923,7 @@ mod tests {
             cleanup(&[&out_path]);
         }
 
-        cleanup(&[&trace_v1, &trace_v2, &text, &reduced_mem]);
+        cleanup(&[&trace_v1, &trace_v2, &text, &converted, &reduced_mem]);
     }
 
     #[test]
@@ -971,28 +948,22 @@ mod tests {
         let err = run(&Invocation::new("bogus", &[("x", "1")])).unwrap_err();
         assert!(err.contains("unknown subcommand"), "{err}");
 
-        // Container-only flags conflict with the monolithic --v1 switch.
-        let err = run(&Invocation::new(
-            "convert",
-            &[("in", "a"), ("out", "b"), ("v1", ""), ("codec", "lz")],
-        ))
-        .unwrap_err();
-        assert!(err.contains("--v1"), "{err}");
-        // The chunked container is the default binary output; there is no
-        // switch for it.
-        let err = run(&Invocation::new(
-            "convert",
-            &[("in", "a"), ("out", "b.trc"), ("container", "")],
-        ))
-        .unwrap_err();
-        assert!(err.contains("unknown option --container"), "{err}");
+        // One binary write format: no switch to the monolithic v1 encoding,
+        // no chunk grouping knob, and no switch for the default container.
+        for flags in ["--v1", "--chunk-segments 4", "--container"] {
+            let line = format!("convert --in a --out b.trc {flags}");
+            let args: Vec<String> = line.split(' ').map(String::from).collect();
+            let err = run(&crate::parse_args(&args).unwrap()).unwrap_err();
+            let flag = flags.split(' ').next().unwrap();
+            assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+        }
 
-        // Binary output flags are rejected for text outputs — on every
+        // The binary output flag is rejected for text outputs — on every
         // command that writes traces, not just convert (a silently dropped
         // --codec would let a user believe they wrote a compressed file).
         let err = run(&Invocation::new(
             "convert",
-            &[("in", "a"), ("out", "b.txt"), ("codec", "lz")],
+            &[("in", "a"), ("out", "b.txt"), ("codec", "none")],
         ))
         .unwrap_err();
         assert!(err.contains("text extension"), "{err}");
@@ -1012,23 +983,27 @@ mod tests {
                 ("in", "a"),
                 ("out", "b.trctxt"),
                 ("method", "avgWave"),
-                ("v1", ""),
+                ("codec", "none"),
             ],
         ))
         .unwrap_err();
         assert!(err.contains("text extension"), "{err}");
 
-        // Unknown codec names list the valid ones.
-        let err = run(&Invocation::new(
-            "generate",
-            &[
-                ("workload", "late_sender"),
-                ("out", "/tmp/x.trc"),
-                ("codec", "zstd"),
-            ],
-        ))
-        .unwrap_err();
-        assert!(err.contains("delta-lz"), "{err}");
+        // Codec names other than the two the CLI writes — the retired
+        // `delta`, the library-only `lz` — are refused with the two.
+        for codec in ["lz", "delta", "zstd", ""] {
+            let err = run(&Invocation::new(
+                "generate",
+                &[
+                    ("workload", "late_sender"),
+                    ("out", "/tmp/x.trc"),
+                    ("codec", codec),
+                ],
+            ))
+            .unwrap_err();
+            let known = format!("unknown codec {codec:?}; known codecs: delta-lz, none");
+            assert!(err.contains(&known), "{err}");
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Trace file input/output for the CLI.
 //!
 //! File formats are chosen by extension: `.txt` and `.trctxt` use the
-//! human-readable text format from `trace-format`, everything else uses a
-//! binary codec (the monolithic v1 encoding is the format the paper's
-//! file-size percentages are measured against).  Binary *reads* autodetect
-//! monolithic v1 files and chunked v2 containers by magic; binary *writes*
-//! default to chunked v2 containers compressed with `delta-lz`
-//! ([`BinaryFormat::default`]) with uncompressed chunks available via
-//! `--codec none` and the monolithic v1 path kept reachable via `--v1`.
-//! [`convert_app_trace`] streams a text or v2 input into a v2 container
-//! without loading it.
+//! human-readable text format from `trace-format`, everything else is
+//! binary.  Binary *reads* autodetect monolithic v1 files and chunked v2
+//! containers by magic; binary *writes* have one format, a chunked v2
+//! container, whose [`ChunkSpec`] names the codec (`delta-lz` by default,
+//! `none` with `--codec none`).  The v1 encoding is only read here: it is
+//! the yardstick the paper's file-size percentages are measured against
+//! (`trace_model::codec`), not an output.  [`convert_app_trace`] streams a
+//! text or v2 input into a v2 container without loading it.
 
 use std::fmt::Display;
 use std::fs;
@@ -21,28 +20,8 @@ use trace_container::{
     write_reduced_container, ChunkSpec,
 };
 use trace_format::{parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace};
-use trace_model::codec::{encode_app_trace, encode_reduced_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_stream::{convert_container, convert_text, detect_input, StreamError, TraceInputKind};
-
-/// Which binary encoding a write produces (text paths ignore this).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BinaryFormat {
-    /// Chunked, indexed `.trc` v2 container — the default write format —
-    /// with the chunk grouping and codec of the spec.
-    ContainerV2(ChunkSpec),
-    /// Monolithic v1 encoding (`--v1`): one decode-it-all buffer, no
-    /// chunks, no index, no compression.
-    MonolithicV1,
-}
-
-impl Default for BinaryFormat {
-    /// Chunked v2 container with `delta-lz` chunk compression — the CLI's
-    /// default for every binary write (`--codec none` opts out).
-    fn default() -> Self {
-        BinaryFormat::ContainerV2(ChunkSpec::with_codec(trace_container::Codec::DeltaLz))
-    }
-}
 
 /// True if the path should use the text format.
 pub fn is_text_path(path: &Path) -> bool {
@@ -148,19 +127,21 @@ fn store(
 }
 
 /// Stores a full application trace to `path`: text by extension, otherwise
-/// the requested binary format.  Returns the number of bytes written.
+/// a v2 container under `spec`.  Returns the number of bytes written.
 /// Container writes additionally record per-chunk compression spans and
 /// codec byte counters into `recorder`; the bytes do not depend on it.
 pub fn store_app_trace(
     path: &Path,
     app: &AppTrace,
-    format: BinaryFormat,
+    spec: ChunkSpec,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
-    store(path, recorder, |out| match format {
-        _ if is_text_path(path) => out.write_all(write_app_trace(app).as_bytes()),
-        BinaryFormat::ContainerV2(spec) => write_app_container(out, app, spec, recorder).map(drop),
-        BinaryFormat::MonolithicV1 => out.write_all(&encode_app_trace(app)),
+    store(path, recorder, |out| {
+        if is_text_path(path) {
+            out.write_all(write_app_trace(app).as_bytes())
+        } else {
+            write_app_container(out, app, spec, recorder).map(drop)
+        }
     })
 }
 
@@ -168,44 +149,40 @@ pub fn store_app_trace(
 pub fn store_reduced_trace(
     path: &Path,
     reduced: &ReducedAppTrace,
-    format: BinaryFormat,
+    spec: ChunkSpec,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
-    store(path, recorder, |out| match format {
-        _ if is_text_path(path) => out.write_all(write_reduced_trace(reduced).as_bytes()),
-        BinaryFormat::ContainerV2(spec) => {
+    store(path, recorder, |out| {
+        if is_text_path(path) {
+            out.write_all(write_reduced_trace(reduced).as_bytes())
+        } else {
             write_reduced_container(out, reduced, spec, recorder).map(drop)
         }
-        BinaryFormat::MonolithicV1 => out.write_all(&encode_reduced_trace(reduced)),
     })
 }
 
 /// Converts the full trace at `input` to `path`.  A text input (by
 /// extension) or a v2 container bound for a container streams: the trace
 /// is read one rank at a time while its sections encode, under one
-/// [`trace_obs::Stage::Store`] span.  Anything else (a v1 input, `--v1` or
-/// text output) loads the whole trace and stores it.  An input error reads
-/// as it does from [`load_app_trace`], however far the output got; either
-/// way no partial output is left.  Returns the number of bytes written.
+/// [`trace_obs::Stage::Store`] span.  A v1 input or a text output loads the
+/// whole trace and stores it.  An input error reads as it does from
+/// [`load_app_trace`], however far the output got; either way no partial
+/// output is left.  Returns the number of bytes written.
 pub fn convert_app_trace(
     input: &Path,
     path: &Path,
-    format: BinaryFormat,
+    spec: ChunkSpec,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
     let text = is_text_path(input);
-    let spec = match format {
-        BinaryFormat::ContainerV2(spec) if !is_text_path(path) => Some(spec),
-        _ => None,
-    };
     // An input whose magic cannot be read takes the load path, which
     // reports why.
-    let spec =
-        spec.filter(|_| text || matches!(detect_input(input), Ok(TraceInputKind::ContainerV2)));
-    let Some(spec) = spec else {
+    let streams = !is_text_path(path)
+        && (text || matches!(detect_input(input), Ok(TraceInputKind::ContainerV2)));
+    if !streams {
         let app = load_app_trace(input, recorder)?;
-        return store_app_trace(path, &app, format, recorder);
-    };
+        return store_app_trace(path, &app, spec, recorder);
+    }
     let unreadable = |e: io::Error| format!("cannot read {}: {e}", input.display());
     let file = fs::File::open(input).map_err(unreadable)?;
     let mut failed_input = None;
@@ -232,6 +209,8 @@ pub fn convert_app_trace(
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use trace_container::{encode_app_container, Codec};
+    use trace_model::codec::{encode_app_trace, encode_reduced_trace};
     use trace_reduce::{Method, Reducer};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -254,35 +233,44 @@ mod tests {
         assert!(!is_text_path(Path::new("noext")));
     }
 
+    /// The two codecs the CLI writes.
+    fn specs() -> [ChunkSpec; 2] {
+        [Codec::None, Codec::DeltaLz].map(ChunkSpec::with_codec)
+    }
+
     #[test]
     fn app_trace_round_trips_through_every_format() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-        for (name, format) in [
-            ("app_roundtrip_v2.bin", BinaryFormat::default()),
-            ("app_roundtrip_v1.bin", BinaryFormat::MonolithicV1),
-            (
-                "app_roundtrip_dlz.bin",
-                BinaryFormat::ContainerV2(ChunkSpec::with_codec(trace_container::Codec::DeltaLz)),
-            ),
-            ("app_roundtrip.txt", BinaryFormat::default()),
+        let [none, dlz] = specs();
+        for (name, spec) in [
+            ("app_roundtrip_none.bin", none),
+            ("app_roundtrip_dlz.bin", dlz),
+            ("app_roundtrip.txt", dlz),
         ] {
             let path = temp_path(name);
-            let written = store_app_trace(&path, &app, format, &off()).unwrap();
+            let written = store_app_trace(&path, &app, spec, &off()).unwrap();
             assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
             let loaded = load_app_trace(&path, &off()).unwrap();
             assert_eq!(loaded, app, "{name}");
             let _ = std::fs::remove_file(&path);
         }
+        // v1 is read, never written, here.
+        let path = temp_path("app_roundtrip_v1.bin");
+        std::fs::write(&path, encode_app_trace(&app)).unwrap();
+        assert_eq!(load_app_trace(&path, &off()).unwrap(), app);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn binary_writes_default_to_v2_containers() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let path = temp_path("default_is_v2.bin");
-        store_app_trace(&path, &app, BinaryFormat::default(), &off()).unwrap();
-        assert_eq!(&std::fs::read(&path).unwrap()[..4], b"TRC2");
-        store_app_trace(&path, &app, BinaryFormat::MonolithicV1, &off()).unwrap();
-        assert_eq!(&std::fs::read(&path).unwrap()[..4], b"TRCF");
+        for spec in specs() {
+            store_app_trace(&path, &app, spec, &off()).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(&bytes[..4], b"TRC2");
+            assert!(bytes == encode_app_container(&app, spec), "{spec:?}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -290,21 +278,22 @@ mod tests {
     fn reduced_trace_round_trips_through_every_format() {
         let app = Workload::new(WorkloadKind::EarlyGather, SizePreset::Tiny).generate();
         let reduced = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&app);
-        for (name, format) in [
-            ("reduced_roundtrip_v2.bin", BinaryFormat::default()),
-            ("reduced_roundtrip_v1.bin", BinaryFormat::MonolithicV1),
-            (
-                "reduced_roundtrip_dlz.bin",
-                BinaryFormat::ContainerV2(ChunkSpec::with_codec(trace_container::Codec::DeltaLz)),
-            ),
-            ("reduced_roundtrip.txt", BinaryFormat::default()),
+        let [none, dlz] = specs();
+        for (name, spec) in [
+            ("reduced_roundtrip_none.bin", none),
+            ("reduced_roundtrip_dlz.bin", dlz),
+            ("reduced_roundtrip.txt", dlz),
         ] {
             let path = temp_path(name);
-            store_reduced_trace(&path, &reduced, format, &off()).unwrap();
+            store_reduced_trace(&path, &reduced, spec, &off()).unwrap();
             let loaded = load_reduced_trace(&path).unwrap();
             assert_eq!(loaded, reduced, "{name}");
             let _ = std::fs::remove_file(&path);
         }
+        let path = temp_path("reduced_roundtrip_v1.bin");
+        std::fs::write(&path, encode_reduced_trace(&reduced)).unwrap();
+        assert_eq!(load_reduced_trace(&path).unwrap(), reduced);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! without spawning processes:
 //!
 //! * [`cli`] — the tiny argument parser (`subcommand --flag value …`).
-//! * [`io`] — load/store helpers that pick the binary codec or the text
+//! * [`io`] — load/store helpers that pick a v2 container or the text
 //!   format from the file extension.
 //! * [`commands`] — the subcommand implementations: `list`, `generate`,
 //!   `reduce`, `reconstruct`, `convert`, `analyze`, `report`.

@@ -8,11 +8,13 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use trace_container::{
-    decode_app_any, encode_app_container, write_app_container, ChunkSpec, Codec,
+    crc32, decode_app_any, encode_app_container, read_app_container, write_app_container,
+    ChunkSpec, Codec, CompressError, ContainerError,
 };
 use trace_format::{parse_app_trace, write_app_trace};
+use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{convert_container, convert_text, StreamError};
+use trace_stream::{convert_container, convert_text, reduce_container_file, StreamError};
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
 
@@ -299,4 +301,50 @@ fn a_streamed_convert_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
         assert!(err.starts_with("cannot write /dev/full: "), "{err}");
         let _ = std::fs::remove_file(&input);
     }
+}
+
+#[test]
+fn a_chunk_under_the_retired_codec_id_1_is_refused_and_leaves_no_output() {
+    // A CRC-valid container whose first RECORDS chunk names codec 1, the
+    // retired column-only codec.  The CRC covers the payload alone, so the
+    // frame stays valid: only the codec byte is wrong.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let mut crafted = encode_app_container(&app, ChunkSpec::with_codec(Codec::DeltaLz));
+    let mut pos = 6;
+    while crafted[pos] != 3 {
+        pos += 10 + u32::from_le_bytes(crafted[pos + 2..pos + 6].try_into().unwrap()) as usize;
+    }
+    crafted[pos + 1] = 1;
+    let len = u32::from_le_bytes(crafted[pos + 2..pos + 6].try_into().unwrap()) as usize;
+    let crc = crc32(&crafted[pos + 10..pos + 10 + len]).to_le_bytes();
+    assert_eq!(crafted[pos + 6..pos + 10], crc);
+    let retired = |err: &ContainerError| {
+        matches!(
+            err,
+            ContainerError::Compress(CompressError::UnknownCodec(1))
+        )
+    };
+
+    let err = read_app_container(&crafted[..]).unwrap_err();
+    assert!(retired(&err), "{err:?}");
+    let input = temp_path("retired_codec.trc");
+    std::fs::write(&input, &crafted).unwrap();
+    let reducer = Reducer::with_default_threshold(Method::AvgWave);
+    let err = reduce_container_file(&reducer, &input, 2).unwrap_err();
+    assert!(err.as_container().is_some_and(retired), "{err:?}");
+
+    // Through the CLI: the same refusal, and neither an output nor a temp
+    // file of one.
+    let target = temp_path("retired_codec_out.trc");
+    let (from, to) = (input.to_str().unwrap(), target.to_str().unwrap());
+    let reduce = [("method", "avgWave"), ("stream", "")];
+    for (command, extra) in [("reduce", &reduce[..]), ("convert", &[])] {
+        let mut flags = vec![("in", from), ("out", to)];
+        flags.extend_from_slice(extra);
+        let err = run(&Invocation::new(command, &flags)).unwrap_err();
+        assert!(err.contains("unknown chunk codec id 1"), "{command}: {err}");
+        assert!(!target.exists(), "{command} left an output");
+        assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{command}");
+    }
+    let _ = std::fs::remove_file(&input);
 }

@@ -2,10 +2,10 @@
 //!
 //! A reader wants records (stored segments, executions), not row bytes.
 //! [`ChunkDecoder::decode`] takes a chunk payload exactly as it is stored —
-//! under any of the four codecs — and appends its items to a buffer the
+//! under any of the three codecs — and appends its items to a buffer the
 //! caller owns and reuses: row codecs (`none`, `lz`) parse the rows once,
-//! column codecs (`delta`, `delta-lz`) read the column streams straight
-//! into the items, and the LZ stage's output lives in a scratch buffer the
+//! the column codec (`delta-lz`) reads the column streams straight into
+//! the items, and the LZ stage's output lives in a scratch buffer the
 //! decoder keeps from chunk to chunk.  No row image is rebuilt for a column
 //! chunk and nothing is allocated per chunk once the buffers have grown to
 //! the largest one.
@@ -132,7 +132,7 @@ impl ChunkDecoder {
     }
 
     /// Undoes the byte-level layer of a stored payload: `stored` itself
-    /// under `none` and `delta`, the LZ block's content — in the decoder's
+    /// under `none`, the LZ block's content — in the decoder's
     /// scratch — under `lz` and `delta-lz`.  This is all a control chunk
     /// needs (the column transform does not touch opaque bytes).
     ///
@@ -144,7 +144,7 @@ impl ChunkDecoder {
         stored: &'a [u8],
         obs: &mut ObsShard,
     ) -> Result<&'a [u8], CompressError> {
-        if !matches!(codec, Codec::Lz | Codec::DeltaLz) {
+        if codec == Codec::None {
             return Ok(stored);
         }
         let span = obs.start();
@@ -180,7 +180,7 @@ impl ChunkDecoder {
         let span = obs.start();
         let decoded = match codec {
             Codec::None | Codec::Lz => T::decode_rows(bytes, out),
-            Codec::Delta | Codec::DeltaLz => T::decode_columns(bytes, out).map_err(Into::into),
+            Codec::DeltaLz => T::decode_columns(bytes, out).map_err(Into::into),
         };
         if decoded.is_err() {
             out.truncate(kept);
@@ -219,7 +219,7 @@ mod tests {
         let mut decoder = ChunkDecoder::new();
         let mut obs = ObsShard::disabled();
         let mut out = vec![execs[0]];
-        for codec in Codec::ALL {
+        for codec in [Codec::None, Codec::DeltaLz] {
             let stored = compress(codec, PayloadClass::Execs, &rows).unwrap();
             // A bad chunk: the good one cut short, so items decode before
             // the failure.  Nothing of it may stay in the caller's buffer.
@@ -251,8 +251,10 @@ mod tests {
             decoder.decode(Codec::None, &rows[..2], &mut out, &mut obs),
             Err(DecodeError::Rows(CodecError::UnexpectedEof))
         ));
+        // Row bytes are no column streams.
+        let packed = crate::lz_compress(&rows).unwrap();
         assert!(matches!(
-            decoder.decode(Codec::Delta, &rows, &mut out, &mut obs),
+            decoder.decode(Codec::DeltaLz, &packed, &mut out, &mut obs),
             Err(DecodeError::Compress(_))
         ));
         assert!(matches!(

@@ -82,7 +82,7 @@ impl std::error::Error for CompressError {
 /// Why a stored chunk payload did not decode into items
 /// ([`ChunkDecoder::decode`](crate::ChunkDecoder::decode)).  A chunk stored
 /// under `none` or `lz` is rows parsed by the record codec, one stored under
-/// `delta` or `delta-lz` is column streams; the two fail differently, and a
+/// `delta-lz` is column streams; the two fail differently, and a
 /// container reader reports them differently.
 #[derive(Debug)]
 pub enum DecodeError {

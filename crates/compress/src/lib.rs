@@ -9,9 +9,14 @@
 //! | id | codec | layers |
 //! |---:|-------|--------|
 //! | 0 | [`Codec::None`] | raw row payload |
-//! | 1 | [`Codec::Delta`] | trace-aware column transform ([`column`](mod@column)) |
-//! | 2 | [`Codec::Lz`] | LZ byte compressor ([`lz`](mod@lz)) |
-//! | 3 | [`Codec::DeltaLz`] | columns, then LZ over the column streams |
+//! | 1 | — | retired (the column transform alone); never reassigned |
+//! | 2 | [`Codec::Lz`] | LZ byte compressor ([`lz`](mod@lz)) over the rows |
+//! | 3 | [`Codec::DeltaLz`] | trace-aware column transform ([`column`](mod@column)), then LZ over the column streams |
+//!
+//! A chunk under the retired id 1, like any unknown id, is a typed
+//! [`CompressError::UnknownCodec`].  The CLI writes `none` and `delta-lz`;
+//! `lz` is the opaque block codec and a chunk codec only the library
+//! writes.
 //!
 //! The column transform splits a payload into per-field streams and
 //! delta+zigzag+varint-codes the monotone ones (time stamps, region and
@@ -74,9 +79,6 @@ pub use lz::{lz_compress, lz_decompress, LzEncoder};
 pub enum Codec {
     /// Raw row payload, stored as-is.
     None,
-    /// Trace-aware column transform only (delta+zigzag+varint field
-    /// streams).
-    Delta,
     /// LZ byte compression of the row payload.
     Lz,
     /// Column transform, then LZ over the column streams.
@@ -84,43 +86,33 @@ pub enum Codec {
 }
 
 impl Codec {
-    /// Every codec, in id order.
-    pub const ALL: [Codec; 4] = [Codec::None, Codec::Delta, Codec::Lz, Codec::DeltaLz];
-
     /// The codec id byte written to the chunk framing.
     pub fn as_byte(self) -> u8 {
         match self {
             Codec::None => 0,
-            Codec::Delta => 1,
             Codec::Lz => 2,
             Codec::DeltaLz => 3,
         }
     }
 
-    /// Parses a codec id byte; unknown ids are a typed error.
+    /// Parses a codec id byte; unknown ids, the retired 1 among them, are
+    /// a typed error.
     pub fn from_byte(byte: u8) -> Result<Self, CompressError> {
         Ok(match byte {
             0 => Codec::None,
-            1 => Codec::Delta,
             2 => Codec::Lz,
             3 => Codec::DeltaLz,
             other => return Err(CompressError::UnknownCodec(other)),
         })
     }
 
-    /// The codec's CLI-facing name.
+    /// The codec's name, as `--codec` and the per-codec counters spell it.
     pub fn name(self) -> &'static str {
         match self {
             Codec::None => "none",
-            Codec::Delta => "delta",
             Codec::Lz => "lz",
             Codec::DeltaLz => "delta-lz",
         }
-    }
-
-    /// Looks a codec up by its CLI-facing name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        Codec::ALL.into_iter().find(|c| c.name() == name)
     }
 }
 
@@ -138,7 +130,6 @@ pub fn compress(
 ) -> Result<Vec<u8>, CompressError> {
     Ok(match codec {
         Codec::None => payload.to_vec(),
-        Codec::Delta => column_encode(class, payload)?,
         Codec::Lz => lz_compress(payload)?,
         Codec::DeltaLz => lz_compress(&column_encode(class, payload)?)?,
     })
@@ -155,7 +146,6 @@ pub fn decompress(
 ) -> Result<Vec<u8>, CompressError> {
     Ok(match codec {
         Codec::None => payload.to_vec(),
-        Codec::Delta => column_decode(class, payload)?,
         Codec::Lz => lz_decompress(payload)?,
         Codec::DeltaLz => column_decode(class, &lz_decompress(payload)?)?,
     })
@@ -175,8 +165,7 @@ pub struct ChunkEncoder {
     codec: Codec,
     columns: ColumnWriter,
     lz: LzEncoder,
-    /// The column stage's output (`delta`: the stored form; `delta-lz`: the
-    /// LZ stage's input).
+    /// The column stage's output, the LZ stage's input.
     columnar: Vec<u8>,
     /// The LZ stage's output.
     packed: Vec<u8>,
@@ -195,7 +184,7 @@ impl ChunkEncoder {
     }
 
     fn has_column_stage(&self) -> bool {
-        matches!(self.codec, Codec::Delta | Codec::DeltaLz)
+        self.codec == Codec::DeltaLz
     }
 
     /// Notes a record appended to the current `RECORDS` chunk.
@@ -235,10 +224,6 @@ impl ChunkEncoder {
         let span = obs.start();
         let packed: &[u8] = match self.codec {
             Codec::None => rows,
-            Codec::Delta => {
-                self.columns.finish(class, rows, &mut self.columnar)?;
-                &self.columnar
-            }
             Codec::Lz => {
                 self.lz.compress(rows, &mut self.packed)?;
                 &self.packed
@@ -306,21 +291,23 @@ mod tests {
 
     #[test]
     fn codec_ids_round_trip_and_unknown_ids_error() {
-        for codec in Codec::ALL {
-            assert_eq!(Codec::from_byte(codec.as_byte()).unwrap(), codec);
-            assert_eq!(Codec::by_name(codec.name()), Some(codec));
+        for (codec, id) in [(Codec::None, 0), (Codec::Lz, 2), (Codec::DeltaLz, 3)] {
+            assert_eq!(codec.as_byte(), id);
+            assert_eq!(Codec::from_byte(id).unwrap(), codec);
         }
-        assert!(matches!(
-            Codec::from_byte(4),
-            Err(CompressError::UnknownCodec(4))
-        ));
-        assert_eq!(Codec::by_name("zstd"), None);
+        // 1 is retired, not free.
+        for id in [1, 4] {
+            assert!(matches!(
+                Codec::from_byte(id),
+                Err(CompressError::UnknownCodec(unknown)) if unknown == id
+            ));
+        }
     }
 
     #[test]
     fn every_codec_round_trips_a_records_payload() {
         let payload = repetitive_records_payload();
-        for codec in Codec::ALL {
+        for codec in [Codec::None, Codec::Lz, Codec::DeltaLz] {
             let packed = compress(codec, PayloadClass::Records, &payload).unwrap();
             let unpacked = decompress(codec, PayloadClass::Records, &packed).unwrap();
             assert_eq!(unpacked, payload, "{}", codec.name());

@@ -777,7 +777,6 @@ pub fn decompress(
 ) -> Result<Vec<u8>, CompressError> {
     Ok(match codec {
         Codec::None => payload.to_vec(),
-        Codec::Delta => column_decode(class, payload)?,
         Codec::Lz => lz_decompress(payload)?,
         Codec::DeltaLz => column_decode(class, &lz_decompress(payload)?)?,
     })

@@ -465,16 +465,21 @@ mod tests {
 
     #[test]
     fn unknown_codec_ids_are_typed_errors() {
-        let mut file = Vec::new();
-        write_header(&mut file, PayloadKind::App).unwrap();
-        write_chunk(&mut file, ChunkKind::Records, Codec::None, b"payload").unwrap();
-        // The codec byte is the second byte of the chunk framing.
-        file[HEADER_LEN as usize + 1] = 9;
-        let mut stream = ChunkStream::new(&file[..], 0);
-        read_header(&mut stream).unwrap();
-        match stream.next_chunk() {
-            Err(ContainerError::Compress(trace_compress::CompressError::UnknownCodec(9))) => {}
-            other => panic!("expected UnknownCodec, got {other:?}"),
+        // 1 is the retired column-only codec: refused like any unknown id.
+        for id in [1, 9] {
+            let mut file = Vec::new();
+            write_header(&mut file, PayloadKind::App).unwrap();
+            write_chunk(&mut file, ChunkKind::Records, Codec::None, b"payload").unwrap();
+            // The codec byte is the second byte of the chunk framing.
+            file[HEADER_LEN as usize + 1] = id;
+            let mut stream = ChunkStream::new(&file[..], 0);
+            read_header(&mut stream).unwrap();
+            match stream.next_chunk() {
+                Err(ContainerError::Compress(trace_compress::CompressError::UnknownCodec(
+                    found,
+                ))) if found == id => {}
+                other => panic!("expected UnknownCodec({id}), got {other:?}"),
+            }
         }
     }
 

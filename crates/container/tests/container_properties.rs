@@ -30,7 +30,7 @@ proptest! {
         let app = build_trace(&rank_specs);
         prop_assert!(app.is_well_formed());
         for segments_per_chunk in CHUNK_GRID {
-            for codec in Codec::ALL {
+            for codec in [Codec::None, Codec::DeltaLz] {
                 let spec = ChunkSpec::with_segments(segments_per_chunk).codec(codec);
                 let bytes = encode_app_container(&app, spec);
                 let decoded = read_app_container(&bytes[..]).expect("round trip");
@@ -54,7 +54,7 @@ proptest! {
         let reduced = Reducer::new(MethodConfig::with_default_threshold(Method::RelDiff))
             .reduce_app(&app);
         for segments_per_chunk in CHUNK_GRID {
-            for codec in Codec::ALL {
+            for codec in [Codec::None, Codec::DeltaLz] {
                 let spec = ChunkSpec::with_segments(segments_per_chunk).codec(codec);
                 let bytes = encode_reduced_container(&reduced, spec);
                 let decoded = read_reduced_container(&bytes[..]).expect("round trip");
@@ -370,7 +370,7 @@ fn a_chunk_that_fails_to_decode_leaves_no_records_behind() {
     // decoded.  None of them may come out — not with the error, and not in
     // front of the third chunk's records.
     let app = build_trace(&[(0..3).map(|i| (0u8, 1u8, (600 + i * 7) as u16)).collect()]);
-    for codec in [Codec::None, Codec::Delta, Codec::Lz, Codec::DeltaLz] {
+    for codec in [Codec::None, Codec::DeltaLz] {
         let bytes = encode_app_container(&app, ChunkSpec::with_segments(1).codec(codec));
         let (header, mut chunks, trailer) = split_chunks(&bytes);
         let records: Vec<usize> = (0..chunks.len()).filter(|&i| chunks[i][0] == 3).collect();

@@ -28,7 +28,6 @@ use trace_sim::{SizePreset, Workload, WorkloadKind};
 fn oracle_compress(codec: Codec, class: PayloadClass, rows: &[u8]) -> Vec<u8> {
     match codec {
         Codec::None => rows.to_vec(),
-        Codec::Delta => oracle::column_encode(class, rows).expect("writer rows"),
         Codec::Lz => oracle::lz_compress(rows),
         Codec::DeltaLz => {
             oracle::lz_compress(&oracle::column_encode(class, rows).expect("writer rows"))
@@ -113,7 +112,7 @@ fn containers_equal_ones_assembled_from_oracle_compressed_chunks() {
         for spec in [ChunkSpec::default(), ChunkSpec::with_segments(1)] {
             let raw_app = encode_app_container(&app, spec.codec(Codec::None));
             let raw_reduced = encode_reduced_container(&reduced, spec.codec(Codec::None));
-            for codec in [Codec::Delta, Codec::Lz, Codec::DeltaLz] {
+            for codec in [Codec::Lz, Codec::DeltaLz] {
                 let (expected, raw_chunks) = assemble_with_oracle(&raw_app, codec);
                 fallbacks += raw_chunks.len();
                 assert!(

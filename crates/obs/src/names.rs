@@ -73,7 +73,6 @@ pub const OBS_SPANS_DROPPED: &str = "obs.spans_dropped";
 pub fn codec_chunks(codec_name: &str) -> &'static str {
     match codec_name {
         "none" => "codec.none.chunks",
-        "delta" => "codec.delta.chunks",
         "lz" => "codec.lz.chunks",
         "delta-lz" => "codec.delta-lz.chunks",
         _ => "codec.other.chunks",
@@ -85,7 +84,6 @@ pub fn codec_chunks(codec_name: &str) -> &'static str {
 pub fn codec_raw_bytes(codec_name: &str) -> &'static str {
     match codec_name {
         "none" => "codec.none.raw_bytes",
-        "delta" => "codec.delta.raw_bytes",
         "lz" => "codec.lz.raw_bytes",
         "delta-lz" => "codec.delta-lz.raw_bytes",
         _ => "codec.other.raw_bytes",
@@ -97,7 +95,6 @@ pub fn codec_raw_bytes(codec_name: &str) -> &'static str {
 pub fn codec_stored_bytes(codec_name: &str) -> &'static str {
     match codec_name {
         "none" => "codec.none.stored_bytes",
-        "delta" => "codec.delta.stored_bytes",
         "lz" => "codec.lz.stored_bytes",
         "delta-lz" => "codec.delta-lz.stored_bytes",
         _ => "codec.other.stored_bytes",
@@ -110,7 +107,7 @@ mod tests {
 
     #[test]
     fn codec_names_map_to_distinct_metrics() {
-        let names: Vec<&str> = ["none", "delta", "lz", "delta-lz"]
+        let names: Vec<&str> = ["none", "lz", "delta-lz"]
             .iter()
             .map(|c| codec_stored_bytes(c))
             .collect();

@@ -52,9 +52,8 @@ proptest! {
     fn index_sharded_ingestion_agrees_with_sequential(rank_specs in prop::collection::vec(
         prop::collection::vec((0u8..4, 0u8..4, 0u16..2000), 0..8),
         1..5,
-    ), codec_id in 0u8..4) {
+    ), codec in prop_oneof![Just(Codec::None), Just(Codec::DeltaLz)]) {
         let app = build_trace(&rank_specs);
-        let codec = Codec::from_byte(codec_id).expect("grid covers the codec ids");
         let bytes = encode_app_container(&app, ChunkSpec::with_segments(3).codec(codec));
         let mut path = std::env::temp_dir();
         path.push(format!(

@@ -6,12 +6,16 @@
 //! holding `u32::MAX + 1` used to decode as id 0 (the text reader closed the
 //! same hole earlier).  Each container here is written by the real writer
 //! with `u32::MAX` in one field — which must round-trip — and then has that
-//! one value raised by one in place, CRC recomputed: `u32::MAX` and
-//! `u32::MAX + 1` encode to the same number of bytes, as a varint and as a
-//! zig-zag delta alike, so nothing else in the file moves.
+//! one value raised by one, the chunk re-framed with its CRC recomputed.
+//! `u32::MAX` and `u32::MAX + 1` encode to the same number of bytes, as a
+//! varint and as a zig-zag delta alike: under `none` the row payload keeps
+//! its length, and under `delta-lz` the column streams, unpacked, raised
+//! and packed again, are asserted to, so nothing else in the file moves and
+//! the index still points at every section.
 
 use std::io::Cursor;
 
+use trace_compress::{lz_compress, lz_decompress};
 use trace_container::{
     crc32, encode_app_container, encode_reduced_container, read_app_container,
     read_reduced_container, ChunkSpec, Codec, ContainerError,
@@ -39,8 +43,8 @@ enum Field {
 
 /// Two ranks of eight one-event segments, `u32::MAX` in `field` of every
 /// record that has it (so that the column form, which stores the value once
-/// and zero deltas after it, is smaller than the rows and the writer keeps
-/// the `delta` codec for the chunk).
+/// and zero deltas after it, packs smaller than the rows and the writer keeps
+/// the `delta-lz` codec for the chunk).
 fn app_with_max_in(field: Field) -> AppTrace {
     let pick = |this: bool| if this { u32::MAX } else { 1 };
     let mut app = AppTrace::new("id_range", 2);
@@ -96,36 +100,53 @@ fn reduced_with_max_ids() -> ReducedAppTrace {
     }
 }
 
+/// `bytes` with the first occurrence of `from` replaced by `to`.
+fn replace_first(bytes: &[u8], from: [u8; 5], to: [u8; 5]) -> Vec<u8> {
+    let at = bytes
+        .windows(5)
+        .position(|window| window == from)
+        .expect("the chunk holds u32::MAX");
+    let mut out = bytes.to_vec();
+    out[at..at + 5].copy_from_slice(&to);
+    out
+}
+
 /// Raises the first `u32::MAX` in the first chunk of `kind` to
-/// `u32::MAX + 1` and re-frames the chunk; asserts the chunk is stored
-/// under `codec`, so the test reaches the decoder it means to.
+/// `u32::MAX + 1` and re-frames the chunk with its new length and CRC;
+/// asserts the chunk is stored under `codec`, so the test reaches the
+/// decoder it means to.
 fn raise_first_max_id(container: &[u8], kind: u8, codec: Codec) -> Vec<u8> {
-    // As a plain varint in a row payload, as a zig-zag first delta in a
-    // column stream.
-    let (max, past_max): ([u8; 5], [u8; 5]) = match codec {
-        Codec::None => (
-            [0xff, 0xff, 0xff, 0xff, 0x0f],
-            [0x80, 0x80, 0x80, 0x80, 0x10],
-        ),
-        _ => (
-            [0xfe, 0xff, 0xff, 0xff, 0x1f],
-            [0x80, 0x80, 0x80, 0x80, 0x20],
-        ),
-    };
-    let mut out = container.to_vec();
     let mut pos = 6;
     while pos < container.len() - 12 {
         let len = u32::from_le_bytes(container[pos + 2..pos + 6].try_into().unwrap()) as usize;
         if container[pos] == kind {
             assert_eq!(container[pos + 1], codec.as_byte(), "chunk codec");
-            let payload = &mut out[pos + 10..pos + 10 + len];
-            let at = payload
-                .windows(5)
-                .position(|window| window == max)
-                .expect("the chunk holds u32::MAX");
-            payload[at..at + 5].copy_from_slice(&past_max);
-            let crc = crc32(payload).to_le_bytes();
-            out[pos + 6..pos + 10].copy_from_slice(&crc);
+            let stored = &container[pos + 10..pos + 10 + len];
+            let payload = match codec {
+                // A plain varint in the row payload.
+                Codec::None => replace_first(
+                    stored,
+                    [0xff, 0xff, 0xff, 0xff, 0x0f],
+                    [0x80, 0x80, 0x80, 0x80, 0x10],
+                ),
+                // A zig-zag first delta in a column stream, inside the LZ
+                // block.
+                _ => {
+                    let columns = lz_decompress(stored).unwrap();
+                    let raised = replace_first(
+                        &columns,
+                        [0xfe, 0xff, 0xff, 0xff, 0x1f],
+                        [0x80, 0x80, 0x80, 0x80, 0x20],
+                    );
+                    lz_compress(&raised).unwrap()
+                }
+            };
+            assert_eq!(payload.len(), len, "the raised chunk keeps its length");
+            let mut out = container[..pos + 2].to_vec();
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crc32(&payload).to_le_bytes());
+            out.extend_from_slice(&payload);
+            out.extend_from_slice(&container[pos + 10 + len..]);
             return out;
         }
         pos += 10 + len;
@@ -145,7 +166,7 @@ fn is_out_of_range(err: &ContainerError) -> bool {
 #[test]
 fn app_containers_reject_an_id_one_past_u32_max_and_keep_u32_max() {
     let reducer = Reducer::with_default_threshold(Method::RelDiff);
-    for codec in [Codec::None, Codec::Delta] {
+    for codec in [Codec::None, Codec::DeltaLz] {
         for field in [Field::Region, Field::Context, Field::Peer, Field::Tag] {
             let what = format!("{field:?} under {}", codec.name());
             let app = app_with_max_in(field);
@@ -183,7 +204,7 @@ fn app_containers_reject_an_id_one_past_u32_max_and_keep_u32_max() {
 #[test]
 fn reduced_containers_reject_a_segment_id_one_past_u32_max_and_keep_u32_max() {
     let reduced = reduced_with_max_ids();
-    for codec in [Codec::None, Codec::Delta] {
+    for codec in [Codec::None, Codec::DeltaLz] {
         let valid = encode_reduced_container(&reduced, ChunkSpec::with_codec(codec));
         assert_eq!(read_reduced_container(&valid[..]).unwrap(), reduced);
         for kind in [STORED, EXECS] {
