@@ -334,14 +334,16 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
         // sharding happened and the "peak" is simply every segment, so
         // the message must not claim otherwise.
         let v1_fallback = kind == trace_stream::TraceInputKind::BinaryV1;
+        // No more workers run than the trace has ranks.
+        let workers = shards.clamp(1, result.reduced.rank_count().max(1));
         let pipeline = if v1_fallback {
             "in memory (--shards not applicable)".to_string()
         } else {
-            format!("over {shards} shard(s)")
+            format!("over {workers} shard(s)")
         };
-        // With several shards the stat is the sum of per-worker peaks —
+        // With several workers the stat is the sum of per-worker peaks —
         // an upper bound on the concurrent total, not one observation.
-        let peak = if !v1_fallback && shards > 1 {
+        let peak = if !v1_fallback && workers > 1 {
             format!(
                 "resident segments <= {}",
                 result.stats.peak_resident_segments
@@ -789,6 +791,7 @@ mod tests {
     #[test]
     fn stream_reduce_matches_the_in_memory_path() {
         let text = temp_path("stream_in.txt");
+        let one_rank = temp_path("stream_one_rank.txt");
         let reduced_mem = temp_path("stream_mem.trc");
         let reduced_stream = temp_path("stream_out.trc");
 
@@ -801,38 +804,59 @@ mod tests {
             ],
         ))
         .unwrap();
-
-        run(&Invocation::new(
-            "reduce",
-            &[
-                ("in", text.to_str().unwrap()),
-                ("out", reduced_mem.to_str().unwrap()),
-                ("method", "relDiff"),
-            ],
-        ))
+        std::fs::write(
+            &one_rank,
+            "TRACEFORMAT 1\nTRACE RANKS 1 NAME one\nREGION 0 work\nCONTEXT 0 main.1\n\
+             RANK 0\nSEG_BEGIN 0 0\nEVENT 0 10 90 0 COMPUTE\nSEG_END 0 100\n\
+             SEG_BEGIN 0 100\nEVENT 0 110 190 0 COMPUTE\nSEG_END 0 200\nEND_RANK\n\
+             END_TRACE\n",
+        )
         .unwrap();
 
-        let out = run(&Invocation::new(
-            "reduce",
-            &[
-                ("in", text.to_str().unwrap()),
-                ("out", reduced_stream.to_str().unwrap()),
-                ("method", "relDiff"),
-                ("stream", ""),
-                ("shards", "3"),
-            ],
-        ))
-        .unwrap();
-        assert!(out.contains("stream-reduced"), "{out}");
-        assert!(out.contains("resident segments <="), "{out}");
+        // The summary names the workers that ran: one per rank at most, and
+        // a single worker's peak is one observation, not a bound.
+        for (input, shards, pipeline, peak) in [
+            (&text, "3", "over 3 shard(s)", "resident segments <="),
+            (
+                &one_rank,
+                "4",
+                "over 1 shard(s)",
+                "peak resident segments 2 ",
+            ),
+        ] {
+            run(&Invocation::new(
+                "reduce",
+                &[
+                    ("in", input.to_str().unwrap()),
+                    ("out", reduced_mem.to_str().unwrap()),
+                    ("method", "relDiff"),
+                ],
+            ))
+            .unwrap();
 
-        // The streamed output file is byte-identical to the in-memory one.
-        assert_eq!(
-            std::fs::read(&reduced_mem).unwrap(),
-            std::fs::read(&reduced_stream).unwrap()
-        );
+            let out = run(&Invocation::new(
+                "reduce",
+                &[
+                    ("in", input.to_str().unwrap()),
+                    ("out", reduced_stream.to_str().unwrap()),
+                    ("method", "relDiff"),
+                    ("stream", ""),
+                    ("shards", shards),
+                ],
+            ))
+            .unwrap();
+            assert!(out.contains("stream-reduced"), "{out}");
+            assert!(out.contains(pipeline), "{out}");
+            assert!(out.contains(peak), "{out}");
 
-        cleanup(&[&text, &reduced_mem, &reduced_stream]);
+            // The streamed output file is byte-identical to the in-memory one.
+            assert_eq!(
+                std::fs::read(&reduced_mem).unwrap(),
+                std::fs::read(&reduced_stream).unwrap()
+            );
+        }
+
+        cleanup(&[&text, &one_rank, &reduced_mem, &reduced_stream]);
     }
 
     #[test]

@@ -1,14 +1,21 @@
 //! Incremental, line-oriented parsing of full-trace text files.
 //!
-//! [`StreamParser`] pulls one record at a time from any [`BufRead`] source,
-//! reusing the exact line-level grammar of `trace_format` (the
-//! [`trace_format::record`] module), so it accepts precisely the same
-//! language as the in-memory [`trace_format::parse_app_trace`] — without
-//! ever holding more than one block of the file in memory.
+//! [`StreamParser`] pulls items from any [`BufRead`] source, reusing the
+//! exact line-level grammar of `trace_format` (the [`trace_format::record`]
+//! module), so it accepts precisely the same language as the in-memory
+//! [`trace_format::parse_app_trace`] — without ever holding more than one
+//! block of the file in memory.
 //!
 //! Lines are not copied out of the input: the reader owns one block buffer,
 //! refills it with plain `read` calls, finds line ends a word at a time and
 //! hands each trimmed line to the byte grammar as a slice of that buffer.
+//!
+//! Inside a rank section, records are decoded a batch at a time, as the
+//! container reader decodes a chunk: a record line starts a batch of up to
+//! [`BATCH_RECORDS`] records, which ends early at the first line that is not
+//! a record.  That line goes back to the reader, to be read again by the
+//! next call, so items, errors and line numbers are the ones a
+//! record-at-a-time parser gives, in the same order.
 
 use std::io::{self, BufRead};
 use std::ops::Range;
@@ -19,6 +26,7 @@ use trace_format::record::{
 use trace_format::write::APP_HEADER;
 use trace_format::FormatError;
 use trace_model::{Rank, TraceRecord};
+use trace_obs::{ObsShard, SpanStart, Stage};
 
 use crate::error::StreamError;
 
@@ -31,7 +39,12 @@ const BLOCK_BYTES: usize = 128 * 1024;
 /// input without newlines is a typed error, not unbounded memory.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// The most records one batch holds: a record line in a rank section has
+/// the lines that follow it parsed too, up to this many records in all.
+pub const BATCH_RECORDS: usize = 2048;
+
 /// Index of the first `\n` in `haystack`, examined eight bytes at a time.
+#[inline]
 fn find_newline(haystack: &[u8]) -> Option<usize> {
     const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
@@ -84,22 +97,31 @@ impl<R: BufRead> LineReader<R> {
 
     /// Advances to the next meaningful line and returns what `parse` makes
     /// of its number and trimmed text; the end of input is an error naming
-    /// what the caller was `expecting`.  Line classification is the shared
-    /// rule in [`trace_format::record::meaningful_line`]; a line with
-    /// non-ASCII bytes — record or comment — must be UTF-8, as `read_line`
-    /// demanded.
+    /// what the caller was `expecting`.
     fn next_line<T, E: Into<StreamError>>(
         &mut self,
         expecting: &str,
         parse: impl FnOnce(usize, &[u8]) -> Result<T, E>,
     ) -> Result<T, StreamError> {
-        loop {
-            let Some(raw) = self.next_raw()? else {
-                return Err(FormatError::structural(format!(
-                    "unexpected end of input, expected {expecting}"
-                ))
-                .into());
-            };
+        let Some(parsed) = self.next_meaningful(parse)? else {
+            return Err(FormatError::structural(format!(
+                "unexpected end of input, expected {expecting}"
+            ))
+            .into());
+        };
+        parsed.map_err(Into::into)
+    }
+
+    /// Advances to the next meaningful line and returns what `parse` makes
+    /// of its number and trimmed text, or `None` at the end of input.  Line
+    /// classification is the shared rule in
+    /// [`trace_format::record::meaningful_line`]; a line with non-ASCII
+    /// bytes — record or comment — must be UTF-8, as `read_line` demanded.
+    fn next_meaningful<T>(
+        &mut self,
+        parse: impl FnOnce(usize, &[u8]) -> T,
+    ) -> Result<Option<T>, StreamError> {
+        while let Some(raw) = self.next_raw()? {
             let raw = self.buf.get(raw).unwrap_or_default();
             if !raw.is_ascii() && std::str::from_utf8(raw).is_err() {
                 // The error `BufRead::read_line` gives for such a line.
@@ -107,17 +129,35 @@ impl<R: BufRead> LineReader<R> {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, message).into());
             }
             if let Some(line) = meaningful_line(raw) {
-                return parse(self.line_no, line).map_err(Into::into);
+                return Ok(Some(parse(self.line_no, line)));
             }
         }
+        Ok(None)
     }
 
     /// Advances past the next line of input and returns its range in `buf`,
-    /// terminator excluded, or `None` at end of input.
+    /// terminator excluded, or `None` at end of input.  A line the block
+    /// holds whole is found inline, which is what lets a batch's loop run
+    /// without a call per line; a line that needs a refill takes the call.
+    #[inline]
     fn next_raw(&mut self) -> Result<Option<Range<usize>>, StreamError> {
         if std::mem::take(&mut self.replay) {
             return Ok(Some(self.last.clone()));
         }
+        let unread = self.buf.get(self.start..self.filled).unwrap_or_default();
+        let Some(at) = find_newline(unread) else {
+            return self.next_raw_refilling();
+        };
+        let end = self.start + at;
+        self.line_no += 1;
+        self.last = self.start..end;
+        self.start = end + 1;
+        Ok(Some(self.last.clone()))
+    }
+
+    /// `next_raw` for a line the block does not hold whole.
+    #[inline(never)]
+    fn next_raw_refilling(&mut self) -> Result<Option<Range<usize>>, StreamError> {
         // `buf[start..scanned]` is known to hold no newline.
         let mut scanned = self.start;
         let end = loop {
@@ -200,12 +240,22 @@ impl State {
 /// Construction parses the magic line and the header tables; each
 /// [`StreamParser::next_item`] call then yields one rank boundary or record.
 /// `Ok(None)` means the `END_TRACE` trailer was reached and the declared
-/// rank count matched.
+/// rank count matched.  Records are parsed a batch at a time (see the
+/// module docs); [`StreamParser::take_records`] hands over the rest of the
+/// current batch at once.
 pub struct StreamParser<R> {
     lines: LineReader<R>,
     tables: TraceTables,
     state: State,
     ranks_seen: usize,
+    /// The records of the current batch; `batch[next..]` have not been
+    /// handed out yet.  One buffer, reused from batch to batch.
+    batch: Vec<TraceRecord>,
+    next: usize,
+    /// What the reader failed with while filling the batch, returned once
+    /// the records before it are handed out.
+    held: Option<StreamError>,
+    obs: ObsShard,
 }
 
 impl<R: BufRead> StreamParser<R> {
@@ -233,7 +283,18 @@ impl<R: BufRead> StreamParser<R> {
             tables: builder.finish()?,
             state: State::Body,
             ranks_seen: 0,
+            batch: Vec::new(),
+            next: 0,
+            held: None,
+            obs: ObsShard::disabled(),
         })
+    }
+
+    /// Attaches an observability shard: each batch of records is parsed
+    /// under one [`Stage::Parse`] span.  The shard flushes to its recorder
+    /// when the parser is dropped.
+    pub fn set_obs(&mut self, obs: ObsShard) {
+        self.obs = obs;
     }
 
     /// The header tables (program name, declared rank count, region and
@@ -249,11 +310,19 @@ impl<R: BufRead> StreamParser<R> {
 
     /// Pulls the next item, or `Ok(None)` once the trailer was consumed.
     pub fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
+        if let Some(record) = self.batch.get(self.next) {
+            self.next += 1;
+            return Ok(Some(AppItem::Record(*record)));
+        }
+        if let Some(error) = self.held.take() {
+            return Err(error);
+        }
         let in_rank = matches!(self.state, State::InRank(_));
         if matches!(self.state, State::Done) {
             return Ok(None);
         }
 
+        let span = self.obs.start();
         let (tables, expecting) = (&self.tables, self.state.expecting());
         let parsed = self.lines.next_line(expecting, |line_no, line| {
             parse_app_body_line(tables, line_no, line, in_rank)
@@ -264,7 +333,10 @@ impl<R: BufRead> StreamParser<R> {
                 self.state = State::InRank(rank);
                 Ok(Some(AppItem::RankStart(rank)))
             }
-            AppBodyLine::Record(record) => Ok(Some(AppItem::Record(record))),
+            AppBodyLine::Record(record) => {
+                self.fill_batch(record, span);
+                Ok(Some(AppItem::Record(record)))
+            }
             AppBodyLine::EndRank => {
                 // `parse_app_body_line` only yields END_RANK when told a
                 // rank section is open; report a parser bug as a structural
@@ -290,18 +362,69 @@ impl<R: BufRead> StreamParser<R> {
         }
     }
 
+    /// Makes `first` the first record of a new batch and parses the record
+    /// lines after it into the batch, as one [`Stage::Parse`] span from
+    /// `span`.
+    fn fill_batch(&mut self, first: TraceRecord, span: SpanStart) {
+        self.batch.clear();
+        self.batch.push(first);
+        self.next = 1;
+        let tables = &self.tables;
+        while self.batch.len() < BATCH_RECORDS {
+            let line = self
+                .lines
+                .next_meaningful(|line_no, line| parse_app_body_line(tables, line_no, line, true));
+            match line {
+                Ok(Some(Ok(AppBodyLine::Record(record)))) => self.batch.push(record),
+                // `END_RANK` or a line in error goes back to the reader: the
+                // next call meets it, and `skip_current_rank` passes over a
+                // malformed record as it would have without the batch.
+                Ok(Some(_)) => {
+                    self.lines.replay = true;
+                    break;
+                }
+                // The next call reports the end of input.
+                Ok(None) => break,
+                // The reader consumed what failed; the error waits for the
+                // records before it.
+                Err(error) => {
+                    self.held = Some(error);
+                    break;
+                }
+            }
+        }
+        self.obs.end(Stage::Parse, span);
+    }
+
+    /// The records of the current batch that [`StreamParser::next_item`] has
+    /// not yielded yet, handed out at once — they follow the record it
+    /// returned last.  Empty once the batch is used up: the next batch is
+    /// parsed by the next `next_item` call.
+    pub fn take_records(&mut self) -> &[TraceRecord] {
+        let rest = self.batch.get(self.next..).unwrap_or_default();
+        self.next = self.batch.len();
+        rest
+    }
+
     /// Skips the remainder of the open rank section without parsing its
     /// record payloads (the sharded driver uses this to pass over ranks
     /// owned by other workers).  Returns the skipped rank.
     ///
     /// Section structure is still enforced — a stray `RANK`/`END_TRACE`
     /// inside the section is an error — but record lines are not validated.
+    /// Records of the current batch not yet handed out are dropped; an error
+    /// held behind them is returned.
     pub fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
         let State::InRank(rank) = self.state else {
             return Err(
                 FormatError::structural("skip_current_rank called outside a rank section").into(),
             );
         };
+        self.batch.clear();
+        self.next = 0;
+        if let Some(error) = self.held.take() {
+            return Err(error);
+        }
         let section_ended = |line_no, line: &[u8]| {
             if line.starts_with(b"RANK") || line == b"END_TRACE" {
                 let line = String::from_utf8_lossy(line);
@@ -411,6 +534,25 @@ mod tests {
             err.as_format().unwrap().message.contains("rank sections"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn the_batch_never_grows_past_its_cap() {
+        let mut text = String::from("TRACEFORMAT 1\nTRACE RANKS 1 NAME x\nCONTEXT 0 main.1\n");
+        text.push_str("RANK 0\n");
+        for time in 0..10 * BATCH_RECORDS {
+            text.push_str(&format!("SEG_BEGIN 0 {time}\n"));
+        }
+        text.push_str("END_RANK\nEND_TRACE\n");
+        let mut parser = parser_for(&text);
+        let mut records = 0;
+        while let Some(item) = parser.next_item().unwrap() {
+            if matches!(item, AppItem::Record(_)) {
+                records += 1 + parser.take_records().len();
+            }
+            assert!(parser.batch.capacity() <= BATCH_RECORDS);
+        }
+        assert_eq!(records, 10 * BATCH_RECORDS);
     }
 
     #[test]

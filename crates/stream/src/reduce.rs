@@ -49,7 +49,8 @@ pub struct StreamStats {
     /// `records * size_of::<TraceRecord>()`.  The batch is what counts in
     /// practice — a record is 56 bytes in memory and under ten in a row
     /// payload, so a default 128-segment chunk of ≈ 8 KB decodes to ≈ 45 KB.
-    /// Zero for text streams (they buffer one block of lines, not chunks);
+    /// Zero for text streams: they buffer one block of lines, not chunks,
+    /// and hold at most [`crate::parser::BATCH_RECORDS`] decoded records;
     /// for monolithic v1 binary inputs this is the whole file, which is the
     /// point of the chunked container.  Merging keeps the per-reader
     /// maximum, so the concurrent total of a sharded run is at most
@@ -164,9 +165,9 @@ impl RankWorker {
     /// the container reader, the loop is identical.
     ///
     /// The section is bracketed by a [`trace_obs::Stage::Rank`] span (the
-    /// loop fuses segment and match per record — and, for text, parse — so
-    /// the rank is the finest honestly separable unit: two clock reads per
-    /// rank; a container source times its own chunk decodes inside it).
+    /// loop fuses segment and match per record, so the rank is the finest
+    /// honestly separable unit: two clock reads per rank; a source times
+    /// its own decodes inside it — a container's chunks, text's batches).
     /// An item out of place — a record or rank end before the rank start, a
     /// second rank start, or the end of the stream — is a protocol error:
     /// the open rank would otherwise be lost.
@@ -213,8 +214,8 @@ impl RankWorker {
                         }
                     };
                     // The record, then whatever the source has decoded
-                    // behind it: the rest of a container chunk, nothing for
-                    // text.
+                    // behind it: the rest of a container chunk or of a
+                    // text batch.
                     push(&first);
                     source.take_records().iter().for_each(push);
                 }

@@ -107,13 +107,19 @@ pub(crate) fn reduce_sources<S: AppItemSource + Send>(
 
 /// Reduces a text trace on up to `workers` workers: worker 0 reads `first`
 /// (whose header declares the rank count), the others `open(worker)`.
+/// Every worker's parser records its batches as `parse` spans.
 pub(crate) fn reduce_text<R: BufRead + Send>(
     reducer: &Reducer,
     first: R,
     workers: usize,
     open: impl Fn(usize) -> Result<R, StreamError> + Sync,
 ) -> Result<StreamReduction, StreamError> {
-    let first = StreamParser::new(first)?;
+    let parser = |reader| -> Result<_, StreamError> {
+        let mut parser = StreamParser::new(reader)?;
+        parser.set_obs(reducer.recorder().shard());
+        Ok(parser)
+    };
+    let first = parser(first)?;
     let tables = first.tables();
     let header = ReducedAppTrace {
         name: tables.name.clone(),
@@ -123,7 +129,7 @@ pub(crate) fn reduce_text<R: BufRead + Send>(
     };
     let n = tables.declared_ranks;
     reduce_sources(reducer, header, first, n, workers, |worker| {
-        StreamParser::new(open(worker)?)
+        parser(open(worker)?)
     })
 }
 

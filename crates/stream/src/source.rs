@@ -7,8 +7,9 @@
 //! drives the line-oriented text parser ([`crate::parser::StreamParser`])
 //! and the chunked binary container reader
 //! ([`crate::binary::ContainerSource`]) without caring which format the
-//! bytes were in.  A source that decodes records in batches — a container
-//! chunk at a time — can also hand the rest of a batch over as a slice
+//! bytes were in.  Both decode records in batches — a container a chunk at
+//! a time, text up to [`crate::parser::BATCH_RECORDS`] record lines at a
+//! time — and hand the rest of a batch over as a slice
 //! ([`AppItemSource::take_records`]), which spares the loop one item
 //! hand-off per record.
 
@@ -34,8 +35,9 @@ pub trait AppItemSource {
 
     /// The records that follow the one [`AppItemSource::next_item`] returned
     /// last and are already decoded, handed over all at once (the source
-    /// will not yield them again).  A source that decodes record by record
-    /// has none, which is the default.
+    /// will not yield them again).  Both formats' sources decode in batches
+    /// and override this; the default, none, serves a source that yields
+    /// record by record.
     fn take_records(&mut self) -> &[TraceRecord] {
         &[]
     }
@@ -55,5 +57,9 @@ impl<R: BufRead> AppItemSource for StreamParser<R> {
 
     fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
         StreamParser::skip_current_rank(self)
+    }
+
+    fn take_records(&mut self) -> &[TraceRecord] {
+        StreamParser::take_records(self)
     }
 }

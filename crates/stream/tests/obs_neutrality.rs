@@ -14,11 +14,12 @@
 //!   have actually recorded, so the claim is never vacuous.
 //! * **Drained once.**  The run report's counters equal the counters the
 //!   driver returns, field by field, and there is one span per rank — the
-//!   guard against a double drain when one driver calls another.  A
-//!   container source adds its per-chunk spans, whose counts are facts of
-//!   the file, whatever the worker count: one `ChunkIo` span per chunk read,
-//!   one `Parse` span per `RECORDS` chunk, one `Compress` span per chunk
-//!   stored under an LZ codec.
+//!   guard against a double drain when one driver calls another.  A source
+//!   adds its decode spans, whose counts are facts of the file, whatever the
+//!   worker count.  A container gives one `ChunkIo` span per chunk read, one
+//!   `Parse` span per `RECORDS` chunk and one `Compress` span per chunk
+//!   stored under an LZ codec; text gives one `Parse` span per batch of
+//!   records.
 
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -29,6 +30,7 @@ use trace_model::{AppTrace, ReducedAppTrace};
 use trace_obs::{names, Recorder, RunReport, Stage};
 use trace_reduce::{reduce_app_parallel_with_stats, MatchStats, Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
+use trace_stream::parser::BATCH_RECORDS;
 use trace_stream::{
     reduce_any_file, reduce_container_file, reduce_container_stream, reduce_stream,
     reduce_stream_sharded, StreamError, StreamReduction, StreamStats,
@@ -43,6 +45,9 @@ struct Sources {
     /// codec (the writer stores a chunk raw when compression does not pay).
     records_chunks: usize,
     lz_chunks: usize,
+    /// Batches the text parser fills: a rank of `r` records takes
+    /// `ceil(r / BATCH_RECORDS)`, a batch ending early only at `END_RANK`.
+    text_batches: usize,
     text_file: PathBuf,
     v1_file: PathBuf,
     v2_file: PathBuf,
@@ -72,6 +77,10 @@ impl Sources {
         let container = encode_app_container(&app, spec);
         let (records_chunks, lz_chunks) = count_records_chunks(&container);
         assert!(lz_chunks > 0 && records_chunks > app.rank_count());
+        let ranks = app.ranks.iter();
+        let text_batches = ranks.map(|rank| rank.records.len().div_ceil(BATCH_RECORDS));
+        let text_batches = text_batches.sum();
+        assert!(text_batches >= app.rank_count());
         let file = |name: &str, bytes: &[u8]| {
             let mut path = std::env::temp_dir();
             path.push(format!(
@@ -90,6 +99,7 @@ impl Sources {
             container,
             records_chunks,
             lz_chunks,
+            text_batches,
         }
     }
 }
@@ -113,8 +123,8 @@ struct Outcome {
 /// Which spans a driver records.  Per rank: the fused streaming loop one
 /// `Rank` span, the in-memory loop (and the v1 fallback, which decodes the
 /// whole file and runs it) one `Segment` and one `Match` span.  For its
-/// input: nothing for text, which parses inside the `Rank` span, the
-/// per-chunk spans for a container, one `Parse` span for a v1 file.
+/// input: one `Parse` span per batch for text, the per-chunk spans for a
+/// container, one `Parse` span for a v1 file.
 #[derive(Clone, Copy)]
 enum Spans {
     FusedText,
@@ -289,12 +299,13 @@ fn assert_drained_once(
     assert_eq!(span_count(Stage::Rank), fused, "{what}: rank spans");
     assert_eq!(span_count(Stage::Segment), in_memory, "{what}: segment");
     assert_eq!(span_count(Stage::Match), in_memory, "{what}: match");
-    // The input's spans: per chunk for a container, however many workers
-    // shared its sections; one for a v1 file; none of its own for text.
+    // The input's spans, however many workers shared its sections: per
+    // chunk for a container, per batch for text, one for a v1 file.
     let (parse, lz) = match spans {
         Spans::FusedContainer => (src.records_chunks, src.lz_chunks),
+        Spans::FusedText => (src.text_batches, 0),
         Spans::InMemoryV1 => (1, 0),
-        Spans::FusedText | Spans::InMemory => (0, 0),
+        Spans::InMemory => (0, 0),
     };
     assert_eq!(span_count(Stage::Parse), parse, "{what}: parse spans");
     assert_eq!(span_count(Stage::Compress), lz, "{what}: compress spans");
