@@ -261,6 +261,61 @@ fn a_streamed_convert_failing_on_its_input_names_the_input_and_keeps_the_target(
 }
 
 #[test]
+fn a_one_worker_streamed_reduce_failing_on_its_input_names_it_and_keeps_the_target() {
+    // `reduce --stream` without `--shards` decodes its input on a second
+    // thread; what that thread meets is still the command's error.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let text = write_app_trace(&app);
+    let last = text.rfind("\nRANK ").unwrap() + 1;
+    let records = last + text[last..].find('\n').unwrap() + 1;
+    let bad_last_rank = format!("{}EVENT 0 nonsense\n{}", &text[..records], &text[records..]);
+    let mid_record = records + text[records..].find(' ').unwrap();
+    let cut_text = text[..mid_record].to_string();
+    let container = encode_app_container(&app, ChunkSpec::with_codec(Codec::DeltaLz));
+    let cut_container = container[..container.len() / 2].to_vec();
+    let cases = [
+        (
+            "bad_last_rank.txt",
+            bad_last_rank.clone().into_bytes(),
+            parse_app_trace(&bad_last_rank).unwrap_err().to_string(),
+        ),
+        (
+            "cut_record.txt",
+            cut_text.clone().into_bytes(),
+            parse_app_trace(&cut_text).unwrap_err().to_string(),
+        ),
+        (
+            "cut_chunk.trc",
+            cut_container.clone(),
+            decode_app_any(&cut_container).unwrap_err().to_string(),
+        ),
+    ];
+    let target = temp_path("one_worker_reduce.trc");
+    write_file_atomic(&target, |file| file.write_all(b"previous output")).unwrap();
+    for (name, bytes, expected) in cases {
+        let input = temp_path(&format!("one_worker_reduce_{name}"));
+        std::fs::write(&input, bytes).unwrap();
+        let (from, to) = (input.to_str().unwrap(), target.to_str().unwrap());
+        let flags = [
+            ("in", from),
+            ("out", to),
+            ("method", "avgWave"),
+            ("stream", ""),
+        ];
+        let err = run(&Invocation::new("reduce", &flags)).unwrap_err();
+        assert_eq!(err, format!("{}: {expected}", input.display()), "{name}");
+        assert_eq!(
+            std::fs::read(&target).unwrap(),
+            b"previous output",
+            "{name}"
+        );
+        assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{name}");
+        let _ = std::fs::remove_file(&input);
+    }
+    let _ = std::fs::remove_file(&target);
+}
+
+#[test]
 fn a_streamed_convert_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
     let (text, _) = hostile_texts();
     let spec = ChunkSpec::with_codec(Codec::DeltaLz);

@@ -27,8 +27,10 @@
 //! ([`RunReport::render_json`], schema in `docs/observability.md`) and a
 //! chrome://tracing span export ([`RunReport::render_chrome_trace`]).
 //!
-//! The crate also owns the workspace's one worker fan-out, [`ordered()`]:
-//! every crate that runs ranks in parallel gives each worker a shard.
+//! The crate also owns the workspace's worker threads: the one fan-out,
+//! [`ordered()`], where every crate that runs ranks in parallel gives each
+//! worker a shard, and [`beside()`], which runs a stage ahead of the
+//! calling thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +47,6 @@ pub mod report;
 pub use chrome::ChromeEvent;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{Histogram, MetricSet};
-pub use ordered::{ordered, WorkerPanic};
+pub use ordered::{beside, ordered, WorkerPanic};
 pub use recorder::{ObsShard, Recorder, SpanRecord, SpanStart, Stage, MAX_SPANS_PER_SHARD};
 pub use report::{HistogramSnapshot, RunReport, SCHEMA_NAME, SCHEMA_VERSION};

@@ -1,7 +1,10 @@
-//! The workspace's one ordered fan-out: the paper reduces every rank on
-//! its own, so the in-memory reducer, the streaming reductions and the
-//! container writer all claim rank indices on workers with state of their
-//! own and hand the results on in rank order.
+//! The workspace's worker threads.  [`ordered()`] is its one ordered
+//! fan-out: the paper reduces every rank on its own, so the in-memory
+//! reducer, the streaming reductions and the container writer all claim
+//! rank indices on workers with state of their own and hand the results on
+//! in rank order.  [`beside()`] is the one-worker streaming reductions'
+//! second stage: it decodes the input on a thread of its own while the
+//! calling thread reduces.  Both start their threads in `scoped`.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -97,38 +100,76 @@ pub fn ordered<S: Send, T: Send, E: Send + From<WorkerPanic>>(
     let Some(mut own) = states.next() else {
         return Ok(Vec::new());
     };
-    let done = thread::scope(|scope| {
-        let (sender, results) = mpsc::channel();
-        let spawned: Vec<_> = states
-            .map(|mut state| {
-                let sender = sender.clone();
-                scope.spawn(move || {
-                    run(&mut state, &mut |result| sender.send(result).is_ok());
-                    state
-                })
-            })
-            .collect();
-        drop(sender);
-        // After each of its own results, the calling thread takes whatever
-        // the other workers have finished, then waits for the rest.
+    let (sender, results) = mpsc::channel();
+    let spawned: Vec<_> = states
+        .map(|mut state| {
+            let sender = sender.clone();
+            move || {
+                run(&mut state, &mut |result| sender.send(result).is_ok());
+                state
+            }
+        })
+        .collect();
+    drop(sender);
+    // After each of its own results, the calling thread takes whatever the
+    // other workers have finished, then waits for the rest.
+    let (own, joined) = scoped(spawned, || {
         run(&mut own, &mut |result| {
             take(result) && results.try_iter().all(&mut take)
         });
         results.iter().for_each(|result| _ = take(result));
-        let mut done = vec![own];
-        for worker in spawned {
-            match worker.join() {
-                Ok(state) => done.push(state),
-                Err(payload) => _ = take(Err(WorkerPanic(payload).into())),
-            }
-        }
-        done
+        own
     });
+    let mut done = vec![own];
+    for worker in joined {
+        match worker {
+            Ok(state) => done.push(state),
+            Err(panic) => _ = take(Err(panic.into())),
+        }
+    }
     match failure {
         Some(error) => Err(error),
         None if emitted < n => Err(WorkerPanic(Box::new("an index was never emitted")).into()),
         None => Ok(done),
     }
+}
+
+/// Runs `ahead` on a thread of its own while `work` runs on the calling
+/// thread, and returns what each returned once both have ended: a
+/// two-stage pipeline over channels the caller makes.
+///
+/// - `work` must own the receiving ends `ahead` sends to, so that they are
+///   dropped when it returns or unwinds: an `ahead` blocked on a send then
+///   fails that send, and must stop.
+/// - A panic in either stage is a [`WorkerPanic`] error, `ahead`'s first:
+///   a `work` that lost its feed to a panic fails for that reason.
+pub fn beside<A: Send, W, E: From<WorkerPanic>>(
+    ahead: impl FnOnce() -> A + Send,
+    work: impl FnOnce() -> Result<W, E>,
+) -> Result<(A, W), E> {
+    let (worked, joined) = scoped([ahead], || {
+        catch_unwind(AssertUnwindSafe(work)).map_err(WorkerPanic)
+    });
+    let never = || Err(WorkerPanic(Box::new("the second stage never ran")));
+    let ahead = joined.into_iter().next().unwrap_or_else(never)?;
+    Ok((ahead, worked??))
+}
+
+/// Runs each of `spawned` on a scoped thread of its own and `own` on the
+/// calling thread, then joins the threads: what `own` returned, and in
+/// order what each thread returned, or its panic.
+fn scoped<J: Send, R>(
+    spawned: impl IntoIterator<Item = impl FnOnce() -> J + Send>,
+    own: impl FnOnce() -> R,
+) -> (R, Vec<Result<J, WorkerPanic>>) {
+    thread::scope(|scope| {
+        let handles: Vec<_> = spawned.into_iter().map(|job| scope.spawn(job)).collect();
+        let own = own();
+        let joined = handles
+            .into_iter()
+            .map(|handle| handle.join().map_err(WorkerPanic));
+        (own, joined.collect())
+    })
 }
 
 #[cfg(test)]
@@ -362,6 +403,80 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.to_string(), "trailer missing");
         }
+    }
+
+    #[test]
+    fn beside_runs_ahead_on_a_second_thread_and_returns_both_results() {
+        let caller = thread::current().id();
+        let (send, received) = mpsc::sync_channel(1);
+        let (ahead, work) = beside(
+            move || {
+                (0..100).for_each(|i| send.send(i).unwrap());
+                thread::current().id()
+            },
+            move || Ok::<_, WorkerPanic>((thread::current().id(), received.iter().sum::<i32>())),
+        )
+        .unwrap();
+        assert_ne!(ahead, caller);
+        assert_eq!(work, (caller, 4950));
+    }
+
+    #[test]
+    fn beside_stops_an_ahead_blocked_on_a_send_once_work_ends() {
+        for fails in [false, true] {
+            let sent = AtomicUsize::new(0);
+            let (send, received) = mpsc::sync_channel(1);
+            let result = beside(
+                || {
+                    // Would send forever, but stops at its first failed send.
+                    while send.send(()).is_ok() {
+                        sent.fetch_add(1, Ordering::SeqCst);
+                    }
+                },
+                move || {
+                    received.recv().unwrap();
+                    if fails {
+                        return Err(io::Error::other("the consumer failed"));
+                    }
+                    Ok(())
+                },
+            );
+            assert_eq!(result.is_err(), fails);
+            assert!(sent.into_inner() <= 3);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_either_stage_of_beside_is_an_error() {
+        let panics = beside(|| panic!("ahead gave up"), || Ok::<_, WorkerPanic>(()));
+        assert_eq!(
+            panics.unwrap_err().0.downcast_ref::<&str>(),
+            Some(&"ahead gave up")
+        );
+        let (send, received) = mpsc::sync_channel::<()>(0);
+        let panics = beside(
+            move || while send.send(()).is_ok() {},
+            move || -> Result<(), WorkerPanic> {
+                received.recv().unwrap();
+                panic!("work gave up")
+            },
+        );
+        assert_eq!(
+            panics.unwrap_err().0.downcast_ref::<&str>(),
+            Some(&"work gave up")
+        );
+        // A panicking `ahead` is the error even when `work` failed first
+        // for the feed it lost.
+        let (send, received) = mpsc::sync_channel::<()>(0);
+        let err = beside(
+            move || {
+                drop(send);
+                panic!("ahead gave up")
+            },
+            move || received.recv().map_err(|_| io::Error::other("no feed")),
+        )
+        .unwrap_err();
+        assert_eq!(err.to_string(), "a worker panicked");
     }
 
     #[test]

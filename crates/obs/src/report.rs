@@ -173,14 +173,22 @@ impl RunReport {
         if !other_histograms.is_empty() {
             out.push_str("distributions:\n");
             for (name, h) in other_histograms {
-                out.push_str(&format!(
-                    "  {:<36} count {} min {} mean {} max {}\n",
-                    name,
-                    h.count,
-                    h.min,
-                    h.mean(),
-                    h.max
-                ));
+                // A `.ns` histogram is a time, such as a wait: its total is
+                // what compares with the stage timings.
+                let line = if name.ends_with(".ns") {
+                    let (sum, mean, max) =
+                        (format_ns(h.sum), format_ns(h.mean()), format_ns(h.max));
+                    format!("count {} total {sum} mean {mean} max {max}", h.count)
+                } else {
+                    format!(
+                        "count {} min {} mean {} max {}",
+                        h.count,
+                        h.min,
+                        h.mean(),
+                        h.max
+                    )
+                };
+                out.push_str(&format!("  {name:<36} {line}\n"));
             }
         }
         self.render_matching_rates(&mut out);
@@ -522,6 +530,25 @@ mod tests {
         assert!(!text.contains("pivot"), "{text}");
         assert!(text.contains("rank"), "{text}");
         assert!(text.contains("1.500ms"), "{text}");
+    }
+
+    #[test]
+    fn a_wait_histogram_renders_as_times_with_its_total() {
+        let clock = Arc::new(ManualClock::new(0));
+        let recorder = Recorder::with_clock(ArcClock(Arc::clone(&clock)));
+        let mut shard = recorder.shard();
+        for waited in [250_000, 1_750_000] {
+            let wait = shard.start();
+            clock.advance(waited);
+            shard.observe_since(names::STREAM_DECODE_WAIT_NS, wait);
+        }
+        shard.finish();
+        let report = recorder.report();
+        assert!(report.spans.is_empty(), "a wait is not a span");
+        let text = report.render_text();
+        let line =
+            "stream.decode_wait.ns                count 2 total 2.000ms mean 1.000ms max 1.750ms";
+        assert!(text.contains(line), "{text}");
     }
 
     #[test]

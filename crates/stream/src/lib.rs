@@ -45,8 +45,10 @@
 //! thread is a worker too, appends each reduced rank as soon as it is next
 //! in stream order, and drains the merged [`StreamStats`] into the
 //! reducer's recorder exactly once.  The sequential entry points are its
-//! one-worker case, which spawns no thread, and a panicking worker is a
-//! [`StreamError`], not a panic.
+//! one-worker case, which decodes ahead on one more thread
+//! ([`trace_obs::beside()`]): the source parses the next batch of records
+//! while the calling thread segments and matches the last.  A panicking
+//! worker or decode stage is a [`StreamError`], not a panic.
 //!
 //! # Quick start
 //!

@@ -167,7 +167,8 @@ impl RankWorker {
     /// The section is bracketed by a [`trace_obs::Stage::Rank`] span (the
     /// loop fuses segment and match per record, so the rank is the finest
     /// honestly separable unit: two clock reads per rank; a source times
-    /// its own decodes inside it — a container's chunks, text's batches).
+    /// its own decodes — a container's chunks, text's batches — inside it,
+    /// or, decoding ahead for one worker, beside it on its own thread).
     /// An item out of place — a record or rank end before the rank start, a
     /// second rank start, or the end of the stream — is a protocol error:
     /// the open rank would otherwise be lost.
