@@ -28,9 +28,9 @@ subcommands:
   reduce     --in FILE --out FILE        similarity-based reduction
              --method M [--threshold T]  [binary output flags]
              [--stream [--shards N]]     online bounded-memory reduction; input
-                                         format (text, binary v1, container v2)
-                                         is autodetected by magic bytes, and
-                                         v2 containers shard by index footer
+                                         format (text, container v2) is
+                                         autodetected by magic bytes, and v2
+                                         containers shard by index footer
              [--report FILE]             also write a self-contained HTML
                                          analysis report of the reduction
   reconstruct --in REDUCED --out FILE    rebuild an approximate full trace
@@ -63,8 +63,7 @@ observability flags (generate, reduce, convert):
                                          is a chrome://tracing event stream
 
 file formats are chosen by extension: .txt/.trctxt = text, anything else = binary;
-binary writes are .trc v2 containers, binary reads also accept monolithic v1
-files (autodetected by magic)"
+binary files are .trc v2 containers; the retired monolithic v1 format is refused"
         .to_string()
 }
 
@@ -325,25 +324,15 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let store = |reduced| store_reduced_trace(out, reduced, spec, &recorder);
 
     let (reduced, mut message) = if stream {
-        // One bounded-memory pass over the file: text, monolithic binary v1
-        // and chunked container v2 inputs are autodetected by magic bytes;
-        // v1 has no streamable structure and is decoded in memory.
+        // One bounded-memory pass over the file: text and chunked container
+        // v2 inputs are autodetected by magic bytes.
         let (result, kind) = trace_stream::reduce_any_file(&reducer, input, shards)
             .map_err(|e| format!("{}: {e}", input.display()))?;
-        // The v1 fallback decodes the whole file single-threaded: no
-        // sharding happened and the "peak" is simply every segment, so
-        // the message must not claim otherwise.
-        let v1_fallback = kind == trace_stream::TraceInputKind::BinaryV1;
         // No more workers run than the trace has ranks.
         let workers = shards.clamp(1, result.reduced.rank_count().max(1));
-        let pipeline = if v1_fallback {
-            "in memory (--shards not applicable)".to_string()
-        } else {
-            format!("over {workers} shard(s)")
-        };
         // With several workers the stat is the sum of per-worker peaks —
         // an upper bound on the concurrent total, not one observation.
-        let peak = if !v1_fallback && workers > 1 {
+        let peak = if workers > 1 {
             format!(
                 "resident segments <= {}",
                 result.stats.peak_resident_segments
@@ -356,9 +345,9 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
         };
         let written = store(&result.reduced)?;
         let mut message = format!(
-            "stream-reduced {} ({} input) with {} {pipeline}: {} stored segments for \
-             {} executions, degree of matching {:.3}, {peak} (of {} streamed), \
-             {written} bytes -> {}",
+            "stream-reduced {} ({} input) with {} over {workers} shard(s): {} stored \
+             segments for {} executions, degree of matching {:.3}, {peak} (of {} \
+             streamed), {written} bytes -> {}",
             result.reduced.name,
             kind.label(),
             config.label(),
@@ -372,14 +361,6 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
             message.push_str(&format!(
                 ", peak chunk {} bytes decoded",
                 result.stats.peak_chunk_bytes
-            ));
-        }
-        if v1_fallback {
-            message.push_str(&format!(
-                "\nnote: monolithic v1 input was decoded in memory; \
-                 `trace-tools convert --in {} --out FILE.trc` rewrites it as a \
-                 v2 container, which streams",
-                input.display()
             ));
         }
         (result.reduced, message)
@@ -860,11 +841,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_reduce_accepts_all_three_input_formats() {
-        let trace_v1 = temp_path("stream_any_v1.trc");
+    fn stream_reduce_accepts_both_input_formats() {
         let trace_v2 = temp_path("stream_any_v2.trc");
         let text = temp_path("stream_any.txt");
-        let converted = temp_path("stream_any_converted.trc");
         let reduced_mem = temp_path("stream_any_mem.trc");
 
         // `generate` writes a chunked v2 container.
@@ -887,25 +866,6 @@ mod tests {
             ],
         ))
         .unwrap();
-        // The CLI writes no v1; the model's encoder, criterion 1's
-        // yardstick, does.
-        let app = crate::io::load_app_trace(&trace_v2, &Recorder::disabled()).unwrap();
-        std::fs::write(&trace_v1, trace_model::codec::encode_app_trace(&app)).unwrap();
-        assert_eq!(&std::fs::read(&trace_v1).unwrap()[..4], b"TRCF");
-        assert_eq!(
-            crate::io::load_app_trace(&trace_v1, &Recorder::disabled()).unwrap(),
-            app
-        );
-        // `convert` turns v1 back into the very container `generate` wrote.
-        run(&Invocation::new(
-            "convert",
-            &[
-                ("in", trace_v1.to_str().unwrap()),
-                ("out", converted.to_str().unwrap()),
-            ],
-        ))
-        .unwrap();
-        assert!(std::fs::read(&converted).unwrap() == std::fs::read(&trace_v2).unwrap());
 
         run(&Invocation::new(
             "reduce",
@@ -918,11 +878,7 @@ mod tests {
         .unwrap();
         let expected = std::fs::read(&reduced_mem).unwrap();
 
-        for (input, marker) in [
-            (&text, "text input"),
-            (&trace_v1, "binary v1"),
-            (&trace_v2, "container v2"),
-        ] {
+        for (input, marker) in [(&text, "text input"), (&trace_v2, "container v2")] {
             let out_path = temp_path("stream_any_out.trc");
             let out = run(&Invocation::new(
                 "reduce",
@@ -936,18 +892,12 @@ mod tests {
             ))
             .unwrap();
             assert!(out.contains(marker), "{marker}: {out}");
-            if marker == "binary v1" {
-                // The note names the command that makes a streamable file.
-                let convert = format!("trace-tools convert --in {}", input.display());
-                assert!(out.contains(&convert), "{out}");
-                assert!(!out.contains("--container"), "{out}");
-            }
             // Bit-identical output regardless of the input encoding.
             assert_eq!(std::fs::read(&out_path).unwrap(), expected, "{marker}");
             cleanup(&[&out_path]);
         }
 
-        cleanup(&[&trace_v1, &trace_v2, &text, &converted, &reduced_mem]);
+        cleanup(&[&trace_v2, &text, &reduced_mem]);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! File formats are chosen by extension: `.txt` and `.trctxt` use the
 //! human-readable text format from `trace-format`, everything else is
-//! binary.  Binary *reads* autodetect monolithic v1 files and chunked v2
-//! containers by magic; binary *writes* have one format, a chunked v2
-//! container, whose [`ChunkSpec`] names the codec (`delta-lz` by default,
-//! `none` with `--codec none`).  The v1 encoding is only read here: it is
-//! the yardstick the paper's file-size percentages are measured against
-//! (`trace_model::codec`), not an output.  [`convert_app_trace`] streams a
-//! text or v2 input into a v2 container without loading it.
+//! binary.  Binary files have one format, a chunked v2 container, whose
+//! [`ChunkSpec`] names the codec on write (`delta-lz` by default, `none`
+//! with `--codec none`).  A retired monolithic v1 file is refused by the
+//! container's readers with one typed error; its length survives only as
+//! the yardstick of the paper's file-size criterion (`trace_model::codec`).
+//! [`convert_app_trace`] streams a text or v2 input into a v2 container
+//! without loading it.
 
 use std::fmt::Display;
 use std::fs;
@@ -164,8 +164,8 @@ pub fn store_reduced_trace(
 /// Converts the full trace at `input` to `path`.  A text input (by
 /// extension) or a v2 container bound for a container streams: the trace
 /// is read one rank at a time while its sections encode, under one
-/// [`trace_obs::Stage::Store`] span.  A v1 input or a text output loads the
-/// whole trace and stores it.  An input error reads as it does from
+/// [`trace_obs::Stage::Store`] span.  A text output loads the whole trace
+/// and stores it.  An input error reads as it does from
 /// [`load_app_trace`], however far the output got; either way no partial
 /// output is left.  Returns the number of bytes written.
 pub fn convert_app_trace(
@@ -175,8 +175,8 @@ pub fn convert_app_trace(
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
     let text = is_text_path(input);
-    // An input whose magic cannot be read takes the load path, which
-    // reports why.
+    // An input whose magic cannot be read or is refused takes the load path,
+    // which reports why.
     let streams = !is_text_path(path)
         && (text || matches!(detect_input(input), Ok(TraceInputKind::ContainerV2)));
     if !streams {
@@ -210,7 +210,6 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use trace_container::{encode_app_container, Codec};
-    use trace_model::codec::{encode_app_trace, encode_reduced_trace};
     use trace_reduce::{Method, Reducer};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -254,11 +253,6 @@ mod tests {
             assert_eq!(loaded, app, "{name}");
             let _ = std::fs::remove_file(&path);
         }
-        // v1 is read, never written, here.
-        let path = temp_path("app_roundtrip_v1.bin");
-        std::fs::write(&path, encode_app_trace(&app)).unwrap();
-        assert_eq!(load_app_trace(&path, &off()).unwrap(), app);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -290,10 +284,6 @@ mod tests {
             assert_eq!(loaded, reduced, "{name}");
             let _ = std::fs::remove_file(&path);
         }
-        let path = temp_path("reduced_roundtrip_v1.bin");
-        std::fs::write(&path, encode_reduced_trace(&reduced)).unwrap();
-        assert_eq!(load_reduced_trace(&path).unwrap(), reduced);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

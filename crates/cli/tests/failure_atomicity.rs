@@ -8,13 +8,15 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use trace_container::{
-    crc32, decode_app_any, encode_app_container, read_app_container, write_app_container,
-    ChunkSpec, Codec, CompressError, ContainerError,
+    crc32, decode_app_any, decode_reduced_any, encode_app_container, read_app_container,
+    write_app_container, ChunkSpec, Codec, CompressError, ContainerError,
 };
 use trace_format::{parse_app_trace, write_app_trace};
 use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
-use trace_stream::{convert_container, convert_text, reduce_container_file, StreamError};
+use trace_stream::{
+    convert_container, convert_text, reduce_any_file, reduce_container_file, StreamError,
+};
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
 
@@ -402,4 +404,65 @@ fn a_chunk_under_the_retired_codec_id_1_is_refused_and_leaves_no_output() {
         assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{command}");
     }
     let _ = std::fs::remove_file(&input);
+}
+
+#[test]
+fn a_retired_v1_file_is_refused_by_every_reader_and_leaves_no_output() {
+    // A v1 header (magic, version 1) and a minimal body: an empty name, two
+    // empty string tables and no ranks.  No encoder is needed, nor exists.
+    for magic in [*b"TRCF", *b"TRCR"] {
+        let mut v1 = magic.to_vec();
+        v1.extend_from_slice(&[1, 0, 0, 0, 0]);
+        let retired = |err: &ContainerError| matches!(err, ContainerError::RetiredV1 { found } if *found == magic);
+        assert!(retired(&read_app_container(&v1[..]).unwrap_err()));
+        assert!(retired(&decode_app_any(&v1).unwrap_err()));
+        assert!(retired(&decode_reduced_any(&v1).unwrap_err()));
+        let expected = decode_app_any(&v1).unwrap_err().to_string();
+        assert!(expected.contains("retired v1 format"), "{expected}");
+
+        let name = String::from_utf8_lossy(&magic).to_lowercase();
+        let input = temp_path(&format!("retired_{name}.trc"));
+        std::fs::write(&input, &v1).unwrap();
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        for shards in [1, 2] {
+            let err = reduce_any_file(&reducer, &input, shards).unwrap_err();
+            assert!(err.as_container().is_some_and(retired), "{err:?}");
+        }
+
+        // Through the CLI: every reader says so, names the input, and keeps
+        // the previous target byte for byte, with no temp file beside it.
+        let from = input.to_str().unwrap();
+        for target in ["trc", "txt"].map(|ext| temp_path(&format!("retired_out.{ext}"))) {
+            let to = target.to_str().unwrap();
+            let runs: [(&str, Vec<(&str, &str)>); 5] = [
+                ("reduce", vec![("out", to), ("method", "avgWave")]),
+                (
+                    "reduce",
+                    vec![("out", to), ("method", "avgWave"), ("stream", "")],
+                ),
+                (
+                    "reduce",
+                    vec![
+                        ("out", to),
+                        ("method", "avgWave"),
+                        ("stream", ""),
+                        ("shards", "2"),
+                    ],
+                ),
+                ("convert", vec![("out", to)]),
+                ("report", vec![("html", to)]),
+            ];
+            write_file_atomic(&target, |file| file.write_all(b"previous output")).unwrap();
+            for (command, mut flags) in runs {
+                flags.push(("in", from));
+                let what = format!("{command} {flags:?}");
+                let err = run(&Invocation::new(command, &flags)).unwrap_err();
+                assert_eq!(err, format!("{}: {expected}", input.display()), "{what}");
+                assert_eq!(std::fs::read(&target).unwrap(), b"previous output");
+                assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{what}");
+            }
+            let _ = std::fs::remove_file(&target);
+        }
+        let _ = std::fs::remove_file(&input);
+    }
 }

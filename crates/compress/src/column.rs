@@ -49,13 +49,15 @@
 //! reallocated, between chunks.
 
 use trace_model::codec::varint::{narrow_u32, read_i64, read_u64, write_i64, write_u64};
-use trace_model::codec::{write_exec, write_record, write_stored_segment, CodecError, Reader};
+use trace_model::codec::{
+    clamp_count, write_exec, write_record, write_stored_segment, CodecError, Reader,
+};
 use trace_model::{
     CollectiveOp, CommInfo, ContextId, Event, Rank, RegionId, Segment, SegmentExec, StoredSegment,
     Time, TraceRecord,
 };
 
-use crate::decode::{clamp_count, ChunkItem};
+use crate::decode::ChunkItem;
 use crate::error::CompressError;
 
 /// Which column schema a chunk payload uses.

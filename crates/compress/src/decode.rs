@@ -11,7 +11,9 @@
 //! the largest one.
 
 use trace_model::codec::varint::read_u64;
-use trace_model::codec::{read_exec, read_record, read_stored_segment, CodecError, Reader};
+use trace_model::codec::{
+    clamp_count, read_exec, read_record, read_stored_segment, CodecError, Reader,
+};
 use trace_model::{SegmentExec, StoredSegment, Time, TraceRecord};
 use trace_obs::{names, ObsShard, Stage};
 
@@ -19,13 +21,6 @@ use crate::column;
 use crate::error::{CompressError, DecodeError};
 use crate::lz::lz_decompress_into;
 use crate::Codec;
-
-/// The slots to reserve for `count` declared items when the input can back
-/// at most `limit` of them: a count is a bare varint, so a reservation made
-/// on its word alone would let a few bytes demand any allocation.
-pub(crate) fn clamp_count(count: u64, limit: usize) -> usize {
-    usize::try_from(count).map_or(limit, |count| count.min(limit))
-}
 
 /// An item kind a payload chunk holds: trace records (`RECORDS`), stored
 /// representatives (`STORED`) or segment executions (`EXECS`).

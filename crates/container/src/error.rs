@@ -21,6 +21,12 @@ pub enum ContainerError {
         /// The magic bytes found at the start of the input.
         found: [u8; 4],
     },
+    /// The file is in the retired monolithic v1 format, which no reader
+    /// accepts any more.
+    RetiredV1 {
+        /// The v1 magic bytes found at the start of the input.
+        found: [u8; 4],
+    },
     /// The container version is not supported by this reader.
     UnsupportedVersion(u8),
     /// The payload-kind byte names neither an app nor a reduced trace.
@@ -77,6 +83,12 @@ impl fmt::Display for ContainerError {
             ContainerError::BadMagic { found } => {
                 write!(f, "not a trace container: bad magic bytes {found:?}")
             }
+            ContainerError::RetiredV1 { found } => write!(
+                f,
+                "a monolithic v1 trace file (magic {:?}): the retired v1 format is no \
+                 longer read; only chunked v2 containers and text traces are",
+                String::from_utf8_lossy(found)
+            ),
             ContainerError::UnsupportedVersion(v) => {
                 write!(f, "unsupported container version {v}")
             }

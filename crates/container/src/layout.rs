@@ -28,6 +28,9 @@ use crate::error::ContainerError;
 
 /// Magic bytes opening a chunked container file (`.trc` v2).
 pub const CONTAINER_MAGIC: [u8; 4] = *b"TRC2";
+/// Magic bytes that opened the retired monolithic v1 files: a full trace
+/// (`TRCF`) and a reduced trace (`TRCR`).
+const RETIRED_V1_MAGICS: [[u8; 4]; 2] = [*b"TRCF", *b"TRCR"];
 /// Magic bytes closing the 12-byte index trailer.
 pub const INDEX_MAGIC: [u8; 4] = *b"TRCX";
 /// Container layout version written by [`crate::ChunkWriter`].  Version 2
@@ -382,11 +385,21 @@ impl<R: Read> ChunkStream<R> {
     }
 }
 
+/// Whether the first four bytes of a file open a container.  A retired
+/// monolithic v1 file is refused here, the one place that knows its magic
+/// bytes, with [`ContainerError::RetiredV1`]; any other magic is `false`.
+pub fn is_container_magic(found: [u8; 4]) -> Result<bool, ContainerError> {
+    if RETIRED_V1_MAGICS.contains(&found) {
+        return Err(ContainerError::RetiredV1 { found });
+    }
+    Ok(found == CONTAINER_MAGIC)
+}
+
 /// Reads and validates the 6-byte file header, returning the payload kind.
 pub fn read_header<R: Read>(stream: &mut ChunkStream<R>) -> Result<PayloadKind, ContainerError> {
     let mut magic = [0u8; 4];
     stream.read_exact(&mut magic, "file header")?;
-    if magic != CONTAINER_MAGIC {
+    if !is_container_magic(magic)? {
         return Err(ContainerError::BadMagic { found: magic });
     }
     let mut rest = [0u8; 2];

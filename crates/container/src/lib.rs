@@ -1,10 +1,10 @@
 #![forbid(unsafe_code)]
 //! Chunked, indexed binary trace container (`.trc` v2).
 //!
-//! The monolithic v1 codec in `trace_model::codec` can only decode a fully
-//! materialized byte buffer, which reintroduces the memory wall the
-//! stored-segments technique exists to avoid.  This crate wraps the same
-//! varint record encoding in a *chunked* container so binary traces become
+//! A monolithic file can only be decoded as a fully materialized byte
+//! buffer, which reintroduces the memory wall the stored-segments technique
+//! exists to avoid.  This crate frames the varint record encoding of
+//! `trace_model::codec` in a *chunked* container so binary traces are
 //! streamable and seekable:
 //!
 //! * records are framed into length-prefixed, CRC-32-checked chunks, cut at
@@ -17,9 +17,10 @@
 //!   binary analogue of the text stream parser) — one chunk decoded at a
 //!   time into a reused batch, handed on record by record or as a slice —
 //!   and [`reader::ChunkReader::section`] resumes at an indexed offset;
-//! * v1 monolithic files still round-trip through the fallback decoders
-//!   [`reader::decode_app_any`] / [`reader::decode_reduced_any`], keyed by
-//!   the magic bytes;
+//! * the retired monolithic v1 format (the encoding criterion 1 still
+//!   counts, `trace_model::codec::app_trace_len`) is refused by every
+//!   reader with one typed [`ContainerError::RetiredV1`], which
+//!   [`layout::is_container_magic`] raises;
 //! * every chunk carries a codec byte: payload chunks can be stored under
 //!   any `trace_compress` [`Codec`] (`none`, `lz`, or `delta-lz`'s column
 //!   transform then LZ; the CLI writes `none` and `delta-lz`), with the
@@ -67,7 +68,6 @@ pub use writer::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_model::codec::{encode_app_trace, encode_reduced_trace};
     use trace_reduce::{Method, Reducer};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -124,16 +124,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_fallback_decodes_monolithic_files() {
+    fn v1_files_are_refused_by_every_whole_file_reader() {
+        // A v1 header and a body no reader gets to: the magic alone refuses.
+        for magic in [*b"TRCF", *b"TRCR"] {
+            let mut v1 = magic.to_vec();
+            v1.extend_from_slice(&[1, 0, 0, 0, 0]);
+            let refused = |e: ContainerError| matches!(e, ContainerError::RetiredV1 { found } if found == magic);
+            assert!(refused(decode_app_any(&v1).unwrap_err()));
+            assert!(refused(decode_reduced_any(&v1).unwrap_err()));
+            assert!(refused(read_app_container(&v1[..]).unwrap_err()));
+            assert!(refused(read_reduced_container(&v1[..]).unwrap_err()));
+            assert!(refused(ChunkReader::new(&v1[..]).err().unwrap()));
+            let mut cursor = std::io::Cursor::new(&v1);
+            assert!(refused(read_index(&mut cursor).unwrap_err()));
+            let err = decode_app_any(&v1).unwrap_err().to_string();
+            assert!(err.contains("retired v1 format"), "{err}");
+        }
+
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
-        let v1 = encode_app_trace(&app);
-        assert_eq!(decode_app_any(&v1).unwrap(), app);
         let v2 = encode_app_container(&app, ChunkSpec::default());
         assert_eq!(decode_app_any(&v2).unwrap(), app);
-
         let reduced = Reducer::with_default_threshold(Method::RelDiff).reduce_app(&app);
-        let v1 = encode_reduced_trace(&reduced);
-        assert_eq!(decode_reduced_any(&v1).unwrap(), reduced);
         let v2 = encode_reduced_container(&reduced, ChunkSpec::default());
         assert_eq!(decode_reduced_any(&v2).unwrap(), reduced);
 
@@ -215,8 +226,7 @@ mod tests {
         let mut reader = ChunkReader::new(&bytes[..]).unwrap();
         while reader.next_item().unwrap().is_some() {}
         // One segment per chunk: the most one chunk takes, decoded, is far
-        // below the decoded trace (which the monolithic v1 decoder would
-        // materialize).
+        // below the decoded trace.
         let records: usize = app.ranks.iter().map(|rank| rank.records.len()).sum();
         let decoded = records * std::mem::size_of::<trace_model::TraceRecord>();
         assert!(

@@ -7,24 +7,20 @@
 //! into a batch of records the reader reuses, and handed on either record
 //! by record ([`ChunkReader::next_item`]) or as a slice
 //! ([`ChunkReader::take_records`]).  [`read_reduced_container`] materializes
-//! a reduced trace chunk by chunk, and [`decode_app_any`] /
-//! [`decode_reduced_any`] fall back to the monolithic v1 codec when the
-//! magic bytes say so.
+//! a reduced trace chunk by chunk.  Every reader opens with the file header,
+//! so a retired monolithic v1 file is refused by all of them alike.
 
 use std::io::Read;
 
 use trace_model::codec::varint::{read_u32, read_u64 as varint_read_u64};
-use trace_model::codec::{
-    decode_app_trace, decode_reduced_trace, read_string, read_string_table, Reader,
-    APP_TRACE_MAGIC, REDUCED_TRACE_MAGIC,
-};
+use trace_model::codec::{read_string, read_string_table, Reader};
 use trace_model::{
     AppTrace, ContextTable, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, RegionTable,
     TraceRecord, MAX_RESERVED_RANKS,
 };
 
 use crate::error::ContainerError;
-use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind, CONTAINER_MAGIC};
+use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind};
 
 /// The decoded preamble chunk: program name, declared rank count and the
 /// interned string tables shared by every section.
@@ -519,29 +515,15 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
     }
 }
 
-/// Decodes a full app trace from either format: chunked v2 containers
-/// (magic `TRC2`) or monolithic v1 files (magic `TRCF`) via the fallback
-/// decoder.
+/// Decodes a full app trace from a whole container buffer: the name the
+/// harness links, kept beside [`read_app_container`].  A retired v1 file is
+/// a [`ContainerError::RetiredV1`].
 pub fn decode_app_any(bytes: &[u8]) -> Result<AppTrace, ContainerError> {
-    match bytes.first_chunk::<4>() {
-        Some(&magic) if magic == CONTAINER_MAGIC => read_app_container(bytes),
-        Some(&magic) if magic == APP_TRACE_MAGIC => Ok(decode_app_trace(bytes)?),
-        Some(&magic) => Err(ContainerError::BadMagic { found: magic }),
-        None => Err(ContainerError::Truncated {
-            what: "file header",
-        }),
-    }
+    read_app_container(bytes)
 }
 
-/// Decodes a reduced trace from either format: chunked v2 containers or
-/// monolithic v1 files via the fallback decoder.
+/// Decodes a reduced trace from a whole container buffer, like
+/// [`decode_app_any`].
 pub fn decode_reduced_any(bytes: &[u8]) -> Result<ReducedAppTrace, ContainerError> {
-    match bytes.first_chunk::<4>() {
-        Some(&magic) if magic == CONTAINER_MAGIC => read_reduced_container(bytes),
-        Some(&magic) if magic == REDUCED_TRACE_MAGIC => Ok(decode_reduced_trace(bytes)?),
-        Some(&magic) => Err(ContainerError::BadMagic { found: magic }),
-        None => Err(ContainerError::Truncated {
-            what: "file header",
-        }),
-    }
+    read_reduced_container(bytes)
 }

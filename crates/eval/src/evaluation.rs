@@ -4,7 +4,7 @@
 use std::fmt;
 
 use trace_analysis::{compare_diagnoses, diagnose, ComparisonConfig, Diagnosis, Discrepancy};
-use trace_model::codec::{encode_app_trace, encode_reduced_trace};
+use trace_model::codec::{app_trace_len, reduced_trace_len};
 use trace_model::{AppTrace, ReducedAppTrace, ReducedRankTrace};
 
 use crate::criteria::{approximation_distance_us, Criteria};
@@ -69,7 +69,7 @@ impl<'a> Original<'a> {
     pub fn new(trace: &'a AppTrace) -> Self {
         Original {
             trace,
-            full_bytes: encode_app_trace(trace).len() as u64,
+            full_bytes: app_trace_len(trace),
             diagnosis: diagnose(trace),
         }
     }
@@ -108,7 +108,7 @@ impl<'a> Original<'a> {
             |count: fn(&ReducedRankTrace) -> usize| reduced.ranks.iter().map(count).sum::<usize>();
         let criteria = Criteria {
             full_bytes: self.full_bytes,
-            reduced_bytes: encode_reduced_trace(reduced).len() as u64,
+            reduced_bytes: reduced_trace_len(reduced),
             stored: sum(ReducedRankTrace::stored_count) as u64,
             execs: sum(ReducedRankTrace::exec_count) as u64,
             matches: sum(ReducedRankTrace::match_count) as u64,
@@ -144,8 +144,11 @@ mod tests {
         let original = Original::new(&full);
         let eval = original.evaluate(&reduced).unwrap();
         let c = eval.criteria;
-        assert_eq!(c.full_bytes, encode_app_trace(&full).len() as u64);
-        assert_eq!(c.reduced_bytes, encode_reduced_trace(&reduced).len() as u64);
+        // The v1 lengths of the tiny Early Gather trace and its avgWave
+        // reduction, as the monolithic encoder wrote them.
+        assert_eq!((c.full_bytes, c.reduced_bytes), (3159, 1188));
+        assert_eq!(c.full_bytes, app_trace_len(&full));
+        assert_eq!(c.reduced_bytes, reduced_trace_len(&reduced));
         assert!(c.full_bytes > c.reduced_bytes);
         assert_eq!(c.stored, reduced.total_stored() as u64);
         assert_eq!(c.execs, reduced.total_execs() as u64);

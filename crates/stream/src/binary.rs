@@ -8,7 +8,8 @@
 //! byte offset, so workers *seek* straight to their sections instead of
 //! scanning and skipping the whole file — cross-shard file-level
 //! parallelism with no redundant reads.  [`reduce_any_file`] autodetects
-//! text, monolithic v1 and chunked v2 inputs by their magic bytes.  Every
+//! text and chunked v2 inputs by their magic bytes, and refuses a retired
+//! monolithic v1 file with the container's typed error.  Every
 //! driver here supplies only what one worker does; [`crate::shard`]'s
 //! fan-out merges the ranks and drains the counters.
 
@@ -16,17 +17,16 @@ use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
+use trace_container::layout::is_container_magic;
 use trace_container::{
     read_index, ChunkReader, ContainerError, ContainerIndex, ContainerItem, PayloadKind, Preamble,
-    CONTAINER_MAGIC,
 };
-use trace_model::codec::APP_TRACE_MAGIC;
 use trace_model::{Rank, ReducedAppTrace, TraceRecord};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::reduce::{StreamReduction, StreamStats};
+use crate::reduce::StreamReduction;
 use crate::shard::{fan_out, no_second_source, reduce_sources, reduce_stream_sharded};
 use crate::source::AppItemSource;
 
@@ -196,9 +196,6 @@ pub fn reduce_container_file(
 pub enum TraceInputKind {
     /// The line-oriented text format (`TRACEFORMAT 1` header).
     Text,
-    /// A monolithic v1 binary file (`TRCF` magic) — decodable only as a
-    /// whole buffer.
-    BinaryV1,
     /// A chunked v2 container (`TRC2` magic) — streamable and seekable.
     ContainerV2,
 }
@@ -208,31 +205,32 @@ impl TraceInputKind {
     pub fn label(self) -> &'static str {
         match self {
             TraceInputKind::Text => "text",
-            TraceInputKind::BinaryV1 => "binary v1 (monolithic)",
             TraceInputKind::ContainerV2 => "container v2 (chunked)",
         }
     }
 }
 
-/// Detects the input kind from the first four bytes of `path`.  Anything
-/// that is not a known binary magic is treated as text, so text parse
-/// errors keep their precise line-level diagnostics.
+/// Detects the input kind from the first four bytes of `path`.  The
+/// container decides what its magic bytes are: a retired monolithic v1 file
+/// is its typed refusal, and anything that is not a container is treated
+/// as text, so text parse errors keep their precise line-level diagnostics.
 pub fn detect_input(path: impl AsRef<Path>) -> Result<TraceInputKind, StreamError> {
     let file = File::open(path.as_ref())?;
     let mut magic = Vec::with_capacity(4);
     file.take(4).read_to_end(&mut magic)?;
-    Ok(match magic.as_slice() {
-        m if m == CONTAINER_MAGIC => TraceInputKind::ContainerV2,
-        m if m == APP_TRACE_MAGIC => TraceInputKind::BinaryV1,
-        _ => TraceInputKind::Text,
+    let container = match <[u8; 4]>::try_from(magic.as_slice()) {
+        Ok(magic) => is_container_magic(magic)?,
+        Err(_) => false,
+    };
+    Ok(if container {
+        TraceInputKind::ContainerV2
+    } else {
+        TraceInputKind::Text
     })
 }
 
-/// Reduces a trace file of any supported format, autodetected by magic:
-/// text and v2 containers stream with bounded memory (`shards` workers);
-/// monolithic v1 files fall back to decoding the whole buffer and reducing
-/// it rank by rank in one worker, with stats reflecting that everything
-/// was resident.
+/// Reduces a trace file of either format, autodetected by magic: text and
+/// v2 containers both stream with bounded memory (`shards` workers).
 pub fn reduce_any_file(
     reducer: &Reducer,
     path: impl AsRef<Path>,
@@ -245,32 +243,6 @@ pub fn reduce_any_file(
             reduce_stream_sharded(reducer, shards, |_| File::open(path).map(BufReader::new))?
         }
         TraceInputKind::ContainerV2 => reduce_container_file(reducer, path, shards)?,
-        TraceInputKind::BinaryV1 => {
-            let mut obs = reducer.recorder().shard();
-            let span = obs.start();
-            let bytes = std::fs::read(path)?;
-            let app =
-                trace_model::codec::decode_app_trace(&bytes).map_err(ContainerError::Codec)?;
-            obs.end(trace_obs::Stage::Parse, span);
-            let mut stats = StreamStats {
-                ranks: app.rank_count(),
-                events: app.total_events(),
-                peak_chunk_bytes: bytes.len(),
-                ..StreamStats::default()
-            };
-            let mut reduced = ReducedAppTrace::for_app(&app);
-            for rank in &app.ranks {
-                let reduction = reducer.reduce_rank(rank);
-                stats.segments += reduction.segmentation.segments;
-                stats.orphan_events += reduction.segmentation.orphan_events;
-                stats.unterminated_segments += reduction.segmentation.unterminated_segments;
-                stats.matching.absorb(&reduction.matching);
-                reduced.ranks.push(reduction.reduced);
-            }
-            // Monolithic: every segment (and the whole file) resident.
-            stats.peak_resident_segments = stats.segments;
-            StreamReduction::drained(reducer, reduced, stats)
-        }
     };
     Ok((reduction, kind))
 }
@@ -280,7 +252,6 @@ mod tests {
     use super::*;
     use std::io::Cursor;
     use trace_container::{encode_app_container, encode_reduced_container, ChunkSpec};
-    use trace_model::codec::encode_app_trace;
     use trace_reduce::Method;
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -365,25 +336,32 @@ mod tests {
 
     #[test]
     fn autodetect_dispatches_all_three_input_kinds() {
+        // Text and v2 containers reduce; the retired v1 format is refused.
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let reducer = Reducer::with_default_threshold(Method::Euclidean);
         let expected = reducer.reduce_app(&app);
 
         let text = temp_file("auto.txt", trace_format::write_app_trace(&app).as_bytes());
-        let v1 = temp_file("auto_v1.trc", &encode_app_trace(&app));
         let v2 = temp_file(
             "auto_v2.trc",
             &encode_app_container(&app, ChunkSpec::default()),
         );
-
         for (path, want_kind) in [
             (&text, TraceInputKind::Text),
-            (&v1, TraceInputKind::BinaryV1),
             (&v2, TraceInputKind::ContainerV2),
         ] {
             let (reduction, kind) = reduce_any_file(&reducer, path, 2).unwrap();
             assert_eq!(kind, want_kind);
             assert_eq!(reduction.reduced, expected, "{}", kind.label());
+        }
+
+        let v1 = temp_file("auto_v1.trc", b"TRCF\x01\x00");
+        for shards in [1, 2] {
+            let err = reduce_any_file(&reducer, &v1, shards).unwrap_err();
+            assert!(
+                matches!(err.as_container(), Some(ContainerError::RetiredV1 { .. })),
+                "{err}"
+            );
         }
 
         for p in [&text, &v1, &v2] {

@@ -31,8 +31,8 @@
 //!   — the binary counterparts; the file driver goes further than text
 //!   sharding can: workers *seek* straight to the rank sections they claim
 //!   via the container's index footer instead of scanning the file.
-//!   [`binary::reduce_any_file`] autodetects text, monolithic v1 and
-//!   container v2 inputs by magic bytes.
+//!   [`binary::reduce_any_file`] autodetects text and container v2 inputs
+//!   by magic bytes, and refuses a retired monolithic v1 file.
 //! * [`convert::convert_text`] / [`convert::convert_container`] — the
 //!   write direction: a trace re-encoded as a container a rank at a time,
 //!   through the container's one section writer, reading rank k + 1 while

@@ -50,9 +50,8 @@ pub struct StreamStats {
     /// practice — a record is 56 bytes in memory and under ten in a row
     /// payload, so a default 128-segment chunk of ≈ 8 KB decodes to ≈ 45 KB.
     /// Zero for text streams: they buffer one block of lines, not chunks,
-    /// and hold at most [`crate::parser::BATCH_RECORDS`] decoded records;
-    /// for monolithic v1 binary inputs this is the whole file, which is the
-    /// point of the chunked container.  Merging keeps the per-reader
+    /// and hold at most [`crate::parser::BATCH_RECORDS`] decoded records.
+    /// Merging keeps the per-reader
     /// maximum, so the concurrent total of a sharded run is at most
     /// `shards ×` this value.
     pub peak_chunk_bytes: usize,

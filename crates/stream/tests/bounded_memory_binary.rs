@@ -3,13 +3,12 @@
 //! amplified container at least 10× larger than the resident bound,
 //!
 //! * `reduce --stream` over a v2 container — compressed or not — is
-//!   bit-identical to decoding the container in memory and reducing it
+//!   identical to decoding the container in memory and reducing it
 //!   with the batch reducer, and
 //! * peak resident state stays bounded — both the segment bound
 //!   (stored + one in-flight) and the chunk bound (one decoded chunk: its
 //!   stored bytes, its LZ output or its batch of records, whichever is
-//!   largest — far below the decoded trace the monolithic v1 decoder would
-//!   materialize), and
+//!   largest — far below the decoded trace), and
 //! * index-sharded ingestion (`--shards N`) matches the single-shard
 //!   output, and
 //! * at the paper preset, a `delta-lz` container is at least 2× smaller on
@@ -18,7 +17,6 @@
 use std::io::Cursor;
 
 use trace_container::{read_app_container, ChunkSpec, Codec};
-use trace_model::codec::encode_reduced_trace;
 use trace_model::{AppTrace, TraceRecord};
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
@@ -75,14 +73,10 @@ fn resident_state_stays_an_order_of_magnitude_below_the_container() {
             decoded_bytes(&app)
         );
 
-        // Bit-identical to the in-memory binary path: decode the whole
-        // container, reduce in memory, and compare the *encoded* outputs.
+        // Identical to the in-memory binary path: decode the whole
+        // container and reduce it in memory.
         let in_memory = Reducer::new(config).reduce_app(&app);
         assert_eq!(streamed.reduced, in_memory);
-        assert_eq!(
-            encode_reduced_trace(&streamed.reduced),
-            encode_reduced_trace(&in_memory)
-        );
     }
 }
 
@@ -105,10 +99,10 @@ fn big_container_end_to_end_through_a_file_with_shards() {
         for shards in [2, 4] {
             let sharded = reduce_container_file(&Reducer::new(config), &path, shards).unwrap();
             // Index-sharded ingestion matches the single-shard output
-            // bit-for-bit.
+            // exactly.
             assert_eq!(
-                encode_reduced_trace(&sharded.reduced),
-                encode_reduced_trace(&sequential.reduced),
+                sharded.reduced,
+                sequential.reduced,
                 "{shards} shards ({})",
                 codec.name()
             );
@@ -147,7 +141,7 @@ fn paper_preset_delta_lz_at_least_halves_the_container() {
         none.len() as f64 / dlz.len() as f64
     );
 
-    // The compressed container reduces to the bit-identical output of both
+    // The compressed container reduces to the identical output of both
     // the uncompressed streaming path and the in-memory path.
     let config = MethodConfig::with_default_threshold(Method::AvgWave);
     let from_dlz = reduce_container_stream(&Reducer::new(config), Cursor::new(&dlz)).unwrap();
@@ -155,10 +149,7 @@ fn paper_preset_delta_lz_at_least_halves_the_container() {
     let app = read_app_container(&none[..]).unwrap();
     let in_memory = Reducer::new(config).reduce_app(&app);
     assert_eq!(from_dlz.reduced, from_none.reduced);
-    assert_eq!(
-        encode_reduced_trace(&from_dlz.reduced),
-        encode_reduced_trace(&in_memory)
-    );
+    assert_eq!(from_dlz.reduced, in_memory);
 
     // Still one decoded chunk resident: the compressed reader's peak
     // matches the uncompressed reader's (same chunk grouping, so the same

@@ -4,8 +4,8 @@
 //! A `Reducer` carries the recorder and every driver is one function of
 //! `(&Reducer, source[, workers])`, so both claims are properties over
 //! *source × workers × recorder* — the in-memory trace, a text stream, a
-//! container stream, a container file through its index, and a file of any
-//! of the three formats through the magic-byte dispatch:
+//! container stream, a container file through its index, and a file of
+//! either format through the magic-byte dispatch:
 //!
 //! * **Neutral.**  The reduced trace produced under an enabled recorder is
 //!   bit-identical to the one produced with recording off.  The comparison
@@ -24,8 +24,7 @@
 use std::io::Cursor;
 use std::path::PathBuf;
 
-use trace_container::{encode_app_container, ChunkSpec, Codec};
-use trace_model::codec::{encode_app_trace, encode_reduced_trace};
+use trace_container::{encode_app_container, encode_reduced_container, ChunkSpec, Codec};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_obs::{names, Recorder, RunReport, Stage};
 use trace_reduce::{reduce_app_parallel_with_stats, MatchStats, Method, MethodConfig, Reducer};
@@ -49,7 +48,6 @@ struct Sources {
     /// `ceil(r / BATCH_RECORDS)`, a batch ending early only at `END_RANK`.
     text_batches: usize,
     text_file: PathBuf,
-    v1_file: PathBuf,
     v2_file: PathBuf,
 }
 
@@ -92,7 +90,6 @@ impl Sources {
         };
         Sources {
             text_file: file("in.txt", &text),
-            v1_file: file("in_v1.trc", &encode_app_trace(&app)),
             v2_file: file("in_v2.trc", &container),
             app,
             text,
@@ -106,7 +103,7 @@ impl Sources {
 
 impl Drop for Sources {
     fn drop(&mut self) {
-        for path in [&self.text_file, &self.v1_file, &self.v2_file] {
+        for path in [&self.text_file, &self.v2_file] {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -121,16 +118,14 @@ struct Outcome {
 }
 
 /// Which spans a driver records.  Per rank: the fused streaming loop one
-/// `Rank` span, the in-memory loop (and the v1 fallback, which decodes the
-/// whole file and runs it) one `Segment` and one `Match` span.  For its
-/// input: one `Parse` span per batch for text, the per-chunk spans for a
-/// container, one `Parse` span for a v1 file.
+/// `Rank` span, the in-memory loop one `Segment` and one `Match` span.  For
+/// its input: one `Parse` span per batch for text, the per-chunk spans for
+/// a container.
 #[derive(Clone, Copy)]
 enum Spans {
     FusedText,
     FusedContainer,
     InMemory,
-    InMemoryV1,
 }
 
 type Driver<'a> = (&'a str, Spans, Box<dyn Fn(&Reducer) -> Outcome + 'a>);
@@ -199,11 +194,6 @@ fn drivers(src: &Sources) -> Vec<Driver<'_>> {
             Box::new(|r| streamed(reduce_any_file(r, &src.text_file, 2).map(|(r, _)| r))),
         ),
         (
-            "any file: v1",
-            Spans::InMemoryV1,
-            Box::new(|r| streamed(reduce_any_file(r, &src.v1_file, 2).map(|(r, _)| r))),
-        ),
-        (
             "any file: v2, 2 shards",
             Spans::FusedContainer,
             Box::new(|r| streamed(reduce_any_file(r, &src.v2_file, 2).map(|(r, _)| r))),
@@ -221,8 +211,8 @@ fn recording_never_changes_the_reduction_for_any_method_or_driver() {
             let recorder = Recorder::enabled();
             let on = drive(&Reducer::new(config).with_recorder(&recorder));
             assert_eq!(
-                encode_reduced_trace(&off.reduced),
-                encode_reduced_trace(&on.reduced),
+                encode_reduced_container(&off.reduced, ChunkSpec::default()),
+                encode_reduced_container(&on.reduced, ChunkSpec::default()),
                 "{method} / {driver}: recording changed the reduced bytes"
             );
             assert!(
@@ -294,17 +284,16 @@ fn assert_drained_once(
     // One span per rank: a driver that re-ran or re-drained a rank shows here.
     let (fused, in_memory) = match spans {
         Spans::FusedText | Spans::FusedContainer => (ranks, 0),
-        Spans::InMemory | Spans::InMemoryV1 => (0, ranks),
+        Spans::InMemory => (0, ranks),
     };
     assert_eq!(span_count(Stage::Rank), fused, "{what}: rank spans");
     assert_eq!(span_count(Stage::Segment), in_memory, "{what}: segment");
     assert_eq!(span_count(Stage::Match), in_memory, "{what}: match");
     // The input's spans, however many workers shared its sections: per
-    // chunk for a container, per batch for text, one for a v1 file.
+    // chunk for a container, per batch for text.
     let (parse, lz) = match spans {
         Spans::FusedContainer => (src.records_chunks, src.lz_chunks),
         Spans::FusedText => (src.text_batches, 0),
-        Spans::InMemoryV1 => (1, 0),
         Spans::InMemory => (0, 0),
     };
     assert_eq!(span_count(Stage::Parse), parse, "{what}: parse spans");
@@ -334,10 +323,9 @@ fn enabled_reports_carry_the_drained_pipeline_counters() {
 #[test]
 fn malformed_marker_counters_are_identical_across_input_formats() {
     // One event before the first SEG_BEGIN (an orphan) and one segment with
-    // no SEG_END (unterminated): every format must report both, and the same
+    // no SEG_END (unterminated): both formats must report both, and the same
     // `stream.*` / `match.*` counters altogether.  The two peaks are gauges
-    // and legitimately differ (a v1 file is resident whole).  Before the v1
-    // arm drained a complete `StreamStats` it reported neither counter.
+    // and legitimately differ (a text stream reads no chunks).
     let text = "TRACEFORMAT 1\nTRACE RANKS 1 NAME odd\nREGION 0 work\nCONTEXT 0 main.1\n\
                 RANK 0\nEVENT 0 5 9 0 COMPUTE\nSEG_BEGIN 0 10\nEVENT 0 20 90 0 COMPUTE\n\
                 SEG_END 0 100\nSEG_BEGIN 0 100\nEVENT 0 110 190 0 COMPUTE\nEND_RANK\n\
@@ -346,7 +334,6 @@ fn malformed_marker_counters_are_identical_across_input_formats() {
     let app = trace_format::parse_app_trace(text).unwrap();
     let inputs = [
         ("odd.txt", text.as_bytes().to_vec()),
-        ("odd_v1.trc", encode_app_trace(&app)),
         (
             "odd_v2.trc",
             encode_app_container(&app, ChunkSpec::default()),
@@ -375,6 +362,5 @@ fn malformed_marker_counters_are_identical_across_input_formats() {
             (counters, reduction.reduced)
         })
         .collect();
-    assert_eq!(runs[0], runs[1], "text vs v1");
-    assert_eq!(runs[0], runs[2], "text vs v2");
+    assert_eq!(runs[0], runs[1], "text vs v2");
 }

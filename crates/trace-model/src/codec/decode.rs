@@ -1,15 +1,14 @@
-//! Decoders for full and reduced application traces.
+//! Readers for the record encoding the container's payload chunks store.
 
 use super::encode::tags;
 use super::varint::{read_i64, read_u32, read_u64};
-use super::{CodecError, Reader, APP_TRACE_MAGIC, FORMAT_VERSION, REDUCED_TRACE_MAGIC};
+use super::{clamp_count, CodecError, Reader};
 use crate::event::{CollectiveOp, CommInfo, Event};
-use crate::ids::{ContextId, ContextTable, Rank, RegionId, RegionTable};
+use crate::ids::{ContextId, Rank, RegionId};
 use crate::record::TraceRecord;
-use crate::reduced::{ReducedAppTrace, ReducedRankTrace, SegmentExec, StoredSegment};
+use crate::reduced::{SegmentExec, StoredSegment};
 use crate::segment::Segment;
 use crate::time::Time;
-use crate::trace::{AppTrace, RankTrace};
 
 fn collective_op_from_tag(tag: u8) -> Result<CollectiveOp, CodecError> {
     Ok(match tag {
@@ -28,20 +27,6 @@ fn collective_op_from_tag(tag: u8) -> Result<CollectiveOp, CodecError> {
             })
         }
     })
-}
-
-fn read_header(reader: &mut Reader<'_>, expected_magic: [u8; 4]) -> Result<(), CodecError> {
-    let magic = reader.read_bytes(4)?;
-    match magic.first_chunk::<4>() {
-        Some(&found) if found == expected_magic => {}
-        Some(&found) => return Err(CodecError::BadMagic { found }),
-        None => return Err(CodecError::UnexpectedEof),
-    }
-    let version = reader.read_byte()?;
-    if version != FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    Ok(())
 }
 
 /// Reads a length-prefixed UTF-8 string.
@@ -181,40 +166,6 @@ pub fn read_record(
     }
 }
 
-/// Decodes a full application trace produced by
-/// [`super::encode_app_trace`].
-pub fn decode_app_trace(bytes: &[u8]) -> Result<AppTrace, CodecError> {
-    let mut reader = Reader::new(bytes);
-    read_header(&mut reader, APP_TRACE_MAGIC)?;
-    let name = read_string(&mut reader)?;
-    let regions = RegionTable::from_names(read_string_table(&mut reader)?);
-    let contexts = ContextTable::from_names(read_string_table(&mut reader)?);
-    let rank_count = read_u64(&mut reader)?;
-    let mut ranks = Vec::with_capacity(rank_count.min(1 << 20) as usize);
-    for _ in 0..rank_count {
-        let rank = Rank(read_u32(&mut reader, "rank")?);
-        let record_count = read_u64(&mut reader)?;
-        if record_count > (reader.remaining() as u64 + 1) * 8 {
-            return Err(CodecError::LengthTooLarge(record_count));
-        }
-        let mut trace = RankTrace::new(rank);
-        trace.records.reserve(record_count as usize);
-        let mut prev_time = Time::ZERO;
-        for _ in 0..record_count {
-            let (record, new_prev) = read_record(&mut reader, prev_time)?;
-            prev_time = new_prev;
-            trace.push(record);
-        }
-        ranks.push(trace);
-    }
-    Ok(AppTrace {
-        name,
-        regions,
-        contexts,
-        ranks,
-    })
-}
-
 /// Reads one rebased segment (inverse of [`super::write_segment`]).
 pub fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
     let context = ContextId(read_u32(reader, "context id")?);
@@ -224,7 +175,9 @@ pub fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
     if event_count > (reader.remaining() as u64 + 1) * 8 {
         return Err(CodecError::LengthTooLarge(event_count));
     }
-    let mut events = Vec::with_capacity(event_count as usize);
+    // Every event takes at least five bytes (region, start delta, duration,
+    // wait, comm tag), so that is all the reservation the input can back.
+    let mut events = Vec::with_capacity(clamp_count(event_count, reader.remaining() / 5));
     let mut prev_time = Time::ZERO;
     for _ in 0..event_count {
         let (event, new_prev) = read_event(reader, prev_time)?;
@@ -263,44 +216,4 @@ pub fn read_exec(
     let delta = read_i64(reader)?;
     let start = apply_time_delta(prev_start, delta)?;
     Ok((SegmentExec { segment, start }, start))
-}
-
-/// Decodes a reduced application trace produced by
-/// [`super::encode_reduced_trace`].
-pub fn decode_reduced_trace(bytes: &[u8]) -> Result<ReducedAppTrace, CodecError> {
-    let mut reader = Reader::new(bytes);
-    read_header(&mut reader, REDUCED_TRACE_MAGIC)?;
-    let name = read_string(&mut reader)?;
-    let regions = RegionTable::from_names(read_string_table(&mut reader)?);
-    let contexts = ContextTable::from_names(read_string_table(&mut reader)?);
-    let rank_count = read_u64(&mut reader)?;
-    let mut ranks = Vec::with_capacity(rank_count.min(1 << 20) as usize);
-    for _ in 0..rank_count {
-        let rank = Rank(read_u32(&mut reader, "rank")?);
-        let mut reduced = ReducedRankTrace::new(rank);
-        let stored_count = read_u64(&mut reader)?;
-        if stored_count > (reader.remaining() as u64 + 1) * 4 {
-            return Err(CodecError::LengthTooLarge(stored_count));
-        }
-        for _ in 0..stored_count {
-            reduced.stored.push(read_stored_segment(&mut reader)?);
-        }
-        let exec_count = read_u64(&mut reader)?;
-        if exec_count > (reader.remaining() as u64 + 1) * 2 {
-            return Err(CodecError::LengthTooLarge(exec_count));
-        }
-        let mut prev_start = Time::ZERO;
-        for _ in 0..exec_count {
-            let (exec, new_prev) = read_exec(&mut reader, prev_start)?;
-            prev_start = new_prev;
-            reduced.execs.push(exec);
-        }
-        ranks.push(reduced);
-    }
-    Ok(ReducedAppTrace {
-        name,
-        regions,
-        contexts,
-        ranks,
-    })
 }

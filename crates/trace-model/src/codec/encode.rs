@@ -1,13 +1,13 @@
-//! Encoders for full and reduced application traces.
+//! Writers for the record encoding, and the byte count of the retired
+//! monolithic v1 files that criterion 1 measures.
 
 use super::varint::{write_i64, write_u64};
-use super::{APP_TRACE_MAGIC, FORMAT_VERSION, REDUCED_TRACE_MAGIC};
 use crate::event::{CollectiveOp, CommInfo, Event};
 use crate::record::TraceRecord;
-use crate::reduced::ReducedAppTrace;
+use crate::reduced::{ReducedAppTrace, ReducedRankTrace, SegmentExec, StoredSegment};
 use crate::segment::Segment;
 use crate::time::Time;
-use crate::trace::AppTrace;
+use crate::trace::{AppTrace, RankTrace};
 
 /// Comm-info tag bytes shared by the encoder and decoder.
 pub(super) mod tags {
@@ -133,24 +133,51 @@ fn write_event(out: &mut Vec<u8>, event: &Event, prev_time: Time) -> Time {
     event.start
 }
 
-/// Encodes a full application trace.
-pub fn encode_app_trace(app: &AppTrace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + app.total_records() * 8);
-    out.extend_from_slice(&APP_TRACE_MAGIC);
-    out.push(FORMAT_VERSION);
-    write_string(&mut out, &app.name);
-    write_string_table(&mut out, app.regions.names());
-    write_string_table(&mut out, app.contexts.names());
-    write_u64(&mut out, app.ranks.len() as u64);
-    for rank in &app.ranks {
-        write_u64(&mut out, u64::from(rank.rank.as_u32()));
-        write_u64(&mut out, rank.records.len() as u64);
-        let mut prev_time = Time::ZERO;
-        for record in &rank.records {
-            prev_time = write_record(&mut out, record, prev_time);
-        }
+/// The bytes the fixed part of a monolithic v1 file takes: 4 magic bytes
+/// and 1 version byte.
+const V1_MAGIC_AND_VERSION: u64 = 5;
+
+/// The length of a v1 file holding `ranks`: magic and version, the program
+/// name, the region and context tables and the rank count, then every rank
+/// section as `write_rank` writes it.  Each section goes into one scratch
+/// buffer, cleared per rank, so no more than a rank is ever encoded.
+fn v1_len<R>(
+    name: &str,
+    regions: &[String],
+    contexts: &[String],
+    ranks: &[R],
+    write_rank: fn(&mut Vec<u8>, &R),
+) -> u64 {
+    let mut scratch = Vec::new();
+    write_string(&mut scratch, name);
+    write_string_table(&mut scratch, regions);
+    write_string_table(&mut scratch, contexts);
+    write_u64(&mut scratch, ranks.len() as u64);
+    let mut len = V1_MAGIC_AND_VERSION + scratch.len() as u64;
+    for rank in ranks {
+        scratch.clear();
+        write_rank(&mut scratch, rank);
+        len += scratch.len() as u64;
     }
-    out
+    len
+}
+
+/// Writes one rank section of a full trace: the rank, the record count and
+/// the records, delta-timed from zero.
+fn write_app_rank(out: &mut Vec<u8>, rank: &RankTrace) {
+    write_u64(out, u64::from(rank.rank.as_u32()));
+    write_u64(out, rank.records.len() as u64);
+    let mut prev_time = Time::ZERO;
+    for record in &rank.records {
+        prev_time = write_record(out, record, prev_time);
+    }
+}
+
+/// The length in bytes of `app` in the retired monolithic v1 encoding:
+/// criterion 1's full-trace size.
+pub fn app_trace_len(app: &AppTrace) -> u64 {
+    let (regions, contexts) = (app.regions.names(), app.contexts.names());
+    v1_len(&app.name, regions, contexts, &app.ranks, write_app_rank)
 }
 
 /// Writes one rebased segment (used for stored representatives).
@@ -167,7 +194,7 @@ pub fn write_segment(out: &mut Vec<u8>, segment: &Segment) {
 
 /// Writes one stored representative segment (`id`, represented count and
 /// the rebased segment body).
-pub fn write_stored_segment(out: &mut Vec<u8>, stored: &crate::reduced::StoredSegment) {
+pub fn write_stored_segment(out: &mut Vec<u8>, stored: &StoredSegment) {
     write_u64(out, u64::from(stored.id));
     write_u64(out, u64::from(stored.represented));
     write_segment(out, &stored.segment);
@@ -175,7 +202,7 @@ pub fn write_stored_segment(out: &mut Vec<u8>, stored: &crate::reduced::StoredSe
 
 /// Writes one segment execution with its start delta-encoded against
 /// `prev_start`, returning the new `prev_start`.
-pub fn write_exec(out: &mut Vec<u8>, exec: &crate::reduced::SegmentExec, prev_start: Time) -> Time {
+pub fn write_exec(out: &mut Vec<u8>, exec: &SegmentExec, prev_start: Time) -> Time {
     write_u64(out, u64::from(exec.segment));
     write_i64(
         out,
@@ -184,26 +211,30 @@ pub fn write_exec(out: &mut Vec<u8>, exec: &crate::reduced::SegmentExec, prev_st
     exec.start
 }
 
-/// Encodes a reduced application trace.
-pub fn encode_reduced_trace(reduced: &ReducedAppTrace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + reduced.total_execs() * 4);
-    out.extend_from_slice(&REDUCED_TRACE_MAGIC);
-    out.push(FORMAT_VERSION);
-    write_string(&mut out, &reduced.name);
-    write_string_table(&mut out, reduced.regions.names());
-    write_string_table(&mut out, reduced.contexts.names());
-    write_u64(&mut out, reduced.ranks.len() as u64);
-    for rank in &reduced.ranks {
-        write_u64(&mut out, u64::from(rank.rank.as_u32()));
-        write_u64(&mut out, rank.stored.len() as u64);
-        for stored in &rank.stored {
-            write_stored_segment(&mut out, stored);
-        }
-        write_u64(&mut out, rank.execs.len() as u64);
-        let mut prev_start = Time::ZERO;
-        for exec in &rank.execs {
-            prev_start = write_exec(&mut out, exec, prev_start);
-        }
+/// Writes one rank section of a reduced trace: the rank, the stored
+/// representatives and the execution log, delta-timed from zero.
+fn write_reduced_rank(out: &mut Vec<u8>, rank: &ReducedRankTrace) {
+    write_u64(out, u64::from(rank.rank.as_u32()));
+    write_u64(out, rank.stored.len() as u64);
+    for stored in &rank.stored {
+        write_stored_segment(out, stored);
     }
-    out
+    write_u64(out, rank.execs.len() as u64);
+    let mut prev_start = Time::ZERO;
+    for exec in &rank.execs {
+        prev_start = write_exec(out, exec, prev_start);
+    }
+}
+
+/// The length in bytes of `reduced` in the retired monolithic v1 encoding:
+/// criterion 1's reduced-trace size.
+pub fn reduced_trace_len(reduced: &ReducedAppTrace) -> u64 {
+    let (regions, contexts) = (reduced.regions.names(), reduced.contexts.names());
+    v1_len(
+        &reduced.name,
+        regions,
+        contexts,
+        &reduced.ranks,
+        write_reduced_rank,
+    )
 }

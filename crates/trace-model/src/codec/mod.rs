@@ -1,14 +1,15 @@
-//! Compact binary trace encoding.
+//! Compact binary record encoding.
 //!
-//! Every file-size number in the evaluation is the length in bytes of the
-//! encoding produced here, for both full traces ([`encode_app_trace`]) and
-//! reduced traces ([`encode_reduced_trace`]).  Both formats share the same
-//! building blocks — string tables, LEB128 varints and delta-encoded time
-//! stamps — so the full/reduced size ratio measures the reduction technique,
-//! not a difference in serialization overhead.
-//!
-//! The formats are self-describing enough to round-trip exactly, which the
-//! property tests in `tests/codec_roundtrip.rs` of this crate verify.
+//! The building blocks here — LEB128 varints, string tables, delta-encoded
+//! time stamps, and the record, stored-segment and execution writers and
+//! readers — are what a chunked container (`trace_container`) stores in its
+//! row payloads.  The same blocks laid out as one monolithic file made the
+//! retired v1 format, which `trace_container` refuses with a typed error.
+//! No v1 file is read or written any more, but its length stays the
+//! yardstick of the paper's first criterion, file size: [`app_trace_len`]
+//! and [`reduced_trace_len`] count it without building the file.  Full and
+//! reduced traces share every building block, so their size ratio measures
+//! the reduction technique, not a difference in serialization overhead.
 
 mod decode;
 mod encode;
@@ -17,33 +18,25 @@ pub mod varint;
 use std::fmt;
 
 pub use decode::{
-    decode_app_trace, decode_reduced_trace, read_exec, read_record, read_segment,
-    read_stored_segment, read_string, read_string_table,
+    read_exec, read_record, read_segment, read_stored_segment, read_string, read_string_table,
 };
 pub use encode::{
-    encode_app_trace, encode_reduced_trace, write_exec, write_record, write_segment,
+    app_trace_len, reduced_trace_len, write_exec, write_record, write_segment,
     write_stored_segment, write_string, write_string_table,
 };
 
-/// Magic bytes identifying a full application trace file.
-pub const APP_TRACE_MAGIC: [u8; 4] = *b"TRCF";
-/// Magic bytes identifying a reduced application trace file.
-pub const REDUCED_TRACE_MAGIC: [u8; 4] = *b"TRCR";
-/// Current format version written by the encoder.
-pub const FORMAT_VERSION: u8 = 1;
+/// The slots to reserve for `count` declared items when the input can back
+/// at most `limit` of them: a count is a bare varint, so a reservation made
+/// on its word alone would let a few bytes demand any allocation.
+pub fn clamp_count(count: u64, limit: usize) -> usize {
+    usize::try_from(count).map_or(limit, |count| count.min(limit))
+}
 
-/// Errors produced while decoding a trace file.
+/// Errors produced while decoding encoded records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The input ended before a complete value could be read.
     UnexpectedEof,
-    /// The magic bytes did not identify the expected file kind.
-    BadMagic {
-        /// The magic bytes found in the input.
-        found: [u8; 4],
-    },
-    /// The format version is not supported by this decoder.
-    UnsupportedVersion(u8),
     /// An enum tag byte had no defined meaning.
     BadTag {
         /// What was being decoded.
@@ -73,8 +66,6 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::UnexpectedEof => write!(f, "unexpected end of trace file"),
-            CodecError::BadMagic { found } => write!(f, "bad magic bytes {found:?}"),
-            CodecError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
             CodecError::BadTag { what, tag } => write!(f, "invalid {what} tag {tag}"),
             CodecError::BadUtf8 => write!(f, "string table entry is not valid UTF-8"),
             CodecError::VarintOverflow => write!(f, "varint does not fit in 64 bits"),
@@ -142,6 +133,7 @@ mod tests {
     use crate::segment::Segment;
     use crate::time::Time;
     use crate::trace::AppTrace;
+    use crate::TraceRecord;
 
     fn sample_app_trace() -> AppTrace {
         let mut app = AppTrace::new("codec_sample", 2);
@@ -253,100 +245,163 @@ mod tests {
         reduced
     }
 
+    /// Every rank's records, written from a zero clock and read back.
+    fn records_round_trip(app: &AppTrace) -> Result<Vec<Vec<TraceRecord>>, CodecError> {
+        let mut ranks = Vec::new();
+        for rank in &app.ranks {
+            let mut bytes = Vec::new();
+            let mut prev = Time::ZERO;
+            for record in &rank.records {
+                prev = write_record(&mut bytes, record, prev);
+            }
+            let mut reader = Reader::new(&bytes);
+            let (mut records, mut prev) = (Vec::new(), Time::ZERO);
+            while !reader.is_at_end() {
+                let (record, time) = read_record(&mut reader, prev)?;
+                records.push(record);
+                prev = time;
+            }
+            ranks.push(records);
+        }
+        Ok(ranks)
+    }
+
     #[test]
     fn app_trace_round_trip() {
         let app = sample_app_trace();
-        let bytes = encode_app_trace(&app);
-        let decoded = decode_app_trace(&bytes).expect("decode");
-        assert_eq!(app, decoded);
+        let decoded = records_round_trip(&app).expect("decode");
+        for (rank, records) in app.ranks.iter().zip(decoded) {
+            assert_eq!(rank.records, records);
+        }
     }
 
     #[test]
     fn reduced_trace_round_trip() {
         let reduced = sample_reduced_trace();
-        let bytes = encode_reduced_trace(&reduced);
-        let decoded = decode_reduced_trace(&bytes).expect("decode");
-        assert_eq!(reduced, decoded);
-    }
-
-    #[test]
-    fn wrong_magic_is_rejected() {
-        let app = sample_app_trace();
-        let bytes = encode_app_trace(&app);
-        assert!(matches!(
-            decode_reduced_trace(&bytes),
-            Err(CodecError::BadMagic { .. })
-        ));
-        let reduced = sample_reduced_trace();
-        let bytes = encode_reduced_trace(&reduced);
-        assert!(matches!(
-            decode_app_trace(&bytes),
-            Err(CodecError::BadMagic { .. })
-        ));
+        for rank in &reduced.ranks {
+            let mut bytes = Vec::new();
+            for stored in &rank.stored {
+                write_stored_segment(&mut bytes, stored);
+            }
+            let mut prev = Time::ZERO;
+            for exec in &rank.execs {
+                prev = write_exec(&mut bytes, exec, prev);
+            }
+            let mut reader = Reader::new(&bytes);
+            for stored in &rank.stored {
+                assert_eq!(&read_stored_segment(&mut reader).expect("decode"), stored);
+            }
+            let mut prev = Time::ZERO;
+            for exec in &rank.execs {
+                let (decoded, time) = read_exec(&mut reader, prev).expect("decode");
+                assert_eq!(&decoded, exec);
+                prev = time;
+            }
+            assert!(reader.is_at_end());
+        }
     }
 
     #[test]
     fn truncated_file_is_rejected() {
         let app = sample_app_trace();
-        let bytes = encode_app_trace(&app);
-        for cut in [3usize, 5, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode_app_trace(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
+        let mut bytes = Vec::new();
+        let mut prev = Time::ZERO;
+        for record in &app.ranks[0].records {
+            prev = write_record(&mut bytes, record, prev);
+        }
+        let records = app.ranks[0].records.len();
+        for cut in [0usize, 1, bytes.len() / 2, bytes.len() - 1] {
+            let mut reader = Reader::new(&bytes[..cut]);
+            let mut prev = Time::ZERO;
+            let read = (0..records).try_for_each(|_| {
+                prev = read_record(&mut reader, prev)?.1;
+                Ok(())
+            });
+            assert_eq!(read, Err(CodecError::UnexpectedEof), "truncation at {cut}");
         }
     }
 
     #[test]
-    fn bad_version_is_rejected() {
-        let app = sample_app_trace();
-        let mut bytes = encode_app_trace(&app);
-        bytes[4] = 99;
-        assert!(matches!(
-            decode_app_trace(&bytes),
-            Err(CodecError::UnsupportedVersion(99))
+    fn v1_lengths_match_hand_counted_bytes() {
+        // Name "ab", regions "w" and "MPI_Send", context "main", two ranks.
+        let mut app = AppTrace::new("ab", 2);
+        let work = app.regions.intern("w");
+        let send = app.regions.intern("MPI_Send");
+        let main = app.contexts.intern("main");
+        let rank = &mut app.ranks[0];
+        rank.begin_segment(main, Time::from_nanos(10));
+        // Duration 127: the largest one-byte varint.
+        rank.push_event(Event::compute(
+            work,
+            Time::from_nanos(20),
+            Time::from_nanos(147),
         ));
-    }
-
-    #[test]
-    fn v1_ids_one_past_u32_max_are_rejected_and_u32_max_round_trips() {
-        // `u32::MAX` and `u32::MAX + 1` are five varint bytes each, so the
-        // value is raised in place: the first in the file is a region id,
-        // the stored-segment id or the executed segment id.
-        let (max, past_max) = (
-            [0xff, 0xff, 0xff, 0xff, 0x0f],
-            [0x80, 0x80, 0x80, 0x80, 0x10],
+        // Recorded on exit, so it starts 5 ns before the previous record:
+        // a negative delta.  Duration 128: the smallest two-byte varint.
+        rank.push_event(Event::compute(
+            work,
+            Time::from_nanos(15),
+            Time::from_nanos(143),
+        ));
+        rank.end_segment(main, Time::from_nanos(150));
+        let send_event = Event::with_comm(
+            send,
+            Time::ZERO,
+            Time::from_nanos(5),
+            CommInfo::Send {
+                peer: Rank(0),
+                tag: 9,
+                bytes: 300,
+            },
         );
-        let raise = |bytes: &mut Vec<u8>| {
-            let at = bytes.windows(5).position(|w| w == max).unwrap();
-            bytes[at..at + 5].copy_from_slice(&past_max);
-        };
-        let out_of_range =
-            |e: CodecError| matches!(e, CodecError::IdOutOfRange { value, .. } if value == 1 << 32);
+        app.ranks[1].push_event(send_event.with_wait(Time::from_nanos(2)));
 
-        let mut app = sample_app_trace();
-        for record in &mut app.ranks[0].records {
-            if let crate::TraceRecord::Event(event) = record {
-                event.region = crate::RegionId(u32::MAX);
-            }
-        }
-        let mut bytes = encode_app_trace(&app);
-        assert_eq!(decode_app_trace(&bytes).unwrap(), app);
-        raise(&mut bytes);
-        assert!(out_of_range(decode_app_trace(&bytes).unwrap_err()));
+        // Header: magic and version 5; name 1 + 2; regions 1 + (1 + 1) +
+        // (1 + 8); contexts 1 + (1 + 4); rank count 1.  27 bytes.
+        // Rank 0: rank 1, count 1, then
+        // - SEG_BEGIN: tag, context, delta 10 (zig-zag 20): 3;
+        // - event: tag, region, delta 10, duration 127, wait, comm tag: 6;
+        // - event: tag, region, delta -5 (zig-zag 9), duration 128 (2),
+        //   wait, comm tag: 7;
+        // - SEG_END: tag, context, delta 135 (zig-zag 270, 2): 4.
+        // 22 bytes.
+        // Rank 1: rank 1, count 1, one event: tag, region, delta 0,
+        // duration 5, wait 2, then send tag, peer, tag 9, bytes 300 (2):
+        // 12 bytes.
+        assert_eq!(app_trace_len(&app), 27 + 22 + 12);
 
-        for stored_id in [true, false] {
-            let mut reduced = sample_reduced_trace();
-            if stored_id {
-                reduced.ranks[0].stored[0].id = u32::MAX;
-            } else {
-                reduced.ranks[0].execs[0].segment = u32::MAX;
-            }
-            let mut bytes = encode_reduced_trace(&reduced);
-            assert_eq!(decode_reduced_trace(&bytes).unwrap(), reduced);
-            raise(&mut bytes);
-            assert!(out_of_range(decode_reduced_trace(&bytes).unwrap_err()));
+        let mut reduced = ReducedAppTrace::for_app(&app);
+        let mut rank = ReducedRankTrace::new(Rank(0));
+        rank.stored.push(StoredSegment {
+            id: 0,
+            segment: Segment {
+                context: main,
+                start: Time::ZERO,
+                end: Time::from_nanos(140),
+                events: vec![Event::compute(
+                    work,
+                    Time::from_nanos(10),
+                    Time::from_nanos(137),
+                )],
+            },
+            represented: 2,
+        });
+        for start in [10, 160] {
+            rank.execs.push(SegmentExec {
+                segment: 0,
+                start: Time::from_nanos(start),
+            });
         }
+        reduced.ranks.push(rank);
+        reduced.ranks.push(ReducedRankTrace::new(Rank(1)));
+        // Header: 27 bytes, as above.
+        // Rank 0: rank 1, stored count 1, then the representative: id,
+        // represented, context, start 0, end 140 (2), event count 1, and
+        // the event (region, delta 10, duration 127, wait, comm tag) 5:
+        // 12; exec count 1, then (segment, delta 10) 2 and (segment,
+        // delta 150 (zig-zag 300, 2)) 3.  20 bytes.
+        // Rank 1: rank, stored count 0, exec count 0.  3 bytes.
+        assert_eq!(reduced_trace_len(&reduced), 27 + 20 + 3);
     }
 
     #[test]
@@ -394,8 +449,8 @@ mod tests {
         });
         reduced.ranks.push(rrt);
 
-        let full_bytes = encode_app_trace(&app).len();
-        let reduced_bytes = encode_reduced_trace(&reduced).len();
+        let full_bytes = app_trace_len(&app);
+        let reduced_bytes = reduced_trace_len(&reduced);
         assert!(
             (reduced_bytes as f64) < 0.1 * full_bytes as f64,
             "reduced {reduced_bytes} bytes should be well under 10% of full {full_bytes} bytes"

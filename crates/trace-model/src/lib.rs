@@ -20,8 +20,9 @@
 //! * [`reduced::ReducedRankTrace`] / [`reduced::ReducedAppTrace`] — the
 //!   output of the reduction: representative segments plus the
 //!   `(segment id, start time)` execution log.
-//! * [`codec`] — the compact binary encoding used for every file-size
-//!   measurement in the evaluation.
+//! * [`codec`] — the compact binary record encoding the container stores,
+//!   and the byte count every file-size measurement in the evaluation
+//!   uses.
 //! * [`stats`] — small numeric helpers (percentiles, means) shared by the
 //!   evaluation and analysis crates.
 //!

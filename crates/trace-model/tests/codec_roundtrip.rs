@@ -1,17 +1,21 @@
-//! Property-based tests for the trace codec and the segment model.
+//! Property-based tests for the record codec and the segment model.
 //!
-//! These exercise the invariants the rest of the workspace relies on:
-//! encode/decode is the identity for arbitrary well-formed traces, decoding
-//! never panics on arbitrary bytes, and segment rebase/offset round-trips.
+//! These exercise the invariants the rest of the workspace relies on: the
+//! record, stored-segment and execution rows a container chunk stores
+//! decode to exactly what was written for arbitrary well-formed traces, the
+//! row readers never panic on arbitrary or corrupted bytes, and segment
+//! rebase/offset round-trips.
 
 use proptest::prelude::*;
 
+use trace_model::codec::varint::{read_u64, write_u64};
 use trace_model::codec::{
-    decode_app_trace, decode_reduced_trace, encode_app_trace, encode_reduced_trace,
+    read_exec, read_record, read_stored_segment, write_exec, write_record, write_stored_segment,
+    CodecError, Reader,
 };
 use trace_model::{
     AppTrace, CollectiveOp, CommInfo, Event, Rank, ReducedAppTrace, ReducedRankTrace, Segment,
-    SegmentExec, StoredSegment, Time,
+    SegmentExec, StoredSegment, Time, TraceRecord,
 };
 
 /// Strategy for communication metadata with small, realistic parameters.
@@ -132,21 +136,86 @@ fn reduced_trace_strategy() -> impl Strategy<Value = ReducedAppTrace> {
     )
 }
 
+/// A rank's records as the rows of a `RECORDS` chunk: the count, then every
+/// record delta-timed from zero.
+fn record_rows(records: &[TraceRecord]) -> Vec<u8> {
+    let mut rows = Vec::new();
+    write_u64(&mut rows, records.len() as u64);
+    let mut prev = Time::ZERO;
+    for record in records {
+        prev = write_record(&mut rows, record, prev);
+    }
+    rows
+}
+
+/// A reduced rank as the rows of a `STORED` chunk followed by those of an
+/// `EXECS` chunk.
+fn reduced_rows(rank: &ReducedRankTrace) -> Vec<u8> {
+    let mut rows = Vec::new();
+    write_u64(&mut rows, rank.stored.len() as u64);
+    for stored in &rank.stored {
+        write_stored_segment(&mut rows, stored);
+    }
+    write_u64(&mut rows, rank.execs.len() as u64);
+    let mut prev = Time::ZERO;
+    for exec in &rank.execs {
+        prev = write_exec(&mut rows, exec, prev);
+    }
+    rows
+}
+
+/// The declared records of `rows`, as [`record_rows`] lays them out.
+fn read_record_rows(rows: &[u8]) -> Result<Vec<TraceRecord>, CodecError> {
+    let mut reader = Reader::new(rows);
+    let mut prev = Time::ZERO;
+    let mut records = Vec::new();
+    for _ in 0..read_u64(&mut reader)? {
+        let (record, time) = read_record(&mut reader, prev)?;
+        records.push(record);
+        prev = time;
+    }
+    Ok(records)
+}
+
+/// The stored segments and executions of `rows`, as [`reduced_rows`] lays
+/// them out.
+fn read_reduced_rows(rows: &[u8]) -> Result<(Vec<StoredSegment>, Vec<SegmentExec>), CodecError> {
+    let mut reader = Reader::new(rows);
+    let mut stored = Vec::new();
+    for _ in 0..read_u64(&mut reader)? {
+        stored.push(read_stored_segment(&mut reader)?);
+    }
+    let mut execs = Vec::new();
+    let mut prev = Time::ZERO;
+    for _ in 0..read_u64(&mut reader)? {
+        let (exec, start) = read_exec(&mut reader, prev)?;
+        execs.push(exec);
+        prev = start;
+    }
+    Ok((stored, execs))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn app_trace_codec_round_trips(app in app_trace_strategy()) {
-        let bytes = encode_app_trace(&app);
-        let decoded = decode_app_trace(&bytes).expect("well-formed traces must decode");
-        prop_assert_eq!(app, decoded);
+        for rank in &app.ranks {
+            let rows = record_rows(&rank.records);
+            let decoded = read_record_rows(&rows).expect("well-formed records must decode");
+            prop_assert_eq!(&rank.records, &decoded);
+        }
     }
 
     #[test]
     fn reduced_trace_codec_round_trips(reduced in reduced_trace_strategy()) {
-        let bytes = encode_reduced_trace(&reduced);
-        let decoded = decode_reduced_trace(&bytes).expect("well-formed reduced traces must decode");
-        prop_assert_eq!(reduced, decoded);
+        for rank in &reduced.ranks {
+            let rows = reduced_rows(rank);
+            let (stored, execs) =
+                read_reduced_rows(&rows).expect("well-formed reduced rows must decode");
+            prop_assert_eq!(&rank.stored, &stored);
+            prop_assert_eq!(&rank.execs, &execs);
+        }
     }
 
     #[test]
@@ -157,23 +226,26 @@ proptest! {
     #[test]
     fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         // Any result is fine; the property is "no panic".
-        let _ = decode_app_trace(&bytes);
-        let _ = decode_reduced_trace(&bytes);
+        let _ = read_record_rows(&bytes);
+        let _ = read_reduced_rows(&bytes);
     }
 
     #[test]
     fn decoder_never_panics_on_corrupted_valid_trace(
         app in app_trace_strategy(),
+        reduced in reduced_trace_strategy(),
         flip in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..8),
     ) {
-        let mut bytes = encode_app_trace(&app);
+        let mut rows = record_rows(&app.ranks[0].records);
+        let mut reduced_rows = reduced_rows(&reduced.ranks[0]);
         for (idx, value) in flip {
-            if !bytes.is_empty() {
+            for bytes in [&mut rows, &mut reduced_rows] {
                 let i = idx.index(bytes.len());
                 bytes[i] ^= value;
             }
         }
-        let _ = decode_app_trace(&bytes);
+        let _ = read_record_rows(&rows);
+        let _ = read_reduced_rows(&reduced_rows);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests: the full pipeline from workload generation
 //! through reduction, serialization, reconstruction and analysis.
 
-use trace_reduction::eval::Original;
-use trace_reduction::model::codec::{
-    decode_app_trace, decode_reduced_trace, encode_app_trace, encode_reduced_trace,
+use trace_reduction::container::{
+    decode_app_any, decode_reduced_any, encode_app_container, encode_reduced_container, ChunkSpec,
 };
+use trace_reduction::eval::Original;
 use trace_reduction::reduce::{reduce_app_parallel, Method, MethodConfig, Reducer};
 use trace_reduction::sim::{SizePreset, Workload, WorkloadKind};
 
@@ -74,12 +74,14 @@ fn reduction_is_deterministic_and_parallelism_invariant() {
 #[test]
 fn full_and_reduced_traces_round_trip_through_the_codec() {
     let full = Workload::new(WorkloadKind::LateBroadcast, SizePreset::Tiny).generate();
-    let decoded_full = decode_app_trace(&encode_app_trace(&full)).expect("full trace decodes");
+    let spec = ChunkSpec::default();
+    let decoded_full =
+        decode_app_any(&encode_app_container(&full, spec)).expect("full trace decodes");
     assert_eq!(full, decoded_full);
 
     for method in Method::ALL {
         let reduced = Reducer::with_default_threshold(method).reduce_app(&full);
-        let decoded = decode_reduced_trace(&encode_reduced_trace(&reduced))
+        let decoded = decode_reduced_any(&encode_reduced_container(&reduced, spec))
             .unwrap_or_else(|e| panic!("{method}: reduced trace must decode: {e}"));
         assert_eq!(reduced, decoded, "{method}");
         // A decoded reduced trace reconstructs to the same approximation.

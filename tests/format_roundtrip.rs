@@ -1,11 +1,11 @@
 //! Integration tests for the text trace format: every workload and every
 //! reduction method must round trip losslessly, and the text form must stay
-//! consistent with the binary codec.
+//! consistent with the binary container.
 
+use trace_reduction::container::{decode_app_any, encode_app_container, ChunkSpec};
 use trace_reduction::format::{
     parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace,
 };
-use trace_reduction::model::codec::{decode_app_trace, encode_app_trace};
 use trace_reduction::reduce::{Method, Reducer};
 use trace_reduction::sim::{SizePreset, Workload};
 
@@ -23,7 +23,7 @@ fn all_eighteen_workloads_round_trip_through_the_text_format() {
 fn text_and_binary_formats_agree_on_the_same_trace() {
     let app = Workload::all(SizePreset::Tiny)[0].generate();
     let via_text = parse_app_trace(&write_app_trace(&app)).unwrap();
-    let via_binary = decode_app_trace(&encode_app_trace(&app)).unwrap();
+    let via_binary = decode_app_any(&encode_app_container(&app, ChunkSpec::default())).unwrap();
     assert_eq!(via_text, via_binary);
 }
 

@@ -1,12 +1,12 @@
 //! Workspace smoke test: every facade re-export resolves and the crates
 //! compose — generate a workload with `sim`, reduce it with `reduce`,
-//! round-trip both traces through `format`, and encode with `model`'s
-//! binary codec, all through the `trace_reduction` umbrella crate only.
+//! round-trip both traces through `format`, and encode with `container`'s
+//! binary format, all through the `trace_reduction` umbrella crate only.
 
+use trace_reduction::container::{decode_app_any, encode_app_container, ChunkSpec};
 use trace_reduction::format::{
     parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace,
 };
-use trace_reduction::model::codec::{decode_app_trace, encode_app_trace};
 use trace_reduction::reduce::{Method, MethodConfig, Reducer};
 use trace_reduction::sim::{SizePreset, Workload, WorkloadKind};
 
@@ -29,8 +29,9 @@ fn facade_generates_reduces_and_round_trips() {
         parse_reduced_trace(&write_reduced_trace(&reduced)).expect("reduced trace text round trip");
     assert_eq!(reduced, reduced_again);
 
-    // model: the binary codec agrees with the text path.
-    let decoded = decode_app_trace(&encode_app_trace(&full)).expect("binary round trip");
+    // container: the binary format agrees with the text path.
+    let binary = encode_app_container(&full, ChunkSpec::default());
+    let decoded = decode_app_any(&binary).expect("binary round trip");
     assert_eq!(full, decoded);
 
     // reconstruction stays within the structure of the original.
