@@ -8,7 +8,7 @@ use trace_obs::Recorder;
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
-use trace_container::{ChunkSpec, Codec};
+use trace_container::{section_workers, ChunkSpec, Codec};
 
 use crate::cli::{check_flags, Invocation};
 use crate::io::{
@@ -27,7 +27,8 @@ subcommands:
              [--preset tiny|small|paper] [binary output flags]
   reduce     --in FILE --out FILE        similarity-based reduction
              --method M [--threshold T]  [binary output flags]
-             [--stream [--shards N]]     online bounded-memory reduction; input
+             [--stream [--shards N]]     online bounded-memory reduction on N
+                                         workers (default: one per core); input
                                          format (text, container v2) is
                                          autodetected by magic bytes, and v2
                                          containers shard by index footer
@@ -314,7 +315,9 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
     let spec = parse_chunk_spec(invocation, out)?;
-    let shards = invocation.get_usize("shards")?.unwrap_or(1);
+    let shards = invocation
+        .get_usize("shards")?
+        .unwrap_or_else(section_workers);
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
@@ -775,6 +778,7 @@ mod tests {
         let one_rank = temp_path("stream_one_rank.txt");
         let reduced_mem = temp_path("stream_mem.trc");
         let reduced_stream = temp_path("stream_out.trc");
+        let reduced_one = temp_path("stream_one_worker.trc");
 
         run(&Invocation::new(
             "generate",
@@ -795,49 +799,55 @@ mod tests {
         .unwrap();
 
         // The summary names the workers that ran: one per rank at most, and
-        // a single worker's peak is one observation, not a bound.
-        for (input, shards, pipeline, peak) in [
-            (&text, "3", "over 3 shard(s)", "resident segments <="),
-            (
-                &one_rank,
-                "4",
-                "over 1 shard(s)",
-                "peak resident segments 2 ",
-            ),
+        // a single worker's peak is one observation, not a bound.  Without
+        // `--shards` one worker runs per core, and writes the bytes one
+        // worker writes.
+        let cores = section_workers().min(8);
+        let bound = |workers| match workers {
+            1 => "peak resident segments",
+            _ => "resident segments <=",
+        };
+        for (input, shards, workers, peak) in [
+            (&text, Some("3"), 3, bound(3)),
+            (&one_rank, Some("4"), 1, "peak resident segments 2 "),
+            (&text, None, cores, bound(cores)),
+            (&one_rank, None, 1, "peak resident segments 2 "),
         ] {
-            run(&Invocation::new(
-                "reduce",
-                &[
+            let reduce = |out: &Path, extra: &[(&str, &str)]| {
+                let mut flags = vec![
                     ("in", input.to_str().unwrap()),
-                    ("out", reduced_mem.to_str().unwrap()),
+                    ("out", out.to_str().unwrap()),
                     ("method", "relDiff"),
-                ],
-            ))
-            .unwrap();
-
-            let out = run(&Invocation::new(
-                "reduce",
-                &[
-                    ("in", input.to_str().unwrap()),
-                    ("out", reduced_stream.to_str().unwrap()),
-                    ("method", "relDiff"),
-                    ("stream", ""),
-                    ("shards", shards),
-                ],
-            ))
-            .unwrap();
+                ];
+                flags.extend_from_slice(extra);
+                run(&Invocation::new("reduce", &flags)).unwrap()
+            };
+            reduce(&reduced_mem, &[]);
+            let out = match shards {
+                Some(shards) => reduce(&reduced_stream, &[("stream", ""), ("shards", shards)]),
+                None => reduce(&reduced_stream, &[("stream", "")]),
+            };
             assert!(out.contains("stream-reduced"), "{out}");
-            assert!(out.contains(pipeline), "{out}");
+            assert!(out.contains(&format!("over {workers} shard(s)")), "{out}");
             assert!(out.contains(peak), "{out}");
 
-            // The streamed output file is byte-identical to the in-memory one.
-            assert_eq!(
-                std::fs::read(&reduced_mem).unwrap(),
-                std::fs::read(&reduced_stream).unwrap()
-            );
+            // The streamed output file is byte-identical to the in-memory
+            // one, and to one worker's.
+            let streamed = std::fs::read(&reduced_stream).unwrap();
+            assert_eq!(std::fs::read(&reduced_mem).unwrap(), streamed);
+            if shards.is_none() {
+                reduce(&reduced_one, &[("stream", ""), ("shards", "1")]);
+                assert_eq!(std::fs::read(&reduced_one).unwrap(), streamed);
+            }
         }
 
-        cleanup(&[&text, &one_rank, &reduced_mem, &reduced_stream]);
+        cleanup(&[
+            &text,
+            &one_rank,
+            &reduced_mem,
+            &reduced_stream,
+            &reduced_one,
+        ]);
     }
 
     #[test]

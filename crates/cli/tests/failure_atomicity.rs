@@ -264,8 +264,11 @@ fn a_streamed_convert_failing_on_its_input_names_the_input_and_keeps_the_target(
 
 #[test]
 fn a_one_worker_streamed_reduce_failing_on_its_input_names_it_and_keeps_the_target() {
-    // `reduce --stream` without `--shards` decodes its input on a second
-    // thread; what that thread meets is still the command's error.
+    // `reduce --stream --shards 1` decodes its input on a second thread;
+    // what that thread meets is still the command's error.  Without
+    // `--shards` one worker runs per core, and the error is the same: the
+    // lowest failing section's, and a container whose index trailer cannot
+    // be read is reduced in order, as one worker reduces it.
     let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
     let text = write_app_trace(&app);
     let last = text.rfind("\nRANK ").unwrap() + 1;
@@ -298,20 +301,24 @@ fn a_one_worker_streamed_reduce_failing_on_its_input_names_it_and_keeps_the_targ
         let input = temp_path(&format!("one_worker_reduce_{name}"));
         std::fs::write(&input, bytes).unwrap();
         let (from, to) = (input.to_str().unwrap(), target.to_str().unwrap());
-        let flags = [
-            ("in", from),
-            ("out", to),
-            ("method", "avgWave"),
-            ("stream", ""),
-        ];
-        let err = run(&Invocation::new("reduce", &flags)).unwrap_err();
-        assert_eq!(err, format!("{}: {expected}", input.display()), "{name}");
-        assert_eq!(
-            std::fs::read(&target).unwrap(),
-            b"previous output",
-            "{name}"
-        );
-        assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{name}");
+        for shards in [Some("1"), None] {
+            let mut flags = vec![
+                ("in", from),
+                ("out", to),
+                ("method", "avgWave"),
+                ("stream", ""),
+            ];
+            flags.extend(shards.map(|shards| ("shards", shards)));
+            let case = format!("{name}, --shards {shards:?}");
+            let err = run(&Invocation::new("reduce", &flags)).unwrap_err();
+            assert_eq!(err, format!("{}: {expected}", input.display()), "{case}");
+            assert_eq!(
+                std::fs::read(&target).unwrap(),
+                b"previous output",
+                "{case}"
+            );
+            assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{case}");
+        }
         let _ = std::fs::remove_file(&input);
     }
     let _ = std::fs::remove_file(&target);

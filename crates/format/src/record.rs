@@ -7,6 +7,8 @@
 //! parsed by exactly one piece of code regardless of how it arrives:
 //!
 //! * [`meaningful_line`] — trims a raw line and skips blanks and `#` comments.
+//! * [`plain_record_line`] — the raw lines a reader passing a section it
+//!   does not parse may pass without taking them apart.
 //! * [`HeaderBuilder`] — an incremental state machine for the shared header
 //!   (`TRACE RANKS <n> NAME <name>` plus the REGION/CONTEXT tables),
 //!   producing the [`TraceTables`] every later record is validated against.
@@ -69,6 +71,19 @@ pub fn meaningful_line(raw: &[u8]) -> Option<&[u8]> {
         line = std::str::from_utf8(line).map_or(line, |text| text.trim().as_bytes());
     }
     (!line.is_empty() && !line.starts_with(b"#")).then_some(line)
+}
+
+/// Whether a raw line (terminator removed) is a plain record line: ASCII,
+/// starting `EVENT` or `SEG_`, and ending in a byte that is not a blank.
+/// Such a line is its own [`meaningful_line`], and it is neither a section
+/// boundary nor the trailer, so a reader skipping a rank section passes it
+/// as a record without looking further; every other line takes the
+/// per-line rule.
+#[inline]
+pub fn plain_record_line(raw: &[u8]) -> bool {
+    (raw.starts_with(b"EVENT") || raw.starts_with(b"SEG_"))
+        && raw.last().is_some_and(|&b| !is_space(b))
+        && raw.is_ascii()
 }
 
 /// Decimal fields of up to this many digits cannot overflow a `u64`
@@ -553,6 +568,58 @@ mod tests {
         );
         assert_eq!(meaningful_line(&[nbsp, b"# note"].concat()), None);
         assert_eq!(meaningful_line("é".as_bytes()), Some("é".as_bytes()));
+    }
+
+    #[test]
+    fn a_plain_record_line_is_its_own_meaningful_line_and_no_boundary() {
+        let plain: [&[u8]; 4] = [
+            b"EVENT 0 5 10 2 COMPUTE",
+            b"SEG_BEGIN 0 0",
+            b"SEG_END 0 100",
+            b"EVENT x",
+        ];
+        for raw in plain {
+            assert!(plain_record_line(raw), "{raw:?}");
+        }
+        let other: [&[u8]; 14] = [
+            b"",
+            b" EVENT 0 5 10 2 COMPUTE",
+            b"\tSEG_BEGIN 0 0",
+            b"EVENT 0 5 10 2 COMPUTE\r",
+            b"SEG_END 0 100 ",
+            b"EVENT 0 \xC3\xA9",
+            b"EVEN 0",
+            b"SEG 0",
+            b"# EVENT",
+            b"RANK 0",
+            b"END_RANK",
+            b"END_TRACE",
+            b"TRACE RANKS 1 NAME x",
+            b"REGION 0 r",
+        ];
+        for raw in other {
+            assert!(!plain_record_line(raw), "{raw:?}");
+        }
+        // The predicate implies the line rule keeps the line whole, and no
+        // structure keyword starts it.
+        let keywords: [&[u8]; 7] = [
+            b"RANK",
+            b"END_RANK",
+            b"END_TRACE",
+            b"TRACE",
+            b"REGION",
+            b"CONTEXT",
+            b"#",
+        ];
+        for keyword in keywords {
+            assert!(!plain_record_line(&[keyword, b" 0"].concat()));
+        }
+        for raw in plain.iter().chain(&other) {
+            if plain_record_line(raw) {
+                assert_eq!(meaningful_line(raw), Some(*raw));
+                assert!(keywords.iter().all(|k| !raw.starts_with(k)), "{raw:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc;
 use std::thread;
 
@@ -36,10 +36,14 @@ impl From<WorkerPanic> for io::Error {
 ///   ahead of a lower index are held; nothing is reserved by `n`, which may
 ///   come from an untrusted header.
 /// - A worker whose claims run out calls `finish(state)` on its thread,
-///   unless the run has stopped.
-/// - The first error from `work`, `finish` or `emit` is returned, and the
-///   other workers stop at their next claim.  A panic in a worker, the
-///   calling thread included, is a [`WorkerPanic`] error.
+///   unless the run has failed.
+/// - A failed index ranks as its result would: the run's error is the one
+///   of the lowest index that failed in `work` or `emit`, whichever worker
+///   met it first in time, so it is the error one worker gives.  Claims
+///   past a failed index stop, claims below it still finish, and an error
+///   from `finish` ranks after every index.  A panic in a worker, the
+///   calling thread included, is a [`WorkerPanic`] error, ranked the same
+///   way.
 pub fn ordered<S: Send, T: Send, E: Send + From<WorkerPanic>>(
     states: Vec<S>,
     n: usize,
@@ -48,51 +52,55 @@ pub fn ordered<S: Send, T: Send, E: Send + From<WorkerPanic>>(
     mut emit: impl FnMut(usize, T) -> Result<(), E>,
 ) -> Result<Vec<S>, E> {
     // The counter only hands out indices and the channel orders results,
-    // so `Relaxed` is enough for both atomics.
-    let (next, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+    // so `Relaxed` is enough for both atomics.  `failed` is the lowest
+    // failed rank yet, an index or `n` for `finish`: no claim at or past it
+    // is worked on.
+    let (next, failed) = (AtomicUsize::new(0), AtomicUsize::new(usize::MAX));
     // One worker: results go to `send` until the claims run out, the run
-    // stops or `send` answers that it failed; an error or a panic stops the
-    // run and is sent last.
-    let run = |state: &mut S, send: &mut dyn FnMut(Result<(usize, T), E>) -> bool| {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            while !stop.load(Relaxed) {
-                let index = next.fetch_add(1, Relaxed);
-                if index >= n {
-                    return finish(state);
-                }
-                let value = work(state, index)?;
-                if !send(Ok((index, value))) {
-                    break;
-                }
+    // fails below its next claim or `send` answers that it failed; an
+    // error or a panic is sent last, with its rank.
+    let run = |state: &mut S, send: &mut dyn FnMut(Ranked<T, E>) -> bool| {
+        let mut rank = n;
+        let caught = catch_unwind(AssertUnwindSafe(|| loop {
+            let index = next.fetch_add(1, Relaxed);
+            if index >= failed.load(Relaxed) {
+                return Ok(());
             }
-            Ok(())
+            rank = index.min(n);
+            if index >= n {
+                return finish(state);
+            }
+            let value = work(state, index)?;
+            if !send(Ok((index, value))) {
+                return Ok(());
+            }
         }));
         let error = match caught {
             Ok(Ok(())) => return,
             Ok(Err(error)) => error,
             Err(payload) => WorkerPanic(payload).into(),
         };
-        stop.store(true, Relaxed);
-        send(Err(error));
+        failed.fetch_min(rank, Relaxed);
+        send(Err((rank, error)));
     };
     // The calling thread's side: a result waits until every lower index has
-    // been emitted, and the first error is kept.
-    let (mut pending, mut emitted, mut failure) = (BTreeMap::new(), 0, None);
-    let mut take = |result: Result<(usize, T), E>| {
-        if failure.is_some() {
-            return false;
-        }
+    // been emitted, and the error of the lowest rank is kept.
+    let (mut pending, mut emitted) = (BTreeMap::new(), 0);
+    let mut failure: Option<(usize, E)> = None;
+    let mut take = |result: Ranked<T, E>| {
         let step = result.and_then(|(index, value)| {
             pending.insert(index, value);
             while let Some(value) = pending.remove(&emitted) {
-                emit(emitted, value)?;
+                emit(emitted, value).map_err(|error| (emitted, error))?;
                 emitted += 1;
             }
             Ok(())
         });
-        if let Err(error) = step {
-            stop.store(true, Relaxed);
-            failure = Some(error);
+        if let Err((rank, error)) = step {
+            failed.fetch_min(rank, Relaxed);
+            if failure.as_ref().is_none_or(|(lowest, _)| rank < *lowest) {
+                failure = Some((rank, error));
+            }
         }
         failure.is_none()
     };
@@ -112,7 +120,8 @@ pub fn ordered<S: Send, T: Send, E: Send + From<WorkerPanic>>(
         .collect();
     drop(sender);
     // After each of its own results, the calling thread takes whatever the
-    // other workers have finished, then waits for the rest.
+    // other workers have finished, then waits for the rest: a claim below
+    // a failed index may still fail lower.
     let (own, joined) = scoped(spawned, || {
         run(&mut own, &mut |result| {
             take(result) && results.try_iter().all(&mut take)
@@ -124,15 +133,19 @@ pub fn ordered<S: Send, T: Send, E: Send + From<WorkerPanic>>(
     for worker in joined {
         match worker {
             Ok(state) => done.push(state),
-            Err(panic) => _ = take(Err(panic.into())),
+            Err(panic) => _ = take(Err((n, panic.into()))),
         }
     }
     match failure {
-        Some(error) => Err(error),
+        Some((_, error)) => Err(error),
         None if emitted < n => Err(WorkerPanic(Box::new("an index was never emitted")).into()),
         None => Ok(done),
     }
 }
+
+/// A worker's result as [`ordered()`] takes it: an index and its value,
+/// or an error and its rank.
+type Ranked<T, E> = Result<(usize, T), (usize, E)>;
 
 /// Runs `ahead` on a thread of its own while `work` runs on the calling
 /// thread, and returns what each returned once both have ended: a
@@ -175,7 +188,7 @@ fn scoped<J: Send, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
     use std::thread::ThreadId;
     use std::time::Duration;
@@ -387,6 +400,62 @@ mod tests {
                 assert_eq!(finished.into_inner(), 0, "a stopped run finishes nothing");
                 assert!(claims.into_inner() < fail_at + 1 + 64 * workers);
             }
+        }
+    }
+
+    #[test]
+    fn the_run_error_is_the_lowest_failed_index_not_the_first_in_time() {
+        // The spawned worker holds its first claim, `held`, until the
+        // calling thread has failed on a higher index, and then fails too
+        // (or finishes).  The calling thread takes its own error before it
+        // reads the channel, so a run keeping the first error in time
+        // would report the higher index.
+        let caller = thread::current().id();
+        for lower_fails in [true, false] {
+            let (hold, spawned_held) = mpsc::sync_channel(1);
+            let (go, spawned_go) = mpsc::sync_channel(1);
+            let (spawned_held, spawned_go) = (Mutex::new(spawned_held), Mutex::new(spawned_go));
+            let (held, higher) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut emitted = Vec::new();
+            let err = ordered(
+                vec![false; 2],
+                4,
+                |claimed, index| {
+                    let first = !std::mem::replace(claimed, true);
+                    if thread::current().id() != caller {
+                        if first {
+                            hold.send(index).unwrap();
+                            spawned_go.lock().unwrap().recv().unwrap();
+                            if lower_fails {
+                                return Err(io::Error::other(format!("failed at {index}")));
+                            }
+                        }
+                        return Ok(index);
+                    }
+                    if first {
+                        let index = spawned_held.lock().unwrap().recv().unwrap();
+                        held.store(index, Ordering::SeqCst);
+                    }
+                    if index < held.load(Ordering::SeqCst) {
+                        return Ok(index);
+                    }
+                    higher.store(index, Ordering::SeqCst);
+                    go.send(()).unwrap();
+                    Err(io::Error::other(format!("failed at {index}")))
+                },
+                |_| Ok(()),
+                |index, _| {
+                    emitted.push(index);
+                    Ok(())
+                },
+            )
+            .unwrap_err();
+            let (held, higher) = (held.into_inner(), higher.into_inner());
+            assert!(held < higher, "{held} {higher}");
+            // Every index below the failed one is still emitted.
+            let lowest = if lower_fails { held } else { higher };
+            assert_eq!(err.to_string(), format!("failed at {lowest}"));
+            assert_eq!(emitted, (0..lowest).collect::<Vec<_>>());
         }
     }
 

@@ -124,7 +124,9 @@ pub fn reduce_container_stream<R: Read + Send>(
 /// footer.  Output is bit-identical to the sequential
 /// [`reduce_container_stream`]; only wall-clock time changes.  One shard
 /// *is* that sequential scan: it needs no index footer and validates every
-/// chunk up to the trailer, which seeking workers never reach.  A failing
+/// chunk up to the trailer, which seeking workers never reach.  So is a
+/// file whose index trailer cannot be read, a cut one say: the sequential
+/// scan says what is wrong with it, as it does at one shard.  A failing
 /// section is a [`StreamError::Section`], which says where it is.
 pub fn reduce_container_file(
     reducer: &Reducer,
@@ -137,14 +139,17 @@ pub fn reduce_container_file(
     }
 
     let mut file = File::open(path)?;
-    let ContainerIndex { kind, sections } = read_index(&mut file)?;
+    let index = read_index(&mut file);
+    file.seek(SeekFrom::Start(0))?;
+    let Ok(ContainerIndex { kind, sections }) = index else {
+        return reduce_container_stream(reducer, BufReader::new(file));
+    };
     if kind == PayloadKind::Reduced {
         return Err(StreamError::Container(ContainerError::UnexpectedChunk {
             expected: "an app-trace container",
             found: "a reduced-trace container",
         }));
     }
-    file.seek(SeekFrom::Start(0))?;
     let (header, declared_ranks) = header_of(&ContainerSource::new(BufReader::new(file))?)?;
     // The sequential reader validates this when it reaches the INDEX
     // chunk; the sharded path never scans that far, so a short index must

@@ -21,7 +21,8 @@ use std::io::{self, BufRead};
 use std::ops::Range;
 
 use trace_format::record::{
-    meaningful_line, parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables,
+    meaningful_line, parse_app_body_line, plain_record_line, AppBodyLine, HeaderBuilder,
+    TraceTables,
 };
 use trace_format::write::APP_HEADER;
 use trace_format::FormatError;
@@ -133,6 +134,30 @@ impl<R: BufRead> LineReader<R> {
             }
         }
         Ok(None)
+    }
+
+    /// Passes the plain record lines ([`plain_record_line`]) at the front of
+    /// the block, which [`LineReader::next_meaningful`] would pass one call
+    /// each, and counts their line numbers.  Stops before any other line,
+    /// before a line the block does not hold whole, and at once if a line
+    /// waits to be read again: those take the per-line path.
+    fn pass_plain_records(&mut self) {
+        if self.replay {
+            return;
+        }
+        let unread = self.buf.get(self.start..self.filled).unwrap_or_default();
+        let (mut rest, mut lines) = (unread, 0);
+        while let Some(at) = find_newline(rest) {
+            let (Some(line), Some(after)) = (rest.get(..at), rest.get(at + 1..)) else {
+                break;
+            };
+            if !plain_record_line(line) {
+                break;
+            }
+            (rest, lines) = (after, lines + 1);
+        }
+        self.start += unread.len() - rest.len();
+        self.line_no += lines;
     }
 
     /// Advances past the next line of input and returns its range in `buf`,
@@ -411,9 +436,14 @@ impl<R: BufRead> StreamParser<R> {
     /// owned by other workers).  Returns the skipped rank.
     ///
     /// Section structure is still enforced — a stray `RANK`/`END_TRACE`
-    /// inside the section is an error — but record lines are not validated.
-    /// Records of the current batch not yet handed out are dropped; an error
-    /// held behind them is returned.
+    /// inside the section is an error, and the section ends where the
+    /// grammar ends it, at a line whose first token is `END_RANK` — but
+    /// record lines are not validated.  Plain record lines
+    /// ([`plain_record_line`]) are passed a block at a time, with no call
+    /// per line; every other line takes the per-line rule, so errors and
+    /// line numbers are the ones a line-at-a-time skip gives.  Records of
+    /// the current batch not yet handed out are dropped; an error held
+    /// behind them is returned.
     pub fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
         let State::InRank(rank) = self.state else {
             return Err(
@@ -425,18 +455,28 @@ impl<R: BufRead> StreamParser<R> {
         if let Some(error) = self.held.take() {
             return Err(error);
         }
+        let tables = &self.tables;
         let section_ended = |line_no, line: &[u8]| {
             if line.starts_with(b"RANK") || line == b"END_TRACE" {
                 let line = String::from_utf8_lossy(line);
                 let message = format!("unexpected record {line:?} inside a rank section");
                 return Err(FormatError::at(line_no, message));
             }
-            Ok(line == b"END_RANK")
+            // The grammar's rule: `END_RANK` is the line's first token.
+            let ended = line.starts_with(b"END_RANK")
+                && matches!(
+                    parse_app_body_line(tables, line_no, line, true),
+                    Ok(AppBodyLine::EndRank)
+                );
+            Ok(ended)
         };
-        while !self
-            .lines
-            .next_line(self.state.expecting(), section_ended)?
-        {}
+        let expecting = self.state.expecting();
+        loop {
+            self.lines.pass_plain_records();
+            if self.lines.next_line(expecting, section_ended)? {
+                break;
+            }
+        }
         self.state = State::Body;
         self.ranks_seen += 1;
         Ok(rank)

@@ -11,7 +11,10 @@ use std::io::{self, BufRead, BufReader, Cursor, Read};
 
 use proptest::prelude::*;
 use trace_container::{encode_app_container, ChunkSpec};
-use trace_format::{parse_app_trace, write_app_trace};
+use trace_format::record::{meaningful_line, parse_app_body_line, AppBodyLine, HeaderBuilder};
+use trace_format::write::APP_HEADER;
+use trace_format::{parse_app_trace, write_app_trace, FormatError};
+use trace_model::Rank;
 use trace_reduce::{Method, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
@@ -169,12 +172,234 @@ fn mutate_text(text: &str, seed: u64) -> Vec<u8> {
     }
 }
 
+/// Everything a parse that skips every rank section yields: the ranks it
+/// skipped, and its error.
+fn drain_skipping(reader: impl BufRead) -> (Vec<Rank>, Option<String>) {
+    let mut ranks = Vec::new();
+    let mut parser = match StreamParser::new(reader) {
+        Ok(parser) => parser,
+        Err(err) => return (ranks, Some(format!("{err:?}"))),
+    };
+    loop {
+        let skipped = match parser.next_item() {
+            Ok(Some(AppItem::RankStart(_))) => parser.skip_current_rank(),
+            Ok(Some(item)) => return (ranks, Some(format!("{item:?} outside a section"))),
+            Ok(None) => return (ranks, None),
+            Err(err) => Err(err),
+        };
+        match skipped {
+            Ok(rank) => ranks.push(rank),
+            Err(err) => return (ranks, Some(format!("{err:?}"))),
+        }
+    }
+}
+
+/// What [`drain_skipping`] must give, from a skip that takes the input one
+/// raw line at a time: a line of 1 MiB or more is an error, a line with
+/// non-ASCII bytes must be UTF-8, blanks and `#` comments go, and inside a
+/// section a line starting `RANK` or reading `END_TRACE` is an error and
+/// one the grammar reads as `END_RANK` ends it.
+fn reference_skipping(input: &[u8]) -> (Vec<Rank>, Option<String>) {
+    const MAX_LINE_BYTES: usize = 1 << 20;
+    let mut ranks = Vec::new();
+    let mut pieces = input.split(|&b| b == b'\n').peekable();
+    let mut line_no = 0;
+    // The next meaningful line and its number, or the error reading it.
+    let mut next = || -> Result<Option<(usize, &[u8])>, StreamError> {
+        while let Some(raw) = pieces.next() {
+            if raw.is_empty() && pieces.peek().is_none() {
+                break;
+            }
+            line_no += 1;
+            if raw.len() >= MAX_LINE_BYTES {
+                let message = format!("line exceeds {MAX_LINE_BYTES} bytes");
+                return Err(FormatError::at(line_no, message).into());
+            }
+            if std::str::from_utf8(raw).is_err() {
+                let message = "stream did not contain valid UTF-8";
+                return Err(io::Error::new(io::ErrorKind::InvalidData, message).into());
+            }
+            if let Some(line) = meaningful_line(raw) {
+                return Ok(Some((line_no, line)));
+            }
+        }
+        Ok(None)
+    };
+    let end = |expecting: &str| -> StreamError {
+        let message = format!("unexpected end of input, expected {expecting}");
+        FormatError::structural(message).into()
+    };
+    let mut run = || -> Result<(), StreamError> {
+        match next()? {
+            Some((_, line)) if line == APP_HEADER.as_bytes() => {}
+            Some((line_no, line)) => {
+                let line = String::from_utf8_lossy(line);
+                let message = format!("expected header {APP_HEADER:?}, found {line:?}");
+                return Err(FormatError::at(line_no, message).into());
+            }
+            None => return Err(end("header")),
+        }
+        let mut builder = HeaderBuilder::new();
+        let mut body = loop {
+            let Some((line_no, line)) = next()? else {
+                return Err(end(builder.expecting()));
+            };
+            if !builder.feed(line_no, line)? {
+                break Some((line_no, line));
+            }
+        };
+        let tables = builder.finish()?;
+        loop {
+            let Some((line_no, line)) =
+                body.take().map_or_else(&mut next, |line| Ok(Some(line)))?
+            else {
+                return Err(end("RANK or END_TRACE"));
+            };
+            match parse_app_body_line(&tables, line_no, line, false)? {
+                AppBodyLine::RankStart(rank) => loop {
+                    let Some((line_no, line)) = next()? else {
+                        return Err(end("rank records or END_RANK"));
+                    };
+                    if line.starts_with(b"RANK") || line == b"END_TRACE" {
+                        let line = String::from_utf8_lossy(line);
+                        let message = format!("unexpected record {line:?} inside a rank section");
+                        return Err(FormatError::at(line_no, message).into());
+                    }
+                    let parsed = parse_app_body_line(&tables, line_no, line, true);
+                    if matches!(parsed, Ok(AppBodyLine::EndRank)) {
+                        ranks.push(rank);
+                        break;
+                    }
+                },
+                AppBodyLine::EndTrace if ranks.len() == tables.declared_ranks => return Ok(()),
+                AppBodyLine::EndTrace => {
+                    return Err(FormatError::structural(format!(
+                        "header declares {} ranks but {} rank sections were found",
+                        tables.declared_ranks,
+                        ranks.len()
+                    ))
+                    .into())
+                }
+                _ => return Err(StreamError::Protocol("a record outside a section")),
+            }
+        }
+    };
+    let error = run().err().map(|err| format!("{err:?}"));
+    (ranks, error)
+}
+
+/// A parser skipping every section, fed whole or in reads of `sizes`
+/// bytes, gives what the per-line reference skip gives.
+fn assert_skipping_matches_the_per_line_skip(input: &[u8], sizes: &[Vec<usize>]) {
+    let expected = reference_skipping(input);
+    assert_eq!(drain_skipping(Cursor::new(input)), expected, "whole");
+    for sizes in sizes {
+        let chunked = BufReader::new(Chunked {
+            data: input,
+            sizes: sizes.clone(),
+            calls: 0,
+        });
+        assert_eq!(drain_skipping(chunked), expected, "chunk sizes {sizes:?}");
+    }
+}
+
 #[test]
 fn chunked_reads_of_all_paper_workloads_match_the_whole_buffer_parse() {
     for kind in WorkloadKind::all_paper() {
         let text = write_app_trace(&Workload::new(kind, SizePreset::Tiny).generate());
         assert_chunking_is_invisible(text.as_bytes(), vec![3, 64, 1, 4096, 13, 100_000]);
     }
+}
+
+#[test]
+fn a_skipping_parser_agrees_with_the_per_line_skip_on_every_kind_of_line() {
+    let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
+    let text = write_app_trace(&app);
+    // `text` with `extra` put in front of the `record`-th record line of
+    // section `rank`.
+    let before_record = |rank: usize, record: usize, extra: &[u8]| {
+        let section = text.find(&format!("\nRANK {rank}\n")).unwrap() + 1;
+        let mut at = section + text[section..].find('\n').unwrap() + 1;
+        for _ in 0..record {
+            at += text[at..].find('\n').unwrap() + 1;
+        }
+        let bytes = text.as_bytes();
+        [&bytes[..at], extra, &bytes[at..]].concat()
+    };
+    let line_of = |input: &[u8], needle: &[u8]| {
+        let at = input
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap();
+        input[..at].iter().filter(|&&b| b == b'\n').count() + 1
+    };
+    let format_error =
+        |line, message: &str| format!("{:?}", StreamError::Format(FormatError::at(line, message)));
+    let sizes = [vec![13], vec![4096], vec![65_537, 3]];
+
+    // A stray `RANK` or `END_TRACE` in a skipped section is an error on its
+    // line, and so is a line that is not UTF-8.
+    for stray in [&b"RANK 9\n"[..], b"END_TRACE\n"] {
+        let input = before_record(2, 3, stray);
+        let line = line_of(&input, stray);
+        let found = String::from_utf8_lossy(&stray[..stray.len() - 1]).into_owned();
+        let message = format!("unexpected record {found:?} inside a rank section");
+        let expected = (vec![Rank(0), Rank(1)], Some(format_error(line, &message)));
+        assert_eq!(drain_skipping(Cursor::new(&input)), expected);
+        assert_skipping_matches_the_per_line_skip(&input, &sizes);
+    }
+    let input = before_record(4, 0, b"EVENT 0 5 10 2 COMPUTE \xE9\n");
+    let (ranks, error) = drain_skipping(Cursor::new(&input));
+    assert_eq!(ranks.len(), 4);
+    assert!(error.unwrap().contains("InvalidData"));
+    assert_skipping_matches_the_per_line_skip(&input, &sizes);
+
+    // Blank lines, comments, indented records, a non-ASCII comment, a
+    // record ending in a blank and `\r\n` line ends all pass as the
+    // per-line rule passes them.
+    let passing: [&[u8]; 6] = [
+        b"\n\n   \n",
+        b"# a comment\n#EVENT\n",
+        b"  EVENT 0 5 10 2 COMPUTE\n\tSEG_BEGIN 0 0\n",
+        "# caf\u{e9}\n\u{a0}EVENT 0\n".as_bytes(),
+        b"SEG_END 0 100 \x0B\n",
+        b"",
+    ];
+    for extra in passing {
+        let input = before_record(3, 1, extra);
+        assert_eq!(drain_skipping(Cursor::new(&input)).1, None, "{extra:?}");
+        assert_skipping_matches_the_per_line_skip(&input, &sizes);
+    }
+    // `END_RANK` and a trailing token ends a section, as the grammar reads
+    // it: here the line after it opens a ninth.
+    let input = before_record(3, 1, b"END_RANK 7 extra\nRANK 3\n");
+    let (ranks, error) = drain_skipping(Cursor::new(&input));
+    assert_eq!(ranks.len(), app.rank_count() + 1);
+    assert!(error.unwrap().contains("but 9 rank sections"));
+    assert_skipping_matches_the_per_line_skip(&input, &sizes);
+    let crlf = text.replace('\n', "\r\n");
+    assert_eq!(drain_skipping(Cursor::new(&crlf)).0.len(), app.rank_count());
+    assert_skipping_matches_the_per_line_skip(crlf.as_bytes(), &sizes);
+
+    // A section larger than the parser's block, so that lines are split by
+    // refills whatever the read sizes.
+    let records: String = (0..20_000)
+        .map(|i| format!("EVENT 0 {i} {} 2 COMPUTE\n", i + 1))
+        .collect();
+    let input = before_record(5, 2, records.as_bytes());
+    assert_eq!(drain_skipping(Cursor::new(&input)).1, None);
+    assert_skipping_matches_the_per_line_skip(&input, &sizes);
+
+    // A line of 1 MiB is an error on its line.
+    let long = [&b"EVENT 0 "[..], &vec![b'7'; 1 << 20], b"\n"].concat();
+    let input = before_record(1, 2, &long);
+    let line = line_of(&input, &long[..16]);
+    let message = format!("line exceeds {} bytes", 1 << 20);
+    assert_eq!(
+        drain_skipping(Cursor::new(&input)),
+        (vec![Rank(0)], Some(format_error(line, &message)))
+    );
+    assert_skipping_matches_the_per_line_skip(&input, &[vec![65_537, 3]]);
 }
 
 proptest! {
@@ -191,6 +416,20 @@ proptest! {
             // Every mutation kind once per case, at a random place.
             let seed = seed - seed % 12 + kind as u64;
             assert_chunking_is_invisible(&mutate_text(&text, seed), sizes.clone());
+        }
+    }
+
+    #[test]
+    fn skipping_mutated_text_matches_a_per_line_skip(
+        rank_specs in spec_strategy(),
+        seeds in prop::collection::vec(any::<u64>(), 12),
+        sizes in prop::collection::vec(1usize..200, 1..8),
+    ) {
+        let text = write_app_trace(&build_trace(&rank_specs));
+        for (kind, seed) in seeds.into_iter().enumerate() {
+            let seed = seed - seed % 12 + kind as u64;
+            let input = mutate_text(&text, seed);
+            assert_skipping_matches_the_per_line_skip(&input, &[vec![1], vec![7], sizes.clone()]);
         }
     }
 

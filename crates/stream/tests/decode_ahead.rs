@@ -11,7 +11,11 @@
 //! declares one rank fewer or one more than the file holds; an extra
 //! section holding a malformed record, which only the declared count may
 //! reject, since a section past the declared ones is skipped, not parsed;
-//! and a missing trailer.
+//! malformed records in two sections; a section ended by `END_RANK` and a
+//! trailing token; and a missing trailer.
+//!
+//! Text runs are also made on 2, 3 and ranks + 3 workers, which pass the
+//! sections other workers own: each gives one worker's outcome.
 
 use std::io::{self, BufReader, Cursor, Read};
 
@@ -22,8 +26,8 @@ use trace_reduce::{MatchStats, Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::parser::BATCH_RECORDS;
 use trace_stream::{
-    reduce_container_stream, reduce_stream, reduce_stream_sharded, StreamError, StreamReduction,
-    StreamStats,
+    reduce_container_file, reduce_container_stream, reduce_stream, reduce_stream_sharded,
+    StreamError, StreamParser, StreamReduction, StreamStats,
 };
 
 fn reducer() -> Reducer {
@@ -31,13 +35,32 @@ fn reducer() -> Reducer {
 }
 
 /// A text trace reduced on one worker, by both text entry points; they
-/// must agree.
+/// must agree.  So must the sharded entry point on 2, 3 and ranks + 3
+/// workers, which pass the sections other workers own.
 fn text_run(text: &[u8]) -> Result<StreamReduction, StreamError> {
     let open = || BufReader::new(Cursor::new(text.to_vec()));
     let streamed = reduce_stream(&reducer(), open());
     let sharded = reduce_stream_sharded(&reducer(), 1, |_| Ok(open()));
     assert_eq!(outcome(&streamed), outcome(&sharded));
+    assert_any_worker_count_agrees(&streamed, open);
     streamed
+}
+
+/// Asserts that the sharded text driver on 2, 3 and ranks + 3 workers, each
+/// reading from `open`, gives `one_worker`'s outcome.
+fn assert_any_worker_count_agrees<R: io::BufRead + Send>(
+    one_worker: &Result<StreamReduction, StreamError>,
+    open: impl Fn() -> R + Sync,
+) {
+    let ranks = StreamParser::new(open()).map_or(0, |parser| parser.tables().declared_ranks);
+    for workers in [2, 3, ranks + 3] {
+        let sharded = reduce_stream_sharded(&reducer(), workers, |_| Ok(open()));
+        assert_eq!(
+            outcome_on_any_workers(&sharded),
+            outcome_on_any_workers(one_worker),
+            "{workers} workers"
+        );
+    }
 }
 
 fn container_run(bytes: &[u8]) -> Result<StreamReduction, StreamError> {
@@ -48,6 +71,21 @@ fn container_run(bytes: &[u8]) -> Result<StreamReduction, StreamError> {
 fn outcome(run: &Result<StreamReduction, StreamError>) -> String {
     match run {
         Ok(run) => format!("{:?} {:?}", run.stats, run.reduced),
+        Err(error) => format!("{error:?}"),
+    }
+}
+
+/// [`outcome`] without the peak of resident segments, which is one
+/// observation on one worker and the sum of the workers' peaks on several.
+fn outcome_on_any_workers(run: &Result<StreamReduction, StreamError>) -> String {
+    match run {
+        Ok(run) => {
+            let stats = StreamStats {
+                peak_resident_segments: 0,
+                ..run.stats
+            };
+            format!("{stats:?} {:?}", run.reduced)
+        }
         Err(error) => format!("{error:?}"),
     }
 }
@@ -337,7 +375,7 @@ fn check(cases: Vec<(String, Result<StreamReduction, StreamError>)>, pinned: &[E
     );
 }
 
-const TEXT_HOSTILE: [Expected; 12] = [
+const TEXT_HOSTILE: [Expected; 14] = [
     // a malformed record at batch offset 0
     (
         "Format",
@@ -386,6 +424,16 @@ const TEXT_HOSTILE: [Expected; 12] = [
         "Format",
         "trace format error: header declares 1 ranks but 2 rank sections were found",
     ),
+    // malformed records in sections 1 and 3
+    (
+        "Format",
+        "trace format error at line 65: invalid event start: \"x\"",
+    ),
+    // END_RANK with a trailing token
+    (
+        "Ok",
+        "[5, 67, 68, 6, 68, 7, 0, 3, 62, 0, 0, 62, 62, 0, 62] 0",
+    ),
 ];
 
 #[test]
@@ -416,6 +464,7 @@ fn hostile_text_gives_the_same_error_or_reduction() {
         let reduced = reduce_stream(&reducer(), open());
         let sharded = reduce_stream_sharded(&reducer(), 1, |_| Ok(open()));
         assert_eq!(outcome(&reduced), outcome(&sharded));
+        assert_any_worker_count_agrees(&reduced, open);
         cases.push((format!("an I/O error at byte {fail_at}"), reduced));
     }
     // Zero declared ranks.
@@ -442,6 +491,17 @@ fn hostile_text_gives_the_same_error_or_reduction() {
         .replace("TRACE RANKS 2 ", "TRACE RANKS 1 ");
     let what = "an extra section holding a malformed record";
     cases.push((what.to_string(), text_run(extra.as_bytes())));
+    // Malformed records in two sections: the first one's error, whichever
+    // worker meets its own first.
+    let sections = trace_with_sections(&[40, 30, 50, 20, 60]);
+    let twice = malformed(&malformed(&sections, 3, 2), 1, 17);
+    let what = "malformed records in sections 1 and 3";
+    cases.push((what.to_string(), text_run(twice.as_bytes())));
+    // A section ended by `END_RANK` and a trailing token, which the
+    // grammar reads as `END_RANK`, in front of sections other workers own.
+    let trailing = sections.replacen("END_RANK\n", "END_RANK 7 extra\n", 1);
+    let what = "END_RANK with a trailing token";
+    cases.push((what.to_string(), text_run(trailing.as_bytes())));
     check(cases, &TEXT_HOSTILE);
 }
 
@@ -499,6 +559,16 @@ fn hostile_containers_give_the_same_error_or_reduction() {
         ("one rank more declared", declaring(&bytes, ranks + 1)),
         ("no trailer", bytes[..bytes.len() - 12].to_vec()),
     ];
+    // A container whose index trailer cannot be read gives one worker's
+    // outcome on two, too.
+    for (what, bytes) in [&cases[0], &cases[4]] {
+        let mut path = std::env::temp_dir();
+        path.push(format!("decode_ahead_{}_{what}.trc", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let sharded = reduce_container_file(&reducer(), &path, 2);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(outcome(&sharded), outcome(&container_run(bytes)), "{what}");
+    }
     let runs = cases.map(|(what, bytes)| (what.to_string(), container_run(&bytes)));
     check(runs.into_iter().collect(), &CONTAINER_HOSTILE);
 }
