@@ -10,16 +10,15 @@
 //! [`convert_app_trace`] streams a text or v2 input into a v2 container
 //! without loading it.
 
-use std::fmt::Display;
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use trace_container::{
-    decode_app_any, decode_reduced_any, section_workers, write_app_container,
-    write_reduced_container, ChunkSpec,
+    read_app_container, read_reduced_container, section_workers, write_app_container,
+    write_reduced_container, ChunkSpec, ContainerError,
 };
-use trace_format::{parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace};
+use trace_format::{read_app_trace, read_reduced_trace, write_app_trace, write_reduced_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_stream::{convert_container, convert_text, detect_input, StreamError, TraceInputKind};
 
@@ -57,20 +56,32 @@ pub fn write_file_atomic(
         })
 }
 
-/// Reads `path` and decodes it: text by extension, otherwise binary.
-fn load<T, P: Display, D: Display>(
-    path: &Path,
-    parse: impl FnOnce(&str) -> Result<T, P>,
-    decode: impl FnOnce(&[u8]) -> Result<T, D>,
-) -> Result<T, String> {
-    let unreadable = |e: io::Error| format!("cannot read {}: {e}", path.display());
-    if is_text_path(path) {
-        let text = fs::read_to_string(path).map_err(unreadable)?;
-        parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    } else {
-        let bytes = fs::read(path).map_err(unreadable)?;
-        decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+/// What reading `path` failed with: the source itself is "cannot read",
+/// what is wrong with its bytes names the file.
+fn input_error(path: &Path, e: StreamError) -> String {
+    match e {
+        StreamError::Io(e) | StreamError::Container(ContainerError::Io(e)) => {
+            format!("cannot read {}: {e}", path.display())
+        }
+        e => format!("{}: {e}", path.display()),
     }
+}
+
+/// Reads `path` and decodes it from the open file: text by extension,
+/// otherwise binary.
+fn load<T>(
+    path: &Path,
+    text: impl FnOnce(BufReader<fs::File>) -> Result<T, StreamError>,
+    binary: impl FnOnce(BufReader<fs::File>) -> Result<T, ContainerError>,
+) -> Result<T, String> {
+    let file = fs::File::open(path).map_err(|e| input_error(path, e.into()))?;
+    let file = BufReader::new(file);
+    let loaded = if is_text_path(path) {
+        text(file)
+    } else {
+        binary(file).map_err(StreamError::from)
+    };
+    loaded.map_err(|e| input_error(path, e))
 }
 
 /// Loads a full application trace from `path` (text or binary by
@@ -79,14 +90,21 @@ fn load<T, P: Display, D: Display>(
 pub fn load_app_trace(path: &Path, recorder: &trace_obs::Recorder) -> Result<AppTrace, String> {
     let mut obs = recorder.shard();
     let span = obs.start();
-    let result = load(path, parse_app_trace, decode_app_any);
+    let result = load(path, read_app_trace, read_app_container);
     obs.end(trace_obs::Stage::Parse, span);
     result
 }
 
-/// Loads a reduced trace from `path` (text or binary by extension).
+/// Loads a reduced trace from `path` (text or binary by extension) whose
+/// segment ids keep the reduced format's rules (a text trace is refused at
+/// the line that breaks them), so that every execution replays its stored
+/// segment.
 pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
-    load(path, parse_reduced_trace, decode_reduced_any)
+    let reduced = load(path, read_reduced_trace, read_reduced_container)?;
+    reduced
+        .check_ids()
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(reduced)
 }
 
 /// A sink and the number of bytes it has taken.
@@ -183,8 +201,7 @@ pub fn convert_app_trace(
         let app = load_app_trace(input, recorder)?;
         return store_app_trace(path, &app, spec, recorder);
     }
-    let unreadable = |e: io::Error| format!("cannot read {}: {e}", input.display());
-    let file = fs::File::open(input).map_err(unreadable)?;
+    let file = fs::File::open(input).map_err(|e| input_error(input, e.into()))?;
     let mut failed_input = None;
     let written = store(path, recorder, |out| {
         let reader = BufReader::new(file);
@@ -199,8 +216,7 @@ pub fn convert_app_trace(
         })
     });
     match failed_input {
-        Some(StreamError::Io(e)) => Err(unreadable(e)),
-        Some(e) => Err(format!("{}: {e}", input.display())),
+        Some(e) => Err(input_error(input, e)),
         None => written,
     }
 }

@@ -8,10 +8,15 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use trace_container::{
-    crc32, decode_app_any, decode_reduced_any, encode_app_container, read_app_container,
-    write_app_container, ChunkSpec, Codec, CompressError, ContainerError,
+    crc32, decode_app_any, decode_reduced_any, encode_app_container, encode_reduced_container,
+    read_app_container, read_reduced_container, write_app_container, ChunkSpec, Codec,
+    CompressError, ContainerError,
 };
 use trace_format::{parse_app_trace, write_app_trace};
+use trace_model::{
+    ContextId, ContextTable, Rank, ReducedAppTrace, ReducedRankTrace, RegionTable, Segment,
+    SegmentExec, StoredSegment, Time,
+};
 use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{
@@ -471,5 +476,86 @@ fn a_retired_v1_file_is_refused_by_every_reader_and_leaves_no_output() {
             let _ = std::fs::remove_file(&target);
         }
         let _ = std::fs::remove_file(&input);
+    }
+}
+
+/// A one-rank reduced trace of `stored` empty representatives under the ids
+/// `id` gives their positions, and ten times as many executions, the `k`-th
+/// naming the stored id `exec(k)`.
+fn crafted_reduced(
+    stored: usize,
+    id: impl Fn(usize) -> u32,
+    exec: impl Fn(usize) -> u32,
+) -> ReducedAppTrace {
+    let segment = Segment {
+        context: ContextId(0),
+        start: Time::ZERO,
+        end: Time::from_nanos(10),
+        events: Vec::new(),
+    };
+    let mut rank = ReducedRankTrace::new(Rank(0));
+    rank.stored = (0..stored)
+        .map(|at| StoredSegment {
+            id: id(at),
+            segment: segment.clone(),
+            represented: 10,
+        })
+        .collect();
+    rank.execs = (0..10 * stored)
+        .map(|k| SegmentExec {
+            segment: exec(k),
+            start: Time::from_nanos(100 * k as u64),
+        })
+        .collect();
+    ReducedAppTrace {
+        name: "crafted".into(),
+        regions: RegionTable::from_names(Vec::new()),
+        contexts: ContextTable::from_names(vec!["main.1".into()]),
+        ranks: vec![rank],
+    }
+}
+
+#[test]
+fn a_reduced_container_with_sparse_or_unknown_ids_is_refused_and_leaves_no_output() {
+    // The text reader refuses both traces at the line that breaks the id
+    // rules; a container of them reads back as written, and the CLI refuses
+    // it before anything replays an execution.
+    for stored in [2_000, 20_000] {
+        let last = stored as u32 - 1;
+        let reversed = crafted_reduced(stored, |at| last - at as u32, |k| (k % stored) as u32);
+        let unknown = crafted_reduced(stored, |at| at as u32, |k| (k % (stored + 1)) as u32);
+        for (name, crafted, message) in [
+            (
+                "reversed",
+                reversed,
+                format!("rank 0: stored ids must be dense; expected 0 got {last}"),
+            ),
+            (
+                "unknown",
+                unknown,
+                format!("rank 0: execution references unknown stored segment {stored}"),
+            ),
+        ] {
+            let bytes = encode_reduced_container(&crafted, ChunkSpec::default());
+            let read = read_reduced_container(&bytes[..]).unwrap();
+            let err = read.check_ids().unwrap_err();
+            assert_eq!(err.to_string(), message, "{name} {stored}");
+
+            let input = temp_path(&format!("crafted_{name}_{stored}.trc"));
+            std::fs::write(&input, &bytes).unwrap();
+            let expected = format!("{}: {message}", input.display());
+            let from = input.to_str().unwrap();
+            let err = run(&Invocation::new("report", &[("in", from)])).unwrap_err();
+            assert_eq!(err, expected, "report {name} {stored}");
+            for ext in ["trc", "txt"] {
+                let target = temp_path(&format!("crafted_out.{ext}"));
+                let flags = [("in", from), ("out", target.to_str().unwrap())];
+                let err = run(&Invocation::new("reconstruct", &flags)).unwrap_err();
+                assert_eq!(err, expected, "reconstruct {name} {stored}");
+                assert!(!target.exists(), "reconstruct left an output");
+                assert_eq!(temp_siblings(&target), Vec::<String>::new());
+            }
+            let _ = std::fs::remove_file(&input);
+        }
     }
 }

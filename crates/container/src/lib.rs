@@ -13,10 +13,13 @@
 //! * a chunk-index footer maps every rank section to its byte offset and
 //!   summary counts ([`index::read_index`]), so a seekable consumer can
 //!   hand whole rank sections to parallel workers without scanning;
-//! * [`reader::ChunkReader`] pulls records over any `io::Read` source (the
-//!   binary analogue of the text stream parser) — one chunk decoded at a
-//!   time into a reused batch, handed on record by record or as a slice —
-//!   and [`reader::ChunkReader::section`] resumes at an indexed offset;
+//! * [`reader::ChunkReader`] pulls a full trace's records over any
+//!   `io::Read` source (the binary analogue of the text reader, yielding
+//!   the same `trace_model::AppItem`s) — one chunk decoded at a time into
+//!   a reused batch, handed on record by record or as a slice — and
+//!   [`reader::ChunkReader::section`] resumes at an indexed offset;
+//!   [`reader::ReducedChunkReader`] pulls a reduced trace one rank section
+//!   at a time.  The whole-trace loaders are their collects;
 //! * the retired monolithic v1 format (the encoding criterion 1 still
 //!   counts, `trace_model::codec::app_trace_len`) is refused by every
 //!   reader with one typed [`ContainerError::RetiredV1`], which
@@ -57,7 +60,7 @@ pub use index::{read_index, ContainerIndex, RankSectionEntry};
 pub use layout::{ChunkKind, PayloadKind, CONTAINER_MAGIC, CONTAINER_VERSION, INDEX_MAGIC};
 pub use reader::{
     decode_app_any, decode_reduced_any, read_app_container, read_reduced_container, ChunkReader,
-    ContainerItem, Preamble,
+    ReducedChunkReader,
 };
 pub use trace_compress::{Codec, CompressError};
 pub use writer::{
@@ -68,6 +71,7 @@ pub use writer::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trace_model::AppItem;
     use trace_reduce::{Method, Reducer};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -108,13 +112,13 @@ mod tests {
             // A section reader resumed at the indexed offset yields exactly
             // that rank's records.
             let mut section = ChunkReader::section(&bytes[entry.offset as usize..], entry.offset);
-            let Some(ContainerItem::RankStart(r)) = section.next_item().unwrap() else {
+            let Some(AppItem::RankStart(r)) = section.next_item().unwrap() else {
                 panic!("section must open with RankStart");
             };
             assert_eq!(r, rank.rank);
             let mut records = Vec::new();
             while let Some(item) = section.next_item().unwrap() {
-                if let ContainerItem::Record(record) = item {
+                if let AppItem::Record(record) = item {
                     records.push(record);
                 }
             }
@@ -195,7 +199,7 @@ mod tests {
             let mut section = ChunkReader::section(&bytes[entry.offset as usize..], entry.offset);
             let mut records = Vec::new();
             while let Some(item) = section.next_item().unwrap() {
-                if let ContainerItem::Record(record) = item {
+                if let AppItem::Record(record) = item {
                     records.push(record);
                 }
             }
@@ -210,7 +214,7 @@ mod tests {
         let mut reader = ChunkReader::new(&bytes[..]).unwrap();
         let mut skipped = 0;
         while let Some(item) = reader.next_item().unwrap() {
-            if let ContainerItem::RankStart(rank) = item {
+            if let AppItem::RankStart(rank) = item {
                 assert_eq!(reader.skip_current_rank().unwrap(), rank);
                 skipped += 1;
             }

@@ -1,48 +1,41 @@
-//! Streaming container readers.
+//! Streaming container readers, one per payload kind.
 //!
 //! [`ChunkReader`] pulls the items of an app-trace container over any
 //! [`std::io::Read`] source, holding at most one decoded chunk in memory —
-//! the binary analogue of the text `trace_stream::StreamParser`.  A
-//! `RECORDS` chunk is decoded in one call, straight from its stored bytes
-//! into a batch of records the reader reuses, and handed on either record
-//! by record ([`ChunkReader::next_item`]) or as a slice
-//! ([`ChunkReader::take_records`]).  [`read_reduced_container`] materializes
-//! a reduced trace chunk by chunk.  Every reader opens with the file header,
-//! so a retired monolithic v1 file is refused by all of them alike.
+//! the binary analogue of the text `trace_format::AppReader`, and it yields
+//! the same [`AppItem`]s.  A `RECORDS` chunk is decoded in one call,
+//! straight from its stored bytes into a batch of records the reader
+//! reuses, and handed on either record by record
+//! ([`ChunkReader::next_item`]) or as a slice
+//! ([`ChunkReader::take_records`]).  [`ReducedChunkReader`] yields a
+//! reduced-trace container one whole rank section per call.  The
+//! whole-trace loaders, [`read_app_container`] and
+//! [`read_reduced_container`], are collects over these two.  Every reader
+//! opens with the file header, so a retired monolithic v1 file is refused
+//! by all of them alike, and closes with the same `RANK_END` count check
+//! and `INDEX` trailer check.
 
 use std::io::Read;
 
 use trace_model::codec::varint::{read_u32, read_u64 as varint_read_u64};
 use trace_model::codec::{read_string, read_string_table, Reader};
 use trace_model::{
-    AppTrace, ContextTable, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, RegionTable,
-    TraceRecord, MAX_RESERVED_RANKS,
+    AppItem, AppTrace, ContextTable, Rank, ReducedAppTrace, ReducedRankTrace, RegionTable,
+    TraceRecord, TraceTables,
 };
 
 use crate::error::ContainerError;
 use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind};
 
-/// The decoded preamble chunk: program name, declared rank count and the
-/// interned string tables shared by every section.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Preamble {
-    /// The traced program's name.
-    pub name: String,
-    /// Number of rank sections the file declares.
-    pub declared_ranks: usize,
-    /// Region (code location) names.
-    pub regions: RegionTable,
-    /// Segment context names.
-    pub contexts: ContextTable,
-}
-
-fn parse_preamble(payload: &[u8]) -> Result<Preamble, ContainerError> {
+/// Decodes a `PREAMBLE` payload: the program name, the string tables
+/// shared by every section and the declared rank count.
+fn parse_preamble(payload: &[u8]) -> Result<TraceTables, ContainerError> {
     let mut reader = Reader::new(payload);
     let name = read_string(&mut reader)?;
     let regions = RegionTable::from_names(read_string_table(&mut reader)?);
     let contexts = ContextTable::from_names(read_string_table(&mut reader)?);
     let declared_ranks = varint_read_u64(&mut reader)? as usize;
-    Ok(Preamble {
+    Ok(TraceTables {
         name,
         declared_ranks,
         regions,
@@ -50,8 +43,20 @@ fn parse_preamble(payload: &[u8]) -> Result<Preamble, ContainerError> {
     })
 }
 
-/// Reads the preamble chunk that follows the file header.
-fn read_preamble<R: Read>(stream: &mut ChunkStream<R>) -> Result<Preamble, ContainerError> {
+/// Opens a whole container of payload `kind`: reads the file header and the
+/// preamble chunk that follows it.
+fn open<R: Read>(
+    reader: R,
+    kind: PayloadKind,
+) -> Result<(ChunkStream<R>, TraceTables), ContainerError> {
+    let mut stream = ChunkStream::new(reader, 0);
+    if read_header(&mut stream)? != kind {
+        let (expected, found) = match kind {
+            PayloadKind::App => ("an app payload (kind byte 0)", "a reduced payload"),
+            PayloadKind::Reduced => ("a reduced payload (kind byte 1)", "an app payload"),
+        };
+        return Err(ContainerError::UnexpectedChunk { expected, found });
+    }
     let chunk = stream.next_chunk()?;
     if chunk.kind != ChunkKind::Preamble {
         return Err(ContainerError::UnexpectedChunk {
@@ -59,7 +64,8 @@ fn read_preamble<R: Read>(stream: &mut ChunkStream<R>) -> Result<Preamble, Conta
             found: chunk.kind.name(),
         });
     }
-    parse_preamble(stream.payload()?)
+    let preamble = parse_preamble(stream.payload()?)?;
+    Ok((stream, preamble))
 }
 
 /// The rank a `RANK_BEGIN` payload names.
@@ -67,8 +73,8 @@ fn parse_rank_begin(payload: &[u8]) -> Result<Rank, ContainerError> {
     Ok(Rank(read_u32(&mut Reader::new(payload), "rank")?))
 }
 
-/// The item counts of one rank section: what its `RANK_END` chunk declares,
-/// or what a reader has seen of it so far.
+/// The item counts a reader has seen of one rank section so far, for its
+/// `RANK_END` chunk to be checked against.
 #[derive(Clone, Copy)]
 struct SectionCounts {
     rank: Rank,
@@ -77,28 +83,70 @@ struct SectionCounts {
     events: u64,
 }
 
-fn parse_rank_end(payload: &[u8]) -> Result<SectionCounts, ContainerError> {
-    let mut reader = Reader::new(payload);
+/// What each count of a section is called in an error: records, segments
+/// and events of an app section.
+const APP_COUNTS: [&str; 3] = ["section records", "section segments", "section events"];
+
+/// The same for a reduced section, whose `RANK_END` counts its items, its
+/// stored segments and its executions.
+const REDUCED_COUNTS: [&str; 3] = [
+    "reduced section items",
+    "reduced section stored segments",
+    "reduced section executions",
+];
+
+/// Checks the counts of the section just read against what the `RANK_END`
+/// chunk in the stream's hand declares; each count is named by `names`.
+fn end_section<R: Read>(
+    stream: &mut ChunkStream<R>,
+    found: SectionCounts,
+    names: [&'static str; 3],
+) -> Result<(), ContainerError> {
+    let mut reader = Reader::new(stream.payload()?);
     let rank = Rank(read_u32(&mut reader, "rank")?);
     let _chunks = varint_read_u64(&mut reader)?;
-    Ok(SectionCounts {
-        rank,
-        records: varint_read_u64(&mut reader)?,
-        segments: varint_read_u64(&mut reader)?,
-        events: varint_read_u64(&mut reader)?,
-    })
+    let declared = [
+        varint_read_u64(&mut reader)?,
+        varint_read_u64(&mut reader)?,
+        varint_read_u64(&mut reader)?,
+    ];
+    if rank != found.rank {
+        return Err(ContainerError::UnexpectedChunk {
+            expected: "RANK_END for the open rank",
+            found: "RANK_END for another rank",
+        });
+    }
+    let found = [found.records, found.segments, found.events];
+    for ((what, declared), found) in names.into_iter().zip(declared).zip(found) {
+        if declared != found {
+            return Err(ContainerError::CountMismatch {
+                what,
+                declared,
+                found,
+            });
+        }
+    }
+    Ok(())
 }
 
-/// One item pulled from an app-trace container, mirroring the text
-/// streaming parser's item stream.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ContainerItem {
-    /// A rank section opened.
-    RankStart(Rank),
-    /// A record inside the open section.
-    Record(TraceRecord),
-    /// The open rank section closed.
-    RankEnd(Rank),
+/// Checks the `INDEX` chunk in the stream's hand, which sits at
+/// `index_offset`, and the trailer after it: the index lists `declared`
+/// sections, and `found` were read.
+fn finish_index<R: Read>(
+    stream: &mut ChunkStream<R>,
+    index_offset: u64,
+    declared: usize,
+    found: usize,
+) -> Result<(), ContainerError> {
+    let sections = crate::index::parse_index_payload(stream.payload()?)?;
+    if found != declared || sections.len() != declared {
+        return Err(ContainerError::CountMismatch {
+            what: "rank sections",
+            declared: declared as u64,
+            found: found as u64,
+        });
+    }
+    stream.finish_trailer(index_offset)
 }
 
 enum ReaderState {
@@ -123,7 +171,7 @@ enum ReaderState {
 /// reached, before its first record is handed out.
 pub struct ChunkReader<R> {
     stream: ChunkStream<R>,
-    preamble: Option<Preamble>,
+    preamble: Option<TraceTables>,
     state: ReaderState,
     /// The records of the current `RECORDS` chunk; `batch[next..]` have not
     /// been handed out yet.  One buffer, reused from chunk to chunk.
@@ -137,15 +185,7 @@ impl<R: Read> ChunkReader<R> {
     /// Opens a whole container: validates the header, requires an app
     /// payload, and decodes the preamble chunk.
     pub fn new(reader: R) -> Result<Self, ContainerError> {
-        let mut stream = ChunkStream::new(reader, 0);
-        let kind = read_header(&mut stream)?;
-        if kind != PayloadKind::App {
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "an app payload (kind byte 0)",
-                found: "a reduced payload",
-            });
-        }
-        let preamble = read_preamble(&mut stream)?;
+        let (stream, preamble) = open(reader, PayloadKind::App)?;
         Ok(ChunkReader {
             preamble: Some(preamble),
             ..ChunkReader::section_of(stream, false)
@@ -173,7 +213,7 @@ impl<R: Read> ChunkReader<R> {
     }
 
     /// The preamble tables ([`ChunkReader::new`] mode only).
-    pub fn preamble(&self) -> Option<&Preamble> {
+    pub fn preamble(&self) -> Option<&TraceTables> {
         self.preamble.as_ref()
     }
 
@@ -197,7 +237,7 @@ impl<R: Read> ChunkReader<R> {
     }
 
     /// Closes the open section against the counts its `RANK_END` declares.
-    fn end_section(&mut self, declared: SectionCounts) -> Result<ContainerItem, ContainerError> {
+    fn end_section(&mut self) -> Result<AppItem, ContainerError> {
         let ReaderState::InSection(found) = std::mem::replace(&mut self.state, ReaderState::Idle)
         else {
             // Only reachable through a caller bug; still a typed error so the
@@ -207,42 +247,24 @@ impl<R: Read> ChunkReader<R> {
                 found: "no open section",
             });
         };
-        if declared.rank != found.rank {
-            return Err(ContainerError::UnexpectedChunk {
-                expected: "RANK_END for the open rank",
-                found: "RANK_END for another rank",
-            });
-        }
-        for (what, declared, found) in [
-            ("section records", declared.records, found.records),
-            ("section segments", declared.segments, found.segments),
-            ("section events", declared.events, found.events),
-        ] {
-            if declared != found {
-                return Err(ContainerError::CountMismatch {
-                    what,
-                    declared,
-                    found,
-                });
-            }
-        }
+        end_section(&mut self.stream, found, APP_COUNTS)?;
         self.ranks_seen += 1;
         if self.single_section {
             self.state = ReaderState::Done;
         }
-        Ok(ContainerItem::RankEnd(declared.rank))
+        Ok(AppItem::RankEnd(found.rank))
     }
 
     /// Pulls the next item, or `Ok(None)` once the index footer (or, in
     /// section mode, the section's `RANK_END`) has been consumed.
-    pub fn next_item(&mut self) -> Result<Option<ContainerItem>, ContainerError> {
+    pub fn next_item(&mut self) -> Result<Option<AppItem>, ContainerError> {
         loop {
             match &mut self.state {
                 ReaderState::Done => return Ok(None),
                 ReaderState::InSection(seen) => {
                     if let Some(record) = self.batch.get(self.next) {
                         self.next += 1;
-                        return Ok(Some(ContainerItem::Record(*record)));
+                        return Ok(Some(AppItem::Record(*record)));
                     }
                     let chunk = self.stream.next_chunk()?;
                     match chunk.kind {
@@ -259,10 +281,7 @@ impl<R: Read> ChunkReader<R> {
                                 }
                             }
                         }
-                        ChunkKind::RankEnd => {
-                            let declared = parse_rank_end(self.stream.payload()?)?;
-                            return Ok(Some(self.end_section(declared)?));
-                        }
+                        ChunkKind::RankEnd => return Ok(Some(self.end_section()?)),
                         other => {
                             return Err(ContainerError::UnexpectedChunk {
                                 expected: "RECORDS or RANK_END",
@@ -282,23 +301,15 @@ impl<R: Read> ChunkReader<R> {
                                 segments: 0,
                                 events: 0,
                             });
-                            return Ok(Some(ContainerItem::RankStart(rank)));
+                            return Ok(Some(AppItem::RankStart(rank)));
                         }
                         ChunkKind::Index => {
-                            let sections =
-                                crate::index::parse_index_payload(self.stream.payload()?)?;
-                            let declared = self
-                                .preamble
-                                .as_ref()
-                                .map_or(sections.len(), |p| p.declared_ranks);
-                            if self.ranks_seen != declared || sections.len() != declared {
-                                return Err(ContainerError::CountMismatch {
-                                    what: "rank sections",
-                                    declared: declared as u64,
-                                    found: self.ranks_seen as u64,
-                                });
-                            }
-                            self.stream.finish_trailer(chunk.offset)?;
+                            // A section-mode reader is done at its section's
+                            // end, so never meets an index without a preamble.
+                            let declared = self.preamble.as_ref().map(|p| p.declared_ranks);
+                            let declared = declared.unwrap_or(self.ranks_seen);
+                            let seen = self.ranks_seen;
+                            finish_index(&mut self.stream, chunk.offset, declared, seen)?;
                             self.state = ReaderState::Done;
                             return Ok(None);
                         }
@@ -359,160 +370,130 @@ impl<R: Read> ChunkReader<R> {
     }
 }
 
-/// Materializes a full [`AppTrace`] from an app-trace container.
+/// Materializes a full [`AppTrace`] from an app-trace container: the
+/// collect of a [`ChunkReader`].
 pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError> {
     let mut chunks = ChunkReader::new(reader)?;
-    let Some(preamble) = chunks.preamble().cloned() else {
+    let Some(mut app) = chunks.preamble().map(TraceTables::app_trace) else {
         return Err(ContainerError::UnexpectedChunk {
             expected: "a decoded PREAMBLE (whole-file mode)",
             found: "a section-mode reader",
         });
     };
-    let mut app = AppTrace {
-        name: preamble.name,
-        regions: preamble.regions,
-        contexts: preamble.contexts,
-        ranks: Vec::with_capacity(preamble.declared_ranks.min(MAX_RESERVED_RANKS)),
-    };
-    let mut open: Option<RankTrace> = None;
     while let Some(item) = chunks.next_item()? {
-        match item {
-            ContainerItem::RankStart(rank) => open = Some(RankTrace::new(rank)),
-            ContainerItem::Record(record) => {
-                let section = open.as_mut().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "RECORDS",
-                })?;
-                // The chunk's first record, then the rest of its batch.
-                section.push(record);
-                section.records.extend_from_slice(chunks.take_records());
-            }
-            ContainerItem::RankEnd(_) => {
-                let section = open.take().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "RANK_END",
-                })?;
-                app.ranks.push(section);
-            }
-        }
+        app.push_item(item, chunks.take_records());
     }
     Ok(app)
 }
 
-/// Materializes a [`ReducedAppTrace`] from a reduced-trace container,
-/// decoding one chunk at a time straight into the rank it belongs to.
-pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, ContainerError> {
-    let mut stream = ChunkStream::new(reader, 0);
-    let kind = read_header(&mut stream)?;
-    if kind != PayloadKind::Reduced {
-        return Err(ContainerError::UnexpectedChunk {
-            expected: "a reduced payload (kind byte 1)",
-            found: "an app payload",
-        });
-    }
-    let preamble = read_preamble(&mut stream)?;
-    let mut reduced = ReducedAppTrace {
-        name: preamble.name,
-        regions: preamble.regions,
-        contexts: preamble.contexts,
-        ranks: Vec::with_capacity(preamble.declared_ranks.min(MAX_RESERVED_RANKS)),
-    };
+/// Pull reader for reduced-trace containers over any [`std::io::Read`]
+/// source: [`ReducedChunkReader::new`] reads the header and preamble, and
+/// each [`ReducedChunkReader::next_rank`] call decodes one whole rank
+/// section, chunk by chunk, straight into the rank it belongs to.
+///
+/// The reader owns the format's rules for a reduced section: all `STORED`
+/// chunks precede all `EXECS` chunks, the `RANK_END` names the open rank
+/// and its counts, and the `INDEX` trailer closes the file after as many
+/// sections as the preamble declares.  The ids of the segments it decodes
+/// are the codec's to bound, not the reader's to relate: a caller about to
+/// replay executions checks them with
+/// [`trace_model::ReducedAppTrace::check_ids`].
+pub struct ReducedChunkReader<R> {
+    stream: ChunkStream<R>,
+    preamble: TraceTables,
+    ranks_seen: usize,
+    done: bool,
+}
 
-    let mut open: Option<ReducedRankTrace> = None;
-    // Latches once the section's first EXECS chunk arrives: the format
-    // requires all STORED chunks to precede all EXECS chunks (spec
-    // invariant 3), matching the only order the writer produces.
-    let mut exec_phase = false;
-    loop {
-        let chunk = stream.next_chunk()?;
+impl<R: Read> ReducedChunkReader<R> {
+    /// Opens a whole container: validates the header, requires a reduced
+    /// payload, and decodes the preamble chunk.
+    pub fn new(reader: R) -> Result<Self, ContainerError> {
+        let (stream, preamble) = open(reader, PayloadKind::Reduced)?;
+        Ok(ReducedChunkReader {
+            stream,
+            preamble,
+            ranks_seen: 0,
+            done: false,
+        })
+    }
+
+    /// The preamble tables.
+    pub fn preamble(&self) -> &TraceTables {
+        &self.preamble
+    }
+
+    /// Reads the next rank section, or returns `Ok(None)` once the index
+    /// footer and trailer have been consumed.
+    pub fn next_rank(&mut self) -> Result<Option<ReducedRankTrace>, ContainerError> {
+        if self.done {
+            return Ok(None);
+        }
+        let chunk = self.stream.next_chunk()?;
         match chunk.kind {
-            ChunkKind::RankBegin => {
-                if open.is_some() {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "STORED, EXECS or RANK_END",
-                        found: "RANK_BEGIN",
-                    });
-                }
-                open = Some(ReducedRankTrace::new(parse_rank_begin(stream.payload()?)?));
-                exec_phase = false;
-            }
-            ChunkKind::Stored => {
-                let rank = open.as_mut().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "STORED",
-                })?;
-                if exec_phase {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "EXECS or RANK_END (stored segments precede executions)",
-                        found: "STORED",
-                    });
-                }
-                stream.decode(&mut rank.stored)?;
-            }
-            ChunkKind::Execs => {
-                let rank = open.as_mut().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "EXECS",
-                })?;
-                exec_phase = true;
-                stream.decode(&mut rank.execs)?;
-            }
-            ChunkKind::RankEnd => {
-                let rank = open.take().ok_or(ContainerError::UnexpectedChunk {
-                    expected: "RANK_BEGIN",
-                    found: "RANK_END",
-                })?;
-                let declared = parse_rank_end(stream.payload()?)?;
-                if declared.rank != rank.rank {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "RANK_END for the open rank",
-                        found: "RANK_END for another rank",
-                    });
-                }
-                let found = (rank.stored.len() + rank.execs.len()) as u64;
-                if declared.records != found {
-                    return Err(ContainerError::CountMismatch {
-                        what: "reduced section items",
-                        declared: declared.records,
-                        found,
-                    });
-                }
-                if declared.segments != rank.stored.len() as u64
-                    || declared.events != rank.execs.len() as u64
-                {
-                    return Err(ContainerError::CountMismatch {
-                        what: "reduced section stored/exec split",
-                        declared: declared.segments,
-                        found: rank.stored.len() as u64,
-                    });
-                }
-                reduced.ranks.push(rank);
-            }
+            ChunkKind::RankBegin => {}
             ChunkKind::Index => {
-                if open.is_some() {
-                    return Err(ContainerError::UnexpectedChunk {
-                        expected: "RANK_END",
-                        found: "INDEX",
-                    });
-                }
-                if reduced.ranks.len() != preamble.declared_ranks {
-                    return Err(ContainerError::CountMismatch {
-                        what: "rank sections",
-                        declared: preamble.declared_ranks as u64,
-                        found: reduced.ranks.len() as u64,
-                    });
-                }
-                stream.finish_trailer(chunk.offset)?;
-                return Ok(reduced);
+                let (declared, seen) = (self.preamble.declared_ranks, self.ranks_seen);
+                finish_index(&mut self.stream, chunk.offset, declared, seen)?;
+                self.done = true;
+                return Ok(None);
             }
             other => {
                 return Err(ContainerError::UnexpectedChunk {
-                    expected: "a section or INDEX chunk",
+                    expected: "RANK_BEGIN or INDEX",
                     found: other.name(),
                 })
             }
         }
+        let mut rank = ReducedRankTrace::new(parse_rank_begin(self.stream.payload()?)?);
+        // Latches at the section's first EXECS chunk.
+        let mut exec_phase = false;
+        loop {
+            match self.stream.next_chunk()?.kind {
+                ChunkKind::Stored if !exec_phase => self.stream.decode(&mut rank.stored)?,
+                // Stored segments precede executions (spec invariant 3),
+                // the only order the writer produces.
+                ChunkKind::Stored => {
+                    return Err(ContainerError::UnexpectedChunk {
+                        expected: "EXECS or RANK_END (stored segments precede executions)",
+                        found: "STORED",
+                    })
+                }
+                ChunkKind::Execs => {
+                    exec_phase = true;
+                    self.stream.decode(&mut rank.execs)?;
+                }
+                ChunkKind::RankEnd => break,
+                other => {
+                    return Err(ContainerError::UnexpectedChunk {
+                        expected: "STORED, EXECS or RANK_END",
+                        found: other.name(),
+                    })
+                }
+            }
+        }
+        let (stored, execs) = (rank.stored.len() as u64, rank.execs.len() as u64);
+        let found = SectionCounts {
+            rank: rank.rank,
+            records: stored + execs,
+            segments: stored,
+            events: execs,
+        };
+        end_section(&mut self.stream, found, REDUCED_COUNTS)?;
+        self.ranks_seen += 1;
+        Ok(Some(rank))
     }
+}
+
+/// Materializes a [`ReducedAppTrace`] from a reduced-trace container: the
+/// collect of a [`ReducedChunkReader`].
+pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, ContainerError> {
+    let mut sections = ReducedChunkReader::new(reader)?;
+    let mut reduced = sections.preamble().reduced_trace();
+    while let Some(rank) = sections.next_rank()? {
+        reduced.ranks.push(rank);
+    }
+    Ok(reduced)
 }
 
 /// Decodes a full app trace from a whole container buffer: the name the

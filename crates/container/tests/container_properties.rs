@@ -6,7 +6,11 @@
 use proptest::prelude::*;
 use trace_container::{
     decode_app_any, encode_app_container, encode_reduced_container, read_app_container, read_index,
-    read_reduced_container, ChunkReader, ChunkSpec, Codec, ContainerError, ContainerItem,
+    read_reduced_container, ChunkReader, ChunkSpec, Codec, ContainerError, ReducedChunkReader,
+};
+use trace_model::{
+    AppItem, ContextId, ContextTable, Rank, ReducedAppTrace, ReducedRankTrace, RegionTable,
+    Segment, SegmentExec, StoredSegment, Time,
 };
 use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
@@ -284,17 +288,17 @@ fn reframe(chunk: &mut Vec<u8>, payload: &[u8]) {
 /// Everything a reader yields up to its first error, pulled one item at a
 /// time or — `by_slice` — with the rest of each chunk taken as a slice
 /// behind its first record.
-fn drain(bytes: &[u8], by_slice: bool) -> (Vec<ContainerItem>, Option<String>) {
+fn drain(bytes: &[u8], by_slice: bool) -> (Vec<AppItem>, Option<String>) {
     let mut reader = ChunkReader::new(bytes).unwrap();
     let mut items = Vec::new();
     loop {
         match reader.next_item() {
             Ok(Some(item)) => {
-                let is_record = matches!(item, ContainerItem::Record(_));
+                let is_record = matches!(item, AppItem::Record(_));
                 items.push(item);
                 if by_slice && is_record {
                     let rest = reader.take_records();
-                    items.extend(rest.iter().map(|record| ContainerItem::Record(*record)));
+                    items.extend(rest.iter().map(|record| AppItem::Record(*record)));
                 }
             }
             Ok(None) => return (items, None),
@@ -311,14 +315,14 @@ fn item_and_slice_iteration_agree_also_on_a_rank_end_that_lies() {
             .collect(),
         (0..5).map(|i| (1u8, 0u8, (i * 17) as u16)).collect(),
     ]);
-    let expected: Vec<ContainerItem> = app
+    let expected: Vec<AppItem> = app
         .ranks
         .iter()
         .flat_map(|rank| {
-            let records = rank.records.iter().map(|r| ContainerItem::Record(*r));
-            std::iter::once(ContainerItem::RankStart(rank.rank))
+            let records = rank.records.iter().map(|r| AppItem::Record(*r));
+            std::iter::once(AppItem::RankStart(rank.rank))
                 .chain(records)
-                .chain(std::iter::once(ContainerItem::RankEnd(rank.rank)))
+                .chain(std::iter::once(AppItem::RankEnd(rank.rank)))
         })
         .collect();
     for segments_per_chunk in [1, 3, 128] {
@@ -387,17 +391,17 @@ fn a_chunk_that_fails_to_decode_leaves_no_records_behind() {
         let mut reader = ChunkReader::new(&crafted[..]).unwrap();
         assert!(matches!(
             reader.next_item().unwrap(),
-            Some(ContainerItem::RankStart(_))
+            Some(AppItem::RankStart(_))
         ));
         let first = reader.next_item().unwrap().unwrap();
-        assert_eq!(first, ContainerItem::Record(app.ranks[0].records[0]));
+        assert_eq!(first, AppItem::Record(app.ranks[0].records[0]));
         assert_eq!(reader.take_records(), &app.ranks[0].records[1..per_chunk]);
         assert!(reader.next_item().is_err(), "{}", codec.name());
         assert!(reader.take_records().is_empty(), "{}", codec.name());
         let third = reader.next_item().unwrap().unwrap();
         assert_eq!(
             third,
-            ContainerItem::Record(app.ranks[0].records[2 * per_chunk]),
+            AppItem::Record(app.ranks[0].records[2 * per_chunk]),
             "{}",
             codec.name()
         );
@@ -441,4 +445,142 @@ fn stored_after_execs_is_rejected_even_with_valid_crcs() {
         matches!(err, ContainerError::UnexpectedChunk { .. }),
         "{err:?}"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn the_reduced_readers_kth_rank_is_its_collects_kth(rank_specs in prop::collection::vec(
+        prop::collection::vec((0u8..4, 0u8..4, 0u16..2000), 0..10),
+        1..5,
+    )) {
+        let app = build_trace(&rank_specs);
+        let reduced = Reducer::new(MethodConfig::with_default_threshold(Method::AvgWave))
+            .reduce_app(&app);
+        for segments_per_chunk in CHUNK_GRID {
+            for codec in [Codec::None, Codec::DeltaLz] {
+                let spec = ChunkSpec::with_segments(segments_per_chunk).codec(codec);
+                let bytes = encode_reduced_container(&reduced, spec);
+                let collected = read_reduced_container(&bytes[..]).expect("round trip");
+                let mut reader = ReducedChunkReader::new(&bytes[..]).expect("opens");
+                prop_assert_eq!(reader.preamble().declared_ranks, collected.ranks.len());
+                for (k, rank) in collected.ranks.iter().enumerate() {
+                    let pulled = reader.next_rank().expect("a rank section");
+                    prop_assert_eq!(pulled.as_ref(), Some(rank), "rank {} ({})", k, codec.name());
+                }
+                prop_assert_eq!(reader.next_rank().expect("the trailer"), None);
+                prop_assert_eq!(reader.next_rank().expect("stays done"), None);
+            }
+        }
+    }
+}
+
+/// A one-rank reduced trace of `stored` representatives, stored under the
+/// ids `id` gives their positions, and ten times as many executions, the
+/// `k`-th naming the stored id `exec(k)`.  No reducer writes such a trace;
+/// the container's encoder takes it as it is.
+fn crafted_reduced(
+    stored: usize,
+    id: impl Fn(usize) -> u32,
+    exec: impl Fn(usize) -> u32,
+) -> ReducedAppTrace {
+    let mut rank = ReducedRankTrace::new(Rank(0));
+    rank.stored = (0..stored)
+        .map(|at| StoredSegment {
+            id: id(at),
+            segment: Segment {
+                context: ContextId(0),
+                start: Time::ZERO,
+                end: Time::from_nanos(10),
+                events: Vec::new(),
+            },
+            represented: 10,
+        })
+        .collect();
+    rank.execs = (0..10 * stored)
+        .map(|k| SegmentExec {
+            segment: exec(k),
+            start: Time::from_nanos(100 * k as u64),
+        })
+        .collect();
+    ReducedAppTrace {
+        name: "crafted".into(),
+        regions: RegionTable::from_names(Vec::new()),
+        contexts: ContextTable::from_names(vec!["main.1".into()]),
+        ranks: vec![rank],
+    }
+}
+
+#[test]
+fn sparse_stored_ids_and_executions_of_unknown_segments_read_back_and_fail_the_id_check() {
+    // The container reader bounds ids (the codec refuses one past
+    // `u32::MAX`) but leaves relating them to the id check, which names the
+    // first violation at once, whatever the trace's size.
+    for stored in [2_000, 20_000] {
+        let last = stored as u32 - 1;
+        let reversed = crafted_reduced(stored, |at| last - at as u32, |k| (k % stored) as u32);
+        // Executions name every stored id and, in turn, the one past them.
+        let unknown = crafted_reduced(stored, |at| at as u32, |k| (k % (stored + 1)) as u32);
+        for codec in [Codec::None, Codec::DeltaLz] {
+            let bytes = encode_reduced_container(&reversed, ChunkSpec::with_codec(codec));
+            let read = read_reduced_container(&bytes[..]).unwrap();
+            assert_eq!(read, reversed);
+            let err = read.check_ids().unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("rank 0: stored ids must be dense; expected 0 got {last}")
+            );
+
+            let bytes = encode_reduced_container(&unknown, ChunkSpec::with_codec(codec));
+            let read = read_reduced_container(&bytes[..]).unwrap();
+            assert_eq!(read, unknown);
+            let err = read.check_ids().unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("rank 0: execution references unknown stored segment {stored}")
+            );
+        }
+    }
+    let dense = crafted_reduced(2_000, |at| at as u32, |k| (k % 2_000) as u32);
+    assert_eq!(dense.check_ids(), Ok(()));
+}
+
+#[test]
+fn a_rank_end_declaring_one_execution_too_many_names_the_executions() {
+    let app = build_trace(&[vec![(0, 0, 10), (0, 0, 11), (1, 1, 900)]]);
+    let reduced =
+        Reducer::new(MethodConfig::with_default_threshold(Method::RelDiff)).reduce_app(&app);
+    let (stored, execs) = (reduced.ranks[0].stored.len(), reduced.ranks[0].execs.len());
+    for codec in [Codec::None, Codec::DeltaLz] {
+        let bytes = encode_reduced_container(&reduced, ChunkSpec::with_codec(codec));
+        let (header, mut chunks, trailer) = split_chunks(&bytes);
+        // RANK_END: rank, chunks, items, stored segments, executions — one
+        // byte each here.  Only the execution count lies.
+        let rank_end = chunks.iter().position(|c| c[0] == 6).unwrap();
+        let mut summary = chunks[rank_end][10..].to_vec();
+        assert_eq!(summary.len(), 5, "one-byte counts");
+        assert_eq!(
+            summary[2..],
+            [(stored + execs) as u8, stored as u8, execs as u8]
+        );
+        summary[4] += 1;
+        reframe(&mut chunks[rank_end], &summary);
+        let mut lying = header;
+        chunks
+            .iter()
+            .for_each(|chunk| lying.extend_from_slice(chunk));
+        lying.extend_from_slice(&trailer);
+
+        let err = read_reduced_container(&lying[..]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "reduced section executions: file declares {}, found {execs}",
+                execs + 1
+            ),
+            "{}",
+            codec.name()
+        );
+    }
 }

@@ -12,10 +12,15 @@
 //! * [`mod@write`] — serialize [`trace_model::AppTrace`] /
 //!   [`trace_model::ReducedAppTrace`] to the text format, either whole or
 //!   record by record via [`write::AppTraceTextWriter`].
-//! * [`parse`] — parse them back, validating record structure, identifier
-//!   references and time-stamp ordering.
-//! * [`record`] — the byte-level record grammar shared by [`parse`] and the
-//!   streaming parser in the `trace_stream` crate.
+//! * [`parser`] — the one pull reader per kind of trace, over any
+//!   [`std::io::BufRead`] source: [`parser::AppReader`] yields a full
+//!   trace's rank boundaries and records, [`parser::ReducedReader`] a
+//!   reduced trace's rank sections, one block of the file resident at a
+//!   time.  Both validate record structure, identifier references and
+//!   time-stamp ordering.
+//! * [`parse`] — the whole-trace parsers, each a collect over its reader,
+//!   from a `&str` or from any source.
+//! * [`record`] — the byte-level record grammar the readers share.
 //! * [`error::FormatError`] — the error type carrying the offending line.
 //!
 //! The binary codec in `trace-model` remains the format used for file-size
@@ -27,11 +32,13 @@
 
 pub mod error;
 pub mod parse;
+pub mod parser;
 pub mod record;
 pub mod write;
 
 pub use error::FormatError;
-pub use parse::{parse_app_trace, parse_reduced_trace};
+pub use parse::{parse_app_trace, parse_reduced_trace, read_app_trace, read_reduced_trace};
+pub use parser::{AppReader, ReadError, ReducedReader, BATCH_RECORDS};
 pub use record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
 pub use write::{
     write_app_trace, write_app_trace_to, write_reduced_trace, write_reduced_trace_to,

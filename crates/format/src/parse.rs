@@ -1,231 +1,62 @@
-//! Parsers for the text trace format.
+//! Whole-trace parsers for the text format.
 //!
-//! These parsers materialize a whole trace from an in-memory `&str`.  The
-//! line-level record parsing is shared with the streaming path (the
-//! `trace_stream` crate) via [`crate::record`], so both parsers accept
-//! exactly the same language.
+//! Each is a collect over its [`crate::parser`] pull reader, fed from an
+//! in-memory `&str` or, through [`read_app_trace`] / [`read_reduced_trace`],
+//! from any [`BufRead`] source: a trace read whole and one read a rank
+//! section at a time go through the same code and accept the same language.
 
-use trace_model::{
-    AppTrace, Rank, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec,
-    StoredSegment, Time, MAX_RESERVED_RANKS,
-};
+use std::io::{self, BufRead};
+
+use trace_model::{AppTrace, ReducedAppTrace};
 
 use crate::error::FormatError;
-use crate::record::{
-    context_ref, event_fields, meaningful_line, parse_app_body_line, unexpected_record,
-    AppBodyLine, Cursor, HeaderBuilder, TraceTables,
-};
-use crate::write::{APP_HEADER, REDUCED_HEADER};
+use crate::parser::{AppReader, ReadError, ReducedReader};
 
-/// A line with its 1-based number, with blank and comment lines skipped.
-struct Lines<'a> {
-    inner: std::iter::Enumerate<std::str::Lines<'a>>,
+/// Reads a whole full trace from `reader`.
+pub fn read_app_trace<R: BufRead, E: ReadError>(reader: R) -> Result<AppTrace, E> {
+    let mut reader = AppReader::<R, E>::new(reader)?;
+    let mut app = reader.tables().app_trace();
+    while let Some(item) = reader.next_item()? {
+        app.push_item(item, reader.take_records());
+    }
+    Ok(app)
 }
 
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Self {
-        Lines {
-            inner: text.lines().enumerate(),
-        }
+/// Reads a whole reduced trace from `reader`.
+pub fn read_reduced_trace<R: BufRead, E: ReadError>(reader: R) -> Result<ReducedAppTrace, E> {
+    let mut reader = ReducedReader::<R, E>::new(reader)?;
+    let mut reduced = reader.tables().reduced_trace();
+    while let Some(rank) = reader.next_rank()? {
+        reduced.ranks.push(rank);
     }
+    Ok(reduced)
+}
 
-    fn next(&mut self) -> Option<(usize, &'a [u8])> {
-        for (index, line) in self.inner.by_ref() {
-            if let Some(trimmed) = meaningful_line(line.as_bytes()) {
-                return Some((index + 1, trimmed));
-            }
-        }
-        None
-    }
+/// The error of a read from memory.  A `&[u8]` never fails to read, and a
+/// `&str` is UTF-8, so only the text can be wrong; an I/O error still has
+/// a typed form here rather than a panic.
+struct InMemory(FormatError);
 
-    fn require(&mut self, what: &str) -> Result<(usize, &'a [u8]), FormatError> {
-        self.next().ok_or_else(|| {
-            FormatError::structural(format!("unexpected end of input, expected {what}"))
-        })
+impl From<FormatError> for InMemory {
+    fn from(e: FormatError) -> Self {
+        InMemory(e)
     }
 }
 
-/// Checks the magic first line of a trace file.
-fn expect_magic(lines: &mut Lines<'_>, magic: &str) -> Result<(), FormatError> {
-    let (line_no, first) = lines.require("header")?;
-    if first != magic.as_bytes() {
-        let first = String::from_utf8_lossy(first);
-        return Err(FormatError::at(
-            line_no,
-            format!("expected header {magic:?}, found {first:?}"),
-        ));
-    }
-    Ok(())
-}
-
-/// Parses the shared header, returning the tables plus the first body line
-/// (already consumed from the iterator) for the caller to process.
-fn parse_header<'a>(
-    lines: &mut Lines<'a>,
-) -> Result<(TraceTables, (usize, &'a [u8])), FormatError> {
-    let mut builder = HeaderBuilder::new();
-    loop {
-        let (line_no, line) = lines.require(builder.expecting())?;
-        if !builder.feed(line_no, line)? {
-            return Ok((builder.finish()?, (line_no, line)));
-        }
+impl From<io::Error> for InMemory {
+    fn from(e: io::Error) -> Self {
+        InMemory(FormatError::structural(e.to_string()))
     }
 }
 
 /// Parses the text form of a full application trace.
 pub fn parse_app_trace(text: &str) -> Result<AppTrace, FormatError> {
-    let mut lines = Lines::new(text);
-    expect_magic(&mut lines, APP_HEADER)?;
-    let (tables, first_body_line) = parse_header(&mut lines)?;
-    let mut pending = Some(first_body_line);
-    let mut app = AppTrace {
-        name: tables.name.clone(),
-        regions: tables.regions.clone(),
-        contexts: tables.contexts.clone(),
-        ranks: Vec::with_capacity(tables.declared_ranks.min(MAX_RESERVED_RANKS)),
-    };
-
-    let mut open_rank: Option<RankTrace> = None;
-    loop {
-        let (line_no, line) = match pending.take() {
-            Some(first) => first,
-            None => lines.require(if open_rank.is_some() {
-                "rank records or END_RANK"
-            } else {
-                "RANK or END_TRACE"
-            })?,
-        };
-        // `parse_app_body_line` only yields records and END_RANK when told a
-        // rank section is open, so these arms report a parser bug as a
-        // structural error instead of trusting the invariant with a panic.
-        match parse_app_body_line(&tables, line_no, line, open_rank.is_some())? {
-            AppBodyLine::RankStart(rank) => open_rank = Some(RankTrace::new(rank)),
-            AppBodyLine::Record(record) => match open_rank.as_mut() {
-                Some(rank) => rank.push(record),
-                None => {
-                    return Err(FormatError::at(line_no, "record outside a rank section"));
-                }
-            },
-            AppBodyLine::EndRank => match open_rank.take() {
-                Some(rank) => app.ranks.push(rank),
-                None => {
-                    return Err(FormatError::at(line_no, "END_RANK outside a rank section"));
-                }
-            },
-            AppBodyLine::EndTrace => break,
-        }
-    }
-
-    if app.ranks.len() != tables.declared_ranks {
-        return Err(FormatError::structural(format!(
-            "header declares {} ranks but {} rank sections were found",
-            tables.declared_ranks,
-            app.ranks.len()
-        )));
-    }
-    Ok(app)
+    read_app_trace(text.as_bytes()).map_err(|InMemory(e)| e)
 }
-
-/// `STORED … <n>` announces `n` EVENT lines; no more than this many slots
-/// are reserved on the header's word alone.
-const MAX_RESERVED_EVENTS: usize = 4096;
 
 /// Parses the text form of a reduced application trace.
 pub fn parse_reduced_trace(text: &str) -> Result<ReducedAppTrace, FormatError> {
-    let mut lines = Lines::new(text);
-    expect_magic(&mut lines, REDUCED_HEADER)?;
-    let (tables, first_body_line) = parse_header(&mut lines)?;
-    let mut pending = Some(first_body_line);
-    let mut reduced = ReducedAppTrace {
-        name: tables.name.clone(),
-        regions: tables.regions.clone(),
-        contexts: tables.contexts.clone(),
-        ranks: Vec::with_capacity(tables.declared_ranks.min(MAX_RESERVED_RANKS)),
-    };
-
-    loop {
-        let (line_no, line) = match pending.take() {
-            Some(first) => first,
-            None => lines.require("RANK or END_TRACE")?,
-        };
-        let rank_id = match parse_app_body_line(&tables, line_no, line, false)? {
-            AppBodyLine::RankStart(rank_id) => rank_id,
-            _ => break,
-        };
-        reduced
-            .ranks
-            .push(parse_reduced_rank(&tables, &mut lines, rank_id)?);
-    }
-
-    if reduced.ranks.len() != tables.declared_ranks {
-        return Err(FormatError::structural(format!(
-            "header declares {} ranks but {} rank sections were found",
-            tables.declared_ranks,
-            reduced.ranks.len()
-        )));
-    }
-    Ok(reduced)
-}
-
-/// Parses the records of one rank section of a reduced trace, up to and
-/// including its `END_RANK`.
-fn parse_reduced_rank(
-    tables: &TraceTables,
-    lines: &mut Lines<'_>,
-    rank_id: Rank,
-) -> Result<ReducedRankTrace, FormatError> {
-    let mut rank = ReducedRankTrace::new(rank_id);
-    loop {
-        let (line_no, line) = lines.require("STORED/EXEC records or END_RANK")?;
-        let cur = &mut Cursor::new(line_no, line);
-        match cur.token() {
-            Some(b"END_RANK") => return Ok(rank),
-            Some(b"STORED") => {
-                let id = cur.u32("stored segment id")?;
-                if id as usize != rank.stored.len() {
-                    let expected = rank.stored.len();
-                    let message = format!("stored ids must be dense; expected {expected} got {id}");
-                    return Err(cur.error(message));
-                }
-                let represented = cur.u32("represented count")?;
-                let context = context_ref(tables, cur)?;
-                let end = cur.u64("segment end")?;
-                let n_events = cur.u64("event count")? as usize;
-                let mut events = Vec::with_capacity(n_events.min(MAX_RESERVED_EVENTS));
-                for _ in 0..n_events {
-                    let (line_no, line) = lines.require("EVENT line")?;
-                    let cur = &mut Cursor::new(line_no, line);
-                    if !cur.token().is_some_and(|t| t.starts_with(b"EVENT")) {
-                        return Err(cur.error("expected EVENT line inside a STORED segment"));
-                    }
-                    events.push(event_fields(tables, cur)?);
-                }
-                rank.stored.push(StoredSegment {
-                    id,
-                    segment: Segment {
-                        context,
-                        start: Time::ZERO,
-                        end: Time::from_nanos(end),
-                        events,
-                    },
-                    represented,
-                });
-            }
-            Some(b"EXEC") => {
-                let segment = cur.u32("stored segment id")?;
-                if segment as usize >= rank.stored.len() {
-                    let message = format!("execution references unknown stored segment {segment}");
-                    return Err(cur.error(message));
-                }
-                let start = cur.u64("execution start")?;
-                rank.execs.push(SegmentExec {
-                    segment,
-                    start: Time::from_nanos(start),
-                });
-            }
-            other => return Err(unexpected_record(cur, other, true)),
-        }
-    }
+    read_reduced_trace(text.as_bytes()).map_err(|InMemory(e)| e)
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
-//! Byte-level record grammar shared by the in-memory parser and streaming
-//! consumers.
+//! Byte-level record grammar of the text readers.
 //!
-//! [`crate::parse`] materializes whole traces from a `&str`; the
-//! `trace_stream` crate hands over lines as slices of its block buffer.
-//! Both paths go through the functions in this module, so a trace record is
-//! parsed by exactly one piece of code regardless of how it arrives:
+//! The pull readers in [`crate::parser`] hand over lines as slices of their
+//! block buffer, whether the trace is parsed whole or streamed a rank
+//! section at a time, and every line goes through the functions in this
+//! module, so a trace record is parsed by exactly one piece of code:
 //!
 //! * [`meaningful_line`] — trims a raw line and skips blanks and `#` comments.
 //! * [`plain_record_line`] — the raw lines a reader passing a section it
@@ -23,7 +22,7 @@
 //! goes to `str::parse`, error messages are built out of line, and a token
 //! that meets a non-ASCII byte is delimited by `str`'s Unicode whitespace
 //! (U+00A0, U+2003, …) — the language is the one `split_whitespace` defined.
-//! Lines must be UTF-8: `trace_stream` checks every non-ASCII line as it
+//! Lines must be UTF-8: the reader checks every non-ASCII line as it
 //! leaves the block buffer (which also caps a line at `MAX_LINE_BYTES`);
 //! other bytes end the line early or show up replaced in an error message,
 //! they never panic.  The header converts its few lines to `&str` and keeps
@@ -38,19 +37,7 @@ use trace_model::{
 
 use crate::error::FormatError;
 
-/// The metadata shared by every record of a trace file: program name,
-/// declared rank count and the interned region/context name tables.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceTables {
-    /// Human-readable name of the traced program.
-    pub name: String,
-    /// Number of rank sections the header declares.
-    pub declared_ranks: usize,
-    /// Region (function) name table.
-    pub regions: RegionTable,
-    /// Segment-context name table.
-    pub contexts: ContextTable,
-}
+pub use trace_model::TraceTables;
 
 /// The six ASCII `White_Space` bytes — the only separators an ASCII line has.
 const fn is_space(byte: u8) -> bool {
@@ -59,9 +46,9 @@ const fn is_space(byte: u8) -> bool {
 
 /// Classifies one raw input line (terminator already removed):
 /// `Some(trimmed)` if it carries a record, `None` if the line is skipped
-/// (blank or `#` comment).  Both the in-memory parser and the streaming
-/// parser route every line through this single rule, so the two accept
-/// exactly the same language at the line level too.
+/// (blank or `#` comment).  The text readers route every line through this
+/// single rule; a reader passing a section it does not parse applies it
+/// too, so the line level has one language.
 pub fn meaningful_line(raw: &[u8]) -> Option<&[u8]> {
     let start = raw.iter().position(|&b| !is_space(b))?;
     let end = raw.iter().rposition(|&b| !is_space(b))? + 1;
@@ -207,8 +194,8 @@ fn invalid_number(line: usize, token: Option<&[u8]>, what: impl Display) -> Form
 /// Feed it (blank/comment-stripped) lines one at a time: it consumes the
 /// `TRACE` line and the REGION/CONTEXT table lines and reports the first
 /// line that belongs to the trace body, at which point [`HeaderBuilder::finish`]
-/// yields the [`TraceTables`].  The reporting is pull-free so both the
-/// in-memory parser and a `BufRead`-driven stream parser can drive it.
+/// yields the [`TraceTables`].  The reporting is pull-free, so a reader
+/// drives it a line at a time from whatever source it reads.
 #[derive(Debug, Default)]
 pub struct HeaderBuilder {
     saw_trace_line: bool,

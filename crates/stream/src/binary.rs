@@ -18,14 +18,11 @@ use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
 use trace_container::layout::is_container_magic;
-use trace_container::{
-    read_index, ChunkReader, ContainerError, ContainerIndex, ContainerItem, PayloadKind, Preamble,
-};
-use trace_model::{Rank, ReducedAppTrace, TraceRecord};
+use trace_container::{read_index, ChunkReader, ContainerError, ContainerIndex, PayloadKind};
+use trace_model::{AppItem, Rank, TraceRecord, TraceTables};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
-use crate::parser::AppItem;
 use crate::reduce::StreamReduction;
 use crate::shard::{fan_out, no_second_source, reduce_sources, reduce_stream_sharded};
 use crate::source::AppItemSource;
@@ -50,9 +47,14 @@ impl<R: Read> ContainerSource<R> {
         }
     }
 
-    /// The preamble tables (whole-file mode only).
-    pub fn preamble(&self) -> Option<&Preamble> {
-        self.inner.preamble()
+    /// The preamble tables of a whole-file source; a container that
+    /// reaches its first rank section without a preamble is malformed.
+    pub fn tables(&self) -> Result<TraceTables, StreamError> {
+        let missing = ContainerError::UnexpectedChunk {
+            expected: "a PREAMBLE chunk",
+            found: "no preamble before the first rank section",
+        };
+        self.inner.preamble().cloned().ok_or(missing.into())
     }
 
     /// Attaches an observability shard to the underlying chunk reader, so
@@ -64,11 +66,7 @@ impl<R: Read> ContainerSource<R> {
 
 impl<R: Read> AppItemSource for ContainerSource<R> {
     fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
-        Ok(self.inner.next_item()?.map(|item| match item {
-            ContainerItem::RankStart(rank) => AppItem::RankStart(rank),
-            ContainerItem::Record(record) => AppItem::Record(record),
-            ContainerItem::RankEnd(rank) => AppItem::RankEnd(rank),
-        }))
+        Ok(self.inner.next_item()?)
     }
 
     fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
@@ -85,27 +83,6 @@ impl<R: Read> AppItemSource for ContainerSource<R> {
     }
 }
 
-/// The output trace's name tables (no ranks yet) and the declared rank
-/// count, from the preamble of a whole-file source; a container that
-/// reaches its first rank section without one is malformed.
-pub(crate) fn header_of<R: Read>(
-    source: &ContainerSource<R>,
-) -> Result<(ReducedAppTrace, usize), StreamError> {
-    let Some(preamble) = source.preamble() else {
-        return Err(StreamError::Container(ContainerError::UnexpectedChunk {
-            expected: "a PREAMBLE chunk",
-            found: "no preamble before the first rank section",
-        }));
-    };
-    let header = ReducedAppTrace {
-        name: preamble.name.clone(),
-        regions: preamble.regions.clone(),
-        contexts: preamble.contexts.clone(),
-        ranks: Vec::new(),
-    };
-    Ok((header, preamble.declared_ranks))
-}
-
 /// Reduces an app-trace container stream in one pass with bounded memory:
 /// the resident state is the stored representatives, at most one in-flight
 /// segment, and one decoded chunk.
@@ -114,8 +91,9 @@ pub fn reduce_container_stream<R: Read + Send>(
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
     let mut source = ContainerSource::new(reader)?;
-    let (header, declared_ranks) = header_of(&source)?;
+    let tables = source.tables()?;
     source.set_obs(reducer.recorder().shard());
+    let (header, declared_ranks) = (tables.reduced_trace(), tables.declared_ranks);
     reduce_sources(reducer, header, source, declared_ranks, 1, no_second_source)
 }
 
@@ -150,7 +128,8 @@ pub fn reduce_container_file(
             found: "a reduced-trace container",
         }));
     }
-    let (header, declared_ranks) = header_of(&ContainerSource::new(BufReader::new(file))?)?;
+    let tables = ContainerSource::new(BufReader::new(file))?.tables()?;
+    let (header, declared_ranks) = (tables.reduced_trace(), tables.declared_ranks);
     // The sequential reader validates this when it reaches the INDEX
     // chunk; the sharded path never scans that far, so a short index must
     // be rejected here or ranks would silently drop from the output.

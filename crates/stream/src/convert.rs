@@ -24,7 +24,7 @@ use trace_container::{write_sections, ChunkSpec, ChunkWriter};
 use trace_model::{Rank, TraceRecord};
 use trace_obs::{ObsShard, Recorder, Stage, WorkerPanic};
 
-use crate::binary::{header_of, ContainerSource};
+use crate::binary::ContainerSource;
 use crate::error::StreamError;
 use crate::parser::{AppItem, StreamParser};
 use crate::reduce::next_section;
@@ -65,9 +65,10 @@ pub fn convert_container<R: Read + Send, W: Write>(
     workers: usize,
 ) -> Result<W, StreamError> {
     let source = ContainerSource::new(reader)?;
-    let (header, n) = header_of(&source)?;
-    let (regions, contexts) = (header.regions.names(), header.contexts.names());
-    let writer = ChunkWriter::app(out, &header.name, n, regions, contexts, spec)
+    let tables = source.tables()?;
+    let (regions, contexts) = (tables.regions.names(), tables.contexts.names());
+    let n = tables.declared_ranks;
+    let writer = ChunkWriter::app(out, &tables.name, n, regions, contexts, spec)
         .map_err(StreamError::Sink)?;
     convert(source, writer, n, recorder, workers)
 }

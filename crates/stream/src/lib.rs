@@ -6,12 +6,13 @@
 //! full [`trace_model::AppTrace`] reintroduces exactly that memory wall.
 //! This crate removes it for both trace formats:
 //!
-//! * [`parser::StreamParser`] — an incremental, line-oriented pull parser
-//!   over any [`std::io::BufRead`] source, built on the same record grammar
-//!   as `trace_format` (one 128 KiB block of the text resident at a time,
-//!   lines parsed in place; a line may not exceed 1 MiB).  Records are
-//!   parsed in batches of up to [`parser::BATCH_RECORDS`] and handed over
-//!   as a slice, as the container reader hands over a chunk.
+//! * [`parser::StreamParser`] — `trace_format`'s one full-trace text
+//!   reader, the pull reader its whole-trace parser collects, over any
+//!   [`std::io::BufRead`] source with [`StreamError`] as its error (one
+//!   128 KiB block of the text resident at a time, lines parsed in place; a
+//!   line may not exceed 1 MiB).  Records are parsed in batches of up to
+//!   [`parser::BATCH_RECORDS`] and handed over as a slice, as the container
+//!   reader hands over a chunk.
 //! * [`binary::ContainerSource`] — the same item stream pulled from a
 //!   chunked binary container (`.trc` v2, the `trace_container` crate),
 //!   one CRC-checked chunk resident at a time.  Both sources sit behind

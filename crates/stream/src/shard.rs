@@ -315,14 +315,10 @@ pub(crate) fn reduce_text<R: BufRead + Send>(
         Ok(parser)
     };
     let first = parser(first)?;
-    let tables = first.tables();
-    let header = ReducedAppTrace {
-        name: tables.name.clone(),
-        regions: tables.regions.clone(),
-        contexts: tables.contexts.clone(),
-        ranks: Vec::new(),
-    };
-    let n = tables.declared_ranks;
+    let (header, n) = (
+        first.tables().reduced_trace(),
+        first.tables().declared_ranks,
+    );
     reduce_sources(reducer, header, first, n, workers, |worker| {
         parser(open(worker)?)
     })

@@ -13,8 +13,11 @@ use proptest::prelude::*;
 use trace_container::{encode_app_container, ChunkSpec};
 use trace_format::record::{meaningful_line, parse_app_body_line, AppBodyLine, HeaderBuilder};
 use trace_format::write::APP_HEADER;
-use trace_format::{parse_app_trace, write_app_trace, FormatError};
-use trace_model::Rank;
+use trace_format::{
+    parse_app_trace, parse_reduced_trace, write_app_trace, write_reduced_trace, FormatError,
+    ReducedReader,
+};
+use trace_model::{Rank, ReducedRankTrace};
 use trace_reduce::{Method, Reducer};
 use trace_sim::specgen::{trace_from_specs, SegmentSpec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
@@ -127,6 +130,56 @@ fn assert_chunking_is_invisible(input: &[u8], random_sizes: Vec<usize>) {
                 "{err}"
             );
         }
+    }
+}
+
+/// Everything a reduced parse yields: the rank sections up to the first
+/// error, and that error.
+fn drain_reduced(reader: impl BufRead) -> (Vec<ReducedRankTrace>, Option<String>) {
+    let mut ranks = Vec::new();
+    let mut reader = match ReducedReader::<_, StreamError>::new(reader) {
+        Ok(reader) => reader,
+        Err(err) => return (ranks, Some(format!("{err:?}"))),
+    };
+    loop {
+        match reader.next_rank() {
+            Ok(Some(rank)) => ranks.push(rank),
+            Ok(None) => return (ranks, None),
+            Err(err) => return (ranks, Some(format!("{err:?}"))),
+        }
+    }
+}
+
+/// The reduced-text counterpart of [`assert_chunking_is_invisible`]: the
+/// reader's chunked reads equal its whole-buffer read, and — where the
+/// input is text at all — the whole-trace parser's verdict, rank for rank.
+fn assert_reduced_chunking_is_invisible(input: &[u8], random_sizes: Vec<usize>) {
+    let whole = drain_reduced(Cursor::new(input));
+    for sizes in [vec![1], vec![7], random_sizes] {
+        let chunked = BufReader::new(Chunked {
+            data: input,
+            sizes: sizes.clone(),
+            calls: 0,
+        });
+        assert_eq!(drain_reduced(chunked), whole, "chunk sizes {sizes:?}");
+    }
+    match std::str::from_utf8(input).map(parse_reduced_trace) {
+        Ok(Ok(reduced)) => assert_eq!(whole, (reduced.ranks, None)),
+        Ok(Err(err)) => assert_eq!(whole.1, Some(format!("{:?}", StreamError::Format(err)))),
+        // The reader reads no further than `END_TRACE`: bytes that are not
+        // UTF-8 fail it only where they come before that, and otherwise the
+        // text in front of them parses to the same ranks.
+        Err(bad) => match &whole.1 {
+            Some(err) => assert!(
+                err.contains("InvalidData") && err.contains("valid UTF-8"),
+                "{err}"
+            ),
+            None => {
+                let valid = std::str::from_utf8(&input[..bad.valid_up_to()]).unwrap();
+                let reduced = parse_reduced_trace(valid).expect("the trailer precedes the bytes");
+                assert_eq!(whole.0, reduced.ranks);
+            }
+        },
     }
 }
 
@@ -312,6 +365,22 @@ fn chunked_reads_of_all_paper_workloads_match_the_whole_buffer_parse() {
 }
 
 #[test]
+fn chunked_reads_of_reduced_paper_workloads_and_their_mutations_match_the_whole_buffer_parse() {
+    for (index, kind) in WorkloadKind::all_paper().into_iter().enumerate() {
+        let app = Workload::new(kind, SizePreset::Tiny).generate();
+        let text = write_reduced_trace(&reducer().reduce_app(&app));
+        assert_reduced_chunking_is_invisible(text.as_bytes(), vec![3, 64, 1, 4096, 13, 100_000]);
+        // One mutation of each kind, at a place that moves with the workload.
+        for mutation in 0..12u64 {
+            let seed = (index as u64 * 7919 + mutation * 104_729) << 8;
+            let seed = seed - seed % 12 + mutation;
+            let input = mutate_text(&text, seed);
+            assert_reduced_chunking_is_invisible(&input, vec![5, 300, 2]);
+        }
+    }
+}
+
+#[test]
 fn a_skipping_parser_agrees_with_the_per_line_skip_on_every_kind_of_line() {
     let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
     let text = write_app_trace(&app);
@@ -416,6 +485,19 @@ proptest! {
             // Every mutation kind once per case, at a random place.
             let seed = seed - seed % 12 + kind as u64;
             assert_chunking_is_invisible(&mutate_text(&text, seed), sizes.clone());
+        }
+    }
+
+    #[test]
+    fn chunked_reads_of_mutated_reduced_text_match_the_whole_buffer_parse(
+        rank_specs in spec_strategy(),
+        seeds in prop::collection::vec(any::<u64>(), 12),
+        sizes in prop::collection::vec(1usize..200, 1..8),
+    ) {
+        let text = write_reduced_trace(&reducer().reduce_app(&build_trace(&rank_specs)));
+        for (kind, seed) in seeds.into_iter().enumerate() {
+            let seed = seed - seed % 12 + kind as u64;
+            assert_reduced_chunking_is_invisible(&mutate_text(&text, seed), sizes.clone());
         }
     }
 

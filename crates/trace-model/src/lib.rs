@@ -12,7 +12,9 @@
 //!   message-passing call, computation phase) with entry/exit time stamps and
 //!   optional communication metadata.
 //! * [`record::TraceRecord`] — the raw, per-rank stream written by the
-//!   tracer: segment begin/end markers interleaved with events.
+//!   tracer: segment begin/end markers interleaved with events; and
+//!   [`record::AppItem`], what every full-trace reader yields, a rank
+//!   section at a time.
 //! * [`trace::RankTrace`] / [`trace::AppTrace`] — full per-rank and merged
 //!   application traces.
 //! * [`segment::Segment`] — a rebased slice of a rank trace delimited by
@@ -44,8 +46,8 @@ pub mod trace;
 
 pub use event::{CollectiveOp, CommInfo, Event};
 pub use ids::{ContextId, ContextTable, Rank, RegionId, RegionTable};
-pub use record::TraceRecord;
-pub use reduced::{ReducedAppTrace, ReducedRankTrace, SegmentExec, StoredSegment};
+pub use record::{AppItem, TraceRecord};
+pub use reduced::{ReducedAppTrace, ReducedRankTrace, SegmentExec, StoredIdError, StoredSegment};
 pub use segment::{Segment, SegmentKey};
 pub use time::{Duration, Time};
-pub use trace::{AppTrace, RankTrace, MAX_RESERVED_RANKS};
+pub use trace::{AppTrace, RankTrace, TraceTables, MAX_RESERVED_RANKS};

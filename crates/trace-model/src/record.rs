@@ -5,7 +5,7 @@
 //! per rank: segment begin/end markers interleaved with completed events.
 
 use crate::event::Event;
-use crate::ids::ContextId;
+use crate::ids::{ContextId, Rank};
 use crate::time::Time;
 
 /// One record in the raw per-rank trace stream.
@@ -27,6 +27,19 @@ pub enum TraceRecord {
     },
     /// A completed event (function invocation) inside the current segment.
     Event(Event),
+}
+
+/// One item of a full trace read a rank section at a time, as every
+/// full-trace reader yields them, text or container: a section opens, its
+/// records follow in order, and it closes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum AppItem {
+    /// A rank section opened.
+    RankStart(Rank),
+    /// A record inside the open rank section.
+    Record(TraceRecord),
+    /// The open rank section closed.
+    RankEnd(Rank),
 }
 
 impl TraceRecord {

@@ -8,6 +8,7 @@
 //! representative at its recorded start time.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use crate::ids::{ContextTable, Rank, RegionTable};
 use crate::segment::Segment;
@@ -38,6 +39,54 @@ pub struct SegmentExec {
     /// Absolute start time of this execution in the original trace.
     pub start: Time,
 }
+
+/// A reduced rank whose segment ids break the reduced format's rules, which
+/// the text reader applies line by line and
+/// [`ReducedAppTrace::check_ids`] applies to a trace in hand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StoredIdError {
+    /// A stored segment's id is not its position: stored ids are dense.
+    Sparse {
+        /// The rank that stores it.
+        rank: Rank,
+        /// The id its position gives it.
+        expected: u64,
+        /// The id it carries.
+        found: StoredSegmentId,
+    },
+    /// An execution names a stored segment its rank does not hold.
+    Unknown {
+        /// The rank of the execution.
+        rank: Rank,
+        /// The stored segment id it names.
+        id: StoredSegmentId,
+    },
+}
+
+impl fmt::Display for StoredIdError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            StoredIdError::Sparse {
+                rank,
+                expected,
+                found,
+            } => {
+                write!(
+                    f,
+                    "{rank}: stored ids must be dense; expected {expected} got {found}"
+                )
+            }
+            StoredIdError::Unknown { rank, id } => {
+                write!(
+                    f,
+                    "{rank}: execution references unknown stored segment {id}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for StoredIdError {}
 
 /// The reduced trace of a single rank.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -96,16 +145,35 @@ impl ReducedRankTrace {
         }
     }
 
-    /// Looks up a stored segment by id.
+    /// Looks up a stored segment by id.  Stored ids are dense — every
+    /// reducer numbers its representatives by position, and
+    /// [`ReducedRankTrace::check_ids`] refuses a trace that does not — so
+    /// this is one index; a segment stored elsewhere than its id is `None`.
     pub fn stored_segment(&self, id: StoredSegmentId) -> Option<&StoredSegment> {
-        self.stored
-            .get(id as usize)
-            .filter(|s| s.id == id)
-            .or_else(|| {
-                // Fall back to a linear scan if ids are not dense (they are dense
-                // for every reducer in this workspace, but the format permits it).
-                self.stored.iter().find(|s| s.id == id)
-            })
+        self.stored.get(id as usize).filter(|s| s.id == id)
+    }
+
+    /// Checks the reduced format's id rules: stored ids are dense (each is
+    /// its position), and every execution names a stored segment that
+    /// exists.  Returns the first violation, stored segments first.
+    pub fn check_ids(&self) -> Result<(), StoredIdError> {
+        let ids = self.stored.iter().map(|stored| stored.id);
+        if let Some((expected, found)) = (0u64..).zip(ids).find(|&(at, id)| u64::from(id) != at) {
+            return Err(StoredIdError::Sparse {
+                rank: self.rank,
+                expected,
+                found,
+            });
+        }
+        let stored = self.stored.len();
+        let mut execs = self.execs.iter().map(|exec| exec.segment);
+        match execs.find(|&id| id as usize >= stored) {
+            Some(id) => Err(StoredIdError::Unknown {
+                rank: self.rank,
+                id,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Reconstructs an approximate full rank trace by replaying each
@@ -185,6 +253,12 @@ impl ReducedAppTrace {
         } else {
             matches as f64 / possible as f64
         }
+    }
+
+    /// Checks every rank's ids ([`ReducedRankTrace::check_ids`]), in rank
+    /// order.
+    pub fn check_ids(&self) -> Result<(), StoredIdError> {
+        self.ranks.iter().try_for_each(ReducedRankTrace::check_ids)
     }
 
     /// Reconstructs an approximate full application trace.
@@ -301,6 +375,39 @@ mod tests {
         });
         let trace = r.reconstruct();
         assert_eq!(trace.segment_instance_count(), 3);
+    }
+
+    #[test]
+    fn check_ids_names_the_first_sparse_or_unknown_id() {
+        let mut r = reduced_with_two_reps();
+        assert_eq!(r.check_ids(), Ok(()));
+        r.execs.push(SegmentExec {
+            segment: 2,
+            start: Time::from_nanos(500),
+        });
+        let unknown = StoredIdError::Unknown {
+            rank: Rank(0),
+            id: 2,
+        };
+        assert_eq!(r.check_ids(), Err(unknown));
+        assert_eq!(
+            unknown.to_string(),
+            "rank 0: execution references unknown stored segment 2"
+        );
+        // A stored id out of place is named first, by its position.
+        r.stored.swap(0, 1);
+        let sparse = StoredIdError::Sparse {
+            rank: Rank(0),
+            expected: 0,
+            found: 1,
+        };
+        assert_eq!(r.check_ids(), Err(sparse));
+        assert_eq!(
+            sparse.to_string(),
+            "rank 0: stored ids must be dense; expected 0 got 1"
+        );
+        // A segment stored away from its id is not found by it.
+        assert!(r.stored_segment(1).is_none());
     }
 
     #[test]

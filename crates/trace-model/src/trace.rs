@@ -2,7 +2,8 @@
 
 use crate::event::Event;
 use crate::ids::{ContextId, ContextTable, Rank, RegionTable};
-use crate::record::TraceRecord;
+use crate::record::{AppItem, TraceRecord};
+use crate::reduced::ReducedAppTrace;
 use crate::time::{Duration, Time};
 
 /// The full trace of a single rank: a time-ordered stream of records.
@@ -119,6 +120,45 @@ impl RankTrace {
 /// many, the rank list grows only as sections actually arrive.
 pub const MAX_RESERVED_RANKS: usize = 4096;
 
+/// What a trace file holds ahead of its first rank section, in either
+/// format: the program name, the declared rank count and the interned
+/// region/context name tables every record is read against.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceTables {
+    /// Human-readable name of the traced program.
+    pub name: String,
+    /// Number of rank sections the file declares.
+    pub declared_ranks: usize,
+    /// Region (function) name table.
+    pub regions: RegionTable,
+    /// Segment-context name table.
+    pub contexts: ContextTable,
+}
+
+impl TraceTables {
+    /// A full trace under these tables with no ranks yet, and room for the
+    /// declared ones (at most [`MAX_RESERVED_RANKS`] up front).
+    pub fn app_trace(&self) -> AppTrace {
+        AppTrace {
+            name: self.name.clone(),
+            regions: self.regions.clone(),
+            contexts: self.contexts.clone(),
+            ranks: Vec::with_capacity(self.declared_ranks.min(MAX_RESERVED_RANKS)),
+        }
+    }
+
+    /// A reduced trace under these tables with no ranks yet, like
+    /// [`TraceTables::app_trace`].
+    pub fn reduced_trace(&self) -> ReducedAppTrace {
+        ReducedAppTrace {
+            name: self.name.clone(),
+            regions: self.regions.clone(),
+            contexts: self.contexts.clone(),
+            ranks: Vec::with_capacity(self.declared_ranks.min(MAX_RESERVED_RANKS)),
+        }
+    }
+}
+
 /// A merged application trace: one [`RankTrace`] per rank plus the shared
 /// region and context name tables.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -134,6 +174,23 @@ pub struct AppTrace {
 }
 
 impl AppTrace {
+    /// Adds what a full-trace reader yields next: a rank start opens a new
+    /// last rank, and a record — with `more`, the rest of its batch — goes
+    /// to the last rank.  Readers yield records only inside the section
+    /// they opened last, so nothing else is checked.
+    pub fn push_item(&mut self, item: AppItem, more: &[TraceRecord]) {
+        match item {
+            AppItem::RankStart(rank) => self.ranks.push(RankTrace::new(rank)),
+            AppItem::Record(first) => {
+                if let Some(rank) = self.ranks.last_mut() {
+                    rank.push(first);
+                    rank.records.extend_from_slice(more);
+                }
+            }
+            AppItem::RankEnd(_) => {}
+        }
+    }
+
     /// Creates an empty application trace with `n_ranks` empty rank traces.
     pub fn new(name: impl Into<String>, n_ranks: usize) -> Self {
         AppTrace {
