@@ -5,7 +5,7 @@ use std::path::Path;
 
 use trace_analysis::diagnose;
 use trace_obs::Recorder;
-use trace_reduce::{Method, MethodConfig, Reducer};
+use trace_reduce::{reduce_app_parallel, Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
 use trace_container::{section_workers, ChunkSpec, Codec};
@@ -27,8 +27,9 @@ subcommands:
              [--preset tiny|small|paper] [binary output flags]
   reduce     --in FILE --out FILE        similarity-based reduction
              --method M [--threshold T]  [binary output flags]
-             [--stream [--shards N]]     online bounded-memory reduction on N
-                                         workers (default: one per core); input
+             [--shards N]                reduce on N workers (default: one per
+                                         core)
+             [--stream]                  online bounded-memory reduction; input
                                          format (text, container v2) is
                                          autodetected by magic bytes, and v2
                                          containers shard by index footer
@@ -302,15 +303,12 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-/// `reduce`: the prologue (method, paths, format, obs) and the epilogue
-/// (`--report`, run report) are shared; only the reduce step and the
-/// summary line differ between the in-memory path and `--stream`.  Both
-/// report the bytes written.
+/// `reduce`: the prologue (method, paths, format, `--shards`, obs) and the
+/// epilogue (`--report`, run report) are shared; only the reduce step and
+/// the summary line differ between the in-memory path and `--stream`.  Both
+/// reduce on `--shards` workers, one per core by default, and report the
+/// bytes written.
 fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
-    let stream = invocation.has("stream");
-    if !stream && invocation.has("shards") {
-        return Err("--shards only applies to streaming reduction; add --stream".to_string());
-    }
     let config = parse_method(invocation, None)?;
     let input = Path::new(invocation.require("in")?);
     let out = Path::new(invocation.require("out")?);
@@ -326,7 +324,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let reducer = Reducer::new(config).with_recorder(&recorder);
     let store = |reduced| store_reduced_trace(out, reduced, spec, &recorder);
 
-    let (reduced, mut message) = if stream {
+    let (reduced, mut message) = if invocation.has("stream") {
         // One bounded-memory pass over the file: text and chunked container
         // v2 inputs are autodetected by magic bytes.
         let (result, kind) = trace_stream::reduce_any_file(&reducer, input, shards)
@@ -335,21 +333,14 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
         let workers = shards.clamp(1, result.reduced.rank_count().max(1));
         // With several workers the stat is the sum of per-worker peaks —
         // an upper bound on the concurrent total, not one observation.
-        let peak = if workers > 1 {
-            format!(
-                "resident segments <= {}",
-                result.stats.peak_resident_segments
-            )
-        } else {
-            format!(
-                "peak resident segments {}",
-                result.stats.peak_resident_segments
-            )
+        let peak = match workers {
+            1 => "peak resident segments",
+            _ => "resident segments <=",
         };
         let written = store(&result.reduced)?;
         let mut message = format!(
             "stream-reduced {} ({} input) with {} over {workers} shard(s): {} stored \
-             segments for {} executions, degree of matching {:.3}, {peak} (of {} \
+             segments for {} executions, degree of matching {:.3}, {peak} {} (of {} \
              streamed), {written} bytes -> {}",
             result.reduced.name,
             kind.label(),
@@ -357,6 +348,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
             result.stats.stored,
             result.stats.execs,
             result.reduced.degree_of_matching(),
+            result.stats.peak_resident_segments,
             result.stats.segments,
             out.display()
         );
@@ -370,7 +362,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     } else {
         // The in-memory path: the only one that holds the full trace.
         let app = load_app_trace(input, &recorder)?;
-        let reduced = reducer.reduce_app(&app);
+        let reduced = reduce_app_parallel(&reducer, &app, shards);
         let written = store(&reduced)?;
         let message = format!(
             "reduced {} with {}: {} stored segments for {} executions, degree of matching {:.3}, {written} bytes -> {}",
@@ -1077,31 +1069,61 @@ mod tests {
 
     #[test]
     fn stream_reduce_rejects_bad_shards() {
-        let err = run(&Invocation::new(
-            "reduce",
-            &[
+        // Zero workers is refused on both paths, before any input is read.
+        for stream in [true, false] {
+            let mut flags = vec![
                 ("in", "/tmp/x.txt"),
                 ("out", "/tmp/y.trc"),
                 ("method", "relDiff"),
-                ("stream", ""),
                 ("shards", "0"),
-            ],
-        ))
-        .unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
+            ];
+            if stream {
+                flags.push(("stream", ""));
+            }
+            let err = run(&Invocation::new("reduce", &flags)).unwrap_err();
+            assert_eq!(err, "--shards must be at least 1", "stream {stream}");
+        }
+    }
 
-        // --shards without --stream would otherwise be silently ignored.
-        let err = run(&Invocation::new(
-            "reduce",
-            &[
-                ("in", "/tmp/x.txt"),
-                ("out", "/tmp/y.trc"),
-                ("method", "relDiff"),
-                ("shards", "4"),
-            ],
-        ))
-        .unwrap_err();
-        assert!(err.contains("add --stream"), "{err}");
+    #[test]
+    fn in_memory_reduce_on_any_worker_count_writes_the_stream_bytes() {
+        let input = temp_path("workers_in.trc");
+        let streamed = temp_path("workers_stream.trc");
+        let in_memory = temp_path("workers_mem.trc");
+        for workload in ["late_sender", "dyn_load_balance"] {
+            for codec in ["none", "delta-lz"] {
+                let what = format!("{workload} under {codec}");
+                let generate = [
+                    ("workload", workload),
+                    ("preset", "tiny"),
+                    ("out", input.to_str().unwrap()),
+                    ("codec", codec),
+                ];
+                run(&Invocation::new("generate", &generate)).unwrap();
+                let reduce = |out: &Path, extra: &[(&str, &str)]| {
+                    let mut flags = vec![
+                        ("in", input.to_str().unwrap()),
+                        ("out", out.to_str().unwrap()),
+                        ("method", "avgWave"),
+                        ("codec", codec),
+                    ];
+                    flags.extend_from_slice(extra);
+                    run(&Invocation::new("reduce", &flags)).unwrap()
+                };
+                reduce(&streamed, &[("stream", "")]);
+                let expected = std::fs::read(&streamed).unwrap();
+                for shards in [None, Some("1"), Some("3")] {
+                    let out = match shards {
+                        Some(shards) => reduce(&in_memory, &[("shards", shards)]),
+                        None => reduce(&in_memory, &[]),
+                    };
+                    assert!(out.starts_with("reduced "), "{what}: {out}");
+                    let found = std::fs::read(&in_memory).unwrap();
+                    assert_eq!(found, expected, "{what}, --shards {shards:?}");
+                }
+            }
+        }
+        cleanup(&[&input, &streamed, &in_memory]);
     }
 
     #[test]

@@ -95,16 +95,12 @@ pub fn load_app_trace(path: &Path, recorder: &trace_obs::Recorder) -> Result<App
     result
 }
 
-/// Loads a reduced trace from `path` (text or binary by extension) whose
-/// segment ids keep the reduced format's rules (a text trace is refused at
-/// the line that breaks them), so that every execution replays its stored
-/// segment.
+/// Loads a reduced trace from `path` (text or binary by extension).  Both
+/// readers refuse segment ids that break the reduced format's rules (text
+/// at the line, a container at its rank section), so every execution
+/// replays its stored segment.
 pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
-    let reduced = load(path, read_reduced_trace, read_reduced_container)?;
-    reduced
-        .check_ids()
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(reduced)
+    load(path, read_reduced_trace, read_reduced_container)
 }
 
 /// A sink and the number of bytes it has taken.

@@ -517,9 +517,9 @@ fn crafted_reduced(
 
 #[test]
 fn a_reduced_container_with_sparse_or_unknown_ids_is_refused_and_leaves_no_output() {
-    // The text reader refuses both traces at the line that breaks the id
-    // rules; a container of them reads back as written, and the CLI refuses
-    // it before anything replays an execution.
+    // Both readers refuse both traces: the text reader at the line that
+    // breaks the id rules, the container reader at the rank section; the
+    // CLI names the file and writes nothing.
     for stored in [2_000, 20_000] {
         let last = stored as u32 - 1;
         let reversed = crafted_reduced(stored, |at| last - at as u32, |k| (k % stored) as u32);
@@ -537,8 +537,7 @@ fn a_reduced_container_with_sparse_or_unknown_ids_is_refused_and_leaves_no_outpu
             ),
         ] {
             let bytes = encode_reduced_container(&crafted, ChunkSpec::default());
-            let read = read_reduced_container(&bytes[..]).unwrap();
-            let err = read.check_ids().unwrap_err();
+            let err = read_reduced_container(&bytes[..]).unwrap_err();
             assert_eq!(err.to_string(), message, "{name} {stored}");
 
             let input = temp_path(&format!("crafted_{name}_{stored}.trc"));

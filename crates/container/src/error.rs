@@ -5,6 +5,7 @@ use std::io;
 
 use trace_compress::{CompressError, DecodeError};
 use trace_model::codec::CodecError;
+use trace_model::StoredIdError;
 
 /// Errors produced while reading or writing a chunked trace container.
 #[derive(Debug)]
@@ -63,6 +64,9 @@ pub enum ContainerError {
         /// How many undeclared bytes were found.
         bytes: usize,
     },
+    /// A reduced rank section's stored ids are not dense, or one of its
+    /// executions names a segment the section does not store.
+    StoredIds(StoredIdError),
     /// A declared count disagreed with the items actually present.
     CountMismatch {
         /// What was being counted.
@@ -114,6 +118,7 @@ impl fmt::Display for ContainerError {
             ContainerError::TrailingBytes { what, bytes } => {
                 write!(f, "{bytes} trailing bytes after {what}")
             }
+            ContainerError::StoredIds(e) => e.fmt(f),
             ContainerError::CountMismatch {
                 what,
                 declared,
@@ -129,6 +134,7 @@ impl std::error::Error for ContainerError {
             ContainerError::Io(e) => Some(e),
             ContainerError::Codec(e) => Some(e),
             ContainerError::Compress(e) => Some(e),
+            ContainerError::StoredIds(e) => Some(e),
             _ => None,
         }
     }

@@ -393,11 +393,11 @@ pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError
 ///
 /// The reader owns the format's rules for a reduced section: all `STORED`
 /// chunks precede all `EXECS` chunks, the `RANK_END` names the open rank
-/// and its counts, and the `INDEX` trailer closes the file after as many
-/// sections as the preamble declares.  The ids of the segments it decodes
-/// are the codec's to bound, not the reader's to relate: a caller about to
-/// replay executions checks them with
-/// [`trace_model::ReducedAppTrace::check_ids`].
+/// and its counts, the `INDEX` trailer closes the file after as many
+/// sections as the preamble declares, and a section's ids keep
+/// [`trace_model::ReducedRankTrace::check_ids`]: stored ids are dense and
+/// every execution names a stored segment.  So every execution of a rank
+/// it returns replays a stored segment.
 pub struct ReducedChunkReader<R> {
     stream: ChunkStream<R>,
     preamble: TraceTables,
@@ -480,6 +480,7 @@ impl<R: Read> ReducedChunkReader<R> {
             events: execs,
         };
         end_section(&mut self.stream, found, REDUCED_COUNTS)?;
+        rank.check_ids().map_err(ContainerError::StoredIds)?;
         self.ranks_seen += 1;
         Ok(Some(rank))
     }

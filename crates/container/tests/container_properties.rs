@@ -513,37 +513,41 @@ fn crafted_reduced(
 }
 
 #[test]
-fn sparse_stored_ids_and_executions_of_unknown_segments_read_back_and_fail_the_id_check() {
-    // The container reader bounds ids (the codec refuses one past
-    // `u32::MAX`) but leaves relating them to the id check, which names the
-    // first violation at once, whatever the trace's size.
+fn sparse_stored_ids_and_executions_of_unknown_segments_are_refused_by_the_reader() {
+    // The codec bounds ids (it refuses one past `u32::MAX`) and the reader
+    // relates them at the end of each rank section: it names the first
+    // violation, whatever the trace's size, and returns no rank that breaks
+    // the id rules.
     for stored in [2_000, 20_000] {
         let last = stored as u32 - 1;
         let reversed = crafted_reduced(stored, |at| last - at as u32, |k| (k % stored) as u32);
         // Executions name every stored id and, in turn, the one past them.
         let unknown = crafted_reduced(stored, |at| at as u32, |k| (k % (stored + 1)) as u32);
         for codec in [Codec::None, Codec::DeltaLz] {
-            let bytes = encode_reduced_container(&reversed, ChunkSpec::with_codec(codec));
-            let read = read_reduced_container(&bytes[..]).unwrap();
-            assert_eq!(read, reversed);
-            let err = read.check_ids().unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                format!("rank 0: stored ids must be dense; expected 0 got {last}")
-            );
-
-            let bytes = encode_reduced_container(&unknown, ChunkSpec::with_codec(codec));
-            let read = read_reduced_container(&bytes[..]).unwrap();
-            assert_eq!(read, unknown);
-            let err = read.check_ids().unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                format!("rank 0: execution references unknown stored segment {stored}")
-            );
+            for (crafted, message) in [
+                (
+                    &reversed,
+                    format!("rank 0: stored ids must be dense; expected 0 got {last}"),
+                ),
+                (
+                    &unknown,
+                    format!("rank 0: execution references unknown stored segment {stored}"),
+                ),
+            ] {
+                let bytes = encode_reduced_container(crafted, ChunkSpec::with_codec(codec));
+                let err = read_reduced_container(&bytes[..]).unwrap_err();
+                assert!(matches!(err, ContainerError::StoredIds(_)), "{err:?}");
+                assert_eq!(err.to_string(), message);
+                assert_eq!(
+                    Err(err.to_string()),
+                    crafted.check_ids().map_err(|e| e.to_string())
+                );
+            }
         }
     }
     let dense = crafted_reduced(2_000, |at| at as u32, |k| (k % 2_000) as u32);
-    assert_eq!(dense.check_ids(), Ok(()));
+    let bytes = encode_reduced_container(&dense, ChunkSpec::default());
+    assert_eq!(read_reduced_container(&bytes[..]).unwrap(), dense);
 }
 
 #[test]

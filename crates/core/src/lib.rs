@@ -19,7 +19,7 @@
 //!   method and a recorder (disabled unless [`Reducer::with_recorder`]
 //!   attaches one); every driver, here and in `trace_stream`, is one
 //!   function of `(&Reducer, source[, workers])`, and all of them run the
-//!   same match loop.
+//!   same record loop, [`RankRecordReducer`].
 //! * [`features`] — cached per-segment features ([`SegmentFeatures`]),
 //!   reusable matching buffers ([`MatchScratch`]) and the allocation-free,
 //!   prefiltered, early-abandoning similarity kernels the match loop runs.
@@ -73,5 +73,5 @@ pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatu
 pub use method::{Method, MethodConfig};
 pub use metric::segments_match;
 pub use parallel::{reduce_app_parallel, reduce_app_parallel_with_stats};
-pub use reducer::{OnlineRankReducer, RankReduction, Reducer};
+pub use reducer::{OnlineRankReducer, RankRecordReducer, RankReduction, Reducer};
 pub use segmenter::{segments_of_rank, OnlineSegmenter, SegmentRef, SegmentationStats};

@@ -45,13 +45,14 @@ use std::collections::BTreeMap;
 
 use trace_model::{
     AppTrace, RankTrace, ReducedAppTrace, ReducedRankTrace, Segment, SegmentExec, StoredSegment,
-    Time,
+    Time, TraceRecord,
 };
+use trace_obs::ObsShard;
 
 use crate::features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatures};
 use crate::index::CandidateIndex;
 use crate::method::{Method, MethodConfig};
-use crate::segmenter::{segments_of_rank_with_stats, SegmentRef, SegmentationStats};
+use crate::segmenter::{OnlineSegmenter, SegmentRef, SegmentationStats};
 
 /// The result of reducing one rank's trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -170,9 +171,8 @@ fn stored_segment(id: u32, incoming: &Segment) -> StoredSegment {
 
 /// Online (segment-at-a-time) form of the stored-segments algorithm.
 ///
-/// [`Reducer::reduce_rank`] and the streaming reduction path (the
-/// `trace_stream` crate) both drive this state machine, so a rank is
-/// reduced identically whether its segments arrive from an in-memory
+/// Every driver feeds it through one [`RankRecordReducer`], so a rank is
+/// reduced identically whether its records come from an in-memory
 /// [`RankTrace`] or one at a time from a file.  The state held between
 /// segments is exactly the reduced trace under construction (stored
 /// representatives plus the execution log) and the per-shape match buckets —
@@ -219,7 +219,7 @@ impl OnlineRankReducer {
     /// index.  Store events are rare (one per representative, not one per
     /// segment), so the clock is only read on that path, and never with a
     /// disabled shard.
-    pub fn push_segment(&mut self, incoming: SegmentRef<'_>, obs: &mut trace_obs::ObsShard) {
+    pub fn push_segment(&mut self, incoming: SegmentRef<'_>, obs: &mut ObsShard) {
         let segment = incoming.segment;
         let start = segment.start;
         let config = self.config;
@@ -289,16 +289,6 @@ impl OnlineRankReducer {
         }
     }
 
-    /// Number of stored representatives so far.
-    pub fn stored_count(&self) -> usize {
-        self.reduced.stored_count()
-    }
-
-    /// The similarity-matching counters accumulated by this reducer.
-    pub fn match_stats(&self) -> MatchStats {
-        self.scratch.stats()
-    }
-
     /// Completes the reduction (finalizing `iter_avg` running averages) and
     /// returns the reduced rank trace together with the scratch, for the
     /// caller to thread into the next rank's reducer.
@@ -307,6 +297,73 @@ impl OnlineRankReducer {
             avg.finalize_into(&mut stored.segment);
         }
         (self.reduced, self.scratch)
+    }
+}
+
+/// One rank reduced record by record: the [`OnlineSegmenter`] lends each
+/// segment it closes straight to [`OnlineRankReducer::push_segment`], so no
+/// segment is collected or copied on the way.  This is the one
+/// segment-then-match loop: [`Reducer::reduce_rank`] and the in-memory
+/// drivers run it over a rank's records in memory, the `trace_stream`
+/// workers over records as they are decoded.  Segmenting and matching are
+/// fused per record, so every driver times a rank as one
+/// [`trace_obs::Stage::Rank`] span around it.
+#[derive(Clone, Debug)]
+pub struct RankRecordReducer {
+    segmenter: OnlineSegmenter,
+    online: OnlineRankReducer,
+    /// The most segments held at once: stored plus the one in flight.
+    peak_resident: usize,
+}
+
+impl RankRecordReducer {
+    /// An empty rank under `reducer`'s method, on the buffers of `scratch`,
+    /// which [`RankRecordReducer::finish`] hands back (see
+    /// [`OnlineRankReducer::new`]).
+    pub fn new(reducer: &Reducer, rank: trace_model::Rank, scratch: &mut MatchScratch) -> Self {
+        RankRecordReducer {
+            segmenter: OnlineSegmenter::new(),
+            online: OnlineRankReducer::new(reducer, rank, std::mem::take(scratch)),
+            peak_resident: 0,
+        }
+    }
+
+    /// Feeds the next record in trace order; a segment it closes is matched
+    /// at once.
+    #[inline]
+    pub fn push(&mut self, record: &TraceRecord, obs: &mut ObsShard) {
+        if let Some(segment) = self.segmenter.push(record) {
+            self.online.push_segment(segment, obs);
+        }
+        // Only a marker opens or closes a segment, and only a closed segment
+        // can be stored: between markers the resident count cannot move.
+        if !matches!(record, TraceRecord::Event(_)) {
+            let open = self.segmenter.has_open_segment();
+            let resident = self.online.reduced.stored.len() + usize::from(open);
+            self.peak_resident = self.peak_resident.max(resident);
+        }
+    }
+
+    /// The most segments this rank has held at once so far, its stored
+    /// representatives plus the one in flight, as seen after each marker.
+    pub fn peak_resident_segments(&self) -> usize {
+        self.peak_resident
+    }
+
+    /// Closes the segment still in flight and completes the reduction,
+    /// handing the buffers back to `scratch` for the next rank.
+    pub fn finish(mut self, scratch: &mut MatchScratch, obs: &mut ObsShard) -> RankReduction {
+        if let Some(segment) = self.segmenter.finish() {
+            self.online.push_segment(segment, obs);
+        }
+        let matching = self.online.scratch.stats();
+        let (reduced, returned) = self.online.finish();
+        *scratch = returned;
+        RankReduction {
+            reduced,
+            segmentation: self.segmenter.stats(),
+            matching,
+        }
     }
 }
 
@@ -363,31 +420,21 @@ impl Reducer {
     /// [`Reducer::reduce_rank`] on a worker's own scratch and shard: the
     /// buffers are threaded from rank to rank (the counters in the returned
     /// [`RankReduction::matching`] cover only this rank), and the shard
-    /// takes one [`trace_obs::Stage::Segment`] and one
-    /// [`trace_obs::Stage::Match`] span per rank — nothing per segment.
+    /// takes one [`trace_obs::Stage::Rank`] span per rank.
     pub(crate) fn reduce_rank_on(
         &self,
         trace: &RankTrace,
         scratch: &mut MatchScratch,
-        obs: &mut trace_obs::ObsShard,
+        obs: &mut ObsShard,
     ) -> RankReduction {
         let span = obs.start();
-        let (segments, segmentation) = segments_of_rank_with_stats(trace);
-        obs.end(trace_obs::Stage::Segment, span);
-        let mut online = OnlineRankReducer::new(self, trace.rank, std::mem::take(scratch));
-        let span = obs.start();
-        for segment in &segments {
-            online.push_segment(SegmentRef::of(segment), obs);
+        let mut rank = RankRecordReducer::new(self, trace.rank, scratch);
+        for record in &trace.records {
+            rank.push(record, obs);
         }
-        obs.end(trace_obs::Stage::Match, span);
-        let matching = online.match_stats();
-        let (reduced, returned) = online.finish();
-        *scratch = returned;
-        RankReduction {
-            reduced,
-            segmentation,
-            matching,
-        }
+        let reduction = rank.finish(scratch, obs);
+        obs.end(trace_obs::Stage::Rank, span);
+        reduction
     }
 
     /// Reduces every rank of an application trace on the calling thread:
@@ -400,6 +447,7 @@ impl Reducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segmenter::segments_of_rank_with_stats;
     use trace_model::{ContextId, Event, Rank, RegionId};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -603,6 +651,48 @@ mod tests {
             rel.degree_of_matching() <= euc.degree_of_matching(),
             "relDiff must not out-match Euclidean on a regular benchmark"
         );
+    }
+
+    #[test]
+    fn the_record_loop_segments_and_matches_as_the_collected_segments_do() {
+        // Orphan events before, between and after segments; a segment left
+        // open by the next begin, one closed by a mismatched end, and one
+        // still open when the records run out.
+        let event = |start: u64, end: u64| {
+            Event::compute(RegionId(0), Time::from_nanos(start), Time::from_nanos(end))
+        };
+        let mut odd = RankTrace::new(Rank(3));
+        odd.push_event(event(0, 5));
+        odd.begin_segment(ContextId(0), Time::from_nanos(10));
+        odd.push_event(event(12, 40));
+        odd.begin_segment(ContextId(0), Time::from_nanos(50));
+        odd.push_event(event(51, 60));
+        odd.end_segment(ContextId(1), Time::from_nanos(70));
+        odd.push_event(event(71, 75));
+        odd.begin_segment(ContextId(1), Time::from_nanos(80));
+        odd.push_event(event(81, 95));
+        let workload = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let mut traces = vec![odd, RankTrace::new(Rank(0))];
+        traces.extend(workload.ranks);
+        for method in Method::ALL {
+            let reducer = Reducer::with_default_threshold(method);
+            for trace in &traces {
+                let (segments, segmentation) = segments_of_rank_with_stats(trace);
+                let mut collected =
+                    OnlineRankReducer::new(&reducer, trace.rank, MatchScratch::new());
+                let mut obs = trace_obs::ObsShard::disabled();
+                for segment in &segments {
+                    collected.push_segment(SegmentRef::of(segment), &mut obs);
+                }
+                let fused = reducer.reduce_rank(trace);
+                let what = format!("{method} rank {}", trace.rank.0);
+                assert_eq!(fused.segmentation, segmentation, "{what}");
+                assert_eq!(fused.matching, collected.scratch.stats(), "{what}");
+                assert_eq!(fused.reduced, collected.finish().0, "{what}");
+            }
+        }
+        let odd = segments_of_rank_with_stats(&traces[0]).1;
+        assert_eq!((odd.orphan_events, odd.unterminated_segments), (2, 3));
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //!   one CRC-checked chunk resident at a time.  Both sources sit behind
 //!   the [`source::AppItemSource`] trait, so one reduction loop serves
 //!   both formats.
-//! * [`reduce::reduce_stream`] — feeds each completed segment straight into
-//!   the stored-segments loop ([`trace_reduce::OnlineRankReducer`]) as it
+//! * [`reduce::reduce_stream`] — feeds each record straight into the
+//!   library's one record loop ([`trace_reduce::RankRecordReducer`]) as it
 //!   arrives.  Resident segment state is O(stored representatives + one
 //!   in-flight segment per active rank), never O(total events), and the
 //!   output is identical to the in-memory [`trace_reduce::Reducer`] —
-//!   both paths drive the same state machines.
+//!   both paths run that loop.
 //! * [`shard::reduce_stream_sharded`] — spreads rank sections over worker
 //!   threads, each streaming its own reader: a worker claims the next
 //!   unreduced section, skips forward to it without parsing the sections

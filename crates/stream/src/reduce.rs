@@ -1,8 +1,8 @@
 //! Online, bounded-memory reduction of a streamed trace.
 //!
-//! The reducer consumes [`AppItemSource`] items and feeds each completed
-//! segment straight into the stored-segments loop
-//! ([`trace_reduce::OnlineRankReducer`]) as it arrives.  At any instant the
+//! The reducer consumes [`AppItemSource`] items and feeds each record
+//! straight into the library's one record loop
+//! ([`trace_reduce::RankRecordReducer`]) as it arrives.  At any instant the
 //! resident segment state is the stored representatives accumulated so far
 //! plus at most one in-flight segment per active rank — never the full
 //! event stream.  [`StreamStats::peak_resident_segments`] instruments
@@ -10,8 +10,8 @@
 
 use std::io::BufRead;
 
-use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord};
-use trace_reduce::{MatchScratch, MatchStats, OnlineRankReducer, OnlineSegmenter, Reducer};
+use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace};
+use trace_reduce::{MatchScratch, MatchStats, RankRecordReducer, Reducer};
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
@@ -164,10 +164,11 @@ impl RankWorker {
     /// the container reader, the loop is identical.
     ///
     /// The section is bracketed by a [`trace_obs::Stage::Rank`] span (the
-    /// loop fuses segment and match per record, so the rank is the finest
-    /// honestly separable unit: two clock reads per rank; a source times
-    /// its own decodes — a container's chunks, text's batches — inside it,
-    /// or, decoding ahead for one worker, beside it on its own thread).
+    /// record loop, [`RankRecordReducer`], fuses segment and match per
+    /// record, so the rank is the finest honestly separable unit: two clock
+    /// reads per rank; a source times its own decodes — a container's
+    /// chunks, text's batches — inside it, or, decoding ahead for one
+    /// worker, beside it on its own thread).
     /// An item out of place — a record or rank end before the rank start, a
     /// second rank start, or the end of the stream — is a protocol error:
     /// the open rank would otherwise be lost.
@@ -191,55 +192,38 @@ impl RankWorker {
                     if active.is_some() {
                         return Err(StreamError::Protocol("a rank start inside a rank section"));
                     }
-                    let online = OnlineRankReducer::new(reducer, rank, std::mem::take(scratch));
-                    active = Some((OnlineSegmenter::new(), online, obs.start()));
+                    let rank = RankRecordReducer::new(reducer, rank, scratch);
+                    active = Some((rank, obs.start()));
                 }
                 AppItem::Record(first) => {
-                    let Some((segmenter, online, _)) = active.as_mut() else {
+                    let Some((rank, _)) = active.as_mut() else {
                         return Err(StreamError::Protocol("a record outside a rank section"));
-                    };
-                    let mut push = |record: &TraceRecord| {
-                        if let Some(segment) = segmenter.push(record) {
-                            online.push_segment(segment, obs);
-                        }
-                        // Only a marker opens or closes a segment, and only
-                        // a closed segment can be stored: between markers
-                        // the resident count cannot move.
-                        if !matches!(record, TraceRecord::Event(_)) {
-                            let resident = *stored_retained
-                                + online.stored_count()
-                                + usize::from(segmenter.has_open_segment());
-                            stats.peak_resident_segments =
-                                stats.peak_resident_segments.max(resident);
-                        }
                     };
                     // The record, then whatever the source has decoded
                     // behind it: the rest of a container chunk or of a
                     // text batch.
-                    push(&first);
-                    source.take_records().iter().for_each(push);
+                    rank.push(&first, obs);
+                    let records = source.take_records();
+                    records.iter().for_each(|record| rank.push(record, obs));
                 }
                 AppItem::RankEnd(_) => {
-                    let Some((mut segmenter, mut online, span)) = active.take() else {
+                    let Some((rank, span)) = active.take() else {
                         return Err(StreamError::Protocol("a rank end outside a rank section"));
                     };
-                    if let Some(segment) = segmenter.finish() {
-                        online.push_segment(segment, obs);
-                    }
-                    let seg_stats = segmenter.stats();
+                    let peak = *stored_retained + rank.peak_resident_segments();
+                    stats.peak_resident_segments = stats.peak_resident_segments.max(peak);
+                    let reduction = rank.finish(scratch, obs);
+                    let seg_stats = reduction.segmentation;
                     stats.events += seg_stats.events_in_segments + seg_stats.orphan_events;
                     stats.segments += seg_stats.segments;
                     stats.orphan_events += seg_stats.orphan_events;
                     stats.unterminated_segments += seg_stats.unterminated_segments;
-                    stats.matching.absorb(&online.match_stats());
-                    let (reduced, returned) = online.finish();
-                    *scratch = returned;
-                    *stored_retained += reduced.stored_count();
-                    stats.peak_resident_segments =
-                        stats.peak_resident_segments.max(*stored_retained);
+                    stats.matching.absorb(&reduction.matching);
+                    // The rank's peak counted every segment it stored.
+                    *stored_retained += reduction.reduced.stored_count();
                     stats.ranks += 1;
                     obs.end(trace_obs::Stage::Rank, span);
-                    return Ok(reduced);
+                    return Ok(reduction.reduced);
                 }
             }
         }
@@ -270,6 +254,7 @@ mod tests {
     use super::*;
     use std::io::Cursor;
     use trace_format::write_app_trace;
+    use trace_model::TraceRecord;
     use trace_reduce::Method;
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 

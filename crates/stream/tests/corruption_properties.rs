@@ -108,28 +108,36 @@ fn assert_chunking_is_invisible(input: &[u8], random_sizes: Vec<usize>) {
         });
         assert_eq!(drain(chunked), whole, "chunk sizes {sizes:?}");
     }
+    let items = |app: trace_model::AppTrace| -> Vec<AppItem> {
+        app.ranks
+            .iter()
+            .flat_map(|rank| {
+                let records = rank.records.iter().cloned().map(AppItem::Record);
+                std::iter::once(AppItem::RankStart(rank.rank))
+                    .chain(records)
+                    .chain(std::iter::once(AppItem::RankEnd(rank.rank)))
+            })
+            .collect()
+    };
     match std::str::from_utf8(input).map(parse_app_trace) {
-        Ok(Ok(app)) => {
-            let items: Vec<AppItem> = app
-                .ranks
-                .iter()
-                .flat_map(|rank| {
-                    let records = rank.records.iter().cloned().map(AppItem::Record);
-                    std::iter::once(AppItem::RankStart(rank.rank))
-                        .chain(records)
-                        .chain(std::iter::once(AppItem::RankEnd(rank.rank)))
-                })
-                .collect();
-            assert_eq!(whole, (items, None));
-        }
+        Ok(Ok(app)) => assert_eq!(whole, (items(app), None)),
         Ok(Err(err)) => assert_eq!(whole.1, Some(format!("{:?}", StreamError::Format(err)))),
-        Err(_) => {
-            let err = whole.1.expect("input that is not UTF-8 must fail");
-            assert!(
+        // The parser reads no further than `END_TRACE`, as the reduced
+        // reader does: bytes that are not UTF-8 fail it only where they come
+        // before that.  A parse that succeeds admits exactly the inputs whose
+        // text in front of the bad bytes is a whole trace, and yields its
+        // items.
+        Err(bad) => match &whole.1 {
+            Some(err) => assert!(
                 err.contains("InvalidData") && err.contains("valid UTF-8"),
                 "{err}"
-            );
-        }
+            ),
+            None => {
+                let valid = std::str::from_utf8(&input[..bad.valid_up_to()]).unwrap();
+                let app = parse_app_trace(valid).expect("the trailer precedes the bytes");
+                assert_eq!(whole.0, items(app));
+            }
+        },
     }
 }
 
@@ -364,6 +372,36 @@ fn chunked_reads_of_all_paper_workloads_match_the_whole_buffer_parse() {
     }
 }
 
+/// Shrunk from `chunked_reads_of_mutated_text_match_the_whole_buffer_parse`
+/// under other run seeds: mutation 7 put a comment that is not UTF-8 after
+/// the `END_TRACE` line, which the parser never reads.
+#[test]
+fn bytes_that_are_not_utf8_after_end_trace_are_never_read() {
+    let text = write_app_trace(&build_trace(&[vec![(0, 2, 0)]]));
+    let input = mutate_text(&text, 1_907_399_454_110_345_599);
+    assert!(input.ends_with(b"END_TRACE\n# caf\xe9\n"));
+    assert_chunking_is_invisible(&input, vec![1]);
+    let streamed = reduce_stream(&reducer(), Cursor::new(&input)).unwrap();
+    assert_eq!(
+        streamed.reduced,
+        reducer().reduce_app(&build_trace(&[vec![(0, 2, 0)]]))
+    );
+}
+
+/// Shrunk from `truncated_text_never_panics` under other run seeds: the cut
+/// at 217 of 218 bytes drops only the final `\n` after `END_TRACE`.
+#[test]
+fn a_text_trace_cut_before_its_final_newline_reduces_as_the_whole() {
+    let text = write_app_trace(&build_trace(&[vec![(0, 2, 0)]]));
+    let cut = text
+        .strip_suffix('\n')
+        .expect("the writer ends the trace with a newline");
+    assert!(cut.ends_with("\nEND_TRACE"));
+    let whole = reduce_stream(&reducer(), Cursor::new(text.as_bytes())).unwrap();
+    let truncated = reduce_stream(&reducer(), Cursor::new(cut.as_bytes())).unwrap();
+    assert_eq!(truncated.reduced, whole.reduced);
+}
+
 #[test]
 fn chunked_reads_of_reduced_paper_workloads_and_their_mutations_match_the_whole_buffer_parse() {
     for (index, kind) in WorkloadKind::all_paper().into_iter().enumerate() {
@@ -525,8 +563,14 @@ proptest! {
         let cut = cut_seed % (bytes.len() + 1);
         let truncated = &bytes[..cut];
         let result = reduce_stream(&reducer(), Cursor::new(truncated)).map(|_| ());
-        if cut < bytes.len() {
+        // The grammar reads a last line without its `\n`, so the one cut
+        // that drops only the final `\n` after `END_TRACE` leaves the whole
+        // trace; every shorter cut loses part of it.
+        if cut + 1 < bytes.len() {
             prop_assert!(result.is_err(), "truncation at {cut} must not parse");
+        } else {
+            prop_assert!(bytes.ends_with(b"END_TRACE\n"));
+            prop_assert!(result.is_ok(), "truncation at {cut} keeps END_TRACE");
         }
         assert_text_outcome(result, truncated);
     }

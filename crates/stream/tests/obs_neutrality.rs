@@ -117,10 +117,10 @@ struct Outcome {
     stream: Option<StreamStats>,
 }
 
-/// Which spans a driver records.  Per rank: the fused streaming loop one
-/// `Rank` span, the in-memory loop one `Segment` and one `Match` span.  For
-/// its input: one `Parse` span per batch for text, the per-chunk spans for
-/// a container.
+/// Which spans a driver records.  Per rank, every driver runs the one fused
+/// record loop and records one `Rank` span, and none records a `Segment` or
+/// a `Match` span.  For its input: one `Parse` span per batch for text, the
+/// per-chunk spans for a container, none for a trace in memory.
 #[derive(Clone, Copy)]
 enum Spans {
     FusedText,
@@ -282,13 +282,9 @@ fn assert_drained_once(
         );
     }
     // One span per rank: a driver that re-ran or re-drained a rank shows here.
-    let (fused, in_memory) = match spans {
-        Spans::FusedText | Spans::FusedContainer => (ranks, 0),
-        Spans::InMemory => (0, ranks),
-    };
-    assert_eq!(span_count(Stage::Rank), fused, "{what}: rank spans");
-    assert_eq!(span_count(Stage::Segment), in_memory, "{what}: segment");
-    assert_eq!(span_count(Stage::Match), in_memory, "{what}: match");
+    assert_eq!(span_count(Stage::Rank), ranks, "{what}: rank spans");
+    assert_eq!(span_count(Stage::Segment), 0, "{what}: segment");
+    assert_eq!(span_count(Stage::Match), 0, "{what}: match");
     // The input's spans, however many workers shared its sections: per
     // chunk for a container, per batch for text.
     let (parse, lz) = match spans {
