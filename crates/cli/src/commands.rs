@@ -27,8 +27,8 @@ subcommands:
              [--preset tiny|small|paper] [binary output flags]
   reduce     --in FILE --out FILE        similarity-based reduction
              --method M [--threshold T]  [binary output flags]
-             [--shards N]                reduce on N workers (default: one per
-                                         core)
+             [--shards N]                load and reduce on N workers (default:
+                                         one per core)
              [--stream]                  online bounded-memory reduction; input
                                          format (text, container v2) is
                                          autodetected by magic bytes, and v2
@@ -361,7 +361,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
         (result.reduced, message)
     } else {
         // The in-memory path: the only one that holds the full trace.
-        let app = load_app_trace(input, &recorder)?;
+        let app = load_app_trace(input, shards, &recorder)?;
         let reduced = reduce_app_parallel(&reducer, &app, shards);
         let written = store(&reduced)?;
         let message = format!(
@@ -433,7 +433,7 @@ fn cmd_convert(invocation: &Invocation) -> Result<String, String> {
 
 fn cmd_analyze(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
-    let app = load_app_trace(input, &Recorder::disabled())?;
+    let app = load_app_trace(input, section_workers(), &Recorder::disabled())?;
     let diagnosis = diagnose(&app);
     Ok(format!(
         "diagnosis of {} ({} ranks, {} events):\n{}",
@@ -469,7 +469,7 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     let full = invocation.has("full").then(|| invocation.require("full"));
     let full = full.transpose()?;
     let original = full
-        .map(|path| load_app_trace(Path::new(path), &Recorder::disabled()))
+        .map(|path| load_app_trace(Path::new(path), section_workers(), &Recorder::disabled()))
         .transpose()?;
     let run = if invocation.has("run-report") {
         let path = invocation.require("run-report")?;
@@ -1010,8 +1010,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("codec none"), "{out}");
         assert_eq!(
-            crate::io::load_app_trace(&default_out, &Recorder::disabled()).unwrap(),
-            crate::io::load_app_trace(&none_out, &Recorder::disabled()).unwrap()
+            crate::io::load_app_trace(&default_out, 2, &Recorder::disabled()).unwrap(),
+            crate::io::load_app_trace(&none_out, 2, &Recorder::disabled()).unwrap()
         );
         let compressed = std::fs::metadata(&default_out).unwrap().len();
         let uncompressed = std::fs::metadata(&none_out).unwrap().len();
@@ -1041,8 +1041,8 @@ mod tests {
         }
         // Same trace back from both encodings, smaller file under delta-lz.
         assert_eq!(
-            crate::io::load_app_trace(&none, &Recorder::disabled()).unwrap(),
-            crate::io::load_app_trace(&dlz, &Recorder::disabled()).unwrap()
+            crate::io::load_app_trace(&none, 2, &Recorder::disabled()).unwrap(),
+            crate::io::load_app_trace(&dlz, 2, &Recorder::disabled()).unwrap()
         );
         let none_len = std::fs::metadata(&none).unwrap().len();
         let dlz_len = std::fs::metadata(&dlz).unwrap().len();
@@ -1088,19 +1088,24 @@ mod tests {
     #[test]
     fn in_memory_reduce_on_any_worker_count_writes_the_stream_bytes() {
         let input = temp_path("workers_in.trc");
+        let text = temp_path("workers_in.txt");
         let streamed = temp_path("workers_stream.trc");
         let in_memory = temp_path("workers_mem.trc");
         for workload in ["late_sender", "dyn_load_balance"] {
             for codec in ["none", "delta-lz"] {
                 let what = format!("{workload} under {codec}");
-                let generate = [
-                    ("workload", workload),
-                    ("preset", "tiny"),
-                    ("out", input.to_str().unwrap()),
-                    ("codec", codec),
-                ];
-                run(&Invocation::new("generate", &generate)).unwrap();
-                let reduce = |out: &Path, extra: &[(&str, &str)]| {
+                let generate = |out: &Path, extra: &[(&str, &str)]| {
+                    let mut flags = vec![
+                        ("workload", workload),
+                        ("preset", "tiny"),
+                        ("out", out.to_str().unwrap()),
+                    ];
+                    flags.extend_from_slice(extra);
+                    run(&Invocation::new("generate", &flags)).unwrap();
+                };
+                generate(&input, &[("codec", codec)]);
+                generate(&text, &[]);
+                let reduce = |input: &Path, out: &Path, extra: &[(&str, &str)]| {
                     let mut flags = vec![
                         ("in", input.to_str().unwrap()),
                         ("out", out.to_str().unwrap()),
@@ -1110,20 +1115,42 @@ mod tests {
                     flags.extend_from_slice(extra);
                     run(&Invocation::new("reduce", &flags)).unwrap()
                 };
-                reduce(&streamed, &[("stream", "")]);
+                reduce(&input, &streamed, &[("stream", "")]);
                 let expected = std::fs::read(&streamed).unwrap();
-                for shards in [None, Some("1"), Some("3")] {
+                let from_text = load_app_trace(&text, 1, &Recorder::disabled()).unwrap();
+                let ranks = (from_text.rank_count() + 3).to_string();
+                // The text trace reduces in memory to the same bytes.
+                let mut runs = vec![(&text, None)];
+                for shards in [None, Some("1"), Some("2"), Some("3"), Some(ranks.as_str())] {
+                    runs.push((&input, shards));
+                }
+                for (input, shards) in runs {
                     let out = match shards {
-                        Some(shards) => reduce(&in_memory, &[("shards", shards)]),
-                        None => reduce(&in_memory, &[]),
+                        Some(shards) => reduce(input, &in_memory, &[("shards", shards)]),
+                        None => reduce(input, &in_memory, &[]),
                     };
                     assert!(out.starts_with("reduced "), "{what}: {out}");
                     let found = std::fs::read(&in_memory).unwrap();
-                    assert_eq!(found, expected, "{what}, --shards {shards:?}");
+                    let input = input.display();
+                    assert_eq!(found, expected, "{what}, {input} --shards {shards:?}");
                 }
+                // The trace the container loads on any worker count is the
+                // text's, so `analyze` reads the same of both.
+                for workers in [1, 2, 3, from_text.rank_count() + 3] {
+                    let loaded = load_app_trace(&input, workers, &Recorder::disabled());
+                    assert!(loaded.unwrap() == from_text, "{what}, {workers} workers");
+                }
+                let analyze = |input: &Path| {
+                    let out = run(&Invocation::new(
+                        "analyze",
+                        &[("in", input.to_str().unwrap())],
+                    ));
+                    out.unwrap()
+                };
+                assert_eq!(analyze(&input), analyze(&text), "{what}");
             }
         }
-        cleanup(&[&input, &streamed, &in_memory]);
+        cleanup(&[&input, &text, &streamed, &in_memory]);
     }
 
     #[test]
@@ -1152,8 +1179,8 @@ mod tests {
         assert!(out.contains("converted"));
         // The text file parses back to the same trace.
         assert_eq!(
-            crate::io::load_app_trace(&trace, &Recorder::disabled()).unwrap(),
-            crate::io::load_app_trace(&text, &Recorder::disabled()).unwrap()
+            crate::io::load_app_trace(&trace, 2, &Recorder::disabled()).unwrap(),
+            crate::io::load_app_trace(&text, 2, &Recorder::disabled()).unwrap()
         );
 
         cleanup(&[&trace, &text]);

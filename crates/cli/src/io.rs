@@ -15,12 +15,14 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use trace_container::{
-    read_app_container, read_reduced_container, section_workers, write_app_container,
-    write_reduced_container, ChunkSpec, ContainerError,
+    read_reduced_container, section_workers, write_app_container, write_reduced_container,
+    ChunkSpec, ContainerError,
 };
 use trace_format::{read_app_trace, read_reduced_trace, write_app_trace, write_reduced_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
-use trace_stream::{convert_container, convert_text, detect_input, StreamError, TraceInputKind};
+use trace_stream::{
+    convert_container, convert_text, detect_input, load_container_file, StreamError, TraceInputKind,
+};
 
 /// True if the path should use the text format.
 pub fn is_text_path(path: &Path) -> bool {
@@ -67,30 +69,37 @@ fn input_error(path: &Path, e: StreamError) -> String {
     }
 }
 
-/// Reads `path` and decodes it from the open file: text by extension,
-/// otherwise binary.
+/// Decodes `path` from the open file: text by extension, otherwise
+/// binary, which opens the file itself.
 fn load<T>(
     path: &Path,
     text: impl FnOnce(BufReader<fs::File>) -> Result<T, StreamError>,
-    binary: impl FnOnce(BufReader<fs::File>) -> Result<T, ContainerError>,
+    binary: impl FnOnce(&Path) -> Result<T, StreamError>,
 ) -> Result<T, String> {
-    let file = fs::File::open(path).map_err(|e| input_error(path, e.into()))?;
-    let file = BufReader::new(file);
     let loaded = if is_text_path(path) {
-        text(file)
+        fs::File::open(path)
+            .map_err(StreamError::from)
+            .and_then(|file| text(BufReader::new(file)))
     } else {
-        binary(file).map_err(StreamError::from)
+        binary(path)
     };
     loaded.map_err(|e| input_error(path, e))
 }
 
 /// Loads a full application trace from `path` (text or binary by
-/// extension); the whole read-and-decode is one [`trace_obs::Stage::Parse`]
-/// span in `recorder`.
-pub fn load_app_trace(path: &Path, recorder: &trace_obs::Recorder) -> Result<AppTrace, String> {
+/// extension).  A container decodes its rank sections on `workers`
+/// workers ([`load_container_file`]); text is read in order.  The whole
+/// read-and-decode is one [`trace_obs::Stage::Parse`] span in `recorder`.
+pub fn load_app_trace(
+    path: &Path,
+    workers: usize,
+    recorder: &trace_obs::Recorder,
+) -> Result<AppTrace, String> {
     let mut obs = recorder.shard();
     let span = obs.start();
-    let result = load(path, read_app_trace, read_app_container);
+    let result = load(path, read_app_trace, |path| {
+        load_container_file(path, workers)
+    });
     obs.end(trace_obs::Stage::Parse, span);
     result
 }
@@ -100,7 +109,10 @@ pub fn load_app_trace(path: &Path, recorder: &trace_obs::Recorder) -> Result<App
 /// at the line, a container at its rank section), so every execution
 /// replays its stored segment.
 pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
-    load(path, read_reduced_trace, read_reduced_container)
+    load(path, read_reduced_trace, |path| {
+        let file = BufReader::new(fs::File::open(path)?);
+        Ok(read_reduced_container(file)?)
+    })
 }
 
 /// A sink and the number of bytes it has taken.
@@ -194,7 +206,7 @@ pub fn convert_app_trace(
     let streams = !is_text_path(path)
         && (text || matches!(detect_input(input), Ok(TraceInputKind::ContainerV2)));
     if !streams {
-        let app = load_app_trace(input, recorder)?;
+        let app = load_app_trace(input, section_workers(), recorder)?;
         return store_app_trace(path, &app, spec, recorder);
     }
     let file = fs::File::open(input).map_err(|e| input_error(input, e.into()))?;
@@ -261,7 +273,7 @@ mod tests {
             let path = temp_path(name);
             let written = store_app_trace(&path, &app, spec, &off()).unwrap();
             assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
-            let loaded = load_app_trace(&path, &off()).unwrap();
+            let loaded = load_app_trace(&path, 2, &off()).unwrap();
             assert_eq!(loaded, app, "{name}");
             let _ = std::fs::remove_file(&path);
         }
@@ -301,12 +313,12 @@ mod tests {
     #[test]
     fn missing_files_and_garbage_content_report_errors() {
         let missing = Path::new("/nonexistent/definitely/missing.trc");
-        assert!(load_app_trace(missing, &off()).is_err());
+        assert!(load_app_trace(missing, 2, &off()).is_err());
         assert!(load_reduced_trace(missing).is_err());
 
         let path = temp_path("garbage.txt");
         std::fs::write(&path, "this is not a trace").unwrap();
-        let err = load_app_trace(&path, &off()).unwrap_err();
+        let err = load_app_trace(&path, 2, &off()).unwrap_err();
         assert!(err.contains("trace format error"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

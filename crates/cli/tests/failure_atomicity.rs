@@ -4,13 +4,14 @@
 //! clobbered previous output, and no write leaves its temp file behind.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Cursor, Write};
 use std::path::{Path, PathBuf};
 
+use trace_container::layout::chunk_end;
 use trace_container::{
     crc32, decode_app_any, decode_reduced_any, encode_app_container, encode_reduced_container,
-    read_app_container, read_reduced_container, write_app_container, ChunkSpec, Codec,
-    CompressError, ContainerError,
+    read_app_container, read_index, read_reduced_container, rewrite_index, write_app_container,
+    ChunkSpec, Codec, CompressError, ContainerError, RankSectionEntry,
 };
 use trace_format::{parse_app_trace, write_app_trace};
 use trace_model::{
@@ -557,4 +558,166 @@ fn a_reduced_container_with_sparse_or_unknown_ids_is_refused_and_leaves_no_outpu
             let _ = std::fs::remove_file(&input);
         }
     }
+}
+
+/// `bytes`, a container, with the entries of its index footer rewritten by
+/// `edit`; every chunk stays CRC-valid.
+fn with_index(bytes: &[u8], edit: impl FnOnce(&mut Vec<RankSectionEntry>)) -> Vec<u8> {
+    rewrite_index(bytes, edit).unwrap()
+}
+
+#[test]
+fn a_crafted_index_is_refused_by_every_driver_and_leaves_no_output() {
+    // CRC-valid containers whose index footer does not describe the file.
+    // Before every reader held the footer to the file, two workers wrote
+    // rank 0 twice for the duplicated entry and reordered the ranks for
+    // the swapped ones.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let bytes = encode_app_container(&app, ChunkSpec::with_segments(8));
+    let faults = [
+        ("a duplicated entry", with_index(&bytes, |s| s[1] = s[0])),
+        ("two swapped entries", with_index(&bytes, |s| s.swap(1, 2))),
+        (
+            "an offset one chunk off",
+            with_index(&bytes, |s| {
+                s[2].offset = chunk_end(&bytes, s[2].offset).unwrap()
+            }),
+        ),
+        (
+            "another section's rank",
+            with_index(&bytes, |s| s[2].rank = s[1].rank),
+        ),
+        (
+            "one record too many",
+            with_index(&bytes, |s| s[2].records += 1),
+        ),
+        (
+            "offsets past the end of the file",
+            with_index(&bytes, |s| {
+                s[1].offset = 1 << 40;
+                s[1].records = 1 << 40;
+                s[2].offset = 1 << 41;
+            }),
+        ),
+    ];
+
+    let input = temp_path("crafted_index.trc");
+    let reduced = temp_path("crafted_index_reduced.trc");
+    let original = temp_path("crafted_index_original.trc");
+    std::fs::write(&original, &bytes).unwrap();
+    let (from, red) = (input.to_str().unwrap(), reduced.to_str().unwrap());
+    let flags = [
+        ("in", original.to_str().unwrap()),
+        ("out", red),
+        ("method", "avgWave"),
+    ];
+    run(&Invocation::new("reduce", &flags)).unwrap();
+    for (fault, crafted) in faults {
+        std::fs::write(&input, &crafted).unwrap();
+        for target in ["trc", "txt"].map(|ext| temp_path(&format!("crafted_index_out.{ext}"))) {
+            let to = target.to_str().unwrap();
+            let reduce = [("in", from), ("out", to), ("method", "avgWave")];
+            let mut runs: Vec<(&str, Vec<(&str, &str)>)> = Vec::new();
+            for shards in ["1", "2", "3"] {
+                let in_memory = [&reduce[..], &[("shards", shards)]].concat();
+                let stream = [&in_memory[..], &[("stream", "")]].concat();
+                runs.extend([("reduce", in_memory), ("reduce", stream)]);
+            }
+            runs.push(("convert", vec![("in", from), ("out", to)]));
+            runs.push(("analyze", vec![("in", from)]));
+            runs.push(("report", vec![("in", red), ("full", from), ("html", to)]));
+            for (command, flags) in runs {
+                let what = format!("{fault}: {command} {flags:?}");
+                let err = run(&Invocation::new(command, &flags)).unwrap_err();
+                assert!(err.starts_with(&format!("{from}: ")), "{what}: {err}");
+                assert!(err.contains("index entry "), "{what}: {err}");
+                assert!(!target.exists(), "{what} left an output");
+                assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{what}");
+            }
+        }
+    }
+    for path in [&input, &reduced, &original] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn a_load_failing_in_two_sections_says_what_the_stream_reduce_says() {
+    // A flipped payload byte in the first RECORDS chunk of sections 2 and
+    // 5: every worker count gives section 2's error, in the words of
+    // `reduce --stream` on as many workers.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let mut bytes = encode_app_container(&app, ChunkSpec::with_segments(8));
+    let index = read_index(&mut Cursor::new(&bytes)).unwrap();
+    for section in [2, 5] {
+        let records = chunk_end(&bytes, index.sections[section].offset).unwrap() as usize;
+        bytes[records + 10] ^= 0x40;
+    }
+    let input = temp_path("two_bad_sections.trc");
+    let target = temp_path("two_bad_sections_out.trc");
+    std::fs::write(&input, &bytes).unwrap();
+    let (from, to) = (input.to_str().unwrap(), target.to_str().unwrap());
+    let ranks = (app.rank_count() + 3).to_string();
+    for shards in ["1", "2", "3", ranks.as_str()] {
+        let reduce = [
+            ("in", from),
+            ("out", to),
+            ("method", "avgWave"),
+            ("shards", shards),
+        ];
+        let in_memory = run(&Invocation::new("reduce", &reduce)).unwrap_err();
+        let stream = [&reduce[..], &[("stream", "")]].concat();
+        let streamed = run(&Invocation::new("reduce", &stream)).unwrap_err();
+        assert_eq!(in_memory, streamed, "--shards {shards}");
+        assert!(!target.exists(), "--shards {shards} left an output");
+        let bad = index.sections[2];
+        let place = match shards {
+            "1" => String::new(),
+            _ => format!(
+                "rank section 2 ({}, byte offset {}): ",
+                bad.rank, bad.offset
+            ),
+        };
+        let crc = format!(
+            "{from}: {place}chunk at byte {} is corrupt",
+            chunk_end(&bytes, bad.offset).unwrap()
+        );
+        assert!(
+            in_memory.starts_with(&crc),
+            "--shards {shards}: {in_memory}"
+        );
+    }
+    let _ = std::fs::remove_file(&input);
+}
+
+#[test]
+fn a_reduced_container_given_for_a_trace_fails_alike_on_every_worker_count() {
+    // Every driver refuses it in the sequential scan's words, whether it
+    // reads the file whole or seeks to its sections.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let reduced = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&app);
+    let input = temp_path("reduced_as_trace.trc");
+    let target = temp_path("reduced_as_trace_out.trc");
+    std::fs::write(
+        &input,
+        encode_reduced_container(&reduced, ChunkSpec::default()),
+    )
+    .unwrap();
+    let (from, to) = (input.to_str().unwrap(), target.to_str().unwrap());
+    let mut errors = vec![run(&Invocation::new("analyze", &[("in", from)])).unwrap_err()];
+    for shards in ["1", "2", "3"] {
+        let reduce = [
+            ("in", from),
+            ("out", to),
+            ("method", "avgWave"),
+            ("shards", shards),
+        ];
+        errors.push(run(&Invocation::new("reduce", &reduce)).unwrap_err());
+        let stream = [&reduce[..], &[("stream", "")]].concat();
+        errors.push(run(&Invocation::new("reduce", &stream)).unwrap_err());
+        assert!(!target.exists(), "--shards {shards} left an output");
+    }
+    let _ = std::fs::remove_file(&input);
+    assert!(errors[0].contains("a reduced payload"), "{}", errors[0]);
+    assert!(errors.iter().all(|e| *e == errors[0]), "{errors:#?}");
 }

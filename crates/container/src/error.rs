@@ -67,6 +67,32 @@ pub enum ContainerError {
     /// A reduced rank section's stored ids are not dense, or one of its
     /// executions names a segment the section does not store.
     StoredIds(StoredIdError),
+    /// The index footer does not describe the rank sections the file
+    /// holds: an entry names another rank, starts elsewhere, or counts
+    /// other items than its section, or the sections do not tile the file.
+    IndexMismatch {
+        /// The index entry at fault, from 0.
+        entry: usize,
+        /// The field that disagrees.
+        what: &'static str,
+        /// The value the index lists.
+        listed: u64,
+        /// The value the file holds.
+        found: u64,
+    },
+    /// An index entry places its section where none can be: at or before
+    /// the previous entry's, or at or past the `INDEX` chunk, so the
+    /// entries do not tile the file in order.
+    IndexOrder {
+        /// The index entry at fault, from 0.
+        entry: usize,
+        /// The byte offset the entry lists.
+        offset: u64,
+        /// The previous entry's byte offset, which it must lie after.
+        after: u64,
+        /// The `INDEX` chunk's byte offset, which it must lie before.
+        before: u64,
+    },
     /// A declared count disagreed with the items actually present.
     CountMismatch {
         /// What was being counted.
@@ -119,6 +145,26 @@ impl fmt::Display for ContainerError {
                 write!(f, "{bytes} trailing bytes after {what}")
             }
             ContainerError::StoredIds(e) => e.fmt(f),
+            ContainerError::IndexMismatch {
+                entry,
+                what,
+                listed,
+                found,
+            } => write!(
+                f,
+                "index entry {entry} does not describe the file: {what} {listed} in the \
+                 index, {found} in the file"
+            ),
+            ContainerError::IndexOrder {
+                entry,
+                offset,
+                after,
+                before,
+            } => write!(
+                f,
+                "index entry {entry} does not describe the file: it places its section at \
+                 byte {offset}, not after byte {after} and before the index at byte {before}"
+            ),
             ContainerError::CountMismatch {
                 what,
                 declared,

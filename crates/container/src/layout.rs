@@ -168,6 +168,16 @@ pub fn write_chunk<W: Write>(
     Ok(CHUNK_HEADER_LEN + u64::from(len))
 }
 
+/// Byte offset just past the chunk whose framing header starts at byte
+/// `offset` of `bytes`, as its header gives the payload length; `None`
+/// where `bytes` holds no whole header there.
+pub fn chunk_end(bytes: &[u8], offset: u64) -> Option<u64> {
+    let at = usize::try_from(offset).ok()?;
+    let len = bytes.get(at.checked_add(2)?..at.checked_add(6)?)?;
+    let len = u32::from_le_bytes(len.try_into().ok()?);
+    Some(offset + CHUNK_HEADER_LEN + u64::from(len))
+}
+
 /// The framing of one chunk as read from the stream.  Its payload stays in
 /// the stream, which hands it out decoded: [`ChunkStream::payload`] for a
 /// control chunk, [`ChunkStream::decode`] for a payload chunk.

@@ -56,7 +56,9 @@ pub mod writer;
 
 pub use crc::crc32;
 pub use error::ContainerError;
-pub use index::{read_index, ContainerIndex, RankSectionEntry};
+pub use index::{
+    read_index, rewrite_index, write_index, ContainerIndex, RankSectionEntry, SectionSpan,
+};
 pub use layout::{ChunkKind, PayloadKind, CONTAINER_MAGIC, CONTAINER_VERSION, INDEX_MAGIC};
 pub use reader::{
     decode_app_any, decode_reduced_any, read_app_container, read_reduced_container, ChunkReader,
@@ -105,13 +107,14 @@ mod tests {
         let index = read_index(&mut cursor).unwrap();
         assert_eq!(index.kind, PayloadKind::App);
         assert_eq!(index.sections.len(), app.rank_count());
-        for (entry, rank) in index.sections.iter().zip(&app.ranks) {
+        for (i, (entry, rank)) in index.sections.iter().zip(&app.ranks).enumerate() {
             assert_eq!(entry.rank, rank.rank);
             assert_eq!(entry.records, rank.records.len() as u64);
             assert_eq!(entry.events, rank.events().count() as u64);
             // A section reader resumed at the indexed offset yields exactly
             // that rank's records.
-            let mut section = ChunkReader::section(&bytes[entry.offset as usize..], entry.offset);
+            let span = index.span(i).unwrap();
+            let mut section = ChunkReader::section(&bytes[entry.offset as usize..], span);
             let Some(AppItem::RankStart(r)) = section.next_item().unwrap() else {
                 panic!("section must open with RankStart");
             };
@@ -195,8 +198,9 @@ mod tests {
         let bytes = encode_app_container(&app, ChunkSpec::with_segments(2).codec(Codec::DeltaLz));
         let mut cursor = std::io::Cursor::new(&bytes);
         let index = read_index(&mut cursor).unwrap();
-        for (entry, rank) in index.sections.iter().zip(&app.ranks) {
-            let mut section = ChunkReader::section(&bytes[entry.offset as usize..], entry.offset);
+        for (i, (entry, rank)) in index.sections.iter().zip(&app.ranks).enumerate() {
+            let span = index.span(i).unwrap();
+            let mut section = ChunkReader::section(&bytes[entry.offset as usize..], span);
             let mut records = Vec::new();
             while let Some(item) = section.next_item().unwrap() {
                 if let AppItem::Record(record) = item {

@@ -13,7 +13,10 @@
 //! [`read_reduced_container`], are collects over these two.  Every reader
 //! opens with the file header, so a retired monolithic v1 file is refused
 //! by all of them alike, and closes with the same `RANK_END` count check
-//! and `INDEX` trailer check.
+//! and `INDEX` trailer check.  Every reader holds the index footer to the
+//! sections it read: a whole-file reader compares each entry with its
+//! section when it reaches the `INDEX` chunk, and a section reader reads
+//! its section against the entry that placed it there.
 
 use std::io::Read;
 
@@ -25,6 +28,7 @@ use trace_model::{
 };
 
 use crate::error::ContainerError;
+use crate::index::{RankSectionEntry, SectionSpan};
 use crate::layout::{read_header, ChunkKind, ChunkStream, PayloadKind};
 
 /// Decodes a `PREAMBLE` payload: the program name, the string tables
@@ -73,23 +77,58 @@ fn parse_rank_begin(payload: &[u8]) -> Result<Rank, ContainerError> {
     Ok(Rank(read_u32(&mut Reader::new(payload), "rank")?))
 }
 
-/// The item counts a reader has seen of one rank section so far, for its
-/// `RANK_END` chunk to be checked against.
-#[derive(Clone, Copy)]
-struct SectionCounts {
-    rank: Rank,
-    records: u64,
-    segments: u64,
-    events: u64,
+/// A rank section as a reader has met it so far, in the terms of its index
+/// entry: the rank its `RANK_BEGIN` names, where that chunk starts, and the
+/// payload chunks and items read since.
+fn section_begun(rank: Rank, offset: u64) -> RankSectionEntry {
+    RankSectionEntry {
+        rank,
+        offset,
+        chunks: 0,
+        records: 0,
+        segments: 0,
+        events: 0,
+    }
 }
 
-/// What each count of a section is called in an error: records, segments
-/// and events of an app section.
-const APP_COUNTS: [&str; 3] = ["section records", "section segments", "section events"];
+/// A section a whole-file reader has passed, for the `INDEX` chunk to be
+/// checked against.  A skipped section was counted in chunks only.
+#[derive(Clone, Copy)]
+struct ReadSection {
+    found: RankSectionEntry,
+    decoded: bool,
+}
 
-/// The same for a reduced section, whose `RANK_END` counts its items, its
-/// stored segments and its executions.
-const REDUCED_COUNTS: [&str; 3] = [
+impl ReadSection {
+    /// Checks entry `index` of the footer against this section; the item
+    /// counts of a skipped section are taken as listed.
+    fn check(&self, index: usize, entry: &RankSectionEntry) -> Result<(), ContainerError> {
+        let found = match self.decoded {
+            true => self.found,
+            false => RankSectionEntry {
+                records: entry.records,
+                segments: entry.segments,
+                events: entry.events,
+                ..self.found
+            },
+        };
+        entry.check(index, &found)
+    }
+}
+
+/// What each count of a section is called in an error: payload chunks,
+/// records, segments and events of an app section.
+const APP_COUNTS: [&str; 4] = [
+    "section chunks",
+    "section records",
+    "section segments",
+    "section events",
+];
+
+/// The same for a reduced section, whose `RANK_END` counts its payload
+/// chunks, its items, its stored segments and its executions.
+const REDUCED_COUNTS: [&str; 4] = [
+    "reduced section chunks",
     "reduced section items",
     "reduced section stored segments",
     "reduced section executions",
@@ -99,13 +138,13 @@ const REDUCED_COUNTS: [&str; 3] = [
 /// chunk in the stream's hand declares; each count is named by `names`.
 fn end_section<R: Read>(
     stream: &mut ChunkStream<R>,
-    found: SectionCounts,
-    names: [&'static str; 3],
+    found: &RankSectionEntry,
+    names: [&'static str; 4],
 ) -> Result<(), ContainerError> {
     let mut reader = Reader::new(stream.payload()?);
     let rank = Rank(read_u32(&mut reader, "rank")?);
-    let _chunks = varint_read_u64(&mut reader)?;
     let declared = [
+        varint_read_u64(&mut reader)?,
         varint_read_u64(&mut reader)?,
         varint_read_u64(&mut reader)?,
         varint_read_u64(&mut reader)?,
@@ -116,7 +155,7 @@ fn end_section<R: Read>(
             found: "RANK_END for another rank",
         });
     }
-    let found = [found.records, found.segments, found.events];
+    let found = [found.chunks, found.records, found.segments, found.events];
     for ((what, declared), found) in names.into_iter().zip(declared).zip(found) {
         if declared != found {
             return Err(ContainerError::CountMismatch {
@@ -131,20 +170,24 @@ fn end_section<R: Read>(
 
 /// Checks the `INDEX` chunk in the stream's hand, which sits at
 /// `index_offset`, and the trailer after it: the index lists `declared`
-/// sections, and `found` were read.
+/// sections, and each entry describes the section `read` holds in its
+/// place.
 fn finish_index<R: Read>(
     stream: &mut ChunkStream<R>,
     index_offset: u64,
     declared: usize,
-    found: usize,
+    read: &[ReadSection],
 ) -> Result<(), ContainerError> {
     let sections = crate::index::parse_index_payload(stream.payload()?)?;
-    if found != declared || sections.len() != declared {
+    if read.len() != declared || sections.len() != declared {
         return Err(ContainerError::CountMismatch {
             what: "rank sections",
             declared: declared as u64,
-            found: found as u64,
+            found: read.len() as u64,
         });
+    }
+    for (index, (entry, section)) in sections.iter().zip(read).enumerate() {
+        section.check(index, entry)?;
     }
     stream.finish_trailer(index_offset)
 }
@@ -154,7 +197,7 @@ enum ReaderState {
     Idle,
     /// Inside a rank section, decoding `RECORDS` chunks; the counts are
     /// those of the chunks decoded so far.
-    InSection(SectionCounts),
+    InSection(RankSectionEntry),
     /// The index (or the single section) has been consumed.
     Done,
 }
@@ -164,7 +207,11 @@ enum ReaderState {
 /// [`ChunkReader::new`] reads the header and preamble and then iterates the
 /// whole file; [`ChunkReader::section`] starts directly at a `RANK_BEGIN`
 /// chunk (located via the index footer) and yields exactly that section —
-/// the entry point the index-sharded parallel ingestion uses.
+/// the entry point the index-sharded parallel ingestion uses.  Either way
+/// the index footer is held to the sections read: the whole-file reader
+/// compares every entry with its section at the `INDEX` chunk, and a
+/// section reader refuses a section its entry does not describe, or one
+/// that does not end where its span says.
 ///
 /// A chunk is decoded whole, so what is wrong with any of its records — and
 /// a count that disagrees with its bytes — surfaces when the chunk is
@@ -178,7 +225,10 @@ pub struct ChunkReader<R> {
     batch: Vec<TraceRecord>,
     next: usize,
     ranks_seen: usize,
-    single_section: bool,
+    /// The section a section reader reads; `None` for a whole-file reader.
+    span: Option<SectionSpan>,
+    /// The sections a whole-file reader has passed.
+    read: Vec<ReadSection>,
 }
 
 impl<R: Read> ChunkReader<R> {
@@ -188,19 +238,23 @@ impl<R: Read> ChunkReader<R> {
         let (stream, preamble) = open(reader, PayloadKind::App)?;
         Ok(ChunkReader {
             preamble: Some(preamble),
-            ..ChunkReader::section_of(stream, false)
+            ..ChunkReader::section_of(stream, None)
         })
     }
 
-    /// Resumes reading at one rank section.  `reader` must be positioned at
-    /// the section's `RANK_BEGIN` chunk (byte `offset` of the file, from
-    /// the index footer).  The iteration ends after that section's
-    /// `RANK_END`; no preamble is available in this mode.
-    pub fn section(reader: R, offset: u64) -> Self {
-        ChunkReader::section_of(ChunkStream::new(reader, offset), true)
+    /// Resumes reading at the one rank section `span` places.  `reader`
+    /// must be positioned at the section's `RANK_BEGIN` chunk (byte
+    /// `span.entry.offset` of the file).  The iteration ends after that
+    /// section's `RANK_END`; no preamble is available in this mode.  A
+    /// `RANK_BEGIN` for another rank than the entry's, a section whose
+    /// counts are not the entry's, or one that does not end at
+    /// `span.end`, is a [`ContainerError::IndexMismatch`].
+    pub fn section(reader: R, span: SectionSpan) -> Self {
+        let stream = ChunkStream::new(reader, span.entry.offset);
+        ChunkReader::section_of(stream, Some(span))
     }
 
-    fn section_of(stream: ChunkStream<R>, single_section: bool) -> Self {
+    fn section_of(stream: ChunkStream<R>, span: Option<SectionSpan>) -> Self {
         ChunkReader {
             stream,
             preamble: None,
@@ -208,7 +262,8 @@ impl<R: Read> ChunkReader<R> {
             batch: Vec::new(),
             next: 0,
             ranks_seen: 0,
-            single_section,
+            span,
+            read: Vec::new(),
         }
     }
 
@@ -220,6 +275,12 @@ impl<R: Read> ChunkReader<R> {
     /// Number of complete rank sections consumed so far.
     pub fn ranks_seen(&self) -> usize {
         self.ranks_seen
+    }
+
+    /// Byte offset of the next chunk: right after [`ChunkReader::new`],
+    /// where the preamble ends and the first rank section must start.
+    pub fn offset(&self) -> u64 {
+        self.stream.offset()
     }
 
     /// The most memory one chunk has taken so far, in bytes — the reader's
@@ -247,12 +308,35 @@ impl<R: Read> ChunkReader<R> {
                 found: "no open section",
             });
         };
-        end_section(&mut self.stream, found, APP_COUNTS)?;
-        self.ranks_seen += 1;
-        if self.single_section {
-            self.state = ReaderState::Done;
-        }
+        end_section(&mut self.stream, &found, APP_COUNTS)?;
+        self.close_section(ReadSection {
+            found,
+            decoded: true,
+        })?;
         Ok(AppItem::RankEnd(found.rank))
+    }
+
+    /// Counts a section whose `RANK_END` has been read.  A section reader
+    /// then checks it against its span and is done; a whole-file reader
+    /// keeps it for the `INDEX` chunk.
+    fn close_section(&mut self, section: ReadSection) -> Result<(), ContainerError> {
+        self.ranks_seen += 1;
+        let Some(span) = self.span else {
+            self.read.push(section);
+            return Ok(());
+        };
+        self.state = ReaderState::Done;
+        section.check(span.index, &span.entry)?;
+        let end = self.stream.offset();
+        if end != span.end {
+            return Err(ContainerError::IndexMismatch {
+                entry: span.index,
+                what: "section end offset",
+                listed: span.end,
+                found: end,
+            });
+        }
+        Ok(())
     }
 
     /// Pulls the next item, or `Ok(None)` once the index footer (or, in
@@ -272,6 +356,7 @@ impl<R: Read> ChunkReader<R> {
                             self.batch.clear();
                             self.next = 0;
                             self.stream.decode(&mut self.batch)?;
+                            seen.chunks += 1;
                             seen.records += self.batch.len() as u64;
                             for record in &self.batch {
                                 match record {
@@ -295,12 +380,17 @@ impl<R: Read> ChunkReader<R> {
                     match chunk.kind {
                         ChunkKind::RankBegin => {
                             let rank = parse_rank_begin(self.stream.payload()?)?;
-                            self.state = ReaderState::InSection(SectionCounts {
-                                rank,
-                                records: 0,
-                                segments: 0,
-                                events: 0,
-                            });
+                            if let Some(span) = self.span.filter(|span| span.entry.rank != rank) {
+                                self.state = ReaderState::Done;
+                                return Err(ContainerError::IndexMismatch {
+                                    entry: span.index,
+                                    what: "rank",
+                                    listed: span.entry.rank.as_u32().into(),
+                                    found: rank.as_u32().into(),
+                                });
+                            }
+                            let begun = section_begun(rank, chunk.offset);
+                            self.state = ReaderState::InSection(begun);
                             return Ok(Some(AppItem::RankStart(rank)));
                         }
                         ChunkKind::Index => {
@@ -308,8 +398,7 @@ impl<R: Read> ChunkReader<R> {
                             // end, so never meets an index without a preamble.
                             let declared = self.preamble.as_ref().map(|p| p.declared_ranks);
                             let declared = declared.unwrap_or(self.ranks_seen);
-                            let seen = self.ranks_seen;
-                            finish_index(&mut self.stream, chunk.offset, declared, seen)?;
+                            finish_index(&mut self.stream, chunk.offset, declared, &self.read)?;
                             self.state = ReaderState::Done;
                             return Ok(None);
                         }
@@ -339,7 +428,8 @@ impl<R: Read> ChunkReader<R> {
     /// Skips the remainder of the open rank section without decoding (or
     /// CRC-checking) its chunk payloads.  Returns the skipped rank.
     pub fn skip_current_rank(&mut self) -> Result<Rank, ContainerError> {
-        let ReaderState::InSection(section) = std::mem::replace(&mut self.state, ReaderState::Idle)
+        let ReaderState::InSection(mut found) =
+            std::mem::replace(&mut self.state, ReaderState::Idle)
         else {
             self.state = ReaderState::Done;
             return Err(ContainerError::UnexpectedChunk {
@@ -349,15 +439,15 @@ impl<R: Read> ChunkReader<R> {
         };
         self.batch.clear();
         self.next = 0;
+        // Chunks decoded before the skip count, their items do not: only
+        // a section read whole has its item counts checked.
         loop {
             match self.stream.skip_chunk()? {
-                ChunkKind::Records => {}
+                ChunkKind::Records => found.chunks += 1,
                 ChunkKind::RankEnd => {
-                    self.ranks_seen += 1;
-                    if self.single_section {
-                        self.state = ReaderState::Done;
-                    }
-                    return Ok(section.rank);
+                    let decoded = false;
+                    self.close_section(ReadSection { found, decoded })?;
+                    return Ok(found.rank);
                 }
                 other => {
                     return Err(ContainerError::UnexpectedChunk {
@@ -401,7 +491,9 @@ pub fn read_app_container<R: Read>(reader: R) -> Result<AppTrace, ContainerError
 pub struct ReducedChunkReader<R> {
     stream: ChunkStream<R>,
     preamble: TraceTables,
-    ranks_seen: usize,
+    /// The sections read so far, for the `INDEX` chunk to be checked
+    /// against.
+    read: Vec<ReadSection>,
     done: bool,
 }
 
@@ -413,7 +505,7 @@ impl<R: Read> ReducedChunkReader<R> {
         Ok(ReducedChunkReader {
             stream,
             preamble,
-            ranks_seen: 0,
+            read: Vec::new(),
             done: false,
         })
     }
@@ -433,8 +525,8 @@ impl<R: Read> ReducedChunkReader<R> {
         match chunk.kind {
             ChunkKind::RankBegin => {}
             ChunkKind::Index => {
-                let (declared, seen) = (self.preamble.declared_ranks, self.ranks_seen);
-                finish_index(&mut self.stream, chunk.offset, declared, seen)?;
+                let declared = self.preamble.declared_ranks;
+                finish_index(&mut self.stream, chunk.offset, declared, &self.read)?;
                 self.done = true;
                 return Ok(None);
             }
@@ -446,10 +538,13 @@ impl<R: Read> ReducedChunkReader<R> {
             }
         }
         let mut rank = ReducedRankTrace::new(parse_rank_begin(self.stream.payload()?)?);
+        let mut found = section_begun(rank.rank, chunk.offset);
         // Latches at the section's first EXECS chunk.
         let mut exec_phase = false;
         loop {
-            match self.stream.next_chunk()?.kind {
+            let kind = self.stream.next_chunk()?.kind;
+            found.chunks += u64::from(matches!(kind, ChunkKind::Stored | ChunkKind::Execs));
+            match kind {
                 ChunkKind::Stored if !exec_phase => self.stream.decode(&mut rank.stored)?,
                 // Stored segments precede executions (spec invariant 3),
                 // the only order the writer produces.
@@ -473,15 +568,15 @@ impl<R: Read> ReducedChunkReader<R> {
             }
         }
         let (stored, execs) = (rank.stored.len() as u64, rank.execs.len() as u64);
-        let found = SectionCounts {
-            rank: rank.rank,
-            records: stored + execs,
-            segments: stored,
-            events: execs,
-        };
-        end_section(&mut self.stream, found, REDUCED_COUNTS)?;
+        found.records = stored + execs;
+        found.segments = stored;
+        found.events = execs;
+        end_section(&mut self.stream, &found, REDUCED_COUNTS)?;
         rank.check_ids().map_err(ContainerError::StoredIds)?;
-        self.ranks_seen += 1;
+        self.read.push(ReadSection {
+            found,
+            decoded: true,
+        });
         Ok(Some(rank))
     }
 }

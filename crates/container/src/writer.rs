@@ -27,8 +27,8 @@ use trace_model::codec::{
 use trace_model::{AppTrace, Rank, ReducedAppTrace, SegmentExec, StoredSegment, Time, TraceRecord};
 use trace_model::{RankTrace, ReducedRankTrace};
 
-use crate::index::RankSectionEntry;
-use crate::layout::{write_chunk, write_header, ChunkKind, PayloadKind, INDEX_MAGIC};
+use crate::index::{write_index, RankSectionEntry};
+use crate::layout::{write_chunk, write_header, ChunkKind, PayloadKind};
 
 /// How records are grouped into chunks, and which codec their payloads are
 /// stored under.
@@ -445,19 +445,7 @@ impl<W: Write> ChunkWriter<W> {
             )));
         }
         let index_offset = self.out.written;
-        let mut payload = Vec::new();
-        varint_write_u64(&mut payload, self.sections.len() as u64);
-        for entry in &self.sections {
-            varint_write_u64(&mut payload, u64::from(entry.rank.as_u32()));
-            varint_write_u64(&mut payload, entry.offset);
-            varint_write_u64(&mut payload, entry.chunks);
-            varint_write_u64(&mut payload, entry.records);
-            varint_write_u64(&mut payload, entry.segments);
-            varint_write_u64(&mut payload, entry.events);
-        }
-        write_chunk(&mut self.out, ChunkKind::Index, Codec::None, &payload)?;
-        self.out.write_all(&index_offset.to_le_bytes())?;
-        self.out.write_all(&INDEX_MAGIC)?;
+        write_index(&mut self.out, index_offset, &self.sections)?;
         self.out.flush()?;
         Ok(self.out.inner)
     }

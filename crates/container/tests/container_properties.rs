@@ -4,9 +4,11 @@
 //! panics or silent misreads.
 
 use proptest::prelude::*;
+use trace_container::layout::chunk_end;
 use trace_container::{
     decode_app_any, encode_app_container, encode_reduced_container, read_app_container, read_index,
-    read_reduced_container, ChunkReader, ChunkSpec, Codec, ContainerError, ReducedChunkReader,
+    read_reduced_container, rewrite_index, ChunkReader, ChunkSpec, Codec, ContainerError,
+    RankSectionEntry, ReducedChunkReader,
 };
 use trace_model::{
     AppItem, ContextId, ContextTable, Rank, ReducedAppTrace, ReducedRankTrace, RegionTable,
@@ -259,6 +261,116 @@ fn index_offsets_survive_every_chunk_size() {
             assert!(entry.offset < bytes.len() as u64);
         }
     }
+}
+
+/// `bytes`, a container, with the entries of its index footer rewritten by
+/// `edit`; every chunk stays CRC-valid.
+fn with_index(bytes: &[u8], edit: impl FnOnce(&mut Vec<RankSectionEntry>)) -> Vec<u8> {
+    rewrite_index(bytes, edit).unwrap()
+}
+
+/// The index faults, each applied to `bytes`: entries that list another
+/// section, or list it elsewhere or in other counts than the file holds.
+fn index_faults(bytes: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    // The chunk after a section's RANK_BEGIN.
+    let one_chunk_on = |offset: u64| chunk_end(bytes, offset).unwrap();
+    vec![
+        ("duplicated", with_index(bytes, |s| s[1] = s[0])),
+        ("swapped", with_index(bytes, |s| s.swap(1, 2))),
+        (
+            "one chunk off",
+            with_index(bytes, |s| s[2].offset = one_chunk_on(s[2].offset)),
+        ),
+        ("rank", with_index(bytes, |s| s[2].rank = s[1].rank)),
+        (
+            "last rank",
+            with_index(bytes, |s| s.last_mut().unwrap().rank = s[0].rank),
+        ),
+        ("chunks", with_index(bytes, |s| s[2].chunks += 1)),
+        ("records", with_index(bytes, |s| s[2].records -= 1)),
+        ("segments", with_index(bytes, |s| s[2].segments += 1)),
+        ("events", with_index(bytes, |s| s[2].events += 1)),
+        (
+            "out of the file",
+            with_index(bytes, |s| {
+                s[1].offset = 1 << 40;
+                s[1].records = 1 << 40;
+                s[2].offset = 1 << 41;
+            }),
+        ),
+        (
+            "back to an earlier section",
+            with_index(bytes, |s| s.last_mut().unwrap().offset = s[1].offset),
+        ),
+    ]
+}
+
+/// What reading `bytes` the way index-sharded workers do says: the
+/// sections must tile the file from where the preamble ends, and each
+/// reads against its span.
+fn read_by_index(bytes: &[u8]) -> Result<Vec<Vec<AppItem>>, ContainerError> {
+    let index = read_index(&mut std::io::Cursor::new(bytes))?;
+    index.check_tiling(ChunkReader::new(bytes)?.offset())?;
+    let mut sections = Vec::new();
+    for i in 0..index.sections.len() {
+        let span = index.span(i).unwrap();
+        let mut reader = ChunkReader::section(&bytes[span.entry.offset as usize..], span);
+        let mut items = Vec::new();
+        while let Some(item) = reader.next_item()? {
+            items.push(item);
+        }
+        sections.push(items);
+    }
+    Ok(sections)
+}
+
+#[test]
+fn a_crafted_index_is_refused_by_every_reader() {
+    use trace_sim::{SizePreset, Workload, WorkloadKind};
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let reduced = Reducer::with_default_threshold(Method::RelDiff).reduce_app(&app);
+    let refused = |result: Result<(), ContainerError>| {
+        matches!(
+            result,
+            Err(ContainerError::IndexMismatch { .. } | ContainerError::IndexOrder { .. })
+        )
+    };
+    for codec in [Codec::None, Codec::DeltaLz] {
+        let spec = ChunkSpec::with_segments(4).codec(codec);
+        let bytes = encode_app_container(&app, spec);
+        assert_eq!(read_by_index(&bytes).unwrap().len(), app.rank_count());
+        for (fault, crafted) in index_faults(&bytes) {
+            let what = format!("{fault} under {}", codec.name());
+            let whole = read_app_container(&crafted[..]).map(drop);
+            assert!(refused(whole), "{what}: whole file");
+            assert!(
+                refused(read_by_index(&crafted).map(drop)),
+                "{what}: by index"
+            );
+        }
+
+        let bytes = encode_reduced_container(&reduced, spec);
+        assert_eq!(read_reduced_container(&bytes[..]).unwrap(), reduced);
+        for (fault, crafted) in index_faults(&bytes) {
+            let what = format!("{fault} under {}", codec.name());
+            assert!(
+                refused(read_reduced_container(&crafted[..]).map(drop)),
+                "{what}"
+            );
+        }
+    }
+
+    // A byte between the INDEX chunk and the trailer: the footer no longer
+    // ends the file where the trailer says, for either way of reading.
+    let bytes = encode_app_container(&app, ChunkSpec::default());
+    let mut crafted = bytes[..bytes.len() - 12].to_vec();
+    crafted.push(0);
+    crafted.extend_from_slice(&bytes[bytes.len() - 12..]);
+    let bad_trailer = |e: ContainerError| matches!(e, ContainerError::BadTrailer);
+    assert!(bad_trailer(
+        read_index(&mut std::io::Cursor::new(&crafted)).unwrap_err()
+    ));
+    assert!(bad_trailer(read_app_container(&crafted[..]).unwrap_err()));
 }
 
 /// Splits a container file into `(header, framed chunks, trailer)` using
@@ -586,5 +698,36 @@ fn a_rank_end_declaring_one_execution_too_many_names_the_executions() {
             "{}",
             codec.name()
         );
+    }
+}
+
+#[test]
+fn a_rank_end_declaring_one_chunk_too_many_names_the_chunks() {
+    let app = build_trace(&[vec![(0, 0, 10), (0, 0, 11), (1, 1, 900)]]);
+    let reduced =
+        Reducer::new(MethodConfig::with_default_threshold(Method::RelDiff)).reduce_app(&app);
+    let app_bytes = encode_app_container(&app, ChunkSpec::default());
+    let reduced_bytes = encode_reduced_container(&reduced, ChunkSpec::default());
+    for (what, bytes) in [("section", app_bytes), ("reduced section", reduced_bytes)] {
+        let (header, mut chunks, trailer) = split_chunks(&bytes);
+        // RANK_END: rank, then the chunk count, one byte each here.
+        let rank_end = chunks.iter().position(|c| c[0] == 6).unwrap();
+        let mut summary = chunks[rank_end][10..].to_vec();
+        let found = summary[1];
+        summary[1] += 1;
+        reframe(&mut chunks[rank_end], &summary);
+        let mut lying = header;
+        chunks
+            .iter()
+            .for_each(|chunk| lying.extend_from_slice(chunk));
+        lying.extend_from_slice(&trailer);
+
+        let err = match what {
+            "section" => read_app_container(&lying[..]).map(drop).unwrap_err(),
+            _ => read_reduced_container(&lying[..]).map(drop).unwrap_err(),
+        };
+        let declared = found + 1;
+        let message = format!("{what} chunks: file declares {declared}, found {found}");
+        assert_eq!(err.to_string(), message);
     }
 }

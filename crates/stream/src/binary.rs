@@ -7,7 +7,12 @@
 //! sharding can: the container's index footer maps every rank section to a
 //! byte offset, so workers *seek* straight to their sections instead of
 //! scanning and skipping the whole file — cross-shard file-level
-//! parallelism with no redundant reads.  [`reduce_any_file`] autodetects
+//! parallelism with no redundant reads.  [`load_container_file`] decodes
+//! a whole trace the same way, each worker collecting the sections it
+//! claims.  Both open the file's sections one way, which holds the index
+//! footer to the file: the sections must tile it, and each is read against
+//! its entry, so every worker count accepts exactly the files the
+//! sequential scan accepts.  [`reduce_any_file`] autodetects
 //! text and chunked v2 inputs by their magic bytes, and refuses a retired
 //! monolithic v1 file with the container's typed error.  Every
 //! driver here supplies only what one worker does; [`crate::shard`]'s
@@ -16,10 +21,13 @@
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 use trace_container::layout::is_container_magic;
-use trace_container::{read_index, ChunkReader, ContainerError, ContainerIndex, PayloadKind};
-use trace_model::{AppItem, Rank, TraceRecord, TraceTables};
+use trace_container::{
+    read_app_container, read_index, ChunkReader, ContainerError, ContainerIndex, SectionSpan,
+};
+use trace_model::{AppItem, AppTrace, Rank, RankTrace, TraceRecord, TraceTables};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
@@ -40,10 +48,11 @@ impl<R: Read> ContainerSource<R> {
         })
     }
 
-    /// Resumes at one rank section located via the index footer.
-    pub fn section(reader: R, offset: u64) -> Self {
+    /// Resumes at the one rank section `span` places (see
+    /// [`ChunkReader::section`]).
+    pub fn section(reader: R, span: SectionSpan) -> Self {
         ContainerSource {
-            inner: ChunkReader::section(reader, offset),
+            inner: ChunkReader::section(reader, span),
         }
     }
 
@@ -97,14 +106,96 @@ pub fn reduce_container_stream<R: Read + Send>(
     reduce_sources(reducer, header, source, declared_ranks, 1, no_second_source)
 }
 
+/// The rank sections of an app-trace container file, placed by its index
+/// footer for workers to seek to: the one way the index-sharded reduction
+/// and the parallel load open a file.
+struct Sections {
+    index: ContainerIndex,
+    tables: TraceTables,
+}
+
+impl Sections {
+    /// Opens the sections of the container at `path` for `workers`
+    /// workers, or `None` where the sequential scan reads the file: on one
+    /// worker, and where the index cannot be read.  The index must list the
+    /// declared number of sections, tiling the file in order from where the
+    /// preamble ends, before any section is read or reserved.
+    fn open(path: &Path, workers: usize) -> Result<Option<Sections>, StreamError> {
+        if workers <= 1 {
+            return Ok(None);
+        }
+        let mut file = File::open(path)?;
+        let Ok(index) = read_index(&mut file) else {
+            return Ok(None);
+        };
+        // A reduced container is refused here, as the sequential scan
+        // refuses it.
+        file.seek(SeekFrom::Start(0))?;
+        let source = ContainerSource::new(BufReader::new(file))?;
+        let tables = source.tables()?;
+        // The sequential reader checks these when it reaches the INDEX
+        // chunk; seeking workers never scan that far, so a short index or
+        // one that skips bytes must be refused here, or ranks would
+        // silently drop from the output.
+        if index.sections.len() != tables.declared_ranks {
+            return Err(StreamError::Container(ContainerError::CountMismatch {
+                what: "rank sections",
+                declared: tables.declared_ranks as u64,
+                found: index.sections.len() as u64,
+            }));
+        }
+        index.check_tiling(source.inner.offset())?;
+        Ok(Some(Sections { index, tables }))
+    }
+
+    /// How many sections there are.
+    fn len(&self) -> usize {
+        self.index.sections.len()
+    }
+
+    /// One handle on `path` for each of up to `workers` workers, never
+    /// more than there are sections.
+    fn handles(&self, path: &Path, workers: usize) -> io::Result<Vec<File>> {
+        (0..workers.min(self.len()).max(1))
+            .map(|_| File::open(path))
+            .collect()
+    }
+
+    /// Runs `read` over section `index`, read through `file` from where
+    /// its entry places it and against that entry.  A failure is a
+    /// [`StreamError::Section`], which says where the section is.
+    fn read<'f, T>(
+        &self,
+        file: &'f File,
+        index: usize,
+        read: impl FnOnce(ContainerSource<BufReader<&'f File>>, SectionSpan) -> Result<T, StreamError>,
+    ) -> Result<T, StreamError> {
+        let Some(span) = self.index.span(index) else {
+            return Err(StreamError::Protocol("a section the index does not list"));
+        };
+        let run = || {
+            // `&File` implements `Read + Seek`, so every section gets a
+            // fresh buffered cursor over the worker's single handle.
+            let mut handle = file;
+            handle.seek(SeekFrom::Start(span.entry.offset))?;
+            read(ContainerSource::section(BufReader::new(handle), span), span)
+        };
+        run().map_err(|error| StreamError::Section {
+            index,
+            rank: span.entry.rank,
+            offset: span.entry.offset,
+            error: Box::new(error),
+        })
+    }
+}
+
 /// Reduces a container file with `shards` workers, each claiming rank
 /// sections as it falls free and seeking straight to them via the index
 /// footer.  Output is bit-identical to the sequential
 /// [`reduce_container_stream`]; only wall-clock time changes.  One shard
 /// *is* that sequential scan: it needs no index footer and validates every
-/// chunk up to the trailer, which seeking workers never reach.  So is a
-/// file whose index trailer cannot be read, a cut one say: the sequential
-/// scan says what is wrong with it, as it does at one shard.  A failing
+/// chunk up to the trailer.  So is a file whose index trailer cannot be
+/// read, a cut one say: the scan says what is wrong with it.  A failing
 /// section is a [`StreamError::Section`], which says where it is.
 pub fn reduce_container_file(
     reducer: &Reducer,
@@ -112,67 +203,99 @@ pub fn reduce_container_file(
     shards: usize,
 ) -> Result<StreamReduction, StreamError> {
     let path = path.as_ref();
-    if shards <= 1 {
+    let Some(sections) = Sections::open(path, shards)? else {
         return reduce_container_stream(reducer, BufReader::new(File::open(path)?));
-    }
-
-    let mut file = File::open(path)?;
-    let index = read_index(&mut file);
-    file.seek(SeekFrom::Start(0))?;
-    let Ok(ContainerIndex { kind, sections }) = index else {
-        return reduce_container_stream(reducer, BufReader::new(file));
     };
-    if kind == PayloadKind::Reduced {
-        return Err(StreamError::Container(ContainerError::UnexpectedChunk {
-            expected: "an app-trace container",
-            found: "a reduced-trace container",
-        }));
-    }
-    let tables = ContainerSource::new(BufReader::new(file))?.tables()?;
-    let (header, declared_ranks) = (tables.reduced_trace(), tables.declared_ranks);
-    // The sequential reader validates this when it reaches the INDEX
-    // chunk; the sharded path never scans that far, so a short index must
-    // be rejected here or ranks would silently drop from the output.
-    if sections.len() != declared_ranks {
-        return Err(StreamError::Container(ContainerError::CountMismatch {
-            what: "rank sections",
-            declared: declared_ranks as u64,
-            found: sections.len() as u64,
-        }));
-    }
-
-    let files = (0..shards.min(declared_ranks).max(1)).map(|_| File::open(path));
-    let files = files.collect::<io::Result<Vec<_>>>()?;
     fan_out(
         reducer,
-        header,
-        files,
-        declared_ranks,
+        sections.tables.reduced_trace(),
+        sections.handles(path, shards)?,
+        sections.len(),
         |worker, file, index| {
-            let Some(entry) = sections.get(index) else {
-                return Err(StreamError::Protocol("a section the index does not list"));
-            };
-            let mut reduce_section = || -> Result<_, StreamError> {
-                // `&File` implements `Read + Seek`, so every section gets a
-                // fresh buffered cursor over the worker's single handle.
-                let mut handle = &*file;
-                handle.seek(SeekFrom::Start(entry.offset))?;
-                let mut source = ContainerSource::section(BufReader::new(handle), entry.offset);
+            sections.read(file, index, |mut source, _| {
                 source.set_obs(reducer.recorder().shard());
                 let reduced = worker.reduce_rank(reducer, &mut source)?;
                 let peak = &mut worker.stats.peak_chunk_bytes;
                 *peak = source.peak_chunk_bytes().max(*peak);
                 Ok(reduced)
-            };
-            reduce_section().map_err(|error| StreamError::Section {
-                index,
-                rank: entry.rank,
-                offset: entry.offset,
-                error: Box::new(error),
             })
         },
         |_, _| Ok(()),
     )
+}
+
+/// Loads the whole app trace of a container file on `workers` workers:
+/// each claims rank sections as it falls free, seeks to them via the index
+/// footer and decodes them, and the calling thread collects the ranks in
+/// order.  The trace is the one [`read_app_container`] reads; one worker
+/// *is* that sequential collect, and so is a file whose index trailer
+/// cannot be read, as in [`reduce_container_file`].  A failing section is
+/// a [`StreamError::Section`].
+pub fn load_container_file(
+    path: impl AsRef<Path>,
+    workers: usize,
+) -> Result<AppTrace, StreamError> {
+    let path = path.as_ref();
+    let Some(sections) = Sections::open(path, workers)? else {
+        return Ok(read_app_container(BufReader::new(File::open(path)?))?);
+    };
+    // Every section's records are allocated here and filled by whichever
+    // worker claims it, so the trace lives in the calling thread's
+    // allocator arena, as it does when loaded in order: ranks a worker
+    // allocated would stay in its arena, which the next load on another
+    // thread does not reuse.
+    let buffers: Vec<_> = (0..sections.len())
+        .filter_map(|index| sections.index.span(index))
+        .map(|span| Mutex::new(Vec::with_capacity(reservation(span))))
+        .collect();
+    let mut app = sections.tables.app_trace();
+    trace_obs::ordered(
+        sections.handles(path, workers)?,
+        sections.len(),
+        |file, index| {
+            let records = buffers.get(index).map(|buffer| {
+                std::mem::take(&mut *buffer.lock().unwrap_or_else(PoisonError::into_inner))
+            });
+            sections.read(file, index, |source, span| {
+                collect_section(source, span, records.unwrap_or_default())
+            })
+        },
+        |_| Ok(()),
+        |_, rank| {
+            app.ranks.push(rank);
+            Ok(())
+        },
+    )?;
+    Ok(app)
+}
+
+/// The records to reserve for the section `span` places: as many as its
+/// entry counts, up to one per byte of the section, since the counts are
+/// only checked once the section is read.  The spans tile the file, so
+/// the reservations of a load come to at most one record per file byte.
+fn reservation(span: SectionSpan) -> usize {
+    let bytes = span.end.saturating_sub(span.entry.offset);
+    span.entry.records.min(bytes) as usize
+}
+
+/// Decodes the one rank section `source` holds into a rank trace whose
+/// records fill `records`.
+fn collect_section<R: Read>(
+    mut source: ContainerSource<R>,
+    span: SectionSpan,
+    records: Vec<TraceRecord>,
+) -> Result<RankTrace, StreamError> {
+    let mut rank = RankTrace {
+        rank: span.entry.rank,
+        records,
+    };
+    while let Some(item) = source.next_item()? {
+        if let AppItem::Record(first) = item {
+            rank.records.push(first);
+            rank.records.extend_from_slice(source.take_records());
+        }
+    }
+    Ok(rank)
 }
 
 /// What kind of trace input a file holds, detected from its magic bytes.

@@ -32,8 +32,10 @@
 //!   — the binary counterparts; the file driver goes further than text
 //!   sharding can: workers *seek* straight to the rank sections they claim
 //!   via the container's index footer instead of scanning the file.
-//!   [`binary::reduce_any_file`] autodetects text and container v2 inputs
-//!   by magic bytes, and refuses a retired monolithic v1 file.
+//!   [`binary::load_container_file`] loads a whole trace the same way, for
+//!   the callers that need it all.  [`binary::reduce_any_file`]
+//!   autodetects text and container v2 inputs by magic bytes, and refuses
+//!   a retired monolithic v1 file.
 //! * [`convert::convert_text`] / [`convert::convert_container`] — the
 //!   write direction: a trace re-encoded as a container a rank at a time,
 //!   through the container's one section writer, reading rank k + 1 while
@@ -89,8 +91,8 @@ pub mod shard;
 pub mod source;
 
 pub use binary::{
-    detect_input, reduce_any_file, reduce_container_file, reduce_container_stream, ContainerSource,
-    TraceInputKind,
+    detect_input, load_container_file, reduce_any_file, reduce_container_file,
+    reduce_container_stream, ContainerSource, TraceInputKind,
 };
 pub use convert::{convert_container, convert_text};
 pub use error::StreamError;
