@@ -5,14 +5,14 @@ use std::path::Path;
 
 use trace_analysis::diagnose;
 use trace_obs::Recorder;
-use trace_reduce::{reduce_app_parallel, Method, MethodConfig, Reducer};
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 
 use trace_container::{section_workers, ChunkSpec, Codec};
 
 use crate::cli::{check_flags, Invocation};
 use crate::io::{
-    convert_app_trace, load_app_trace, load_reduced_trace, store_app_trace, store_reduced_trace,
+    convert_app_trace, load_app_trace, load_reduced_trace, reduce_into_file, store_app_trace,
     write_file_atomic,
 };
 
@@ -304,10 +304,11 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
 }
 
 /// `reduce`: the prologue (method, paths, format, `--shards`, obs) and the
-/// epilogue (`--report`, run report) are shared; only the reduce step and
-/// the summary line differ between the in-memory path and `--stream`.  Both
-/// reduce on `--shards` workers, one per core by default, and report the
-/// bytes written.
+/// epilogue (`--report`, run report) are shared; only the source and the
+/// summary line differ between the in-memory path and `--stream`.  Both
+/// reduce on `--shards` workers, one per core by default, and write the
+/// output as they go: each worker encodes the ranks it reduces, and the
+/// calling thread writes them in rank order.
 fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let config = parse_method(invocation, None)?;
     let input = Path::new(invocation.require("in")?);
@@ -319,61 +320,71 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
+    // `--report` reads the reduced trace back from the output, the one
+    // copy of it there is, so the output must be a file that keeps it.
+    if invocation.has("report") && std::fs::metadata(out).is_ok_and(|meta| !meta.is_file()) {
+        return Err(format!(
+            "--report reads the reduced trace back from --out, and {} is not a regular file",
+            out.display()
+        ));
+    }
     let obs = parse_obs(invocation)?;
     let recorder = obs_recorder(&obs);
     let reducer = Reducer::new(config).with_recorder(&recorder);
-    let store = |reduced| store_reduced_trace(out, reduced, spec, &recorder);
 
-    let (reduced, mut message) = if invocation.has("stream") {
+    let mut message = if invocation.has("stream") {
         // One bounded-memory pass over the file: text and chunked container
         // v2 inputs are autodetected by magic bytes.
-        let (result, kind) = trace_stream::reduce_any_file(&reducer, input, shards)
-            .map_err(|e| format!("{}: {e}", input.display()))?;
+        let ((name, stats, kind), written) =
+            reduce_into_file(input, out, spec, &recorder, |sink, format| {
+                let (run, kind) =
+                    trace_stream::reduce_any_file_into(&reducer, input, shards, sink, format)?;
+                Ok((run.name, run.stats, kind))
+            })?;
         // No more workers run than the trace has ranks.
-        let workers = shards.clamp(1, result.reduced.rank_count().max(1));
+        let workers = shards.clamp(1, stats.ranks.max(1));
         // With several workers the stat is the sum of per-worker peaks —
         // an upper bound on the concurrent total, not one observation.
         let peak = match workers {
             1 => "peak resident segments",
             _ => "resident segments <=",
         };
-        let written = store(&result.reduced)?;
         let mut message = format!(
-            "stream-reduced {} ({} input) with {} over {workers} shard(s): {} stored \
+            "stream-reduced {name} ({} input) with {} over {workers} shard(s): {} stored \
              segments for {} executions, degree of matching {:.3}, {peak} {} (of {} \
              streamed), {written} bytes -> {}",
-            result.reduced.name,
             kind.label(),
             config.label(),
-            result.stats.stored,
-            result.stats.execs,
-            result.reduced.degree_of_matching(),
-            result.stats.peak_resident_segments,
-            result.stats.segments,
+            stats.stored,
+            stats.execs,
+            stats.degree_of_matching(),
+            stats.peak_resident_segments,
+            stats.segments,
             out.display()
         );
         if kind == trace_stream::TraceInputKind::ContainerV2 {
             message.push_str(&format!(
                 ", peak chunk {} bytes decoded",
-                result.stats.peak_chunk_bytes
+                stats.peak_chunk_bytes
             ));
         }
-        (result.reduced, message)
+        message
     } else {
         // The in-memory path: the only one that holds the full trace.
         let app = load_app_trace(input, shards, &recorder)?;
-        let reduced = reduce_app_parallel(&reducer, &app, shards);
-        let written = store(&reduced)?;
-        let message = format!(
+        let (stats, written) = reduce_into_file(input, out, spec, &recorder, |sink, format| {
+            let run = trace_stream::reduce_app_into(&reducer, &app, shards, sink, format)?;
+            Ok(run.stats)
+        })?;
+        format!(
             "reduced {} with {}: {} stored segments for {} executions, degree of matching {:.3}, {written} bytes -> {}",
             app.name,
             config.label(),
-            reduced.total_stored(),
-            reduced.total_execs(),
-            reduced.degree_of_matching(),
+            stats.stored,
+            stats.execs,
+            stats.degree_of_matching(),
             out.display()
-        );
-        (reduced, message)
+        )
     };
 
     // `--report FILE`: the page `report --in OUT --html FILE` writes, with
@@ -381,6 +392,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     // recorder for the pipeline metrics.
     if invocation.has("report") {
         let path = invocation.require("report")?;
+        let reduced = load_reduced_trace(out)?;
         let run = obs.as_ref().map(|_| recorder.report());
         let options = trace_report::ReportOptions {
             method: config,
@@ -1425,6 +1437,58 @@ mod tests {
         assert!(err.contains("unknown option --obs"), "{err}");
 
         cleanup(&[&trace, &reduced]);
+    }
+
+    #[test]
+    fn reduce_report_writes_the_page_report_html_writes() {
+        // `reduce --report` reads the finished output back: its page is the
+        // one `report --in OUT --html` writes under the same method, for
+        // both output formats, in memory and streamed.
+        let trace = temp_path("report_page_in.trc");
+        let (inline, page) = (temp_path("inline.html"), temp_path("page.html"));
+        let input = trace.to_str().unwrap();
+        let generate = [("workload", "dyn_load_balance"), ("preset", "tiny")];
+        let generate = [&generate[..], &[("out", input)]].concat();
+        run(&Invocation::new("generate", &generate)).unwrap();
+        for name in ["report_page_out.trc", "report_page_out.txt"] {
+            let out = temp_path(name);
+            let (to, html) = (out.to_str().unwrap(), inline.to_str().unwrap());
+            let reduce = [
+                ("in", input),
+                ("out", to),
+                ("method", "relDiff"),
+                ("report", html),
+            ];
+            let stream = [&reduce[..], &[("stream", "")]].concat();
+            for flags in [&reduce[..], &stream] {
+                run(&Invocation::new("reduce", flags)).unwrap();
+                let report = [
+                    ("in", to),
+                    ("method", "relDiff"),
+                    ("html", page.to_str().unwrap()),
+                ];
+                run(&Invocation::new("report", &report)).unwrap();
+                let (inline, page) = (std::fs::read(&inline), std::fs::read(&page));
+                assert!(inline.unwrap() == page.unwrap(), "{name} {flags:?}");
+            }
+            cleanup(&[&out]);
+        }
+        cleanup(&[&inline]);
+        // An output that keeps nothing cannot be read back: refused before
+        // the reduction runs, and no page is written.
+        if Path::new("/dev/null").exists() {
+            let html = inline.to_str().unwrap();
+            let reduce = [
+                ("in", input),
+                ("out", "/dev/null"),
+                ("method", "relDiff"),
+                ("report", html),
+            ];
+            let err = run(&Invocation::new("reduce", &reduce)).unwrap_err();
+            assert!(err.contains("/dev/null is not a regular file"), "{err}");
+            assert!(!inline.exists());
+        }
+        cleanup(&[&trace, &page]);
     }
 
     #[test]

@@ -8,20 +8,21 @@
 //! container's readers with one typed error; its length survives only as
 //! the yardstick of the paper's file-size criterion (`trace_model::codec`).
 //! [`convert_app_trace`] streams a text or v2 input into a v2 container
-//! without loading it.
+//! without loading it, and [`reduce_into_file`] writes a reduction's
+//! output as the reduction goes.
 
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use trace_container::{
-    read_reduced_container, section_workers, write_app_container, write_reduced_container,
-    ChunkSpec, ContainerError,
+    read_reduced_container, section_workers, write_app_container, ChunkSpec, ContainerError,
 };
-use trace_format::{read_app_trace, read_reduced_trace, write_app_trace, write_reduced_trace};
+use trace_format::{read_app_trace, read_reduced_trace, write_app_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_stream::{
-    convert_container, convert_text, detect_input, load_container_file, StreamError, TraceInputKind,
+    convert_container, convert_text, detect_input, load_container_file, ReducedFormat, StreamError,
+    TraceInputKind,
 };
 
 /// True if the path should use the text format.
@@ -171,20 +172,50 @@ pub fn store_app_trace(
     })
 }
 
-/// Stores a reduced trace to `path`, like [`store_app_trace`].
-pub fn store_reduced_trace(
+/// Reduces into `path` atomically: `reduce` writes the reduced trace into
+/// the sink it is given, in the format the path's extension names (text,
+/// or a v2 container under `spec`), as the reduction goes.  What is wrong
+/// with `input` reads `<input>: <error>`, however far the output got; a
+/// failing sink reads as a failed write; either way no partial output is
+/// left.  The writer records each section it writes, and the index and
+/// trailer, as [`trace_obs::Stage::Store`] spans; the flush and rename
+/// here are one more.  Returns what `reduce` returned and the number of
+/// bytes written.
+pub fn reduce_into_file<T>(
+    input: &Path,
     path: &Path,
-    reduced: &ReducedAppTrace,
     spec: ChunkSpec,
     recorder: &trace_obs::Recorder,
-) -> Result<usize, String> {
-    store(path, recorder, |out| {
-        if is_text_path(path) {
-            out.write_all(write_reduced_trace(reduced).as_bytes())
-        } else {
-            write_reduced_container(out, reduced, spec, recorder).map(drop)
+    reduce: impl FnOnce(&mut dyn Write, ReducedFormat) -> Result<T, StreamError>,
+) -> Result<(T, usize), String> {
+    let format = if is_text_path(path) {
+        ReducedFormat::Text
+    } else {
+        ReducedFormat::Container(spec)
+    };
+    let mut obs = recorder.shard();
+    let (mut failed_input, mut reduced, mut written, mut tail) = (None, None, 0, None);
+    let stored = write_file_atomic(path, |file| {
+        let mut out = Counted(BufWriter::new(file), 0);
+        match reduce(&mut out, format) {
+            Ok(value) => reduced = Some(value),
+            Err(StreamError::Sink(e)) => return Err(e),
+            Err(e) => return Err(io::Error::other(failed_input.insert(e).to_string())),
         }
-    })
+        tail = Some(obs.start());
+        out.flush()?;
+        written = out.1;
+        Ok(())
+    });
+    if let Some(e) = failed_input {
+        return Err(format!("{}: {e}", input.display()));
+    }
+    stored?;
+    if let Some(tail) = tail {
+        obs.end(trace_obs::Stage::Store, tail);
+    }
+    let reduced = reduced.ok_or("the reduction returned nothing")?;
+    Ok((reduced, written))
 }
 
 /// Converts the full trace at `input` to `path`.  A text input (by
@@ -295,7 +326,8 @@ mod tests {
     #[test]
     fn reduced_trace_round_trips_through_every_format() {
         let app = Workload::new(WorkloadKind::EarlyGather, SizePreset::Tiny).generate();
-        let reduced = Reducer::with_default_threshold(Method::AvgWave).reduce_app(&app);
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let reduced = reducer.reduce_app(&app);
         let [none, dlz] = specs();
         for (name, spec) in [
             ("reduced_roundtrip_none.bin", none),
@@ -303,7 +335,13 @@ mod tests {
             ("reduced_roundtrip.txt", dlz),
         ] {
             let path = temp_path(name);
-            store_reduced_trace(&path, &reduced, spec, &off()).unwrap();
+            let (stats, written) = reduce_into_file(&path, &path, spec, &off(), |out, format| {
+                let written = trace_stream::reduce_app_into(&reducer, &app, 2, out, format)?;
+                Ok(written.stats)
+            })
+            .unwrap();
+            assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
+            assert_eq!(stats.execs, reduced.total_execs(), "{name}");
             let loaded = load_reduced_trace(&path).unwrap();
             assert_eq!(loaded, reduced, "{name}");
             let _ = std::fs::remove_file(&path);

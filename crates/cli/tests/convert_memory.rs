@@ -1,15 +1,18 @@
-//! Flat memory for `convert`: a streamed conversion holds a few ranks'
-//! records and sections, not the trace, so its peak resident set hardly
-//! grows with trace length.  Only the conversion may count, so the test
-//! re-executes its own binary as a child that converts one file and prints
-//! its `VmHWM`.
+//! Flat memory for `convert` and `reduce --stream`: a streamed conversion
+//! holds a few ranks' records and sections, not the trace, and a streamed
+//! reduction holds one rank's reduced state per worker and writes each
+//! rank's section as it finishes, never the execution log of the trace.
+//! So the peak resident set of either hardly grows with trace length.  Only
+//! the command may count, so the test re-executes its own binary as a child
+//! that runs it on one file and prints its `VmHWM`.
 #![cfg(target_os = "linux")]
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use trace_container::{ChunkSpec, Codec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_tools::{run, Invocation};
 
@@ -44,6 +47,23 @@ fn convert_child() {
     println!("VmHWM_KB {}", vm_hwm_kb());
 }
 
+/// Runs the ignored test `child` in a child process and returns the peak
+/// resident set it prints, in KiB.
+fn child_peak_kb(child: &str) -> u64 {
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args([child, "--exact", "--ignored", "--nocapture"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(child.status.success(), "{stdout}");
+    let line = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM_KB "));
+    line.unwrap_or_else(|| panic!("no peak in {stdout:?}"))
+        .parse()
+        .unwrap()
+}
+
 /// Peak resident set of a child converting the trace replayed `repeats`
 /// times to a `delta-lz` container, in KiB.
 fn convert_peak_kb(workload: &Workload, repeats: usize) -> u64 {
@@ -54,20 +74,10 @@ fn convert_peak_kb(workload: &Workload, repeats: usize) -> u64 {
         .unwrap()
         .flush()
         .unwrap();
-    let child = Command::new(std::env::current_exe().unwrap())
-        .args(["convert_child", "--exact", "--ignored", "--nocapture"])
-        .output()
-        .unwrap();
+    let peak = child_peak_kb("convert_child");
     let _ = std::fs::remove_file(&input);
     let _ = std::fs::remove_file(&output);
-    let stdout = String::from_utf8_lossy(&child.stdout);
-    assert!(child.status.success(), "{stdout}");
-    let line = stdout
-        .lines()
-        .find_map(|line| line.strip_prefix("VmHWM_KB "));
-    line.unwrap_or_else(|| panic!("no peak in {stdout:?}"))
-        .parse()
-        .unwrap()
+    peak
 }
 
 #[test]
@@ -82,4 +92,90 @@ fn convert_peak_memory_is_flat_in_trace_length() {
         eight * 4 < once * 5,
         "peak {once} KiB at x1, {eight} KiB at x8"
     );
+}
+
+/// The file naming the input, output and worker count of the reduction
+/// the child of the process `parent` runs.
+fn reduce_job(parent: u32) -> PathBuf {
+    std::env::temp_dir().join(format!("trace_tools_flat_reduce_{parent}.job"))
+}
+
+#[test]
+#[ignore = "the child of reduce_stream_peak_memory_is_flat_in_trace_length"]
+fn reduce_child() {
+    let Ok(job) = std::fs::read_to_string(reduce_job(std::os::unix::process::parent_id())) else {
+        return;
+    };
+    let [input, output, shards] = *job.lines().collect::<Vec<_>>() else {
+        panic!("a job is an input, an output and a worker count: {job:?}");
+    };
+    let args = [
+        ("in", input),
+        ("out", output),
+        ("method", "avgWave"),
+        ("stream", ""),
+        ("shards", shards),
+    ];
+    run(&Invocation::new("reduce", &args)).unwrap();
+    println!("VmHWM_KB {}", vm_hwm_kb());
+}
+
+/// Peak resident set of a child reducing `input` with `reduce --stream
+/// --shards shards` into a `delta-lz` container, in KiB.
+fn reduce_peak_kb(input: &Path, shards: usize) -> u64 {
+    let job = reduce_job(std::process::id());
+    let output = input.with_extension("reduced.trc");
+    let lines = [input, &output].map(|path| path.to_str().unwrap().to_string());
+    std::fs::write(&job, format!("{}\n{}\n{shards}\n", lines[0], lines[1])).unwrap();
+    let peak = child_peak_kb("reduce_child");
+    let _ = std::fs::remove_file(&job);
+    let _ = std::fs::remove_file(&output);
+    peak
+}
+
+#[test]
+fn reduce_stream_peak_memory_is_flat_in_trace_length() {
+    // Sweep3d's 32 ranks at the paper preset: 82 720 events and ≈ 28 000
+    // executions replayed once, ≈ 220 000 executions replayed eight times.
+    // A reduction that assembles its output holds every execution, ≈ 18
+    // bytes each, until it stores the trace: ≈ 3 MiB more at x8 than at
+    // x1, half again its peak at x1.
+    let workload = Workload::new(
+        WorkloadKind::by_name("sweep3d_32p").unwrap(),
+        SizePreset::Paper,
+    );
+    let dir = std::env::temp_dir();
+    let file = |repeats: usize, extension: &str| {
+        let name = format!(
+            "trace_tools_flat_reduce_{}_x{repeats}.{extension}",
+            std::process::id()
+        );
+        dir.join(name)
+    };
+    let spec = ChunkSpec::with_codec(Codec::DeltaLz);
+    for repeats in [1, 8] {
+        let out = BufWriter::new(File::create(file(repeats, "txt")).unwrap());
+        let written = workload.write_text_amplified_to(out, repeats);
+        written.unwrap().flush().unwrap();
+        let out = BufWriter::new(File::create(file(repeats, "trc")).unwrap());
+        let written = workload.write_container_amplified_to(out, repeats, spec);
+        written.unwrap().flush().unwrap();
+    }
+    let mut grew = Vec::new();
+    for extension in ["txt", "trc"] {
+        for shards in [1, 2] {
+            let once = reduce_peak_kb(&file(1, extension), shards);
+            let eight = reduce_peak_kb(&file(8, extension), shards);
+            if eight * 4 >= once * 5 {
+                grew.push(format!(
+                    "{extension} --shards {shards}: peak {once} KiB at x1, {eight} KiB at x8"
+                ));
+            }
+        }
+    }
+    for repeats in [1, 8] {
+        let _ = std::fs::remove_file(file(repeats, "txt"));
+        let _ = std::fs::remove_file(file(repeats, "trc"));
+    }
+    assert!(grew.is_empty(), "{}", grew.join("\n"));
 }

@@ -21,7 +21,8 @@ use trace_model::{
 use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{
-    convert_container, convert_text, reduce_any_file, reduce_container_file, StreamError,
+    convert_container, convert_text, reduce_any_file, reduce_any_file_into, reduce_app_into,
+    reduce_container_file, ReducedFormat, StreamError,
 };
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
@@ -720,4 +721,140 @@ fn a_reduced_container_given_for_a_trace_fails_alike_on_every_worker_count() {
     let _ = std::fs::remove_file(&input);
     assert!(errors[0].contains("a reduced payload"), "{}", errors[0]);
     assert!(errors.iter().all(|e| *e == errors[0]), "{errors:#?}");
+}
+
+#[test]
+fn a_reduce_failing_in_its_last_section_keeps_the_target_on_every_worker_count() {
+    // The reduction writes its output as it goes, so when the last rank
+    // section fails the sections before it have gone into the temp file
+    // already.  Every worker count, in memory and streamed, still leaves
+    // the previous target and no temp file, and says what the sequential
+    // reader says: the whole-text parser, or the container decoder, in the
+    // words of a section read through the index on two or more workers.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let text = write_app_trace(&app);
+    let last = text.rfind("\nRANK ").unwrap() + 1;
+    let records = last + text[last..].find('\n').unwrap() + 1;
+    let bad_text = format!("{}EVENT 0 nonsense\n{}", &text[..records], &text[records..]);
+    let mut container = encode_app_container(&app, ChunkSpec::with_segments(8));
+    let index = read_index(&mut Cursor::new(&container)).unwrap();
+    let bad = *index.sections.last().unwrap();
+    let chunk = chunk_end(&container, bad.offset).unwrap() as usize;
+    container[chunk + 10] ^= 0x40;
+    let decoded = decode_app_any(&container).unwrap_err();
+    let section = format!(
+        "rank section {} ({}, byte offset {}): {decoded}",
+        index.sections.len() - 1,
+        bad.rank,
+        bad.offset
+    );
+    let text_error = parse_app_trace(&bad_text).unwrap_err().to_string();
+    let cases = [
+        ("last_section.txt", bad_text.into_bytes(), [&text_error; 2]),
+        (
+            "last_section.trc",
+            container,
+            [&decoded.to_string(), &section],
+        ),
+    ];
+    let target = temp_path("last_section_out.trc");
+    write_file_atomic(&target, |file| file.write_all(b"previous output")).unwrap();
+    for (name, bytes, [one_worker, seeking]) in &cases {
+        let input = temp_path(name);
+        std::fs::write(&input, bytes).unwrap();
+        let (from, to) = (input.to_str().unwrap(), target.to_str().unwrap());
+        for shards in ["1", "2", "3"] {
+            let expected = match shards {
+                "1" => one_worker,
+                _ => seeking,
+            };
+            let reduce = [
+                ("in", from),
+                ("out", to),
+                ("method", "avgWave"),
+                ("shards", shards),
+            ];
+            let stream = [&reduce[..], &[("stream", "")]].concat();
+            for (path, flags) in [("in memory", &reduce[..]), ("--stream", &stream)] {
+                let case = format!("{name}, {path}, --shards {shards}");
+                let err = run(&Invocation::new("reduce", flags)).unwrap_err();
+                assert_eq!(err, format!("{from}: {expected}"), "{case}");
+                assert_eq!(
+                    std::fs::read(&target).unwrap(),
+                    b"previous output",
+                    "{case}"
+                );
+                assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{case}");
+            }
+        }
+        let _ = std::fs::remove_file(&input);
+    }
+    let _ = std::fs::remove_file(&target);
+}
+
+#[test]
+fn a_reduce_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
+    // The sink fails while the workers are still reducing: at the header,
+    // half-way and at the last byte, for both input formats, streamed and
+    // in memory, on one, two and three workers.
+    let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+    let reducer = Reducer::with_default_threshold(Method::AvgWave);
+    let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
+    let full = encode_reduced_container(&reducer.reduce_app(&app), spec);
+    let text_input = temp_path("fills_up.txt");
+    let container_input = temp_path("fills_up_in.trc");
+    std::fs::write(&text_input, write_app_trace(&app)).unwrap();
+    std::fs::write(&container_input, encode_app_container(&app, spec)).unwrap();
+    let path = temp_path("fills_up_out.trc");
+    write_file_atomic(&path, |file| file.write_all(b"previous output")).unwrap();
+    let sources: [(&str, Option<&Path>); 3] = [
+        ("text", Some(&text_input)),
+        ("container", Some(&container_input)),
+        ("in memory", None),
+    ];
+    for (source, input) in sources {
+        for workers in [1, 2, 3] {
+            let reduce = |file: &mut File, budget| {
+                let sink = BufWriter::with_capacity(256, FillsUp { file, budget });
+                let format = ReducedFormat::Container(spec);
+                let run = match input {
+                    Some(input) => reduce_any_file_into(&reducer, input, workers, sink, format)
+                        .map(|(written, _)| written.stats),
+                    None => reduce_app_into(&reducer, &app, workers, sink, format)
+                        .map(|written| written.stats),
+                };
+                match run {
+                    Ok(_) => Ok(()),
+                    Err(StreamError::Sink(e)) => Err(e),
+                    Err(e) => panic!("an input error from a valid trace: {e}"),
+                }
+            };
+            for budget in [0, full.len() / 2, full.len() - 1] {
+                let case = format!("{source}, {workers} workers, {budget} bytes");
+                let err = write_file_atomic(&path, |file| reduce(file, budget)).unwrap_err();
+                assert!(err.contains("disk full"), "{case}: {err}");
+                assert_eq!(std::fs::read(&path).unwrap(), b"previous output", "{case}");
+                assert_eq!(temp_siblings(&path), Vec::<String>::new(), "{case}");
+            }
+            write_file_atomic(&path, |file| reduce(file, full.len())).unwrap();
+            let written = std::fs::read(&path).unwrap();
+            assert!(written == full, "{source}, {workers} workers");
+            write_file_atomic(&path, |file| file.write_all(b"previous output")).unwrap();
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+
+    // Through the CLI, a device that is always full: the error names the
+    // output, not the input, in memory and streamed.
+    if Path::new("/dev/full").exists() {
+        let from = text_input.to_str().unwrap();
+        let reduce = [("in", from), ("out", "/dev/full"), ("method", "avgWave")];
+        let stream = [&reduce[..], &[("stream", "")]].concat();
+        for flags in [&reduce[..], &stream] {
+            let err = run(&Invocation::new("reduce", flags)).unwrap_err();
+            assert!(err.starts_with("cannot write /dev/full: "), "{err}");
+        }
+    }
+    let _ = std::fs::remove_file(&text_input);
+    let _ = std::fs::remove_file(&container_input);
 }

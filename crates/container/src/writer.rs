@@ -8,14 +8,17 @@
 //! Chunk offsets are tracked as bytes go out, which is what lets the
 //! seekable index footer be written at the end without ever seeking.
 //!
-//! [`write_sections`] is the one section writer: rank sections are
-//! position-independent (only `INDEX` holds absolute offsets), so workers
-//! on the workspace's one ordered fan-out, [`trace_obs::ordered()`], each
-//! encode the sections they claim into buffers of their own, and the
-//! calling thread stitches them into the sink in rank order.
-//! [`write_app_container`] / [`write_reduced_container`] feed it whole
-//! traces' ranks from slices; `trace_stream`'s streaming `convert` feeds it
-//! each rank as it is read.
+//! The section writer has two halves.  Rank sections are
+//! position-independent (only `INDEX` holds absolute offsets), so a worker
+//! encodes each section it claims into a buffer of its own
+//! ([`SectionEncoder`]), and the calling thread stitches finished sections
+//! into the sink in rank order ([`ChunkWriter::stitch`]).
+//! [`write_sections`] runs the two on the workspace's one ordered fan-out,
+//! [`trace_obs::ordered()`]: [`write_app_container`] /
+//! [`write_reduced_container`] feed it whole traces' ranks from slices, and
+//! `trace_stream`'s streaming `convert` feeds it each rank as it is read.
+//! `trace_stream`'s reductions use the halves directly, encoding each rank
+//! on the worker that reduced it.
 
 use std::io::{self, Write};
 
@@ -451,14 +454,82 @@ impl<W: Write> ChunkWriter<W> {
     }
 }
 
-impl ChunkWriter<Vec<u8>> {
-    /// A headerless writer that encodes one rank section at a time into its
-    /// own buffer, recording into `obs`.
-    fn section(kind: PayloadKind, spec: ChunkSpec, obs: trace_obs::ObsShard) -> Self {
-        ChunkWriter {
+impl<W: Write> ChunkWriter<W> {
+    /// An encoder of whole rank sections for this writer's container,
+    /// recording its chunk flushes into `obs`: a worker's half of the
+    /// section writer, [`ChunkWriter::stitch`] is the calling thread's.
+    pub fn section_encoder(&self, obs: trace_obs::ObsShard) -> SectionEncoder {
+        SectionEncoder(ChunkWriter {
             obs,
-            ..Self::bare(Vec::new(), kind, 0, spec)
+            ..ChunkWriter::bare(Vec::new(), self.kind, 0, self.spec)
+        })
+    }
+
+    /// Writes `section` as the container's next rank section: the calling
+    /// thread's half of the section writer, called in rank order.
+    pub fn stitch(&mut self, section: EncodedSection) -> io::Result<()> {
+        let EncodedSection { bytes, mut entry } = section;
+        entry.offset += self.out.written;
+        self.out.write_all(&bytes)?;
+        self.sections.push(entry);
+        Ok(())
+    }
+
+    /// Writes `rank` as one `begin_rank` … `end_rank` section of an app
+    /// container.
+    fn app_rank(&mut self, rank: &RankTrace) -> io::Result<()> {
+        self.begin_rank(rank.rank)?;
+        for record in &rank.records {
+            self.record(record)?;
         }
+        self.end_rank()
+    }
+
+    /// Writes `rank` as one `begin_rank` … `end_rank` section of a reduced
+    /// container.
+    pub fn reduced_rank(&mut self, rank: &ReducedRankTrace) -> io::Result<()> {
+        self.begin_rank(rank.rank)?;
+        for stored in &rank.stored {
+            self.stored(stored)?;
+        }
+        for exec in &rank.execs {
+            self.exec(exec)?;
+        }
+        self.end_rank()
+    }
+}
+
+/// A worker's encoder of rank sections, each into a buffer of its own.
+/// Rank sections are position-independent (only `INDEX` holds absolute
+/// offsets), so sections encoded on any thread in any order stitch into
+/// one container ([`ChunkWriter::stitch`]).
+pub struct SectionEncoder(ChunkWriter<Vec<u8>>);
+
+/// One encoded rank section, for [`ChunkWriter::stitch`]: its bytes and
+/// its index entry, whose offset is from the section's start.
+pub struct EncodedSection {
+    bytes: Vec<u8>,
+    entry: RankSectionEntry,
+}
+
+impl SectionEncoder {
+    /// Encodes one rank section: `write` makes the section's
+    /// `begin_rank` … `end_rank` calls on the encoder's writer.
+    pub fn encode(
+        &mut self,
+        write: impl FnOnce(&mut ChunkWriter<Vec<u8>>) -> io::Result<()>,
+    ) -> io::Result<EncodedSection> {
+        let writer = &mut self.0;
+        write(writer)?;
+        // Hand back the section just closed, leaving the writer empty.
+        let misuse = ChunkWriter::<Vec<u8>>::state_error;
+        let entry = writer.sections.pop().ok_or_else(|| misuse("no section"))?;
+        if !writer.sections.is_empty() {
+            return Err(misuse("more than one section encoded at once"));
+        }
+        writer.out.written = 0;
+        let bytes = std::mem::take(&mut writer.out.inner);
+        Ok(EncodedSection { bytes, entry })
     }
 }
 
@@ -466,7 +537,9 @@ impl ChunkWriter<Vec<u8>> {
 /// `scratch` entry and the calling thread among them, then finishes it.
 /// `encode(section, scratch, index)` writes section `index` with that
 /// worker's own scratch; each finished section goes into the sink as soon
-/// as it is next in rank order.  This is the one section writer: the
+/// as it is next in rank order.  This is the section writer's two halves,
+/// [`SectionEncoder::encode`] on the workers and [`ChunkWriter::stitch`]
+/// on the calling thread, on the workspace's one ordered fan-out: the
 /// whole-trace writers below feed it from slices, and a streaming feeder
 /// reads each section's items as it claims it.
 pub fn write_sections<W: Write, S: Send>(
@@ -476,30 +549,16 @@ pub fn write_sections<W: Write, S: Send>(
     recorder: &trace_obs::Recorder,
     encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &mut S, usize) -> io::Result<()> + Sync,
 ) -> io::Result<W> {
-    let (kind, spec) = (writer.kind, writer.spec);
     let workers = scratch
         .into_iter()
-        .map(|scratch| (ChunkWriter::section(kind, spec, recorder.shard()), scratch))
+        .map(|scratch| (writer.section_encoder(recorder.shard()), scratch))
         .collect();
-    let misuse = ChunkWriter::<Vec<u8>>::state_error;
     trace_obs::ordered(
         workers,
         n,
-        |(section, scratch), index| {
-            encode(section, scratch, index)?;
-            // Hand back the section just closed, leaving the writer empty;
-            // its entry's offset is from the section's start.
-            let entry = section.sections.pop().ok_or_else(|| misuse("no section"))?;
-            section.out.written = 0;
-            Ok((std::mem::take(&mut section.out.inner), entry))
-        },
+        |(section, scratch), index| section.encode(|writer| encode(writer, scratch, index)),
         |_| io::Result::Ok(()),
-        |_, (bytes, mut entry)| {
-            entry.offset += writer.out.written;
-            writer.out.write_all(&bytes)?;
-            writer.sections.push(entry);
-            Ok(())
-        },
+        |_, section| writer.stitch(section),
     )?;
     writer.finish()
 }
@@ -535,27 +594,6 @@ fn write_slice<W: Write, R: Sync>(
     )
 }
 
-/// One `begin_rank` … `end_rank` section of an app container.
-fn app_section(writer: &mut ChunkWriter<Vec<u8>>, rank: &RankTrace) -> io::Result<()> {
-    writer.begin_rank(rank.rank)?;
-    for record in &rank.records {
-        writer.record(record)?;
-    }
-    writer.end_rank()
-}
-
-/// One `begin_rank` … `end_rank` section of a reduced container.
-fn reduced_section(writer: &mut ChunkWriter<Vec<u8>>, rank: &ReducedRankTrace) -> io::Result<()> {
-    writer.begin_rank(rank.rank)?;
-    for stored in &rank.stored {
-        writer.stored(stored)?;
-    }
-    for exec in &rank.execs {
-        writer.exec(exec)?;
-    }
-    writer.end_rank()
-}
-
 /// Writes `app` as a chunked container to `out` and returns the sink, its
 /// rank sections encoded on up to one thread per core.  Each worker records
 /// its per-chunk compression spans and chunk/codec byte counters into a
@@ -569,7 +607,13 @@ pub fn write_app_container<W: Write>(
 ) -> io::Result<W> {
     let (regions, contexts) = (app.regions.names(), app.contexts.names());
     let writer = ChunkWriter::app(out, &app.name, app.rank_count(), regions, contexts, spec)?;
-    write_slice(writer, &app.ranks, recorder, section_workers(), app_section)
+    write_slice(
+        writer,
+        &app.ranks,
+        recorder,
+        section_workers(),
+        ChunkWriter::app_rank,
+    )
 }
 
 /// Writes `reduced` as a chunked container to `out` and returns the sink,
@@ -584,7 +628,13 @@ pub fn write_reduced_container<W: Write>(
     let (name, ranks) = (&reduced.name, reduced.rank_count());
     let writer = ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)?;
     let workers = section_workers();
-    write_slice(writer, &reduced.ranks, recorder, workers, reduced_section)
+    write_slice(
+        writer,
+        &reduced.ranks,
+        recorder,
+        workers,
+        ChunkWriter::reduced_rank,
+    )
 }
 
 /// Encodes `app` as a chunked container into a byte buffer.
@@ -661,7 +711,7 @@ mod tests {
     ) -> io::Result<W> {
         let (regions, contexts) = (app.regions.names(), app.contexts.names());
         let writer = ChunkWriter::app(out, &app.name, app.rank_count(), regions, contexts, spec)?;
-        write_slice(writer, &app.ranks, recorder, workers, app_section)
+        write_slice(writer, &app.ranks, recorder, workers, ChunkWriter::app_rank)
     }
 
     /// [`write_reduced_container`] on `workers` threads.
@@ -675,7 +725,13 @@ mod tests {
         let (regions, contexts) = (reduced.regions.names(), reduced.contexts.names());
         let (name, ranks) = (&reduced.name, reduced.rank_count());
         let writer = ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)?;
-        write_slice(writer, &reduced.ranks, recorder, workers, reduced_section)
+        write_slice(
+            writer,
+            &reduced.ranks,
+            recorder,
+            workers,
+            ChunkWriter::reduced_rank,
+        )
     }
 
     /// Both codecs the CLI writes, at one segment per chunk and at the
@@ -739,7 +795,7 @@ mod tests {
             if rank.rank == app.ranks[0].rank {
                 wait_for_rank1.lock().unwrap().recv().unwrap();
             }
-            app_section(writer, rank)?;
+            writer.app_rank(rank)?;
             if rank.rank == app.ranks[1].rank {
                 rank1_done.send(()).unwrap();
             }

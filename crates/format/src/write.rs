@@ -5,14 +5,19 @@
 //! * whole-trace convenience functions ([`write_app_trace`],
 //!   [`write_reduced_trace`]) that serialize an in-memory trace to a
 //!   `String`, and their [`std::io::Write`] counterparts
-//!   ([`write_app_trace_to`], [`write_reduced_trace_to`]);
+//!   ([`write_app_trace_to`], [`write_reduced_trace_to`]).  The reduced
+//!   writer is its three parts, [`write_reduced_header`],
+//!   [`write_reduced_rank`] and [`write_trailer`], which a reduction that
+//!   writes as it goes calls a rank at a time;
 //! * an incremental [`AppTraceTextWriter`] that emits a full-trace file
 //!   record by record, so producers (e.g. the workload simulator) can
 //!   stream a trace to disk without ever holding its text in memory.
 
 use std::io::{self, Write};
 
-use trace_model::{AppTrace, CommInfo, Event, Rank, ReducedAppTrace, TraceRecord};
+use trace_model::{
+    AppTrace, CommInfo, Event, Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord,
+};
 
 /// Magic first line of a full-trace file.
 pub const APP_HEADER: &str = "TRACEFORMAT 1";
@@ -164,7 +169,7 @@ impl<W: Write> AppTraceTextWriter<W> {
             "declared {} ranks but wrote {}",
             self.declared_ranks, self.ranks_written
         );
-        writeln!(self.out, "END_TRACE")?;
+        write_trailer(&mut self.out)?;
         Ok(self.out)
     }
 }
@@ -194,10 +199,53 @@ pub fn write_app_trace(app: &AppTrace) -> String {
     String::from_utf8(bytes).expect("the text format is valid UTF-8")
 }
 
-/// Serializes a reduced application trace to the text format via `out`.
-pub fn write_reduced_trace_to<W: Write>(mut out: W, reduced: &ReducedAppTrace) -> io::Result<W> {
+/// Writes the header of a reduced-trace file (magic line, `TRACE` line,
+/// REGION/CONTEXT tables) declaring `ranks` rank sections.
+pub fn write_reduced_header<W: Write>(
+    out: &mut W,
+    app_name: &str,
+    ranks: usize,
+    regions: &[String],
+    contexts: &[String],
+) -> io::Result<()> {
     writeln!(out, "{REDUCED_HEADER}")?;
-    write_tables(
+    write_tables(out, app_name, ranks, regions, contexts)
+}
+
+/// Writes one `RANK` … `END_RANK` section of a reduced-trace file.
+/// Sections are position-independent, so each may be written into a
+/// buffer of its own and the buffers joined in rank order.
+pub fn write_reduced_rank<W: Write>(out: &mut W, rank: &ReducedRankTrace) -> io::Result<()> {
+    writeln!(out, "RANK {}", rank.rank.as_u32())?;
+    for stored in &rank.stored {
+        writeln!(
+            out,
+            "STORED {} {} {} {} {}",
+            stored.id,
+            stored.represented,
+            stored.segment.context.as_u32(),
+            stored.segment.end.as_nanos(),
+            stored.segment.events.len()
+        )?;
+        for event in &stored.segment.events {
+            write_event(out, event)?;
+        }
+    }
+    for exec in &rank.execs {
+        writeln!(out, "EXEC {} {}", exec.segment, exec.start.as_nanos())?;
+    }
+    writeln!(out, "END_RANK")
+}
+
+/// Writes the `END_TRACE` trailer that ends a trace file of either kind.
+pub fn write_trailer<W: Write>(out: &mut W) -> io::Result<()> {
+    writeln!(out, "END_TRACE")
+}
+
+/// Serializes a reduced application trace to the text format via `out`:
+/// its header, each rank's section and the trailer.
+pub fn write_reduced_trace_to<W: Write>(mut out: W, reduced: &ReducedAppTrace) -> io::Result<W> {
+    write_reduced_header(
         &mut out,
         &reduced.name,
         reduced.rank_count(),
@@ -205,27 +253,9 @@ pub fn write_reduced_trace_to<W: Write>(mut out: W, reduced: &ReducedAppTrace) -
         reduced.contexts.names(),
     )?;
     for rank in &reduced.ranks {
-        writeln!(out, "RANK {}", rank.rank.as_u32())?;
-        for stored in &rank.stored {
-            writeln!(
-                out,
-                "STORED {} {} {} {} {}",
-                stored.id,
-                stored.represented,
-                stored.segment.context.as_u32(),
-                stored.segment.end.as_nanos(),
-                stored.segment.events.len()
-            )?;
-            for event in &stored.segment.events {
-                write_event(&mut out, event)?;
-            }
-        }
-        for exec in &rank.execs {
-            writeln!(out, "EXEC {} {}", exec.segment, exec.start.as_nanos())?;
-        }
-        writeln!(out, "END_RANK")?;
+        write_reduced_rank(&mut out, rank)?;
     }
-    writeln!(out, "END_TRACE")?;
+    write_trailer(&mut out)?;
     Ok(out)
 }
 

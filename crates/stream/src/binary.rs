@@ -19,7 +19,7 @@
 //! fan-out merges the ranks and drains the counters.
 
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
@@ -31,8 +31,9 @@ use trace_model::{AppItem, AppTrace, Rank, RankTrace, TraceRecord, TraceTables};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
-use crate::reduce::StreamReduction;
-use crate::shard::{fan_out, no_second_source, reduce_sources, reduce_stream_sharded};
+use crate::reduce::{StreamReduction, StreamStats};
+use crate::shard::{fan_out, no_second_source, reduce_sources, reduce_text};
+use crate::sink::{Collect, RankSink, ReducedFormat, ReducedWriter, WrittenReduction};
 use crate::source::AppItemSource;
 
 /// [`AppItemSource`] over a chunked binary container.
@@ -99,11 +100,22 @@ pub fn reduce_container_stream<R: Read + Send>(
     reducer: &Reducer,
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
+    container_stream_into(reducer, reader, Collect::open).map(StreamReduction::collected)
+}
+
+/// [`reduce_container_stream`] into the sink `sink` opens on the header.
+fn container_stream_into<R: Read + Send, K: RankSink>(
+    reducer: &Reducer,
+    reader: R,
+    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
+) -> Result<(K, StreamStats), StreamError> {
     let mut source = ContainerSource::new(reader)?;
     let tables = source.tables()?;
     source.set_obs(reducer.recorder().shard());
-    let (header, declared_ranks) = (tables.reduced_trace(), tables.declared_ranks);
-    reduce_sources(reducer, header, source, declared_ranks, 1, no_second_source)
+    let mut sink = sink(&tables)?;
+    let n = tables.declared_ranks;
+    let stats = reduce_sources(reducer, &mut sink, source, n, 1, no_second_source)?;
+    Ok((sink, stats))
 }
 
 /// The rank sections of an app-trace container file, placed by its index
@@ -202,13 +214,24 @@ pub fn reduce_container_file(
     path: impl AsRef<Path>,
     shards: usize,
 ) -> Result<StreamReduction, StreamError> {
-    let path = path.as_ref();
+    let run = container_file_into(reducer, path.as_ref(), shards, Collect::open);
+    run.map(StreamReduction::collected)
+}
+
+/// [`reduce_container_file`] into the sink `sink` opens on the header.
+fn container_file_into<K: RankSink>(
+    reducer: &Reducer,
+    path: &Path,
+    shards: usize,
+    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
+) -> Result<(K, StreamStats), StreamError> {
     let Some(sections) = Sections::open(path, shards)? else {
-        return reduce_container_stream(reducer, BufReader::new(File::open(path)?));
+        return container_stream_into(reducer, BufReader::new(File::open(path)?), sink);
     };
-    fan_out(
+    let mut sink = sink(&sections.tables)?;
+    let stats = fan_out(
         reducer,
-        sections.tables.reduced_trace(),
+        &mut sink,
         sections.handles(path, shards)?,
         sections.len(),
         |worker, file, index| {
@@ -221,7 +244,8 @@ pub fn reduce_container_file(
             })
         },
         |_, _| Ok(()),
-    )
+    )?;
+    Ok((sink, stats))
 }
 
 /// Loads the whole app trace of a container file on `workers` workers:
@@ -343,24 +367,96 @@ pub fn reduce_any_file(
     path: impl AsRef<Path>,
     shards: usize,
 ) -> Result<(StreamReduction, TraceInputKind), StreamError> {
-    let path = path.as_ref();
+    let (run, kind) = any_file_into(reducer, path.as_ref(), shards, Collect::open)?;
+    Ok((StreamReduction::collected(run), kind))
+}
+
+/// Reduces a trace file of either format like [`reduce_any_file`], and
+/// writes the reduced trace into `out` in `format` as it goes: each rank is
+/// encoded on the worker that reduced it, and the calling thread writes
+/// the sections in rank order.  The bytes are those of storing
+/// [`reduce_any_file`]'s trace; the trace itself is never assembled.  What
+/// is wrong with the input is the error [`reduce_any_file`] gives; a
+/// failing `out` is a [`StreamError::Sink`].
+pub fn reduce_any_file_into<W: Write>(
+    reducer: &Reducer,
+    path: impl AsRef<Path>,
+    shards: usize,
+    out: W,
+    format: ReducedFormat,
+) -> Result<(WrittenReduction<W>, TraceInputKind), StreamError> {
+    let writer =
+        |tables: &TraceTables| ReducedWriter::open(out, format, tables, reducer.recorder());
+    let (run, kind) = any_file_into(reducer, path.as_ref(), shards, writer)?;
+    Ok((WrittenReduction::finished(run)?, kind))
+}
+
+/// [`reduce_any_file`] into the sink `sink` opens on the header.
+fn any_file_into<K: RankSink>(
+    reducer: &Reducer,
+    path: &Path,
+    shards: usize,
+    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
+) -> Result<((K, StreamStats), TraceInputKind), StreamError> {
     let kind = detect_input(path)?;
-    let reduction = match kind {
+    let run = match kind {
         TraceInputKind::Text => {
-            reduce_stream_sharded(reducer, shards, |_| File::open(path).map(BufReader::new))?
+            let open = || File::open(path).map(BufReader::new);
+            reduce_text(reducer, open()?, shards, |_| Ok(open()?), sink)?
         }
-        TraceInputKind::ContainerV2 => reduce_container_file(reducer, path, shards)?,
+        TraceInputKind::ContainerV2 => container_file_into(reducer, path, shards, sink)?,
     };
-    Ok((reduction, kind))
+    Ok((run, kind))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use trace_container::{encode_app_container, encode_reduced_container, ChunkSpec};
+    use trace_container::{encode_app_container, encode_reduced_container, ChunkSpec, Codec};
     use trace_reduce::Method;
     use trace_sim::{SizePreset, Workload, WorkloadKind};
+
+    #[test]
+    fn a_file_reduction_writes_the_bytes_of_storing_the_collected_trace() {
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
+        let text = temp_file("into.txt", trace_format::write_app_trace(&app).as_bytes());
+        let container = temp_file("into.trc", &encode_app_container(&app, spec));
+        for path in [&text, &container] {
+            for shards in [1, 2, 3, app.rank_count() + 3] {
+                let (collected, kind) = reduce_any_file(&reducer, path, shards).unwrap();
+                let reduced = &collected.reduced;
+                for (format, expected) in [
+                    (
+                        ReducedFormat::Container(spec),
+                        encode_reduced_container(reduced, spec),
+                    ),
+                    (
+                        ReducedFormat::Text,
+                        trace_format::write_reduced_trace(reduced).into_bytes(),
+                    ),
+                ] {
+                    let case = format!("{} {format:?} on {shards} workers", kind.label());
+                    let (written, written_kind) =
+                        reduce_any_file_into(&reducer, path, shards, Vec::new(), format).unwrap();
+                    assert_eq!(written_kind, kind, "{case}");
+                    assert!(written.out == expected, "{case}");
+                    // The sum of per-worker peaks depends on which
+                    // worker took which section.
+                    let stats = |stats| StreamStats {
+                        peak_resident_segments: 0,
+                        ..stats
+                    };
+                    assert_eq!(stats(written.stats), stats(collected.stats), "{case}");
+                }
+            }
+        }
+        for path in [&text, &container] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 
     fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
         let mut path = std::env::temp_dir();

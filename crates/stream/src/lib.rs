@@ -20,9 +20,9 @@
 //!   both formats.
 //! * [`reduce::reduce_stream`] — feeds each record straight into the
 //!   library's one record loop ([`trace_reduce::RankRecordReducer`]) as it
-//!   arrives.  Resident segment state is O(stored representatives + one
-//!   in-flight segment per active rank), never O(total events), and the
-//!   output is identical to the in-memory [`trace_reduce::Reducer`] —
+//!   arrives.  A worker holds the stored representatives of the rank it
+//!   is reducing plus one in-flight segment, never O(total events), and
+//!   the output is identical to the in-memory [`trace_reduce::Reducer`] —
 //!   both paths run that loop.
 //! * [`shard::reduce_stream_sharded`] — spreads rank sections over worker
 //!   threads, each streaming its own reader: a worker claims the next
@@ -36,18 +36,30 @@
 //!   the callers that need it all.  [`binary::reduce_any_file`]
 //!   autodetects text and container v2 inputs by magic bytes, and refuses
 //!   a retired monolithic v1 file.
+//! * [`binary::reduce_any_file_into`] / [`reduce::reduce_app_into`] —
+//!   the same reductions, of a file or of a trace already in memory
+//!   (whose ranks it reads with no copy), written as they go: each worker encodes
+//!   the rank it just reduced as a section of the output, text or
+//!   container, and the calling thread writes the sections in rank order,
+//!   then the index and trailer.  The reduced trace is never assembled:
+//!   each worker holds one rank's reduced state, and the execution log is
+//!   written as it goes.  Sections finished ahead of the next one the file
+//!   takes wait encoded — past a slower worker's rank, or while the
+//!   calling thread reduces a rank of its own — so a rank that dwarfs the
+//!   rest can hold most of the encoded output back until it is done.
 //! * [`convert::convert_text`] / [`convert::convert_container`] — the
 //!   write direction: a trace re-encoded as a container a rank at a time,
 //!   through the container's one section writer, reading rank k + 1 while
 //!   rank k encodes; never the whole trace resident.
 //!
-//! One rule covers all five drivers: each is a function of a
+//! One rule covers every driver: each is a function of a
 //! [`trace_reduce::Reducer`] — method, candidate search and recorder
-//! together — a source, and (where it shards) a worker count.  They share
-//! the workspace's one ordered fan-out, [`trace_obs::ordered()`]: the calling
-//! thread is a worker too, appends each reduced rank as soon as it is next
-//! in stream order, and drains the merged [`StreamStats`] into the
-//! reducer's recorder exactly once.  The sequential entry points are its
+//! together — a source, (where it shards) a worker count and a sink for
+//! the reduced ranks.  They share the workspace's one ordered fan-out,
+//! [`trace_obs::ordered()`]: the calling thread is a worker too, takes
+//! each reduced rank as soon as it is next in stream order — into the
+//! collected trace, or into the output file — and drains the merged
+//! [`StreamStats`] into the reducer's recorder exactly once.  The sequential entry points are its
 //! one-worker case, which decodes ahead on one more thread
 //! ([`trace_obs::beside()`]): the source parses the next batch of records
 //! while the calling thread segments and matches the last.  A panicking
@@ -88,15 +100,17 @@ pub mod error;
 pub mod parser;
 pub mod reduce;
 pub mod shard;
+mod sink;
 pub mod source;
 
 pub use binary::{
-    detect_input, load_container_file, reduce_any_file, reduce_container_file,
-    reduce_container_stream, ContainerSource, TraceInputKind,
+    detect_input, load_container_file, reduce_any_file, reduce_any_file_into,
+    reduce_container_file, reduce_container_stream, ContainerSource, TraceInputKind,
 };
 pub use convert::{convert_container, convert_text};
 pub use error::StreamError;
 pub use parser::{AppItem, StreamParser};
-pub use reduce::{reduce_stream, StreamReduction, StreamStats};
+pub use reduce::{reduce_app_into, reduce_stream, StreamReduction, StreamStats};
 pub use shard::reduce_stream_sharded;
+pub use sink::{ReducedFormat, WrittenReduction};
 pub use source::AppItemSource;

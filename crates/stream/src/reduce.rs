@@ -2,21 +2,23 @@
 //!
 //! The reducer consumes [`AppItemSource`] items and feeds each record
 //! straight into the library's one record loop
-//! ([`trace_reduce::RankRecordReducer`]) as it arrives.  At any instant the
-//! resident segment state is the stored representatives accumulated so far
-//! plus at most one in-flight segment per active rank — never the full
-//! event stream.  [`StreamStats::peak_resident_segments`] instruments
-//! exactly that quantity so tests can assert the bound.
+//! ([`trace_reduce::RankRecordReducer`]) as it arrives.  At any instant a
+//! worker holds the stored representatives of the one rank it is reducing
+//! plus at most one in-flight segment — never the full event stream, and
+//! never the ranks it has already reduced, which leave with their section.
+//! [`StreamStats::peak_resident_segments`] instruments exactly that
+//! quantity so tests can assert the bound.
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 
-use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace};
+use trace_model::{AppTrace, Rank, ReducedAppTrace, ReducedRankTrace, TraceTables};
 use trace_reduce::{MatchScratch, MatchStats, RankRecordReducer, Reducer};
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::shard::{no_second_source, reduce_text};
-use crate::source::AppItemSource;
+use crate::shard::{no_second_source, reduce_on_workers, reduce_text};
+use crate::sink::{Collect, ReducedFormat, ReducedWriter, WrittenReduction};
+use crate::source::{AppItemSource, AppTraceSource};
 
 /// Instrumentation counters from one streaming reduction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -31,14 +33,20 @@ pub struct StreamStats {
     pub stored: usize,
     /// Segment executions in the output.
     pub execs: usize,
-    /// Peak number of segments resident at once: stored representatives
-    /// accumulated so far plus in-flight segments.  The streaming guarantee
-    /// is `peak_resident_segments ≤ total stored + workers`, however long
-    /// the trace is.  For sharded runs this is the *sum* of the per-worker
-    /// peaks — an upper bound on the true concurrent total, since workers
-    /// generally peak at different moments — and, as workers claim rank
-    /// sections as they fall free, it depends on which worker reduced which
-    /// section; the bound holds whatever the assignment.
+    /// Possible matches in the output, summed over its ranks
+    /// ([`trace_model::ReducedRankTrace::possible_match_count`]): the
+    /// denominator of [`StreamStats::degree_of_matching`].
+    pub possible_matches: usize,
+    /// Peak number of segments a worker held at once: the stored
+    /// representatives of the rank it was reducing plus the segment in
+    /// flight.  A reduced rank leaves the worker with its section, so the
+    /// streaming guarantee is `peak_resident_segments ≤ workers × (the most
+    /// stored in one rank + 1)`, however long the trace is.  For sharded
+    /// runs this is the *sum* of the per-worker peaks — an upper bound on
+    /// the true concurrent total, since workers generally peak at different
+    /// moments — and, as workers claim rank sections as they fall free, it
+    /// depends on which worker reduced which section; the bound holds
+    /// whatever the assignment.
     pub peak_resident_segments: usize,
     /// Events encountered outside any segment (dropped).
     pub orphan_events: usize,
@@ -73,11 +81,25 @@ impl StreamStats {
         self.segments += other.segments;
         self.stored += other.stored;
         self.execs += other.execs;
+        self.possible_matches += other.possible_matches;
         self.peak_resident_segments += other.peak_resident_segments;
         self.orphan_events += other.orphan_events;
         self.unterminated_segments += other.unterminated_segments;
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(other.peak_chunk_bytes);
         self.matching.absorb(&other.matching);
+    }
+
+    /// The output's degree of matching, matches over possible matches
+    /// (Section 4.3.2), from the per-rank totals: the value
+    /// [`trace_model::ReducedAppTrace::degree_of_matching`] reads off the
+    /// assembled trace.  Every execution either stored its segment or
+    /// matched, so the matches are the executions less the stored.
+    pub fn degree_of_matching(&self) -> f64 {
+        if self.possible_matches == 0 {
+            1.0
+        } else {
+            self.execs.saturating_sub(self.stored) as f64 / self.possible_matches as f64
+        }
     }
 
     /// Drains these counters into an observability shard under the
@@ -119,16 +141,8 @@ pub struct StreamReduction {
 }
 
 impl StreamReduction {
-    /// Completes `stats` with the output's stored and execution totals and
-    /// drains them into the reducer's recorder, once per run.
-    pub(crate) fn drained(
-        reducer: &Reducer,
-        reduced: ReducedAppTrace,
-        mut stats: StreamStats,
-    ) -> Self {
-        stats.stored = reduced.total_stored();
-        stats.execs = reduced.total_execs();
-        stats.record_into(&mut reducer.recorder().shard());
+    /// The outcome of a run into a [`Collect`] sink.
+    pub(crate) fn collected((Collect(reduced), stats): (Collect, StreamStats)) -> Self {
         StreamReduction { reduced, stats }
     }
 }
@@ -154,9 +168,6 @@ pub(crate) struct RankWorker {
     scratch: MatchScratch,
     pub(crate) obs: trace_obs::ObsShard,
     pub(crate) stats: StreamStats,
-    /// Stored representatives of the ranks this worker already reduced;
-    /// the output keeps them, so they count toward resident state.
-    stored_retained: usize,
 }
 
 impl RankWorker {
@@ -181,7 +192,6 @@ impl RankWorker {
             scratch,
             obs,
             stats,
-            stored_retained,
         } = self;
         // The rank start is read by the same loop as the records: reading
         // it on its own first measured 7 % slower on a text stream.
@@ -210,7 +220,7 @@ impl RankWorker {
                     let Some((rank, span)) = active.take() else {
                         return Err(StreamError::Protocol("a rank end outside a rank section"));
                     };
-                    let peak = *stored_retained + rank.peak_resident_segments();
+                    let peak = rank.peak_resident_segments();
                     stats.peak_resident_segments = stats.peak_resident_segments.max(peak);
                     let reduction = rank.finish(scratch, obs);
                     let seg_stats = reduction.segmentation;
@@ -219,8 +229,12 @@ impl RankWorker {
                     stats.orphan_events += seg_stats.orphan_events;
                     stats.unterminated_segments += seg_stats.unterminated_segments;
                     stats.matching.absorb(&reduction.matching);
-                    // The rank's peak counted every segment it stored.
-                    *stored_retained += reduction.reduced.stored_count();
+                    // The output's totals, counted while the rank is here:
+                    // it leaves with its section.
+                    let reduced = &reduction.reduced;
+                    stats.stored += reduced.stored_count();
+                    stats.execs += reduced.exec_count();
+                    stats.possible_matches += reduced.possible_match_count();
                     stats.ranks += 1;
                     obs.end(trace_obs::Stage::Rank, span);
                     return Ok(reduction.reduced);
@@ -246,17 +260,84 @@ pub fn reduce_stream<R: BufRead + Send>(
     reducer: &Reducer,
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
-    reduce_text(reducer, reader, 1, no_second_source)
+    let run = reduce_text(reducer, reader, 1, no_second_source, Collect::open);
+    run.map(StreamReduction::collected)
+}
+
+/// Reduces `app`, a trace already in memory, on up to `workers` workers
+/// (0 is treated as 1), and writes the reduced trace into `out` in
+/// `format` as it goes, like [`crate::reduce_any_file_into`]: each worker
+/// reads the ranks it claims straight from `app`, a
+/// whole rank's records at a time with no copy, and encodes each rank it
+/// reduces.  The bytes are those of storing
+/// [`trace_reduce::reduce_app_parallel`]'s trace, which is never
+/// assembled.
+pub fn reduce_app_into<W: Write>(
+    reducer: &Reducer,
+    app: &AppTrace,
+    workers: usize,
+    out: W,
+    format: ReducedFormat,
+) -> Result<WrittenReduction<W>, StreamError> {
+    let tables = TraceTables {
+        name: app.name.clone(),
+        declared_ranks: app.rank_count(),
+        regions: app.regions.clone(),
+        contexts: app.contexts.clone(),
+    };
+    let mut sink = ReducedWriter::open(out, format, &tables, reducer.recorder())?;
+    let n = app.rank_count();
+    let source = AppTraceSource::new(app);
+    // The records are in memory already: no worker decodes ahead.
+    let open = |_| Ok(AppTraceSource::new(app));
+    let stats = reduce_on_workers(reducer, &mut sink, source, n, workers, open)?;
+    WrittenReduction::finished((sink, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use trace_format::write_app_trace;
+    use trace_container::{encode_reduced_container, ChunkSpec, Codec};
+    use trace_format::{write_app_trace, write_reduced_trace};
     use trace_model::TraceRecord;
-    use trace_reduce::Method;
+    use trace_reduce::{reduce_app_parallel, Method};
     use trace_sim::{SizePreset, Workload, WorkloadKind};
+
+    #[test]
+    fn an_in_memory_reduction_writes_the_bytes_of_storing_the_collected_trace() {
+        // Every tiny workload, both output formats, one worker, two, three
+        // and more workers than ranks: the bytes, the totals and the
+        // degree of matching are those of the trace `reduce_app_parallel`
+        // assembles.
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
+        for workload in Workload::all(SizePreset::Tiny) {
+            let app = workload.generate();
+            let reduced = reduce_app_parallel(&reducer, &app, 2);
+            let container = encode_reduced_container(&reduced, spec);
+            let text = write_reduced_trace(&reduced).into_bytes();
+            let formats = [
+                (ReducedFormat::Container(spec), container),
+                (ReducedFormat::Text, text),
+            ];
+            for workers in [1, 2, 3, app.rank_count() + 3] {
+                for (format, expected) in &formats {
+                    let case = format!("{} {format:?} on {workers} workers", workload.name());
+                    let written =
+                        reduce_app_into(&reducer, &app, workers, Vec::new(), *format).unwrap();
+                    assert!(written.out == *expected, "{case}");
+                    assert_eq!(written.name, reduced.name, "{case}");
+                    let stats = written.stats;
+                    assert_eq!(stats.ranks, reduced.rank_count(), "{case}");
+                    assert_eq!(stats.stored, reduced.total_stored(), "{case}");
+                    assert_eq!(stats.execs, reduced.total_execs(), "{case}");
+                    let degree = reduced.degree_of_matching();
+                    assert_eq!(stats.degree_of_matching(), degree, "{case}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn streamed_reduction_equals_in_memory_reduction_for_every_method() {
@@ -336,8 +417,10 @@ mod tests {
         // Two declared rank sections, on one worker.
         let reduce = |items: Vec<AppItem>| {
             let fake = Fake(items.into_iter());
-            let header = ReducedAppTrace::default();
-            crate::shard::reduce_sources(&reducer, header, fake, 2, 1, no_second_source)
+            let mut sink = Collect(ReducedAppTrace::default());
+            let stats =
+                crate::shard::reduce_sources(&reducer, &mut sink, fake, 2, 1, no_second_source)?;
+            Ok::<_, StreamError>(StreamReduction::collected((sink, stats)))
         };
         for (items, message) in [
             (

@@ -19,47 +19,50 @@
 use std::io::{self, BufRead};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 
-use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord};
+use trace_model::{Rank, ReducedRankTrace, TraceRecord, TraceTables};
 use trace_obs::{names, ObsShard};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::parser::{AppItem, StreamParser};
 use crate::reduce::{next_section, RankWorker, StreamReduction, StreamStats};
+use crate::sink::{Collect, RankSink};
 use crate::source::AppItemSource;
 
-/// Reduces `n` rank sections on one worker per input: `reduce` reduces
-/// the section it is given, `finish` runs after a worker's last claim.
-pub(crate) fn fan_out<I: Send>(
+/// Reduces `n` rank sections on one worker per input into `sink`:
+/// `reduce` reduces the section it is given, the worker encodes it for the
+/// sink, and the calling thread stitches it in rank order; `finish` runs
+/// after a worker's last claim.  Returns the merged counters, drained into
+/// the reducer's recorder once.
+pub(crate) fn fan_out<I: Send, K: RankSink>(
     reducer: &Reducer,
-    header: ReducedAppTrace,
+    sink: &mut K,
     inputs: Vec<I>,
     n: usize,
     reduce: impl Fn(&mut RankWorker, &mut I, usize) -> Result<ReducedRankTrace, StreamError> + Sync,
     finish: impl Fn(&mut RankWorker, &mut I) -> Result<(), StreamError> + Sync,
-) -> Result<StreamReduction, StreamError> {
+) -> Result<StreamStats, StreamError> {
+    let recorder = reducer.recorder();
     let worker = |input| {
         let mut worker = RankWorker::default();
-        worker.obs = reducer.recorder().shard();
-        (worker, input)
+        worker.obs = recorder.shard();
+        (worker, sink.encoder(recorder), input)
     };
-    let mut reduced = header;
+    let workers = inputs.into_iter().map(worker).collect();
     let workers = trace_obs::ordered(
-        inputs.into_iter().map(worker).collect(),
+        workers,
         n,
-        |(worker, input), index| reduce(worker, input, index),
-        |(worker, input)| finish(worker, input),
-        |_, rank| {
-            reduced.ranks.push(rank);
-            Ok(())
-        },
+        |(worker, encoder, input), index| K::encode(encoder, reduce(worker, input, index)?),
+        |(worker, _, input)| finish(worker, input),
+        |_, section| sink.stitch(section),
     )?;
     let mut stats = StreamStats::default();
-    for (worker, _) in workers {
+    for (worker, _, _) in workers {
         stats.absorb(&worker.stats);
         worker.obs.finish();
     }
-    Ok(StreamReduction::drained(reducer, reduced, stats))
+    stats.record_into(&mut recorder.shard());
+    Ok(stats)
 }
 
 /// The `open` of a one-worker run, whose one source is already open.
@@ -69,42 +72,42 @@ pub(crate) fn no_second_source<S>(_: usize) -> Result<S, StreamError> {
     ))
 }
 
-/// Reduces the `n` declared rank sections of a stream on up to `workers`
-/// workers, each reading its own copy front to back: `first` for worker 0,
-/// `open(worker)`, on first use, for the others.  One worker reads `first`
-/// decoded ahead on a second thread.
-pub(crate) fn reduce_sources<S: AppItemSource + Send>(
+/// Reduces the `n` declared rank sections of a stream into `sink` on up to
+/// `workers` workers, each reading its own copy front to back: `first` for
+/// worker 0, `open(worker)`, on first use, for the others.  One worker
+/// reads `first` decoded ahead on a second thread.
+pub(crate) fn reduce_sources<S: AppItemSource + Send, K: RankSink>(
     reducer: &Reducer,
-    header: ReducedAppTrace,
+    sink: &mut K,
     first: S,
     n: usize,
     workers: usize,
     open: impl Fn(usize) -> Result<S, StreamError> + Sync,
-) -> Result<StreamReduction, StreamError> {
+) -> Result<StreamStats, StreamError> {
     if workers.clamp(1, n.max(1)) > 1 {
-        return reduce_on_workers(reducer, header, first, n, workers, open);
+        return reduce_on_workers(reducer, sink, first, n, workers, open);
     }
     let decoded = decode_ahead(first, n, reducer.recorder().shard(), |ahead| {
-        reduce_on_workers(reducer, header, ahead, n, 1, no_second_source)
+        reduce_on_workers(reducer, sink, ahead, n, 1, no_second_source)
     });
-    decoded.map(|(_, reduction)| reduction)
+    decoded.map(|(_, stats)| stats)
 }
 
 /// [`reduce_sources`] with every source read where its worker runs.
-fn reduce_on_workers<S: AppItemSource + Send>(
+pub(crate) fn reduce_on_workers<S: AppItemSource + Send, K: RankSink>(
     reducer: &Reducer,
-    header: ReducedAppTrace,
+    sink: &mut K,
     first: S,
     n: usize,
     workers: usize,
     open: impl Fn(usize) -> Result<S, StreamError> + Sync,
-) -> Result<StreamReduction, StreamError> {
+) -> Result<StreamStats, StreamError> {
     // Per worker: its source, its index and the sections it has passed.
     let mut first = Some(first);
     let cursors = (0..workers.clamp(1, n.max(1))).map(|worker| (first.take(), worker, 0));
     fan_out(
         reducer,
-        header,
+        sink,
         cursors.collect(),
         n,
         |worker, (source, id, passed), index| {
@@ -300,28 +303,29 @@ impl AppItemSource for DecodedAhead<'_> {
     }
 }
 
-/// Reduces a text trace on up to `workers` workers: worker 0 reads `first`
-/// (whose header declares the rank count), the others `open(worker)`.
-/// Every worker's parser records its batches as `parse` spans.
-pub(crate) fn reduce_text<R: BufRead + Send>(
+/// Reduces a text trace into the sink `sink` opens on its header, on up
+/// to `workers` workers: worker 0 reads `first` (whose header declares the
+/// rank count), the others `open(worker)`.  Every worker's parser records
+/// its batches as `parse` spans.
+pub(crate) fn reduce_text<R: BufRead + Send, K: RankSink>(
     reducer: &Reducer,
     first: R,
     workers: usize,
     open: impl Fn(usize) -> Result<R, StreamError> + Sync,
-) -> Result<StreamReduction, StreamError> {
+    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
+) -> Result<(K, StreamStats), StreamError> {
     let parser = |reader| -> Result<_, StreamError> {
         let mut parser = StreamParser::new(reader)?;
         parser.set_obs(reducer.recorder().shard());
         Ok(parser)
     };
     let first = parser(first)?;
-    let (header, n) = (
-        first.tables().reduced_trace(),
-        first.tables().declared_ranks,
-    );
-    reduce_sources(reducer, header, first, n, workers, |worker| {
+    let mut sink = sink(first.tables())?;
+    let n = first.tables().declared_ranks;
+    let stats = reduce_sources(reducer, &mut sink, first, n, workers, |worker| {
         parser(open(worker)?)
-    })
+    })?;
+    Ok((sink, stats))
 }
 
 /// Reduces a trace stream with `shards` worker threads (0 is treated as
@@ -338,7 +342,9 @@ where
     R: BufRead + Send,
     F: Fn(usize) -> io::Result<R> + Sync,
 {
-    reduce_text(reducer, open(0)?, shards, |worker| Ok(open(worker)?))
+    let open_more = |worker| Ok(open(worker)?);
+    let run = reduce_text(reducer, open(0)?, shards, open_more, Collect::open);
+    run.map(StreamReduction::collected)
 }
 
 #[cfg(test)]
@@ -347,6 +353,7 @@ mod tests {
     use crate::parser::BATCH_RECORDS;
     use std::io::{Cursor, Read};
     use trace_format::write_app_trace;
+    use trace_model::ReducedAppTrace;
     use trace_reduce::Method;
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -477,8 +484,8 @@ mod tests {
         // the endless source leaves to the reducer's hanging up.
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
         let source = BreaksProtocol::new(10 * BATCH_RECORDS);
-        let header = ReducedAppTrace::default();
-        let err = reduce_sources(&reducer, header, source, 1, 1, no_second_source).unwrap_err();
+        let mut sink = Collect(ReducedAppTrace::default());
+        let err = reduce_sources(&reducer, &mut sink, source, 1, 1, no_second_source).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -503,12 +510,12 @@ mod tests {
         text.push_str("END_RANK\nEND_TRACE\n");
         let parser = StreamParser::new(Cursor::new(text.as_bytes())).unwrap();
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
-        let header = ReducedAppTrace::default();
-        let (allocated, reduction) = decode_ahead(parser, 1, ObsShard::disabled(), |ahead| {
-            reduce_on_workers(&reducer, header, ahead, 1, 1, no_second_source)
+        let mut sink = Collect(ReducedAppTrace::default());
+        let (allocated, stats) = decode_ahead(parser, 1, ObsShard::disabled(), |ahead| {
+            reduce_on_workers(&reducer, &mut sink, ahead, 1, 1, no_second_source)
         })
         .unwrap();
-        assert_eq!(reduction.stats.segments, records / 2);
+        assert_eq!(stats.segments, records / 2);
         assert!((1..=2).contains(&allocated), "{allocated} buffers");
     }
 
