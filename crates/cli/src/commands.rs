@@ -12,7 +12,7 @@ use trace_container::{section_workers, ChunkSpec, Codec};
 
 use crate::cli::{check_flags, Invocation};
 use crate::io::{
-    convert_app_trace, load_app_trace, load_reduced_trace, reduce_into_file, store_app_trace,
+    convert_app_trace, load_app_trace, load_reduced_trace, store_app_trace, stream_into_file,
     write_file_atomic,
 };
 
@@ -336,7 +336,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
         // One bounded-memory pass over the file: text and chunked container
         // v2 inputs are autodetected by magic bytes.
         let ((name, stats, kind), written) =
-            reduce_into_file(input, out, spec, &recorder, |sink, format| {
+            stream_into_file(input, out, spec, &recorder, |sink, format| {
                 let (run, kind) =
                     trace_stream::reduce_any_file_into(&reducer, input, shards, sink, format)?;
                 Ok((run.name, run.stats, kind))
@@ -372,7 +372,7 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     } else {
         // The in-memory path: the only one that holds the full trace.
         let app = load_app_trace(input, shards, &recorder)?;
-        let (stats, written) = reduce_into_file(input, out, spec, &recorder, |sink, format| {
+        let (stats, written) = stream_into_file(input, out, spec, &recorder, |sink, format| {
             let run = trace_stream::reduce_app_into(&reducer, &app, shards, sink, format)?;
             Ok(run.stats)
         })?;

@@ -7,9 +7,9 @@
 //! with `--codec none`).  A retired monolithic v1 file is refused by the
 //! container's readers with one typed error; its length survives only as
 //! the yardstick of the paper's file-size criterion (`trace_model::codec`).
-//! [`convert_app_trace`] streams a text or v2 input into a v2 container
-//! without loading it, and [`reduce_into_file`] writes a reduction's
-//! output as the reduction goes.
+//! [`convert_app_trace`] streams a text or v2 input into either format
+//! without loading it, and [`stream_into_file`] writes a reduction's or a
+//! conversion's output as it goes.
 
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -21,8 +21,7 @@ use trace_container::{
 use trace_format::{read_app_trace, read_reduced_trace, write_app_trace};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_stream::{
-    convert_container, convert_text, detect_input, load_container_file, ReducedFormat, StreamError,
-    TraceInputKind,
+    convert_container, convert_text, load_container_file, OutputFormat, StreamError,
 };
 
 /// True if the path should use the text format.
@@ -172,33 +171,33 @@ pub fn store_app_trace(
     })
 }
 
-/// Reduces into `path` atomically: `reduce` writes the reduced trace into
-/// the sink it is given, in the format the path's extension names (text,
-/// or a v2 container under `spec`), as the reduction goes.  What is wrong
-/// with `input` reads `<input>: <error>`, however far the output got; a
-/// failing sink reads as a failed write; either way no partial output is
-/// left.  The writer records each section it writes, and the index and
-/// trailer, as [`trace_obs::Stage::Store`] spans; the flush and rename
-/// here are one more.  Returns what `reduce` returned and the number of
-/// bytes written.
-pub fn reduce_into_file<T>(
+/// Streams a trace read from `input` into `path` atomically: `stream`
+/// writes it into the sink it is given, in the format the path's extension
+/// names (text, or a v2 container under `spec`), as it goes — a reduction
+/// or a conversion.  What is wrong with `input` reads as it does from
+/// [`load_app_trace`], however far the output got; a failing sink reads as
+/// a failed write; either way no partial output is left.  The writer
+/// records each section it writes, and the index and trailer, as
+/// [`trace_obs::Stage::Store`] spans; the flush and rename here are one
+/// more.  Returns what `stream` returned and the number of bytes written.
+pub fn stream_into_file<T>(
     input: &Path,
     path: &Path,
     spec: ChunkSpec,
     recorder: &trace_obs::Recorder,
-    reduce: impl FnOnce(&mut dyn Write, ReducedFormat) -> Result<T, StreamError>,
+    stream: impl FnOnce(&mut dyn Write, OutputFormat) -> Result<T, StreamError>,
 ) -> Result<(T, usize), String> {
     let format = if is_text_path(path) {
-        ReducedFormat::Text
+        OutputFormat::Text
     } else {
-        ReducedFormat::Container(spec)
+        OutputFormat::Container(spec)
     };
     let mut obs = recorder.shard();
-    let (mut failed_input, mut reduced, mut written, mut tail) = (None, None, 0, None);
+    let (mut failed_input, mut streamed, mut written, mut tail) = (None, None, 0, None);
     let stored = write_file_atomic(path, |file| {
         let mut out = Counted(BufWriter::new(file), 0);
-        match reduce(&mut out, format) {
-            Ok(value) => reduced = Some(value),
+        match stream(&mut out, format) {
+            Ok(value) => streamed = Some(value),
             Err(StreamError::Sink(e)) => return Err(e),
             Err(e) => return Err(io::Error::other(failed_input.insert(e).to_string())),
         }
@@ -208,56 +207,37 @@ pub fn reduce_into_file<T>(
         Ok(())
     });
     if let Some(e) = failed_input {
-        return Err(format!("{}: {e}", input.display()));
+        return Err(input_error(input, e));
     }
     stored?;
     if let Some(tail) = tail {
         obs.end(trace_obs::Stage::Store, tail);
     }
-    let reduced = reduced.ok_or("the reduction returned nothing")?;
-    Ok((reduced, written))
+    let streamed = streamed.ok_or("the stream returned nothing")?;
+    Ok((streamed, written))
 }
 
-/// Converts the full trace at `input` to `path`.  A text input (by
-/// extension) or a v2 container bound for a container streams: the trace
-/// is read one rank at a time while its sections encode, under one
-/// [`trace_obs::Stage::Store`] span.  A text output loads the whole trace
-/// and stores it.  An input error reads as it does from
-/// [`load_app_trace`], however far the output got; either way no partial
-/// output is left.  Returns the number of bytes written.
+/// Converts the full trace at `input` (text by extension, otherwise a v2
+/// container) to `path`, in the format its extension names, through
+/// [`stream_into_file`]: a rank section at a time on one worker per core,
+/// never the whole trace resident.  Returns the number of bytes written.
 pub fn convert_app_trace(
     input: &Path,
     path: &Path,
     spec: ChunkSpec,
     recorder: &trace_obs::Recorder,
 ) -> Result<usize, String> {
-    let text = is_text_path(input);
-    // An input whose magic cannot be read or is refused takes the load path,
-    // which reports why.
-    let streams = !is_text_path(path)
-        && (text || matches!(detect_input(input), Ok(TraceInputKind::ContainerV2)));
-    if !streams {
-        let app = load_app_trace(input, section_workers(), recorder)?;
-        return store_app_trace(path, &app, spec, recorder);
-    }
-    let file = fs::File::open(input).map_err(|e| input_error(input, e.into()))?;
-    let mut failed_input = None;
-    let written = store(path, recorder, |out| {
-        let reader = BufReader::new(file);
-        let converted = if text {
-            convert_text(reader, out, spec, recorder, section_workers()).map(drop)
+    let workers = section_workers();
+    let ((), written) = stream_into_file(input, path, spec, recorder, |out, format| {
+        let converted = if is_text_path(input) {
+            let open = |_| fs::File::open(input).map(BufReader::new);
+            convert_text(open, out, format, recorder, workers)
         } else {
-            convert_container(reader, out, spec, recorder, section_workers()).map(drop)
+            convert_container(input, out, format, recorder, workers)
         };
-        converted.map_err(|e| match e {
-            StreamError::Sink(e) => e,
-            e => io::Error::other(failed_input.insert(e).to_string()),
-        })
-    });
-    match failed_input {
-        Some(e) => Err(input_error(input, e)),
-        None => written,
-    }
+        converted.map(drop)
+    })?;
+    Ok(written)
 }
 
 #[cfg(test)]
@@ -335,7 +315,7 @@ mod tests {
             ("reduced_roundtrip.txt", dlz),
         ] {
             let path = temp_path(name);
-            let (stats, written) = reduce_into_file(&path, &path, spec, &off(), |out, format| {
+            let (stats, written) = stream_into_file(&path, &path, spec, &off(), |out, format| {
                 let written = trace_stream::reduce_app_into(&reducer, &app, 2, out, format)?;
                 Ok(written.stats)
             })

@@ -1,10 +1,11 @@
 //! Flat memory for `convert` and `reduce --stream`: a streamed conversion
-//! holds a few ranks' records and sections, not the trace, and a streamed
-//! reduction holds one rank's reduced state per worker and writes each
-//! rank's section as it finishes, never the execution log of the trace.
-//! So the peak resident set of either hardly grows with trace length.  Only
-//! the command may count, so the test re-executes its own binary as a child
-//! that runs it on one file and prints its `VmHWM`.
+//! holds a few ranks' sections, not the trace, whatever the input and
+//! output formats, and a streamed reduction holds one rank's reduced state
+//! per worker and writes each rank's section as it finishes, never the
+//! execution log of the trace.  So the peak resident set of either hardly
+//! grows with trace length.  Only the command may count, so the test
+//! re-executes its own binary as a child that runs it on one file and
+//! prints its `VmHWM`.
 #![cfg(target_os = "linux")]
 
 use std::fs::File;
@@ -16,11 +17,10 @@ use trace_container::{ChunkSpec, Codec};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_tools::{run, Invocation};
 
-/// The input and output of the child of the process `parent`.
-fn child_files(parent: u32) -> (PathBuf, PathBuf) {
-    let file =
-        |suffix: &str| std::env::temp_dir().join(format!("trace_tools_flat_{parent}.{suffix}"));
-    (file("txt"), file("trc"))
+/// The file naming the input and output of the conversion the child of
+/// the process `parent` runs.
+fn convert_job(parent: u32) -> PathBuf {
+    std::env::temp_dir().join(format!("trace_tools_flat_{parent}.job"))
 }
 
 /// `VmHWM` of this process, in KiB.
@@ -36,14 +36,17 @@ fn vm_hwm_kb() -> u64 {
 #[test]
 #[ignore = "the child of convert_peak_memory_is_flat_in_trace_length"]
 fn convert_child() {
-    let (input, output) = child_files(std::os::unix::process::parent_id());
-    if !input.exists() {
+    let Ok(job) = std::fs::read_to_string(convert_job(std::os::unix::process::parent_id())) else {
         return;
-    }
-    let path = |p: &PathBuf| p.to_str().unwrap().to_string();
-    let args = [("in", path(&input)), ("out", path(&output))];
-    let args: Vec<_> = args.iter().map(|(k, v)| (*k, v.as_str())).collect();
-    run(&Invocation::new("convert", &args)).unwrap();
+    };
+    let [input, output] = *job.lines().collect::<Vec<_>>() else {
+        panic!("a job is an input and an output: {job:?}");
+    };
+    run(&Invocation::new(
+        "convert",
+        &[("in", input), ("out", output)],
+    ))
+    .unwrap();
     println!("VmHWM_KB {}", vm_hwm_kb());
 }
 
@@ -64,34 +67,60 @@ fn child_peak_kb(child: &str) -> u64 {
         .unwrap()
 }
 
-/// Peak resident set of a child converting the trace replayed `repeats`
-/// times to a `delta-lz` container, in KiB.
-fn convert_peak_kb(workload: &Workload, repeats: usize) -> u64 {
-    let (input, output) = child_files(std::process::id());
-    let file = BufWriter::new(File::create(&input).unwrap());
-    workload
-        .write_text_amplified_to(file, repeats)
-        .unwrap()
-        .flush()
-        .unwrap();
+/// Peak resident set of a child converting `input` to `output`, in KiB.
+fn convert_peak_kb(input: &Path, output: &Path) -> u64 {
+    let job = convert_job(std::process::id());
+    let lines = [input, output].map(|path| path.to_str().unwrap().to_string());
+    std::fs::write(&job, format!("{}\n{}\n", lines[0], lines[1])).unwrap();
     let peak = child_peak_kb("convert_child");
-    let _ = std::fs::remove_file(&input);
-    let _ = std::fs::remove_file(&output);
+    let _ = std::fs::remove_file(&job);
+    let _ = std::fs::remove_file(output);
     peak
 }
 
 #[test]
 fn convert_peak_memory_is_flat_in_trace_length() {
+    // Text to a container, text to text and a container to a container,
+    // each replayed once and eight times.  A conversion that loads the
+    // trace holds every record, and a text output its whole text besides.
     let workload = Workload::new(
         WorkloadKind::by_name("1toN_1024").unwrap(),
         SizePreset::Small,
     );
-    let once = convert_peak_kb(&workload, 1);
-    let eight = convert_peak_kb(&workload, 8);
-    assert!(
-        eight * 4 < once * 5,
-        "peak {once} KiB at x1, {eight} KiB at x8"
-    );
+    let file = |repeats: usize, extension: &str| {
+        let name = format!(
+            "trace_tools_flat_{}_x{repeats}.{extension}",
+            std::process::id()
+        );
+        std::env::temp_dir().join(name)
+    };
+    let spec = ChunkSpec::with_codec(Codec::DeltaLz);
+    for repeats in [1, 8] {
+        let out = BufWriter::new(File::create(file(repeats, "txt")).unwrap());
+        let written = workload.write_text_amplified_to(out, repeats);
+        written.unwrap().flush().unwrap();
+        let out = BufWriter::new(File::create(file(repeats, "trc")).unwrap());
+        let written = workload.write_container_amplified_to(out, repeats, spec);
+        written.unwrap().flush().unwrap();
+    }
+    let mut grew = Vec::new();
+    for (from, to) in [("txt", "trc"), ("txt", "txt"), ("trc", "trc")] {
+        let peak = |repeats| {
+            let output = file(repeats, &format!("out.{to}"));
+            convert_peak_kb(&file(repeats, from), &output)
+        };
+        let (once, eight) = (peak(1), peak(8));
+        if eight * 4 >= once * 5 {
+            grew.push(format!(
+                "{from} -> {to}: peak {once} KiB at x1, {eight} KiB at x8"
+            ));
+        }
+    }
+    for repeats in [1, 8] {
+        let _ = std::fs::remove_file(file(repeats, "txt"));
+        let _ = std::fs::remove_file(file(repeats, "trc"));
+    }
+    assert!(grew.is_empty(), "{}", grew.join("\n"));
 }
 
 /// The file naming the input, output and worker count of the reduction

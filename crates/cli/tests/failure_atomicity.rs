@@ -22,7 +22,7 @@ use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{
     convert_container, convert_text, reduce_any_file, reduce_any_file_into, reduce_app_into,
-    reduce_container_file, ReducedFormat, StreamError,
+    reduce_container_file, OutputFormat, StreamError,
 };
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
@@ -224,8 +224,9 @@ fn a_streamed_convert_failing_on_its_input_names_the_input_and_keeps_the_target(
         for workers in [1, 2, 3] {
             let mut failed = None;
             write_file_atomic(&target, |file| {
-                let reader = BufReader::new(File::open(&input)?);
-                convert_text(reader, BufWriter::new(file), spec, &off, workers)
+                let open = |_| File::open(&input).map(BufReader::new);
+                let format = OutputFormat::Container(spec);
+                convert_text(open, BufWriter::new(file), format, &off, workers)
                     .map(drop)
                     .map_err(|e| io::Error::other(failed.insert(e).to_string()))
             })
@@ -252,8 +253,8 @@ fn a_streamed_convert_failing_on_its_input_names_the_input_and_keeps_the_target(
     for workers in [1, 2, 3] {
         let mut failed = None;
         write_file_atomic(&target, |file| {
-            let reader = BufReader::new(File::open(&input)?);
-            convert_container(reader, BufWriter::new(file), spec, &off, workers)
+            let format = OutputFormat::Container(spec);
+            convert_container(&input, BufWriter::new(file), format, &off, workers)
                 .map(drop)
                 .map_err(|e| io::Error::other(failed.insert(e).to_string()))
         })
@@ -341,7 +342,8 @@ fn a_streamed_convert_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
     write_file_atomic(&path, |file| file.write_all(b"previous output")).unwrap();
     let convert = |file: &mut File, budget, workers| {
         let sink = BufWriter::with_capacity(256, FillsUp { file, budget });
-        match convert_text(text.as_bytes(), sink, spec, &off, workers) {
+        let format = OutputFormat::Container(spec);
+        match convert_text(|_| Ok(text.as_bytes()), sink, format, &off, workers) {
             Ok(_) => Ok(()),
             Err(StreamError::Sink(e)) => Err(e),
             Err(e) => panic!("an input error from a valid trace: {e}"),
@@ -816,7 +818,7 @@ fn a_reduce_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
         for workers in [1, 2, 3] {
             let reduce = |file: &mut File, budget| {
                 let sink = BufWriter::with_capacity(256, FillsUp { file, budget });
-                let format = ReducedFormat::Container(spec);
+                let format = OutputFormat::Container(spec);
                 let run = match input {
                     Some(input) => reduce_any_file_into(&reducer, input, workers, sink, format)
                         .map(|(written, _)| written.stats),

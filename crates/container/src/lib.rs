@@ -67,8 +67,7 @@ pub use reader::{
 pub use trace_compress::{Codec, CompressError};
 pub use writer::{
     encode_app_container, encode_reduced_container, section_workers, write_app_container,
-    write_reduced_container, write_sections, ChunkSpec, ChunkWriter, EncodedSection,
-    SectionEncoder,
+    write_reduced_container, ChunkSpec, ChunkWriter, EncodedSection, SectionEncoder,
 };
 
 #[cfg(test)]

@@ -13,12 +13,11 @@
 //! encodes each section it claims into a buffer of its own
 //! ([`SectionEncoder`]), and the calling thread stitches finished sections
 //! into the sink in rank order ([`ChunkWriter::stitch`]).
-//! [`write_sections`] runs the two on the workspace's one ordered fan-out,
-//! [`trace_obs::ordered()`]: [`write_app_container`] /
-//! [`write_reduced_container`] feed it whole traces' ranks from slices, and
-//! `trace_stream`'s streaming `convert` feeds it each rank as it is read.
-//! `trace_stream`'s reductions use the halves directly, encoding each rank
-//! on the worker that reduced it.
+//! [`write_app_container`] / [`write_reduced_container`] run the two on
+//! the workspace's one ordered fan-out, [`trace_obs::ordered()`], over a
+//! whole trace's ranks.  `trace_stream`'s pipeline uses the halves
+//! directly: each worker encodes the section it just read (`convert`) or
+//! reduced (`reduce`).
 
 use std::io::{self, Write};
 
@@ -514,53 +513,24 @@ pub struct EncodedSection {
 
 impl SectionEncoder {
     /// Encodes one rank section: `write` makes the section's
-    /// `begin_rank` … `end_rank` calls on the encoder's writer.
-    pub fn encode(
+    /// `begin_rank` … `end_rank` calls on the encoder's writer, and its
+    /// error is the encode's.
+    pub fn encode<E: From<io::Error>>(
         &mut self,
-        write: impl FnOnce(&mut ChunkWriter<Vec<u8>>) -> io::Result<()>,
-    ) -> io::Result<EncodedSection> {
+        write: impl FnOnce(&mut ChunkWriter<Vec<u8>>) -> Result<(), E>,
+    ) -> Result<EncodedSection, E> {
         let writer = &mut self.0;
         write(writer)?;
         // Hand back the section just closed, leaving the writer empty.
         let misuse = ChunkWriter::<Vec<u8>>::state_error;
         let entry = writer.sections.pop().ok_or_else(|| misuse("no section"))?;
         if !writer.sections.is_empty() {
-            return Err(misuse("more than one section encoded at once"));
+            return Err(misuse("more than one section encoded at once").into());
         }
         writer.out.written = 0;
         let bytes = std::mem::take(&mut writer.out.inner);
         Ok(EncodedSection { bytes, entry })
     }
-}
-
-/// Encodes the `n` rank sections of `writer`'s container, one worker per
-/// `scratch` entry and the calling thread among them, then finishes it.
-/// `encode(section, scratch, index)` writes section `index` with that
-/// worker's own scratch; each finished section goes into the sink as soon
-/// as it is next in rank order.  This is the section writer's two halves,
-/// [`SectionEncoder::encode`] on the workers and [`ChunkWriter::stitch`]
-/// on the calling thread, on the workspace's one ordered fan-out: the
-/// whole-trace writers below feed it from slices, and a streaming feeder
-/// reads each section's items as it claims it.
-pub fn write_sections<W: Write, S: Send>(
-    mut writer: ChunkWriter<W>,
-    n: usize,
-    scratch: Vec<S>,
-    recorder: &trace_obs::Recorder,
-    encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &mut S, usize) -> io::Result<()> + Sync,
-) -> io::Result<W> {
-    let workers = scratch
-        .into_iter()
-        .map(|scratch| (writer.section_encoder(recorder.shard()), scratch))
-        .collect();
-    trace_obs::ordered(
-        workers,
-        n,
-        |(section, scratch), index| section.encode(|writer| encode(writer, scratch, index)),
-        |_| io::Result::Ok(()),
-        |_, section| writer.stitch(section),
-    )?;
-    writer.finish()
 }
 
 /// One section encoder per core: the worker count of every container
@@ -569,29 +539,34 @@ pub fn section_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Feeds `ranks` to [`write_sections`] on up to `workers` threads (never
-/// more than there are ranks).
+/// Writes `ranks` as the rank sections of `writer`'s container on up to
+/// `workers` threads (never more than there are ranks), then finishes it.
+/// Each worker encodes the sections it claims with `encode` into a
+/// [`SectionEncoder`] of its own, recording into a shard of `recorder`,
+/// and the calling thread stitches each into the sink as soon as it is
+/// next in rank order.
 fn write_slice<W: Write, R: Sync>(
-    writer: ChunkWriter<W>,
+    mut writer: ChunkWriter<W>,
     ranks: &[R],
     recorder: &trace_obs::Recorder,
     workers: usize,
     encode: impl Fn(&mut ChunkWriter<Vec<u8>>, &R) -> io::Result<()> + Sync,
 ) -> io::Result<W> {
-    let scratch = vec![(); workers.clamp(1, ranks.len().max(1))];
+    let encoders = (0..workers.clamp(1, ranks.len().max(1)))
+        .map(|_| writer.section_encoder(recorder.shard()))
+        .collect();
     let misuse = ChunkWriter::<Vec<u8>>::state_error;
-    write_sections(
-        writer,
+    trace_obs::ordered(
+        encoders,
         ranks.len(),
-        scratch,
-        recorder,
-        |section, (), index| {
-            encode(
-                section,
-                ranks.get(index).ok_or_else(|| misuse("no such rank"))?,
-            )
+        |encoder: &mut SectionEncoder, index| {
+            let rank = ranks.get(index).ok_or_else(|| misuse("no such rank"))?;
+            encoder.encode(|section| encode(section, rank))
         },
-    )
+        |_| io::Result::Ok(()),
+        |_, section| writer.stitch(section),
+    )?;
+    writer.finish()
 }
 
 /// Writes `app` as a chunked container to `out` and returns the sink, its

@@ -11,8 +11,8 @@
 //!
 //! * [`mod@write`] — serialize [`trace_model::AppTrace`] /
 //!   [`trace_model::ReducedAppTrace`] to the text format, either whole or
-//!   record by record via [`write::AppTraceTextWriter`], and a reduced
-//!   trace a rank section at a time via [`write::write_reduced_rank`].
+//!   record by record via [`write::AppTraceTextWriter`], and either kind
+//!   a header, a rank section and a trailer at a time.
 //! * [`parser`] — the one pull reader per kind of trace, over any
 //!   [`std::io::BufRead`] source: [`parser::AppReader`] yields a full
 //!   trace's rank boundaries and records, [`parser::ReducedReader`] a
@@ -42,6 +42,7 @@ pub use parse::{parse_app_trace, parse_reduced_trace, read_app_trace, read_reduc
 pub use parser::{AppReader, ReadError, ReducedReader, BATCH_RECORDS};
 pub use record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
 pub use write::{
-    write_app_trace, write_app_trace_to, write_reduced_header, write_reduced_rank,
-    write_reduced_trace, write_reduced_trace_to, write_trailer, AppTraceTextWriter,
+    write_app_header, write_app_records, write_app_trace, write_app_trace_to, write_rank_end,
+    write_rank_start, write_reduced_header, write_reduced_rank, write_reduced_trace,
+    write_reduced_trace_to, write_trailer, AppTraceTextWriter,
 };

@@ -5,10 +5,14 @@
 //! * whole-trace convenience functions ([`write_app_trace`],
 //!   [`write_reduced_trace`]) that serialize an in-memory trace to a
 //!   `String`, and their [`std::io::Write`] counterparts
-//!   ([`write_app_trace_to`], [`write_reduced_trace_to`]).  The reduced
-//!   writer is its three parts, [`write_reduced_header`],
-//!   [`write_reduced_rank`] and [`write_trailer`], which a reduction that
-//!   writes as it goes calls a rank at a time;
+//!   ([`write_app_trace_to`], [`write_reduced_trace_to`]).  Each is its
+//!   parts: a header ([`write_app_header`], [`write_reduced_header`]), rank
+//!   sections, and [`write_trailer`].  A full trace's section is
+//!   [`write_rank_start`], its records in batches ([`write_app_records`])
+//!   and [`write_rank_end`]; a reduced trace's is [`write_reduced_rank`].
+//!   Sections are position-independent, so a conversion or a reduction
+//!   that writes as it goes writes each into a buffer of its own and joins
+//!   the buffers in rank order;
 //! * an incremental [`AppTraceTextWriter`] that emits a full-trace file
 //!   record by record, so producers (e.g. the workload simulator) can
 //!   stream a trace to disk without ever holding its text in memory.
@@ -117,8 +121,7 @@ impl<W: Write> AppTraceTextWriter<W> {
         regions: &[String],
         contexts: &[String],
     ) -> io::Result<Self> {
-        writeln!(out, "{APP_HEADER}")?;
-        write_tables(&mut out, app_name, declared_ranks, regions, contexts)?;
+        write_app_header(&mut out, app_name, declared_ranks, regions, contexts)?;
         Ok(AppTraceTextWriter {
             out,
             declared_ranks,
@@ -134,7 +137,7 @@ impl<W: Write> AppTraceTextWriter<W> {
     pub fn begin_rank(&mut self, rank: Rank) -> io::Result<()> {
         assert!(!self.in_rank, "previous rank section is still open");
         self.in_rank = true;
-        writeln!(self.out, "RANK {}", rank.as_u32())
+        write_rank_start(&mut self.out, rank)
     }
 
     /// Writes one record into the open rank section.
@@ -154,7 +157,7 @@ impl<W: Write> AppTraceTextWriter<W> {
         assert!(self.in_rank, "no open rank section");
         self.in_rank = false;
         self.ranks_written += 1;
-        writeln!(self.out, "END_RANK")
+        write_rank_end(&mut self.out)
     }
 
     /// Writes the trailer and returns the underlying writer.
@@ -174,23 +177,54 @@ impl<W: Write> AppTraceTextWriter<W> {
     }
 }
 
-/// Serializes a full application trace to the text format via `out`.
-pub fn write_app_trace_to<W: Write>(out: W, app: &AppTrace) -> io::Result<W> {
-    let mut writer = AppTraceTextWriter::new(
-        out,
+/// Writes the header of a full-trace file (magic line, `TRACE` line,
+/// REGION/CONTEXT tables) declaring `ranks` rank sections.
+pub fn write_app_header<W: Write>(
+    out: &mut W,
+    app_name: &str,
+    ranks: usize,
+    regions: &[String],
+    contexts: &[String],
+) -> io::Result<()> {
+    writeln!(out, "{APP_HEADER}")?;
+    write_tables(out, app_name, ranks, regions, contexts)
+}
+
+/// Writes the `RANK` line that opens a rank section of either kind.
+pub fn write_rank_start<W: Write>(out: &mut W, rank: Rank) -> io::Result<()> {
+    writeln!(out, "RANK {}", rank.as_u32())
+}
+
+/// Writes `records` into the open rank section of a full-trace file, a
+/// line each.
+pub fn write_app_records<W: Write>(out: &mut W, records: &[TraceRecord]) -> io::Result<()> {
+    records
+        .iter()
+        .try_for_each(|record| write_record(out, record))
+}
+
+/// Writes the `END_RANK` line that closes a rank section of either kind.
+pub fn write_rank_end<W: Write>(out: &mut W) -> io::Result<()> {
+    writeln!(out, "END_RANK")
+}
+
+/// Serializes a full application trace to the text format via `out`:
+/// its header, each rank's section and the trailer.
+pub fn write_app_trace_to<W: Write>(mut out: W, app: &AppTrace) -> io::Result<W> {
+    write_app_header(
+        &mut out,
         &app.name,
         app.rank_count(),
         app.regions.names(),
         app.contexts.names(),
     )?;
     for rank in &app.ranks {
-        writer.begin_rank(rank.rank)?;
-        for record in &rank.records {
-            writer.record(record)?;
-        }
-        writer.end_rank()?;
+        write_rank_start(&mut out, rank.rank)?;
+        write_app_records(&mut out, &rank.records)?;
+        write_rank_end(&mut out)?;
     }
-    writer.finish()
+    write_trailer(&mut out)?;
+    Ok(out)
 }
 
 /// Serializes a full application trace to the text format.
@@ -213,10 +247,8 @@ pub fn write_reduced_header<W: Write>(
 }
 
 /// Writes one `RANK` … `END_RANK` section of a reduced-trace file.
-/// Sections are position-independent, so each may be written into a
-/// buffer of its own and the buffers joined in rank order.
 pub fn write_reduced_rank<W: Write>(out: &mut W, rank: &ReducedRankTrace) -> io::Result<()> {
-    writeln!(out, "RANK {}", rank.rank.as_u32())?;
+    write_rank_start(out, rank.rank)?;
     for stored in &rank.stored {
         writeln!(
             out,
@@ -234,7 +266,7 @@ pub fn write_reduced_rank<W: Write>(out: &mut W, rank: &ReducedRankTrace) -> io:
     for exec in &rank.execs {
         writeln!(out, "EXEC {} {}", exec.segment, exec.start.as_nanos())?;
     }
-    writeln!(out, "END_RANK")
+    write_rank_end(out)
 }
 
 /// Writes the `END_TRACE` trailer that ends a trace file of either kind.

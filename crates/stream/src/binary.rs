@@ -7,16 +7,16 @@
 //! sharding can: the container's index footer maps every rank section to a
 //! byte offset, so workers *seek* straight to their sections instead of
 //! scanning and skipping the whole file — cross-shard file-level
-//! parallelism with no redundant reads.  [`load_container_file`] decodes
-//! a whole trace the same way, each worker collecting the sections it
-//! claims.  Both open the file's sections one way, which holds the index
-//! footer to the file: the sections must tile it, and each is read against
-//! its entry, so every worker count accepts exactly the files the
-//! sequential scan accepts.  [`reduce_any_file`] autodetects
-//! text and chunked v2 inputs by their magic bytes, and refuses a retired
-//! monolithic v1 file with the container's typed error.  Every
-//! driver here supplies only what one worker does; [`crate::shard`]'s
-//! fan-out merges the ranks and drains the counters.
+//! parallelism with no redundant reads.  [`crate::convert_container`]
+//! copies a container's sections the same way, and [`load_container_file`]
+//! collects them into a whole trace.  All three open the file's sections
+//! one way, which holds the index footer to the file: the sections must
+//! tile it, and each is read against its entry, so every worker count
+//! accepts exactly the files the sequential scan accepts.
+//! [`reduce_any_file`] autodetects text and chunked v2 inputs by their
+//! magic bytes, and refuses a retired monolithic v1 file with the
+//! container's typed error.  Every driver here supplies only its source
+//! and its stage; [`crate::shard`]'s fan-out runs them.
 
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
@@ -24,16 +24,18 @@ use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
 use trace_container::layout::is_container_magic;
+use trace_container::PayloadKind;
 use trace_container::{
     read_app_container, read_index, ChunkReader, ContainerError, ContainerIndex, SectionSpan,
 };
 use trace_model::{AppItem, AppTrace, Rank, RankTrace, TraceRecord, TraceTables};
+use trace_obs::Recorder;
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
-use crate::reduce::{StreamReduction, StreamStats};
-use crate::shard::{fan_out, no_second_source, reduce_sources, reduce_text};
-use crate::sink::{Collect, RankSink, ReducedFormat, ReducedWriter, WrittenReduction};
+use crate::reduce::{copy_records, open_section, Reduce, StreamReduction};
+use crate::shard::{fan_out, no_second_source, sources, text, Ran, Stage};
+use crate::sink::{Collect, OutputFormat, Sink, TraceWriter, WrittenReduction};
 use crate::source::AppItemSource;
 
 /// [`AppItemSource`] over a chunked binary container.
@@ -100,27 +102,30 @@ pub fn reduce_container_stream<R: Read + Send>(
     reducer: &Reducer,
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
-    container_stream_into(reducer, reader, Collect::open).map(StreamReduction::collected)
+    let stage = Reduce::opening(reducer, Collect::open);
+    container_stream(reducer.recorder(), reader, stage).map(StreamReduction::collected)
 }
 
-/// [`reduce_container_stream`] into the sink `sink` opens on the header.
-fn container_stream_into<R: Read + Send, K: RankSink>(
-    reducer: &Reducer,
+/// Runs the stage `stage` opens on the header of the container `reader`
+/// holds over its rank sections, in order, on one worker, with the
+/// source's chunk reads recorded in `recorder`.
+fn container_stream<G: Stage, R: Read + Send>(
+    recorder: &Recorder,
     reader: R,
-    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
-) -> Result<(K, StreamStats), StreamError> {
+    stage: impl FnOnce(&TraceTables) -> Result<G, StreamError>,
+) -> Result<Ran<G>, StreamError> {
     let mut source = ContainerSource::new(reader)?;
     let tables = source.tables()?;
-    source.set_obs(reducer.recorder().shard());
-    let mut sink = sink(&tables)?;
+    source.set_obs(recorder.shard());
+    let mut stage = stage(&tables)?;
     let n = tables.declared_ranks;
-    let stats = reduce_sources(reducer, &mut sink, source, n, 1, no_second_source)?;
-    Ok((sink, stats))
+    let workers = sources(recorder, &mut stage, source, n, 1, no_second_source)?;
+    Ok((stage, workers))
 }
 
 /// The rank sections of an app-trace container file, placed by its index
-/// footer for workers to seek to: the one way the index-sharded reduction
-/// and the parallel load open a file.
+/// footer for workers to seek to: the one way the index-sharded reduction,
+/// the conversion and the parallel load open a file.
 struct Sections {
     index: ContainerIndex,
     tables: TraceTables,
@@ -160,45 +165,64 @@ impl Sections {
         Ok(Some(Sections { index, tables }))
     }
 
-    /// How many sections there are.
-    fn len(&self) -> usize {
-        self.index.sections.len()
-    }
-
-    /// One handle on `path` for each of up to `workers` workers, never
-    /// more than there are sections.
-    fn handles(&self, path: &Path, workers: usize) -> io::Result<Vec<File>> {
-        (0..workers.min(self.len()).max(1))
-            .map(|_| File::open(path))
-            .collect()
-    }
-
-    /// Runs `read` over section `index`, read through `file` from where
-    /// its entry places it and against that entry.  A failure is a
-    /// [`StreamError::Section`], which says where the section is.
-    fn read<'f, T>(
+    /// Runs `stage` over every section of the file at `path` on up to
+    /// `workers` workers (never more than there are sections), each
+    /// seeking to the sections it claims through a handle of its own, with
+    /// their chunk reads recorded in `recorder`.  Each section is read
+    /// against its entry; a failure is a [`StreamError::Section`], which
+    /// says where the section is.
+    fn run<G: Stage>(
         &self,
-        file: &'f File,
-        index: usize,
-        read: impl FnOnce(ContainerSource<BufReader<&'f File>>, SectionSpan) -> Result<T, StreamError>,
-    ) -> Result<T, StreamError> {
-        let Some(span) = self.index.span(index) else {
-            return Err(StreamError::Protocol("a section the index does not list"));
+        path: &Path,
+        workers: usize,
+        recorder: &Recorder,
+        stage: &mut G,
+    ) -> Result<Vec<G::Worker>, StreamError> {
+        let n = self.index.sections.len();
+        let handles = (0..workers.min(n).max(1)).map(|_| File::open(path));
+        let handles = handles.collect::<io::Result<_>>()?;
+        let section = |worker: &mut G::Worker, file: &mut File, index| {
+            let Some(span) = self.index.span(index) else {
+                return Err(StreamError::Protocol("a section the index does not list"));
+            };
+            let mut read = || {
+                // `&File` implements `Read + Seek`, so every section gets a
+                // fresh buffered cursor over the worker's single handle.
+                let mut handle = &*file;
+                handle.seek(SeekFrom::Start(span.entry.offset))?;
+                let mut source = ContainerSource::section(BufReader::new(handle), span);
+                source.set_obs(recorder.shard());
+                let section = G::section(worker, &mut source, index)?;
+                G::read_out(worker, &source);
+                Ok(section)
+            };
+            read().map_err(|error| StreamError::Section {
+                index,
+                rank: span.entry.rank,
+                offset: span.entry.offset,
+                error: Box::new(error),
+            })
         };
-        let run = || {
-            // `&File` implements `Read + Seek`, so every section gets a
-            // fresh buffered cursor over the worker's single handle.
-            let mut handle = file;
-            handle.seek(SeekFrom::Start(span.entry.offset))?;
-            read(ContainerSource::section(BufReader::new(handle), span), span)
-        };
-        run().map_err(|error| StreamError::Section {
-            index,
-            rank: span.entry.rank,
-            offset: span.entry.offset,
-            error: Box::new(error),
-        })
+        fan_out(recorder, stage, handles, n, section, |_, _| Ok(()))
     }
+}
+
+/// Runs the stage `stage` opens on the header of the container file at
+/// `path` over its rank sections on up to `workers` workers, which seek to
+/// the sections they claim by the index footer.  One worker, or a file
+/// whose index trailer cannot be read, is the sequential scan.
+pub(crate) fn container_file<G: Stage>(
+    recorder: &Recorder,
+    path: &Path,
+    workers: usize,
+    stage: impl FnOnce(&TraceTables) -> Result<G, StreamError>,
+) -> Result<Ran<G>, StreamError> {
+    let Some(sections) = Sections::open(path, workers)? else {
+        return container_stream(recorder, BufReader::new(File::open(path)?), stage);
+    };
+    let mut stage = stage(&sections.tables)?;
+    let workers = sections.run(path, workers, recorder, &mut stage)?;
+    Ok((stage, workers))
 }
 
 /// Reduces a container file with `shards` workers, each claiming rank
@@ -214,47 +238,18 @@ pub fn reduce_container_file(
     path: impl AsRef<Path>,
     shards: usize,
 ) -> Result<StreamReduction, StreamError> {
-    let run = container_file_into(reducer, path.as_ref(), shards, Collect::open);
+    let stage = Reduce::opening(reducer, Collect::open);
+    let run = container_file(reducer.recorder(), path.as_ref(), shards, stage);
     run.map(StreamReduction::collected)
-}
-
-/// [`reduce_container_file`] into the sink `sink` opens on the header.
-fn container_file_into<K: RankSink>(
-    reducer: &Reducer,
-    path: &Path,
-    shards: usize,
-    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
-) -> Result<(K, StreamStats), StreamError> {
-    let Some(sections) = Sections::open(path, shards)? else {
-        return container_stream_into(reducer, BufReader::new(File::open(path)?), sink);
-    };
-    let mut sink = sink(&sections.tables)?;
-    let stats = fan_out(
-        reducer,
-        &mut sink,
-        sections.handles(path, shards)?,
-        sections.len(),
-        |worker, file, index| {
-            sections.read(file, index, |mut source, _| {
-                source.set_obs(reducer.recorder().shard());
-                let reduced = worker.reduce_rank(reducer, &mut source)?;
-                let peak = &mut worker.stats.peak_chunk_bytes;
-                *peak = source.peak_chunk_bytes().max(*peak);
-                Ok(reduced)
-            })
-        },
-        |_, _| Ok(()),
-    )?;
-    Ok((sink, stats))
 }
 
 /// Loads the whole app trace of a container file on `workers` workers:
 /// each claims rank sections as it falls free, seeks to them via the index
-/// footer and decodes them, and the calling thread collects the ranks in
-/// order.  The trace is the one [`read_app_container`] reads; one worker
-/// *is* that sequential collect, and so is a file whose index trailer
-/// cannot be read, as in [`reduce_container_file`].  A failing section is
-/// a [`StreamError::Section`].
+/// footer and copies their records, and the calling thread collects the
+/// ranks in order.  The trace is the one [`read_app_container`] reads; one
+/// worker *is* that sequential collect, and so is a file whose index
+/// trailer cannot be read, as in [`reduce_container_file`].  A failing
+/// section is a [`StreamError::Section`].
 pub fn load_container_file(
     path: impl AsRef<Path>,
     workers: usize,
@@ -268,29 +263,16 @@ pub fn load_container_file(
     // allocator arena, as it does when loaded in order: ranks a worker
     // allocated would stay in its arena, which the next load on another
     // thread does not reuse.
-    let buffers: Vec<_> = (0..sections.len())
+    let buffers: Vec<_> = (0..sections.index.sections.len())
         .filter_map(|index| sections.index.span(index))
         .map(|span| Mutex::new(Vec::with_capacity(reservation(span))))
         .collect();
-    let mut app = sections.tables.app_trace();
-    trace_obs::ordered(
-        sections.handles(path, workers)?,
-        sections.len(),
-        |file, index| {
-            let records = buffers.get(index).map(|buffer| {
-                std::mem::take(&mut *buffer.lock().unwrap_or_else(PoisonError::into_inner))
-            });
-            sections.read(file, index, |source, span| {
-                collect_section(source, span, records.unwrap_or_default())
-            })
-        },
-        |_| Ok(()),
-        |_, rank| {
-            app.ranks.push(rank);
-            Ok(())
-        },
-    )?;
-    Ok(app)
+    let mut load = Load {
+        buffers: &buffers,
+        app: sections.tables.app_trace(),
+    };
+    sections.run(path, workers, &Recorder::disabled(), &mut load)?;
+    Ok(load.app)
 }
 
 /// The records to reserve for the section `span` places: as many as its
@@ -302,24 +284,46 @@ fn reservation(span: SectionSpan) -> usize {
     span.entry.records.min(bytes) as usize
 }
 
-/// Decodes the one rank section `source` holds into a rank trace whose
-/// records fill `records`.
-fn collect_section<R: Read>(
-    mut source: ContainerSource<R>,
-    span: SectionSpan,
-    records: Vec<TraceRecord>,
-) -> Result<RankTrace, StreamError> {
-    let mut rank = RankTrace {
-        rank: span.entry.rank,
-        records,
-    };
-    while let Some(item) = source.next_item()? {
-        if let AppItem::Record(first) = item {
-            rank.records.push(first);
-            rank.records.extend_from_slice(source.take_records());
-        }
+/// The load's stage: each section's records copied into the buffer
+/// reserved for it, and the ranks collected in order.
+struct Load<'a> {
+    buffers: &'a [Mutex<Vec<TraceRecord>>],
+    app: AppTrace,
+}
+
+impl<'a> Sink for Load<'a> {
+    type Worker = &'a [Mutex<Vec<TraceRecord>>];
+    type Section = RankTrace;
+
+    fn worker(&self, _: &Recorder) -> Self::Worker {
+        self.buffers
     }
-    Ok(rank)
+
+    fn stitch(&mut self, rank: RankTrace) -> Result<(), StreamError> {
+        self.app.ranks.push(rank);
+        Ok(())
+    }
+}
+
+impl Stage for Load<'_> {
+    fn section<S: AppItemSource>(
+        buffers: &mut Self::Worker,
+        source: &mut S,
+        index: usize,
+    ) -> Result<RankTrace, StreamError> {
+        let records = buffers.get(index).map(|buffer| {
+            std::mem::take(&mut *buffer.lock().unwrap_or_else(PoisonError::into_inner))
+        });
+        let mut rank = RankTrace {
+            rank: open_section(source)?,
+            records: records.unwrap_or_default(),
+        };
+        copy_records(source, |records| {
+            rank.records.extend_from_slice(records);
+            Ok(())
+        })?;
+        Ok(rank)
+    }
 }
 
 /// What kind of trace input a file holds, detected from its magic bytes.
@@ -367,7 +371,8 @@ pub fn reduce_any_file(
     path: impl AsRef<Path>,
     shards: usize,
 ) -> Result<(StreamReduction, TraceInputKind), StreamError> {
-    let (run, kind) = any_file_into(reducer, path.as_ref(), shards, Collect::open)?;
+    let stage = Reduce::opening(reducer, Collect::open);
+    let (run, kind) = any_file(reducer.recorder(), path.as_ref(), shards, stage)?;
     Ok((StreamReduction::collected(run), kind))
 }
 
@@ -383,28 +388,37 @@ pub fn reduce_any_file_into<W: Write>(
     path: impl AsRef<Path>,
     shards: usize,
     out: W,
-    format: ReducedFormat,
+    format: OutputFormat,
 ) -> Result<(WrittenReduction<W>, TraceInputKind), StreamError> {
-    let writer =
-        |tables: &TraceTables| ReducedWriter::open(out, format, tables, reducer.recorder());
-    let (run, kind) = any_file_into(reducer, path.as_ref(), shards, writer)?;
+    let writer = |tables: &TraceTables| {
+        TraceWriter::open(
+            out,
+            format,
+            PayloadKind::Reduced,
+            tables,
+            reducer.recorder(),
+        )
+    };
+    let stage = Reduce::opening(reducer, writer);
+    let (run, kind) = any_file(reducer.recorder(), path.as_ref(), shards, stage)?;
     Ok((WrittenReduction::finished(run)?, kind))
 }
 
-/// [`reduce_any_file`] into the sink `sink` opens on the header.
-fn any_file_into<K: RankSink>(
-    reducer: &Reducer,
+/// Runs the stage `stage` opens on the header of the trace file at `path`,
+/// of either format, on up to `workers` workers.
+fn any_file<G: Stage>(
+    recorder: &Recorder,
     path: &Path,
-    shards: usize,
-    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
-) -> Result<((K, StreamStats), TraceInputKind), StreamError> {
+    workers: usize,
+    stage: impl FnOnce(&TraceTables) -> Result<G, StreamError>,
+) -> Result<(Ran<G>, TraceInputKind), StreamError> {
     let kind = detect_input(path)?;
     let run = match kind {
         TraceInputKind::Text => {
             let open = || File::open(path).map(BufReader::new);
-            reduce_text(reducer, open()?, shards, |_| Ok(open()?), sink)?
+            text(recorder, open()?, workers, |_| Ok(open()?), stage)?
         }
-        TraceInputKind::ContainerV2 => container_file_into(reducer, path, shards, sink)?,
+        TraceInputKind::ContainerV2 => container_file(recorder, path, workers, stage)?,
     };
     Ok((run, kind))
 }
@@ -412,6 +426,7 @@ fn any_file_into<K: RankSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::StreamStats;
     use std::io::Cursor;
     use trace_container::{encode_app_container, encode_reduced_container, ChunkSpec, Codec};
     use trace_reduce::Method;
@@ -430,11 +445,11 @@ mod tests {
                 let reduced = &collected.reduced;
                 for (format, expected) in [
                     (
-                        ReducedFormat::Container(spec),
+                        OutputFormat::Container(spec),
                         encode_reduced_container(reduced, spec),
                     ),
                     (
-                        ReducedFormat::Text,
+                        OutputFormat::Text,
                         trace_format::write_reduced_trace(reduced).into_bytes(),
                     ),
                 ] {

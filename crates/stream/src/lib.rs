@@ -47,23 +47,26 @@
 //!   takes wait encoded — past a slower worker's rank, or while the
 //!   calling thread reduces a rank of its own — so a rank that dwarfs the
 //!   rest can hold most of the encoded output back until it is done.
-//! * [`convert::convert_text`] / [`convert::convert_container`] — the
-//!   write direction: a trace re-encoded as a container a rank at a time,
-//!   through the container's one section writer, reading rank k + 1 while
-//!   rank k encodes; never the whole trace resident.
+//! * [`convert::convert_text`] / [`convert::convert_container`] — a trace
+//!   re-written in either format, text or container, a rank at a time:
+//!   the same sources, with each section's records copied straight into
+//!   its encoder where a reduction reduces them; never the whole trace
+//!   resident.
 //!
-//! One rule covers every driver: each is a function of a
-//! [`trace_reduce::Reducer`] — method, candidate search and recorder
-//! together — a source, (where it shards) a worker count and a sink for
-//! the reduced ranks.  They share the workspace's one ordered fan-out,
-//! [`trace_obs::ordered()`]: the calling thread is a worker too, takes
-//! each reduced rank as soon as it is next in stream order — into the
-//! collected trace, or into the output file — and drains the merged
-//! [`StreamStats`] into the reducer's recorder exactly once.  The sequential entry points are its
-//! one-worker case, which decodes ahead on one more thread
+//! Every driver, the whole-trace container load included, is one pipeline
+//! ([`shard`]): a source of rank sections — a stream each worker reads
+//! its own copy of, skipping the sections it does not claim, or a
+//! container file whose sections workers seek to — a stage each worker
+//! runs on the sections it claims (reduce and encode, copy and encode, or
+//! copy and collect), and a sink the calling thread stitches the results
+//! into in rank order.  The workers claim sections on the workspace's one
+//! ordered fan-out, in `trace_obs`, and the calling thread is a worker
+//! too.  A reduction drains the merged [`StreamStats`] into the reducer's
+//! recorder exactly once; a conversion records no `stream.*` counters.  A
+//! run on one worker decodes ahead on one more thread
 //! ([`trace_obs::beside()`]): the source parses the next batch of records
-//! while the calling thread segments and matches the last.  A panicking
-//! worker or decode stage is a [`StreamError`], not a panic.
+//! while the calling thread works on the last.  A panicking worker or
+//! decode stage is a [`StreamError`], not a panic.
 //!
 //! # Quick start
 //!
@@ -112,5 +115,5 @@ pub use error::StreamError;
 pub use parser::{AppItem, StreamParser};
 pub use reduce::{reduce_app_into, reduce_stream, StreamReduction, StreamStats};
 pub use shard::reduce_stream_sharded;
-pub use sink::{ReducedFormat, WrittenReduction};
+pub use sink::{OutputFormat, WrittenReduction};
 pub use source::AppItemSource;

@@ -11,13 +11,15 @@
 
 use std::io::{BufRead, Write};
 
-use trace_model::{AppTrace, Rank, ReducedAppTrace, ReducedRankTrace, TraceTables};
+use trace_container::PayloadKind;
+use trace_model::{AppTrace, Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord, TraceTables};
+use trace_obs::Recorder;
 use trace_reduce::{MatchScratch, MatchStats, RankRecordReducer, Reducer};
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::shard::{no_second_source, reduce_on_workers, reduce_text};
-use crate::sink::{Collect, ReducedFormat, ReducedWriter, WrittenReduction};
+use crate::shard::{no_second_source, on_workers, text, Ran, Stage};
+use crate::sink::{Collect, OutputFormat, RankSink, Sink, TraceWriter, WrittenReduction};
 use crate::source::{AppItemSource, AppTraceSource};
 
 /// Instrumentation counters from one streaming reduction.
@@ -141,8 +143,9 @@ pub struct StreamReduction {
 }
 
 impl StreamReduction {
-    /// The outcome of a run into a [`Collect`] sink.
-    pub(crate) fn collected((Collect(reduced), stats): (Collect, StreamStats)) -> Self {
+    /// The outcome of a reduction into a [`Collect`] sink.
+    pub(crate) fn collected(run: Ran<Reduce<'_, Collect>>) -> Self {
+        let (Collect(reduced), stats) = Reduce::finished(run);
         StreamReduction { reduced, stats }
     }
 }
@@ -157,6 +160,38 @@ pub(crate) fn next_section<S: AppItemSource>(source: &mut S) -> Result<Option<Ra
             Err(StreamError::Protocol("a rank end outside a rank section"))
         }
         None => Ok(None),
+    }
+}
+
+/// Opens the rank section `source` holds next, which must be there.
+pub(crate) fn open_section<S: AppItemSource>(source: &mut S) -> Result<Rank, StreamError> {
+    next_section(source)?.ok_or(StreamError::Protocol(
+        "the stream ended before a declared rank section",
+    ))
+}
+
+/// Hands the records of the rank section just opened on `source` to
+/// `copy`, in order, up to its rank end: each record the source yields,
+/// then whatever it has decoded behind it (the rest of a container chunk
+/// or of a text batch).  An item out of place is a protocol error, as in
+/// [`RankWorker::reduce_rank`], which reads a section in one loop of its
+/// own: built on this one, it measured 2–3 % slower.
+pub(crate) fn copy_records<S: AppItemSource>(
+    source: &mut S,
+    mut copy: impl FnMut(&[TraceRecord]) -> Result<(), StreamError>,
+) -> Result<(), StreamError> {
+    loop {
+        let misplaced = match source.next_item()? {
+            Some(AppItem::Record(first)) => {
+                copy(std::slice::from_ref(&first))?;
+                copy(source.take_records())?;
+                continue;
+            }
+            Some(AppItem::RankEnd(_)) => return Ok(()),
+            Some(AppItem::RankStart(_)) => "a rank start inside a rank section",
+            None => "the stream ended inside a rank section",
+        };
+        return Err(StreamError::Protocol(misplaced));
     }
 }
 
@@ -248,6 +283,66 @@ impl RankWorker {
     }
 }
 
+/// The reduce stage: each section reduced on the worker that claimed it,
+/// and encoded there for `sink`.
+pub(crate) struct Reduce<'r, K> {
+    pub(crate) reducer: &'r Reducer,
+    pub(crate) sink: K,
+}
+
+impl<'r, K: RankSink> Reduce<'r, K> {
+    /// Opens the reduce stage into the sink `sink` opens on the header.
+    pub(crate) fn opening(
+        reducer: &'r Reducer,
+        sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
+    ) -> impl FnOnce(&TraceTables) -> Result<Self, StreamError> {
+        move |tables| sink(tables).map(|sink| Reduce { reducer, sink })
+    }
+
+    /// The sink of a finished run, and its workers' counters merged and
+    /// drained into the reducer's recorder once.
+    pub(crate) fn finished((stage, workers): Ran<Self>) -> (K, StreamStats) {
+        let mut stats = StreamStats::default();
+        for (worker, _, _) in workers {
+            stats.absorb(&worker.stats);
+        }
+        stats.record_into(&mut stage.reducer.recorder().shard());
+        (stage.sink, stats)
+    }
+}
+
+impl<'r, K: RankSink> Sink for Reduce<'r, K> {
+    type Worker = (RankWorker, K::Worker, &'r Reducer);
+    type Section = K::Section;
+
+    fn worker(&self, recorder: &Recorder) -> Self::Worker {
+        let worker = RankWorker {
+            obs: recorder.shard(),
+            ..RankWorker::default()
+        };
+        (worker, self.sink.worker(recorder), self.reducer)
+    }
+
+    fn stitch(&mut self, section: K::Section) -> Result<(), StreamError> {
+        self.sink.stitch(section)
+    }
+}
+
+impl<K: RankSink> Stage for Reduce<'_, K> {
+    fn section<S: AppItemSource>(
+        (worker, encoder, reducer): &mut Self::Worker,
+        source: &mut S,
+        _: usize,
+    ) -> Result<K::Section, StreamError> {
+        K::encode(encoder, worker.reduce_rank(reducer, source)?)
+    }
+
+    fn read_out<S: AppItemSource>((worker, _, _): &mut Self::Worker, source: &S) {
+        let peak = &mut worker.stats.peak_chunk_bytes;
+        *peak = source.peak_chunk_bytes().max(*peak);
+    }
+}
+
 /// Reduces a full-trace text stream with one pass and bounded memory: the
 /// one-worker case of [`crate::reduce_stream_sharded`].
 ///
@@ -260,7 +355,8 @@ pub fn reduce_stream<R: BufRead + Send>(
     reducer: &Reducer,
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
-    let run = reduce_text(reducer, reader, 1, no_second_source, Collect::open);
+    let stage = Reduce::opening(reducer, Collect::open);
+    let run = text(reducer.recorder(), reader, 1, no_second_source, stage);
     run.map(StreamReduction::collected)
 }
 
@@ -277,7 +373,7 @@ pub fn reduce_app_into<W: Write>(
     app: &AppTrace,
     workers: usize,
     out: W,
-    format: ReducedFormat,
+    format: OutputFormat,
 ) -> Result<WrittenReduction<W>, StreamError> {
     let tables = TraceTables {
         name: app.name.clone(),
@@ -285,13 +381,20 @@ pub fn reduce_app_into<W: Write>(
         regions: app.regions.clone(),
         contexts: app.contexts.clone(),
     };
-    let mut sink = ReducedWriter::open(out, format, &tables, reducer.recorder())?;
+    let sink = TraceWriter::open(
+        out,
+        format,
+        PayloadKind::Reduced,
+        &tables,
+        reducer.recorder(),
+    )?;
+    let mut stage = Reduce { reducer, sink };
     let n = app.rank_count();
     let source = AppTraceSource::new(app);
     // The records are in memory already: no worker decodes ahead.
     let open = |_| Ok(AppTraceSource::new(app));
-    let stats = reduce_on_workers(reducer, &mut sink, source, n, workers, open)?;
-    WrittenReduction::finished((sink, stats))
+    let workers = on_workers(reducer.recorder(), &mut stage, source, n, workers, open)?;
+    WrittenReduction::finished((stage, workers))
 }
 
 #[cfg(test)]
@@ -318,8 +421,8 @@ mod tests {
             let container = encode_reduced_container(&reduced, spec);
             let text = write_reduced_trace(&reduced).into_bytes();
             let formats = [
-                (ReducedFormat::Container(spec), container),
-                (ReducedFormat::Text, text),
+                (OutputFormat::Container(spec), container),
+                (OutputFormat::Text, text),
             ];
             for workers in [1, 2, 3, app.rank_count() + 3] {
                 for (format, expected) in &formats {
@@ -417,10 +520,15 @@ mod tests {
         // Two declared rank sections, on one worker.
         let reduce = |items: Vec<AppItem>| {
             let fake = Fake(items.into_iter());
-            let mut sink = Collect(ReducedAppTrace::default());
-            let stats =
-                crate::shard::reduce_sources(&reducer, &mut sink, fake, 2, 1, no_second_source)?;
-            Ok::<_, StreamError>(StreamReduction::collected((sink, stats)))
+            let sink = Collect(ReducedAppTrace::default());
+            let mut stage = Reduce {
+                reducer: &reducer,
+                sink,
+            };
+            let recorder = reducer.recorder();
+            let workers =
+                crate::shard::sources(recorder, &mut stage, fake, 2, 1, no_second_source)?;
+            Ok::<_, StreamError>(StreamReduction::collected((stage, workers)))
         };
         for (items, message) in [
             (

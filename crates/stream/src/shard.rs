@@ -1,68 +1,85 @@
-//! The worker fan-out every streaming driver goes through, and the sharded
-//! text driver built on it.
+//! The one section pipeline every streaming driver goes through: a source
+//! of rank sections, a stage run on each section by the worker that claims
+//! it, and a sink the calling thread stitches the results into in rank
+//! order.
 //!
-//! Drivers run on the workspace's one ordered fan-out,
-//! [`trace_obs::ordered()`]: workers claim rank sections by index, the
-//! calling thread (worker 0) appends each reduced rank as soon as it is
-//! next, and the merged counters drain once.  A text worker reads its own
-//! copy of the trace, skips forward to each section it claims, and after
-//! its last claim reads on to the trailer, checking the declared rank
-//! count.  The output is bit-identical whatever the shard count.
+//! The pipeline runs on the workspace's one ordered fan-out,
+//! [`trace_obs::ordered()`]: workers claim rank sections by index, each
+//! runs the stage over the section it claimed, and the calling thread
+//! (worker 0) stitches each result as soon as it is next.  The stage is
+//! what differs between the drivers: a reduction reduces the section and
+//! encodes the reduced rank, a conversion copies its records straight
+//! into an encoder, and the whole-trace load copies them into the trace it
+//! collects ([`crate::binary::load_container_file`]).  Two kinds of source
+//! feed it: a stream every worker reads its own copy of, front to back,
+//! skipping the sections it does not claim (text, or a trace in memory),
+//! and a container file's sections, which workers seek to by its index
+//! footer ([`crate::binary`]).  A stream worker reads on to the trailer
+//! after its last claim, checking the declared rank count.  The output is
+//! bit-identical whatever the worker count.
 //!
 //! A run on one worker would leave the second core idle, so its source
 //! decodes ahead on a thread of its own ([`trace_obs::beside()`]): the
-//! declared sections reach the reducer through a channel, a batch of
+//! declared sections reach the stage through a channel, a batch of
 //! records at a time, with at most one batch waiting beside the one being
-//! reduced.  Then the source itself comes back, and the worker reads on to
-//! the trailer as a worker of a sharded run does.
+//! worked on.  Then the source itself comes back, and the worker reads on
+//! to the trailer as a worker of a sharded run does.
 
 use std::io::{self, BufRead};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 
-use trace_model::{Rank, ReducedRankTrace, TraceRecord, TraceTables};
-use trace_obs::{names, ObsShard};
+use trace_model::{Rank, TraceRecord, TraceTables};
+use trace_obs::{names, ObsShard, Recorder};
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::parser::{AppItem, StreamParser};
-use crate::reduce::{next_section, RankWorker, StreamReduction, StreamStats};
-use crate::sink::{Collect, RankSink};
+use crate::reduce::{next_section, Reduce, StreamReduction};
+use crate::sink::{Collect, Sink};
 use crate::source::AppItemSource;
 
-/// Reduces `n` rank sections on one worker per input into `sink`:
-/// `reduce` reduces the section it is given, the worker encodes it for the
-/// sink, and the calling thread stitches it in rank order; `finish` runs
-/// after a worker's last claim.  Returns the merged counters, drained into
-/// the reducer's recorder once.
-pub(crate) fn fan_out<I: Send, K: RankSink>(
-    reducer: &Reducer,
-    sink: &mut K,
+/// What a worker does with each rank section it claims: the per-section
+/// stage of the pipeline, whose sections go into the sink it is.
+pub(crate) trait Stage: Sink {
+    /// Runs the stage over the rank section `source` opens next, section
+    /// `index` of the input, on the worker.
+    fn section<S: AppItemSource>(
+        worker: &mut Self::Worker,
+        source: &mut S,
+        index: usize,
+    ) -> Result<Self::Section, StreamError>;
+
+    /// Called with each source a worker is done with: a seeking worker's
+    /// after each section, a stream worker's at its trailer.
+    fn read_out<S: AppItemSource>(_worker: &mut Self::Worker, _source: &S) {}
+}
+
+/// What a run leaves: its stage, and its workers' states.
+pub(crate) type Ran<G> = (G, Vec<<G as Sink>::Worker>);
+
+/// Runs `stage` over `n` rank sections on one worker per input: `section`
+/// reads the section it is given through the worker's input, and `finish`
+/// runs after a worker's last claim.  Returns the workers' states.
+pub(crate) fn fan_out<G: Stage, I: Send>(
+    recorder: &Recorder,
+    stage: &mut G,
     inputs: Vec<I>,
     n: usize,
-    reduce: impl Fn(&mut RankWorker, &mut I, usize) -> Result<ReducedRankTrace, StreamError> + Sync,
-    finish: impl Fn(&mut RankWorker, &mut I) -> Result<(), StreamError> + Sync,
-) -> Result<StreamStats, StreamError> {
-    let recorder = reducer.recorder();
-    let worker = |input| {
-        let mut worker = RankWorker::default();
-        worker.obs = recorder.shard();
-        (worker, sink.encoder(recorder), input)
-    };
-    let workers = inputs.into_iter().map(worker).collect();
+    section: impl Fn(&mut G::Worker, &mut I, usize) -> Result<G::Section, StreamError> + Sync,
+    finish: impl Fn(&mut G::Worker, &mut I) -> Result<(), StreamError> + Sync,
+) -> Result<Vec<G::Worker>, StreamError> {
+    let workers = inputs
+        .into_iter()
+        .map(|input| (stage.worker(recorder), input))
+        .collect();
     let workers = trace_obs::ordered(
         workers,
         n,
-        |(worker, encoder, input), index| K::encode(encoder, reduce(worker, input, index)?),
-        |(worker, _, input)| finish(worker, input),
-        |_, section| sink.stitch(section),
+        |(worker, input), index| section(worker, input, index),
+        |(worker, input)| finish(worker, input),
+        |_, section| stage.stitch(section),
     )?;
-    let mut stats = StreamStats::default();
-    for (worker, _, _) in workers {
-        stats.absorb(&worker.stats);
-        worker.obs.finish();
-    }
-    stats.record_into(&mut recorder.shard());
-    Ok(stats)
+    Ok(workers.into_iter().map(|(worker, _)| worker).collect())
 }
 
 /// The `open` of a one-worker run, whose one source is already open.
@@ -72,42 +89,42 @@ pub(crate) fn no_second_source<S>(_: usize) -> Result<S, StreamError> {
     ))
 }
 
-/// Reduces the `n` declared rank sections of a stream into `sink` on up to
+/// Runs `stage` over the `n` declared rank sections of a stream on up to
 /// `workers` workers, each reading its own copy front to back: `first` for
 /// worker 0, `open(worker)`, on first use, for the others.  One worker
 /// reads `first` decoded ahead on a second thread.
-pub(crate) fn reduce_sources<S: AppItemSource + Send, K: RankSink>(
-    reducer: &Reducer,
-    sink: &mut K,
+pub(crate) fn sources<G: Stage, S: AppItemSource + Send>(
+    recorder: &Recorder,
+    stage: &mut G,
     first: S,
     n: usize,
     workers: usize,
     open: impl Fn(usize) -> Result<S, StreamError> + Sync,
-) -> Result<StreamStats, StreamError> {
+) -> Result<Vec<G::Worker>, StreamError> {
     if workers.clamp(1, n.max(1)) > 1 {
-        return reduce_on_workers(reducer, sink, first, n, workers, open);
+        return on_workers(recorder, stage, first, n, workers, open);
     }
-    let decoded = decode_ahead(first, n, reducer.recorder().shard(), |ahead| {
-        reduce_on_workers(reducer, sink, ahead, n, 1, no_second_source)
+    let decoded = decode_ahead(first, n, recorder.shard(), |ahead| {
+        on_workers(recorder, stage, ahead, n, 1, no_second_source)
     });
-    decoded.map(|(_, stats)| stats)
+    decoded.map(|(_, workers)| workers)
 }
 
-/// [`reduce_sources`] with every source read where its worker runs.
-pub(crate) fn reduce_on_workers<S: AppItemSource + Send, K: RankSink>(
-    reducer: &Reducer,
-    sink: &mut K,
+/// [`sources`] with every source read where its worker runs.
+pub(crate) fn on_workers<G: Stage, S: AppItemSource + Send>(
+    recorder: &Recorder,
+    stage: &mut G,
     first: S,
     n: usize,
     workers: usize,
     open: impl Fn(usize) -> Result<S, StreamError> + Sync,
-) -> Result<StreamStats, StreamError> {
+) -> Result<Vec<G::Worker>, StreamError> {
     // Per worker: its source, its index and the sections it has passed.
     let mut first = Some(first);
     let cursors = (0..workers.clamp(1, n.max(1))).map(|worker| (first.take(), worker, 0));
     fan_out(
-        reducer,
-        sink,
+        recorder,
+        stage,
         cursors.collect(),
         n,
         |worker, (source, id, passed), index| {
@@ -120,7 +137,7 @@ pub(crate) fn reduce_on_workers<S: AppItemSource + Send, K: RankSink>(
                 *passed += 1;
             }
             *passed += 1;
-            worker.reduce_rank(reducer, source)
+            G::section(worker, source, index)
         },
         |worker, (source, id, _)| {
             let source = match source {
@@ -130,7 +147,7 @@ pub(crate) fn reduce_on_workers<S: AppItemSource + Send, K: RankSink>(
             while next_section(source)?.is_some() {
                 source.skip_current_rank()?;
             }
-            worker.stats.peak_chunk_bytes = source.peak_chunk_bytes();
+            G::read_out(worker, source);
             Ok(())
         },
     )
@@ -303,29 +320,29 @@ impl AppItemSource for DecodedAhead<'_> {
     }
 }
 
-/// Reduces a text trace into the sink `sink` opens on its header, on up
-/// to `workers` workers: worker 0 reads `first` (whose header declares the
-/// rank count), the others `open(worker)`.  Every worker's parser records
-/// its batches as `parse` spans.
-pub(crate) fn reduce_text<R: BufRead + Send, K: RankSink>(
-    reducer: &Reducer,
+/// Runs the stage `stage` opens on a text trace's header over its rank
+/// sections, on up to `workers` workers: worker 0 reads `first` (whose
+/// header declares the rank count), the others `open(worker)`.  Every
+/// worker's parser records its batches as `parse` spans in `recorder`.
+pub(crate) fn text<G: Stage, R: BufRead + Send>(
+    recorder: &Recorder,
     first: R,
     workers: usize,
     open: impl Fn(usize) -> Result<R, StreamError> + Sync,
-    sink: impl FnOnce(&TraceTables) -> Result<K, StreamError>,
-) -> Result<(K, StreamStats), StreamError> {
+    stage: impl FnOnce(&TraceTables) -> Result<G, StreamError>,
+) -> Result<Ran<G>, StreamError> {
     let parser = |reader| -> Result<_, StreamError> {
         let mut parser = StreamParser::new(reader)?;
-        parser.set_obs(reducer.recorder().shard());
+        parser.set_obs(recorder.shard());
         Ok(parser)
     };
     let first = parser(first)?;
-    let mut sink = sink(first.tables())?;
+    let mut stage = stage(first.tables())?;
     let n = first.tables().declared_ranks;
-    let stats = reduce_sources(reducer, &mut sink, first, n, workers, |worker| {
+    let workers = sources(recorder, &mut stage, first, n, workers, |worker| {
         parser(open(worker)?)
     })?;
-    Ok((sink, stats))
+    Ok((stage, workers))
 }
 
 /// Reduces a trace stream with `shards` worker threads (0 is treated as
@@ -343,7 +360,8 @@ where
     F: Fn(usize) -> io::Result<R> + Sync,
 {
     let open_more = |worker| Ok(open(worker)?);
-    let run = reduce_text(reducer, open(0)?, shards, open_more, Collect::open);
+    let stage = Reduce::opening(reducer, Collect::open);
+    let run = text(reducer.recorder(), open(0)?, shards, open_more, stage);
     run.map(StreamReduction::collected)
 }
 
@@ -480,12 +498,19 @@ mod tests {
 
     #[test]
     fn a_source_that_breaks_protocol_mid_section_returns_without_hanging() {
-        // `reduce_sources` returns once the decode stage has stopped, which
-        // the endless source leaves to the reducer's hanging up.
+        // `sources` returns once the decode stage has stopped, which the
+        // endless source leaves to the reducer's hanging up.
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
         let source = BreaksProtocol::new(10 * BATCH_RECORDS);
-        let mut sink = Collect(ReducedAppTrace::default());
-        let err = reduce_sources(&reducer, &mut sink, source, 1, 1, no_second_source).unwrap_err();
+        let sink = Collect(ReducedAppTrace::default());
+        let mut stage = Reduce {
+            reducer: &reducer,
+            sink,
+        };
+        let recorder = reducer.recorder();
+        let Err(err) = sources(recorder, &mut stage, source, 1, 1, no_second_source) else {
+            panic!("a rank start inside a rank section went through");
+        };
         assert!(
             matches!(
                 err,
@@ -510,11 +535,23 @@ mod tests {
         text.push_str("END_RANK\nEND_TRACE\n");
         let parser = StreamParser::new(Cursor::new(text.as_bytes())).unwrap();
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
-        let mut sink = Collect(ReducedAppTrace::default());
-        let (allocated, stats) = decode_ahead(parser, 1, ObsShard::disabled(), |ahead| {
-            reduce_on_workers(&reducer, &mut sink, ahead, 1, 1, no_second_source)
+        let sink = Collect(ReducedAppTrace::default());
+        let mut stage = Reduce {
+            reducer: &reducer,
+            sink,
+        };
+        let (allocated, workers) = decode_ahead(parser, 1, ObsShard::disabled(), |ahead| {
+            on_workers(
+                reducer.recorder(),
+                &mut stage,
+                ahead,
+                1,
+                1,
+                no_second_source,
+            )
         })
         .unwrap();
+        let (_, stats) = Reduce::finished((stage, workers));
         assert_eq!(stats.segments, records / 2);
         assert!((1..=2).contains(&allocated), "{allocated} buffers");
     }

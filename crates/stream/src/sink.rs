@@ -1,47 +1,61 @@
-//! Where a reduction's ranks go, one at a time, as they are reduced.
+//! Where a run's ranks go, one at a time, as they are worked on.
 //!
-//! Every driver hands each reduced rank to a [`RankSink`] in two steps: the
-//! worker that reduced it turns it into a section ([`RankSink::encode`]),
-//! and the calling thread takes the sections in rank order
-//! ([`RankSink::stitch`]).  There are two sinks:
+//! Every reduction hands each reduced rank to a [`RankSink`] in two steps:
+//! the worker that reduced it turns it into a section
+//! ([`RankSink::encode`]), and the calling thread takes the sections in
+//! rank order ([`Sink::stitch`]).  There are two sinks:
 //!
 //! * [`Collect`] assembles the [`ReducedAppTrace`] the library's entry
 //!   points return;
-//! * [`ReducedWriter`] encodes each rank on its worker, as a text section
+//! * [`TraceWriter`] encodes each rank on its worker, as a text section
 //!   or a container section, and writes it into the output as soon as it
 //!   is next.  The reduced trace is never assembled: a worker holds one
 //!   rank's reduced state at a time, and the execution log goes out as it
 //!   is made.
+//!
+//! A [`TraceWriter`] of a full trace is a conversion's whole stage: its
+//! workers copy each section's records from the source straight into
+//! their encoder, with no record buffer between.
 
 use std::io::Write;
 
-use trace_container::{ChunkSpec, ChunkWriter, EncodedSection, SectionEncoder};
-use trace_format::{write_reduced_header, write_reduced_rank, write_trailer};
+use trace_container::{ChunkSpec, ChunkWriter, EncodedSection, PayloadKind, SectionEncoder};
+use trace_format::{
+    write_app_header, write_app_records, write_rank_end, write_rank_start, write_reduced_header,
+    write_reduced_rank, write_trailer,
+};
 use trace_model::{ReducedAppTrace, ReducedRankTrace, TraceTables};
-use trace_obs::{ObsShard, Recorder, Stage};
+use trace_obs::{ObsShard, Recorder};
 
 use crate::error::StreamError;
-use crate::reduce::StreamStats;
+use crate::reduce::{copy_records, open_section, Reduce, StreamStats};
+use crate::shard::{Ran, Stage};
+use crate::source::AppItemSource;
 
-/// The two halves of a reduction's output: one encoder per worker, and
-/// the calling thread's stitch in rank order.
-pub(crate) trait RankSink {
-    /// What each worker keeps from rank to rank.
-    type Encoder: Send;
-    /// What a worker hands the calling thread for one rank.
+/// Where a run's sections go: each worker makes the sections it claims
+/// with a state of its own, and the calling thread takes them in rank
+/// order.  A [`Stage`] makes a section from its source, a [`RankSink`]
+/// from a reduced rank.
+pub(crate) trait Sink {
+    /// What each worker keeps from section to section.
+    type Worker: Send;
+    /// What a worker hands the calling thread for one section.
     type Section: Send;
 
-    /// A worker's encoder, recording into `recorder`.
-    fn encoder(&self, recorder: &Recorder) -> Self::Encoder;
-
-    /// Turns `rank`, just reduced, into its section, on the worker.
-    fn encode(
-        encoder: &mut Self::Encoder,
-        rank: ReducedRankTrace,
-    ) -> Result<Self::Section, StreamError>;
+    /// A worker's state, recording into `recorder`.
+    fn worker(&self, recorder: &Recorder) -> Self::Worker;
 
     /// Takes the next section in rank order, on the calling thread.
     fn stitch(&mut self, section: Self::Section) -> Result<(), StreamError>;
+}
+
+/// A reduction's output: each rank, just reduced, encoded on its worker.
+pub(crate) trait RankSink: Sink {
+    /// Turns `rank` into its section, on the worker.
+    fn encode(
+        worker: &mut Self::Worker,
+        rank: ReducedRankTrace,
+    ) -> Result<Self::Section, StreamError>;
 }
 
 /// The sink that assembles the reduced trace in memory.
@@ -54,15 +68,11 @@ impl Collect {
     }
 }
 
-impl RankSink for Collect {
-    type Encoder = ();
+impl Sink for Collect {
+    type Worker = ();
     type Section = ReducedRankTrace;
 
-    fn encoder(&self, _: &Recorder) {}
-
-    fn encode(_: &mut (), rank: ReducedRankTrace) -> Result<ReducedRankTrace, StreamError> {
-        Ok(rank)
-    }
+    fn worker(&self, _: &Recorder) {}
 
     fn stitch(&mut self, rank: ReducedRankTrace) -> Result<(), StreamError> {
         self.0.ranks.push(rank);
@@ -70,20 +80,26 @@ impl RankSink for Collect {
     }
 }
 
-/// How a reduced trace is written.
+impl RankSink for Collect {
+    fn encode(_: &mut (), rank: ReducedRankTrace) -> Result<ReducedRankTrace, StreamError> {
+        Ok(rank)
+    }
+}
+
+/// How a trace is written.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReducedFormat {
+pub enum OutputFormat {
     /// The line-oriented text format.
     Text,
     /// A chunked v2 container under the spec.
     Container(ChunkSpec),
 }
 
-/// The sink that writes each reduced rank into `out` as it comes: the
-/// header when it opens, a section per rank, and the trailer (and, for a
-/// container, the index) when it finishes.  Each stitch, and the finish,
-/// is one [`Stage::Store`] span: the serial tail of the run.
-pub(crate) struct ReducedWriter<W: Write> {
+/// The sink that writes each rank into `out` as it comes: the header when
+/// it opens, a section per rank, and the trailer (and, for a container,
+/// the index) when it finishes.  Each stitch, and the finish, is one
+/// [`trace_obs::Stage::Store`] span: the serial tail of the run.
+pub(crate) struct TraceWriter<W: Write> {
     out: Output<W>,
     /// The trace's name, from its header.
     name: String,
@@ -101,29 +117,35 @@ pub(crate) enum Encoded {
     Container(EncodedSection),
 }
 
-impl<W: Write> ReducedWriter<W> {
-    /// Writes the header of a reduced trace under `tables` into `out`.
+impl<W: Write> TraceWriter<W> {
+    /// Writes the header of a trace of `kind` under `tables` into `out`.
     pub(crate) fn open(
         mut out: W,
-        format: ReducedFormat,
+        format: OutputFormat,
+        kind: PayloadKind,
         tables: &TraceTables,
         recorder: &Recorder,
     ) -> Result<Self, StreamError> {
         let (name, ranks) = (&tables.name, tables.declared_ranks);
         let (regions, contexts) = (tables.regions.names(), tables.contexts.names());
         let out = match format {
-            ReducedFormat::Text => {
-                write_reduced_header(&mut out, name, ranks, regions, contexts)
-                    .map_err(StreamError::Sink)?;
-                Output::Text(out)
+            OutputFormat::Text => match kind {
+                PayloadKind::App => write_app_header(&mut out, name, ranks, regions, contexts),
+                PayloadKind::Reduced => {
+                    write_reduced_header(&mut out, name, ranks, regions, contexts)
+                }
             }
-            ReducedFormat::Container(spec) => Output::Container(Box::new(
-                ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)
-                    .map_err(StreamError::Sink)?,
-            )),
+            .map(|()| Output::Text(out)),
+            OutputFormat::Container(spec) => match kind {
+                PayloadKind::App => ChunkWriter::app(out, name, ranks, regions, contexts, spec),
+                PayloadKind::Reduced => {
+                    ChunkWriter::reduced(out, name, ranks, regions, contexts, spec)
+                }
+            }
+            .map(|writer| Output::Container(Box::new(writer))),
         };
-        Ok(ReducedWriter {
-            out,
+        Ok(TraceWriter {
+            out: out.map_err(StreamError::Sink)?,
             name: name.clone(),
             obs: recorder.shard(),
         })
@@ -136,23 +158,36 @@ impl<W: Write> ReducedWriter<W> {
             Output::Text(mut out) => write_trailer(&mut out).map(|()| out),
             Output::Container(writer) => writer.finish(),
         };
-        self.obs.end(Stage::Store, span);
+        self.obs.end(trace_obs::Stage::Store, span);
         out.map_err(StreamError::Sink)
     }
 }
 
-impl<W: Write> RankSink for ReducedWriter<W> {
+impl<W: Write> Sink for TraceWriter<W> {
     /// A container's section encoder; text needs none.
-    type Encoder = Option<SectionEncoder>;
+    type Worker = Option<SectionEncoder>;
     type Section = Encoded;
 
-    fn encoder(&self, recorder: &Recorder) -> Option<SectionEncoder> {
+    fn worker(&self, recorder: &Recorder) -> Option<SectionEncoder> {
         match &self.out {
             Output::Text(_) => None,
             Output::Container(writer) => Some(writer.section_encoder(recorder.shard())),
         }
     }
 
+    fn stitch(&mut self, section: Encoded) -> Result<(), StreamError> {
+        let span = self.obs.start();
+        let stitched = match (&mut self.out, section) {
+            (Output::Text(out), Encoded::Text(bytes)) => out.write_all(&bytes),
+            (Output::Container(writer), Encoded::Container(section)) => writer.stitch(section),
+            _ => return Err(StreamError::Protocol("a section of the other format")),
+        };
+        self.obs.end(trace_obs::Stage::Store, span);
+        stitched.map_err(StreamError::Sink)
+    }
+}
+
+impl<W: Write> RankSink for TraceWriter<W> {
     fn encode(
         encoder: &mut Option<SectionEncoder>,
         rank: ReducedRankTrace,
@@ -168,16 +203,35 @@ impl<W: Write> RankSink for ReducedWriter<W> {
         };
         encoded.map_err(StreamError::Sink)
     }
+}
 
-    fn stitch(&mut self, section: Encoded) -> Result<(), StreamError> {
-        let span = self.obs.start();
-        let stitched = match (&mut self.out, section) {
-            (Output::Text(out), Encoded::Text(bytes)) => out.write_all(&bytes),
-            (Output::Container(writer), Encoded::Container(section)) => writer.stitch(section),
-            _ => return Err(StreamError::Protocol("a section of the other format")),
+impl<W: Write> Stage for TraceWriter<W> {
+    /// Copies the section's records from `source` into its encoding as
+    /// they are read.
+    fn section<S: AppItemSource>(
+        encoder: &mut Option<SectionEncoder>,
+        source: &mut S,
+        _: usize,
+    ) -> Result<Encoded, StreamError> {
+        let rank = open_section(source)?;
+        let Some(encoder) = encoder else {
+            let mut bytes = Vec::new();
+            write_rank_start(&mut bytes, rank).map_err(StreamError::Sink)?;
+            copy_records(source, |records| {
+                write_app_records(&mut bytes, records).map_err(StreamError::Sink)
+            })?;
+            write_rank_end(&mut bytes).map_err(StreamError::Sink)?;
+            return Ok(Encoded::Text(bytes));
         };
-        self.obs.end(Stage::Store, span);
-        stitched.map_err(StreamError::Sink)
+        let section = encoder.encode(|writer| {
+            writer.begin_rank(rank).map_err(StreamError::Sink)?;
+            copy_records(source, |records| {
+                let written = records.iter().try_for_each(|record| writer.record(record));
+                written.map_err(StreamError::Sink)
+            })?;
+            writer.end_rank().map_err(StreamError::Sink)
+        });
+        section.map(Encoded::Container)
     }
 }
 
@@ -194,10 +248,9 @@ pub struct WrittenReduction<W> {
 }
 
 impl<W: Write> WrittenReduction<W> {
-    /// Finishes the file a run wrote into `writer`.
-    pub(crate) fn finished(
-        (writer, stats): (ReducedWriter<W>, StreamStats),
-    ) -> Result<Self, StreamError> {
+    /// Finishes the file a reduction wrote.
+    pub(crate) fn finished(run: Ran<Reduce<'_, TraceWriter<W>>>) -> Result<Self, StreamError> {
+        let (writer, stats) = Reduce::finished(run);
         let name = writer.name.clone();
         let out = writer.finish()?;
         Ok(WrittenReduction { out, name, stats })
