@@ -27,12 +27,12 @@ subcommands:
              [--preset tiny|small|paper] [binary output flags]
   reduce     --in FILE --out FILE        similarity-based reduction
              --method M [--threshold T]  [binary output flags]
-             [--shards N]                load and reduce on N workers (default:
-                                         one per core)
-             [--stream]                  online bounded-memory reduction; input
-                                         format (text, container v2) is
-                                         autodetected by magic bytes, and v2
-                                         containers shard by index footer
+             [--shards N]                reduce on N workers (default: one per
+                                         core), a rank section at a time in
+                                         bounded memory; the input format
+                                         (text, container v2) is detected by
+                                         magic bytes
+             [--stream]                  accepted; `reduce` always streams
              [--report FILE]             also write a self-contained HTML
                                          analysis report of the reduction
   reconstruct --in REDUCED --out FILE    rebuild an approximate full trace
@@ -64,8 +64,9 @@ observability flags (generate, reduce, convert):
                                          --obs-out, text otherwise); `chrome`
                                          is a chrome://tracing event stream
 
-file formats are chosen by extension: .txt/.trctxt = text, anything else = binary;
-binary files are .trc v2 containers; the retired monolithic v1 format is refused"
+file formats are chosen by extension: .txt/.trctxt = text, anything else = binary
+(`reduce` detects its input's format by magic bytes); binary files are .trc v2
+containers; the retired monolithic v1 format is refused"
         .to_string()
 }
 
@@ -303,12 +304,12 @@ fn cmd_generate(invocation: &Invocation) -> Result<String, String> {
     Ok(message)
 }
 
-/// `reduce`: the prologue (method, paths, format, `--shards`, obs) and the
-/// epilogue (`--report`, run report) are shared; only the source and the
-/// summary line differ between the in-memory path and `--stream`.  Both
-/// reduce on `--shards` workers, one per core by default, and write the
-/// output as they go: each worker encodes the ranks it reduces, and the
-/// calling thread writes them in rank order.
+/// `reduce`: one bounded-memory pass over the input file on `--shards`
+/// workers, one per core by default.  Text and chunked container v2 inputs
+/// are detected by their magic bytes.  Each worker reduces the rank
+/// sections it claims and encodes them, and the calling thread writes them
+/// in rank order, so neither the trace nor its reduction is ever held
+/// whole.  `--stream` is accepted and changes nothing.
 fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let config = parse_method(invocation, None)?;
     let input = Path::new(invocation.require("in")?);
@@ -332,60 +333,39 @@ fn cmd_reduce(invocation: &Invocation) -> Result<String, String> {
     let recorder = obs_recorder(&obs);
     let reducer = Reducer::new(config).with_recorder(&recorder);
 
-    let mut message = if invocation.has("stream") {
-        // One bounded-memory pass over the file: text and chunked container
-        // v2 inputs are autodetected by magic bytes.
-        let ((name, stats, kind), written) =
-            stream_into_file(input, out, spec, &recorder, |sink, format| {
-                let (run, kind) =
-                    trace_stream::reduce_any_file_into(&reducer, input, shards, sink, format)?;
-                Ok((run.name, run.stats, kind))
-            })?;
-        // No more workers run than the trace has ranks.
-        let workers = shards.clamp(1, stats.ranks.max(1));
-        // With several workers the stat is the sum of per-worker peaks —
-        // an upper bound on the concurrent total, not one observation.
-        let peak = match workers {
-            1 => "peak resident segments",
-            _ => "resident segments <=",
-        };
-        let mut message = format!(
-            "stream-reduced {name} ({} input) with {} over {workers} shard(s): {} stored \
-             segments for {} executions, degree of matching {:.3}, {peak} {} (of {} \
-             streamed), {written} bytes -> {}",
-            kind.label(),
-            config.label(),
-            stats.stored,
-            stats.execs,
-            stats.degree_of_matching(),
-            stats.peak_resident_segments,
-            stats.segments,
-            out.display()
-        );
-        if kind == trace_stream::TraceInputKind::ContainerV2 {
-            message.push_str(&format!(
-                ", peak chunk {} bytes decoded",
-                stats.peak_chunk_bytes
-            ));
-        }
-        message
-    } else {
-        // The in-memory path: the only one that holds the full trace.
-        let app = load_app_trace(input, shards, &recorder)?;
-        let (stats, written) = stream_into_file(input, out, spec, &recorder, |sink, format| {
-            let run = trace_stream::reduce_app_into(&reducer, &app, shards, sink, format)?;
-            Ok(run.stats)
+    let ((name, stats, kind), written) =
+        stream_into_file(input, out, spec, &recorder, |sink, format| {
+            let (run, kind) =
+                trace_stream::reduce_any_file_into(&reducer, input, shards, sink, format)?;
+            Ok((run.name, run.stats, kind))
         })?;
-        format!(
-            "reduced {} with {}: {} stored segments for {} executions, degree of matching {:.3}, {written} bytes -> {}",
-            app.name,
-            config.label(),
-            stats.stored,
-            stats.execs,
-            stats.degree_of_matching(),
-            out.display()
-        )
+    // No more workers run than the trace has ranks.
+    let workers = shards.clamp(1, stats.ranks.max(1));
+    // With several workers the stat is the sum of per-worker peaks — an
+    // upper bound on the concurrent total, not one observation.
+    let peak = match workers {
+        1 => "peak resident segments",
+        _ => "resident segments <=",
     };
+    let mut message = format!(
+        "reduced {name} ({} input) with {} over {workers} shard(s): {} stored segments for \
+         {} executions, degree of matching {:.3}, {peak} {} (of {} streamed), {written} \
+         bytes -> {}",
+        kind.label(),
+        config.label(),
+        stats.stored,
+        stats.execs,
+        stats.degree_of_matching(),
+        stats.peak_resident_segments,
+        stats.segments,
+        out.display()
+    );
+    if kind == trace_stream::TraceInputKind::ContainerV2 {
+        message.push_str(&format!(
+            ", peak chunk {} bytes decoded",
+            stats.peak_chunk_bytes
+        ));
+    }
 
     // `--report FILE`: the page `report --in OUT --html FILE` writes, with
     // this run's method for the divergence kernels and, with `--obs`, its
@@ -445,7 +425,7 @@ fn cmd_convert(invocation: &Invocation) -> Result<String, String> {
 
 fn cmd_analyze(invocation: &Invocation) -> Result<String, String> {
     let input = Path::new(invocation.require("in")?);
-    let app = load_app_trace(input, section_workers(), &Recorder::disabled())?;
+    let app = load_app_trace(input)?;
     let diagnosis = diagnose(&app);
     Ok(format!(
         "diagnosis of {} ({} ranks, {} events):\n{}",
@@ -481,7 +461,7 @@ fn cmd_report(invocation: &Invocation) -> Result<String, String> {
     let full = invocation.has("full").then(|| invocation.require("full"));
     let full = full.transpose()?;
     let original = full
-        .map(|path| load_app_trace(Path::new(path), section_workers(), &Recorder::disabled()))
+        .map(|path| load_app_trace(Path::new(path)))
         .transpose()?;
     let run = if invocation.has("run-report") {
         let path = invocation.require("run-report")?;
@@ -776,11 +756,20 @@ mod tests {
         cleanup(&[&trace, &reduced, &rebuilt]);
     }
 
+    /// The bytes of reducing the trace at `input` with the library's
+    /// in-memory reducer, `Reducer::reduce_app`, under `method`'s default
+    /// threshold, stored as a container under `spec`: a second driver
+    /// for the CLI's streamed output to be held to.
+    fn in_memory_bytes(input: &Path, method: Method, spec: ChunkSpec) -> Vec<u8> {
+        let app = load_app_trace(input).unwrap();
+        let reduced = Reducer::with_default_threshold(method).reduce_app(&app);
+        trace_container::encode_reduced_container(&reduced, spec)
+    }
+
     #[test]
     fn stream_reduce_matches_the_in_memory_path() {
         let text = temp_path("stream_in.txt");
         let one_rank = temp_path("stream_one_rank.txt");
-        let reduced_mem = temp_path("stream_mem.trc");
         let reduced_stream = temp_path("stream_out.trc");
         let reduced_one = temp_path("stream_one_worker.trc");
 
@@ -805,7 +794,7 @@ mod tests {
         // The summary names the workers that ran: one per rank at most, and
         // a single worker's peak is one observation, not a bound.  Without
         // `--shards` one worker runs per core, and writes the bytes one
-        // worker writes.
+        // worker writes.  `--stream` changes nothing.
         let cores = section_workers().min(8);
         let bound = |workers| match workers {
             1 => "peak resident segments",
@@ -826,32 +815,26 @@ mod tests {
                 flags.extend_from_slice(extra);
                 run(&Invocation::new("reduce", &flags)).unwrap()
             };
-            reduce(&reduced_mem, &[]);
             let out = match shards {
-                Some(shards) => reduce(&reduced_stream, &[("stream", ""), ("shards", shards)]),
+                Some(shards) => reduce(&reduced_stream, &[("shards", shards)]),
                 None => reduce(&reduced_stream, &[("stream", "")]),
             };
-            assert!(out.contains("stream-reduced"), "{out}");
+            assert!(out.starts_with("reduced "), "{out}");
             assert!(out.contains(&format!("over {workers} shard(s)")), "{out}");
             assert!(out.contains(peak), "{out}");
 
             // The streamed output file is byte-identical to the in-memory
-            // one, and to one worker's.
+            // reducer's, and to one worker's.
             let streamed = std::fs::read(&reduced_stream).unwrap();
-            assert_eq!(std::fs::read(&reduced_mem).unwrap(), streamed);
+            let expected = in_memory_bytes(input, Method::RelDiff, default_spec());
+            assert!(streamed == expected, "{}", input.display());
             if shards.is_none() {
-                reduce(&reduced_one, &[("stream", ""), ("shards", "1")]);
+                reduce(&reduced_one, &[("shards", "1")]);
                 assert_eq!(std::fs::read(&reduced_one).unwrap(), streamed);
             }
         }
 
-        cleanup(&[
-            &text,
-            &one_rank,
-            &reduced_mem,
-            &reduced_stream,
-            &reduced_one,
-        ]);
+        cleanup(&[&text, &one_rank, &reduced_stream, &reduced_one]);
     }
 
     #[test]
@@ -1022,8 +1005,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("codec none"), "{out}");
         assert_eq!(
-            crate::io::load_app_trace(&default_out, 2, &Recorder::disabled()).unwrap(),
-            crate::io::load_app_trace(&none_out, 2, &Recorder::disabled()).unwrap()
+            crate::io::load_app_trace(&default_out).unwrap(),
+            crate::io::load_app_trace(&none_out).unwrap()
         );
         let compressed = std::fs::metadata(&default_out).unwrap().len();
         let uncompressed = std::fs::metadata(&none_out).unwrap().len();
@@ -1053,8 +1036,8 @@ mod tests {
         }
         // Same trace back from both encodings, smaller file under delta-lz.
         assert_eq!(
-            crate::io::load_app_trace(&none, 2, &Recorder::disabled()).unwrap(),
-            crate::io::load_app_trace(&dlz, 2, &Recorder::disabled()).unwrap()
+            crate::io::load_app_trace(&none).unwrap(),
+            crate::io::load_app_trace(&dlz).unwrap()
         );
         let none_len = std::fs::metadata(&none).unwrap().len();
         let dlz_len = std::fs::metadata(&dlz).unwrap().len();
@@ -1081,7 +1064,8 @@ mod tests {
 
     #[test]
     fn stream_reduce_rejects_bad_shards() {
-        // Zero workers is refused on both paths, before any input is read.
+        // Zero workers is refused, with `--stream` or without it, before any
+        // input is read.
         for stream in [true, false] {
             let mut flags = vec![
                 ("in", "/tmp/x.txt"),
@@ -1098,11 +1082,10 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_reduce_on_any_worker_count_writes_the_stream_bytes() {
+    fn reduce_on_any_worker_count_writes_the_in_memory_reducers_bytes() {
         let input = temp_path("workers_in.trc");
         let text = temp_path("workers_in.txt");
-        let streamed = temp_path("workers_stream.trc");
-        let in_memory = temp_path("workers_mem.trc");
+        let reduced = temp_path("workers_out.trc");
         for workload in ["late_sender", "dyn_load_balance"] {
             for codec in ["none", "delta-lz"] {
                 let what = format!("{workload} under {codec}");
@@ -1127,29 +1110,32 @@ mod tests {
                     flags.extend_from_slice(extra);
                     run(&Invocation::new("reduce", &flags)).unwrap()
                 };
-                reduce(&input, &streamed, &[("stream", "")]);
-                let expected = std::fs::read(&streamed).unwrap();
-                let from_text = load_app_trace(&text, 1, &Recorder::disabled()).unwrap();
+                let spec = ChunkSpec::with_codec(match codec {
+                    "none" => Codec::None,
+                    _ => Codec::DeltaLz,
+                });
+                let expected = in_memory_bytes(&text, Method::AvgWave, spec);
+                let from_text = load_app_trace(&text).unwrap();
                 let ranks = (from_text.rank_count() + 3).to_string();
-                // The text trace reduces in memory to the same bytes.
+                // The text trace reduces to the same bytes as the container.
                 let mut runs = vec![(&text, None)];
                 for shards in [None, Some("1"), Some("2"), Some("3"), Some(ranks.as_str())] {
                     runs.push((&input, shards));
                 }
                 for (input, shards) in runs {
                     let out = match shards {
-                        Some(shards) => reduce(input, &in_memory, &[("shards", shards)]),
-                        None => reduce(input, &in_memory, &[]),
+                        Some(shards) => reduce(input, &reduced, &[("shards", shards)]),
+                        None => reduce(input, &reduced, &[]),
                     };
                     assert!(out.starts_with("reduced "), "{what}: {out}");
-                    let found = std::fs::read(&in_memory).unwrap();
+                    let found = std::fs::read(&reduced).unwrap();
                     let input = input.display();
-                    assert_eq!(found, expected, "{what}, {input} --shards {shards:?}");
+                    assert!(found == expected, "{what}, {input} --shards {shards:?}");
                 }
                 // The trace the container loads on any worker count is the
                 // text's, so `analyze` reads the same of both.
                 for workers in [1, 2, 3, from_text.rank_count() + 3] {
-                    let loaded = load_app_trace(&input, workers, &Recorder::disabled());
+                    let loaded = trace_stream::load_container_file(&input, workers);
                     assert!(loaded.unwrap() == from_text, "{what}, {workers} workers");
                 }
                 let analyze = |input: &Path| {
@@ -1162,7 +1148,7 @@ mod tests {
                 assert_eq!(analyze(&input), analyze(&text), "{what}");
             }
         }
-        cleanup(&[&input, &text, &streamed, &in_memory]);
+        cleanup(&[&input, &text, &reduced]);
     }
 
     #[test]
@@ -1191,8 +1177,8 @@ mod tests {
         assert!(out.contains("converted"));
         // The text file parses back to the same trace.
         assert_eq!(
-            crate::io::load_app_trace(&trace, 2, &Recorder::disabled()).unwrap(),
-            crate::io::load_app_trace(&text, 2, &Recorder::disabled()).unwrap()
+            crate::io::load_app_trace(&trace).unwrap(),
+            crate::io::load_app_trace(&text).unwrap()
         );
 
         cleanup(&[&trace, &text]);
@@ -1443,7 +1429,7 @@ mod tests {
     fn reduce_report_writes_the_page_report_html_writes() {
         // `reduce --report` reads the finished output back: its page is the
         // one `report --in OUT --html` writes under the same method, for
-        // both output formats, in memory and streamed.
+        // both output formats.
         let trace = temp_path("report_page_in.trc");
         let (inline, page) = (temp_path("inline.html"), temp_path("page.html"));
         let input = trace.to_str().unwrap();
@@ -1459,18 +1445,15 @@ mod tests {
                 ("method", "relDiff"),
                 ("report", html),
             ];
-            let stream = [&reduce[..], &[("stream", "")]].concat();
-            for flags in [&reduce[..], &stream] {
-                run(&Invocation::new("reduce", flags)).unwrap();
-                let report = [
-                    ("in", to),
-                    ("method", "relDiff"),
-                    ("html", page.to_str().unwrap()),
-                ];
-                run(&Invocation::new("report", &report)).unwrap();
-                let (inline, page) = (std::fs::read(&inline), std::fs::read(&page));
-                assert!(inline.unwrap() == page.unwrap(), "{name} {flags:?}");
-            }
+            run(&Invocation::new("reduce", &reduce)).unwrap();
+            let report = [
+                ("in", to),
+                ("method", "relDiff"),
+                ("html", page.to_str().unwrap()),
+            ];
+            run(&Invocation::new("report", &report)).unwrap();
+            let (inline, page) = (std::fs::read(&inline), std::fs::read(&page));
+            assert!(inline.unwrap() == page.unwrap(), "{name}");
             cleanup(&[&out]);
         }
         cleanup(&[&inline]);

@@ -2,7 +2,8 @@
 //!
 //! File formats are chosen by extension: `.txt` and `.trctxt` use the
 //! human-readable text format from `trace-format`, everything else is
-//! binary.  Binary files have one format, a chunked v2 container, whose
+//! binary (`reduce` alone detects its input's format by magic bytes).
+//! Binary files have one format, a chunked v2 container, whose
 //! [`ChunkSpec`] names the codec on write (`delta-lz` by default, `none`
 //! with `--codec none`).  A retired monolithic v1 file is refused by the
 //! container's readers with one typed error; its length survives only as
@@ -18,7 +19,7 @@ use std::path::Path;
 use trace_container::{
     read_reduced_container, section_workers, write_app_container, ChunkSpec, ContainerError,
 };
-use trace_format::{read_app_trace, read_reduced_trace, write_app_trace};
+use trace_format::{read_app_trace, read_reduced_trace, write_app_trace_to};
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_stream::{
     convert_container, convert_text, load_container_file, OutputFormat, StreamError,
@@ -87,21 +88,15 @@ fn load<T>(
 }
 
 /// Loads a full application trace from `path` (text or binary by
-/// extension).  A container decodes its rank sections on `workers`
-/// workers ([`load_container_file`]); text is read in order.  The whole
-/// read-and-decode is one [`trace_obs::Stage::Parse`] span in `recorder`.
-pub fn load_app_trace(
-    path: &Path,
-    workers: usize,
-    recorder: &trace_obs::Recorder,
-) -> Result<AppTrace, String> {
-    let mut obs = recorder.shard();
-    let span = obs.start();
-    let result = load(path, read_app_trace, |path| {
-        load_container_file(path, workers)
-    });
-    obs.end(trace_obs::Stage::Parse, span);
-    result
+/// extension), for the commands that need it whole: `analyze` and
+/// `report --full`.  A container decodes its rank sections on one worker
+/// per core ([`load_container_file`]); text is read in order.  `reduce`
+/// and `convert` never load: they stream the file through
+/// [`stream_into_file`].
+pub fn load_app_trace(path: &Path) -> Result<AppTrace, String> {
+    load(path, read_app_trace, |path| {
+        load_container_file(path, section_workers())
+    })
 }
 
 /// Loads a reduced trace from `path` (text or binary by extension).  Both
@@ -164,7 +159,7 @@ pub fn store_app_trace(
 ) -> Result<usize, String> {
     store(path, recorder, |out| {
         if is_text_path(path) {
-            out.write_all(write_app_trace(app).as_bytes())
+            write_app_trace_to(out, app).map(drop)
         } else {
             write_app_container(out, app, spec, recorder).map(drop)
         }
@@ -174,12 +169,15 @@ pub fn store_app_trace(
 /// Streams a trace read from `input` into `path` atomically: `stream`
 /// writes it into the sink it is given, in the format the path's extension
 /// names (text, or a v2 container under `spec`), as it goes — a reduction
-/// or a conversion.  What is wrong with `input` reads as it does from
-/// [`load_app_trace`], however far the output got; a failing sink reads as
-/// a failed write; either way no partial output is left.  The writer
-/// records each section it writes, and the index and trailer, as
-/// [`trace_obs::Stage::Store`] spans; the flush and rename here are one
-/// more.  Returns what `stream` returned and the number of bytes written.
+/// or a conversion.  The stream opens `input` once per worker, so an input
+/// that exists and is not a regular file (a pipe, a device) is refused
+/// before anything is read or written.  What is wrong with `input` reads
+/// as it does from [`load_app_trace`], however far the output got; a
+/// failing sink reads as a failed write; either way no partial output is
+/// left.  The writer records each section it writes, and the index and
+/// trailer, as [`trace_obs::Stage::Store`] spans; the flush and rename
+/// here are one more.  Returns what `stream` returned and the number of
+/// bytes written.
 pub fn stream_into_file<T>(
     input: &Path,
     path: &Path,
@@ -187,6 +185,13 @@ pub fn stream_into_file<T>(
     recorder: &trace_obs::Recorder,
     stream: impl FnOnce(&mut dyn Write, OutputFormat) -> Result<T, StreamError>,
 ) -> Result<(T, usize), String> {
+    if fs::metadata(input).is_ok_and(|meta| !meta.is_file()) {
+        return Err(format!(
+            "{} is not a regular file: the input is read once per worker, so it must be a \
+             file that can be opened again, not a pipe or a device",
+            input.display()
+        ));
+    }
     let format = if is_text_path(path) {
         OutputFormat::Text
     } else {
@@ -284,7 +289,7 @@ mod tests {
             let path = temp_path(name);
             let written = store_app_trace(&path, &app, spec, &off()).unwrap();
             assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
-            let loaded = load_app_trace(&path, 2, &off()).unwrap();
+            let loaded = load_app_trace(&path).unwrap();
             assert_eq!(loaded, app, "{name}");
             let _ = std::fs::remove_file(&path);
         }
@@ -331,12 +336,12 @@ mod tests {
     #[test]
     fn missing_files_and_garbage_content_report_errors() {
         let missing = Path::new("/nonexistent/definitely/missing.trc");
-        assert!(load_app_trace(missing, 2, &off()).is_err());
+        assert!(load_app_trace(missing).is_err());
         assert!(load_reduced_trace(missing).is_err());
 
         let path = temp_path("garbage.txt");
         std::fs::write(&path, "this is not a trace").unwrap();
-        let err = load_app_trace(&path, 2, &off()).unwrap_err();
+        let err = load_app_trace(&path).unwrap_err();
         assert!(err.contains("trace format error"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

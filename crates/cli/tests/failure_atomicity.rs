@@ -21,8 +21,8 @@ use trace_model::{
 use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{
-    convert_container, convert_text, reduce_any_file, reduce_any_file_into, reduce_app_into,
-    reduce_container_file, OutputFormat, StreamError,
+    convert_container, convert_text, load_container_file, reduce_any_file, reduce_any_file_into,
+    reduce_app_into, reduce_container_file, OutputFormat, StreamError,
 };
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
@@ -450,12 +450,8 @@ fn a_retired_v1_file_is_refused_by_every_reader_and_leaves_no_output() {
         let from = input.to_str().unwrap();
         for target in ["trc", "txt"].map(|ext| temp_path(&format!("retired_out.{ext}"))) {
             let to = target.to_str().unwrap();
-            let runs: [(&str, Vec<(&str, &str)>); 5] = [
+            let runs: [(&str, Vec<(&str, &str)>); 4] = [
                 ("reduce", vec![("out", to), ("method", "avgWave")]),
-                (
-                    "reduce",
-                    vec![("out", to), ("method", "avgWave"), ("stream", "")],
-                ),
                 (
                     "reduce",
                     vec![
@@ -480,6 +476,42 @@ fn a_retired_v1_file_is_refused_by_every_reader_and_leaves_no_output() {
             let _ = std::fs::remove_file(&target);
         }
         let _ = std::fs::remove_file(&input);
+    }
+}
+
+#[test]
+fn a_non_regular_input_is_refused_before_anything_is_written() {
+    // `reduce` and `convert` open their input once per worker, so a pipe
+    // would give each open what the one before left of it.  A device and a
+    // directory are refused alike, before the input is read or the output
+    // touched: every Linux host has `/dev/null`, and every host a temp dir.
+    let mut inputs = vec![std::env::temp_dir()];
+    inputs.extend(Some(PathBuf::from("/dev/null")).filter(|path| path.exists()));
+    for input in &inputs {
+        let from = input.to_str().unwrap();
+        for target in ["trc", "txt"].map(|ext| temp_path(&format!("non_regular_out.{ext}"))) {
+            let to = target.to_str().unwrap();
+            let reduce = [("in", from), ("out", to), ("method", "avgWave")];
+            let runs = [
+                ("reduce", reduce.to_vec()),
+                (
+                    "reduce",
+                    [&reduce[..], &[("stream", ""), ("shards", "1")]].concat(),
+                ),
+                ("convert", vec![("in", from), ("out", to)]),
+            ];
+            write_file_atomic(&target, |file| file.write_all(b"previous output")).unwrap();
+            for (command, flags) in runs {
+                let what = format!("{command} {flags:?}");
+                let err = run(&Invocation::new(command, &flags)).unwrap_err();
+                let refusal = format!("{from} is not a regular file: ");
+                assert!(err.starts_with(&refusal), "{what}: {err}");
+                assert!(err.contains("read once per worker"), "{what}: {err}");
+                assert_eq!(std::fs::read(&target).unwrap(), b"previous output");
+                assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{what}");
+            }
+            let _ = std::fs::remove_file(&target);
+        }
     }
 }
 
@@ -622,9 +654,7 @@ fn a_crafted_index_is_refused_by_every_driver_and_leaves_no_output() {
             let reduce = [("in", from), ("out", to), ("method", "avgWave")];
             let mut runs: Vec<(&str, Vec<(&str, &str)>)> = Vec::new();
             for shards in ["1", "2", "3"] {
-                let in_memory = [&reduce[..], &[("shards", shards)]].concat();
-                let stream = [&in_memory[..], &[("stream", "")]].concat();
-                runs.extend([("reduce", in_memory), ("reduce", stream)]);
+                runs.push(("reduce", [&reduce[..], &[("shards", shards)]].concat()));
             }
             runs.push(("convert", vec![("in", from), ("out", to)]));
             runs.push(("analyze", vec![("in", from)]));
@@ -647,8 +677,9 @@ fn a_crafted_index_is_refused_by_every_driver_and_leaves_no_output() {
 #[test]
 fn a_load_failing_in_two_sections_says_what_the_stream_reduce_says() {
     // A flipped payload byte in the first RECORDS chunk of sections 2 and
-    // 5: every worker count gives section 2's error, in the words of
-    // `reduce --stream` on as many workers.
+    // 5: the whole-trace load (`analyze`, `report --full`) gives section
+    // 2's error on every worker count, in the words of `reduce` on as many
+    // workers.
     let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
     let mut bytes = encode_app_container(&app, ChunkSpec::with_segments(8));
     let index = read_index(&mut Cursor::new(&bytes)).unwrap();
@@ -660,22 +691,21 @@ fn a_load_failing_in_two_sections_says_what_the_stream_reduce_says() {
     let target = temp_path("two_bad_sections_out.trc");
     std::fs::write(&input, &bytes).unwrap();
     let (from, to) = (input.to_str().unwrap(), target.to_str().unwrap());
-    let ranks = (app.rank_count() + 3).to_string();
-    for shards in ["1", "2", "3", ranks.as_str()] {
+    for workers in [1, 2, 3, app.rank_count() + 3] {
+        let shards = workers.to_string();
         let reduce = [
             ("in", from),
             ("out", to),
             ("method", "avgWave"),
-            ("shards", shards),
+            ("shards", shards.as_str()),
         ];
-        let in_memory = run(&Invocation::new("reduce", &reduce)).unwrap_err();
-        let stream = [&reduce[..], &[("stream", "")]].concat();
-        let streamed = run(&Invocation::new("reduce", &stream)).unwrap_err();
-        assert_eq!(in_memory, streamed, "--shards {shards}");
+        let streamed = run(&Invocation::new("reduce", &reduce)).unwrap_err();
+        let loaded = load_container_file(&input, workers).unwrap_err();
+        assert_eq!(format!("{from}: {loaded}"), streamed, "{workers} workers");
         assert!(!target.exists(), "--shards {shards} left an output");
         let bad = index.sections[2];
-        let place = match shards {
-            "1" => String::new(),
+        let place = match workers {
+            1 => String::new(),
             _ => format!(
                 "rank section 2 ({}, byte offset {}): ",
                 bad.rank, bad.offset
@@ -685,10 +715,7 @@ fn a_load_failing_in_two_sections_says_what_the_stream_reduce_says() {
             "{from}: {place}chunk at byte {} is corrupt",
             chunk_end(&bytes, bad.offset).unwrap()
         );
-        assert!(
-            in_memory.starts_with(&crc),
-            "--shards {shards}: {in_memory}"
-        );
+        assert!(streamed.starts_with(&crc), "--shards {shards}: {streamed}");
     }
     let _ = std::fs::remove_file(&input);
 }
@@ -716,8 +743,6 @@ fn a_reduced_container_given_for_a_trace_fails_alike_on_every_worker_count() {
             ("shards", shards),
         ];
         errors.push(run(&Invocation::new("reduce", &reduce)).unwrap_err());
-        let stream = [&reduce[..], &[("stream", "")]].concat();
-        errors.push(run(&Invocation::new("reduce", &stream)).unwrap_err());
         assert!(!target.exists(), "--shards {shards} left an output");
     }
     let _ = std::fs::remove_file(&input);
@@ -729,8 +754,8 @@ fn a_reduced_container_given_for_a_trace_fails_alike_on_every_worker_count() {
 fn a_reduce_failing_in_its_last_section_keeps_the_target_on_every_worker_count() {
     // The reduction writes its output as it goes, so when the last rank
     // section fails the sections before it have gone into the temp file
-    // already.  Every worker count, in memory and streamed, still leaves
-    // the previous target and no temp file, and says what the sequential
+    // already.  Every worker count still leaves the previous target and
+    // no temp file, and says what the sequential
     // reader says: the whole-text parser, or the container decoder, in the
     // words of a section read through the index on two or more workers.
     let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
@@ -776,18 +801,15 @@ fn a_reduce_failing_in_its_last_section_keeps_the_target_on_every_worker_count()
                 ("method", "avgWave"),
                 ("shards", shards),
             ];
-            let stream = [&reduce[..], &[("stream", "")]].concat();
-            for (path, flags) in [("in memory", &reduce[..]), ("--stream", &stream)] {
-                let case = format!("{name}, {path}, --shards {shards}");
-                let err = run(&Invocation::new("reduce", flags)).unwrap_err();
-                assert_eq!(err, format!("{from}: {expected}"), "{case}");
-                assert_eq!(
-                    std::fs::read(&target).unwrap(),
-                    b"previous output",
-                    "{case}"
-                );
-                assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{case}");
-            }
+            let case = format!("{name}, --shards {shards}");
+            let err = run(&Invocation::new("reduce", &reduce)).unwrap_err();
+            assert_eq!(err, format!("{from}: {expected}"), "{case}");
+            assert_eq!(
+                std::fs::read(&target).unwrap(),
+                b"previous output",
+                "{case}"
+            );
+            assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{case}");
         }
         let _ = std::fs::remove_file(&input);
     }
@@ -847,15 +869,12 @@ fn a_reduce_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
     let _ = std::fs::remove_file(&path);
 
     // Through the CLI, a device that is always full: the error names the
-    // output, not the input, in memory and streamed.
+    // output, not the input.
     if Path::new("/dev/full").exists() {
         let from = text_input.to_str().unwrap();
         let reduce = [("in", from), ("out", "/dev/full"), ("method", "avgWave")];
-        let stream = [&reduce[..], &[("stream", "")]].concat();
-        for flags in [&reduce[..], &stream] {
-            let err = run(&Invocation::new("reduce", flags)).unwrap_err();
-            assert!(err.starts_with("cannot write /dev/full: "), "{err}");
-        }
+        let err = run(&Invocation::new("reduce", &reduce)).unwrap_err();
+        assert!(err.starts_with("cannot write /dev/full: "), "{err}");
     }
     let _ = std::fs::remove_file(&text_input);
     let _ = std::fs::remove_file(&container_input);

@@ -43,7 +43,9 @@
 //!   container, and the calling thread writes the sections in rank order,
 //!   then the index and trailer.  The reduced trace is never assembled:
 //!   each worker holds one rank's reduced state, and the execution log is
-//!   written as it goes.  Sections finished ahead of the next one the file
+//!   written as it goes.  The CLI's `reduce` always reads the file; the
+//!   in-memory source has no caller outside tests, and is kept as the
+//!   one [`trace_reduce::Reducer::reduce_app`] is to be folded into.  Sections finished ahead of the next one the file
 //!   takes wait encoded — past a slower worker's rank, or while the
 //!   calling thread reduces a rank of its own — so a rank that dwarfs the
 //!   rest can hold most of the encoded output back until it is done.

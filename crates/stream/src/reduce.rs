@@ -367,7 +367,8 @@ pub fn reduce_stream<R: BufRead + Send>(
 /// whole rank's records at a time with no copy, and encodes each rank it
 /// reduces.  The bytes are those of storing
 /// [`trace_reduce::reduce_app_parallel`]'s trace, which is never
-/// assembled.
+/// assembled.  The CLI no longer calls this: its `reduce` streams the
+/// file through [`crate::reduce_any_file_into`].
 pub fn reduce_app_into<W: Write>(
     reducer: &Reducer,
     app: &AppTrace,

@@ -14,7 +14,8 @@
 //! hand-off per record.  A trace already in memory is a source too
 //! (`AppTraceSource`, behind [`crate::reduce::reduce_app_into`]): it hands
 //! over a whole rank's records as one slice, with no copy, and passes a
-//! section for free.
+//! section for free.  The CLI no longer reduces a loaded trace, so only
+//! tests drive it, until the library's in-memory reducer runs on it too.
 
 use std::io::BufRead;
 
