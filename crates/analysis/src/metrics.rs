@@ -40,7 +40,7 @@ impl MetricKind {
     ];
 
     /// Full display name (as KOJAK's CUBE shows it).
-    pub fn display_name(self) -> &'static str {
+    pub(crate) fn display_name(self) -> &'static str {
         match self {
             MetricKind::ExecutionTime => "Execution Time",
             MetricKind::LateSender => "Late Sender",

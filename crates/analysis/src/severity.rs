@@ -24,13 +24,13 @@ impl SeverityEntry {
     }
 
     /// Largest single-rank magnitude.
-    pub fn max_abs_ms(&self) -> f64 {
+    pub(crate) fn max_abs_ms(&self) -> f64 {
         self.per_rank_ms.iter().map(|v| v.abs()).fold(0.0, f64::max)
     }
 
     /// The per-rank severities normalized so the largest magnitude is 1
     /// (all zeros stay zero).  Used when comparing rank *patterns*.
-    pub fn normalized(&self) -> Vec<f64> {
+    pub(crate) fn normalized(&self) -> Vec<f64> {
         let max = self.max_abs_ms();
         if max > 0.0 {
             self.per_rank_ms.iter().map(|v| v / max).collect()
@@ -91,7 +91,7 @@ impl Diagnosis {
     }
 
     /// Total severity of a metric summed over regions and ranks.
-    pub fn metric_total_ms(&self, metric: MetricKind) -> f64 {
+    pub(crate) fn metric_total_ms(&self, metric: MetricKind) -> f64 {
         self.entries
             .values()
             .filter(|e| e.metric == metric)
@@ -101,7 +101,7 @@ impl Diagnosis {
 
     /// Total execution time over all ranks and regions (the denominator used
     /// when judging whether a wait-state severity is significant).
-    pub fn total_time_ms(&self) -> f64 {
+    pub(crate) fn total_time_ms(&self) -> f64 {
         self.metric_total_ms(MetricKind::ExecutionTime)
     }
 

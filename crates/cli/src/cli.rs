@@ -45,12 +45,12 @@ impl Invocation {
 
     /// True if the flag was given at all — with or without a value.  This
     /// is how boolean switches such as `--stream` are tested.
-    pub fn has(&self, flag: &str) -> bool {
+    pub(crate) fn has(&self, flag: &str) -> bool {
         self.options.contains_key(flag)
     }
 
     /// Returns an optional option parsed as `f64`.
-    pub fn get_f64(&self, flag: &str) -> Result<Option<f64>, String> {
+    pub(crate) fn get_f64(&self, flag: &str) -> Result<Option<f64>, String> {
         match self.get(flag) {
             None => Ok(None),
             Some(raw) => raw
@@ -61,7 +61,7 @@ impl Invocation {
     }
 
     /// Returns an optional option parsed as `usize`.
-    pub fn get_usize(&self, flag: &str) -> Result<Option<usize>, String> {
+    pub(crate) fn get_usize(&self, flag: &str) -> Result<Option<usize>, String> {
         match self.get(flag) {
             None => Ok(None),
             Some(raw) => raw
@@ -74,17 +74,17 @@ impl Invocation {
 
 /// Binary-output flags shared by every command that writes `.trc` files
 /// (`generate`, `reduce`, `convert`).
-pub const BINARY_OUTPUT_FLAGS: &[&str] = &["codec"];
+pub(crate) const BINARY_OUTPUT_FLAGS: &[&str] = &["codec"];
 
 /// Observability flags shared by the instrumented commands.
-pub const OBS_FLAGS: &[&str] = &["obs", "obs-out", "obs-format"];
+pub(crate) const OBS_FLAGS: &[&str] = &["obs", "obs-out", "obs-format"];
 
 /// Declarative flag specification for one subcommand: the flags it owns
 /// plus any shared flag groups it participates in.  `commands::run`
 /// rejects anything not listed here instead of silently ignoring it, so
 /// every flag an implementation reads must appear in [`COMMAND_SPECS`].
 #[derive(Clone, Copy, Debug)]
-pub struct CommandSpec {
+pub(crate) struct CommandSpec {
     /// Canonical subcommand name.
     pub name: &'static str,
     /// Flags specific to this subcommand, in usage order.
@@ -100,7 +100,7 @@ impl CommandSpec {
     }
 
     /// All accepted flags: own flags first, then each group in order.
-    pub fn flags(&self) -> Vec<&'static str> {
+    pub(crate) fn flags(&self) -> Vec<&'static str> {
         let mut flags: Vec<&'static str> = self.own.to_vec();
         for group in self.groups {
             flags.extend_from_slice(group);
@@ -110,7 +110,7 @@ impl CommandSpec {
 }
 
 /// The flag table for every `trace-tools` subcommand.
-pub const COMMAND_SPECS: &[CommandSpec] = &[
+pub(crate) const COMMAND_SPECS: &[CommandSpec] = &[
     CommandSpec {
         name: "help",
         own: &[],
@@ -173,7 +173,7 @@ pub const COMMAND_SPECS: &[CommandSpec] = &[
 /// Looks up the spec for a subcommand; `--help`/`-h` alias `help`.
 /// `None` means the subcommand itself is unknown (reported by the
 /// dispatcher, not as a flag error).
-pub fn command_spec(command: &str) -> Option<&'static CommandSpec> {
+pub(crate) fn command_spec(command: &str) -> Option<&'static CommandSpec> {
     let canonical = match command {
         "--help" | "-h" => "help",
         other => other,
@@ -182,7 +182,7 @@ pub fn command_spec(command: &str) -> Option<&'static CommandSpec> {
 }
 
 /// Rejects flags the subcommand does not define, listing the valid ones.
-pub fn check_flags(invocation: &Invocation) -> Result<(), String> {
+pub(crate) fn check_flags(invocation: &Invocation) -> Result<(), String> {
     let Some(spec) = command_spec(&invocation.command) else {
         return Ok(()); // unknown subcommand: reported by the dispatcher
     };
@@ -213,7 +213,7 @@ pub fn check_flags(invocation: &Invocation) -> Result<(), String> {
 ///
 /// Flags take the form `--flag value`; a flag followed by another flag (or
 /// by the end of the arguments) is a boolean switch, stored with an empty
-/// value and tested with [`Invocation::has`] (e.g. `reduce --stream`).
+/// value and tested with `Invocation::has` (e.g. `reduce --stream`).
 pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let mut iter = args.iter().peekable();
     let command = iter

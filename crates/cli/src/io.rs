@@ -8,8 +8,8 @@
 //! with `--codec none`).  A retired monolithic v1 file is refused by the
 //! container's readers with one typed error; its length survives only as
 //! the yardstick of the paper's file-size criterion (`trace_model::codec`).
-//! [`convert_app_trace`] streams a text or v2 input into either format
-//! without loading it, and [`stream_into_file`] writes a reduction's or a
+//! `convert_app_trace` streams a text or v2 input into either format
+//! without loading it, and `stream_into_file` writes a reduction's or a
 //! conversion's output as it goes.
 
 use std::fs;
@@ -26,7 +26,7 @@ use trace_stream::{
 };
 
 /// True if the path should use the text format.
-pub fn is_text_path(path: &Path) -> bool {
+pub(crate) fn is_text_path(path: &Path) -> bool {
     matches!(
         path.extension().and_then(|e| e.to_str()),
         Some("txt") | Some("trctxt")
@@ -93,7 +93,7 @@ fn load<T>(
 /// per core ([`load_container_file`]); text is read in order.  `reduce`
 /// and `convert` never load: they stream the file through
 /// [`stream_into_file`].
-pub fn load_app_trace(path: &Path) -> Result<AppTrace, String> {
+pub(crate) fn load_app_trace(path: &Path) -> Result<AppTrace, String> {
     load(path, read_app_trace, |path| {
         load_container_file(path, section_workers())
     })
@@ -103,7 +103,7 @@ pub fn load_app_trace(path: &Path) -> Result<AppTrace, String> {
 /// readers refuse segment ids that break the reduced format's rules (text
 /// at the line, a container at its rank section), so every execution
 /// replays its stored segment.
-pub fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
+pub(crate) fn load_reduced_trace(path: &Path) -> Result<ReducedAppTrace, String> {
     load(path, read_reduced_trace, |path| {
         let file = BufReader::new(fs::File::open(path)?);
         Ok(read_reduced_container(file)?)
@@ -151,7 +151,7 @@ fn store(
 /// a v2 container under `spec`.  Returns the number of bytes written.
 /// Container writes additionally record per-chunk compression spans and
 /// codec byte counters into `recorder`; the bytes do not depend on it.
-pub fn store_app_trace(
+pub(crate) fn store_app_trace(
     path: &Path,
     app: &AppTrace,
     spec: ChunkSpec,
@@ -178,7 +178,7 @@ pub fn store_app_trace(
 /// trailer, as [`trace_obs::Stage::Store`] spans; the flush and rename
 /// here are one more.  Returns what `stream` returned and the number of
 /// bytes written.
-pub fn stream_into_file<T>(
+pub(crate) fn stream_into_file<T>(
     input: &Path,
     path: &Path,
     spec: ChunkSpec,
@@ -226,7 +226,7 @@ pub fn stream_into_file<T>(
 /// container) to `path`, in the format its extension names, through
 /// [`stream_into_file`]: a rank section at a time on one worker per core,
 /// never the whole trace resident.  Returns the number of bytes written.
-pub fn convert_app_trace(
+pub(crate) fn convert_app_trace(
     input: &Path,
     path: &Path,
     spec: ChunkSpec,
@@ -314,15 +314,17 @@ mod tests {
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
         let reduced = reducer.reduce_app(&app);
         let [none, dlz] = specs();
+        let input = temp_path("reduced_roundtrip_input.trc");
+        store_app_trace(&input, &app, dlz, &off()).unwrap();
         for (name, spec) in [
             ("reduced_roundtrip_none.bin", none),
             ("reduced_roundtrip_dlz.bin", dlz),
             ("reduced_roundtrip.txt", dlz),
         ] {
             let path = temp_path(name);
-            let (stats, written) = stream_into_file(&path, &path, spec, &off(), |out, format| {
-                let written = trace_stream::reduce_app_into(&reducer, &app, 2, out, format)?;
-                Ok(written.stats)
+            let (stats, written) = stream_into_file(&input, &path, spec, &off(), |out, format| {
+                let reduced = trace_stream::reduce_any_file_into(&reducer, &input, 2, out, format);
+                Ok(reduced?.0.stats)
             })
             .unwrap();
             assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
@@ -331,6 +333,7 @@ mod tests {
             assert_eq!(loaded, reduced, "{name}");
             let _ = std::fs::remove_file(&path);
         }
+        let _ = std::fs::remove_file(&input);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use trace_reduce::{Method, Reducer};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_stream::{
     convert_container, convert_text, load_container_file, reduce_any_file, reduce_any_file_into,
-    reduce_app_into, reduce_container_file, OutputFormat, StreamError,
+    reduce_container_file, OutputFormat, StreamError,
 };
 use trace_tools::io::write_file_atomic;
 use trace_tools::{run, Invocation};
@@ -819,8 +819,8 @@ fn a_reduce_failing_in_its_last_section_keeps_the_target_on_every_worker_count()
 #[test]
 fn a_reduce_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
     // The sink fails while the workers are still reducing: at the header,
-    // half-way and at the last byte, for both input formats, streamed and
-    // in memory, on one, two and three workers.
+    // half-way and at the last byte, for both input formats, on one, two
+    // and three workers.
     let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
     let reducer = Reducer::with_default_threshold(Method::AvgWave);
     let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
@@ -831,23 +831,12 @@ fn a_reduce_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
     std::fs::write(&container_input, encode_app_container(&app, spec)).unwrap();
     let path = temp_path("fills_up_out.trc");
     write_file_atomic(&path, |file| file.write_all(b"previous output")).unwrap();
-    let sources: [(&str, Option<&Path>); 3] = [
-        ("text", Some(&text_input)),
-        ("container", Some(&container_input)),
-        ("in memory", None),
-    ];
-    for (source, input) in sources {
+    for (source, input) in [("text", &text_input), ("container", &container_input)] {
         for workers in [1, 2, 3] {
             let reduce = |file: &mut File, budget| {
                 let sink = BufWriter::with_capacity(256, FillsUp { file, budget });
                 let format = OutputFormat::Container(spec);
-                let run = match input {
-                    Some(input) => reduce_any_file_into(&reducer, input, workers, sink, format)
-                        .map(|(written, _)| written.stats),
-                    None => reduce_app_into(&reducer, &app, workers, sink, format)
-                        .map(|written| written.stats),
-                };
-                match run {
+                match reduce_any_file_into(&reducer, input, workers, sink, format) {
                     Ok(_) => Ok(()),
                     Err(StreamError::Sink(e)) => Err(e),
                     Err(e) => panic!("an input error from a valid trace: {e}"),

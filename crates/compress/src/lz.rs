@@ -65,7 +65,7 @@ const HASH_BITS: u32 = 15;
 /// smaller by the container writer; the encoder refuses anything larger (its
 /// positions are `u32`s), and the decoder rejects a crafted block declaring
 /// more before it allocates.
-pub const MAX_RAW_LEN: u64 = 1 << 30;
+pub(crate) const MAX_RAW_LEN: u64 = 1 << 30;
 
 /// The four bytes at `at` as a little-endian word; 0 when fewer remain.
 #[inline]
@@ -140,7 +140,7 @@ pub struct LzEncoder {
     prev: Vec<u32>,
     /// Where the current block's position 0 sits in `head`'s entry space.
     base: u32,
-    /// Largest block accepted: [`MAX_RAW_LEN`], lowered only by tests.
+    /// Largest block accepted: `MAX_RAW_LEN`, lowered only by tests.
     max_raw_len: u64,
 }
 
@@ -252,7 +252,7 @@ impl LzEncoder {
     /// The block is never larger than `input.len() + varint(len) + a few
     /// bytes` of sequence overhead; callers that care (the container writer)
     /// compare lengths and keep the raw payload when compression does not
-    /// pay.  An input above [`MAX_RAW_LEN`] — a block [`lz_decompress`]
+    /// pay.  An input above `MAX_RAW_LEN` — a block [`lz_decompress`]
     /// would refuse — is a [`CompressError::LengthOverflow`].
     pub fn compress(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
         if input.len() as u64 > self.max_raw_len {

@@ -39,12 +39,12 @@ pub const INDEX_MAGIC: [u8; 4] = *b"TRCX";
 /// [`ContainerError::UnsupportedVersion`].
 pub const CONTAINER_VERSION: u8 = 2;
 /// Total size of the fixed file header (magic + version + kind).
-pub const HEADER_LEN: u64 = 6;
+pub(crate) const HEADER_LEN: u64 = 6;
 /// Total size of the index trailer (offset + magic).
-pub const TRAILER_LEN: u64 = 12;
+pub(crate) const TRAILER_LEN: u64 = 12;
 /// Size of a chunk's framing header (kind + codec + payload length +
 /// CRC-32).
-pub const CHUNK_HEADER_LEN: u64 = 10;
+pub(crate) const CHUNK_HEADER_LEN: u64 = 10;
 
 /// What a container file carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,11 +182,9 @@ pub fn chunk_end(bytes: &[u8], offset: u64) -> Option<u64> {
 /// the stream, which hands it out decoded: [`ChunkStream::payload`] for a
 /// control chunk, [`ChunkStream::decode`] for a payload chunk.
 #[derive(Clone, Copy, Debug)]
-pub struct RawChunk {
+pub(crate) struct RawChunk {
     /// The chunk kind.
     pub kind: ChunkKind,
-    /// The codec the payload is stored under on disk.
-    pub codec: Codec,
     /// Byte offset of the chunk's framing header in the file.
     pub offset: u64,
 }
@@ -196,7 +194,7 @@ pub struct RawChunk {
 /// (the reader's resident-memory high-water mark).  The stored bytes of the
 /// current chunk and the decoder's scratch are buffers the stream keeps
 /// from chunk to chunk.
-pub struct ChunkStream<R> {
+pub(crate) struct ChunkStream<R> {
     inner: R,
     offset: u64,
     /// The stored payload of the chunk last read, and its codec.
@@ -254,7 +252,7 @@ impl<R: Read> ChunkStream<R> {
     /// The most memory one chunk has taken so far, in bytes: the larger of
     /// its stored payload, the LZ stage's output and the items it decoded
     /// to (`count * size_of::<item>()`).
-    pub fn peak_payload_bytes(&self) -> usize {
+    pub(crate) fn peak_payload_bytes(&self) -> usize {
         self.peak_payload_bytes
     }
 
@@ -293,7 +291,7 @@ impl<R: Read> ChunkStream<R> {
     /// multi-gigabyte upfront allocation from untrusted input.  The CRC
     /// covers the stored bytes and is checked here, *before* any decoding,
     /// so a flipped bit is a [`ContainerError::BadCrc`].
-    pub fn next_chunk(&mut self) -> Result<RawChunk, ContainerError> {
+    pub(crate) fn next_chunk(&mut self) -> Result<RawChunk, ContainerError> {
         const READ_STEP: u64 = 1 << 20;
         let offset = self.offset;
         let io_span = self.obs.start();
@@ -319,11 +317,7 @@ impl<R: Read> ChunkStream<R> {
         self.obs.end(trace_obs::Stage::ChunkIo, io_span);
         self.obs.add(trace_obs::names::CHUNK_READS, 1);
         self.peak_payload_bytes = self.peak_payload_bytes.max(self.stored.len());
-        Ok(RawChunk {
-            kind,
-            codec,
-            offset,
-        })
+        Ok(RawChunk { kind, offset })
     }
 
     /// The payload of the chunk last read with its byte-level compression
@@ -331,7 +325,7 @@ impl<R: Read> ChunkStream<R> {
     /// transform leaves control chunks alone).  A crafted payload that
     /// passed the CRC but is not a valid LZ block is a typed
     /// [`ContainerError::Compress`].
-    pub fn payload(&mut self) -> Result<&[u8], ContainerError> {
+    pub(crate) fn payload(&mut self) -> Result<&[u8], ContainerError> {
         let bytes = self
             .decoder
             .unpack(self.codec, &self.stored, &mut self.obs)?;
@@ -361,7 +355,7 @@ impl<R: Read> ChunkStream<R> {
     /// Reads the next chunk's framing header and discards its payload
     /// without CRC verification or decompression (used to pass over rank
     /// sections owned by other shards).  Returns the chunk kind.
-    pub fn skip_chunk(&mut self) -> Result<ChunkKind, ContainerError> {
+    pub(crate) fn skip_chunk(&mut self) -> Result<ChunkKind, ContainerError> {
         let (kind, _, len, _) = self.read_frame()?;
         let mut remaining = len;
         let mut scratch = [0u8; 8192];
@@ -376,7 +370,7 @@ impl<R: Read> ChunkStream<R> {
 
     /// Consumes and validates the 12-byte trailer that follows the INDEX
     /// chunk, checking that its offset field points at `index_offset`.
-    pub fn finish_trailer(&mut self, index_offset: u64) -> Result<(), ContainerError> {
+    pub(crate) fn finish_trailer(&mut self, index_offset: u64) -> Result<(), ContainerError> {
         let mut trailer = [0u8; TRAILER_LEN as usize];
         self.read_exact(&mut trailer, "index trailer")?;
         let (offset_bytes, magic) = trailer.split_at(8);
@@ -406,7 +400,9 @@ pub fn is_container_magic(found: [u8; 4]) -> Result<bool, ContainerError> {
 }
 
 /// Reads and validates the 6-byte file header, returning the payload kind.
-pub fn read_header<R: Read>(stream: &mut ChunkStream<R>) -> Result<PayloadKind, ContainerError> {
+pub(crate) fn read_header<R: Read>(
+    stream: &mut ChunkStream<R>,
+) -> Result<PayloadKind, ContainerError> {
     let mut magic = [0u8; 4];
     stream.read_exact(&mut magic, "file header")?;
     if !is_container_magic(magic)? {
@@ -422,7 +418,7 @@ pub fn read_header<R: Read>(stream: &mut ChunkStream<R>) -> Result<PayloadKind, 
 }
 
 /// Writes the 6-byte file header.
-pub fn write_header<W: Write>(out: &mut W, kind: PayloadKind) -> io::Result<u64> {
+pub(crate) fn write_header<W: Write>(out: &mut W, kind: PayloadKind) -> io::Result<u64> {
     out.write_all(&CONTAINER_MAGIC)?;
     out.write_all(&[CONTAINER_VERSION, kind.as_byte()])?;
     Ok(HEADER_LEN)
@@ -444,7 +440,7 @@ mod tests {
         assert_eq!(read_header(&mut stream).unwrap(), PayloadKind::App);
         let chunk = stream.next_chunk().unwrap();
         assert_eq!(chunk.kind, ChunkKind::Records);
-        assert_eq!(chunk.codec, Codec::None);
+        assert_eq!(stream.codec, Codec::None);
         assert_eq!(chunk.offset, HEADER_LEN);
         assert_eq!(stream.payload().unwrap(), b"payload");
         assert_eq!(stream.peak_payload_bytes(), 7);
@@ -463,8 +459,8 @@ mod tests {
 
         let mut stream = ChunkStream::new(&file[..], 0);
         read_header(&mut stream).unwrap();
-        let chunk = stream.next_chunk().unwrap();
-        assert_eq!(chunk.codec, Codec::Lz);
+        assert_eq!(stream.next_chunk().unwrap().kind, ChunkKind::Preamble);
+        assert_eq!(stream.codec, Codec::Lz);
         assert_eq!(stream.payload().unwrap(), payload);
         // The peak tracks the *decompressed* resident payload.
         assert_eq!(stream.peak_payload_bytes(), payload.len());

@@ -67,7 +67,7 @@ pub use reader::{
 pub use trace_compress::{Codec, CompressError};
 pub use writer::{
     encode_app_container, encode_reduced_container, section_workers, write_app_container,
-    write_reduced_container, ChunkSpec, ChunkWriter, EncodedSection, SectionEncoder,
+    ChunkSpec, ChunkWriter, EncodedSection, SectionEncoder,
 };
 
 #[cfg(test)]

@@ -292,7 +292,7 @@ impl<R: Read> ChunkReader<R> {
     }
 
     /// Attaches an observability shard to the underlying chunk stream (see
-    /// [`ChunkStream::set_obs`]).
+    /// `ChunkStream::set_obs`).
     pub fn set_obs(&mut self, obs: trace_obs::ObsShard) {
         self.stream.set_obs(obs);
     }

@@ -13,7 +13,7 @@
 //! encodes each section it claims into a buffer of its own
 //! ([`SectionEncoder`]), and the calling thread stitches finished sections
 //! into the sink in rank order ([`ChunkWriter::stitch`]).
-//! [`write_app_container`] / [`write_reduced_container`] run the two on
+//! [`write_app_container`] / `write_reduced_container` run the two on
 //! the workspace's one ordered fan-out, [`trace_obs::ordered()`], over a
 //! whole trace's ranks.  `trace_stream`'s pipeline uses the halves
 //! directly: each worker encodes the section it just read (`convert`) or
@@ -593,7 +593,7 @@ pub fn write_app_container<W: Write>(
 
 /// Writes `reduced` as a chunked container to `out` and returns the sink,
 /// like [`write_app_container`].
-pub fn write_reduced_container<W: Write>(
+pub(crate) fn write_reduced_container<W: Write>(
     out: W,
     reduced: &ReducedAppTrace,
     spec: ChunkSpec,
@@ -689,7 +689,7 @@ mod tests {
         write_slice(writer, &app.ranks, recorder, workers, ChunkWriter::app_rank)
     }
 
-    /// [`write_reduced_container`] on `workers` threads.
+    /// `write_reduced_container` on `workers` threads.
     fn write_reduced<W: Write>(
         out: W,
         reduced: &ReducedAppTrace,

@@ -38,7 +38,7 @@
 //!
 //! * **Shared scalar kernels.**  The full kernels accumulate the very same
 //!   expressions, in the same order, as [`trace_model::stats`] /
-//!   [`trace_wavelet::coefficient_distance`], so a comparison that is not
+//!   [`crate::wavelet::coefficient_distance`], so a comparison that is not
 //!   pruned produces the identical distance value.
 //! * **Monotone partial sums.**  Adding a non-negative f64 term never
 //!   decreases a rounded-to-nearest sum, and `sqrt`/division by a positive
@@ -63,7 +63,7 @@
 //!   `SUP_GAP_MARGIN` suffices there.
 //! * **One-pass features.**  The fused transform computes every
 //!   coefficient as the same `(a ± b) * scale` on the same operands as
-//!   [`trace_wavelet::average_transform`] / [`trace_wavelet::haar_transform`]
+//!   [`crate::wavelet::average_transform`] / [`crate::wavelet::haar_transform`]
 //!   of [`Segment::wavelet_vector`] — zero padding included, whose pairs
 //!   give `(0 ± 0) * scale = +0.0` — so the coefficients are bit-identical.
 //!   Its running maximum folds `|c|` as coefficients are written rather
@@ -77,10 +77,10 @@
 //! output.
 
 use trace_model::{stats, Segment};
-use trace_wavelet::WaveletKind;
 
 use crate::method::{Method, MethodConfig};
 use crate::metric::abs_diff_limit;
+use crate::wavelet::WaveletKind;
 
 /// Safety factor applied to the *sup-norm* (single-value) gap lower bound.
 /// The cached maxima are exact folds of input values, their subtraction is
@@ -251,9 +251,9 @@ pub struct MatchStats {
     /// sorted center window.
     pub index_window_prunes: usize,
     /// Total same-shape stored candidates eligible across all queries (the
-    /// summed bucket sizes), regardless of how each scan terminated.  The
-    /// denominator of [`MatchStats::visited_fraction`]: a full scan with
-    /// no first-match truncation would visit exactly this many.
+    /// summed bucket sizes), regardless of how each scan terminated: a
+    /// full scan with no first-match truncation would visit exactly this
+    /// many.
     pub eligible: usize,
 }
 
@@ -296,46 +296,6 @@ impl MatchStats {
     /// visited comparisons plus everything the index pruned.
     pub fn candidates(&self) -> usize {
         self.comparisons + self.index_window_prunes
-    }
-
-    /// Fraction of *eligible* stored candidates actually visited — the
-    /// sub-linearity figure of merit (0.0 when no candidates arose).
-    /// First-match truncation already keeps this below 1.0 on a linear
-    /// scan; the index has to push it further down.
-    pub fn visited_fraction(&self) -> f64 {
-        fraction(self.comparisons, self.eligible)
-    }
-
-    /// Fraction of scan-equivalent candidates the index skipped unvisited
-    /// (relative to what a linear first-match scan would have examined).
-    pub fn index_prune_rate(&self) -> f64 {
-        fraction(self.index_window_prunes, self.candidates())
-    }
-
-    /// Fraction of comparisons resolved by a prefilter (0.0 when none ran).
-    pub fn prefilter_reject_rate(&self) -> f64 {
-        fraction(self.prefilter_rejects, self.comparisons)
-    }
-
-    /// Fraction of comparisons resolved by early abandoning.
-    pub fn early_abandon_rate(&self) -> f64 {
-        fraction(self.early_abandons, self.comparisons)
-    }
-
-    /// Fraction of comparisons that never ran a full kernel.
-    pub fn pruned_rate(&self) -> f64 {
-        fraction(
-            self.prefilter_rejects + self.early_abandons,
-            self.comparisons,
-        )
-    }
-}
-
-fn fraction(part: usize, whole: usize) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64
     }
 }
 
@@ -670,7 +630,6 @@ mod tests {
                 "{method}"
             );
             assert!(stats.matches <= stats.full_kernels, "{method}");
-            assert!(stats.pruned_rate() <= 1.0, "{method}");
         }
     }
 
@@ -830,12 +789,5 @@ mod tests {
         assert_eq!(a.index_window_prunes, 60);
         assert_eq!(a.candidates(), 80);
         assert_eq!(a.eligible, 100);
-        assert!((a.prefilter_reject_rate() - 0.4).abs() < 1e-12);
-        assert!((a.early_abandon_rate() - 0.2).abs() < 1e-12);
-        assert!((a.pruned_rate() - 0.6).abs() < 1e-12);
-        assert!((a.visited_fraction() - 0.2).abs() < 1e-12);
-        assert!((a.index_prune_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(MatchStats::default().prefilter_reject_rate(), 0.0);
-        assert_eq!(MatchStats::default().visited_fraction(), 0.0);
     }
 }

@@ -29,6 +29,8 @@
 //!   semantics are preserved bit-identically (`docs/index-design.md`).  The
 //!   naive loop it replaced is test support only; the differential suite
 //!   requires bit-identical reduced traces from both.
+//! * [`wavelet`] — the average and Haar transforms behind `avgWave` and
+//!   `haarWave`, zero-padded to a power of two.
 //! * [`parallel`] — the in-memory application loop: per-rank reduction on
 //!   the workspace's one ordered fan-out, [`trace_obs::ordered()`] (each
 //!   rank's trace is reduced independently, exactly as the paper's
@@ -68,6 +70,7 @@ pub mod metric;
 pub mod parallel;
 pub mod reducer;
 pub mod segmenter;
+pub mod wavelet;
 
 pub use features::{segments_match_cached, MatchScratch, MatchStats, SegmentFeatures};
 pub use method::{Method, MethodConfig};

@@ -142,14 +142,6 @@ impl MethodConfig {
         MethodConfig::new(method, method.default_threshold())
     }
 
-    /// All nine methods at their paper-default thresholds, in paper order.
-    pub fn all_defaults() -> Vec<MethodConfig> {
-        Method::ALL
-            .into_iter()
-            .map(MethodConfig::with_default_threshold)
-            .collect()
-    }
-
     /// The `k` parameter for `iter_k` (threshold rounded to at least 1).
     pub fn iter_k(&self) -> usize {
         (self.threshold.round().max(1.0)) as usize
@@ -223,7 +215,6 @@ mod tests {
         assert_eq!(cfg.label(), "iter_k(10)");
         let avg = MethodConfig::with_default_threshold(Method::IterAvg);
         assert_eq!(avg.label(), "iter_avg");
-        assert_eq!(MethodConfig::all_defaults().len(), 9);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use trace_model::stats;
 use trace_model::Segment;
-use trace_wavelet::{coefficient_distance, max_abs_coefficient, WaveletKind};
 
 use crate::method::{Method, MethodConfig};
+use crate::wavelet::{coefficient_distance, max_abs_coefficient, WaveletKind};
 
 /// Nanoseconds per microsecond; `absDiff` thresholds are specified in
 /// microseconds to match the paper's 10^1..10^6 grid.
@@ -25,7 +25,7 @@ pub(crate) fn abs_diff_limit(threshold_us: f64) -> f64 {
 
 /// Relative-difference test: every paired measurement must differ by at most
 /// `threshold` in relative terms.
-pub fn rel_diff_match(a: &Segment, b: &Segment, threshold: f64) -> bool {
+pub(crate) fn rel_diff_match(a: &Segment, b: &Segment, threshold: f64) -> bool {
     let va = a.measurement_vector();
     let vb = b.measurement_vector();
     va.iter()
@@ -35,7 +35,7 @@ pub fn rel_diff_match(a: &Segment, b: &Segment, threshold: f64) -> bool {
 
 /// Absolute-difference test: every paired measurement must differ by at most
 /// `threshold_us` microseconds.
-pub fn abs_diff_match(a: &Segment, b: &Segment, threshold_us: f64) -> bool {
+pub(crate) fn abs_diff_match(a: &Segment, b: &Segment, threshold_us: f64) -> bool {
     let limit = abs_diff_limit(threshold_us);
     let va = a.measurement_vector();
     let vb = b.measurement_vector();
@@ -50,7 +50,12 @@ pub fn abs_diff_match(a: &Segment, b: &Segment, threshold_us: f64) -> bool {
 /// [`stats::euclidean_distance`] kernels (no `powf`), the same scalar code
 /// the early-abandoning fast path accumulates term by term — so the two
 /// paths agree bit for bit, not just approximately.
-pub fn minkowski_match(a: &Segment, b: &Segment, order: Option<f64>, threshold: f64) -> bool {
+pub(crate) fn minkowski_match(
+    a: &Segment,
+    b: &Segment,
+    order: Option<f64>,
+    threshold: f64,
+) -> bool {
     let va = a.measurement_vector();
     let vb = b.measurement_vector();
     let distance = match order {
@@ -75,7 +80,7 @@ pub fn minkowski_match(a: &Segment, b: &Segment, order: Option<f64>, threshold: 
 /// Euclidean distance, and test against `threshold` times the largest
 /// coefficient in the pair of transformed vectors (Section 3.2.1 and the
 /// worked example of Figure 3).
-pub fn wavelet_match(a: &Segment, b: &Segment, kind: WaveletKind, threshold: f64) -> bool {
+pub(crate) fn wavelet_match(a: &Segment, b: &Segment, kind: WaveletKind, threshold: f64) -> bool {
     let ta = kind.transform(&a.wavelet_vector());
     let tb = kind.transform(&b.wavelet_vector());
     let distance = coefficient_distance(&ta, &tb);

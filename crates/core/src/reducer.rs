@@ -18,7 +18,7 @@
 //!
 //! # Borrowed segments, hashed shapes
 //!
-//! [`OnlineRankReducer::push_segment`] takes a [`SegmentRef`]: the segment
+//! `OnlineRankReducer::push_segment` takes a [`SegmentRef`]: the segment
 //! stays in its producer's buffer, and an owned [`Segment`] is built only
 //! for the minority that end up stored.  Eligibility is one probe of an
 //! ordered `shape hash → bucket numbers` map, each candidate bucket verified
@@ -219,7 +219,7 @@ impl OnlineRankReducer {
     /// index.  Store events are rare (one per representative, not one per
     /// segment), so the clock is only read on that path, and never with a
     /// disabled shard.
-    pub fn push_segment(&mut self, incoming: SegmentRef<'_>, obs: &mut ObsShard) {
+    pub(crate) fn push_segment(&mut self, incoming: SegmentRef<'_>, obs: &mut ObsShard) {
         let segment = incoming.segment;
         let start = segment.start;
         let config = self.config;
@@ -301,7 +301,7 @@ impl OnlineRankReducer {
 }
 
 /// One rank reduced record by record: the [`OnlineSegmenter`] lends each
-/// segment it closes straight to [`OnlineRankReducer::push_segment`], so no
+/// segment it closes straight to `OnlineRankReducer::push_segment`, so no
 /// segment is collected or copied on the way.  This is the one
 /// segment-then-match loop: [`Reducer::reduce_rank`] and the in-memory
 /// drivers run it over a rank's records in memory, the `trace_stream`
@@ -398,11 +398,6 @@ impl Reducer {
     pub fn with_recorder(mut self, recorder: &trace_obs::Recorder) -> Self {
         self.recorder = recorder.clone();
         self
-    }
-
-    /// The method configuration in use.
-    pub fn config(&self) -> MethodConfig {
-        self.config
     }
 
     /// The recorder runs are observed through (disabled by default).

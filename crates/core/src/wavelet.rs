@@ -1,18 +1,25 @@
-//! The average and Haar discrete wavelet transforms.
+//! Discrete wavelet transforms used by the wavelet similarity metrics.
 //!
-//! Both transforms repeatedly decompose a signal of length `L` (a power of
-//! two) into `L/2` *trends* and `L/2* *fluctuations* computed from pairs of
-//! adjacent values, and then recurse on the trends until a single overall
-//! trend remains.  The output layout is
+//! The paper's `avgWave` and `haarWave` metrics transform the time-stamp
+//! vector of each segment with a discrete wavelet transform and then compare
+//! the transformed vectors with the Euclidean distance (Section 3.2.1,
+//! *Wavelet transform*).  Both transforms repeatedly decompose a signal of
+//! length `L` (a power of two) into `L/2` *trends* and `L/2` *fluctuations*
+//! computed from pairs of adjacent values, and then recurse on the trends
+//! until a single overall trend remains.  The output layout is
 //!
 //! ```text
 //! [ overall trend | level-k fluctuations | ... | level-1 fluctuations ]
 //! ```
 //!
-//! * Average transform: `trend = (a + b) / 2`, `fluctuation = (a - b) / 2`.
-//! * Haar transform: the same values multiplied by `√2`
+//! * the **average transform**: `trend = (a + b) / 2`,
+//!   `fluctuation = (a - b) / 2`;
+//! * the **Haar transform**: the same values multiplied by `√2`
 //!   (`trend = (a + b) / √2`, `fluctuation = (a - b) / √2`), which makes the
 //!   transform orthonormal and therefore preserves Euclidean distances.
+//!
+//! Input vectors are zero-padded to the next power of two, exactly as the
+//! paper describes.
 
 /// Which wavelet transform to apply.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -25,7 +32,7 @@ pub enum WaveletKind {
 
 impl WaveletKind {
     /// Applies this transform to `values` (padding to a power of two first).
-    pub fn transform(self, values: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform(self, values: &[f64]) -> Vec<f64> {
         match self {
             WaveletKind::Average => average_transform(values),
             WaveletKind::Haar => haar_transform(values),
@@ -37,8 +44,8 @@ impl WaveletKind {
     /// (replacing its contents) with `tmp` as level scratch, and returns the
     /// largest absolute coefficient.
     ///
-    /// Bit-identical to [`WaveletKind::transform`] of the flattened signal
-    /// followed by [`crate::max_abs_coefficient`], with no signal buffer and
+    /// Bit-identical to `WaveletKind::transform` of the flattened signal
+    /// followed by [`max_abs_coefficient`], with no signal buffer and
     /// no allocation once the two buffers have grown.  For the average and
     /// Haar transforms level 1 is computed straight from the pairs, the
     /// coarser levels in place in `tmp`, each fluctuation is written once
@@ -56,7 +63,7 @@ impl WaveletKind {
             WaveletKind::Average => 0.5,
             WaveletKind::Haar => std::f64::consts::FRAC_1_SQRT_2,
         };
-        let n = crate::pad::next_power_of_two(2 * pairs.len());
+        let n = next_power_of_two(2 * pairs.len());
         // Pairs past the signal are zero padding: their trend and
         // fluctuation `(0 ± 0) * scale` are the +0.0 both buffers start with.
         out.clear();
@@ -87,14 +94,6 @@ impl WaveletKind {
         raise_to_abs(&mut max_abs, out[0]);
         max_abs
     }
-
-    /// Human-readable name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            WaveletKind::Average => "avgWave",
-            WaveletKind::Haar => "haarWave",
-        }
-    }
 }
 
 /// Raises the running maximum `max` (never NaN) to `|value|`.  The same
@@ -105,6 +104,20 @@ fn raise_to_abs(max: &mut f64, value: f64) {
     if value.abs() > *max {
         *max = value.abs();
     }
+}
+
+/// The smallest power of two that is `>= n` (and at least 1).
+pub fn next_power_of_two(n: usize) -> usize {
+    n.max(1).next_power_of_two()
+}
+
+/// Returns `values` zero-padded at the end to the next power-of-two length.
+pub fn pad_to_power_of_two(values: &[f64]) -> Vec<f64> {
+    let target = next_power_of_two(values.len());
+    let mut out = Vec::with_capacity(target);
+    out.extend_from_slice(values);
+    out.resize(target, 0.0);
+    out
 }
 
 /// One decomposition level: splits `values` (even length) into
@@ -123,7 +136,7 @@ fn decompose_level(values: &[f64], scale: f64) -> (Vec<f64>, Vec<f64>) {
 
 /// Full multi-level decomposition with the given per-level pair scale.
 fn full_transform(values: &[f64], scale: f64) -> Vec<f64> {
-    let padded = crate::pad::pad_to_power_of_two(values);
+    let padded = pad_to_power_of_two(values);
     let n = padded.len();
     if n == 1 {
         return padded;
@@ -159,53 +172,69 @@ pub fn haar_transform(values: &[f64]) -> Vec<f64> {
     full_transform(values, std::f64::consts::FRAC_1_SQRT_2)
 }
 
-/// Inverts one reconstruction level.
-fn reconstruct_level(trends: &[f64], fluctuations: &[f64], scale: f64) -> Vec<f64> {
-    debug_assert_eq!(trends.len(), fluctuations.len());
-    let mut out = Vec::with_capacity(trends.len() * 2);
-    // decompose: t = (a+b)*s, f = (a-b)*s  =>  a = (t+f)/(2s), b = (t-f)/(2s)
-    let inv = 1.0 / (2.0 * scale);
-    for (t, f) in trends.iter().zip(fluctuations) {
-        out.push((t + f) * inv);
-        out.push((t - f) * inv);
+/// Euclidean distance between two coefficient vectors.
+///
+/// The vectors may have different lengths (segments of different durations
+/// pad to different powers of two); the shorter one is treated as
+/// zero-extended, which mirrors comparing the zero-padded originals.
+pub fn coefficient_distance(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len().max(b.len());
+    let mut sum = 0.0;
+    for i in 0..n {
+        let x = a.get(i).copied().unwrap_or(0.0);
+        let y = b.get(i).copied().unwrap_or(0.0);
+        sum += (x - y) * (x - y);
     }
-    out
+    sum.sqrt()
 }
 
-fn full_inverse(coefficients: &[f64], scale: f64) -> Vec<f64> {
-    assert!(
-        coefficients.len().is_power_of_two(),
-        "coefficient vectors have power-of-two lengths"
-    );
-    let mut trends = vec![coefficients[0]];
-    let mut offset = 1;
-    while offset < coefficients.len() {
-        let fluctuations = &coefficients[offset..offset + trends.len()];
-        trends = reconstruct_level(&trends, fluctuations, scale);
-        offset += fluctuations.len();
-    }
-    trends
-}
-
-/// Inverse of [`average_transform`] (up to the zero padding).
-pub fn inverse_average_transform(coefficients: &[f64]) -> Vec<f64> {
-    full_inverse(coefficients, 0.5)
-}
-
-/// Inverse of [`haar_transform`] (up to the zero padding).
-pub fn inverse_haar_transform(coefficients: &[f64]) -> Vec<f64> {
-    full_inverse(coefficients, std::f64::consts::FRAC_1_SQRT_2)
+/// Largest absolute coefficient in either vector.  The wavelet metrics scale
+/// their threshold by this value.
+pub fn max_abs_coefficient(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .chain(b.iter())
+        .map(|v| v.abs())
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coefficient_distance;
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < tol, "{a:?} != {b:?}");
+        }
+    }
+
+    #[test]
+    fn next_power_of_two_values() {
+        assert_eq!(next_power_of_two(0), 1);
+        assert_eq!(next_power_of_two(1), 1);
+        assert_eq!(next_power_of_two(2), 2);
+        assert_eq!(next_power_of_two(3), 4);
+        assert_eq!(next_power_of_two(6), 8);
+        assert_eq!(next_power_of_two(8), 8);
+        assert_eq!(next_power_of_two(9), 16);
+    }
+
+    #[test]
+    fn padding_preserves_prefix_and_zero_fills() {
+        let padded = pad_to_power_of_two(&[1.0, 2.0, 3.0]);
+        assert_eq!(padded, vec![1.0, 2.0, 3.0, 0.0]);
+        let already = pad_to_power_of_two(&[1.0, 2.0]);
+        assert_eq!(already, vec![1.0, 2.0]);
+        assert_eq!(pad_to_power_of_two(&[]), vec![0.0]);
+    }
+
+    #[test]
+    fn padded_length_is_a_power_of_two() {
+        for n in 0..40 {
+            let v = vec![1.0; n];
+            let padded = pad_to_power_of_two(&v);
+            assert!(padded.len().is_power_of_two());
+            assert!(padded.len() >= n);
         }
     }
 
@@ -233,10 +262,7 @@ mod tests {
     fn haar_preserves_euclidean_distance() {
         let a = [0.0, 1.0, 17.0, 18.0, 48.0, 49.0];
         let b = [0.0, 1.0, 40.0, 41.0, 50.0, 51.0];
-        let direct = coefficient_distance(
-            &crate::pad::pad_to_power_of_two(&a),
-            &crate::pad::pad_to_power_of_two(&b),
-        );
+        let direct = coefficient_distance(&pad_to_power_of_two(&a), &pad_to_power_of_two(&b));
         let transformed = coefficient_distance(&haar_transform(&a), &haar_transform(&b));
         assert!(
             (direct - transformed).abs() < 1e-9,
@@ -247,8 +273,8 @@ mod tests {
     #[test]
     fn average_coefficients_are_smaller_than_haar() {
         let v = [0.0, 1.0, 17.0, 18.0, 48.0, 49.0];
-        let avg_max = crate::max_abs_coefficient(&average_transform(&v), &[]);
-        let haar_max = crate::max_abs_coefficient(&haar_transform(&v), &[]);
+        let avg_max = max_abs_coefficient(&average_transform(&v), &[]);
+        let haar_max = max_abs_coefficient(&haar_transform(&v), &[]);
         assert!(avg_max < haar_max);
     }
 
@@ -267,13 +293,6 @@ mod tests {
         assert_eq!(haar_transform(&[1.0; 6]).len(), 8);
         assert_eq!(average_transform(&[5.0]).len(), 1);
         assert_eq!(average_transform(&[]).len(), 1);
-    }
-
-    #[test]
-    fn inverse_round_trips_power_of_two_inputs() {
-        let v = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        assert_close(&inverse_average_transform(&average_transform(&v)), &v, 1e-9);
-        assert_close(&inverse_haar_transform(&haar_transform(&v)), &v, 1e-9);
     }
 
     #[test]
@@ -296,7 +315,7 @@ mod tests {
                 for (a, b) in out.iter().zip(&reference) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} {signal:?}");
                 }
-                let expected = crate::max_abs_coefficient(&reference, &[]);
+                let expected = max_abs_coefficient(&reference, &[]);
                 assert_eq!(max_abs.to_bits(), expected.to_bits(), "{kind:?} {signal:?}");
             }
         }
@@ -307,7 +326,25 @@ mod tests {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(WaveletKind::Average.transform(&v), average_transform(&v));
         assert_eq!(WaveletKind::Haar.transform(&v), haar_transform(&v));
-        assert_eq!(WaveletKind::Average.name(), "avgWave");
-        assert_eq!(WaveletKind::Haar.name(), "haarWave");
+    }
+
+    #[test]
+    fn distance_handles_unequal_lengths() {
+        let a = [3.0, 4.0];
+        let b = [3.0];
+        assert_eq!(coefficient_distance(&a, &b), 4.0);
+        assert_eq!(coefficient_distance(&b, &a), 4.0);
+    }
+
+    #[test]
+    fn distance_of_identical_vectors_is_zero() {
+        let a = [1.0, -2.0, 5.5];
+        assert_eq!(coefficient_distance(&a, &a), 0.0);
+    }
+
+    #[test]
+    fn max_abs_considers_both_vectors_and_signs() {
+        assert_eq!(max_abs_coefficient(&[1.0, -7.0], &[2.0]), 7.0);
+        assert_eq!(max_abs_coefficient(&[], &[]), 0.0);
     }
 }

@@ -14,10 +14,10 @@
 use proptest::prelude::*;
 
 use trace_model::{ContextId, Event, RegionId, Segment, Time};
+use trace_reduce::wavelet::{average_transform, haar_transform, max_abs_coefficient, WaveletKind};
 use trace_reduce::{
     segments_match, segments_match_cached, MatchStats, Method, MethodConfig, SegmentFeatures,
 };
-use trace_wavelet::{average_transform, haar_transform, max_abs_coefficient, WaveletKind};
 
 /// A segment of `k` events laid out by `steps`: the gap before each event,
 /// its duration, …, and the gap to the segment end (`2k + 1` of them).

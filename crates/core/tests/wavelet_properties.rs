@@ -1,11 +1,58 @@
-//! Property-based tests for the wavelet transforms.
+//! Property-based tests for the wavelet transforms, with the inverse
+//! transforms as the round-trip oracle.
 
 use proptest::prelude::*;
 
-use trace_wavelet::transform::{
-    average_transform, haar_transform, inverse_average_transform, inverse_haar_transform,
+use trace_reduce::wavelet::{
+    average_transform, coefficient_distance, haar_transform, max_abs_coefficient,
+    pad_to_power_of_two,
 };
-use trace_wavelet::{coefficient_distance, max_abs_coefficient, pad_to_power_of_two};
+
+/// Inverts one decomposition level: `t = (a + b) s`, `f = (a - b) s`, so
+/// `a = (t + f) / 2s` and `b = (t - f) / 2s`.
+fn reconstruct_level(trends: &[f64], fluctuations: &[f64], scale: f64) -> Vec<f64> {
+    let inv = 1.0 / (2.0 * scale);
+    trends
+        .iter()
+        .zip(fluctuations)
+        .flat_map(|(t, f)| [(t + f) * inv, (t - f) * inv])
+        .collect()
+}
+
+/// Inverts a full transform of the given per-level scale, whose
+/// coefficient vector has a power-of-two length.
+fn full_inverse(coefficients: &[f64], scale: f64) -> Vec<f64> {
+    assert!(coefficients.len().is_power_of_two());
+    let mut trends = vec![coefficients[0]];
+    let mut offset = 1;
+    while offset < coefficients.len() {
+        let fluctuations = &coefficients[offset..offset + trends.len()];
+        trends = reconstruct_level(&trends, fluctuations, scale);
+        offset += fluctuations.len();
+    }
+    trends
+}
+
+/// Inverse of [`average_transform`] (up to the zero padding).
+fn inverse_average_transform(coefficients: &[f64]) -> Vec<f64> {
+    full_inverse(coefficients, 0.5)
+}
+
+/// Inverse of [`haar_transform`] (up to the zero padding).
+fn inverse_haar_transform(coefficients: &[f64]) -> Vec<f64> {
+    full_inverse(coefficients, std::f64::consts::FRAC_1_SQRT_2)
+}
+
+#[test]
+fn inverse_round_trips_power_of_two_inputs() {
+    let v = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
+    for (recovered, kind) in [
+        (inverse_average_transform(&average_transform(&v)), "average"),
+        (inverse_haar_transform(&haar_transform(&v)), "haar"),
+    ] {
+        assert!(close(&recovered, &v, 1e-9), "{kind}: {recovered:?}");
+    }
+}
 
 fn signal() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e6..1.0e6f64, 1..64)

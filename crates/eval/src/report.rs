@@ -62,33 +62,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (headers first, comma-separated, quoted when
-    /// a cell contains a comma or quote).
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with a sensible fixed precision for tables.
@@ -124,15 +97,6 @@ mod tests {
         // Header, separator, two rows.
         assert_eq!(lines.len(), 5);
         assert!(lines[3].starts_with("late_sender"));
-    }
-
-    #[test]
-    fn csv_escapes_special_cells() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.push_row(vec!["x,y".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -43,6 +43,6 @@ pub use parser::{AppReader, ReadError, ReducedReader, BATCH_RECORDS};
 pub use record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
 pub use write::{
     write_app_header, write_app_records, write_app_trace, write_app_trace_to, write_rank_end,
-    write_rank_start, write_reduced_header, write_reduced_rank, write_reduced_trace,
-    write_reduced_trace_to, write_trailer, AppTraceTextWriter,
+    write_rank_start, write_reduced_header, write_reduced_rank, write_reduced_trace, write_trailer,
+    AppTraceTextWriter,
 };

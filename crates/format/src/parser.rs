@@ -186,7 +186,7 @@ impl<R: BufRead, E: ReadError> LineReader<R, E> {
         Ok(None)
     }
 
-    /// Passes the plain record lines ([`plain_record_line`]) at the front of
+    /// Passes the plain record lines (`plain_record_line`) at the front of
     /// the block, which [`LineReader::next_meaningful`] would pass one call
     /// each, and counts their line numbers.  Stops before any other line,
     /// before a line the block does not hold whole, and at once if a line
@@ -457,7 +457,7 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
     /// inside the section is an error, and the section ends where the
     /// grammar ends it, at a line whose first token is `END_RANK` — but
     /// record lines are not validated.  Plain record lines
-    /// ([`plain_record_line`]) are passed a block at a time, with no call
+    /// (`plain_record_line`) are passed a block at a time, with no call
     /// per line; every other line takes the per-line rule, so errors and
     /// line numbers are the ones a line-at-a-time skip gives.  Records of
     /// the current batch not yet handed out are dropped; an error held

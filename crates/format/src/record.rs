@@ -6,7 +6,7 @@
 //! module, so a trace record is parsed by exactly one piece of code:
 //!
 //! * [`meaningful_line`] — trims a raw line and skips blanks and `#` comments.
-//! * [`plain_record_line`] — the raw lines a reader passing a section it
+//! * `plain_record_line` — the raw lines a reader passing a section it
 //!   does not parse may pass without taking them apart.
 //! * [`HeaderBuilder`] — an incremental state machine for the shared header
 //!   (`TRACE RANKS <n> NAME <name>` plus the REGION/CONTEXT tables),
@@ -67,7 +67,7 @@ pub fn meaningful_line(raw: &[u8]) -> Option<&[u8]> {
 /// as a record without looking further; every other line takes the
 /// per-line rule.
 #[inline]
-pub fn plain_record_line(raw: &[u8]) -> bool {
+pub(crate) fn plain_record_line(raw: &[u8]) -> bool {
     (raw.starts_with(b"EVENT") || raw.starts_with(b"SEG_"))
         && raw.last().is_some_and(|&b| !is_space(b))
         && raw.is_ascii()

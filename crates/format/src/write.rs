@@ -5,7 +5,7 @@
 //! * whole-trace convenience functions ([`write_app_trace`],
 //!   [`write_reduced_trace`]) that serialize an in-memory trace to a
 //!   `String`, and their [`std::io::Write`] counterparts
-//!   ([`write_app_trace_to`], [`write_reduced_trace_to`]).  Each is its
+//!   ([`write_app_trace_to`], `write_reduced_trace_to`).  Each is its
 //!   parts: a header ([`write_app_header`], [`write_reduced_header`]), rank
 //!   sections, and [`write_trailer`].  A full trace's section is
 //!   [`write_rank_start`], its records in batches ([`write_app_records`])
@@ -276,7 +276,10 @@ pub fn write_trailer<W: Write>(out: &mut W) -> io::Result<()> {
 
 /// Serializes a reduced application trace to the text format via `out`:
 /// its header, each rank's section and the trailer.
-pub fn write_reduced_trace_to<W: Write>(mut out: W, reduced: &ReducedAppTrace) -> io::Result<W> {
+pub(crate) fn write_reduced_trace_to<W: Write>(
+    mut out: W,
+    reduced: &ReducedAppTrace,
+) -> io::Result<W> {
     write_reduced_header(
         &mut out,
         &reduced.name,

@@ -67,7 +67,7 @@ pub fn render(events: &[ChromeEvent]) -> String {
 
 /// Nanoseconds as a sub-microsecond-exact decimal microsecond count —
 /// chrome trace timestamps are microseconds.  Pure integer formatting.
-pub fn format_us(ns: u64) -> String {
+pub(crate) fn format_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 

@@ -48,5 +48,5 @@ pub use chrome::ChromeEvent;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{Histogram, MetricSet};
 pub use ordered::{beside, ordered, WorkerPanic};
-pub use recorder::{ObsShard, Recorder, SpanRecord, SpanStart, Stage, MAX_SPANS_PER_SHARD};
-pub use report::{HistogramSnapshot, RunReport, SCHEMA_NAME, SCHEMA_VERSION};
+pub use recorder::{ObsShard, Recorder, SpanRecord, SpanStart, Stage};
+pub use report::{HistogramSnapshot, RunReport};

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 /// Number of histogram buckets: one per bit length of a `u64`, plus the
 /// zero bucket.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Bucket index for a recorded value: 0 for zero, otherwise the value's
 /// bit length (1..=64).
@@ -24,7 +24,7 @@ fn bucket_index(value: u64) -> usize {
 
 /// Inclusive upper bound of a bucket: bucket `i` holds values in
 /// `(bucket_upper_bound(i-1), bucket_upper_bound(i)]`.
-pub fn bucket_upper_bound(index: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
     match index {
         0 => 0,
         i if i >= 64 => u64::MAX,
@@ -99,35 +99,9 @@ impl Histogram {
         self.max
     }
 
-    /// Mean sample value (integer division), or 0 when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 <= q <= 1.0`), or 0 when empty.  Log bucketing means this is
-    /// an upper bound within 2x of the true quantile, which is all a
-    /// latency summary needs.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // ceil(q * count), at least 1: the rank of the quantile sample.
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (index, &bucket) in self.buckets.iter().enumerate() {
-            seen += bucket;
-            if seen >= target {
-                return bucket_upper_bound(index).min(self.max);
-            }
-        }
-        self.max
-    }
-
     /// `(inclusive upper bound, sample count)` for each non-empty bucket,
     /// in increasing bound order.
-    pub fn nonempty_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonempty_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -180,21 +154,6 @@ impl MetricSet {
         }
     }
 
-    /// The named counter's value (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named gauge's value (0 when never touched).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named histogram, if any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Iterates counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&name, &value)| (name, value))
@@ -240,7 +199,7 @@ mod tests {
     #[test]
     fn histogram_summary_statistics() {
         let mut h = Histogram::default();
-        assert_eq!((h.count(), h.min(), h.max(), h.mean()), (0, 0, 0, 0));
+        assert_eq!((h.count(), h.min(), h.max()), (0, 0, 0));
         for v in [1u64, 2, 3, 100] {
             h.record(v);
         }
@@ -248,10 +207,6 @@ mod tests {
         assert_eq!(h.sum(), 106);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 100);
-        assert_eq!(h.mean(), 26);
-        // p50 falls in the bucket of 2..3 (upper bound 3); p100 is the max.
-        assert_eq!(h.quantile_upper_bound(0.5), 3);
-        assert_eq!(h.quantile_upper_bound(1.0), 100);
     }
 
     #[test]
@@ -270,9 +225,9 @@ mod tests {
         let mut ba = b.clone();
         ba.absorb(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.counter("x"), 5);
-        assert_eq!(ab.gauge("g"), 10);
-        let h = ab.histogram("h").unwrap();
+        assert_eq!(ab.counters["x"], 5);
+        assert_eq!(ab.gauges["g"], 10);
+        let h = &ab.histograms["h"];
         assert_eq!((h.count(), h.min(), h.max()), (2, 5, 900));
     }
 }

@@ -70,7 +70,7 @@ pub const DECOMPRESS_BYTES_OUT: &str = "decompress.bytes_out";
 
 /// Spans dropped by the per-shard cap (never silently: see
 /// `docs/observability.md`).
-pub const OBS_SPANS_DROPPED: &str = "obs.spans_dropped";
+pub(crate) const OBS_SPANS_DROPPED: &str = "obs.spans_dropped";
 
 /// Per-codec counter: chunks stored on disk under the codec (after the
 /// raw fallback decided).  `codec_name` is `trace_compress::Codec::name()`.

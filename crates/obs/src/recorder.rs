@@ -18,7 +18,7 @@ use crate::report::RunReport;
 
 /// Cap on buffered spans per shard; beyond it spans are counted into the
 /// `obs.spans_dropped` counter instead of silently vanishing.
-pub const MAX_SPANS_PER_SHARD: usize = 65_536;
+pub(crate) const MAX_SPANS_PER_SHARD: usize = 65_536;
 
 /// A pipeline stage whose duration the recorder can measure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -279,7 +279,7 @@ impl ObsShard {
 
     /// Closes a span opened by [`ObsShard::start`]: records its duration
     /// into the stage's histogram and buffers a [`SpanRecord`] for the
-    /// trace export (up to [`MAX_SPANS_PER_SHARD`]; overflow is counted,
+    /// trace export (up to `MAX_SPANS_PER_SHARD`; overflow is counted,
     /// not silent).
     pub fn end(&mut self, stage: Stage, start: SpanStart) {
         let (Some(inner), SpanStart(Some(start_ns))) = (&mut self.inner, start) else {

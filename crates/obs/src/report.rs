@@ -23,9 +23,9 @@ use crate::metrics::{Histogram, MetricSet};
 use crate::recorder::{SpanRecord, Stage};
 
 /// Identifies the document type in the JSON report.
-pub const SCHEMA_NAME: &str = "trace-obs-run-report";
+pub(crate) const SCHEMA_NAME: &str = "trace-obs-run-report";
 /// Current schema version; bump on any incompatible change.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// An owned snapshot of one histogram, bucket bounds resolved.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -54,13 +54,13 @@ impl HistogramSnapshot {
     }
 
     /// Mean sample (integer division), 0 when empty.
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample, clamped
     /// to the observed maximum; `q` is in thousandths (950 = p95).
-    pub fn quantile_upper_bound(&self, q_thousandths: u64) -> u64 {
+    pub(crate) fn quantile_upper_bound(&self, q_thousandths: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -93,7 +93,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Builds a report from merged metrics and collected spans.
-    pub fn from_parts(metrics: &MetricSet, spans: Vec<SpanRecord>) -> RunReport {
+    pub(crate) fn from_parts(metrics: &MetricSet, spans: Vec<SpanRecord>) -> RunReport {
         RunReport {
             counters: metrics
                 .counters()
@@ -302,11 +302,6 @@ impl RunReport {
     /// [`RunReport::render_json`].
     pub fn from_json(input: &str) -> Result<RunReport, String> {
         RunReport::from_value(&json::parse(input)?)
-    }
-
-    /// Validates a parsed JSON tree against schema version 1.
-    pub fn validate_json(value: &JsonValue) -> Result<(), String> {
-        RunReport::from_value(value).map(|_| ())
     }
 
     fn from_value(value: &JsonValue) -> Result<RunReport, String> {

@@ -21,9 +21,9 @@ use crate::model::{discrepancy_line, ReportModel};
 use crate::trie::TrieNode;
 
 /// Schema name embedded in the JSON island.
-pub const HTML_SCHEMA_NAME: &str = "trace-report";
+pub(crate) const HTML_SCHEMA_NAME: &str = "trace-report";
 /// Schema version embedded in the JSON island.
-pub const HTML_SCHEMA_VERSION: u64 = 2;
+pub(crate) const HTML_SCHEMA_VERSION: u64 = 2;
 
 const STYLE: &str = "\
 body{font-family:ui-monospace,Menlo,Consolas,monospace;margin:2rem auto;max-width:70rem;\

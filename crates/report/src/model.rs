@@ -70,7 +70,7 @@ pub struct FullComparison {
 impl FullComparison {
     /// The four criteria as report lines, in the paper's units, then one
     /// line per discrepancy.  Both the text and the HTML sink print these.
-    pub fn criteria_lines(&self) -> Vec<String> {
+    pub(crate) fn criteria_lines(&self) -> Vec<String> {
         let c = &self.criteria;
         let (bytes, full, ns) = (c.reduced_bytes, c.full_bytes, c.approx_p90_ns);
         let pct = fmt_f64(c.file_size_percent());

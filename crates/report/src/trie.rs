@@ -61,7 +61,7 @@ pub struct RegionTrie {
 impl RegionTrie {
     /// Builds the trie from a reduced trace and the diagnosis of its
     /// reconstruction.
-    pub fn build(reduced: &ReducedAppTrace, diagnosis: &Diagnosis) -> RegionTrie {
+    pub(crate) fn build(reduced: &ReducedAppTrace, diagnosis: &Diagnosis) -> RegionTrie {
         let mut root = TrieNode::default();
         for rank in &reduced.ranks {
             for exec in &rank.execs {

@@ -41,7 +41,7 @@ pub enum P2pMode {
 
 /// Cost model for communication operations.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// One-way point-to-point latency.
     pub latency: Duration,
     /// Transfer cost per byte, in nanoseconds.
@@ -65,12 +65,12 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Transfer time for a message of `bytes` bytes.
-    pub fn transfer(&self, bytes: u64) -> Duration {
+    pub(crate) fn transfer(&self, bytes: u64) -> Duration {
         self.latency + Duration::from_f64(self.per_byte_ns * bytes as f64)
     }
 
     /// Intrinsic cost of a collective over `n` ranks moving `bytes` per rank.
-    pub fn collective(&self, n: u32, bytes: u64) -> Duration {
+    pub(crate) fn collective(&self, n: u32, bytes: u64) -> Duration {
         let log_n = (u32::BITS - n.max(1).leading_zeros()) as u64;
         self.collective_base
             + Duration::from_nanos(self.collective_per_rank.as_nanos() * log_n)
@@ -90,13 +90,13 @@ pub struct Cluster {
     /// `(sender, receiver, tag)`; the value is the time the payload becomes
     /// available at the receiver.
     in_flight: std::collections::HashMap<(usize, usize, u32), std::collections::VecDeque<Time>>,
-    /// Range of the per-segment entry overhead (loop/instrumentation
-    /// overhead) inserted between a segment-begin marker and the first
-    /// event.  Real traces always contain such small, highly variable gaps;
-    /// they are what makes the relative-difference metric strict (paper
-    /// Section 3.2.1).  `None` disables the overhead.
-    entry_overhead: Option<(Duration, Duration)>,
 }
+
+/// Range of the per-segment entry overhead (loop/instrumentation overhead)
+/// inserted between a segment-begin marker and the first event.  Real
+/// traces always contain such small, highly variable gaps; they are what
+/// makes the relative-difference metric strict (paper Section 3.2.1).
+const ENTRY_OVERHEAD: (Duration, Duration) = (Duration::from_nanos(100), Duration::from_micros(10));
 
 impl Cluster {
     /// Creates a cluster for `n_ranks` ranks with a deterministic seed.
@@ -108,25 +108,12 @@ impl Cluster {
             costs: CostModel::default(),
             rng: StdRng::seed_from_u64(seed),
             in_flight: std::collections::HashMap::new(),
-            entry_overhead: Some((Duration::from_nanos(100), Duration::from_micros(10))),
         }
     }
 
-    /// Overrides (or disables, with `None`) the per-segment entry overhead.
-    pub fn with_entry_overhead(mut self, range: Option<(Duration, Duration)>) -> Self {
-        self.entry_overhead = range;
-        self
-    }
-
     /// Installs a noise model (system interference).
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
+    pub(crate) fn with_noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Overrides the communication cost model.
-    pub fn with_costs(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
         self
     }
 
@@ -140,11 +127,6 @@ impl Cluster {
         self.clocks[rank]
     }
 
-    /// The communication cost model in use.
-    pub fn costs(&self) -> CostModel {
-        self.costs
-    }
-
     /// Interns a region name.
     pub fn region(&mut self, name: &str) -> RegionId {
         self.app.regions.intern(name)
@@ -156,18 +138,12 @@ impl Cluster {
     }
 
     /// A nominal duration with multiplicative uniform jitter of ±`frac`.
-    pub fn jittered(&mut self, nominal: Duration, frac: f64) -> Duration {
+    pub(crate) fn jittered(&mut self, nominal: Duration, frac: f64) -> Duration {
         if frac <= 0.0 {
             return nominal;
         }
         let factor = 1.0 + self.rng.gen_range(-frac..frac);
         nominal.scale(factor)
-    }
-
-    /// Draws a uniform value in `[0, 1)`; used by generators for rare-event
-    /// decisions so that all randomness flows from the cluster seed.
-    pub fn uniform(&mut self) -> f64 {
-        self.rng.gen_range(0.0..1.0)
     }
 
     /// Emits a segment-begin marker for `rank` at its current time, then
@@ -176,14 +152,13 @@ impl Cluster {
     pub fn begin_segment(&mut self, rank: usize, context: ContextId) {
         let now = self.clocks[rank];
         self.app.ranks[rank].begin_segment(context, now);
-        if let Some((lo, hi)) = self.entry_overhead {
-            // Log-uniform: small overheads are as common as large ones, which
-            // is what timer-resolution-scale measurements look like in real
-            // traces and what makes relative-difference comparisons strict.
-            let (lo_f, hi_f) = (lo.as_f64().max(1.0), hi.as_f64().max(2.0));
-            let ln = self.rng.gen_range(lo_f.ln()..hi_f.ln());
-            self.clocks[rank] += Duration::from_f64(ln.exp());
-        }
+        // Log-uniform: small overheads are as common as large ones, which
+        // is what timer-resolution-scale measurements look like in real
+        // traces and what makes relative-difference comparisons strict.
+        let (lo, hi) = ENTRY_OVERHEAD;
+        let (lo_f, hi_f) = (lo.as_f64().max(1.0), hi.as_f64().max(2.0));
+        let ln = self.rng.gen_range(lo_f.ln()..hi_f.ln());
+        self.clocks[rank] += Duration::from_f64(ln.exp());
     }
 
     /// Emits a segment-end marker for `rank` at its current time.
@@ -193,23 +168,17 @@ impl Cluster {
     }
 
     /// Emits a segment-begin marker on every rank.
-    pub fn begin_segment_all(&mut self, context: ContextId) {
+    pub(crate) fn begin_segment_all(&mut self, context: ContextId) {
         for rank in 0..self.rank_count() {
             self.begin_segment(rank, context);
         }
     }
 
     /// Emits a segment-end marker on every rank.
-    pub fn end_segment_all(&mut self, context: ContextId) {
+    pub(crate) fn end_segment_all(&mut self, context: ContextId) {
         for rank in 0..self.rank_count() {
             self.end_segment(rank, context);
         }
-    }
-
-    /// Advances `rank`'s clock without recording an event (idle time,
-    /// e.g. skew introduced before the first segment).
-    pub fn idle(&mut self, rank: usize, duration: Duration) {
-        self.clocks[rank] += duration;
     }
 
     /// Runs a compute phase of nominal length `duration` on `rank`,
@@ -227,7 +196,7 @@ impl Cluster {
 
     /// [`Cluster::compute`] with multiplicative jitter of ±`frac` applied to
     /// the nominal duration before noise stretching.
-    pub fn compute_jittered(
+    pub(crate) fn compute_jittered(
         &mut self,
         rank: usize,
         region: &str,
@@ -240,7 +209,7 @@ impl Cluster {
 
     /// Records a locally-completed event (no cross-rank blocking), such as
     /// `MPI_Init` setup work.
-    pub fn local_event(&mut self, rank: usize, region: &str, duration: Duration) {
+    pub(crate) fn local_event(&mut self, rank: usize, region: &str, duration: Duration) {
         let region = self.region(region);
         let start = self.clocks[rank];
         let end = start + duration;
@@ -251,7 +220,7 @@ impl Cluster {
     /// Executes a collective operation over all ranks with `bytes` of
     /// payload per rank, applying the blocking semantics of the operation's
     /// communication pattern.  Records one event per rank.
-    pub fn collective(&mut self, op: CollectiveOp, root: usize, bytes: u64) {
+    pub(crate) fn collective(&mut self, op: CollectiveOp, root: usize, bytes: u64) {
         let n = self.rank_count() as u32;
         let cost = self.costs.collective(n, bytes);
         let region = self.region(op.mpi_name());
@@ -294,7 +263,7 @@ impl Cluster {
     ///
     /// Both the send-side and receive-side events are recorded; the blocking
     /// side depends on `mode` (see [`P2pMode`]).
-    pub fn point_to_point(
+    pub(crate) fn point_to_point(
         &mut self,
         sender: usize,
         receiver: usize,
@@ -363,7 +332,7 @@ impl Cluster {
     /// communication such as the Sweep3D wavefront; the caller must post the
     /// send before the matching receive is waited on (process ranks in
     /// dependency order).
-    pub fn post_send(&mut self, sender: usize, receiver: usize, tag: u32, bytes: u64) {
+    pub(crate) fn post_send(&mut self, sender: usize, receiver: usize, tag: u32, bytes: u64) {
         assert_ne!(sender, receiver, "self-messages are not modelled");
         let transfer = self.costs.transfer(bytes);
         let region = self.region("MPI_Send");
@@ -393,7 +362,7 @@ impl Cluster {
     /// # Panics
     /// Panics if no matching send was posted — that is a bug in the workload
     /// generator, equivalent to an MPI deadlock.
-    pub fn wait_recv(&mut self, receiver: usize, sender: usize, tag: u32, bytes: u64) {
+    pub(crate) fn wait_recv(&mut self, receiver: usize, sender: usize, tag: u32, bytes: u64) {
         let available = self
             .in_flight
             .get_mut(&(sender, receiver, tag))
@@ -417,47 +386,6 @@ impl Cluster {
             .with_wait(wait),
         );
         self.clocks[receiver] = end;
-    }
-
-    /// Executes a pairwise `MPI_Sendrecv` exchange between ranks `a` and
-    /// `b`: both block until both have arrived.
-    pub fn sendrecv(&mut self, a: usize, b: usize, tag: u32, bytes: u64) {
-        assert_ne!(a, b, "self-exchanges are not modelled");
-        let transfer = self.costs.transfer(bytes);
-        let region = self.region("MPI_Sendrecv");
-        let arrival_a = self.clocks[a];
-        let arrival_b = self.clocks[b];
-        let end = arrival_a.max(arrival_b) + transfer;
-        self.app.ranks[a].push_event(
-            Event::with_comm(
-                region,
-                arrival_a,
-                end,
-                CommInfo::SendRecv {
-                    to: Rank(b as u32),
-                    from: Rank(b as u32),
-                    tag,
-                    bytes,
-                },
-            )
-            .with_wait(arrival_b - arrival_a),
-        );
-        self.app.ranks[b].push_event(
-            Event::with_comm(
-                region,
-                arrival_b,
-                end,
-                CommInfo::SendRecv {
-                    to: Rank(a as u32),
-                    from: Rank(a as u32),
-                    tag,
-                    bytes,
-                },
-            )
-            .with_wait(arrival_a - arrival_b),
-        );
-        self.clocks[a] = end;
-        self.clocks[b] = end;
     }
 
     /// Finishes the run and returns the collected application trace.
@@ -568,19 +496,6 @@ mod tests {
         assert_eq!(send.wait, Duration::from_micros(1000));
         assert_eq!(recv.wait, Duration::ZERO);
         assert!(send.end > Time::from_micros(1000));
-    }
-
-    #[test]
-    fn sendrecv_synchronizes_both_ranks() {
-        let mut c = cluster(2);
-        c.compute(0, "do_work", Duration::from_micros(300));
-        c.sendrecv(0, 1, 3, 256);
-        assert_eq!(c.now(0), c.now(1));
-        let app = c.finish();
-        let a = *app.ranks[0].events().last().unwrap();
-        let b = *app.ranks[1].events().last().unwrap();
-        assert_eq!(a.wait, Duration::ZERO);
-        assert_eq!(b.wait, Duration::from_micros(300));
     }
 
     #[test]

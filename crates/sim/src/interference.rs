@@ -36,7 +36,7 @@ pub enum Pattern {
 
 impl Pattern {
     /// Short name used in benchmark names (`Nto1`, `1toN`, ...).
-    pub fn short_name(self) -> &'static str {
+    pub(crate) fn short_name(self) -> &'static str {
         match self {
             Pattern::NTo1 => "Nto1",
             Pattern::OneToN => "1toN",
@@ -67,7 +67,7 @@ pub enum InterferenceScale {
 
 impl InterferenceScale {
     /// Suffix used in benchmark names (`_32` / `_1024`).
-    pub fn suffix(self) -> &'static str {
+    pub(crate) fn suffix(self) -> &'static str {
         match self {
             InterferenceScale::Nodes32 => "32",
             InterferenceScale::Procs1024 => "1024",
@@ -75,7 +75,7 @@ impl InterferenceScale {
     }
 
     /// The noise model for this scale.
-    pub fn noise(self) -> NoiseModel {
+    pub(crate) fn noise(self) -> NoiseModel {
         match self {
             InterferenceScale::Nodes32 => NoiseModel::asci_q_32(),
             InterferenceScale::Procs1024 => NoiseModel::asci_q_1024(),
@@ -114,15 +114,6 @@ impl InterferenceParams {
     /// Paper-scale parameters (32 ranks, 200 iterations).
     pub fn paper() -> Self {
         Self::default()
-    }
-
-    /// Reduced parameters for fast unit tests.
-    pub fn small() -> Self {
-        InterferenceParams {
-            ranks: 8,
-            iterations: 20,
-            ..Self::default()
-        }
     }
 }
 
@@ -164,25 +155,17 @@ pub fn interference(
     c.finish()
 }
 
-/// Generates all ten interference benchmarks of the paper (five patterns ×
-/// two scales) with the given parameters.
-pub fn all_interference(params: &InterferenceParams) -> Vec<AppTrace> {
-    let mut out = Vec::with_capacity(10);
-    for scale in [InterferenceScale::Nodes32, InterferenceScale::Procs1024] {
-        for pattern in Pattern::ALL {
-            out.push(interference(pattern, scale, params));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use trace_model::Time;
 
     fn params() -> InterferenceParams {
-        InterferenceParams::small()
+        InterferenceParams {
+            ranks: 8,
+            iterations: 20,
+            ..InterferenceParams::default()
+        }
     }
 
     #[test]
@@ -201,7 +184,12 @@ mod tests {
     #[test]
     fn all_patterns_produce_well_formed_traces() {
         let p = params();
-        for app in all_interference(&p) {
+        let scales = [InterferenceScale::Nodes32, InterferenceScale::Procs1024];
+        let patterns = scales
+            .into_iter()
+            .flat_map(|scale| Pattern::ALL.map(|p| (p, scale)));
+        for (pattern, scale) in patterns {
+            let app = interference(pattern, scale, &p);
             assert!(app.is_well_formed(), "{} malformed", app.name);
             assert_eq!(app.rank_count(), p.ranks);
             for rt in &app.ranks {

@@ -83,13 +83,13 @@ impl NoiseModel {
     }
 
     /// A model with no interference.
-    pub fn silent() -> Self {
+    pub(crate) fn silent() -> Self {
         NoiseModel::new(Vec::new())
     }
 
     /// ASCI-Q-like interference for a 32-node run (the `_32` benchmarks):
     /// a frequent short kernel tick plus two slower, longer daemons.
-    pub fn asci_q_32() -> Self {
+    pub(crate) fn asci_q_32() -> Self {
         NoiseModel::new(vec![
             // Kernel timer tick style: every 10ms steal 25us.
             NoiseSource::new(
@@ -118,7 +118,7 @@ impl NoiseModel {
     /// proportionally; the paper emulates this by injecting the aggregate
     /// interruption load into each of the 32 simulated ranks, which we model
     /// by scaling source frequency.
-    pub fn asci_q_1024() -> Self {
+    pub(crate) fn asci_q_1024() -> Self {
         let mut model = Self::asci_q_32();
         for src in &mut model.sources {
             // 8× more frequent interruptions per rank approximates the
@@ -130,7 +130,7 @@ impl NoiseModel {
     }
 
     /// Returns the node hosting `rank`.
-    pub fn node_of(&self, rank: u32) -> u32 {
+    pub(crate) fn node_of(&self, rank: u32) -> u32 {
         rank / self.ranks_per_node.max(1)
     }
 
@@ -139,7 +139,7 @@ impl NoiseModel {
     ///
     /// The computation is applied twice so interference landing inside the
     /// stretched portion is also (approximately) accounted for.
-    pub fn stretch(&self, rank: u32, start: Time, busy: Duration) -> Duration {
+    pub(crate) fn stretch(&self, rank: u32, start: Time, busy: Duration) -> Duration {
         if self.sources.is_empty() || busy.is_zero() {
             return busy;
         }
@@ -156,21 +156,6 @@ impl NoiseModel {
             .map(|s| s.interference_in(node, start, extended))
             .sum();
         busy + second
-    }
-
-    /// Total interference injected per second of busy time, as a fraction.
-    /// Useful for sanity checks and reporting.
-    pub fn overhead_fraction(&self) -> f64 {
-        self.sources
-            .iter()
-            .map(|s| {
-                if s.period.is_zero() {
-                    0.0
-                } else {
-                    s.duration.as_f64() / s.period.as_f64()
-                }
-            })
-            .sum()
     }
 }
 
@@ -226,7 +211,6 @@ mod tests {
             s1024 > s32,
             "1024-process interference must stretch more than 32-node interference"
         );
-        assert!(m1024.overhead_fraction() > m32.overhead_fraction());
     }
 
     #[test]
@@ -248,7 +232,6 @@ mod tests {
             m.stretch(0, Time::ZERO, Duration::from_millis(1)),
             Duration::from_millis(1)
         );
-        assert_eq!(m.overhead_fraction(), 0.0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub struct Sweep3dParams {
 
 impl Sweep3dParams {
     /// The 8-process configuration (`sweep3d_8p`, input.50): 2×4 grid.
-    pub fn paper_8p() -> Self {
+    pub(crate) fn paper_8p() -> Self {
         Sweep3dParams {
             npe_i: 2,
             npe_j: 4,

@@ -38,19 +38,6 @@ impl SizePreset {
     }
 }
 
-/// The broad workload category used when summarizing results.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WorkloadCategory {
-    /// Benchmarks with regular behaviour (Section 4.1, first group).
-    Regular,
-    /// Benchmarks with simulated system interference.
-    Interference,
-    /// The dynamic load-balancing benchmark.
-    DynamicLoadBalance,
-    /// The Sweep3D application runs.
-    Application,
-}
-
 /// Identifies one of the paper's workloads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WorkloadKind {
@@ -95,14 +82,6 @@ impl WorkloadKind {
         all
     }
 
-    /// The 16 benchmark workloads (everything except Sweep3D).
-    pub fn benchmarks() -> Vec<WorkloadKind> {
-        Self::all_paper()
-            .into_iter()
-            .filter(|k| k.category() != WorkloadCategory::Application)
-            .collect()
-    }
-
     /// The workload's name as used in the paper's figures and tables.
     pub fn name(&self) -> String {
         match self {
@@ -123,20 +102,6 @@ impl WorkloadKind {
     /// Looks a workload up by its paper name.
     pub fn by_name(name: &str) -> Option<WorkloadKind> {
         Self::all_paper().into_iter().find(|k| k.name() == name)
-    }
-
-    /// The workload's category.
-    pub fn category(&self) -> WorkloadCategory {
-        match self {
-            WorkloadKind::EarlyGather
-            | WorkloadKind::ImbalanceAtMpiBarrier
-            | WorkloadKind::LateReceiver
-            | WorkloadKind::LateSender
-            | WorkloadKind::LateBroadcast => WorkloadCategory::Regular,
-            WorkloadKind::Interference(..) => WorkloadCategory::Interference,
-            WorkloadKind::DynLoadBalance => WorkloadCategory::DynamicLoadBalance,
-            WorkloadKind::Sweep3d8p | WorkloadKind::Sweep3d32p => WorkloadCategory::Application,
-        }
     }
 }
 
@@ -196,13 +161,6 @@ impl Workload {
 }
 
 impl Workload {
-    /// Generates the workload and writes it to `out` in the text trace
-    /// format, ready for streaming consumers (`trace-tools reduce --stream`,
-    /// the `trace_stream` crate).
-    pub fn write_text_to<W: std::io::Write>(&self, out: W) -> std::io::Result<W> {
-        trace_format::write_app_trace_to(out, &self.generate())
-    }
-
     /// Writes the workload to `out` in the text trace format with every
     /// rank's run replayed `repeats` times back-to-back (time stamps offset
     /// so each rank stays monotone).
@@ -392,7 +350,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 18);
-        assert_eq!(WorkloadKind::benchmarks().len(), 16);
     }
 
     #[test]
@@ -405,23 +362,18 @@ mod tests {
 
     #[test]
     fn categories_partition_the_workloads() {
+        use WorkloadKind::*;
         let all = WorkloadKind::all_paper();
-        let regular = all
-            .iter()
-            .filter(|k| k.category() == WorkloadCategory::Regular)
-            .count();
-        let noise = all
-            .iter()
-            .filter(|k| k.category() == WorkloadCategory::Interference)
-            .count();
-        let dynload = all
-            .iter()
-            .filter(|k| k.category() == WorkloadCategory::DynamicLoadBalance)
-            .count();
-        let apps = all
-            .iter()
-            .filter(|k| k.category() == WorkloadCategory::Application)
-            .count();
+        let count = |class: fn(&WorkloadKind) -> bool| all.iter().filter(|k| class(k)).count();
+        let regular = count(|k| {
+            matches!(
+                k,
+                EarlyGather | ImbalanceAtMpiBarrier | LateReceiver | LateSender | LateBroadcast
+            )
+        });
+        let noise = count(|k| matches!(k, Interference(..)));
+        let dynload = count(|k| matches!(k, DynLoadBalance));
+        let apps = count(|k| matches!(k, Sweep3d8p | Sweep3d32p));
         assert_eq!((regular, noise, dynload, apps), (5, 10, 1, 2));
     }
 
@@ -435,14 +387,6 @@ mod tests {
             assert!(app.is_well_formed(), "{} malformed", app.name);
             assert!(app.total_events() > 0);
         }
-    }
-
-    #[test]
-    fn write_text_to_round_trips_through_the_format_parser() {
-        let workload = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny);
-        let bytes = workload.write_text_to(Vec::new()).unwrap();
-        let parsed = trace_format::parse_app_trace(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        assert_eq!(parsed, workload.generate());
     }
 
     #[test]

@@ -349,7 +349,7 @@ impl TraceInputKind {
 /// container decides what its magic bytes are: a retired monolithic v1 file
 /// is its typed refusal, and anything that is not a container is treated
 /// as text, so text parse errors keep their precise line-level diagnostics.
-pub fn detect_input(path: impl AsRef<Path>) -> Result<TraceInputKind, StreamError> {
+pub(crate) fn detect_input(path: impl AsRef<Path>) -> Result<TraceInputKind, StreamError> {
     let file = File::open(path.as_ref())?;
     let mut magic = Vec::with_capacity(4);
     file.take(4).read_to_end(&mut magic)?;
@@ -434,42 +434,56 @@ mod tests {
 
     #[test]
     fn a_file_reduction_writes_the_bytes_of_storing_the_collected_trace() {
-        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
-        let reducer = Reducer::with_default_threshold(Method::RelDiff);
+        // Every tiny workload, the methods in turn, both input and output
+        // formats, one worker, two, three and more workers than ranks: the
+        // bytes are those of storing the trace the in-memory driver,
+        // `reduce_app_parallel`, assembles, and the counters are those of
+        // collecting the reduction.
         let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
-        let text = temp_file("into.txt", trace_format::write_app_trace(&app).as_bytes());
-        let container = temp_file("into.trc", &encode_app_container(&app, spec));
-        for path in [&text, &container] {
-            for shards in [1, 2, 3, app.rank_count() + 3] {
-                let (collected, kind) = reduce_any_file(&reducer, path, shards).unwrap();
-                let reduced = &collected.reduced;
-                for (format, expected) in [
-                    (
-                        OutputFormat::Container(spec),
-                        encode_reduced_container(reduced, spec),
-                    ),
-                    (
-                        OutputFormat::Text,
-                        trace_format::write_reduced_trace(reduced).into_bytes(),
-                    ),
-                ] {
-                    let case = format!("{} {format:?} on {shards} workers", kind.label());
-                    let (written, written_kind) =
-                        reduce_any_file_into(&reducer, path, shards, Vec::new(), format).unwrap();
-                    assert_eq!(written_kind, kind, "{case}");
-                    assert!(written.out == expected, "{case}");
-                    // The sum of per-worker peaks depends on which
-                    // worker took which section.
-                    let stats = |stats| StreamStats {
-                        peak_resident_segments: 0,
-                        ..stats
-                    };
-                    assert_eq!(stats(written.stats), stats(collected.stats), "{case}");
+        let workloads = Workload::all(SizePreset::Tiny).into_iter();
+        for (workload, method) in workloads.zip(Method::ALL.into_iter().cycle()) {
+            let app = workload.generate();
+            let reducer = Reducer::with_default_threshold(method);
+            let reduced = trace_reduce::reduce_app_parallel(&reducer, &app, 2);
+            let formats = [
+                (
+                    OutputFormat::Container(spec),
+                    encode_reduced_container(&reduced, spec),
+                ),
+                (
+                    OutputFormat::Text,
+                    trace_format::write_reduced_trace(&reduced).into_bytes(),
+                ),
+            ];
+            let text = temp_file("into.txt", trace_format::write_app_trace(&app).as_bytes());
+            let container = temp_file("into.trc", &encode_app_container(&app, spec));
+            for path in [&text, &container] {
+                for shards in [1, 2, 3, app.rank_count() + 3] {
+                    let (collected, kind) = reduce_any_file(&reducer, path, shards).unwrap();
+                    let case = format!("{} {method} {} on {shards}", workload.name(), kind.label());
+                    assert_eq!(collected.reduced, reduced, "{case}");
+                    for (format, expected) in &formats {
+                        let case = format!("{case} into {format:?}");
+                        let (written, written_kind) =
+                            reduce_any_file_into(&reducer, path, shards, Vec::new(), *format)
+                                .unwrap();
+                        assert_eq!(written_kind, kind, "{case}");
+                        assert!(written.out == *expected, "{case}");
+                        // The sum of per-worker peaks depends on which
+                        // worker took which section.
+                        let stats = |stats| StreamStats {
+                            peak_resident_segments: 0,
+                            ..stats
+                        };
+                        assert_eq!(stats(written.stats), stats(collected.stats), "{case}");
+                        let degree = reduced.degree_of_matching();
+                        assert_eq!(written.stats.degree_of_matching(), degree, "{case}");
+                    }
                 }
             }
-        }
-        for path in [&text, &container] {
-            let _ = std::fs::remove_file(path);
+            for path in [&text, &container] {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 

@@ -36,19 +36,19 @@
 //!   the callers that need it all.  [`binary::reduce_any_file`]
 //!   autodetects text and container v2 inputs by magic bytes, and refuses
 //!   a retired monolithic v1 file.
-//! * [`binary::reduce_any_file_into`] / [`reduce::reduce_app_into`] —
-//!   the same reductions, of a file or of a trace already in memory
-//!   (whose ranks it reads with no copy), written as they go: each worker encodes
-//!   the rank it just reduced as a section of the output, text or
-//!   container, and the calling thread writes the sections in rank order,
-//!   then the index and trailer.  The reduced trace is never assembled:
-//!   each worker holds one rank's reduced state, and the execution log is
-//!   written as it goes.  The CLI's `reduce` always reads the file; the
-//!   in-memory source has no caller outside tests, and is kept as the
-//!   one [`trace_reduce::Reducer::reduce_app`] is to be folded into.  Sections finished ahead of the next one the file
-//!   takes wait encoded — past a slower worker's rank, or while the
-//!   calling thread reduces a rank of its own — so a rank that dwarfs the
-//!   rest can hold most of the encoded output back until it is done.
+//! * [`binary::reduce_any_file_into`] — the same reduction of a file,
+//!   written as it goes: each worker encodes the rank it just reduced as a
+//!   section of the output, text or container, and the calling thread
+//!   writes the sections in rank order, then the index and trailer.  The
+//!   reduced trace is never assembled: each worker holds one rank's
+//!   reduced state, and the execution log is written as it goes.  This is
+//!   the CLI's `reduce`.  A trace already in memory is reduced by
+//!   [`trace_reduce::reduce_app_parallel`], the library's one in-memory
+//!   driver, on the same record loop.  Sections finished ahead of the next
+//!   one the file takes wait encoded — past a slower worker's rank, or
+//!   while the calling thread reduces a rank of its own — so a rank that
+//!   dwarfs the rest can hold most of the encoded output back until it is
+//!   done.
 //! * [`convert::convert_text`] / [`convert::convert_container`] — a trace
 //!   re-written in either format, text or container, a rank at a time:
 //!   the same sources, with each section's records copied straight into
@@ -109,13 +109,13 @@ mod sink;
 pub mod source;
 
 pub use binary::{
-    detect_input, load_container_file, reduce_any_file, reduce_any_file_into,
-    reduce_container_file, reduce_container_stream, ContainerSource, TraceInputKind,
+    load_container_file, reduce_any_file, reduce_any_file_into, reduce_container_file,
+    reduce_container_stream, ContainerSource, TraceInputKind,
 };
 pub use convert::{convert_container, convert_text};
 pub use error::StreamError;
 pub use parser::{AppItem, StreamParser};
-pub use reduce::{reduce_app_into, reduce_stream, StreamReduction, StreamStats};
+pub use reduce::{reduce_stream, StreamReduction, StreamStats};
 pub use shard::reduce_stream_sharded;
 pub use sink::{OutputFormat, WrittenReduction};
 pub use source::AppItemSource;

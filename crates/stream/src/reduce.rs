@@ -9,18 +9,17 @@
 //! [`StreamStats::peak_resident_segments`] instruments exactly that
 //! quantity so tests can assert the bound.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
-use trace_container::PayloadKind;
-use trace_model::{AppTrace, Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord, TraceTables};
+use trace_model::{Rank, ReducedAppTrace, ReducedRankTrace, TraceRecord, TraceTables};
 use trace_obs::Recorder;
 use trace_reduce::{MatchScratch, MatchStats, RankRecordReducer, Reducer};
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::shard::{no_second_source, on_workers, text, Ran, Stage};
-use crate::sink::{Collect, OutputFormat, RankSink, Sink, TraceWriter, WrittenReduction};
-use crate::source::{AppItemSource, AppTraceSource};
+use crate::shard::{no_second_source, text, Ran, Stage};
+use crate::sink::{Collect, RankSink, Sink};
+use crate::source::AppItemSource;
 
 /// Instrumentation counters from one streaming reduction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -360,49 +359,12 @@ pub fn reduce_stream<R: BufRead + Send>(
     run.map(StreamReduction::collected)
 }
 
-/// Reduces `app`, a trace already in memory, on up to `workers` workers
-/// (0 is treated as 1), and writes the reduced trace into `out` in
-/// `format` as it goes, like [`crate::reduce_any_file_into`]: each worker
-/// reads the ranks it claims straight from `app`, a
-/// whole rank's records at a time with no copy, and encodes each rank it
-/// reduces.  The bytes are those of storing
-/// [`trace_reduce::reduce_app_parallel`]'s trace, which is never
-/// assembled.  The CLI no longer calls this: its `reduce` streams the
-/// file through [`crate::reduce_any_file_into`].
-pub fn reduce_app_into<W: Write>(
-    reducer: &Reducer,
-    app: &AppTrace,
-    workers: usize,
-    out: W,
-    format: OutputFormat,
-) -> Result<WrittenReduction<W>, StreamError> {
-    let tables = TraceTables {
-        name: app.name.clone(),
-        declared_ranks: app.rank_count(),
-        regions: app.regions.clone(),
-        contexts: app.contexts.clone(),
-    };
-    let sink = TraceWriter::open(
-        out,
-        format,
-        PayloadKind::Reduced,
-        &tables,
-        reducer.recorder(),
-    )?;
-    let mut stage = Reduce { reducer, sink };
-    let n = app.rank_count();
-    let source = AppTraceSource::new(app);
-    // The records are in memory already: no worker decodes ahead.
-    let open = |_| Ok(AppTraceSource::new(app));
-    let workers = on_workers(reducer.recorder(), &mut stage, source, n, workers, open)?;
-    WrittenReduction::finished((stage, workers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{OutputFormat, TraceWriter, WrittenReduction};
     use std::io::Cursor;
-    use trace_container::{encode_reduced_container, ChunkSpec, Codec};
+    use trace_container::{encode_reduced_container, ChunkSpec, Codec, PayloadKind};
     use trace_format::{write_app_trace, write_reduced_trace};
     use trace_model::TraceRecord;
     use trace_reduce::{reduce_app_parallel, Method};
@@ -411,25 +373,37 @@ mod tests {
     #[test]
     fn an_in_memory_reduction_writes_the_bytes_of_storing_the_collected_trace() {
         // Every tiny workload, both output formats, one worker, two, three
-        // and more workers than ranks: the bytes, the totals and the
-        // degree of matching are those of the trace `reduce_app_parallel`
-        // assembles.
+        // and more workers than ranks, each worker reading the text trace
+        // from memory: the bytes, the totals and the degree of matching
+        // are those of the trace `reduce_app_parallel` assembles.
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let recorder = reducer.recorder();
         let spec = ChunkSpec::with_segments(2).codec(Codec::DeltaLz);
         for workload in Workload::all(SizePreset::Tiny) {
             let app = workload.generate();
+            let input = write_app_trace(&app);
             let reduced = reduce_app_parallel(&reducer, &app, 2);
-            let container = encode_reduced_container(&reduced, spec);
-            let text = write_reduced_trace(&reduced).into_bytes();
             let formats = [
-                (OutputFormat::Container(spec), container),
-                (OutputFormat::Text, text),
+                (
+                    OutputFormat::Container(spec),
+                    encode_reduced_container(&reduced, spec),
+                ),
+                (
+                    OutputFormat::Text,
+                    write_reduced_trace(&reduced).into_bytes(),
+                ),
             ];
             for workers in [1, 2, 3, app.rank_count() + 3] {
                 for (format, expected) in &formats {
                     let case = format!("{} {format:?} on {workers} workers", workload.name());
-                    let written =
-                        reduce_app_into(&reducer, &app, workers, Vec::new(), *format).unwrap();
+                    let writer = |tables: &TraceTables| {
+                        let kind = PayloadKind::Reduced;
+                        TraceWriter::open(Vec::new(), *format, kind, tables, recorder)
+                    };
+                    let open = || Cursor::new(input.as_bytes());
+                    let stage = Reduce::opening(&reducer, writer);
+                    let run = text(recorder, open(), workers, |_| Ok(open()), stage).unwrap();
+                    let written = WrittenReduction::finished(run).unwrap();
                     assert!(written.out == *expected, "{case}");
                     assert_eq!(written.name, reduced.name, "{case}");
                     let stats = written.stats;

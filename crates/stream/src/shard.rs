@@ -12,7 +12,7 @@
 //! into an encoder, and the whole-trace load copies them into the trace it
 //! collects ([`crate::binary::load_container_file`]).  Two kinds of source
 //! feed it: a stream every worker reads its own copy of, front to back,
-//! skipping the sections it does not claim (text, or a trace in memory),
+//! skipping the sections it does not claim (text),
 //! and a container file's sections, which workers seek to by its index
 //! footer ([`crate::binary`]).  A stream worker reads on to the trailer
 //! after its last claim, checking the declared rank count.  The output is
@@ -111,7 +111,7 @@ pub(crate) fn sources<G: Stage, S: AppItemSource + Send>(
 }
 
 /// [`sources`] with every source read where its worker runs.
-pub(crate) fn on_workers<G: Stage, S: AppItemSource + Send>(
+fn on_workers<G: Stage, S: AppItemSource + Send>(
     recorder: &Recorder,
     stage: &mut G,
     first: S,

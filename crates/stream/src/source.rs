@@ -11,15 +11,11 @@
 //! a time, text up to [`crate::parser::BATCH_RECORDS`] record lines at a
 //! time — and hand the rest of a batch over as a slice
 //! ([`AppItemSource::take_records`]), which spares the loop one item
-//! hand-off per record.  A trace already in memory is a source too
-//! (`AppTraceSource`, behind [`crate::reduce::reduce_app_into`]): it hands
-//! over a whole rank's records as one slice, with no copy, and passes a
-//! section for free.  The CLI no longer reduces a loaded trace, so only
-//! tests drive it, until the library's in-memory reducer runs on it too.
+//! hand-off per record.
 
 use std::io::BufRead;
 
-use trace_model::{AppTrace, Rank, RankTrace, TraceRecord};
+use trace_model::{Rank, TraceRecord};
 
 use crate::error::StreamError;
 use crate::parser::{AppItem, StreamParser};
@@ -65,63 +61,5 @@ impl<R: BufRead> AppItemSource for StreamParser<R> {
 
     fn take_records(&mut self) -> &[TraceRecord] {
         StreamParser::take_records(self)
-    }
-}
-
-/// [`AppItemSource`] over a trace already in memory: each rank section is
-/// its rank start, its records and its rank end, and
-/// [`AppItemSource::take_records`] hands over the rest of the rank's
-/// records as one borrowed slice.
-pub(crate) struct AppTraceSource<'a> {
-    /// The sections not opened yet.
-    ranks: std::slice::Iter<'a, RankTrace>,
-    /// The open section and its records not handed out yet.
-    open: Option<(Rank, &'a [TraceRecord])>,
-}
-
-impl<'a> AppTraceSource<'a> {
-    /// A source of `app`'s rank sections, in order.
-    pub(crate) fn new(app: &'a AppTrace) -> Self {
-        AppTraceSource {
-            ranks: app.ranks.iter(),
-            open: None,
-        }
-    }
-}
-
-impl AppItemSource for AppTraceSource<'_> {
-    fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
-        let Some((rank, records)) = &mut self.open else {
-            let Some(next) = self.ranks.next() else {
-                return Ok(None);
-            };
-            self.open = Some((next.rank, &next.records));
-            return Ok(Some(AppItem::RankStart(next.rank)));
-        };
-        Ok(Some(match records.split_first() {
-            Some((first, rest)) => {
-                *records = rest;
-                AppItem::Record(*first)
-            }
-            None => {
-                let rank = *rank;
-                self.open = None;
-                AppItem::RankEnd(rank)
-            }
-        }))
-    }
-
-    fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
-        match self.open.take() {
-            Some((rank, _)) => Ok(rank),
-            None => Err(StreamError::Protocol("a skip outside a rank section")),
-        }
-    }
-
-    fn take_records(&mut self) -> &[TraceRecord] {
-        match &mut self.open {
-            Some((_, records)) => std::mem::take(records),
-            None => &[],
-        }
     }
 }

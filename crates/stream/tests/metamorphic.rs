@@ -5,7 +5,8 @@
 //! codecs too: a shift changes every `delta-lz` delta's base and the
 //! varint lengths of the time stamps, a rank reversal the index footer.
 //! Both relations are properties as well, over generated traces, so the
-//! explored property runs reach them.
+//! explored property runs reach them.  Scale runs in memory, every method
+//! at its default threshold (absDiff's scaled with the trace).
 
 #[path = "support/relations.rs"]
 mod relations;
@@ -18,7 +19,7 @@ use trace_container::{encode_app_container, ChunkSpec, Codec};
 use trace_format::write_app_trace;
 use trace_model::{AppTrace, ReducedAppTrace};
 use trace_obs::Recorder;
-use trace_reduce::{Method, Reducer};
+use trace_reduce::{Method, MethodConfig, Reducer};
 use trace_sim::specgen::trace_from_specs;
 use trace_sim::{SizePreset, Workload};
 use trace_stream::{
@@ -28,6 +29,9 @@ use trace_stream::{
 /// An odd shift of a little over a millisecond: it moves time stamps
 /// across varint byte boundaries.
 const SHIFT: u64 = 1_048_583;
+
+/// The scale relation's factor: every time stamp and wait doubled.
+const SCALE: u64 = 2;
 
 /// One way a trace is reduced.
 #[derive(Clone, Copy, Debug)]
@@ -157,6 +161,31 @@ fn shift_and_rank_order_hold_on_every_tiny_workload_through_every_driver() {
             streamed.then_some(driver)
         };
         relations_hold(&app, &workload.name(), driver).unwrap();
+    }
+}
+
+#[test]
+fn scale_holds_in_memory_on_every_tiny_workload_for_every_method() {
+    for workload in Workload::all(SizePreset::Tiny) {
+        let app = workload.generate();
+        let scaled = relations::scaled(&app, SCALE);
+        for method in Method::ALL {
+            let config = MethodConfig::with_default_threshold(method);
+            let expected =
+                relations::scaled_reduction(&Reducer::new(config).reduce_app(&app), SCALE);
+            // absDiff's threshold is in time units; every other method's is
+            // relative or a count.
+            let threshold = match method {
+                Method::AbsDiff => config.threshold * SCALE as f64,
+                _ => config.threshold,
+            };
+            let found = Reducer::new(MethodConfig::new(method, threshold)).reduce_app(&scaled);
+            // iter_avg's representative is an average rounded to the
+            // nanosecond.
+            let tolerance = u64::from(method == Method::IterAvg);
+            let holds = relations::equal_within(&found, &expected, tolerance);
+            assert!(holds, "scale: {} {method}", app.name);
+        }
     }
 }
 

@@ -11,26 +11,39 @@
 //!   reduce to the reduced ranks reversed and renumbered alike, because
 //!   each rank is reduced on its own: no match state crosses from rank to
 //!   rank.
+//! * *Scale*: every time stamp and wait multiplied by a factor multiplies
+//!   every stored and execution time by it, with absDiff's threshold
+//!   multiplied too and every other threshold kept: relDiff, the Minkowski
+//!   and the wavelet methods compare relative to the larger value, and
+//!   iter_k ignores time.  iter_avg's representative is a rounded average,
+//!   so its times may differ from the scaled ones by 1 ns.
 
 use trace_model::{AppTrace, Rank, ReducedAppTrace, Time, TraceRecord};
+
+/// `app` with `stamp` applied to every time stamp and `wait` to every
+/// event's wait.
+fn retimed(app: &AppTrace, stamp: impl Fn(&mut Time), wait: impl Fn(&mut Time)) -> AppTrace {
+    let mut retimed = app.clone();
+    let records = retimed.ranks.iter_mut().flat_map(|rank| &mut rank.records);
+    for record in records {
+        match record {
+            TraceRecord::SegmentBegin { time, .. } | TraceRecord::SegmentEnd { time, .. } => {
+                stamp(time)
+            }
+            TraceRecord::Event(event) => {
+                stamp(&mut event.start);
+                stamp(&mut event.end);
+                wait(&mut event.wait);
+            }
+        }
+    }
+    retimed
+}
 
 /// `app` with `by` nanoseconds added to every time stamp.
 pub fn shifted(app: &AppTrace, by: u64) -> AppTrace {
     let shift = |time: &mut Time| *time = Time::from_nanos(time.as_nanos() + by);
-    let mut shifted = app.clone();
-    let records = shifted.ranks.iter_mut().flat_map(|rank| &mut rank.records);
-    for record in records {
-        match record {
-            TraceRecord::SegmentBegin { time, .. } | TraceRecord::SegmentEnd { time, .. } => {
-                shift(time)
-            }
-            TraceRecord::Event(event) => {
-                shift(&mut event.start);
-                shift(&mut event.end);
-            }
-        }
-    }
-    shifted
+    retimed(app, shift, |_| {})
 }
 
 /// What reducing [`shifted`]`(app, by)` must give, where `reduced` is the
@@ -63,4 +76,55 @@ pub fn reversed_reduction(reduced: &ReducedAppTrace) -> ReducedAppTrace {
         rank.rank = Rank(number as u32);
     }
     reversed
+}
+
+/// `app` with every time stamp and wait multiplied by `factor`.
+pub fn scaled(app: &AppTrace, factor: u64) -> AppTrace {
+    let scale = |time: &mut Time| *time = Time::from_nanos(time.as_nanos() * factor);
+    retimed(app, scale, scale)
+}
+
+/// What reducing [`scaled`]`(app, factor)` must give, where `reduced` is
+/// the reduction of `app`.
+pub fn scaled_reduction(reduced: &ReducedAppTrace, factor: u64) -> ReducedAppTrace {
+    let mut scaled = reduced.clone();
+    for time in times(&mut scaled) {
+        *time = Time::from_nanos(time.as_nanos() * factor);
+    }
+    scaled
+}
+
+/// Whether `found` is `expected` with every stored and execution time off
+/// by at most `tolerance` nanoseconds, and equal in everything else.
+pub fn equal_within(found: &ReducedAppTrace, expected: &ReducedAppTrace, tolerance: u64) -> bool {
+    let (mut found, mut expected) = (found.clone(), expected.clone());
+    let (found_times, expected_times) = (times(&mut found), times(&mut expected));
+    if found_times.len() != expected_times.len() {
+        return false;
+    }
+    // Compared, each pair of times is zeroed: what is left must be equal.
+    for (a, b) in found_times.into_iter().zip(expected_times) {
+        if a.as_nanos().abs_diff(b.as_nanos()) > tolerance {
+            return false;
+        }
+        (*a, *b) = (Time::ZERO, Time::ZERO);
+    }
+    found == expected
+}
+
+/// Every time of `reduced`: each stored segment's start, end and events'
+/// start, end and wait, then each execution's start.
+fn times(reduced: &mut ReducedAppTrace) -> Vec<&mut Time> {
+    let mut times = Vec::new();
+    for rank in &mut reduced.ranks {
+        for stored in &mut rank.stored {
+            let segment = &mut stored.segment;
+            times.extend([&mut segment.start, &mut segment.end]);
+            for event in &mut segment.events {
+                times.extend([&mut event.start, &mut event.end, &mut event.wait]);
+            }
+        }
+        times.extend(rank.execs.iter_mut().map(|exec| &mut exec.start));
+    }
+    times
 }

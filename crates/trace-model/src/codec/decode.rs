@@ -167,7 +167,7 @@ pub fn read_record(
 }
 
 /// Reads one rebased segment (inverse of [`super::write_segment`]).
-pub fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
+pub(crate) fn read_segment(reader: &mut Reader<'_>) -> Result<Segment, CodecError> {
     let context = ContextId(read_u32(reader, "context id")?);
     let start = Time::from_nanos(read_u64(reader)?);
     let end = Time::from_nanos(read_u64(reader)?);

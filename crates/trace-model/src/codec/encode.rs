@@ -11,9 +11,9 @@ use crate::trace::{AppTrace, RankTrace};
 
 /// Comm-info tag bytes shared by the encoder and decoder.
 pub(super) mod tags {
-    pub const RECORD_SEGMENT_BEGIN: u8 = 0;
-    pub const RECORD_SEGMENT_END: u8 = 1;
-    pub const RECORD_EVENT: u8 = 2;
+    pub(crate) const RECORD_SEGMENT_BEGIN: u8 = 0;
+    pub(crate) const RECORD_SEGMENT_END: u8 = 1;
+    pub(crate) const RECORD_EVENT: u8 = 2;
 
     pub const COMM_COMPUTE: u8 = 0;
     pub const COMM_SEND: u8 = 1;
@@ -181,7 +181,7 @@ pub fn app_trace_len(app: &AppTrace) -> u64 {
 }
 
 /// Writes one rebased segment (used for stored representatives).
-pub fn write_segment(out: &mut Vec<u8>, segment: &Segment) {
+pub(crate) fn write_segment(out: &mut Vec<u8>, segment: &Segment) {
     write_u64(out, u64::from(segment.context.as_u32()));
     write_u64(out, segment.start.as_nanos());
     write_u64(out, segment.end.as_nanos());

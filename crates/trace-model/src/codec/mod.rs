@@ -17,12 +17,10 @@ pub mod varint;
 
 use std::fmt;
 
-pub use decode::{
-    read_exec, read_record, read_segment, read_stored_segment, read_string, read_string_table,
-};
+pub use decode::{read_exec, read_record, read_stored_segment, read_string, read_string_table};
 pub use encode::{
-    app_trace_len, reduced_trace_len, write_exec, write_record, write_segment,
-    write_stored_segment, write_string, write_string_table,
+    app_trace_len, reduced_trace_len, write_exec, write_record, write_stored_segment, write_string,
+    write_string_table,
 };
 
 /// The slots to reserve for `count` declared items when the input can back

@@ -78,12 +78,12 @@ pub fn read_i64(reader: &mut Reader<'_>) -> Result<i64, CodecError> {
 }
 
 /// Zig-zag encodes a signed value so small magnitudes stay small.
-pub fn zigzag_encode(value: i64) -> u64 {
+pub(crate) fn zigzag_encode(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
 }
 
 /// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(value: u64) -> i64 {
+pub(crate) fn zigzag_decode(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 

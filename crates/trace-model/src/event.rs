@@ -140,11 +140,6 @@ impl CommInfo {
     pub fn is_communication(&self) -> bool {
         !matches!(self, CommInfo::Compute)
     }
-
-    /// True if the event is a collective operation.
-    pub fn is_collective(&self) -> bool {
-        matches!(self, CommInfo::Collective { .. })
-    }
 }
 
 /// A completed invocation of a traced region.
@@ -234,7 +229,7 @@ impl Event {
     /// calls and parameters are the same" requirement of the paper; the
     /// timings are *not* part of eligibility, they are what the similarity
     /// metrics compare.
-    pub fn matches_shape(&self, other: &Event) -> bool {
+    pub(crate) fn matches_shape(&self, other: &Event) -> bool {
         self.region == other.region && self.comm == other.comm
     }
 }
@@ -338,6 +333,5 @@ mod tests {
             bytes: 64,
         };
         assert!(coll.is_communication());
-        assert!(coll.is_collective());
     }
 }

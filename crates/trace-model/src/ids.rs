@@ -226,12 +226,6 @@ impl ContextTable {
     pub fn parent_name(name: &str) -> Option<&str> {
         name.rfind('.').map(|idx| &name[..idx])
     }
-
-    /// Nesting depth of a hierarchical context name (`main` is depth 0,
-    /// `main.2.1` is depth 2).
-    pub fn depth(name: &str) -> usize {
-        name.matches('.').count()
-    }
 }
 
 #[cfg(test)]
@@ -256,8 +250,6 @@ mod tests {
     fn context_hierarchy_helpers() {
         assert_eq!(ContextTable::parent_name("main.2.1"), Some("main.2"));
         assert_eq!(ContextTable::parent_name("main"), None);
-        assert_eq!(ContextTable::depth("main"), 0);
-        assert_eq!(ContextTable::depth("main.2.1"), 2);
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use record::{AppItem, TraceRecord};
 pub use reduced::{ReducedAppTrace, ReducedRankTrace, SegmentExec, StoredIdError, StoredSegment};
 pub use segment::{Segment, SegmentKey};
 pub use time::{Duration, Time};
-pub use trace::{AppTrace, RankTrace, TraceTables, MAX_RESERVED_RANKS};
+pub use trace::{AppTrace, RankTrace, TraceTables};

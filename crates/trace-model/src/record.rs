@@ -59,14 +59,6 @@ impl TraceRecord {
             _ => None,
         }
     }
-
-    /// True if the record is a segment marker (begin or end).
-    pub fn is_marker(&self) -> bool {
-        matches!(
-            self,
-            TraceRecord::SegmentBegin { .. } | TraceRecord::SegmentEnd { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -92,9 +84,6 @@ mod tests {
         assert_eq!(begin.time().as_nanos(), 10);
         assert_eq!(event.time().as_nanos(), 12);
         assert_eq!(end.time().as_nanos(), 25);
-        assert!(begin.is_marker());
-        assert!(end.is_marker());
-        assert!(!event.is_marker());
         assert!(event.as_event().is_some());
         assert!(begin.as_event().is_none());
     }

@@ -17,7 +17,7 @@ use crate::trace::{AppTrace, RankTrace};
 
 /// Identifier of a stored representative segment within one rank's reduced
 /// trace.
-pub type StoredSegmentId = u32;
+pub(crate) type StoredSegmentId = u32;
 
 /// A representative segment kept in the reduced trace.
 #[derive(Clone, Debug, PartialEq)]

@@ -92,7 +92,7 @@ impl Segment {
     }
 
     /// Number of entries in [`Segment::measurement_vector`].
-    pub fn measurement_len(&self) -> usize {
+    pub(crate) fn measurement_len(&self) -> usize {
         1 + 2 * self.events.len()
     }
 

@@ -61,18 +61,6 @@ impl Time {
         self.0
     }
 
-    /// Value in microseconds, as a float (used for reporting).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Value in milliseconds, as a float (used for reporting).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Value as a float in nanoseconds; the unit used by similarity metrics.
     #[inline]
     pub fn as_f64(self) -> f64 {

@@ -118,7 +118,7 @@ impl RankTrace {
 /// The text header's `TRACE RANKS <n>` and the container preamble's count
 /// are bare numbers, and a 28-byte file can declare 2^60 ranks; past this
 /// many, the rank list grows only as sections actually arrive.
-pub const MAX_RESERVED_RANKS: usize = 4096;
+pub(crate) const MAX_RESERVED_RANKS: usize = 4096;
 
 /// What a trace file holds ahead of its first rank section, in either
 /// format: the program name, the declared rank count and the interned
@@ -137,7 +137,7 @@ pub struct TraceTables {
 
 impl TraceTables {
     /// A full trace under these tables with no ranks yet, and room for the
-    /// declared ones (at most [`MAX_RESERVED_RANKS`] up front).
+    /// declared ones (at most `MAX_RESERVED_RANKS` up front).
     pub fn app_trace(&self) -> AppTrace {
         AppTrace {
             name: self.name.clone(),
@@ -211,11 +211,6 @@ impl AppTrace {
     /// Total number of event records across all ranks.
     pub fn total_events(&self) -> usize {
         self.ranks.iter().map(RankTrace::event_count).sum()
-    }
-
-    /// Total number of records (markers and events) across all ranks.
-    pub fn total_records(&self) -> usize {
-        self.ranks.iter().map(RankTrace::len).sum()
     }
 
     /// The end time of the whole run (max across ranks).
@@ -298,7 +293,6 @@ mod tests {
         let app = sample_trace();
         assert_eq!(app.rank_count(), 2);
         assert_eq!(app.total_events(), 4);
-        assert_eq!(app.total_records(), 8);
         assert_eq!(app.end_time().as_nanos(), 36);
         assert!(app.is_well_formed());
     }

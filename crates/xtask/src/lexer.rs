@@ -11,7 +11,7 @@
 
 /// The kind of a significant token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// An identifier or keyword (`foo`, `match`, `r#type`).
     Ident,
     /// Punctuation; multi-character operators the rules care about
@@ -31,7 +31,7 @@ pub enum TokenKind {
 
 /// One significant token with its 1-based source line.
 #[derive(Clone, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     /// 1-based line the token starts on.
     pub line: usize,
     /// What sort of token this is.
@@ -43,7 +43,7 @@ pub struct Token {
 /// A comment, kept separately from the token stream so the rules can look
 /// for `lint:allow` directives without comments affecting token adjacency.
 #[derive(Clone, Debug)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// 1-based line the comment starts on.
     pub line: usize,
     /// Comment body with the `//`, `///`, `/*`, … markers stripped.
@@ -55,7 +55,7 @@ pub struct Comment {
 
 /// The result of lexing one file.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// Significant tokens in source order.
     pub tokens: Vec<Token>,
     /// All comments in source order.
@@ -67,7 +67,7 @@ pub struct Lexed {
 /// The lexer is intentionally forgiving: source that rustc would reject
 /// (unterminated string, stray byte) is lexed on a best-effort basis rather
 /// than reported, because everything the linter scans is also compiled.
-pub fn lex(source: &str) -> Lexed {
+pub(crate) fn lex(source: &str) -> Lexed {
     Lexer::new(source).run()
 }
 

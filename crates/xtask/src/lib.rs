@@ -6,11 +6,11 @@
 //! and the escape-hatch policy.
 //!
 //! The pass is deliberately self-contained (no `syn`, no registry
-//! dependencies): [`lexer`] tokenizes Rust source, [`surface`] classifies
+//! dependencies): `lexer` tokenizes Rust source, [`surface`] classifies
 //! files, [`rules`] runs the token-level checks, and [`report`] renders the
 //! outcome for humans and for the CI artifact.
 
-pub mod lexer;
+pub(crate) mod lexer;
 pub mod report;
 pub mod rules;
 pub mod surface;

@@ -1,6 +1,6 @@
 //! The three rule families and the `lint:allow` escape hatch.
 //!
-//! Rules operate on the token stream from [`crate::lexer`], never on raw
+//! Rules operate on the token stream from `crate::lexer`, never on raw
 //! text, so string/comment contents cannot trip them.  Code under
 //! `#[cfg(test)]` is stripped before the rules run: tests may unwrap and
 //! index freely — the invariants protect production decode and reduction

@@ -39,7 +39,6 @@ pub struct FileClass {
 /// and the report's severity charts.
 pub const DETERMINISM_CRATES: &[&str] = &[
     "core",
-    "wavelet",
     "trace-model",
     "stream",
     "obs",

@@ -4,9 +4,9 @@
 //! See the individual crates for details:
 //! * [`trace_model`] — trace/event/segment data model and binary codec.
 //! * [`trace_sim`] — virtual-time message-passing simulator and workloads.
-//! * [`trace_wavelet`] — discrete wavelet transforms used by wavelet metrics.
 //! * [`trace_reduce`] — segmentation, the nine similarity methods, reduction,
-//!   reconstruction.
+//!   reconstruction, and (as [`wavelet`]) the discrete wavelet transforms the
+//!   wavelet metrics use.
 //! * [`trace_analysis`] — EXPERT-like wait-state analysis and trend comparison.
 //! * [`trace_eval`] — evaluation criteria and the paper's experiment drivers.
 //! * [`trace_format`] — OTF-style text trace format writer/parser.
@@ -30,7 +30,7 @@ pub use trace_format as format;
 pub use trace_model as model;
 pub use trace_obs as obs;
 pub use trace_reduce as reduce;
+pub use trace_reduce::wavelet;
 pub use trace_report as report;
 pub use trace_sim as sim;
 pub use trace_stream as stream;
-pub use trace_wavelet as wavelet;
