@@ -272,8 +272,8 @@ fn a_streamed_convert_failing_on_its_input_names_the_input_and_keeps_the_target(
 
 #[test]
 fn a_one_worker_streamed_reduce_failing_on_its_input_names_it_and_keeps_the_target() {
-    // `reduce --stream --shards 1` decodes its input on a second thread;
-    // what that thread meets is still the command's error.  Without
+    // `reduce --stream --shards 1` reads its input on the calling thread,
+    // and what it meets is the command's error.  Without
     // `--shards` one worker runs per core, and the error is the same: the
     // lowest failing section's, and a container whose index trailer cannot
     // be read is reduced in order, as one worker reduces it.

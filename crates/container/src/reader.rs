@@ -593,7 +593,7 @@ pub fn read_reduced_container<R: Read>(reader: R) -> Result<ReducedAppTrace, Con
 }
 
 /// Decodes a full app trace from a whole container buffer: the name the
-/// harness links, kept beside [`read_app_container`].  A retired v1 file is
+/// harness links, kept next to [`read_app_container`].  A retired v1 file is
 /// a [`ContainerError::RetiredV1`].
 pub fn decode_app_any(bytes: &[u8]) -> Result<AppTrace, ContainerError> {
     read_app_container(bytes)

@@ -18,7 +18,7 @@
 //! * [`report`] — plain-text/CSV table rendering used by `trace_report`.
 //!
 //! The Figure 7/8 trend charts are `trace-tools report --full` once per
-//! method: it prints the full trace's severity chart beside the
+//! method: it prints the full trace's severity chart next to the
 //! reconstruction's.
 
 #![warn(missing_docs)]

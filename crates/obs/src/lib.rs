@@ -29,8 +29,7 @@
 //!
 //! The crate also owns the workspace's worker threads: the one fan-out,
 //! [`ordered()`], where every crate that runs ranks in parallel gives each
-//! worker a shard, and [`beside()`], which runs a stage ahead of the
-//! calling thread.
+//! worker a shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,6 +46,6 @@ pub mod report;
 pub use chrome::ChromeEvent;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{Histogram, MetricSet};
-pub use ordered::{beside, ordered, WorkerPanic};
+pub use ordered::{ordered, WorkerPanic};
 pub use recorder::{ObsShard, Recorder, SpanRecord, SpanStart, Stage};
 pub use report::{HistogramSnapshot, RunReport};

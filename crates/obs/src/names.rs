@@ -46,10 +46,6 @@ pub const STREAM_PEAK_RESIDENT_SEGMENTS: &str = "stream.peak_resident_segments";
 /// Gauge: largest chunk payload buffered by any one reader, in bytes.
 pub const STREAM_PEAK_CHUNK_BYTES: &str = "stream.peak_chunk_bytes";
 
-/// Histogram: nanoseconds a one-worker streaming reduction waited for its
-/// decode stage, one sample per receive that found no item decoded.
-pub const STREAM_DECODE_WAIT_NS: &str = "stream.decode_wait.ns";
-
 /// Payload chunks read (and CRC-verified) from containers.
 pub const CHUNK_READS: &str = "chunk.reads";
 /// Payload chunks written to containers.

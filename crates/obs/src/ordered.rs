@@ -2,9 +2,7 @@
 //! fan-out: the paper reduces every rank on its own, so the in-memory
 //! reducer, the streaming reductions and the container writer all claim
 //! rank indices on workers with state of their own and hand the results on
-//! in rank order.  [`beside()`] is the one-worker streaming reductions'
-//! second stage: it decodes the input on a thread of its own while the
-//! calling thread reduces.  Both start their threads in `scoped`.
+//! in rank order.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -109,31 +107,31 @@ pub fn ordered<S: Send, T: Send, E: Send + From<WorkerPanic>>(
         return Ok(Vec::new());
     };
     let (sender, results) = mpsc::channel();
-    let spawned: Vec<_> = states
-        .map(|mut state| {
-            let sender = sender.clone();
-            move || {
-                run(&mut state, &mut |result| sender.send(result).is_ok());
-                state
-            }
-        })
-        .collect();
-    drop(sender);
-    // After each of its own results, the calling thread takes whatever the
-    // other workers have finished, then waits for the rest: a claim below
-    // a failed index may still fail lower.
-    let (own, joined) = scoped(spawned, || {
+    let joined: Vec<_> = thread::scope(|scope| {
+        let handles: Vec<_> = states
+            .map(|mut state| {
+                let sender = sender.clone();
+                scope.spawn(move || {
+                    run(&mut state, &mut |result| sender.send(result).is_ok());
+                    state
+                })
+            })
+            .collect();
+        drop(sender);
+        // After each of its own results, the calling thread takes whatever
+        // the other workers have finished, then waits for the rest: a claim
+        // below a failed index may still fail lower.
         run(&mut own, &mut |result| {
             take(result) && results.try_iter().all(&mut take)
         });
         results.iter().for_each(|result| _ = take(result));
-        own
+        handles.into_iter().map(|handle| handle.join()).collect()
     });
     let mut done = vec![own];
     for worker in joined {
         match worker {
             Ok(state) => done.push(state),
-            Err(panic) => _ = take(Err((n, panic.into()))),
+            Err(payload) => _ = take(Err((n, WorkerPanic(payload).into()))),
         }
     }
     match failure {
@@ -146,44 +144,6 @@ pub fn ordered<S: Send, T: Send, E: Send + From<WorkerPanic>>(
 /// A worker's result as [`ordered()`] takes it: an index and its value,
 /// or an error and its rank.
 type Ranked<T, E> = Result<(usize, T), (usize, E)>;
-
-/// Runs `ahead` on a thread of its own while `work` runs on the calling
-/// thread, and returns what each returned once both have ended: a
-/// two-stage pipeline over channels the caller makes.
-///
-/// - `work` must own the receiving ends `ahead` sends to, so that they are
-///   dropped when it returns or unwinds: an `ahead` blocked on a send then
-///   fails that send, and must stop.
-/// - A panic in either stage is a [`WorkerPanic`] error, `ahead`'s first:
-///   a `work` that lost its feed to a panic fails for that reason.
-pub fn beside<A: Send, W, E: From<WorkerPanic>>(
-    ahead: impl FnOnce() -> A + Send,
-    work: impl FnOnce() -> Result<W, E>,
-) -> Result<(A, W), E> {
-    let (worked, joined) = scoped([ahead], || {
-        catch_unwind(AssertUnwindSafe(work)).map_err(WorkerPanic)
-    });
-    let never = || Err(WorkerPanic(Box::new("the second stage never ran")));
-    let ahead = joined.into_iter().next().unwrap_or_else(never)?;
-    Ok((ahead, worked??))
-}
-
-/// Runs each of `spawned` on a scoped thread of its own and `own` on the
-/// calling thread, then joins the threads: what `own` returned, and in
-/// order what each thread returned, or its panic.
-fn scoped<J: Send, R>(
-    spawned: impl IntoIterator<Item = impl FnOnce() -> J + Send>,
-    own: impl FnOnce() -> R,
-) -> (R, Vec<Result<J, WorkerPanic>>) {
-    thread::scope(|scope| {
-        let handles: Vec<_> = spawned.into_iter().map(|job| scope.spawn(job)).collect();
-        let own = own();
-        let joined = handles
-            .into_iter()
-            .map(|handle| handle.join().map_err(WorkerPanic));
-        (own, joined.collect())
-    })
-}
 
 #[cfg(test)]
 mod tests {
@@ -374,13 +334,17 @@ mod tests {
     fn a_failing_emit_stops_every_worker_with_its_error() {
         for workers in [1, 2, 3, 8] {
             for fail_at in [0, 1, 5, 19] {
-                let claims = AtomicUsize::new(0);
+                // Claims that start after the failing `emit`, which sets
+                // `failed` as it returns its error.
+                let (failed, late) = (AtomicBool::new(false), AtomicUsize::new(0));
                 let finished = AtomicUsize::new(0);
                 let err = ordered(
                     vec![(); workers],
                     usize::MAX,
                     |_, index| {
-                        claims.fetch_add(1, Ordering::SeqCst);
+                        if failed.load(Ordering::SeqCst) {
+                            late.fetch_add(1, Ordering::SeqCst);
+                        }
                         thread::sleep(Duration::from_micros(100));
                         Ok(index)
                     },
@@ -390,6 +354,7 @@ mod tests {
                     },
                     |index, _| {
                         if index == fail_at {
+                            failed.store(true, Ordering::SeqCst);
                             return Err(io::Error::other("sink full"));
                         }
                         Ok(())
@@ -398,7 +363,11 @@ mod tests {
                 .unwrap_err();
                 assert_eq!(err.to_string(), "sink full", "{workers} workers");
                 assert_eq!(finished.into_inner(), 0, "a stopped run finishes nothing");
-                assert!(claims.into_inner() < fail_at + 1 + 64 * workers);
+                let late = late.into_inner();
+                assert!(
+                    late < workers,
+                    "{late} claims after the error, {workers} workers"
+                );
             }
         }
     }
@@ -472,80 +441,6 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.to_string(), "trailer missing");
         }
-    }
-
-    #[test]
-    fn beside_runs_ahead_on_a_second_thread_and_returns_both_results() {
-        let caller = thread::current().id();
-        let (send, received) = mpsc::sync_channel(1);
-        let (ahead, work) = beside(
-            move || {
-                (0..100).for_each(|i| send.send(i).unwrap());
-                thread::current().id()
-            },
-            move || Ok::<_, WorkerPanic>((thread::current().id(), received.iter().sum::<i32>())),
-        )
-        .unwrap();
-        assert_ne!(ahead, caller);
-        assert_eq!(work, (caller, 4950));
-    }
-
-    #[test]
-    fn beside_stops_an_ahead_blocked_on_a_send_once_work_ends() {
-        for fails in [false, true] {
-            let sent = AtomicUsize::new(0);
-            let (send, received) = mpsc::sync_channel(1);
-            let result = beside(
-                || {
-                    // Would send forever, but stops at its first failed send.
-                    while send.send(()).is_ok() {
-                        sent.fetch_add(1, Ordering::SeqCst);
-                    }
-                },
-                move || {
-                    received.recv().unwrap();
-                    if fails {
-                        return Err(io::Error::other("the consumer failed"));
-                    }
-                    Ok(())
-                },
-            );
-            assert_eq!(result.is_err(), fails);
-            assert!(sent.into_inner() <= 3);
-        }
-    }
-
-    #[test]
-    fn a_panic_in_either_stage_of_beside_is_an_error() {
-        let panics = beside(|| panic!("ahead gave up"), || Ok::<_, WorkerPanic>(()));
-        assert_eq!(
-            panics.unwrap_err().0.downcast_ref::<&str>(),
-            Some(&"ahead gave up")
-        );
-        let (send, received) = mpsc::sync_channel::<()>(0);
-        let panics = beside(
-            move || while send.send(()).is_ok() {},
-            move || -> Result<(), WorkerPanic> {
-                received.recv().unwrap();
-                panic!("work gave up")
-            },
-        );
-        assert_eq!(
-            panics.unwrap_err().0.downcast_ref::<&str>(),
-            Some(&"work gave up")
-        );
-        // A panicking `ahead` is the error even when `work` failed first
-        // for the feed it lost.
-        let (send, received) = mpsc::sync_channel::<()>(0);
-        let err = beside(
-            move || {
-                drop(send);
-                panic!("ahead gave up")
-            },
-            move || received.recv().map_err(|_| io::Error::other("no feed")),
-        )
-        .unwrap_err();
-        assert_eq!(err.to_string(), "a worker panicked");
     }
 
     #[test]

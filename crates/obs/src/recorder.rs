@@ -267,16 +267,6 @@ impl ObsShard {
         SpanStart(self.inner.as_ref().map(|inner| inner.clock.now_ns()))
     }
 
-    /// Records the nanoseconds since `start` into the named histogram, with
-    /// no span: for a wait, which is not a [`Stage`].
-    pub fn observe_since(&mut self, name: &'static str, start: SpanStart) {
-        let (Some(inner), SpanStart(Some(start_ns))) = (&mut self.inner, start) else {
-            return;
-        };
-        let waited = inner.clock.now_ns().saturating_sub(start_ns);
-        inner.metrics.observe(name, waited);
-    }
-
     /// Closes a span opened by [`ObsShard::start`]: records its duration
     /// into the stage's histogram and buffers a [`SpanRecord`] for the
     /// trace export (up to `MAX_SPANS_PER_SHARD`; overflow is counted,

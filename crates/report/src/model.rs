@@ -62,7 +62,7 @@ pub struct FullComparison {
     pub criteria: Criteria,
     /// Why criterion 4 failed, when it did.
     pub discrepancies: Vec<Discrepancy>,
-    /// ASCII severity chart of the full trace, shown beside the
+    /// ASCII severity chart of the full trace, shown next to the
     /// reconstruction's.
     pub severity_chart: String,
 }

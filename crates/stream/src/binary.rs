@@ -34,7 +34,7 @@ use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::reduce::{copy_records, open_section, Reduce, StreamReduction};
-use crate::shard::{fan_out, no_second_source, sources, text, Ran, Stage};
+use crate::shard::{fan_out, no_second_source, on_workers, text, Ran, Stage};
 use crate::sink::{Collect, OutputFormat, Sink, TraceWriter, WrittenReduction};
 use crate::source::AppItemSource;
 
@@ -119,7 +119,7 @@ fn container_stream<G: Stage, R: Read + Send>(
     source.set_obs(recorder.shard());
     let mut stage = stage(&tables)?;
     let n = tables.declared_ranks;
-    let workers = sources(recorder, &mut stage, source, n, 1, no_second_source)?;
+    let workers = on_workers(recorder, &mut stage, source, n, 1, no_second_source)?;
     Ok((stage, workers))
 }
 

@@ -8,10 +8,9 @@
 //! its encoder, and the calling thread writes finished sections into the
 //! sink in rank order.  Text workers each read their own copy of the
 //! input and skip the sections they do not claim; container workers seek
-//! to theirs by the index footer.  One worker decodes ahead on a second
-//! thread.  Resident memory is, per worker, one section being encoded
-//! (and those finished ahead of the next one the sink takes), never the
-//! whole trace.  Every worker reads on to the trailer, or the index holds
+//! to theirs by the index footer.  Resident memory is, per worker, one
+//! section being encoded (and those finished ahead of the next one the
+//! sink takes), never the whole trace.  Every worker reads on to the trailer, or the index holds
 //! the sections to the file, so a header that declares too many or too
 //! few ranks, or a missing trailer, is the same typed error the
 //! whole-trace parsers give.

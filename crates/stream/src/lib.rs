@@ -64,11 +64,10 @@
 //! into in rank order.  The workers claim sections on the workspace's one
 //! ordered fan-out, in `trace_obs`, and the calling thread is a worker
 //! too.  A reduction drains the merged [`StreamStats`] into the reducer's
-//! recorder exactly once; a conversion records no `stream.*` counters.  A
-//! run on one worker decodes ahead on one more thread
-//! ([`trace_obs::beside()`]): the source parses the next batch of records
-//! while the calling thread works on the last.  A panicking worker or
-//! decode stage is a [`StreamError`], not a panic.
+//! recorder exactly once; a conversion records no `stream.*` counters.
+//! Every worker reads its source on its own thread, so a run on one worker
+//! reads on the calling thread.  A panicking worker is a [`StreamError`],
+//! not a panic.
 //!
 //! # Quick start
 //!

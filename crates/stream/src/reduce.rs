@@ -212,8 +212,7 @@ impl RankWorker {
     /// record loop, [`RankRecordReducer`], fuses segment and match per
     /// record, so the rank is the finest honestly separable unit: two clock
     /// reads per rank; a source times its own decodes — a container's
-    /// chunks, text's batches — inside it, or, decoding ahead for one
-    /// worker, beside it on its own thread).
+    /// chunks, text's batches — inside it).
     /// An item out of place — a record or rank end before the rank start, a
     /// second rank start, or the end of the stream — is a protocol error:
     /// the open rank would otherwise be lost.
@@ -502,7 +501,7 @@ mod tests {
             };
             let recorder = reducer.recorder();
             let workers =
-                crate::shard::sources(recorder, &mut stage, fake, 2, 1, no_second_source)?;
+                crate::shard::on_workers(recorder, &mut stage, fake, 2, 1, no_second_source)?;
             Ok::<_, StreamError>(StreamReduction::collected((stage, workers)))
         };
         for (items, message) in [

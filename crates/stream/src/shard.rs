@@ -18,22 +18,17 @@
 //! after its last claim, checking the declared rank count.  The output is
 //! bit-identical whatever the worker count.
 //!
-//! A run on one worker would leave the second core idle, so its source
-//! decodes ahead on a thread of its own ([`trace_obs::beside()`]): the
-//! declared sections reach the stage through a channel, a batch of
-//! records at a time, with at most one batch waiting beside the one being
-//! worked on.  Then the source itself comes back, and the worker reads on
-//! to the trailer as a worker of a sharded run does.
+//! Every worker reads its source on the thread it runs on, so a run on
+//! one worker reads on the calling thread.
 
 use std::io::{self, BufRead};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 
-use trace_model::{Rank, TraceRecord, TraceTables};
-use trace_obs::{names, ObsShard, Recorder};
+use trace_model::TraceTables;
+use trace_obs::Recorder;
 use trace_reduce::Reducer;
 
 use crate::error::StreamError;
-use crate::parser::{AppItem, StreamParser};
+use crate::parser::StreamParser;
 use crate::reduce::{next_section, Reduce, StreamReduction};
 use crate::sink::{Collect, Sink};
 use crate::source::AppItemSource;
@@ -90,28 +85,10 @@ pub(crate) fn no_second_source<S>(_: usize) -> Result<S, StreamError> {
 }
 
 /// Runs `stage` over the `n` declared rank sections of a stream on up to
-/// `workers` workers, each reading its own copy front to back: `first` for
-/// worker 0, `open(worker)`, on first use, for the others.  One worker
-/// reads `first` decoded ahead on a second thread.
-pub(crate) fn sources<G: Stage, S: AppItemSource + Send>(
-    recorder: &Recorder,
-    stage: &mut G,
-    first: S,
-    n: usize,
-    workers: usize,
-    open: impl Fn(usize) -> Result<S, StreamError> + Sync,
-) -> Result<Vec<G::Worker>, StreamError> {
-    if workers.clamp(1, n.max(1)) > 1 {
-        return on_workers(recorder, stage, first, n, workers, open);
-    }
-    let decoded = decode_ahead(first, n, recorder.shard(), |ahead| {
-        on_workers(recorder, stage, ahead, n, 1, no_second_source)
-    });
-    decoded.map(|(_, workers)| workers)
-}
-
-/// [`sources`] with every source read where its worker runs.
-fn on_workers<G: Stage, S: AppItemSource + Send>(
+/// `workers` workers, each reading its own copy front to back where it
+/// runs: `first` for worker 0, `open(worker)`, on first use, for the
+/// others.
+pub(crate) fn on_workers<G: Stage, S: AppItemSource + Send>(
     recorder: &Recorder,
     stage: &mut G,
     first: S,
@@ -153,173 +130,6 @@ fn on_workers<G: Stage, S: AppItemSource + Send>(
     )
 }
 
-/// A source handed back by its decode stage; one type whatever the
-/// format, so the reduce loop is compiled once for every decoded-ahead run.
-type Returned<'a> = Box<dyn AppItemSource + Send + 'a>;
-
-/// What the decode stage sends the reducer, in stream order.
-enum Decoded<'a> {
-    /// A rank start or end, the end of the stream, or the source's error,
-    /// which is the last thing sent.
-    Item(Result<Option<AppItem>, StreamError>),
-    /// A record and the records the source decoded behind it.
-    Records(Vec<TraceRecord>),
-    /// The source itself, once the declared sections are decoded.
-    Source(Returned<'a>),
-}
-
-/// Runs `reduce` on the calling thread over `source` decoded on a second
-/// thread, and returns how many batch buffers the decode stage allocated
-/// with what `reduce` returned.  `obs` records the reducer's waits.
-fn decode_ahead<'a, S: AppItemSource + Send + 'a, T>(
-    source: S,
-    n: usize,
-    obs: ObsShard,
-    reduce: impl FnOnce(DecodedAhead<'a>) -> Result<T, StreamError>,
-) -> Result<(usize, T), StreamError> {
-    // One decoded item may wait while the reducer works on another.
-    let (send, decoded) = mpsc::sync_channel(1);
-    let (recycle, recycled) = mpsc::channel();
-    let ahead = DecodedAhead {
-        decoded,
-        recycle,
-        batch: Vec::new(),
-        next: 0,
-        source: None,
-        obs,
-    };
-    trace_obs::beside(
-        move || decode_sections(source, n, send, recycled),
-        || reduce(ahead),
-    )
-}
-
-/// The decode stage: sends the items of the first `n` rank sections of
-/// `source`, then the source itself, and stops early at the end of the
-/// stream, at its first error or once the reducer has stopped.  Records go
-/// a batch at a time, in at most two buffers, which the reducer sends back
-/// through `recycled` to be filled again; returns how many it allocated.
-fn decode_sections<'a, S: AppItemSource + Send + 'a>(
-    mut source: S,
-    n: usize,
-    send: SyncSender<Decoded<'a>>,
-    recycled: Receiver<Vec<TraceRecord>>,
-) -> usize {
-    let (mut ends, mut allocated) = (0, 0);
-    while ends < n {
-        let item = source.next_item();
-        let last = !matches!(item, Ok(Some(_)));
-        ends += usize::from(matches!(item, Ok(Some(AppItem::RankEnd(_)))));
-        let decoded = match item {
-            Ok(Some(AppItem::Record(first))) => {
-                // Two buffers: one the reducer works on, one waiting for
-                // it.  Past those the stage waits for the reducer to send
-                // one back, which it does before it takes the waiting one.
-                let batch = match recycled.try_recv() {
-                    Ok(batch) => Some(batch),
-                    Err(_) if allocated < 2 => {
-                        allocated += 1;
-                        Some(Vec::new())
-                    }
-                    Err(_) => recycled.recv().ok(),
-                };
-                // No buffer comes back from a reducer that stopped.
-                let Some(mut batch) = batch else {
-                    return allocated;
-                };
-                batch.clear();
-                batch.push(first);
-                batch.extend_from_slice(source.take_records());
-                Decoded::Records(batch)
-            }
-            item => Decoded::Item(item),
-        };
-        if send.send(decoded).is_err() || last {
-            return allocated;
-        }
-    }
-    _ = send.send(Decoded::Source(Box::new(source)));
-    allocated
-}
-
-/// A one-worker run's source as the reducer reads it: the declared
-/// sections from the decode stage, then the source itself.
-struct DecodedAhead<'a> {
-    decoded: Receiver<Decoded<'a>>,
-    /// Where used-up batches go back to the decode stage.
-    recycle: Sender<Vec<TraceRecord>>,
-    /// The batch being handed out; `batch[next..]` have not been yet.
-    batch: Vec<TraceRecord>,
-    next: usize,
-    /// The source, once the decode stage has handed it back.
-    source: Option<Returned<'a>>,
-    obs: ObsShard,
-}
-
-impl<'a> DecodedAhead<'a> {
-    /// The decode stage's next message; a receive that finds none decoded
-    /// yet is timed as one `stream.decode_wait.ns` sample.
-    fn receive(&mut self) -> Result<Decoded<'a>, StreamError> {
-        let received = match self.decoded.try_recv() {
-            Err(TryRecvError::Empty) => {
-                let wait = self.obs.start();
-                let received = self.decoded.recv();
-                self.obs.observe_since(names::STREAM_DECODE_WAIT_NS, wait);
-                received.ok()
-            }
-            received => received.ok(),
-        };
-        // A decode stage that hung up early panicked; the run reports that.
-        received.ok_or(StreamError::Protocol("the decode stage stopped"))
-    }
-}
-
-impl AppItemSource for DecodedAhead<'_> {
-    fn next_item(&mut self) -> Result<Option<AppItem>, StreamError> {
-        if let Some(source) = &mut self.source {
-            return source.next_item();
-        }
-        if let Some(record) = self.batch.get(self.next) {
-            self.next += 1;
-            return Ok(Some(AppItem::Record(*record)));
-        }
-        if self.batch.capacity() > 0 {
-            _ = self.recycle.send(std::mem::take(&mut self.batch));
-        }
-        match self.receive()? {
-            Decoded::Item(item) => item,
-            Decoded::Records(batch) => {
-                (self.batch, self.next) = (batch, 0);
-                self.next_item()
-            }
-            Decoded::Source(source) => self.source.insert(source).next_item(),
-        }
-    }
-
-    fn skip_current_rank(&mut self) -> Result<Rank, StreamError> {
-        match &mut self.source {
-            Some(source) => source.skip_current_rank(),
-            // One worker reduces every declared section it is handed.
-            None => Err(StreamError::Protocol("a section skipped while it decodes")),
-        }
-    }
-
-    fn take_records(&mut self) -> &[TraceRecord] {
-        if let Some(source) = &mut self.source {
-            return source.take_records();
-        }
-        let rest = self.batch.get(self.next..).unwrap_or_default();
-        self.next = self.batch.len();
-        rest
-    }
-
-    fn peak_chunk_bytes(&self) -> usize {
-        self.source
-            .as_ref()
-            .map_or(0, |source| source.peak_chunk_bytes())
-    }
-}
-
 /// Runs the stage `stage` opens on a text trace's header over its rank
 /// sections, on up to `workers` workers: worker 0 reads `first` (whose
 /// header declares the rank count), the others `open(worker)`.  Every
@@ -339,7 +149,7 @@ pub(crate) fn text<G: Stage, R: BufRead + Send>(
     let first = parser(first)?;
     let mut stage = stage(first.tables())?;
     let n = first.tables().declared_ranks;
-    let workers = sources(recorder, &mut stage, first, n, workers, |worker| {
+    let workers = on_workers(recorder, &mut stage, first, n, workers, |worker| {
         parser(open(worker)?)
     })?;
     Ok((stage, workers))
@@ -368,10 +178,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::BATCH_RECORDS;
+    use crate::parser::{AppItem, BATCH_RECORDS};
+    use crate::reduce::reduce_stream;
+    use crate::reduce_container_stream;
     use std::io::{Cursor, Read};
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+    use trace_container::{encode_app_container, ChunkSpec};
     use trace_format::write_app_trace;
-    use trace_model::ReducedAppTrace;
+    use trace_model::{Rank, ReducedAppTrace, TraceRecord};
     use trace_reduce::Method;
     use trace_sim::{SizePreset, Workload, WorkloadKind};
 
@@ -416,37 +231,97 @@ mod tests {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         assert!(app.rank_count() >= 3, "every one of the three workers runs");
         let text = write_app_trace(&app).into_bytes();
+        // One worker reads the header and the first rank, and breaks on its
+        // next read; of three, worker 1 breaks on its first.
+        let end = text.windows(9).position(|w| w == b"END_RANK\n").unwrap();
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
-        let err = reduce_stream_sharded(&reducer, 3, |worker| {
-            let reader: Box<dyn BufRead + Send> = match worker {
-                1 => Box::new(PanicsOnRead),
-                _ => Box::new(Cursor::new(text.clone())),
-            };
-            Ok(reader)
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, StreamError::Protocol("a worker panicked")),
-            "{err}"
-        );
+        for shards in [1, 3] {
+            let err = reduce_stream_sharded(&reducer, shards, |worker| {
+                let reader: Box<dyn BufRead + Send> = match (shards, worker) {
+                    (1, _) => Box::new(Cursor::new(text[..end].to_vec()).chain(PanicsOnRead)),
+                    (_, 1) => Box::new(PanicsOnRead),
+                    _ => Box::new(Cursor::new(text.clone())),
+                };
+                Ok(reader)
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, StreamError::Protocol("a worker panicked")),
+                "{shards} workers: {err}"
+            );
+        }
+    }
+
+    /// A reader that records the thread of each of its reads, which are of
+    /// at most `READ` bytes, so that a source reads it many times.
+    struct RecordsThreads<'a> {
+        bytes: Cursor<Vec<u8>>,
+        threads: &'a Mutex<Vec<ThreadId>>,
+    }
+
+    const READ: usize = 512;
+
+    impl RecordsThreads<'_> {
+        fn record(&self) {
+            self.threads.lock().unwrap().push(thread::current().id());
+        }
+    }
+
+    impl Read for RecordsThreads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.record();
+            let len = buf.len().min(READ);
+            self.bytes.read(&mut buf[..len])
+        }
+    }
+
+    impl BufRead for RecordsThreads<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            self.record();
+            let buf = self.bytes.fill_buf()?;
+            Ok(&buf[..buf.len().min(READ)])
+        }
+
+        fn consume(&mut self, amount: usize) {
+            self.bytes.consume(amount);
+        }
     }
 
     #[test]
-    fn a_panicking_decode_stage_is_an_error_not_a_panic_or_a_hang() {
+    fn a_one_worker_run_reads_its_source_on_the_calling_thread() {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         let text = write_app_trace(&app).into_bytes();
-        // The header and the first rank read; the reader breaks on its next
-        // read, which the decode stage makes.
-        let end = text.windows(9).position(|w| w == b"END_RANK\n").unwrap();
+        let container = encode_app_container(&app, ChunkSpec::with_segments(4));
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
-        let err = reduce_stream_sharded(&reducer, 1, |_| {
-            Ok(Cursor::new(text[..end].to_vec()).chain(PanicsOnRead))
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, StreamError::Protocol("a worker panicked")),
-            "{err}"
-        );
+        let threads = Mutex::new(Vec::new());
+        let reader = |bytes: &[u8]| RecordsThreads {
+            bytes: Cursor::new(bytes.to_vec()),
+            threads: &threads,
+        };
+        // Each run's reads, taken once it has returned.
+        let reads = |run: Result<StreamReduction, StreamError>| {
+            run.unwrap();
+            std::mem::take(&mut *threads.lock().unwrap())
+        };
+        let runs = [
+            (
+                "reduce_stream",
+                reads(reduce_stream(&reducer, reader(&text))),
+            ),
+            (
+                "reduce_stream_sharded",
+                reads(reduce_stream_sharded(&reducer, 1, |_| Ok(reader(&text)))),
+            ),
+            (
+                "reduce_container_stream",
+                reads(reduce_container_stream(&reducer, reader(&container))),
+            ),
+        ];
+        let caller = thread::current().id();
+        for (entry, threads) in runs {
+            assert!(threads.len() > 1, "{entry}: {} reads", threads.len());
+            assert!(threads.iter().all(|id| *id == caller), "{entry}");
+        }
     }
 
     /// One rank section of `BATCH_RECORDS`-record batches that breaks
@@ -498,8 +373,8 @@ mod tests {
 
     #[test]
     fn a_source_that_breaks_protocol_mid_section_returns_without_hanging() {
-        // `sources` returns once the decode stage has stopped, which the
-        // endless source leaves to the reducer's hanging up.
+        // The source yields records for ever after its second rank start:
+        // the run must stop at that rank start.
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
         let source = BreaksProtocol::new(10 * BATCH_RECORDS);
         let sink = Collect(ReducedAppTrace::default());
@@ -508,7 +383,7 @@ mod tests {
             sink,
         };
         let recorder = reducer.recorder();
-        let Err(err) = sources(recorder, &mut stage, source, 1, 1, no_second_source) else {
+        let Err(err) = on_workers(recorder, &mut stage, source, 1, 1, no_second_source) else {
             panic!("a rank start inside a rank section went through");
         };
         assert!(
@@ -518,42 +393,6 @@ mod tests {
             ),
             "{err}"
         );
-    }
-
-    #[test]
-    fn decoding_ahead_allocates_at_most_two_batch_buffers() {
-        let records = 10 * BATCH_RECORDS;
-        let mut text = String::from("TRACEFORMAT 1\nTRACE RANKS 1 NAME long\n");
-        text.push_str("REGION 0 work\nCONTEXT 0 main.1\nRANK 0\n");
-        for i in 0..records / 2 {
-            text.push_str(&format!(
-                "SEG_BEGIN 0 {}\nSEG_END 0 {}\n",
-                10 * i,
-                10 * i + 5
-            ));
-        }
-        text.push_str("END_RANK\nEND_TRACE\n");
-        let parser = StreamParser::new(Cursor::new(text.as_bytes())).unwrap();
-        let reducer = Reducer::with_default_threshold(Method::AvgWave);
-        let sink = Collect(ReducedAppTrace::default());
-        let mut stage = Reduce {
-            reducer: &reducer,
-            sink,
-        };
-        let (allocated, workers) = decode_ahead(parser, 1, ObsShard::disabled(), |ahead| {
-            on_workers(
-                reducer.recorder(),
-                &mut stage,
-                ahead,
-                1,
-                1,
-                no_second_source,
-            )
-        })
-        .unwrap();
-        let (_, stats) = Reduce::finished((stage, workers));
-        assert_eq!(stats.segments, records / 2);
-        assert!((1..=2).contains(&allocated), "{allocated} buffers");
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! A streaming reduction on one worker decodes its input on a second
-//! thread, ahead of the reducer.  These tests pin that this changes nothing
-//! a caller can see, for text and for containers: every input gives the
-//! reduction a reducer reading its source on its own thread gave — every
-//! `StreamStats` field included — or that reducer's error, variant and
-//! message.  The numbers and messages below were recorded from that reducer.
+//! What a streaming reduction on one worker gives a caller, for text and
+//! for containers: for every input below, the reduction — every
+//! `StreamStats` field included — or the error, variant and message.  The
+//! numbers and messages were recorded from a reducer reading its source on
+//! its own thread, which is what a one-worker run does, and they held
+//! while such a run decoded its input ahead on a second thread: how the
+//! one worker reads its source changes nothing here.
 //!
 //! The inputs: the 18 tiny workloads; the text parser's hostile set (a
 //! malformed line at either side of a batch boundary, an I/O error at byte

@@ -6,7 +6,8 @@
 //! varint lengths of the time stamps, a rank reversal the index footer.
 //! Both relations are properties as well, over generated traces, so the
 //! explored property runs reach them.  Scale runs in memory, every method
-//! at its default threshold (absDiff's scaled with the trace).
+//! at its default threshold (absDiff's scaled with the trace), and so does
+//! prefix.
 
 #[path = "support/relations.rs"]
 mod relations;
@@ -185,6 +186,21 @@ fn scale_holds_in_memory_on_every_tiny_workload_for_every_method() {
             let tolerance = u64::from(method == Method::IterAvg);
             let holds = relations::equal_within(&found, &expected, tolerance);
             assert!(holds, "scale: {} {method}", app.name);
+        }
+    }
+}
+
+#[test]
+fn prefix_holds_in_memory_on_every_tiny_workload_for_every_method() {
+    for workload in Workload::all(SizePreset::Tiny) {
+        let app = workload.generate();
+        let cut = relations::cut(&app);
+        for method in Method::ALL {
+            let reducer = Reducer::with_default_threshold(method);
+            let (whole, found) = (reducer.reduce_app(&app), reducer.reduce_app(&cut));
+            let stored = method != Method::IterAvg;
+            let holds = relations::is_prefix(&found, &whole, stored);
+            assert!(holds, "prefix: {} {method}", app.name);
         }
     }
 }

@@ -17,8 +17,16 @@
 //!   and the wavelet methods compare relative to the larger value, and
 //!   iter_k ignores time.  iter_avg's representative is a rounded average,
 //!   so its times may differ from the scaled ones by 1 ns.
+//! * *Prefix*: each rank cut just after the end of half its segments
+//!   reduces to the first half of the whole rank's execution log, with the
+//!   whole rank's first stored segments, because the reduction is online
+//!   and keeps the first match: no later segment changes how an earlier
+//!   one was matched.  iter_avg's stored representatives are averages,
+//!   which move until the rank ends, so for it only the log is a prefix.
 
-use trace_model::{AppTrace, Rank, ReducedAppTrace, Time, TraceRecord};
+use trace_model::{
+    AppTrace, Rank, ReducedAppTrace, ReducedRankTrace, StoredSegment, Time, TraceRecord,
+};
 
 /// `app` with `stamp` applied to every time stamp and `wait` to every
 /// event's wait.
@@ -127,4 +135,36 @@ fn times(reduced: &mut ReducedAppTrace) -> Vec<&mut Time> {
         times.extend(rank.execs.iter_mut().map(|exec| &mut exec.start));
     }
     times
+}
+
+/// `app` with each rank cut just after the end of half its segments,
+/// rounded down.
+pub fn cut(app: &AppTrace) -> AppTrace {
+    let mut cut = app.clone();
+    for rank in &mut cut.ranks {
+        let ends = rank.records.iter().enumerate();
+        let mut ends = ends.filter(|(_, record)| matches!(record, TraceRecord::SegmentEnd { .. }));
+        let half = ends.clone().count() / 2;
+        let last = half.checked_sub(1).and_then(|before| ends.nth(before));
+        rank.records.truncate(last.map_or(0, |(at, _)| at + 1));
+    }
+    cut
+}
+
+/// Whether `cut`, the reduction of [`cut`]`(app)`, is the prefix of
+/// `whole`, the reduction of `app`, that the prefix relation asks for: per
+/// rank, the first half of the execution log, and the first stored
+/// segments if `stored`.
+pub fn is_prefix(cut: &ReducedAppTrace, whole: &ReducedAppTrace, stored: bool) -> bool {
+    let rank_is_prefix = |(cut, whole): (&ReducedRankTrace, &ReducedRankTrace)| {
+        let execs = cut.execs.len() == whole.execs.len() / 2 && whole.execs.starts_with(&cut.execs);
+        let first = |(cut, whole): (&StoredSegment, &StoredSegment)| {
+            cut.id == whole.id && cut.segment == whole.segment
+        };
+        let stored = !stored
+            || cut.stored.len() <= whole.stored.len()
+                && cut.stored.iter().zip(&whole.stored).all(first);
+        cut.rank == whole.rank && execs && stored
+    };
+    cut.ranks.len() == whole.ranks.len() && cut.ranks.iter().zip(&whole.ranks).all(rank_is_prefix)
 }
