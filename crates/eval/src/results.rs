@@ -223,5 +223,14 @@ mod tests {
         assert_eq!(text.lines().count(), 2 + 1 + block.rows.len());
         assert_eq!(parse(&text).unwrap(), table);
         assert!(parse("{\"workloads\":[{\"name\":\"x\"}]}").is_err());
+        // The JSON reader keeps a fraction exact; the row schema refuses it.
+        let row = format!(
+            r#"{{"method":"{}","retained":true,"threshold_milli":0.5}}"#,
+            Method::ALL[0].name()
+        );
+        let fractional =
+            format!(r#"{{"workloads":[{{"name":"x","events":1,"full_bytes":1,"rows":[{row}]}}]}}"#);
+        let error = parse(&fractional).unwrap_err();
+        assert_eq!(error, "x: \"threshold_milli\" is not an unsigned integer");
     }
 }

@@ -11,7 +11,6 @@
 //!
 //! * [`mod@write`] — serialize [`trace_model::AppTrace`] /
 //!   [`trace_model::ReducedAppTrace`] to the text format, either whole or
-//!   record by record via [`write::AppTraceTextWriter`], and either kind
 //!   a header, a rank section and a trailer at a time.
 //! * [`parser`] — the one pull reader per kind of trace, over any
 //!   [`std::io::BufRead`] source: [`parser::AppReader`] yields a full
@@ -44,5 +43,4 @@ pub use record::{parse_app_body_line, AppBodyLine, HeaderBuilder, TraceTables};
 pub use write::{
     write_app_header, write_app_records, write_app_trace, write_app_trace_to, write_rank_end,
     write_rank_start, write_reduced_header, write_reduced_rank, write_reduced_trace, write_trailer,
-    AppTraceTextWriter,
 };

@@ -1,21 +1,16 @@
 //! Writers for the text trace format.
 //!
-//! Two styles are provided:
-//!
-//! * whole-trace convenience functions ([`write_app_trace`],
-//!   [`write_reduced_trace`]) that serialize an in-memory trace to a
-//!   `String`, and their [`std::io::Write`] counterparts
-//!   ([`write_app_trace_to`], `write_reduced_trace_to`).  Each is its
-//!   parts: a header ([`write_app_header`], [`write_reduced_header`]), rank
-//!   sections, and [`write_trailer`].  A full trace's section is
-//!   [`write_rank_start`], its records in batches ([`write_app_records`])
-//!   and [`write_rank_end`]; a reduced trace's is [`write_reduced_rank`].
-//!   Sections are position-independent, so a conversion or a reduction
-//!   that writes as it goes writes each into a buffer of its own and joins
-//!   the buffers in rank order;
-//! * an incremental [`AppTraceTextWriter`] that emits a full-trace file
-//!   record by record, so producers (e.g. the workload simulator) can
-//!   stream a trace to disk without ever holding its text in memory.
+//! The whole-trace functions [`write_app_trace`] and [`write_reduced_trace`]
+//! serialize an in-memory trace to a `String`, and [`write_app_trace_to`]
+//! and `write_reduced_trace_to` to any [`std::io::Write`].  Each is its
+//! parts: a header ([`write_app_header`], [`write_reduced_header`]), rank
+//! sections, and [`write_trailer`].  A full trace's section is
+//! [`write_rank_start`], its records in batches ([`write_app_records`]) and
+//! [`write_rank_end`]; a reduced trace's is [`write_reduced_rank`].
+//! Sections are position-independent, so a conversion or a reduction that
+//! writes as it goes writes each into a buffer of its own and joins the
+//! buffers in rank order, and a producer that streams a trace to disk (the
+//! workload simulator's amplified writer) calls the parts itself.
 
 use std::io::{self, Write};
 
@@ -96,84 +91,6 @@ fn write_record<W: Write>(out: &mut W, record: &TraceRecord) -> io::Result<()> {
             writeln!(out, "SEG_END {} {}", context.as_u32(), time.as_nanos())
         }
         TraceRecord::Event(event) => write_event(out, event),
-    }
-}
-
-/// Incremental text writer for a full application trace.
-///
-/// The header (magic line, `TRACE` line, REGION/CONTEXT tables) is written
-/// up front; rank sections are then emitted record by record.  The writer
-/// tracks how many rank sections were written and refuses to finish unless
-/// it matches the declared count, so a streamed file is always parseable.
-pub struct AppTraceTextWriter<W: Write> {
-    out: W,
-    declared_ranks: usize,
-    ranks_written: usize,
-    in_rank: bool,
-}
-
-impl<W: Write> AppTraceTextWriter<W> {
-    /// Writes the file header and tables, ready for rank sections.
-    pub fn new(
-        mut out: W,
-        app_name: &str,
-        declared_ranks: usize,
-        regions: &[String],
-        contexts: &[String],
-    ) -> io::Result<Self> {
-        write_app_header(&mut out, app_name, declared_ranks, regions, contexts)?;
-        Ok(AppTraceTextWriter {
-            out,
-            declared_ranks,
-            ranks_written: 0,
-            in_rank: false,
-        })
-    }
-
-    /// Opens the next rank section.
-    ///
-    /// # Panics
-    /// Panics if a rank section is already open.
-    pub fn begin_rank(&mut self, rank: Rank) -> io::Result<()> {
-        assert!(!self.in_rank, "previous rank section is still open");
-        self.in_rank = true;
-        write_rank_start(&mut self.out, rank)
-    }
-
-    /// Writes one record into the open rank section.
-    ///
-    /// # Panics
-    /// Panics if no rank section is open.
-    pub fn record(&mut self, record: &TraceRecord) -> io::Result<()> {
-        assert!(self.in_rank, "no open rank section");
-        write_record(&mut self.out, record)
-    }
-
-    /// Closes the open rank section.
-    ///
-    /// # Panics
-    /// Panics if no rank section is open.
-    pub fn end_rank(&mut self) -> io::Result<()> {
-        assert!(self.in_rank, "no open rank section");
-        self.in_rank = false;
-        self.ranks_written += 1;
-        write_rank_end(&mut self.out)
-    }
-
-    /// Writes the trailer and returns the underlying writer.
-    ///
-    /// # Panics
-    /// Panics if a rank section is still open or the number of rank
-    /// sections written differs from the declared count.
-    pub fn finish(mut self) -> io::Result<W> {
-        assert!(!self.in_rank, "a rank section is still open");
-        assert_eq!(
-            self.ranks_written, self.declared_ranks,
-            "declared {} ranks but wrote {}",
-            self.declared_ranks, self.ranks_written
-        );
-        write_trailer(&mut self.out)?;
-        Ok(self.out)
     }
 }
 
@@ -348,39 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_writer_matches_whole_trace_writer() {
-        let app = Workload::new(WorkloadKind::EarlyGather, SizePreset::Tiny).generate();
-        let mut writer = AppTraceTextWriter::new(
-            Vec::new(),
-            &app.name,
-            app.rank_count(),
-            app.regions.names(),
-            app.contexts.names(),
-        )
-        .unwrap();
-        for rank in &app.ranks {
-            writer.begin_rank(rank.rank).unwrap();
-            for record in &rank.records {
-                writer.record(record).unwrap();
-            }
-            writer.end_rank().unwrap();
-        }
-        let bytes = writer.finish().unwrap();
-        assert_eq!(String::from_utf8(bytes).unwrap(), write_app_trace(&app));
-    }
-
-    #[test]
     fn io_writers_round_trip_through_the_parser() {
         let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
         let bytes = write_app_trace_to(Vec::new(), &app).unwrap();
         let parsed = parse_app_trace(std::str::from_utf8(&bytes).unwrap()).unwrap();
         assert_eq!(parsed, app);
-    }
-
-    #[test]
-    #[should_panic(expected = "declared 3 ranks but wrote 0")]
-    fn incremental_writer_enforces_the_declared_rank_count() {
-        let writer = AppTraceTextWriter::new(Vec::new(), "x", 3, &[], &[]).unwrap();
-        let _ = writer.finish();
     }
 }

@@ -13,13 +13,13 @@
 //! pure integer arithmetic and byte-stable across platforms.
 //!
 //! [`parse`] reads the format back for round-trip tests and tooling.  It
-//! cannot reuse [`crate::json::parse`], which deliberately rejects float
-//! literals — chrome timestamps are fractional microseconds — so this file
-//! carries its own small reader.  Like the run-report parser it is on the
-//! xtask lint's decode surface: no indexing, no `unwrap`/`expect`, errors
-//! are values.
+//! is a walk over the tree of [`crate::json::parse`], the workspace's one
+//! JSON reader, which keeps a decimal literal exact, so a fractional
+//! microsecond converts to whole nanoseconds with integer arithmetic.  Like
+//! the run-report walk it is on the xtask lint's decode surface: no
+//! indexing, no `unwrap`/`expect`, errors are values.
 
-use crate::json::escape_into;
+use crate::json::{self, escape_into, JsonValue};
 
 /// One complete ("X") trace event with exact nanosecond times.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -73,281 +73,70 @@ pub(crate) fn format_us(ns: u64) -> String {
 
 /// Parses a document produced by [`render`] back into its events.
 ///
-/// Accepts the subset of the trace-event format that [`render`] emits —
-/// one object with a `traceEvents` array of flat complete events — while
-/// tolerating unknown scalar members and arbitrary whitespace.  Timestamps
-/// must not carry more than three fraction digits (sub-nanosecond times
-/// cannot be represented).  Never panics.
+/// The document is one object with exactly one `traceEvents` array of
+/// event objects.  An event's `ph`, if present, must be `"X"` (a complete
+/// event); `pid` and `tid` are integers; `ts` and `dur` are microseconds
+/// with at most three fraction digits (sub-nanosecond times cannot be
+/// represented).  Other members are ignored.  Never panics.
 pub fn parse(input: &str) -> Result<Vec<ChromeEvent>, String> {
-    let mut p = Reader {
-        bytes: input.as_bytes(),
-        pos: 0,
+    let document = json::parse(input)?;
+    let members = document.as_obj().ok_or("a chrome trace is one object")?;
+    let mut lists = members.iter().filter(|(key, _)| key == "traceEvents");
+    let events = match (lists.next(), lists.next()) {
+        (Some((_, events)), None) => events,
+        (None, _) => return Err("document has no traceEvents member".to_string()),
+        (Some(_), Some(_)) => return Err("duplicate traceEvents member".to_string()),
     };
-    p.skip_ws();
-    p.require(b'{')?;
-    let mut events = None;
-    let mut first = true;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        if !first {
-            p.require(b',')?;
-            p.skip_ws();
-        }
-        first = false;
-        let key = p.string()?;
-        p.skip_ws();
-        p.require(b':')?;
-        p.skip_ws();
-        if key == "traceEvents" {
-            if events.is_some() {
-                return Err("duplicate traceEvents member".to_string());
-            }
-            events = Some(p.events()?);
-        } else {
-            p.skip_scalar()?;
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    events.ok_or_else(|| "document has no traceEvents member".to_string())
+    let events = events.as_arr().ok_or("traceEvents must be an array")?;
+    events.iter().map(event).collect()
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn event(value: &JsonValue) -> Result<ChromeEvent, String> {
+    let members = value.as_obj().ok_or("a trace event must be an object")?;
+    let mut event = ChromeEvent::default();
+    for (key, value) in members {
+        let string = || {
+            let text = value.as_str().map(str::to_string);
+            text.ok_or_else(|| format!("{key} must be a string"))
+        };
+        let integer = || {
+            value
+                .as_u64()
+                .ok_or_else(|| format!("{key} must be an integer"))
+        };
+        match key.as_str() {
+            "name" => event.name = string()?,
+            "cat" => event.cat = string()?,
+            "ph" if value.as_str() != Some("X") => {
+                return Err(format!("phase {} is not a complete event", value.render()));
+            }
+            "pid" => event.pid = integer()?,
+            "tid" => event.tid = integer()?,
+            "ts" => event.ts_ns = micros_to_ns(value, key)?,
+            "dur" => event.dur_ns = micros_to_ns(value, key)?,
+            _ => {}
+        }
+    }
+    Ok(event)
 }
 
-impl Reader<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+/// An integer or decimal microsecond count as exact nanoseconds.
+fn micros_to_ns(value: &JsonValue, key: &str) -> Result<u64, String> {
+    let (whole, fraction) = match value {
+        JsonValue::UInt(us) => (Some(*us), ""),
+        JsonValue::Dec(literal) => {
+            let (whole, fraction) = literal.split_once('.').unwrap_or((literal, ""));
+            (whole.parse().ok(), fraction)
+        }
+        _ => return Err(format!("{key} must be a number of microseconds")),
+    };
+    if fraction.len() > 3 {
+        return Err(format!("{key} carries at most 3 fraction digits (1 ns)"));
     }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn require(&mut self, byte: u8) -> Result<(), String> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                char::from(byte),
-                self.pos,
-                self.peek().map(char::from)
-            ))
-        }
-    }
-
-    /// Parses a quoted string with the escapes [`escape_into`] can emit.
-    fn string(&mut self) -> Result<String, String> {
-        self.require(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(byte) = self.peek() else {
-                return Err("unterminated string".to_string());
-            };
-            self.pos += 1;
-            match byte {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let Some(digit) =
-                                    self.peek().and_then(|d| char::from(d).to_digit(16))
-                                else {
-                                    return Err("bad \\u escape".to_string());
-                                };
-                                self.pos += 1;
-                                code = code * 16 + digit;
-                            }
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(format!("\\u{code:04x} is not a scalar")),
-                            }
-                        }
-                        other => {
-                            return Err(format!("unknown escape \\{}", char::from(other)));
-                        }
-                    }
-                }
-                byte if byte < 0x20 => return Err("raw control byte in string".to_string()),
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at the byte we
-                    // just consumed (input is a &str, so it is valid UTF-8).
-                    let start = self.pos - 1;
-                    let end = self
-                        .bytes
-                        .get(start..)
-                        .map(|rest| {
-                            start
-                                + rest
-                                    .iter()
-                                    .skip(1)
-                                    .take_while(|b| **b & 0xC0 == 0x80)
-                                    .count()
-                                + 1
-                        })
-                        .unwrap_or(start);
-                    if let Some(chunk) = self.bytes.get(start..end) {
-                        out.push_str(&String::from_utf8_lossy(chunk));
-                    }
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    /// Parses a non-negative decimal number with at most three fraction
-    /// digits, returning exact nanoseconds (the literal is microseconds).
-    fn number_us_to_ns(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        let mut whole: u64 = 0;
-        while let Some(digit) = self.peek().filter(u8::is_ascii_digit) {
-            whole = whole
-                .checked_mul(10)
-                .and_then(|w| w.checked_add(u64::from(digit - b'0')))
-                .ok_or("number overflows u64")?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        let mut frac: u64 = 0;
-        let mut frac_digits = 0u32;
-        if self.eat(b'.') {
-            while let Some(digit) = self.peek().filter(u8::is_ascii_digit) {
-                frac_digits += 1;
-                if frac_digits > 3 {
-                    return Err("timestamps carry at most 3 fraction digits (1 ns)".to_string());
-                }
-                frac = frac * 10 + u64::from(digit - b'0');
-                self.pos += 1;
-            }
-            if frac_digits == 0 {
-                return Err("digits must follow the decimal point".to_string());
-            }
-        }
-        while frac_digits < 3 {
-            frac *= 10;
-            frac_digits += 1;
-        }
-        whole
-            .checked_mul(1_000)
-            .and_then(|ns| ns.checked_add(frac))
-            .ok_or_else(|| "timestamp overflows u64 nanoseconds".to_string())
-    }
-
-    /// Skips one scalar member value (string or number).
-    fn skip_scalar(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'"') {
-            self.string().map(|_| ())
-        } else {
-            self.number_us_to_ns().map(|_| ())
-        }
-    }
-
-    fn events(&mut self) -> Result<Vec<ChromeEvent>, String> {
-        self.require(b'[')?;
-        let mut events = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(events);
-        }
-        loop {
-            self.skip_ws();
-            events.push(self.event()?);
-            self.skip_ws();
-            if self.eat(b']') {
-                return Ok(events);
-            }
-            self.require(b',')?;
-        }
-    }
-
-    fn event(&mut self) -> Result<ChromeEvent, String> {
-        self.require(b'{')?;
-        let mut event = ChromeEvent::default();
-        let mut first = true;
-        loop {
-            self.skip_ws();
-            if self.eat(b'}') {
-                return Ok(event);
-            }
-            if !first {
-                self.require(b',')?;
-                self.skip_ws();
-            }
-            first = false;
-            let key = self.string()?;
-            self.skip_ws();
-            self.require(b':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "name" => event.name = self.string()?,
-                "cat" => event.cat = self.string()?,
-                "ph" => {
-                    let ph = self.string()?;
-                    if ph != "X" {
-                        return Err(format!("phase {ph:?} is not a complete event"));
-                    }
-                }
-                "pid" => event.pid = self.integer()?,
-                "tid" => event.tid = self.integer()?,
-                "ts" => event.ts_ns = self.number_us_to_ns()?,
-                "dur" => event.dur_ns = self.number_us_to_ns()?,
-                _ => self.skip_scalar()?,
-            }
-        }
-    }
-
-    /// Parses a non-negative integer (pid/tid lanes carry no fraction).
-    fn integer(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        let mut value: u64 = 0;
-        while let Some(digit) = self.peek().filter(u8::is_ascii_digit) {
-            value = value
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(digit - b'0')))
-                .ok_or("integer overflows u64")?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected an integer at byte {start}"));
-        }
-        if self.peek() == Some(b'.') {
-            return Err("pid/tid must be integers".to_string());
-        }
-        Ok(value)
-    }
+    let fraction: Option<u64> = format!("{fraction:0<3}").parse().ok();
+    whole
+        .and_then(|us| us.checked_mul(1_000)?.checked_add(fraction?))
+        .ok_or_else(|| format!("{key} overflows u64 nanoseconds"))
 }
 
 #[cfg(test)]

@@ -1,11 +1,17 @@
-//! Minimal JSON tree, renderer and panic-free parser.
+//! Minimal JSON tree, renderer and panic-free parser: the workspace's one
+//! JSON reader.
 //!
-//! The workspace vendors no serde, so the run-report schema is emitted and
-//! parsed by hand.  The value model is deliberately narrow: the report
-//! schema only ever contains objects, arrays, strings, booleans, null and
-//! *unsigned integers* — durations and byte counts in `u64`, which JSON
-//! `f64` numbers could not hold losslessly.  The parser therefore rejects
-//! floats and negative numbers outright rather than rounding them.
+//! The workspace vendors no serde, so every JSON document it reads — run
+//! reports, the paper's results table, chrome://tracing exports — is
+//! parsed here into a [`JsonValue`] tree and validated by a walk over it
+//! that owns the format's schema (`RunReport::from_json`,
+//! `trace_eval::results::parse`, [`crate::chrome::parse`]).  The value
+//! model is deliberately narrow: objects, arrays, strings, booleans, null
+//! and non-negative numbers, none of which is ever rounded.  An integer is
+//! a `u64` (durations and byte counts); a decimal fraction
+//! (`digits.digits`, such as chrome's microsecond timestamps) is kept as
+//! its literal.  Negative numbers and exponents are refused outright;
+//! which kind of number a field may hold is its schema's rule.
 //!
 //! This file is on the xtask lint's decode surface: no indexing, no
 //! `unwrap`/`expect`, errors are values.
@@ -17,8 +23,11 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A non-negative integer (all the schema ever emits).
+    /// A non-negative integer.
     UInt(u64),
+    /// A non-negative decimal fraction (`digits.digits`), kept as its
+    /// literal so that it is exact and renders back byte for byte.
+    Dec(String),
     /// A string.
     Str(String),
     /// An array.
@@ -86,6 +95,7 @@ impl JsonValue {
             JsonValue::UInt(v) => {
                 out.push_str(&v.to_string());
             }
+            JsonValue::Dec(literal) => out.push_str(literal),
             JsonValue::Str(s) => escape_into(s, out),
             JsonValue::Arr(items) => {
                 out.push('[');
@@ -140,9 +150,9 @@ pub fn escape_into(s: &str, out: &mut String) {
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: usize = 128;
 
-/// Parses a complete JSON document.  Rejects trailing garbage, floats,
-/// negative numbers and nesting deeper than `MAX_DEPTH` (128); never
-/// panics.
+/// Parses a complete JSON document.  Rejects trailing garbage, negative
+/// numbers, exponents, leading zeros, integers above `u64::MAX` and
+/// nesting deeper than `MAX_DEPTH` (128); never panics.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -219,24 +229,44 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads `digits` or `digits '.' digits`: an integer becomes a `UInt`,
+    /// a fraction a `Dec` holding its literal.
     fn number(&mut self) -> Result<JsonValue, String> {
-        let mut value: u64 = 0;
-        let mut digits = 0usize;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
+        let start = self.pos;
+        if self.skip_digits() > 1 && self.bytes.get(start) == Some(&b'0') {
+            return Err(self.err("a number has no leading zeros"));
+        }
+        let fraction = self.peek() == Some(b'.');
+        if fraction {
             self.pos += 1;
-            digits += 1;
-            value = value
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(b - b'0')))
-                .ok_or_else(|| self.err("integer overflows u64"))?;
+            if self.skip_digits() == 0 {
+                return Err(self.err("digits must follow the decimal point"));
+            }
         }
-        if digits == 0 {
-            return Err(self.err("expected digits"));
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            return Err(self.err("exponents are outside every schema"));
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("non-integer numbers are outside the report schema"));
+        // Only ASCII digits and a dot were consumed, so this is UTF-8.
+        let literal = match self.bytes.get(start..self.pos).map(std::str::from_utf8) {
+            Some(Ok(literal)) => literal,
+            _ => return Err(self.err("invalid number")),
+        };
+        if fraction {
+            return Ok(JsonValue::Dec(literal.to_string()));
         }
-        Ok(JsonValue::UInt(value))
+        literal
+            .parse()
+            .map(JsonValue::UInt)
+            .map_err(|_| self.err("integer overflows u64"))
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -382,13 +412,27 @@ mod tests {
     #[test]
     fn rejects_what_the_schema_never_emits() {
         assert!(parse("-1").is_err());
-        assert!(parse("1.5").is_err());
         assert!(parse("1e3").is_err());
+        assert!(parse("1.").is_err());
+        assert!(parse(".5").is_err());
+        assert!(parse("007").is_err());
+        assert!(parse("00.5").is_err());
+        assert!(parse("1.5e3").is_err());
         assert!(parse("18446744073709551616").is_err());
         assert!(parse("{\"a\":1} junk").is_err());
         assert!(parse("{\"a\"").is_err());
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn decimals_are_exact_and_render_back_byte_for_byte() {
+        for literal in ["1.5", "0.042", "18446744073709551.615"] {
+            let value = parse(literal).unwrap();
+            assert_eq!(value, JsonValue::Dec(literal.to_string()));
+            assert_eq!(value.as_u64(), None, "only integers are u64s");
+            assert_eq!(value.render(), literal);
+        }
     }
 
     #[test]

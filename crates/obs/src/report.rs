@@ -506,6 +506,31 @@ mod tests {
             r#"{"schema":"trace-obs-run-report","version":1,"counters":{},"gauges":{},"histograms":{"h":{"count":2,"sum":3,"min":1,"max":2,"buckets":[{"le":1,"count":1}]}},"spans":[]}"#
         )
         .is_err());
+        // The JSON reader keeps a fraction exact; no field of this schema
+        // holds one.
+        let fractions = [
+            (
+                r#""counters":{"x":1.5},"gauges":{},"histograms":{},"spans":[]"#,
+                "counters.x",
+            ),
+            (
+                r#""counters":{},"gauges":{"g":0.5},"histograms":{},"spans":[]"#,
+                "gauges.g",
+            ),
+            (
+                r#""counters":{},"gauges":{},"histograms":{"h":{"count":0,"sum":0.0,"min":0,"max":0,"buckets":[]}},"spans":[]"#,
+                "histograms.h.sum",
+            ),
+            (
+                r#""counters":{},"gauges":{},"histograms":{},"spans":[{"stage":"rank","shard":0,"start_ns":0,"dur_ns":1.25}]"#,
+                "spans[].dur_ns",
+            ),
+        ];
+        for (members, field) in fractions {
+            let document = format!(r#"{{"schema":"trace-obs-run-report","version":1,{members}}}"#);
+            let error = RunReport::from_json(&document).unwrap_err();
+            assert_eq!(error, format!("{field} must be a non-negative integer"));
+        }
     }
 
     #[test]

@@ -172,18 +172,18 @@ impl Workload {
     /// of 0 is treated as 1.
     pub fn write_text_amplified_to<W: std::io::Write>(
         &self,
-        out: W,
+        mut out: W,
         repeats: usize,
     ) -> std::io::Result<W> {
         let app = self.generate();
-        let writer = trace_format::AppTraceTextWriter::new(
-            out,
+        trace_format::write_app_header(
+            &mut out,
             &app.name,
             app.rank_count(),
             app.regions.names(),
             app.contexts.names(),
         )?;
-        replay_amplified(TextSink(writer), &app, repeats)
+        replay_amplified(TextSink(out), &app, repeats)
     }
 
     /// Generates the workload and writes it to `out` as a chunked binary
@@ -230,20 +230,23 @@ trait RecordSink<W> {
     fn finish(self) -> std::io::Result<W>;
 }
 
-struct TextSink<W: std::io::Write>(trace_format::AppTraceTextWriter<W>);
+/// A text trace after its header: the sink writes the rank sections and
+/// the trailer.
+struct TextSink<W: std::io::Write>(W);
 
 impl<W: std::io::Write> RecordSink<W> for TextSink<W> {
     fn begin_rank(&mut self, rank: trace_model::Rank) -> std::io::Result<()> {
-        self.0.begin_rank(rank)
+        trace_format::write_rank_start(&mut self.0, rank)
     }
     fn record(&mut self, record: &trace_model::TraceRecord) -> std::io::Result<()> {
-        self.0.record(record)
+        trace_format::write_app_records(&mut self.0, std::slice::from_ref(record))
     }
     fn end_rank(&mut self) -> std::io::Result<()> {
-        self.0.end_rank()
+        trace_format::write_rank_end(&mut self.0)
     }
-    fn finish(self) -> std::io::Result<W> {
-        self.0.finish()
+    fn finish(mut self) -> std::io::Result<W> {
+        trace_format::write_trailer(&mut self.0)?;
+        Ok(self.0)
     }
 }
 
@@ -398,10 +401,13 @@ mod tests {
         assert!(parsed.is_well_formed());
         assert_eq!(parsed.rank_count(), app.rank_count());
         assert_eq!(parsed.total_events(), 5 * app.total_events());
-        // repeats = 0 degrades to a single copy.
+        // repeats = 0 degrades to a single copy: the whole-trace writer's
+        // bytes.
         let once = workload.write_text_amplified_to(Vec::new(), 0).unwrap();
-        let single = trace_format::parse_app_trace(std::str::from_utf8(&once).unwrap()).unwrap();
-        assert_eq!(single, app);
+        assert_eq!(
+            String::from_utf8(once).unwrap(),
+            trace_format::write_app_trace(&app)
+        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! codecs too: a shift changes every `delta-lz` delta's base and the
 //! varint lengths of the time stamps, a rank reversal the index footer.
 //! Both relations are properties as well, over generated traces, so the
-//! explored property runs reach them.  Scale runs in memory, every method
-//! at its default threshold (absDiff's scaled with the trace), and so does
-//! prefix.
+//! explored property runs reach them.  Scale runs through the same drivers,
+//! every method at its default threshold (absDiff's scaled with the
+//! trace); prefix runs in memory.
 
 #[path = "support/relations.rs"]
 mod relations;
@@ -148,29 +148,32 @@ fn relations_hold(
     Ok(())
 }
 
+/// The file driver that reduces the `workload`-th tiny workload with the
+/// `method`-th method, if any.  The file drivers take turns over the
+/// methods and workloads, so every method runs on every driver, each pair
+/// on three workloads or more.  `sweep3d_32p` alone would stream for ≈ 9 s
+/// in a debug build, so it is reduced in memory only.
+fn rotation(workload: usize, app: &AppTrace) -> impl Fn(usize) -> Option<Driver> {
+    let streamed = app.total_events() < 10_000;
+    move |method| streamed.then_some(FILE_DRIVERS[(workload + method) % FILE_DRIVERS.len()])
+}
+
 #[test]
 fn shift_and_rank_order_hold_on_every_tiny_workload_through_every_driver() {
     for (index, workload) in Workload::all(SizePreset::Tiny).into_iter().enumerate() {
         let app = workload.generate();
-        // The file drivers take turns over the methods and workloads, so
-        // every method runs on every driver, each pair on three workloads
-        // or more.  `sweep3d_32p` alone would stream for ≈ 9 s in a debug
-        // build, so it is reduced in memory only.
-        let streamed = app.total_events() < 10_000;
-        let driver = |method: usize| {
-            let driver = FILE_DRIVERS[(index + method) % FILE_DRIVERS.len()];
-            streamed.then_some(driver)
-        };
-        relations_hold(&app, &workload.name(), driver).unwrap();
+        relations_hold(&app, &workload.name(), rotation(index, &app)).unwrap();
     }
 }
 
 #[test]
-fn scale_holds_in_memory_on_every_tiny_workload_for_every_method() {
-    for workload in Workload::all(SizePreset::Tiny) {
+fn scale_holds_on_every_tiny_workload_through_every_driver() {
+    for (index, workload) in Workload::all(SizePreset::Tiny).into_iter().enumerate() {
         let app = workload.generate();
-        let scaled = relations::scaled(&app, SCALE);
-        for method in Method::ALL {
+        let tag = format!("{}_scale", workload.name());
+        let scaled = Inputs::new(relations::scaled(&app, SCALE), &tag);
+        let file_driver = rotation(index, &app);
+        for (m, method) in Method::ALL.into_iter().enumerate() {
             let config = MethodConfig::with_default_threshold(method);
             let expected =
                 relations::scaled_reduction(&Reducer::new(config).reduce_app(&app), SCALE);
@@ -180,12 +183,15 @@ fn scale_holds_in_memory_on_every_tiny_workload_for_every_method() {
                 Method::AbsDiff => config.threshold * SCALE as f64,
                 _ => config.threshold,
             };
-            let found = Reducer::new(MethodConfig::new(method, threshold)).reduce_app(&scaled);
+            let reducer = Reducer::new(MethodConfig::new(method, threshold));
             // iter_avg's representative is an average rounded to the
             // nanosecond.
             let tolerance = u64::from(method == Method::IterAvg);
-            let holds = relations::equal_within(&found, &expected, tolerance);
-            assert!(holds, "scale: {} {method}", app.name);
+            for driver in std::iter::once(Driver::InMemory).chain(file_driver(m)) {
+                let found = scaled.reduce(driver, &reducer);
+                let holds = relations::equal_within(&found, &expected, tolerance);
+                assert!(holds, "scale: {} {method} {driver:?}", app.name);
+            }
         }
     }
 }

@@ -152,10 +152,10 @@ mod tests {
                 .unwrap()
                 .decode_surface
         );
-        // The run-report JSON parser reads files from disk — untrusted.
+        // The one JSON reader reads files from disk — untrusted.
         assert!(class("crates/obs/src/json.rs").unwrap().decode_surface);
         assert!(!class("crates/obs/src/recorder.rs").unwrap().decode_surface);
-        // The shared chrome-trace reader parses foreign JSON documents.
+        // The chrome-trace walk validates foreign JSON documents.
         assert!(class("crates/obs/src/chrome.rs").unwrap().decode_surface);
         // The report crate consumes reduced traces and run reports from
         // disk, so the whole src tree is decode surface.
