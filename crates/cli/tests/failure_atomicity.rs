@@ -343,7 +343,13 @@ fn a_streamed_convert_into_a_sink_that_fills_up_keeps_the_previous_bytes() {
     let convert = |file: &mut File, budget, workers| {
         let sink = BufWriter::with_capacity(256, FillsUp { file, budget });
         let format = OutputFormat::Container(spec);
-        match convert_text(|_| Ok(text.as_bytes()), sink, format, &off, workers) {
+        match convert_text(
+            |_| Ok(Cursor::new(text.as_bytes())),
+            sink,
+            format,
+            &off,
+            workers,
+        ) {
             Ok(_) => Ok(()),
             Err(StreamError::Sink(e)) => Err(e),
             Err(e) => panic!("an input error from a valid trace: {e}"),

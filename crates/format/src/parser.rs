@@ -20,7 +20,7 @@
 //! the next call, so items, errors and line numbers are the ones a
 //! record-at-a-time parser gives, in the same order.
 
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Seek, SeekFrom};
 use std::marker::PhantomData;
 use std::ops::Range;
 
@@ -108,6 +108,8 @@ struct LineReader<R, E> {
     /// The raw line last returned, and whether to return it once more.
     last: Range<usize>,
     replay: bool,
+    /// Offset in the input of `buf[0]`.
+    origin: u64,
     error: PhantomData<fn() -> E>,
 }
 
@@ -122,8 +124,14 @@ impl<R: BufRead, E: ReadError> LineReader<R, E> {
             line_no: 0,
             last: 0..0,
             replay: false,
+            origin: 0,
             error: PhantomData,
         }
+    }
+
+    /// Offset in the input of the line last returned.
+    fn line_offset(&self) -> u64 {
+        self.origin + self.last.start as u64
     }
 
     /// Reads the magic line, which must be `magic`, and the header tables.
@@ -189,13 +197,16 @@ impl<R: BufRead, E: ReadError> LineReader<R, E> {
     /// Passes the plain record lines (`plain_record_line`) at the front of
     /// the block, which [`LineReader::next_meaningful`] would pass one call
     /// each, and counts their line numbers.  Stops before any other line,
-    /// before a line the block does not hold whole, and at once if a line
-    /// waits to be read again: those take the per-line path.
-    fn pass_plain_records(&mut self) {
+    /// before a line the block does not hold whole or that ends at or past
+    /// input offset `end`, and at once if a line waits to be read again:
+    /// those take the per-line path.
+    fn pass_plain_records(&mut self, end: u64) {
         if self.replay {
             return;
         }
-        let unread = self.buf.get(self.start..self.filled).unwrap_or_default();
+        let end = usize::try_from(end.saturating_sub(self.origin)).unwrap_or(usize::MAX);
+        let unread = self.buf.get(self.start..self.filled.min(end));
+        let unread = unread.unwrap_or_default();
         let (mut rest, mut lines) = (unread, 0);
         while let Some(at) = find_newline(rest) {
             let (Some(line), Some(after)) = (rest.get(..at), rest.get(at + 1..)) else {
@@ -258,6 +269,7 @@ impl<R: BufRead, E: ReadError> LineReader<R, E> {
     /// Moves the unfinished line to the front of the buffer and reads more
     /// input behind it, growing the buffer only if that line fills it.
     fn refill(&mut self) -> Result<(), E> {
+        self.origin += self.start as u64;
         self.buf.copy_within(self.start..self.filled, 0);
         self.filled -= self.start;
         self.start = 0;
@@ -278,6 +290,16 @@ impl<R: BufRead, E: ReadError> LineReader<R, E> {
         };
         self.eof = read == 0;
         self.filled += read;
+        Ok(())
+    }
+}
+
+impl<R: BufRead + Seek, E: ReadError> LineReader<R, E> {
+    /// Moves to input offset `to`, which the next line read starts at.
+    fn seek(&mut self, to: u64) -> Result<(), E> {
+        self.inner.seek(SeekFrom::Start(to))?;
+        (self.origin, self.start, self.filled, self.eof) = (to, 0, 0, false);
+        self.replay = false;
         Ok(())
     }
 }
@@ -312,6 +334,14 @@ pub struct AppReader<R, E> {
     tables: TraceTables,
     state: State,
     ranks_seen: usize,
+    /// The end of the byte range this reader reads the sections of, if it
+    /// reads one part of the body (see [`AppReader::seek_range`]).
+    range_end: Option<u64>,
+    /// Where the range's last section was followed by the next range's
+    /// first, if it was; `None` at the trailer.
+    next_range: Option<u64>,
+    /// Bytes passed unparsed while resyncing, over every range.
+    passed: u64,
     /// The records of the current batch; `batch[next..]` have not been
     /// handed out yet.  One buffer, reused from batch to batch.
     batch: Vec<TraceRecord>,
@@ -327,16 +357,47 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
     pub fn new(reader: R) -> Result<Self, E> {
         let mut lines = LineReader::new(reader);
         let tables = lines.header(APP_HEADER)?;
-        Ok(AppReader {
+        Ok(Self::reading(lines, tables))
+    }
+
+    /// A reader of the body of a trace whose header gave `tables`, from
+    /// where `reader` is; [`AppReader::seek_range`] places it.
+    pub fn with_tables(reader: R, tables: TraceTables) -> Self {
+        Self::reading(LineReader::new(reader), tables)
+    }
+
+    fn reading(lines: LineReader<R, E>, tables: TraceTables) -> Self {
+        AppReader {
             lines,
             tables,
             state: State::Body,
             ranks_seen: 0,
+            range_end: None,
+            next_range: None,
+            passed: 0,
             batch: Vec::new(),
             next: 0,
             held: None,
             obs: ObsShard::disabled(),
-        })
+        }
+    }
+
+    /// Offset in the input of the line read last: after [`AppReader::new`],
+    /// the line that ended the header, where the body starts.
+    pub fn offset(&self) -> u64 {
+        self.lines.line_offset()
+    }
+
+    /// Where the range ended ([`AppReader::seek_range`]): at the `RANK`
+    /// line of the next range's first section, or `None` at the trailer.
+    pub fn next_range(&self) -> Option<u64> {
+        self.next_range
+    }
+
+    /// The bytes every [`AppReader::seek_range`] so far passed without
+    /// parsing them.
+    pub fn passed_bytes(&self) -> u64 {
+        self.passed
     }
 
     /// Attaches an observability shard: each batch of records is parsed
@@ -398,10 +459,48 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
                 Ok(Some(AppItem::RankEnd(rank)))
             }
             AppBodyLine::EndTrace => {
-                check_rank_count(&self.tables, self.ranks_seen)?;
-                self.state = State::Done;
+                self.trailer()?;
                 Ok(None)
             }
+        }
+    }
+
+    /// Ends the trace at its `END_TRACE`: a reader of the whole body checks
+    /// the declared rank count; one of a range leaves that to its caller.
+    fn trailer(&mut self) -> Result<(), E> {
+        if self.range_end.is_none() {
+            check_rank_count(&self.tables, self.ranks_seen)?;
+        }
+        self.state = State::Done;
+        self.next_range = None;
+        Ok(())
+    }
+
+    /// Whether a rank section of this reader's range comes next: reads the
+    /// next line between sections.  A `RANK` line that starts before the
+    /// range's end is left to be read again, as the section's start; one
+    /// at or past the end ends the range there ([`AppReader::next_range`]),
+    /// and so does the trailer.  A reader of the whole body has no end.
+    pub fn section_ahead(&mut self) -> Result<bool, E> {
+        if !matches!(self.state, State::Body) {
+            return Ok(false);
+        }
+        let (tables, expecting) = (&self.tables, self.state.expecting());
+        let parsed = self.lines.next_line(expecting, |line_no, line| {
+            parse_app_body_line(tables, line_no, line, false)
+        })?;
+        let at = self.lines.line_offset();
+        match parsed {
+            AppBodyLine::RankStart(_) if self.range_end.is_none_or(|end| at < end) => {
+                self.lines.replay = true;
+                Ok(true)
+            }
+            AppBodyLine::RankStart(_) => {
+                self.state = State::Done;
+                self.next_range = Some(at);
+                Ok(false)
+            }
+            _ => self.trailer().map(|()| false),
         }
     }
 
@@ -490,7 +589,7 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
         };
         let expecting = self.state.expecting();
         loop {
-            self.lines.pass_plain_records();
+            self.lines.pass_plain_records(u64::MAX);
             if self.lines.next_line(expecting, section_ended)? {
                 break;
             }
@@ -498,6 +597,52 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
         self.state = State::Body;
         self.ranks_seen += 1;
         Ok(rank)
+    }
+}
+
+impl<R: BufRead + Seek, E: ReadError> AppReader<R, E> {
+    /// Reads the rank sections whose `RANK` lines start in the byte range
+    /// `range` of the body from now on, the trailer's rank-count check
+    /// left to the caller.  `resync` unless `range.start` is where a line
+    /// between sections starts (the body's start): the reader then moves
+    /// to the first line that starts in the range and passes lines, as a
+    /// skipped section's are passed, up to the first `RANK` line.  Returns
+    /// that line's offset, the range's start without `resync`, or `None`
+    /// if no `RANK` line starts in the range: its bytes are another
+    /// range's.  The sections are read with [`AppReader::section_ahead`]
+    /// and [`AppReader::next_item`], on past the range's end to finish
+    /// the last.
+    pub fn seek_range(&mut self, range: Range<u64>, resync: bool) -> Result<Option<u64>, E> {
+        (self.state, self.held, self.range_end) = (State::Body, None, Some(range.end));
+        self.batch.clear();
+        if !resync {
+            self.lines.seek(range.start)?;
+            return Ok(Some(range.start));
+        }
+        // The line that holds the byte before the range starts before it.
+        self.lines.seek(range.start.saturating_sub(1))?;
+        self.lines.next_raw()?;
+        let found = loop {
+            self.lines.pass_plain_records(range.end);
+            let Some(raw) = self.lines.next_raw()? else {
+                break None;
+            };
+            let at = self.lines.line_offset();
+            if at >= range.end {
+                break None;
+            }
+            let raw = self.lines.buf.get(raw).unwrap_or_default();
+            if meaningful_line(raw).is_some_and(|line| line.starts_with(b"RANK")) {
+                self.lines.replay = true;
+                break Some(at);
+            }
+        };
+        let stop = found.unwrap_or_else(|| {
+            self.state = State::Done;
+            (self.lines.origin + self.lines.start as u64).min(range.end)
+        });
+        self.passed += stop.saturating_sub(range.start);
+        Ok(found)
     }
 }
 

@@ -45,6 +45,10 @@ pub const STREAM_UNTERMINATED_SEGMENTS: &str = "stream.unterminated_segments";
 pub const STREAM_PEAK_RESIDENT_SEGMENTS: &str = "stream.peak_resident_segments";
 /// Gauge: largest chunk payload buffered by any one reader, in bytes.
 pub const STREAM_PEAK_CHUNK_BYTES: &str = "stream.peak_chunk_bytes";
+/// Text bytes the workers read without parsing them: what each byte range
+/// of a text body passes before its first rank section.  0 on one worker
+/// and for containers.
+pub const STREAM_PASSED_BYTES: &str = "stream.passed_bytes";
 
 /// Payload chunks read (and CRC-verified) from containers.
 pub const CHUNK_READS: &str = "chunk.reads";

@@ -3,11 +3,11 @@
 //! [`ContainerSource`] adapts `trace_container::ChunkReader` to the
 //! [`AppItemSource`] trait, so the same online reduction loop that drives
 //! the text parser consumes `.trc` v2 files with O(one chunk) resident
-//! payload.  [`reduce_container_file`] goes one step further than the text
-//! sharding can: the container's index footer maps every rank section to a
-//! byte offset, so workers *seek* straight to their sections instead of
-//! scanning and skipping the whole file — cross-shard file-level
-//! parallelism with no redundant reads.  [`crate::convert_container`]
+//! payload.  In [`reduce_container_file`] the container's index footer
+//! maps every rank section to a byte offset, so workers *seek* straight to
+//! their sections, where text workers seek to byte ranges and pass the
+//! bytes up to their first section: file-level parallelism with no
+//! redundant reads.  [`crate::convert_container`]
 //! copies a container's sections the same way, and [`load_container_file`]
 //! collects them into a whole trace.  All three open the file's sections
 //! one way, which holds the index footer to the file: the sections must
@@ -34,7 +34,7 @@ use trace_reduce::Reducer;
 
 use crate::error::StreamError;
 use crate::reduce::{copy_records, open_section, Reduce, StreamReduction};
-use crate::shard::{fan_out, no_second_source, on_workers, text, Ran, Stage};
+use crate::shard::{fan_out, one_worker, text_ranges, Ran, Stage};
 use crate::sink::{Collect, OutputFormat, Sink, TraceWriter, WrittenReduction};
 use crate::source::AppItemSource;
 
@@ -119,7 +119,7 @@ fn container_stream<G: Stage, R: Read + Send>(
     source.set_obs(recorder.shard());
     let mut stage = stage(&tables)?;
     let n = tables.declared_ranks;
-    let workers = on_workers(recorder, &mut stage, source, n, 1, no_second_source)?;
+    let workers = one_worker(recorder, &mut stage, source, n)?;
     Ok((stage, workers))
 }
 
@@ -415,8 +415,8 @@ fn any_file<G: Stage>(
     let kind = detect_input(path)?;
     let run = match kind {
         TraceInputKind::Text => {
-            let open = || File::open(path).map(BufReader::new);
-            text(recorder, open()?, workers, |_| Ok(open()?), stage)?
+            let open = |_| File::open(path).map(BufReader::new);
+            text_ranges(recorder, workers, open, stage)?
         }
         TraceInputKind::ContainerV2 => container_file(recorder, path, workers, stage)?,
     };

@@ -3,19 +3,20 @@
 //! [`convert_text`] and [`convert_container`] write a trace in either
 //! format, text or container, a rank section at a time, on the one section
 //! pipeline the reductions run ([`crate::shard`]): the same sources, with
-//! a copy in place of the reduction.  Workers claim rank sections by
-//! index; each copies its section's records from its source straight into
-//! its encoder, and the calling thread writes finished sections into the
-//! sink in rank order.  Text workers each read their own copy of the
-//! input and skip the sections they do not claim; container workers seek
-//! to theirs by the index footer.  Resident memory is, per worker, one
-//! section being encoded (and those finished ahead of the next one the
-//! sink takes), never the whole trace.  Every worker reads on to the trailer, or the index holds
-//! the sections to the file, so a header that declares too many or too
-//! few ranks, or a missing trailer, is the same typed error the
-//! whole-trace parsers give.
+//! a copy in place of the reduction.  Each worker copies the records of
+//! the sections it reads from its source straight into its encoder, and
+//! the calling thread writes finished sections into the sink in rank
+//! order.  Text workers claim byte ranges of the body and read the
+//! sections that start in them; container workers claim sections and seek
+//! to them by the index footer.  Resident memory is, per worker, the
+//! sections of one range or one section being encoded (and those finished
+//! ahead of the next one the sink takes), never the whole trace.  The
+//! calling thread checks the declared rank count and the trailer of a
+//! text, and the index holds a container's sections to the file, so a
+//! header that declares too many or too few ranks, or a missing trailer,
+//! is the same typed error the whole-trace parsers give.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Seek, Write};
 use std::path::Path;
 
 use trace_container::PayloadKind::App;
@@ -24,18 +25,19 @@ use trace_obs::Recorder;
 
 use crate::binary::container_file;
 use crate::error::StreamError;
-use crate::shard::text;
+use crate::shard::text_ranges;
 use crate::sink::{OutputFormat, TraceWriter};
 
 /// Converts the text trace each of up to `workers` workers reads from
 /// `open(worker)` into `format`, written to `out`, and returns the sink.
-/// All readers must yield the same bytes.  The bytes equal those of
+/// All readers must yield the same bytes, from the trace's first; each
+/// worker seeks to the byte ranges it claims.  The bytes equal those of
 /// writing `parse_app_trace(text)?` in `format` whatever the worker count.
 /// What is wrong with the input is the error the streaming parser gives;
 /// a failing sink is a [`StreamError::Sink`].  Each worker's parser
 /// records its batches as [`trace_obs::Stage::Parse`] spans, and the
 /// encoders record their chunks as the container writer does.
-pub fn convert_text<R: BufRead + Send, W: Write>(
+pub fn convert_text<R: BufRead + Seek + Send, W: Write>(
     open: impl Fn(usize) -> io::Result<R> + Sync,
     out: W,
     format: OutputFormat,
@@ -43,7 +45,7 @@ pub fn convert_text<R: BufRead + Send, W: Write>(
     workers: usize,
 ) -> Result<W, StreamError> {
     let writer = |tables: &TraceTables| TraceWriter::open(out, format, App, tables, recorder);
-    let (writer, _) = text(recorder, open(0)?, workers, |w| Ok(open(w)?), writer)?;
+    let (writer, _) = text_ranges(recorder, workers, open, writer)?;
     writer.finish()
 }
 
@@ -101,7 +103,7 @@ mod tests {
         workers: usize,
     ) -> Result<Vec<u8>, StreamError> {
         let off = Recorder::disabled();
-        convert_text(|_| Ok(text), Vec::new(), format, &off, workers)
+        convert_text(|_| Ok(Cursor::new(text)), Vec::new(), format, &off, workers)
     }
 
     /// Converts `bytes`, written to a file of their own.

@@ -24,14 +24,14 @@
 //!   is reducing plus one in-flight segment, never O(total events), and
 //!   the output is identical to the in-memory [`trace_reduce::Reducer`] —
 //!   both paths run that loop.
-//! * [`shard::reduce_stream_sharded`] — spreads rank sections over worker
-//!   threads, each streaming its own reader: a worker claims the next
-//!   unreduced section, skips forward to it without parsing the sections
-//!   in between, and after its last claim reads on to the trailer.
+//! * [`shard::reduce_stream_sharded`] — spreads a text body over worker
+//!   threads by byte range, each reading its own reader: a worker claims
+//!   the next range, seeks to it, passes the bytes up to its first `RANK`
+//!   line and reduces the sections that start in the range, and the
+//!   calling thread checks that the ranges piece together.
 //! * [`binary::reduce_container_stream`] / [`binary::reduce_container_file`]
-//!   — the binary counterparts; the file driver goes further than text
-//!   sharding can: workers *seek* straight to the rank sections they claim
-//!   via the container's index footer instead of scanning the file.
+//!   — the binary counterparts; the file driver's workers *seek* straight
+//!   to the rank sections they claim via the container's index footer.
 //!   [`binary::load_container_file`] loads a whole trace the same way, for
 //!   the callers that need it all.  [`binary::reduce_any_file`]
 //!   autodetects text and container v2 inputs by magic bytes, and refuses
@@ -56,13 +56,12 @@
 //!   resident.
 //!
 //! Every driver, the whole-trace container load included, is one pipeline
-//! ([`shard`]): a source of rank sections — a stream each worker reads
-//! its own copy of, skipping the sections it does not claim, or a
-//! container file whose sections workers seek to — a stage each worker
-//! runs on the sections it claims (reduce and encode, copy and encode, or
+//! ([`shard`]): a source of rank sections — a text whose byte ranges
+//! workers claim, or a container file whose sections workers seek to — a
+//! stage each worker runs on the sections it reads (reduce and encode, copy and encode, or
 //! copy and collect), and a sink the calling thread stitches the results
-//! into in rank order.  The workers claim sections on the workspace's one
-//! ordered fan-out, in `trace_obs`, and the calling thread is a worker
+//! into in rank order.  The workers claim ranges or sections on the
+//! workspace's one ordered fan-out, in `trace_obs`, and the calling thread is a worker
 //! too.  A reduction drains the merged [`StreamStats`] into the reducer's
 //! recorder exactly once; a conversion records no `stream.*` counters.
 //! Every worker reads its source on its own thread, so a run on one worker

@@ -17,14 +17,14 @@ use trace_reduce::{MatchScratch, MatchStats, RankRecordReducer, Reducer};
 
 use crate::error::StreamError;
 use crate::parser::AppItem;
-use crate::shard::{no_second_source, text, Ran, Stage};
+use crate::shard::{text, Ran, Stage};
 use crate::sink::{Collect, RankSink, Sink};
 use crate::source::AppItemSource;
 
 /// Instrumentation counters from one streaming reduction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Rank sections reduced (excludes ranks skipped by other shards).
+    /// Rank sections reduced.
     pub ranks: usize,
     /// Event records seen in reduced ranks.
     pub events: usize,
@@ -64,6 +64,12 @@ pub struct StreamStats {
     /// maximum, so the concurrent total of a sharded run is at most
     /// `shards ×` this value.
     pub peak_chunk_bytes: usize,
+    /// Text bytes the workers read without parsing them: from the start
+    /// of each byte range of the body but the first to its first rank
+    /// section, bytes the range before reads again to finish its last
+    /// section.  At most the input's length; 0 on one worker and for
+    /// containers, and the same for a given file and worker count.
+    pub passed_bytes: u64,
     /// Similarity-matching counters from the cached fast path: candidate
     /// comparisons, prefilter rejects, early abandons and matches across
     /// every reduced rank.
@@ -87,6 +93,7 @@ impl StreamStats {
         self.orphan_events += other.orphan_events;
         self.unterminated_segments += other.unterminated_segments;
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(other.peak_chunk_bytes);
+        self.passed_bytes += other.passed_bytes;
         self.matching.absorb(&other.matching);
     }
 
@@ -127,6 +134,7 @@ impl StreamStats {
             self.peak_resident_segments as u64,
         );
         obs.gauge_max(names::STREAM_PEAK_CHUNK_BYTES, self.peak_chunk_bytes as u64);
+        obs.add(names::STREAM_PASSED_BYTES, self.passed_bytes);
         self.matching.record_into(obs);
     }
 }
@@ -338,6 +346,7 @@ impl<K: RankSink> Stage for Reduce<'_, K> {
     fn read_out<S: AppItemSource>((worker, _, _): &mut Self::Worker, source: &S) {
         let peak = &mut worker.stats.peak_chunk_bytes;
         *peak = source.peak_chunk_bytes().max(*peak);
+        worker.stats.passed_bytes += source.passed_bytes();
     }
 }
 
@@ -354,13 +363,14 @@ pub fn reduce_stream<R: BufRead + Send>(
     reader: R,
 ) -> Result<StreamReduction, StreamError> {
     let stage = Reduce::opening(reducer, Collect::open);
-    let run = text(reducer.recorder(), reader, 1, no_second_source, stage);
+    let run = text(reducer.recorder(), reader, stage);
     run.map(StreamReduction::collected)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{one_worker, text_ranges};
     use crate::sink::{OutputFormat, TraceWriter, WrittenReduction};
     use std::io::Cursor;
     use trace_container::{encode_reduced_container, ChunkSpec, Codec, PayloadKind};
@@ -399,9 +409,9 @@ mod tests {
                         let kind = PayloadKind::Reduced;
                         TraceWriter::open(Vec::new(), *format, kind, tables, recorder)
                     };
-                    let open = || Cursor::new(input.as_bytes());
+                    let open = |_| Ok(Cursor::new(input.as_bytes()));
                     let stage = Reduce::opening(&reducer, writer);
-                    let run = text(recorder, open(), workers, |_| Ok(open()), stage).unwrap();
+                    let run = text_ranges(recorder, workers, open, stage).unwrap();
                     let written = WrittenReduction::finished(run).unwrap();
                     assert!(written.out == *expected, "{case}");
                     assert_eq!(written.name, reduced.name, "{case}");
@@ -500,8 +510,7 @@ mod tests {
                 sink,
             };
             let recorder = reducer.recorder();
-            let workers =
-                crate::shard::on_workers(recorder, &mut stage, fake, 2, 1, no_second_source)?;
+            let workers = one_worker(recorder, &mut stage, fake, 2)?;
             Ok::<_, StreamError>(StreamReduction::collected((stage, workers)))
         };
         for (items, message) in [

@@ -1,27 +1,38 @@
 //! The one section pipeline every streaming driver goes through: a source
-//! of rank sections, a stage run on each section by the worker that claims
+//! of rank sections, a stage run on each section by the worker that reads
 //! it, and a sink the calling thread stitches the results into in rank
 //! order.
 //!
 //! The pipeline runs on the workspace's one ordered fan-out,
-//! [`trace_obs::ordered()`]: workers claim rank sections by index, each
-//! runs the stage over the section it claimed, and the calling thread
-//! (worker 0) stitches each result as soon as it is next.  The stage is
-//! what differs between the drivers: a reduction reduces the section and
-//! encodes the reduced rank, a conversion copies its records straight
-//! into an encoder, and the whole-trace load copies them into the trace it
-//! collects ([`crate::binary::load_container_file`]).  Two kinds of source
-//! feed it: a stream every worker reads its own copy of, front to back,
-//! skipping the sections it does not claim (text),
-//! and a container file's sections, which workers seek to by its index
-//! footer ([`crate::binary`]).  A stream worker reads on to the trailer
-//! after its last claim, checking the declared rank count.  The output is
-//! bit-identical whatever the worker count.
+//! [`trace_obs::ordered()`], and the calling thread (worker 0) stitches
+//! each result as soon as it is next.  The stage is what differs between
+//! the drivers: a reduction reduces the section and encodes the reduced
+//! rank, a conversion copies its records straight into an encoder, and the
+//! whole-trace load copies them into the trace it collects
+//! ([`crate::binary::load_container_file`]).  Two kinds of source feed it:
 //!
-//! Every worker reads its source on the thread it runs on, so a run on
-//! one worker reads on the calling thread.
+//! * A text body is cut into byte ranges, and workers claim ranges.  The
+//!   calling thread parses the header once.  A range owns the sections
+//!   whose `RANK` lines start in it: its reader seeks to the range, passes
+//!   the lines up to the first `RANK` line (the end of a section an
+//!   earlier range owns), and reads its sections, past the range's end to
+//!   finish the last.  No byte is read more than twice, whatever the
+//!   worker count.  The calling thread stitches each range's sections in
+//!   order, checks that each range starts where the one before it ended,
+//!   and checks the declared rank count and the trailer once.
+//! * A container file's sections, which workers seek to by its index
+//!   footer ([`crate::binary`]).
+//!
+//! One worker reads its source in order on the calling thread: a text body
+//! is then the one range that starts where the header ended, and any
+//! [`BufRead`] will do.  Where a text range fails, or the ranges do not
+//! piece together into the declared sections, the run reads on from where
+//! the last good range ended as one worker would: so every worker count
+//! writes the same bytes and fails with the same error, line numbers
+//! included.
 
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Seek, SeekFrom};
+use std::ops::Range;
 
 use trace_model::TraceTables;
 use trace_obs::Recorder;
@@ -33,11 +44,11 @@ use crate::reduce::{next_section, Reduce, StreamReduction};
 use crate::sink::{Collect, Sink};
 use crate::source::AppItemSource;
 
-/// What a worker does with each rank section it claims: the per-section
+/// What a worker does with each rank section it reads: the per-section
 /// stage of the pipeline, whose sections go into the sink it is.
 pub(crate) trait Stage: Sink {
-    /// Runs the stage over the rank section `source` opens next, section
-    /// `index` of the input, on the worker.
+    /// Runs the stage over the rank section `source` opens next, on the
+    /// worker: section `index` of a container, or of a text range.
     fn section<S: AppItemSource>(
         worker: &mut Self::Worker,
         source: &mut S,
@@ -45,7 +56,7 @@ pub(crate) trait Stage: Sink {
     ) -> Result<Self::Section, StreamError>;
 
     /// Called with each source a worker is done with: a seeking worker's
-    /// after each section, a stream worker's at its trailer.
+    /// after each section, a text worker's when its claims run out.
     fn read_out<S: AppItemSource>(_worker: &mut Self::Worker, _source: &S) {}
 }
 
@@ -77,88 +88,214 @@ pub(crate) fn fan_out<G: Stage, I: Send>(
     Ok(workers.into_iter().map(|(worker, _)| worker).collect())
 }
 
-/// The `open` of a one-worker run, whose one source is already open.
-pub(crate) fn no_second_source<S>(_: usize) -> Result<S, StreamError> {
-    Err(StreamError::Protocol(
-        "a one-worker run opens no second source",
-    ))
-}
-
-/// Runs `stage` over the `n` declared rank sections of a stream on up to
-/// `workers` workers, each reading its own copy front to back where it
-/// runs: `first` for worker 0, `open(worker)`, on first use, for the
-/// others.
-pub(crate) fn on_workers<G: Stage, S: AppItemSource + Send>(
+/// Runs `stage` over the next `n` rank sections of `source` on the calling
+/// thread, then reads on to the trailer, passing any sections past them:
+/// the one-worker run, whose source checks the declared rank count there.
+pub(crate) fn one_worker<G: Stage, S: AppItemSource + Send>(
     recorder: &Recorder,
     stage: &mut G,
-    first: S,
+    source: S,
     n: usize,
-    workers: usize,
-    open: impl Fn(usize) -> Result<S, StreamError> + Sync,
 ) -> Result<Vec<G::Worker>, StreamError> {
-    // Per worker: its source, its index and the sections it has passed.
-    let mut first = Some(first);
-    let cursors = (0..workers.clamp(1, n.max(1))).map(|worker| (first.take(), worker, 0));
-    fan_out(
-        recorder,
-        stage,
-        cursors.collect(),
-        n,
-        |worker, (source, id, passed), index| {
-            let source = match source {
-                Some(source) => source,
-                None => source.insert(open(*id)?),
-            };
-            while *passed < index && next_section(source)?.is_some() {
-                source.skip_current_rank()?;
-                *passed += 1;
-            }
-            *passed += 1;
-            G::section(worker, source, index)
-        },
-        |worker, (source, id, _)| {
-            let source = match source {
-                Some(source) => source,
-                None => source.insert(open(*id)?),
-            };
-            while next_section(source)?.is_some() {
-                source.skip_current_rank()?;
-            }
-            G::read_out(worker, source);
-            Ok(())
-        },
-    )
+    let finish = |worker: &mut G::Worker, source: &mut S| {
+        while next_section(source)?.is_some() {
+            source.skip_current_rank()?;
+        }
+        G::read_out(worker, source);
+        Ok(())
+    };
+    fan_out(recorder, stage, vec![source], n, G::section, finish)
+}
+
+/// A text parser over `reader`, recording its batches in `recorder`.
+fn parser<R: BufRead>(recorder: &Recorder, reader: R) -> Result<StreamParser<R>, StreamError> {
+    let mut parser = StreamParser::new(reader)?;
+    parser.set_obs(recorder.shard());
+    Ok(parser)
 }
 
 /// Runs the stage `stage` opens on a text trace's header over its rank
-/// sections, on up to `workers` workers: worker 0 reads `first` (whose
-/// header declares the rank count), the others `open(worker)`.  Every
-/// worker's parser records its batches as `parse` spans in `recorder`.
+/// sections on one worker, the calling thread, reading `reader` in order.
 pub(crate) fn text<G: Stage, R: BufRead + Send>(
     recorder: &Recorder,
-    first: R,
-    workers: usize,
-    open: impl Fn(usize) -> Result<R, StreamError> + Sync,
+    reader: R,
     stage: impl FnOnce(&TraceTables) -> Result<G, StreamError>,
 ) -> Result<Ran<G>, StreamError> {
-    let parser = |reader| -> Result<_, StreamError> {
-        let mut parser = StreamParser::new(reader)?;
-        parser.set_obs(recorder.shard());
-        Ok(parser)
-    };
-    let first = parser(first)?;
-    let mut stage = stage(first.tables())?;
-    let n = first.tables().declared_ranks;
-    let workers = on_workers(recorder, &mut stage, first, n, workers, |worker| {
-        parser(open(worker)?)
-    })?;
+    let source = parser(recorder, reader)?;
+    let mut stage = stage(source.tables())?;
+    let n = source.tables().declared_ranks;
+    let workers = one_worker(recorder, &mut stage, source, n)?;
     Ok((stage, workers))
 }
 
+/// How many byte ranges a text body is cut into per worker.  Every range
+/// but the first passes the bytes from its start to its first `RANK` line,
+/// about half a section, which the range before it reads again to finish
+/// its last section: fewer ranges read fewer bytes twice.  But a worker
+/// hands over the sections of a range only once it has read them all, so
+/// more ranges hold fewer encoded sections at once, and leave less of the
+/// run to one worker at its end.  Eight per worker is two sections a range
+/// on a 32-rank trace read by two workers.
+const RANGES_PER_WORKER: usize = 8;
+
+/// Runs the stage `stage` opens on a text trace's header over its rank
+/// sections, on up to `workers` workers, each reading the byte ranges it
+/// claims through its own reader from `open(worker)`.  All readers must
+/// yield the same bytes, from the trace's first.  The body is cut into
+/// `workers ×` [`RANGES_PER_WORKER`] ranges of equal length, never more
+/// than the header declares ranks; one range is the one-worker run.
+/// Every parser records its batches as `parse` spans in `recorder`.
+pub(crate) fn text_ranges<G: Stage, R: BufRead + Seek + Send>(
+    recorder: &Recorder,
+    workers: usize,
+    open: impl Fn(usize) -> io::Result<R> + Sync,
+    stage: impl FnOnce(&TraceTables) -> Result<G, StreamError>,
+) -> Result<Ran<G>, StreamError> {
+    let mut reader = open(0)?;
+    let len = reader.seek(SeekFrom::End(0))?;
+    reader.rewind()?;
+    let first = parser(recorder, reader)?;
+    let ranges = workers.saturating_mul(RANGES_PER_WORKER);
+    let ranges = ranges.clamp(1, first.tables().declared_ranks.max(1)) as u64;
+    let body = first.offset();
+    let cut = len.saturating_sub(body) / ranges;
+    let cuts: Vec<u64> = (1..ranges).map(|range| body + cut * range).collect();
+    text_cut(recorder, first, &cuts, workers, open, stage)
+}
+
+/// [`text_ranges`] with the body cut at `cuts`, offsets in the input; a
+/// cut outside the body cuts nothing.
+pub(crate) fn text_cut<G: Stage, R: BufRead + Seek + Send>(
+    recorder: &Recorder,
+    first: StreamParser<R>,
+    cuts: &[u64],
+    workers: usize,
+    open: impl Fn(usize) -> io::Result<R> + Sync,
+    stage: impl FnOnce(&TraceTables) -> Result<G, StreamError>,
+) -> Result<Ran<G>, StreamError> {
+    let mut stage = stage(first.tables())?;
+    let (tables, body) = (first.tables().clone(), first.offset());
+    let n = tables.declared_ranks;
+    let mut starts: Vec<u64> = cuts.iter().copied().filter(|&cut| cut > body).collect();
+    starts.sort_unstable();
+    starts.dedup();
+    starts.insert(0, body);
+    let workers = workers.clamp(1, starts.len());
+    if workers == 1 {
+        let workers = one_worker(recorder, &mut stage, first, n)?;
+        return Ok((stage, workers));
+    }
+    let range = |index: usize| {
+        let end = starts.get(index + 1).copied().unwrap_or(u64::MAX);
+        starts.get(index).copied().unwrap_or(end)..end
+    };
+    let mut first = Some(first);
+    let states = (0..workers).map(|id| (stage.worker(recorder), first.take(), id));
+    // Where the next section starts (`None` past the trailer), the sections
+    // stitched, and, once a range has not pieced together, the sections
+    // stitched before it and the error it met.
+    let (mut next, mut done, mut failed) = (Some(body), 0, None);
+    let run = trace_obs::ordered(
+        states.collect(),
+        starts.len(),
+        |(worker, source, id), index| {
+            let source = match source {
+                Some(source) => source,
+                None => {
+                    let mut opened = StreamParser::with_tables(open(*id)?, tables.clone());
+                    opened.set_obs(recorder.shard());
+                    source.insert(opened)
+                }
+            };
+            let read = read_range::<G, R>(worker, source, range(index), index > 0, n);
+            Ok(read)
+        },
+        |(worker, source, _)| {
+            source.iter().for_each(|source| G::read_out(worker, source));
+            Ok(())
+        },
+        |index, read| {
+            // A range past the trailer, or inside a section an earlier
+            // range read, holds none of the trace's sections.
+            let Some(at) = next.filter(|&at| at < range(index).end) else {
+                return Ok(());
+            };
+            match read {
+                Ok(Some((first, sections, after)))
+                    if first == at
+                        && done + sections.len() <= n
+                        && (after.is_some() || done + sections.len() == n) =>
+                {
+                    (next, done) = (after, done + sections.len());
+                    sections.into_iter().try_for_each(|s| stage.stitch(s))
+                }
+                read => {
+                    failed = Some((done, read.err()));
+                    Err(StreamError::Protocol(APART))
+                }
+            }
+        },
+    );
+    match (run, failed) {
+        (Ok(states), _) if next.is_none() => {
+            let workers = states.into_iter().map(|(worker, _, _)| worker);
+            Ok((stage, workers.collect()))
+        }
+        (Ok(_), _) => Err(StreamError::Protocol(APART)),
+        (Err(error), None) => Err(error),
+        // One worker reads on from the sections stitched, which it passes,
+        // and meets the error one worker meets, line numbers included.
+        (Err(_), Some((done, error))) => {
+            let mut source = parser(recorder, open(0)?)?;
+            for _ in 0..done {
+                next_section(&mut source)?;
+                source.skip_current_rank()?;
+            }
+            let rest = one_worker(recorder, &mut stage, source, n - done);
+            Err(rest.err().or(error).unwrap_or(StreamError::Protocol(APART)))
+        }
+    }
+}
+
+/// Why a text run falls back to one worker: its ranges do not piece
+/// together into the declared rank sections.
+const APART: &str = "the byte ranges of a text trace do not piece together";
+
+/// What one byte range of a text body holds: the offset of its first
+/// section's `RANK` line, its sections, and where the next range's first
+/// section starts, `None` at the trailer.
+type Read<T> = (u64, Vec<T>, Option<u64>);
+
+/// Reads the byte range `range` of a text body on `worker`, through the
+/// stage, or finds no `RANK` line starting in it.  The first range starts
+/// where the header ended; any other resyncs.  No range holds more than
+/// the `n` declared sections.
+fn read_range<G: Stage, R: BufRead + Seek>(
+    worker: &mut G::Worker,
+    source: &mut StreamParser<R>,
+    range: Range<u64>,
+    resync: bool,
+    n: usize,
+) -> Result<Option<Read<G::Section>>, StreamError> {
+    let Some(first) = source.seek_range(range, resync)? else {
+        return Ok(None);
+    };
+    let mut sections = Vec::new();
+    while source.section_ahead()? {
+        if sections.len() == n {
+            return Err(StreamError::Protocol(APART));
+        }
+        sections.push(G::section(worker, source, sections.len())?);
+    }
+    Ok(Some((first, sections, source.next_range())))
+}
+
 /// Reduces a trace stream with `shards` worker threads (0 is treated as
-/// 1; no more run than the header declares ranks), each reading its own
-/// source from `open(worker_index)`.  All readers must yield the same
-/// bytes.  Worker 0 is the calling thread, and a panicking worker is a
+/// 1), each reading the byte ranges of the body it claims through its own
+/// reader from `open(worker_index)`: eight ranges per worker, never more
+/// than the header declares ranks (see the [module docs](self)).  All
+/// readers must yield the same bytes, from the trace's first.  Worker 0 is
+/// the calling thread, and a panicking worker is a
 /// [`StreamError::Protocol`].
 pub fn reduce_stream_sharded<R, F>(
     reducer: &Reducer,
@@ -166,12 +303,11 @@ pub fn reduce_stream_sharded<R, F>(
     open: F,
 ) -> Result<StreamReduction, StreamError>
 where
-    R: BufRead + Send,
+    R: BufRead + Seek + Send,
     F: Fn(usize) -> io::Result<R> + Sync,
 {
-    let open_more = |worker| Ok(open(worker)?);
     let stage = Reduce::opening(reducer, Collect::open);
-    let run = text(reducer.recorder(), open(0)?, shards, open_more, stage);
+    let run = text_ranges(reducer.recorder(), shards, open, stage);
     run.map(StreamReduction::collected)
 }
 
@@ -181,6 +317,7 @@ mod tests {
     use crate::parser::{AppItem, BATCH_RECORDS};
     use crate::reduce::reduce_stream;
     use crate::reduce_container_stream;
+    use crate::sink::{OutputFormat, TraceWriter, WrittenReduction};
     use std::io::{Cursor, Read};
     use std::sync::Mutex;
     use std::thread::{self, ThreadId};
@@ -209,21 +346,38 @@ mod tests {
         }
     }
 
-    /// A reader that panics the first time it is read.
-    struct PanicsOnRead;
+    /// A reader that panics the first time it is read at or past byte
+    /// `from`: every read before that ends there.
+    struct PanicsOnRead {
+        bytes: Cursor<Vec<u8>>,
+        from: u64,
+    }
 
-    impl io::Read for PanicsOnRead {
-        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-            panic!("this reader breaks on its first read");
+    impl Read for PanicsOnRead {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let left = self.from.saturating_sub(self.bytes.position());
+            assert!(
+                left > 0,
+                "this reader breaks on a read past byte {}",
+                self.from
+            );
+            let len = buf.len().min(usize::try_from(left).unwrap());
+            self.bytes.read(&mut buf[..len])
         }
     }
 
     impl BufRead for PanicsOnRead {
         fn fill_buf(&mut self) -> io::Result<&[u8]> {
-            panic!("this reader breaks on its first read");
+            unreachable!("the text reader reads with `read`")
         }
 
         fn consume(&mut self, _: usize) {}
+    }
+
+    impl Seek for PanicsOnRead {
+        fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+            self.bytes.seek(to)
+        }
     }
 
     #[test]
@@ -231,18 +385,17 @@ mod tests {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         assert!(app.rank_count() >= 3, "every one of the three workers runs");
         let text = write_app_trace(&app).into_bytes();
-        // One worker reads the header and the first rank, and breaks on its
-        // next read; of three, worker 1 breaks on its first.
+        // Every reader serves the header and the first rank, and breaks on
+        // its next read, wherever it reads from: whichever worker reads on
+        // past the first rank panics.
         let end = text.windows(9).position(|w| w == b"END_RANK\n").unwrap();
         let reducer = Reducer::with_default_threshold(Method::AvgWave);
         for shards in [1, 3] {
-            let err = reduce_stream_sharded(&reducer, shards, |worker| {
-                let reader: Box<dyn BufRead + Send> = match (shards, worker) {
-                    (1, _) => Box::new(Cursor::new(text[..end].to_vec()).chain(PanicsOnRead)),
-                    (_, 1) => Box::new(PanicsOnRead),
-                    _ => Box::new(Cursor::new(text.clone())),
-                };
-                Ok(reader)
+            let err = reduce_stream_sharded(&reducer, shards, |_| {
+                Ok(PanicsOnRead {
+                    bytes: Cursor::new(text.clone()),
+                    from: end as u64,
+                })
             })
             .unwrap_err();
             assert!(
@@ -284,6 +437,12 @@ mod tests {
 
         fn consume(&mut self, amount: usize) {
             self.bytes.consume(amount);
+        }
+    }
+
+    impl Seek for RecordsThreads<'_> {
+        fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+            self.bytes.seek(to)
         }
     }
 
@@ -383,7 +542,7 @@ mod tests {
             sink,
         };
         let recorder = reducer.recorder();
-        let Err(err) = on_workers(recorder, &mut stage, source, 1, 1, no_second_source) else {
+        let Err(err) = one_worker(recorder, &mut stage, source, 1) else {
             panic!("a rank start inside a rank section went through");
         };
         assert!(
@@ -396,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn every_worker_checks_the_declared_rank_count_and_the_trailer() {
+    fn the_declared_rank_count_and_the_trailer_are_checked_on_any_worker_count() {
         let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
         let text = write_app_trace(&app);
         let ranks = app.rank_count();
@@ -426,5 +585,223 @@ mod tests {
         let err = reduce_stream_sharded(&reducer, 3, |_| Ok(Cursor::new(b"BOGUS\n".to_vec())))
             .unwrap_err();
         assert!(err.as_format().is_some(), "{err}");
+    }
+
+    /// The bytes of `text` reduced into the text format with its body cut
+    /// at `cuts` on `workers` workers, or the error; and the bytes passed.
+    fn reduced_at_cuts(input: &[u8], cuts: &[u64], workers: usize) -> (String, u64) {
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let recorder = reducer.recorder();
+        let writer = |tables: &TraceTables| {
+            let kind = trace_container::PayloadKind::Reduced;
+            TraceWriter::open(Vec::new(), OutputFormat::Text, kind, tables, recorder)
+        };
+        let open = |_| Ok(Cursor::new(input));
+        let stage = Reduce::opening(&reducer, writer);
+        let run = match workers {
+            1 => text(recorder, Cursor::new(input), stage),
+            _ => parser(recorder, Cursor::new(input))
+                .and_then(|first| text_cut(recorder, first, cuts, workers, open, stage)),
+        };
+        match run.and_then(WrittenReduction::finished) {
+            Ok(written) => {
+                let out = String::from_utf8(written.out).unwrap();
+                (out, written.stats.passed_bytes)
+            }
+            Err(error) => (format!("{error:?}"), 0),
+        }
+    }
+
+    /// What one worker gives for `text`.
+    fn one_worker_outcome(text: &[u8]) -> String {
+        let (outcome, passed) = reduced_at_cuts(text, &[], 1);
+        assert_eq!(passed, 0);
+        outcome
+    }
+
+    /// Asserts that `text` cut at `cuts` on `workers` workers gives
+    /// `expected`, what one worker gives, and passes at most its length.
+    fn assert_cut_like_one_worker(text: &[u8], cuts: &[u64], workers: usize, expected: &str) {
+        let (found, passed) = reduced_at_cuts(text, cuts, workers);
+        assert!(
+            found == expected,
+            "cut at {cuts:?} on {workers} workers:\n{found}\none worker:\n{expected}"
+        );
+        assert!(
+            passed <= text.len() as u64,
+            "{passed} bytes passed at {cuts:?}"
+        );
+    }
+
+    /// A trace of one rank section per count, each of that many records.
+    fn trace_with_sections(counts: &[usize]) -> String {
+        let mut text = format!(
+            "TRACEFORMAT 1\nTRACE RANKS {} NAME cut\nREGION 0 work\nCONTEXT 0 main.1\n",
+            counts.len()
+        );
+        for (rank, &count) in counts.iter().enumerate() {
+            text.push_str(&format!("RANK {rank}\n"));
+            for i in 0..count as u64 {
+                let t = 100 * (i / 3);
+                text.push_str(&match i % 3 {
+                    0 => format!("SEG_BEGIN 0 {t}\n"),
+                    1 => format!("EVENT 0 {} {} 0 COMPUTE\n", t + 10, t + 90),
+                    _ => format!("SEG_END 0 {}\n", t + 100),
+                });
+            }
+            text.push_str("END_RANK\n");
+        }
+        text.push_str("END_TRACE\n");
+        text
+    }
+
+    /// `text` with `line` put in front of the `index`-th line after the
+    /// `RANK` line of section `rank`.
+    fn insert_line(text: &str, rank: usize, index: usize, line: &str) -> String {
+        let mut at = text.find(&format!("\nRANK {rank}\n")).unwrap() + 1;
+        for _ in 0..=index {
+            at += text[at..].find('\n').unwrap() + 1;
+        }
+        format!("{}{line}{}", &text[..at], &text[at..])
+    }
+
+    /// Texts whose layout puts something other than a plain section
+    /// boundary where a cut may fall, and texts in error.
+    fn hostile_texts() -> Vec<(&'static str, Vec<u8>)> {
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let text = write_app_trace(&app);
+        let ranks = app.rank_count();
+        let declared = format!("TRACE RANKS {ranks} ");
+        let declare = |n: usize| text.replace(&declared, &format!("TRACE RANKS {n} "));
+        let last = ranks - 1;
+        let not_utf8 = insert_line(&text, 5, 4, "# caf\u{e9}\n").into_bytes();
+        let not_utf8 = not_utf8.iter().position(|&b| b == 0xC3).unwrap();
+        let mut hostile = vec![
+            (
+                "blank and comment lines between sections",
+                text.replace("END_RANK\n", "END_RANK\n\n# between\n  \n"),
+            ),
+            (
+                "an indented RANK line",
+                text.replace("\nRANK 3\n", "\n \t RANK 3\n"),
+            ),
+            ("CRLF line ends", text.replace('\n', "\r\n")),
+            ("a stray RANK line", insert_line(&text, 2, 3, "RANK 9\n")),
+            ("a stray RANKS line", insert_line(&text, 4, 1, "RANKS 2\n")),
+            (
+                "one rank holding most of the file",
+                trace_with_sections(&[9000, 4, 4, 4, 4, 4, 4, 4]),
+            ),
+            (
+                "a malformed record in the last rank",
+                insert_line(&text, last, 5, "EVENT 0 x 9 0 COMPUTE\n"),
+            ),
+            (
+                "malformed records in two ranks",
+                insert_line(
+                    &insert_line(&text, 6, 2, "SEG_END zero\n"),
+                    1,
+                    9,
+                    "EVENT 0 x 9 0 COMPUTE\n",
+                ),
+            ),
+            ("one rank fewer declared", declare(ranks - 1)),
+            ("one rank more declared", declare(ranks + 1)),
+            ("no trailer", text.replace("END_TRACE\n", "")),
+            (
+                "an extra section holding a malformed record",
+                insert_line(&declare(ranks - 1), last, 2, "EVENT 0 x 9 0 COMPUTE\n"),
+            ),
+            (
+                "an extra section holding a stray RANK line",
+                insert_line(&declare(ranks - 2), last, 2, "RANK 1\n"),
+            ),
+            (
+                "sections after the trailer",
+                format!("{text}RANK 0\nEVENT junk\nEND_RANK\nRANK 0\n"),
+            ),
+            (
+                "a line that is no section between sections",
+                text.replacen("END_RANK\n", "END_RANK\nBOGUS 1\n", 5),
+            ),
+        ];
+        let mut bytes: Vec<_> = hostile
+            .drain(..)
+            .map(|(what, text)| (what, text.into_bytes()))
+            .collect();
+        let mut comment = insert_line(&text, 5, 4, "# caf\u{e9}\n").into_bytes();
+        comment.remove(not_utf8 + 1);
+        bytes.push(("a comment that is not UTF-8", comment));
+        bytes
+    }
+
+    /// Offsets where a cut is most likely to go wrong: on and after each
+    /// line end, inside each `END_RANK` and inside the header's last line.
+    fn boundary_cuts(text: &[u8]) -> Vec<u64> {
+        let mut cuts = Vec::new();
+        for (at, byte) in text.iter().enumerate() {
+            let at = at as u64;
+            if *byte == b'\n' {
+                cuts.extend([at, at + 1]);
+            }
+            if text[at as usize..].starts_with(b"END_RANK") {
+                cuts.push(at + 4);
+            }
+        }
+        let body = text.windows(5).position(|w| w == b"RANK ").unwrap() as u64;
+        cuts.extend([body - 2, body - 1]);
+        cuts
+    }
+
+    #[test]
+    fn every_single_cut_at_a_boundary_gives_the_one_worker_outcome() {
+        let mut inputs = hostile_texts();
+        let app = Workload::new(WorkloadKind::LateSender, SizePreset::Tiny).generate();
+        inputs.push(("late_sender", write_app_trace(&app).into_bytes()));
+        for (what, text) in &inputs {
+            let expected = one_worker_outcome(text);
+            // Every boundary would be slow on the large section; a sample.
+            let cuts = boundary_cuts(text);
+            let step = cuts.len().div_ceil(150);
+            for cut in cuts.iter().step_by(step) {
+                let run = std::panic::catch_unwind(|| {
+                    assert_cut_like_one_worker(text, &[*cut], 2, &expected);
+                });
+                assert!(run.is_ok(), "{what}, cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_rank_holding_most_of_the_file_reads_on_eight_workers() {
+        let text = trace_with_sections(&[30_000, 5, 5, 5, 5, 5, 5, 5]);
+        let len = text.len() as u64;
+        let cuts: Vec<u64> = (1..8).map(|cut| len * cut / 8).collect();
+        let expected = one_worker_outcome(text.as_bytes());
+        assert_cut_like_one_worker(text.as_bytes(), &cuts, 8, &expected);
+        // The ranges inside the large section pass their bytes, once.
+        let (_, passed) = reduced_at_cuts(text.as_bytes(), &cuts, 8);
+        assert!(passed > len / 2 && passed <= len, "{passed} of {len}");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn any_cuts_on_any_worker_count_give_the_one_worker_outcome(
+            input in 0usize..34,
+            cuts in prop::collection::vec(any::<u64>(), 0..12),
+            workers in 2usize..9,
+        ) {
+            let text = match input.checked_sub(18) {
+                None => write_app_trace(&Workload::all(SizePreset::Tiny)[input].generate()).into_bytes(),
+                Some(hostile) => hostile_texts().swap_remove(hostile % 16).1,
+            };
+            let len = text.len() as u64 + 8;
+            let cuts: Vec<u64> = cuts.iter().map(|cut| cut % len).collect();
+            assert_cut_like_one_worker(&text, &cuts, workers, &one_worker_outcome(&text));
+        }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The online reduction loop in [`crate::reduce`] only needs three things
 //! from its input: the next rank-boundary-or-record item, the ability to
-//! skip the rest of a rank section cheaply (for sharding), and an error
-//! channel.  [`AppItemSource`] captures exactly that, so the same loop
-//! drives the line-oriented text parser ([`crate::parser::StreamParser`])
+//! skip the rest of a rank section cheaply (for the sections a one-worker
+//! run passes after the declared ones), and an error channel.
+//! [`AppItemSource`] captures exactly that, so the same loop drives the
+//! line-oriented text parser ([`crate::parser::StreamParser`])
 //! and the chunked binary container reader
 //! ([`crate::binary::ContainerSource`]) without caring which format the
 //! bytes were in.  Both decode records in batches — a container a chunk at
@@ -48,6 +49,13 @@ pub trait AppItemSource {
     fn peak_chunk_bytes(&self) -> usize {
         0
     }
+
+    /// The bytes this source has read without parsing them (see
+    /// [`crate::StreamStats::passed_bytes`]); a source that reads every
+    /// byte it is given has none, which is the default.
+    fn passed_bytes(&self) -> u64 {
+        0
+    }
 }
 
 impl<R: BufRead> AppItemSource for StreamParser<R> {
@@ -61,5 +69,9 @@ impl<R: BufRead> AppItemSource for StreamParser<R> {
 
     fn take_records(&mut self) -> &[TraceRecord] {
         StreamParser::take_records(self)
+    }
+
+    fn passed_bytes(&self) -> u64 {
+        StreamParser::passed_bytes(self)
     }
 }

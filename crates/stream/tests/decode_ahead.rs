@@ -18,7 +18,7 @@
 //! Text runs are also made on 2, 3 and ranks + 3 workers, which pass the
 //! sections other workers own: each gives one worker's outcome.
 
-use std::io::{self, BufReader, Cursor, Read};
+use std::io::{self, BufReader, Cursor, Read, Seek, SeekFrom};
 
 use trace_container::{crc32, encode_app_container, ChunkSpec};
 use trace_format::write_app_trace;
@@ -49,7 +49,7 @@ fn text_run(text: &[u8]) -> Result<StreamReduction, StreamError> {
 
 /// Asserts that the sharded text driver on 2, 3 and ranks + 3 workers, each
 /// reading from `open`, gives `one_worker`'s outcome.
-fn assert_any_worker_count_agrees<R: io::BufRead + Send>(
+fn assert_any_worker_count_agrees<R: io::BufRead + Seek + Send>(
     one_worker: &Result<StreamReduction, StreamError>,
     open: impl Fn() -> R + Sync,
 ) {
@@ -77,12 +77,14 @@ fn outcome(run: &Result<StreamReduction, StreamError>) -> String {
 }
 
 /// [`outcome`] without the peak of resident segments, which is one
-/// observation on one worker and the sum of the workers' peaks on several.
+/// observation on one worker and the sum of the workers' peaks on several,
+/// and without the bytes passed, which depend on how the text is cut.
 fn outcome_on_any_workers(run: &Result<StreamReduction, StreamError>) -> String {
     match run {
         Ok(run) => {
             let stats = StreamStats {
                 peak_resident_segments: 0,
+                passed_bytes: 0,
                 ..run.stats
             };
             format!("{stats:?} {:?}", run.reduced)
@@ -116,6 +118,7 @@ fn counts(stats: &StreamStats) -> [usize; 16] {
         orphan_events,
         unterminated_segments,
         peak_chunk_bytes: _,
+        passed_bytes: _,
         matching,
     } = *stats;
     let MatchStats {
@@ -339,7 +342,8 @@ fn malformed(text: &str, rank: usize, index: usize) -> String {
 }
 
 /// A reader that fails once, with an I/O error, when it reaches byte
-/// `fail_at`, and then reads on.
+/// `fail_at`, and then reads on.  A reader that seeks past the byte
+/// without reaching it reads on too.
 struct FailsOnceAt {
     bytes: Vec<u8>,
     pos: usize,
@@ -353,15 +357,26 @@ impl Read for FailsOnceAt {
             self.failed = true;
             return Err(io::Error::other("the disk went away"));
         }
-        let end = if self.failed {
+        let end = if self.failed || self.pos > self.fail_at {
             self.bytes.len()
         } else {
             self.fail_at
         };
-        let n = buf.len().min(end - self.pos);
+        let n = buf.len().min(end.saturating_sub(self.pos));
         buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
         self.pos += n;
         Ok(n)
+    }
+}
+
+impl Seek for FailsOnceAt {
+    fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+        self.pos = match to {
+            SeekFrom::Start(at) => at as usize,
+            SeekFrom::End(back) => self.bytes.len().saturating_add_signed(back as isize),
+            SeekFrom::Current(by) => self.pos.saturating_add_signed(by as isize),
+        };
+        Ok(self.pos as u64)
     }
 }
 

@@ -272,6 +272,12 @@ fn assert_drained_once(
             stats.peak_resident_segments,
         );
         gauge(names::STREAM_PEAK_CHUNK_BYTES, stats.peak_chunk_bytes);
+        let passed = usize::try_from(stats.passed_bytes).unwrap();
+        counter(names::STREAM_PASSED_BYTES, passed);
+        assert!(passed <= src.text.len(), "{what}: {passed} bytes passed");
+        if matches!(spans, Spans::FusedContainer) {
+            assert_eq!(passed, 0, "{what}: a container passes nothing");
+        }
         assert_eq!(stats.ranks, ranks, "{what}: every rank is counted");
         assert_eq!(stats.stored, outcome.reduced.total_stored(), "{what}");
         assert_eq!(stats.execs, outcome.reduced.total_execs(), "{what}");
@@ -305,6 +311,9 @@ fn assert_drained_once(
 #[test]
 fn enabled_reports_carry_the_drained_pipeline_counters() {
     let src = Sources::new(WorkloadKind::LateSender, "drain");
+    // The bytes each driver passes: a fact of the file and the worker
+    // count, so the same under every method.
+    let mut passed = std::collections::BTreeMap::new();
     for method in [Method::AvgWave, Method::RelDiff, Method::IterK] {
         let config = MethodConfig::with_default_threshold(method);
         for (driver, spans, drive) in drivers(&src) {
@@ -312,8 +321,14 @@ fn enabled_reports_carry_the_drained_pipeline_counters() {
             let outcome = drive(&Reducer::new(config).with_recorder(&recorder));
             let what = format!("{method} / {driver}");
             assert_drained_once(&what, spans, &src, &recorder.report(), &outcome);
+            if let Some(stats) = &outcome.stream {
+                let first = *passed.entry(driver).or_insert(stats.passed_bytes);
+                assert_eq!(stats.passed_bytes, first, "{what}: bytes passed");
+            }
         }
     }
+    assert_eq!(passed["text stream"], 0, "one worker passes nothing");
+    assert!(passed["text stream, 3 shards"] > 0, "{passed:?}");
 }
 
 #[test]
