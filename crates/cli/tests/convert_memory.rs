@@ -14,6 +14,10 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use trace_container::{ChunkSpec, Codec};
+use trace_format::{
+    write_app_header, write_app_records, write_rank_end, write_rank_start, write_trailer,
+};
+use trace_model::{AppTrace, Rank};
 use trace_sim::{SizePreset, Workload, WorkloadKind};
 use trace_tools::{run, Invocation};
 
@@ -206,6 +210,63 @@ fn reduce_stream_peak_memory_is_flat_in_trace_length() {
     for repeats in [1, 8] {
         let _ = std::fs::remove_file(file(repeats, "txt"));
         let _ = std::fs::remove_file(file(repeats, "trc"));
+    }
+    assert!(grew.is_empty(), "{}", grew.join("\n"));
+}
+
+/// Writes `app` as a text trace of its rank sections `copies` times over:
+/// `copies ×` its ranks, each the length of one of its own.
+fn write_ranks_copied(path: &Path, app: &AppTrace, copies: usize) {
+    let mut out = BufWriter::new(File::create(path).unwrap());
+    let (regions, contexts) = (app.regions.names(), app.contexts.names());
+    let ranks = app.rank_count();
+    write_app_header(&mut out, &app.name, copies * ranks, regions, contexts).unwrap();
+    for id in 0..copies * ranks {
+        write_rank_start(&mut out, Rank(u32::try_from(id).unwrap())).unwrap();
+        write_app_records(&mut out, &app.ranks[id % ranks].records).unwrap();
+        write_rank_end(&mut out).unwrap();
+    }
+    write_trailer(&mut out).unwrap();
+    out.flush().unwrap();
+}
+
+#[test]
+fn convert_peak_memory_is_flat_in_rank_count() {
+    // Sweep3d's 32 ranks at the paper preset, ≈ 150 KB of text each, and
+    // the same sections eight times over: 256 ranks of the same length.
+    // A text worker holds the sections of the byte range it reads until it
+    // has read them all, so ranges cut by the worker count alone would each
+    // hold eight times as many sections at 256 ranks as at 32.
+    let app = Workload::new(
+        WorkloadKind::by_name("sweep3d_32p").unwrap(),
+        SizePreset::Paper,
+    )
+    .generate();
+    let file = |copies: usize, extension: &str| {
+        let name = format!(
+            "trace_tools_flat_ranks_{}_x{copies}.{extension}",
+            std::process::id()
+        );
+        std::env::temp_dir().join(name)
+    };
+    for copies in [1, 8] {
+        write_ranks_copied(&file(copies, "txt"), &app, copies);
+    }
+    let mut grew = Vec::new();
+    for to in ["trc", "txt"] {
+        let peak = |copies| {
+            let output = file(copies, &format!("out.{to}"));
+            convert_peak_kb(&file(copies, "txt"), &output)
+        };
+        let (once, eight) = (peak(1), peak(8));
+        if eight * 4 >= once * 5 {
+            grew.push(format!(
+                "txt -> {to}: peak {once} KiB at 32 ranks, {eight} KiB at 256"
+            ));
+        }
+    }
+    for copies in [1, 8] {
+        let _ = std::fs::remove_file(file(copies, "txt"));
     }
     assert!(grew.is_empty(), "{}", grew.join("\n"));
 }

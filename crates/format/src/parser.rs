@@ -334,12 +334,6 @@ pub struct AppReader<R, E> {
     tables: TraceTables,
     state: State,
     ranks_seen: usize,
-    /// The end of the byte range this reader reads the sections of, if it
-    /// reads one part of the body (see [`AppReader::seek_range`]).
-    range_end: Option<u64>,
-    /// Where the range's last section was followed by the next range's
-    /// first, if it was; `None` at the trailer.
-    next_range: Option<u64>,
     /// Bytes passed unparsed while resyncing, over every range.
     passed: u64,
     /// The records of the current batch; `batch[next..]` have not been
@@ -372,8 +366,6 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
             tables,
             state: State::Body,
             ranks_seen: 0,
-            range_end: None,
-            next_range: None,
             passed: 0,
             batch: Vec::new(),
             next: 0,
@@ -386,12 +378,6 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
     /// the line that ended the header, where the body starts.
     pub fn offset(&self) -> u64 {
         self.lines.line_offset()
-    }
-
-    /// Where the range ended ([`AppReader::seek_range`]): at the `RANK`
-    /// line of the next range's first section, or `None` at the trailer.
-    pub fn next_range(&self) -> Option<u64> {
-        self.next_range
     }
 
     /// The bytes every [`AppReader::seek_range`] so far passed without
@@ -459,49 +445,32 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
                 Ok(Some(AppItem::RankEnd(rank)))
             }
             AppBodyLine::EndTrace => {
-                self.trailer()?;
+                check_rank_count(&self.tables, self.ranks_seen)?;
+                self.state = State::Done;
                 Ok(None)
             }
         }
     }
 
-    /// Ends the trace at its `END_TRACE`: a reader of the whole body checks
-    /// the declared rank count; one of a range leaves that to its caller.
-    fn trailer(&mut self) -> Result<(), E> {
-        if self.range_end.is_none() {
-            check_rank_count(&self.tables, self.ranks_seen)?;
-        }
-        self.state = State::Done;
-        self.next_range = None;
-        Ok(())
-    }
-
-    /// Whether a rank section of this reader's range comes next: reads the
-    /// next line between sections.  A `RANK` line that starts before the
-    /// range's end is left to be read again, as the section's start; one
-    /// at or past the end ends the range there ([`AppReader::next_range`]),
-    /// and so does the trailer.  A reader of the whole body has no end.
-    pub fn section_ahead(&mut self) -> Result<bool, E> {
+    /// Reads the next line between rank sections.  Returns the offset of
+    /// the `RANK` line there, left to be read again as its section's start,
+    /// or `None` at the trailer.  Unlike [`AppReader::next_item`], this
+    /// leaves the trailer's rank-count check to the caller: a reader of a
+    /// byte range ([`AppReader::seek_range`]) has not seen every section.
+    pub fn section_ahead(&mut self) -> Result<Option<u64>, E> {
         if !matches!(self.state, State::Body) {
-            return Ok(false);
+            return Ok(None);
         }
         let (tables, expecting) = (&self.tables, self.state.expecting());
         let parsed = self.lines.next_line(expecting, |line_no, line| {
             parse_app_body_line(tables, line_no, line, false)
         })?;
-        let at = self.lines.line_offset();
-        match parsed {
-            AppBodyLine::RankStart(_) if self.range_end.is_none_or(|end| at < end) => {
-                self.lines.replay = true;
-                Ok(true)
-            }
-            AppBodyLine::RankStart(_) => {
-                self.state = State::Done;
-                self.next_range = Some(at);
-                Ok(false)
-            }
-            _ => self.trailer().map(|()| false),
+        if let AppBodyLine::RankStart(_) = parsed {
+            self.lines.replay = true;
+            return Ok(Some(self.lines.line_offset()));
         }
+        self.state = State::Done;
+        Ok(None)
     }
 
     /// Makes `first` the first record of a new batch and parses the record
@@ -602,18 +571,18 @@ impl<R: BufRead, E: ReadError> AppReader<R, E> {
 
 impl<R: BufRead + Seek, E: ReadError> AppReader<R, E> {
     /// Reads the rank sections whose `RANK` lines start in the byte range
-    /// `range` of the body from now on, the trailer's rank-count check
-    /// left to the caller.  `resync` unless `range.start` is where a line
-    /// between sections starts (the body's start): the reader then moves
-    /// to the first line that starts in the range and passes lines, as a
-    /// skipped section's are passed, up to the first `RANK` line.  Returns
-    /// that line's offset, the range's start without `resync`, or `None`
-    /// if no `RANK` line starts in the range: its bytes are another
-    /// range's.  The sections are read with [`AppReader::section_ahead`]
-    /// and [`AppReader::next_item`], on past the range's end to finish
-    /// the last.
+    /// `range` of the body from now on.  `resync` unless `range.start` is
+    /// where a line between sections starts (the body's start): the reader
+    /// then moves to the first line that starts in the range and passes
+    /// lines, as a skipped section's are passed, up to the first `RANK`
+    /// line.  Returns that line's offset, the range's start without
+    /// `resync`, or `None` if no `RANK` line starts in the range: its bytes
+    /// are another range's.  The sections are read with
+    /// [`AppReader::section_ahead`] and [`AppReader::next_item`], on past
+    /// the range's end to finish the last, up to the first `RANK` line at
+    /// or past its end.
     pub fn seek_range(&mut self, range: Range<u64>, resync: bool) -> Result<Option<u64>, E> {
-        (self.state, self.held, self.range_end) = (State::Body, None, Some(range.end));
+        (self.state, self.held) = (State::Body, None);
         self.batch.clear();
         if !resync {
             self.lines.seek(range.start)?;

@@ -119,7 +119,7 @@ fn container_stream<G: Stage, R: Read + Send>(
     source.set_obs(recorder.shard());
     let mut stage = stage(&tables)?;
     let n = tables.declared_ranks;
-    let workers = one_worker(recorder, &mut stage, source, n)?;
+    let workers = one_worker(recorder, &mut stage, source, (0, n))?;
     Ok((stage, workers))
 }
 
@@ -203,7 +203,7 @@ impl Sections {
                 error: Box::new(error),
             })
         };
-        fan_out(recorder, stage, handles, n, section, |_, _| Ok(()))
+        fan_out(recorder, stage, handles, (0, n), section, |_, _| Ok(()))
     }
 }
 

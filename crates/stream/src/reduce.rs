@@ -510,7 +510,7 @@ mod tests {
                 sink,
             };
             let recorder = reducer.recorder();
-            let workers = one_worker(recorder, &mut stage, fake, 2)?;
+            let workers = one_worker(recorder, &mut stage, fake, (0, 2))?;
             Ok::<_, StreamError>(StreamReduction::collected((stage, workers)))
         };
         for (items, message) in [

@@ -26,8 +26,9 @@
 //! One worker reads its source in order on the calling thread: a text body
 //! is then the one range that starts where the header ended, and any
 //! [`BufRead`] will do.  Where a text range fails, or the ranges do not
-//! piece together into the declared sections, the run reads on from where
-//! the last good range ended as one worker would: so every worker count
+//! piece together into the declared sections, the run becomes one
+//! worker's: it reads the trace again from its start, drops the sections
+//! already stitched and stitches the rest, so every worker count
 //! writes the same bytes and fails with the same error, line numbers
 //! included.
 
@@ -65,12 +66,14 @@ pub(crate) type Ran<G> = (G, Vec<<G as Sink>::Worker>);
 
 /// Runs `stage` over `n` rank sections on one worker per input: `section`
 /// reads the section it is given through the worker's input, and `finish`
-/// runs after a worker's last claim.  Returns the workers' states.
+/// runs after a worker's last claim.  The sections before index `stitched`
+/// are in the stage already: they are read, for the workers' counts, and
+/// dropped.  Returns the workers' states.
 pub(crate) fn fan_out<G: Stage, I: Send>(
     recorder: &Recorder,
     stage: &mut G,
     inputs: Vec<I>,
-    n: usize,
+    (stitched, n): (usize, usize),
     section: impl Fn(&mut G::Worker, &mut I, usize) -> Result<G::Section, StreamError> + Sync,
     finish: impl Fn(&mut G::Worker, &mut I) -> Result<(), StreamError> + Sync,
 ) -> Result<Vec<G::Worker>, StreamError> {
@@ -83,7 +86,12 @@ pub(crate) fn fan_out<G: Stage, I: Send>(
         n,
         |(worker, input), index| section(worker, input, index),
         |(worker, input)| finish(worker, input),
-        |_, section| stage.stitch(section),
+        |index, section| {
+            if index < stitched {
+                return Ok(());
+            }
+            stage.stitch(section)
+        },
     )?;
     Ok(workers.into_iter().map(|(worker, _)| worker).collect())
 }
@@ -91,11 +99,12 @@ pub(crate) fn fan_out<G: Stage, I: Send>(
 /// Runs `stage` over the next `n` rank sections of `source` on the calling
 /// thread, then reads on to the trailer, passing any sections past them:
 /// the one-worker run, whose source checks the declared rank count there.
+/// The sections before index `stitched` are in the stage already.
 pub(crate) fn one_worker<G: Stage, S: AppItemSource + Send>(
     recorder: &Recorder,
     stage: &mut G,
     source: S,
-    n: usize,
+    (stitched, n): (usize, usize),
 ) -> Result<Vec<G::Worker>, StreamError> {
     let finish = |worker: &mut G::Worker, source: &mut S| {
         while next_section(source)?.is_some() {
@@ -104,7 +113,14 @@ pub(crate) fn one_worker<G: Stage, S: AppItemSource + Send>(
         G::read_out(worker, source);
         Ok(())
     };
-    fan_out(recorder, stage, vec![source], n, G::section, finish)
+    fan_out(
+        recorder,
+        stage,
+        vec![source],
+        (stitched, n),
+        G::section,
+        finish,
+    )
 }
 
 /// A text parser over `reader`, recording its batches in `recorder`.
@@ -124,27 +140,23 @@ pub(crate) fn text<G: Stage, R: BufRead + Send>(
     let source = parser(recorder, reader)?;
     let mut stage = stage(source.tables())?;
     let n = source.tables().declared_ranks;
-    let workers = one_worker(recorder, &mut stage, source, n)?;
+    let workers = one_worker(recorder, &mut stage, source, (0, n))?;
     Ok((stage, workers))
 }
 
-/// How many byte ranges a text body is cut into per worker.  Every range
-/// but the first passes the bytes from its start to its first `RANK` line,
-/// about half a section, which the range before it reads again to finish
-/// its last section: fewer ranges read fewer bytes twice.  But a worker
-/// hands over the sections of a range only once it has read them all, so
-/// more ranges hold fewer encoded sections at once, and leave less of the
-/// run to one worker at its end.  Eight per worker is two sections a range
-/// on a 32-rank trace read by two workers.
-const RANGES_PER_WORKER: usize = 8;
+/// The shortest byte range a text body is cut into while each worker has
+/// one: the text reader's block, which a shorter range reads all the same.
+/// It also bounds the ranges by the input's length, where the header may
+/// declare any rank count.
+const MIN_RANGE_BYTES: u64 = 128 * 1024;
 
 /// Runs the stage `stage` opens on a text trace's header over its rank
 /// sections, on up to `workers` workers, each reading the byte ranges it
 /// claims through its own reader from `open(worker)`.  All readers must
 /// yield the same bytes, from the trace's first.  The body is cut into
-/// `workers ×` [`RANGES_PER_WORKER`] ranges of equal length, never more
-/// than the header declares ranks; one range is the one-worker run.
-/// Every parser records its batches as `parse` spans in `recorder`.
+/// ranges of equal length, one per declared rank and none shorter than
+/// [`MIN_RANGE_BYTES`]; one range is the one-worker run.  Every parser
+/// records its batches as `parse` spans in `recorder`.
 pub(crate) fn text_ranges<G: Stage, R: BufRead + Seek + Send>(
     recorder: &Recorder,
     workers: usize,
@@ -155,9 +167,16 @@ pub(crate) fn text_ranges<G: Stage, R: BufRead + Seek + Send>(
     let len = reader.seek(SeekFrom::End(0))?;
     reader.rewind()?;
     let first = parser(recorder, reader)?;
-    let ranges = workers.saturating_mul(RANGES_PER_WORKER);
-    let ranges = ranges.clamp(1, first.tables().declared_ranks.max(1)) as u64;
-    let body = first.offset();
+    // One range per declared rank.  A worker hands a range's sections over
+    // only once it has read them all, so it holds about one section, however
+    // many ranks there are.  Every range but the first passes the bytes up
+    // to its first `RANK` line, about half a section, which the range before
+    // reads again: two ranks a range pass half as many bytes, but measured
+    // slower on `convert` and held more (EXPERIMENTS.md "Text byte ranges").
+    let (declared, body) = (first.tables().declared_ranks, first.offset());
+    let fit = usize::try_from(len.saturating_sub(body) / MIN_RANGE_BYTES);
+    let ranges = declared.min(fit.unwrap_or(usize::MAX));
+    let ranges = ranges.max(workers).clamp(1, declared.max(1)) as u64;
     let cut = len.saturating_sub(body) / ranges;
     let cuts: Vec<u64> = (1..ranges).map(|range| body + cut * range).collect();
     text_cut(recorder, first, &cuts, workers, open, stage)
@@ -182,7 +201,7 @@ pub(crate) fn text_cut<G: Stage, R: BufRead + Seek + Send>(
     starts.insert(0, body);
     let workers = workers.clamp(1, starts.len());
     if workers == 1 {
-        let workers = one_worker(recorder, &mut stage, first, n)?;
+        let workers = one_worker(recorder, &mut stage, first, (0, n))?;
         return Ok((stage, workers));
     }
     let range = |index: usize| {
@@ -192,23 +211,25 @@ pub(crate) fn text_cut<G: Stage, R: BufRead + Seek + Send>(
     let mut first = Some(first);
     let states = (0..workers).map(|id| (stage.worker(recorder), first.take(), id));
     // Where the next section starts (`None` past the trailer), the sections
-    // stitched, and, once a range has not pieced together, the sections
-    // stitched before it and the error it met.
-    let (mut next, mut done, mut failed) = (Some(body), 0, None);
+    // stitched, and whether a range did not piece together.
+    let (mut next, mut done, mut apart) = (Some(body), 0, false);
     let run = trace_obs::ordered(
         states.collect(),
         starts.len(),
         |(worker, source, id), index| {
-            let source = match source {
-                Some(source) => source,
-                None => {
-                    let mut opened = StreamParser::with_tables(open(*id)?, tables.clone());
-                    opened.set_obs(recorder.shard());
-                    source.insert(opened)
-                }
+            // A worker that cannot open the input fails its range.
+            let mut read = || {
+                let source = match source {
+                    Some(source) => source,
+                    None => {
+                        let mut opened = StreamParser::with_tables(open(*id)?, tables.clone());
+                        opened.set_obs(recorder.shard());
+                        source.insert(opened)
+                    }
+                };
+                read_range::<G, R>(worker, source, range(index), index > 0, n)
             };
-            let read = read_range::<G, R>(worker, source, range(index), index > 0, n);
-            Ok(read)
+            Ok(read())
         },
         |(worker, source, _)| {
             source.iter().for_each(|source| G::read_out(worker, source));
@@ -229,32 +250,27 @@ pub(crate) fn text_cut<G: Stage, R: BufRead + Seek + Send>(
                     (next, done) = (after, done + sections.len());
                     sections.into_iter().try_for_each(|s| stage.stitch(s))
                 }
-                read => {
-                    failed = Some((done, read.err()));
+                _ => {
+                    apart = true;
                     Err(StreamError::Protocol(APART))
                 }
             }
         },
     );
-    match (run, failed) {
-        (Ok(states), _) if next.is_none() => {
+    match run {
+        Ok(states) if next.is_none() => {
             let workers = states.into_iter().map(|(worker, _, _)| worker);
-            Ok((stage, workers.collect()))
+            return Ok((stage, workers.collect()));
         }
-        (Ok(_), _) => Err(StreamError::Protocol(APART)),
-        (Err(error), None) => Err(error),
-        // One worker reads on from the sections stitched, which it passes,
-        // and meets the error one worker meets, line numbers included.
-        (Err(_), Some((done, error))) => {
-            let mut source = parser(recorder, open(0)?)?;
-            for _ in 0..done {
-                next_section(&mut source)?;
-                source.skip_current_rank()?;
-            }
-            let rest = one_worker(recorder, &mut stage, source, n - done);
-            Err(rest.err().or(error).unwrap_or(StreamError::Protocol(APART)))
-        }
+        Err(error) if !apart => return Err(error),
+        _ => {}
     }
+    // The run is one worker's: it reads the trace from its start, drops the
+    // sections stitched, and ends as one worker ends, with its error, line
+    // numbers included, or with every section stitched once.
+    let source = parser(recorder, open(0)?)?;
+    let workers = one_worker(recorder, &mut stage, source, (done, n))?;
+    Ok((stage, workers))
 }
 
 /// Why a text run falls back to one worker: its ranges do not piece
@@ -277,23 +293,27 @@ fn read_range<G: Stage, R: BufRead + Seek>(
     resync: bool,
     n: usize,
 ) -> Result<Option<Read<G::Section>>, StreamError> {
-    let Some(first) = source.seek_range(range, resync)? else {
+    let Some(first) = source.seek_range(range.clone(), resync)? else {
         return Ok(None);
     };
     let mut sections = Vec::new();
-    while source.section_ahead()? {
-        if sections.len() == n {
-            return Err(StreamError::Protocol(APART));
+    loop {
+        match source.section_ahead()? {
+            Some(at) if at < range.end => {
+                if sections.len() == n {
+                    return Err(StreamError::Protocol(APART));
+                }
+                sections.push(G::section(worker, source, sections.len())?);
+            }
+            after => return Ok(Some((first, sections, after))),
         }
-        sections.push(G::section(worker, source, sections.len())?);
     }
-    Ok(Some((first, sections, source.next_range())))
 }
 
 /// Reduces a trace stream with `shards` worker threads (0 is treated as
 /// 1), each reading the byte ranges of the body it claims through its own
-/// reader from `open(worker_index)`: eight ranges per worker, never more
-/// than the header declares ranks (see the [module docs](self)).  All
+/// reader from `open(worker_index)`: one range per declared rank, never
+/// fewer than the workers (see the [module docs](self)).  All
 /// readers must yield the same bytes, from the trace's first.  Worker 0 is
 /// the calling thread, and a panicking worker is a
 /// [`StreamError::Protocol`].
@@ -315,10 +335,11 @@ where
 mod tests {
     use super::*;
     use crate::parser::{AppItem, BATCH_RECORDS};
-    use crate::reduce::reduce_stream;
+    use crate::reduce::{reduce_stream, StreamStats};
     use crate::reduce_container_stream;
     use crate::sink::{OutputFormat, TraceWriter, WrittenReduction};
     use std::io::{Cursor, Read};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use std::sync::Mutex;
     use std::thread::{self, ThreadId};
     use trace_container::{encode_app_container, ChunkSpec};
@@ -542,7 +563,7 @@ mod tests {
             sink,
         };
         let recorder = reducer.recorder();
-        let Err(err) = one_worker(recorder, &mut stage, source, 1) else {
+        let Err(err) = one_worker(recorder, &mut stage, source, (0, 1)) else {
             panic!("a rank start inside a rank section went through");
         };
         assert!(
@@ -577,6 +598,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_range_that_fails_where_one_worker_reads_on_is_no_error() {
+        // Only the calling thread's reader opens, so a range the other
+        // worker claims fails, and the run is one worker's: every section
+        // and every count, none twice.
+        let app = Workload::new(WorkloadKind::DynLoadBalance, SizePreset::Tiny).generate();
+        let text = write_app_trace(&app).into_bytes();
+        let reducer = Reducer::with_default_threshold(Method::AvgWave);
+        let recorder = reducer.recorder();
+        let expected = reduce_stream(&reducer, Cursor::new(&text)).unwrap();
+        let len = text.len() as u64;
+        let cuts: Vec<u64> = (1..8).map(|cut| len * cut / 8).collect();
+        let refused = AtomicUsize::new(0);
+        let open = |id| match id {
+            0 => Ok(Cursor::new(&text[..])),
+            _ => {
+                refused.fetch_add(1, Relaxed);
+                Err(io::Error::other("no second file handle"))
+            }
+        };
+        // The other worker may claim no range, or only ranges that hold no
+        // section: then the ranges pass bytes, which one worker does not.
+        for _ in 0..100 {
+            let first = parser(recorder, Cursor::new(&text[..])).unwrap();
+            let stage = Reduce::opening(&reducer, Collect::open);
+            let run = text_cut(recorder, first, &cuts, 2, open, stage).unwrap();
+            let run = StreamReduction::collected(run);
+            assert_eq!(run.reduced, expected.reduced);
+            let passed = run.stats.passed_bytes;
+            let stats = StreamStats {
+                passed_bytes: 0,
+                ..run.stats
+            };
+            assert_eq!(stats, expected.stats);
+            if passed == 0 {
+                assert!(refused.load(Relaxed) > 0);
+                return;
+            }
+        }
+        panic!("the second worker never failed a range");
     }
 
     #[test]
