@@ -169,15 +169,16 @@ pub(crate) fn store_app_trace(
 /// Streams a trace read from `input` into `path` atomically: `stream`
 /// writes it into the sink it is given, in the format the path's extension
 /// names (text, or a v2 container under `spec`), as it goes — a reduction
-/// or a conversion.  The stream opens `input` once per worker, so an input
-/// that exists and is not a regular file (a pipe, a device) is refused
-/// before anything is read or written.  What is wrong with `input` reads
-/// as it does from [`load_app_trace`], however far the output got; a
-/// failing sink reads as a failed write; either way no partial output is
-/// left.  The writer records each section it writes, and the index and
-/// trailer, as [`trace_obs::Stage::Store`] spans; the flush and rename
-/// here are one more.  Returns what `stream` returned and the number of
-/// bytes written.
+/// or a conversion.  The stream opens `input` more than once (once to read
+/// its magic bytes, then once per worker, and a text worker reads only the
+/// byte ranges it claims), so an input that exists and is not a regular
+/// file (a pipe, a device) is refused before anything is read or written.
+/// What is wrong with `input` reads as it does from [`load_app_trace`],
+/// however far the output got; a failing sink reads as a failed write;
+/// either way no partial output is left.  The writer records each section
+/// it writes, and the index and trailer, as [`trace_obs::Stage::Store`]
+/// spans; the flush and rename here are one more.  Returns what `stream`
+/// returned and the number of bytes written.
 pub(crate) fn stream_into_file<T>(
     input: &Path,
     path: &Path,
@@ -187,8 +188,9 @@ pub(crate) fn stream_into_file<T>(
 ) -> Result<(T, usize), String> {
     if fs::metadata(input).is_ok_and(|meta| !meta.is_file()) {
         return Err(format!(
-            "{} is not a regular file: the input is read once per worker, so it must be a \
-             file that can be opened again, not a pipe or a device",
+            "{} is not a regular file: the input is opened more than once (for its magic \
+             bytes, then by every worker), so it must be a file that can be opened again, \
+             not a pipe or a device",
             input.display()
         ));
     }

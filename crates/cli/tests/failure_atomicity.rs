@@ -487,10 +487,11 @@ fn a_retired_v1_file_is_refused_by_every_reader_and_leaves_no_output() {
 
 #[test]
 fn a_non_regular_input_is_refused_before_anything_is_written() {
-    // `reduce` and `convert` open their input once per worker, so a pipe
-    // would give each open what the one before left of it.  A device and a
-    // directory are refused alike, before the input is read or the output
-    // touched: every Linux host has `/dev/null`, and every host a temp dir.
+    // `reduce` and `convert` open their input more than once (for its magic
+    // bytes, then by every worker), so a pipe would give each open what the
+    // one before left of it.  A device and a directory are refused alike,
+    // before the input is read or the output touched: every Linux host has
+    // `/dev/null`, and every host a temp dir.
     let mut inputs = vec![std::env::temp_dir()];
     inputs.extend(Some(PathBuf::from("/dev/null")).filter(|path| path.exists()));
     for input in &inputs {
@@ -512,7 +513,7 @@ fn a_non_regular_input_is_refused_before_anything_is_written() {
                 let err = run(&Invocation::new(command, &flags)).unwrap_err();
                 let refusal = format!("{from} is not a regular file: ");
                 assert!(err.starts_with(&refusal), "{what}: {err}");
-                assert!(err.contains("read once per worker"), "{what}: {err}");
+                assert!(err.contains("opened more than once"), "{what}: {err}");
                 assert_eq!(std::fs::read(&target).unwrap(), b"previous output");
                 assert_eq!(temp_siblings(&target), Vec::<String>::new(), "{what}");
             }

@@ -2,9 +2,7 @@
 //! for containers: for every input below, the reduction — every
 //! `StreamStats` field included — or the error, variant and message.  The
 //! numbers and messages were recorded from a reducer reading its source on
-//! its own thread, which is what a one-worker run does, and they held
-//! while such a run decoded its input ahead on a second thread: how the
-//! one worker reads its source changes nothing here.
+//! its own thread, which is what a one-worker run does.
 //!
 //! The inputs: the 18 tiny workloads; the text parser's hostile set (a
 //! malformed line at either side of a batch boundary, an I/O error at byte
@@ -599,7 +597,7 @@ fn hostile_containers_give_the_same_error_or_reduction() {
     // outcome on two, too.
     for (what, bytes) in [&cases[0], &cases[4]] {
         let mut path = std::env::temp_dir();
-        path.push(format!("decode_ahead_{}_{what}.trc", std::process::id()));
+        path.push(format!("one_worker_{}_{what}.trc", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
         let sharded = reduce_container_file(&reducer(), &path, 2);
         let _ = std::fs::remove_file(&path);

@@ -2,14 +2,17 @@
 //! Workspace automation tasks, chiefly `xtask lint`: an in-house
 //! static-analysis pass enforcing the workspace's three invariant families —
 //! panic-freedom on decode surfaces, determinism in reduction-output crates,
-//! and crate hygiene.  See `docs/static-analysis.md` for the rule catalogue
-//! and the escape-hatch policy.
+//! and crate hygiene — and the structural guards that keep retired designs
+//! retired.  See `docs/static-analysis.md` for the rule catalogue, the guard
+//! table and the escape-hatch policy.
 //!
 //! The pass is deliberately self-contained (no `syn`, no registry
 //! dependencies): `lexer` tokenizes Rust source, [`surface`] classifies
-//! files, [`rules`] runs the token-level checks, and [`report`] renders the
-//! outcome for humans and for the CI artifact.
+//! files, [`rules`] runs the token-level checks, [`guards`] holds the table
+//! of retired designs, and [`report`] renders the outcome for humans and
+//! for the CI artifact.
 
+pub mod guards;
 pub(crate) mod lexer;
 pub mod report;
 pub mod rules;
@@ -24,34 +27,38 @@ use report::{FileAllow, FileViolation, Report};
 /// Directory names never descended into during the workspace walk.
 const SKIP_DIRS: &[&str] = &[".git", "target", "vendor", "node_modules"];
 
-/// Lints every in-scope `.rs` file under `root` (a workspace checkout) and
-/// returns the combined report.
+/// Lints every in-scope `.rs` file under `root` (a workspace checkout),
+/// runs the guard table over every `.rs` file and manifest, and returns the
+/// combined report.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
+    let mut paths = Vec::new();
+    collect_source_files(root, root, &mut paths)?;
+    paths.sort();
     let mut report = Report::default();
-    for rel in files {
-        let Some(class) = surface::classify(&rel) else {
-            continue;
-        };
+    let mut sources = Vec::with_capacity(paths.len());
+    for rel in paths {
         let source = fs::read_to_string(root.join(&rel))?;
-        report.files_scanned += 1;
-        let findings = rules::lint_source(&source, class);
         let file = rel.to_string_lossy().replace('\\', "/");
-        for violation in findings.violations {
-            report.violations.push(FileViolation {
-                file: file.clone(),
-                violation,
-            });
+        if let Some(class) = surface::classify(&rel) {
+            report.files_scanned += 1;
+            let findings = rules::lint_source(&source, class);
+            for violation in findings.violations {
+                report.violations.push(FileViolation {
+                    file: file.clone(),
+                    violation,
+                });
+            }
+            for allow in findings.allows {
+                report.allows.push(FileAllow {
+                    file: file.clone(),
+                    allow,
+                });
+            }
         }
-        for allow in findings.allows {
-            report.allows.push(FileAllow {
-                file: file.clone(),
-                allow,
-            });
-        }
+        sources.push((file, source));
     }
+    let exists = |path: &str| root.join(path).exists();
+    report.violations.extend(guards::lint(&sources, &exists));
     report
         .violations
         .sort_by(|a, b| (&a.file, a.violation.line).cmp(&(&b.file, b.violation.line)));
@@ -61,7 +68,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     Ok(report)
 }
 
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Collects every `.rs` file and `Cargo.toml` under `dir`, relative to
+/// `root`, skipping [`SKIP_DIRS`] and hidden directories.
+fn collect_source_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -71,8 +80,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
             if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            collect_rs_files(root, &path, out)?;
-        } else if name.ends_with(".rs") {
+            collect_source_files(root, &path, out)?;
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             if let Ok(rel) = path.strip_prefix(root) {
                 out.push(rel.to_path_buf());
             }

@@ -27,6 +27,7 @@ pub const RULE_NAMES: &[&str] = &[
     "dbg",
     "bad_allow",
     "unused_allow",
+    crate::guards::RULE,
 ];
 
 /// One rule violation in one file.

@@ -5,6 +5,7 @@
 
 use std::path::Path;
 
+use xtask::guards;
 use xtask::rules::{lint_source, RULE_NAMES};
 use xtask::surface::FileClass;
 
@@ -68,7 +69,9 @@ fn every_rule_fires_on_its_fixture() {
 
 #[test]
 fn the_corpus_covers_every_rule() {
-    for &rule in RULE_NAMES {
+    // The guard rows lint the workspace, not one file: each carries its
+    // own inline fixtures in `guard_rows.rs`, which checks them all.
+    for &rule in RULE_NAMES.iter().filter(|&&rule| rule != guards::RULE) {
         assert!(
             CASES.iter().any(|&(_, r, _)| r == rule),
             "rule `{rule}` has no fixture in tests/fixtures/"
