@@ -248,7 +248,8 @@ pub struct MatchStats {
     /// Comparisons that accepted (always via a completed kernel).
     pub matches: usize,
     /// Candidates skipped unvisited because they fell outside the index's
-    /// sorted center window.
+    /// sorted center window or, for relDiff and absDiff, failed the
+    /// second-coordinate filter inside it.
     pub index_window_prunes: usize,
     /// Total same-shape stored candidates eligible across all queries (the
     /// summed bucket sizes), regardless of how each scan terminated: a

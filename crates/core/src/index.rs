@@ -12,11 +12,17 @@
 //!
 //! * **Duration-sorted window.**  Entries are kept sorted by a per-method
 //!   *center* (segment duration for the measurement-vector methods, the
-//!   leading "overall trend" coefficient for the wavelet methods) so the
-//!   exact per-candidate duration lower bound of the cached kernels becomes
-//!   one binary-search window per incoming segment.  The window is widened
-//!   conservatively (see below), so it only ever excludes candidates the
-//!   kernel provably rejects.
+//!   leading "overall trend" coefficient for the wavelet methods), held as
+//!   order-preserving `i64` keys, so the exact per-candidate duration lower
+//!   bound of the cached kernels becomes two integer binary searches per
+//!   incoming segment.  The window is widened conservatively (see below),
+//!   so it only ever excludes candidates the kernel provably rejects.
+//! * **Second-coordinate filter.**  relDiff and absDiff test each
+//!   measurement pair on its own against a fixed bound, so marking drops a
+//!   window entry whose second pair (the first event's start) fails the
+//!   kernel's own test of it: the same expression, so it needs no slack.
+//!   The Minkowski and wavelet bounds scale with the candidate's extent, so
+//!   no one pair decides them.
 //! * **Insertion-order survivors.**  The window's entries are marked in a
 //!   bitset over entry positions and visited in ascending position, which
 //!   is insertion order, without sorting the window.
@@ -55,7 +61,7 @@
 //! normalized with `+ 0.0` (so `-0.0` and `0.0` compare equal), ties broken
 //! by insertion position, and survivors are visited by insertion position.
 
-use std::cmp::Ordering;
+use trace_model::stats::relative_difference;
 
 use crate::features::{distance_error_factor, MatchStats, SegmentFeatures};
 use crate::method::{Method, MethodConfig};
@@ -77,25 +83,22 @@ const WINDOW_SLACK: f64 = 1e-12;
 /// representatives.
 const SCAN_MIN_BUCKET: usize = 8;
 
-/// One indexed stored representative.
-#[derive(Clone, Debug)]
-struct IndexEntry {
-    /// Stored-representative id (index into the reducer's feature table).
-    id: u32,
-    /// Sort key: duration (measurement methods) or leading wavelet
-    /// coefficient, normalized so `-0.0` sorts as `0.0`.
-    center: f64,
-}
-
 /// Center-sorted candidate index for one same-shape bucket.
 ///
-/// Insertion order of entries mirrors the bucket's stored order, which is
-/// the order [`CandidateIndex::find_first`] visits survivors in.
+/// An entry's position is its place in the bucket's id list, the stored
+/// order [`CandidateIndex::find_first`] visits survivors in.  The three
+/// vectors below run in center order, ties by position.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CandidateIndex {
-    /// Entries in insertion (stored) order.
-    entries: Vec<IndexEntry>,
-    /// Entry positions sorted by `(center, position)` ascending.
+    /// Each entry's center — duration (measurement methods) or leading
+    /// wavelet coefficient, normalized so `-0.0` sorts as `0.0` — as its
+    /// order-preserving integer key ([`key_of`]).
+    keys: Vec<i64>,
+    /// Each entry's second measurement ([`second_of`]).  Only the relDiff
+    /// and absDiff filter reads it; it is kept for every method so that
+    /// one marking loop serves all.
+    seconds: Vec<f64>,
+    /// Entry positions.
     order: Vec<u32>,
     /// Largest `extent - center` over all entries, the extent being the
     /// scale the threshold multiplies (largest measurement / largest
@@ -109,33 +112,34 @@ pub(crate) struct CandidateIndex {
 }
 
 impl CandidateIndex {
-    /// Indexes the stored representative `id`, whose features are
-    /// `features`.  Must be called in stored order.
-    pub(crate) fn insert(&mut self, id: u32, method: Method, features: &SegmentFeatures) {
+    /// Indexes the next stored representative of the bucket, whose
+    /// features are `features`.  Must be called in stored order.
+    pub(crate) fn insert(&mut self, method: Method, features: &SegmentFeatures) {
         let center = center_of(method, features) + 0.0;
         self.max_excess = self.max_excess.max(extent_of(method, features) - center);
-        let position = self.entries.len() as u32;
-        let at = self.order.partition_point(|&p| {
-            self.entries[p as usize].center.total_cmp(&center) != Ordering::Greater
-        });
-        self.order.insert(at, position);
-        self.entries.push(IndexEntry { id, center });
+        let key = key_of(center);
+        let at = self.keys.partition_point(|&k| k <= key);
+        self.keys.insert(at, key);
+        self.seconds.insert(at, second_of(features));
+        self.order.insert(at, self.order.len() as u32);
     }
 
-    /// Finds the first stored representative (in insertion order) that
-    /// `try_match` accepts, pruning candidates the center window proves
-    /// unmatchable.  `buf` is a reusable scratch buffer for the surviving
-    /// positions' bitset.
+    /// Finds the first of the bucket's stored representatives `ids` (in
+    /// insertion order) that `try_match` accepts, pruning candidates the
+    /// center window or the second-coordinate filter proves unmatchable.
+    /// `buf` is a reusable scratch buffer for the surviving positions'
+    /// bitset.
     ///
-    /// Counter contract: candidates the window skipped are counted into
-    /// [`MatchStats::index_window_prunes`]; `try_match` itself counts the
-    /// visited comparisons.  Together they reconstruct exactly the number
-    /// of candidates a linear scan would have examined
+    /// Counter contract: candidates the window or the filter skipped are
+    /// counted into [`MatchStats::index_window_prunes`]; `try_match` itself
+    /// counts the visited comparisons.  Together they reconstruct exactly
+    /// the number of candidates a linear scan would have examined
     /// ([`MatchStats::candidates`]), including the truncation at the first
     /// match.  Buckets below [`SCAN_MIN_BUCKET`] degenerate to that linear
     /// scan outright (no prunes attributed) — the identity holds trivially.
     pub(crate) fn find_first<F>(
         &self,
+        ids: &[u32],
         config: &MethodConfig,
         incoming: &SegmentFeatures,
         stats: &mut MatchStats,
@@ -145,40 +149,35 @@ impl CandidateIndex {
     where
         F: FnMut(u32, &mut MatchStats) -> bool,
     {
-        let total = self.entries.len();
+        let total = ids.len();
         if total < SCAN_MIN_BUCKET {
             // Small bucket: the prefiltered kernel is cheaper per candidate
             // than any window arithmetic.  Plain insertion-order scan; the
             // kernel counts its comparisons, nothing is attributed to the
             // index, and `candidates()` degenerates to `comparisons`.
-            return self
-                .entries
-                .iter()
-                .find(|entry| try_match(entry.id, stats))
-                .map(|entry| entry.id);
+            return ids.iter().copied().find(|&id| try_match(id, stats));
         }
         let (lo, hi) = self.center_window(config, incoming);
-        let begin = match lo {
-            Some(lo) => self.order.partition_point(|&p| {
-                self.entries[p as usize].center.total_cmp(&lo) == Ordering::Less
-            }),
-            None => 0,
-        };
-        let end = match hi {
-            Some(hi) => self.order.partition_point(|&p| {
-                self.entries[p as usize].center.total_cmp(&hi) != Ordering::Greater
-            }),
-            None => total,
-        };
+        let begin = lo
+            .map(key_of)
+            .map_or(0, |lo| self.keys.partition_point(|&k| k < lo));
+        let end = hi
+            .map(key_of)
+            .map_or(total, |hi| self.keys.partition_point(|&k| k <= hi));
         // The survivors as a bitset over entry positions, walked in
         // ascending position == insertion order: first-match semantics
         // depend on visiting survivors in this order.  Marking costs one
         // bit per survivor and the walk one word per 64 entries, so no
-        // window is ever sorted.
+        // window is ever sorted.  relDiff and absDiff mark only entries
+        // whose second pair passes the kernel's own test of it.
         buf.clear();
         buf.resize(total.div_ceil(64), 0);
-        for &p in &self.order[begin..end] {
-            buf[p as usize / 64] |= 1 << (p % 64);
+        let (order, seconds) = (&self.order[begin..end], &self.seconds[begin..end]);
+        let (x, t) = (second_of(incoming), config.threshold);
+        match config.method {
+            Method::RelDiff => mark(buf, order, seconds, |y| relative_difference(x, y) <= t),
+            Method::AbsDiff => mark(buf, order, seconds, |y| (x - y).abs() <= abs_diff_limit(t)),
+            _ => mark(buf, order, seconds, |_| true),
         }
         let mut visited = 0;
         for (word, &bits) in buf.iter().enumerate() {
@@ -186,7 +185,7 @@ impl CandidateIndex {
             while bits != 0 {
                 let position = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let id = self.entries[position].id;
+                let id = ids[position];
                 if try_match(id, stats) {
                     // A linear scan would have examined every candidate up
                     // to and including this position; attribute the
@@ -263,6 +262,29 @@ impl CandidateIndex {
     }
 }
 
+/// Marks in `buf` the positions of `order` whose second measurement (the
+/// same index of `seconds`) `keep` accepts, with a branch-free `|=` of 0
+/// or 1: most entries fail the filter, so a branch would mispredict.
+fn mark(buf: &mut [u64], order: &[u32], seconds: &[f64], keep: impl Fn(f64) -> bool) {
+    for (&p, &y) in order.iter().zip(seconds) {
+        buf[p as usize / 64] |= u64::from(keep(y)) << (p % 64);
+    }
+}
+
+/// The integer image of `center` that orders as [`f64::total_cmp`] does:
+/// the transform `total_cmp` applies to the bits before comparing them.
+fn key_of(center: f64) -> i64 {
+    let bits = center.to_bits() as i64;
+    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// The second coordinate of the measurement vector, the first event's
+/// start; the duration when the segment has no event (the kernel tests
+/// that pair too).
+fn second_of(features: &SegmentFeatures) -> f64 {
+    *features.measurements.get(1).unwrap_or(&features.duration)
+}
+
 /// Moves a lower endpoint down by the relative [`WINDOW_SLACK`] (works for
 /// negative endpoints too).
 fn widen_lo(x: f64) -> f64 {
@@ -326,6 +348,21 @@ mod tests {
             .collect()
     }
 
+    /// Same-shape segments whose first event's start (the second
+    /// measurement) steps by 13 ns in a shuffled order while the duration
+    /// (the center) cycles through six values 40 ns apart.
+    fn two_key_family() -> Vec<Segment> {
+        (0..24u64)
+            .map(|i| {
+                segment(
+                    (10 + 13 * (i * 7 % 24), 400),
+                    (500, 900),
+                    1_000 + 40 * (i % 6),
+                )
+            })
+            .collect()
+    }
+
     fn distance_methods() -> [Method; 7] {
         [
             Method::RelDiff,
@@ -338,6 +375,15 @@ mod tests {
         ]
     }
 
+    /// The index over `features` in stored order, and the bucket's ids.
+    fn index_of(config: &MethodConfig, features: &[SegmentFeatures]) -> (CandidateIndex, Vec<u32>) {
+        let mut index = CandidateIndex::default();
+        for f in features {
+            index.insert(config.method, f);
+        }
+        (index, (0..features.len() as u32).collect())
+    }
+
     /// Drives the index and a plain scan over the same stored set and
     /// asserts the identical winner for every probe.
     fn assert_index_matches_scan(method: Method, threshold: f64, family: &[Segment]) {
@@ -346,16 +392,14 @@ mod tests {
             .iter()
             .map(|s| SegmentFeatures::for_config(&config, s))
             .collect();
-        let mut index = CandidateIndex::default();
-        for id in 0..family.len() as u32 {
-            index.insert(id, config.method, &features[id as usize]);
-        }
+        let (index, ids) = index_of(&config, &features);
         let mut buf = Vec::new();
         for probe in &features {
             let mut stats = MatchStats::default();
-            let indexed = index.find_first(&config, probe, &mut stats, &mut buf, |id, stats| {
-                segments_match_cached(&config, probe, &features[id as usize], stats)
-            });
+            let indexed =
+                index.find_first(&ids, &config, probe, &mut stats, &mut buf, |id, stats| {
+                    segments_match_cached(&config, probe, &features[id as usize], stats)
+                });
             let mut scan_stats = MatchStats::default();
             let scanned = (0..family.len() as u32).find(|&id| {
                 segments_match_cached(&config, probe, &features[id as usize], &mut scan_stats)
@@ -407,47 +451,62 @@ mod tests {
 
     #[test]
     fn window_excludes_only_kernel_rejected_candidates() {
-        // Every candidate the window drops must be one the kernel rejects:
-        // verify by checking the full cross product.
-        let family = scaled_family(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512]);
-        for method in distance_methods() {
-            for threshold in [0.01, 0.2, 0.9] {
-                let config = MethodConfig::new(method, threshold);
-                let features: Vec<SegmentFeatures> = family
-                    .iter()
-                    .map(|s| SegmentFeatures::for_config(&config, s))
-                    .collect();
-                let mut index = CandidateIndex::default();
-                for id in 0..family.len() as u32 {
-                    index.insert(id, config.method, &features[id as usize]);
-                }
-                let mut buf = Vec::new();
-                for probe in &features {
-                    let mut stats = MatchStats::default();
-                    let mut visited = Vec::new();
-                    index.find_first(&config, probe, &mut stats, &mut buf, |id, stats| {
-                        visited.push(id);
-                        // Never accept, so every survivor is visited.
-                        segments_match_cached(&config, probe, &features[id as usize], stats);
-                        false
-                    });
-                    for id in 0..family.len() as u32 {
-                        if !visited.contains(&id) {
-                            let mut s = MatchStats::default();
-                            assert!(
-                                !segments_match_cached(
+        // Every candidate the window or the second-coordinate filter drops
+        // must be one the kernel rejects: verify by checking the full cross
+        // product.  In the scaled family every coordinate moves with the
+        // center, so the filter never decides there; in the two-key family
+        // the first event's start varies apart from the duration, and a
+        // dropped candidate of the probe's own duration (inside any window)
+        // is one the filter dropped.
+        let mut filtered = 0;
+        for family in [
+            scaled_family(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512]),
+            two_key_family(),
+        ] {
+            for method in distance_methods() {
+                for threshold in [0.01, 0.2, 0.9] {
+                    let config = MethodConfig::new(method, threshold);
+                    let features: Vec<SegmentFeatures> = family
+                        .iter()
+                        .map(|s| SegmentFeatures::for_config(&config, s))
+                        .collect();
+                    let (index, ids) = index_of(&config, &features);
+                    let mut buf = Vec::new();
+                    for probe in &features {
+                        let mut stats = MatchStats::default();
+                        let mut visited = Vec::new();
+                        index.find_first(
+                            &ids,
+                            &config,
+                            probe,
+                            &mut stats,
+                            &mut buf,
+                            |id, stats| {
+                                visited.push(id);
+                                // Never accept, so every survivor is visited.
+                                segments_match_cached(
                                     &config,
                                     probe,
                                     &features[id as usize],
-                                    &mut s
-                                ),
+                                    stats,
+                                );
+                                false
+                            },
+                        );
+                        for id in (0..family.len() as u32).filter(|id| !visited.contains(id)) {
+                            let stored = &features[id as usize];
+                            let mut s = MatchStats::default();
+                            assert!(
+                                !segments_match_cached(&config, probe, stored, &mut s),
                                 "{method} at {threshold}: pruned candidate {id} actually matches"
                             );
+                            filtered += usize::from(stored.duration == probe.duration);
                         }
                     }
                 }
             }
         }
+        assert!(filtered > 0, "the filter decided nothing");
     }
 
     #[test]
@@ -457,7 +516,7 @@ mod tests {
         let mut stats = MatchStats::default();
         let mut buf = Vec::new();
         let probe = SegmentFeatures::for_config(&config, &segment((1, 2), (3, 4), 5));
-        let found = index.find_first(&config, &probe, &mut stats, &mut buf, |_, _| true);
+        let found = index.find_first(&[], &config, &probe, &mut stats, &mut buf, |_, _| true);
         assert_eq!(found, None);
         assert_eq!(stats, MatchStats::default());
     }
@@ -470,21 +529,28 @@ mod tests {
             .iter()
             .map(|s| SegmentFeatures::for_config(&config, s))
             .collect();
-        let mut index = CandidateIndex::default();
-        for id in 0..family.len() as u32 {
-            index.insert(id, config.method, &features[id as usize]);
-        }
+        let (index, ids) = index_of(&config, &features);
         let mut buf = Vec::new();
         // Querying twice with the same probe must give the same answer and
         // the same per-query counter deltas.
         let mut first = MatchStats::default();
-        let a = index.find_first(&config, &features[3], &mut first, &mut buf, |id, s| {
-            segments_match_cached(&config, &features[3], &features[id as usize], s)
-        });
+        let a = index.find_first(
+            &ids,
+            &config,
+            &features[3],
+            &mut first,
+            &mut buf,
+            |id, s| segments_match_cached(&config, &features[3], &features[id as usize], s),
+        );
         let mut second = MatchStats::default();
-        let b = index.find_first(&config, &features[3], &mut second, &mut buf, |id, s| {
-            segments_match_cached(&config, &features[3], &features[id as usize], s)
-        });
+        let b = index.find_first(
+            &ids,
+            &config,
+            &features[3],
+            &mut second,
+            &mut buf,
+            |id, s| segments_match_cached(&config, &features[3], &features[id as usize], s),
+        );
         assert_eq!(a, b);
         assert_eq!(first, second);
     }

@@ -251,11 +251,13 @@ impl OnlineRankReducer {
                 let incoming = &*incoming;
                 let features = &self.features;
                 stats.eligible += bucket.ids.len();
+                let try_match = |id: u32, stats: &mut MatchStats| {
+                    segments_match_cached(&config, incoming, &features[id as usize], stats)
+                };
+                let ids = &bucket.ids;
                 bucket
                     .index
-                    .find_first(&config, incoming, stats, index_buf, |id, stats| {
-                        segments_match_cached(&config, incoming, &features[id as usize], stats)
-                    })
+                    .find_first(ids, &config, incoming, stats, index_buf, try_match)
             }
         };
 
@@ -276,7 +278,7 @@ impl OnlineRankReducer {
                 if is_distance {
                     let span = obs.start();
                     let features = self.scratch.clone_incoming();
-                    bucket.index.insert(id, config.method, &features);
+                    bucket.index.insert(config.method, &features);
                     self.features.push(features);
                     obs.end(trace_obs::Stage::Index, span);
                 }

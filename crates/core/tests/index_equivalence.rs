@@ -156,21 +156,21 @@ fn fast_path_matches_the_predicate_reducer_for_distance_methods() {
     }
 }
 
-/// Builds a one-rank trace where every segment holds a single compute
-/// event spanning the whole segment, so all segments share one
-/// [`trace_model::SegmentKey`] (one candidate bucket) and the measurement
-/// vector is `(d, 0, d)` for a duration of `d` nanoseconds.
-fn rank_of_durations(durations_ns: &[u64]) -> AppTrace {
+/// Builds a one-rank trace of `(start, duration)` segments, in
+/// nanoseconds: each holds one compute event from `start` to the segment's
+/// end, so all segments share one [`trace_model::SegmentKey`] (one
+/// candidate bucket) and the measurement vector is `(d, start, d)`.
+fn rank_of_starts(spans: &[(u64, u64)]) -> AppTrace {
     let mut app = AppTrace::new("ordering", 1);
     let region = app.regions.intern("kernel");
     let context = app.contexts.intern("loop.main");
     let rank = &mut app.ranks[0];
     let mut now = 0u64;
-    for &d in durations_ns {
+    for &(start, d) in spans {
         rank.begin_segment(context, Time::from_nanos(now));
         rank.push_event(Event::compute(
             region,
-            Time::from_nanos(now),
+            Time::from_nanos(now + start),
             Time::from_nanos(now + d),
         ));
         rank.end_segment(context, Time::from_nanos(now + d));
@@ -179,16 +179,32 @@ fn rank_of_durations(durations_ns: &[u64]) -> AppTrace {
     app
 }
 
+/// [`rank_of_starts`] with every event spanning its whole segment, so the
+/// measurement vector is `(d, 0, d)`.
+fn rank_of_durations(durations_ns: &[u64]) -> AppTrace {
+    let spans: Vec<(u64, u64)> = durations_ns.iter().map(|&d| (0, d)).collect();
+    rank_of_starts(&spans)
+}
+
 /// A rebased standalone segment matching the shape produced by
-/// [`rank_of_durations`], for probing metrics directly with
+/// [`rank_of_starts`], for probing metrics directly with
 /// [`trace_reduce::segments_match`].
-fn segment_of_duration(d: u64) -> trace_model::Segment {
+fn segment_of_start(start: u64, d: u64) -> trace_model::Segment {
     trace_model::Segment {
         context: trace_model::ContextId(0),
         start: Time::ZERO,
         end: Time::from_nanos(d),
-        events: vec![Event::compute(RegionId(0), Time::ZERO, Time::from_nanos(d))],
+        events: vec![Event::compute(
+            RegionId(0),
+            Time::from_nanos(start),
+            Time::from_nanos(d),
+        )],
     }
+}
+
+/// [`segment_of_start`] for [`rank_of_durations`]' shape.
+fn segment_of_duration(d: u64) -> trace_model::Segment {
+    segment_of_start(0, d)
 }
 
 /// Finds a threshold at which the two stored candidates `a` and `b` do
@@ -341,6 +357,81 @@ fn threshold_boundary_decisions_survive_the_index() {
         for threshold in thresholds {
             let config = MethodConfig::new(method, threshold);
             assert_equivalent(config, &app, &format!("{method} at {threshold}"));
+        }
+    }
+}
+
+/// The smallest threshold at which the naive predicate of `method` accepts
+/// `a` against `b`, stepped ulp by ulp from `estimate`.
+fn boundary_threshold(
+    method: Method,
+    a: &trace_model::Segment,
+    b: &trace_model::Segment,
+    estimate: f64,
+) -> f64 {
+    let accepts = |t: f64| trace_reduce::segments_match(&MethodConfig::new(method, t), a, b);
+    let mut t = estimate;
+    while !accepts(t) {
+        t = t.next_up();
+    }
+    while accepts(t.next_down()) {
+        t = t.next_down();
+    }
+    t
+}
+
+#[test]
+fn second_coordinate_filter_decides_at_the_threshold_ulp() {
+    // One duration, so the center window admits the whole family and only
+    // the first event's start (the second measurement) tells its members
+    // apart.  The starts double, so no two members match at the small
+    // thresholds below and all are stored behind the pads.  A probe `gap`
+    // ns from member `j` then meets members 0..j, which the relDiff and
+    // absDiff filter must drop unvisited, before member j, which it must
+    // keep at the boundary threshold (the kernel's test holds with
+    // equality) and drop one ulp below it.  The absDiff gaps are exact
+    // binary multiples of 1 µs, so the limit equals the gap exactly.
+    const D: u64 = 10_000_000;
+    let starts: Vec<u64> = (0..8).map(|k| 20_000u64 << k).collect();
+    for method in [Method::RelDiff, Method::AbsDiff] {
+        for (j, probe_start) in [
+            (3, 160_000 + 2_000),
+            (5, 640_000 - 1_000),
+            (7, 2_560_000 + 500),
+        ] {
+            let mut spans: Vec<(u64, u64)> = ORDER_PADS.iter().map(|&pad| (0, pad)).collect();
+            spans.extend(starts.iter().map(|&s| (s, D)));
+            spans.push((probe_start, D));
+            let app = rank_of_starts(&spans);
+            let (probe, member) = (
+                segment_of_start(probe_start, D),
+                segment_of_start(starts[j], D),
+            );
+            let gap = probe_start.abs_diff(starts[j]) as f64;
+            let estimate = match method {
+                Method::RelDiff => gap / probe_start.max(starts[j]) as f64,
+                _ => gap / 1_000.0,
+            };
+            let boundary = boundary_threshold(method, &probe, &member, estimate);
+            let member_id = (ORDER_PADS.len() + j) as u32;
+            for (threshold, winner) in [
+                (boundary.next_down(), None),
+                (boundary, Some(member_id)),
+                (boundary.next_up(), Some(member_id)),
+            ] {
+                let config = MethodConfig::new(method, threshold);
+                let context = format!("{method} at {threshold:e}, probe {probe_start}");
+                assert_equivalent(config, &app, &context);
+                let reduced = Reducer::new(config).reduce_rank(&app.ranks[0]).reduced;
+                let stored = spans.len() - 1 + usize::from(winner.is_none());
+                assert_eq!(reduced.stored_count(), stored, "{context}");
+                let probe_exec = reduced.execs[spans.len() - 1].segment;
+                assert_eq!(
+                    probe_exec,
+                    winner.unwrap_or(spans.len() as u32 - 1),
+                    "{context}"
+                );
+            }
         }
     }
 }

@@ -17,10 +17,11 @@ pub const MATCH_EARLY_ABANDONS: &str = "match.early_abandons";
 pub const MATCH_FULL_KERNELS: &str = "match.full_kernels";
 /// Comparisons that accepted.
 pub const MATCH_MATCHES: &str = "match.matches";
-/// Candidates skipped unvisited by the index's sorted center window.
+/// Candidates skipped unvisited by the index's sorted center window or,
+/// for relDiff and absDiff, its second-coordinate filter.
 pub const MATCH_INDEX_WINDOW_PRUNES: &str = "match.index_window_prunes";
 /// Retired: candidates skipped unvisited by an origin/pivot triangle
-/// bound.  The candidate index prunes by its window alone, so nothing
+/// bound.  The candidate index has no pivots, so nothing
 /// emits this counter any more; the name stays because run reports from
 /// earlier builds carry it and the benchmark harness still reads it.
 pub const MATCH_INDEX_PIVOT_PRUNES: &str = "match.index_pivot_prunes";

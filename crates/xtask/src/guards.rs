@@ -11,6 +11,7 @@
 use crate::lexer::{lex, Token, TokenKind};
 use crate::report::FileViolation;
 use crate::rules::Violation;
+use crate::SourceFile;
 
 /// The rule name every guard violation carries.
 pub const RULE: &str = "guard";
@@ -419,11 +420,11 @@ pub fn covers(path: &str, file: &str) -> bool {
         .all(|want| names.next().is_some_and(|name| want == "*" || want == name))
 }
 
-/// Runs `rows` over `files` (workspace-relative path, source); `exists`
-/// answers for the [`Form::Absent`] paths.
+/// Runs `rows` over `files`; `exists` answers for the [`Form::Absent`]
+/// paths.
 pub fn check(
     rows: &'static [Guard],
-    files: &[(String, String)],
+    files: &[SourceFile],
     exists: &dyn Fn(&str) -> bool,
 ) -> Vec<Hit> {
     let compiled: Vec<Vec<Vec<Want>>> = rows
@@ -438,8 +439,8 @@ pub fn check(
         })
         .collect();
     let mut found: Vec<Vec<Hit>> = rows.iter().map(|_| Vec::new()).collect();
-    for (file, source) in files {
-        let mut lexed = None;
+    for source in files {
+        let file = &source.path;
         for (r, guard) in rows.iter().enumerate() {
             if !guard.paths.iter().any(|path| covers(path, file)) {
                 continue;
@@ -447,10 +448,10 @@ pub fn check(
             for (pattern, want) in guard.patterns.iter().zip(&compiled[r]) {
                 // A match's tokens are all substrings of the source, so a
                 // file that lacks one cannot match and is not lexed for it.
-                if !want.iter().all(|w| source.contains(w.text.as_str())) {
+                if !want.iter().all(|w| source.text.contains(w.text.as_str())) {
                     continue;
                 }
-                let tokens: &[Token] = lexed.get_or_insert_with(|| lex(source).tokens);
+                let tokens: &[Token] = &source.lexed().tokens;
                 let tokens = match guard.form {
                     Form::BeforeTests => before_tests(tokens),
                     _ => tokens,
@@ -522,11 +523,8 @@ pub fn stale(rows: &'static [Guard], files: &[&str]) -> Vec<(&'static Guard, &'s
 
 /// [`GUARDS`] over the workspace's files, as violations: every hit, and
 /// every row path that covers no file.
-pub(crate) fn lint(
-    files: &[(String, String)],
-    exists: &dyn Fn(&str) -> bool,
-) -> Vec<FileViolation> {
-    let names: Vec<&str> = files.iter().map(|(file, _)| file.as_str()).collect();
+pub(crate) fn lint(files: &[SourceFile], exists: &dyn Fn(&str) -> bool) -> Vec<FileViolation> {
+    let names: Vec<&str> = files.iter().map(|file| file.path.as_str()).collect();
     let stale_paths = stale(GUARDS, &names)
         .into_iter()
         .map(|(guard, path)| FileViolation {

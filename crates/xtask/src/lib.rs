@@ -18,10 +18,12 @@ pub mod report;
 pub mod rules;
 pub mod surface;
 
+use std::cell::OnceCell;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use lexer::{lex, Lexed};
 use report::{FileAllow, FileViolation, Report};
 
 /// Directory names never descended into during the workspace walk.
@@ -35,30 +37,30 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     collect_source_files(root, root, &mut paths)?;
     paths.sort();
     let mut report = Report::default();
-    let mut sources = Vec::with_capacity(paths.len());
+    let mut files = Vec::with_capacity(paths.len());
     for rel in paths {
-        let source = fs::read_to_string(root.join(&rel))?;
-        let file = rel.to_string_lossy().replace('\\', "/");
+        let text = fs::read_to_string(root.join(&rel))?;
+        let file = SourceFile::new(rel.to_string_lossy().replace('\\', "/"), text);
         if let Some(class) = surface::classify(&rel) {
             report.files_scanned += 1;
-            let findings = rules::lint_source(&source, class);
+            let findings = rules::lint_lexed(file.lexed(), class);
             for violation in findings.violations {
                 report.violations.push(FileViolation {
-                    file: file.clone(),
+                    file: file.path.clone(),
                     violation,
                 });
             }
             for allow in findings.allows {
                 report.allows.push(FileAllow {
-                    file: file.clone(),
+                    file: file.path.clone(),
                     allow,
                 });
             }
         }
-        sources.push((file, source));
+        files.push(file);
     }
     let exists = |path: &str| root.join(path).exists();
-    report.violations.extend(guards::lint(&sources, &exists));
+    report.violations.extend(guards::lint(&files, &exists));
     report
         .violations
         .sort_by(|a, b| (&a.file, a.violation.line).cmp(&(&b.file, b.violation.line)));
@@ -66,6 +68,32 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         .allows
         .sort_by(|a, b| (&a.file, a.allow.line).cmp(&(&b.file, b.allow.line)));
     Ok(report)
+}
+
+/// One workspace file and, once a pass asks for them, its tokens: the
+/// rules and the guards share one lex of each file.
+pub struct SourceFile {
+    /// Workspace-relative path, `/`-separated.
+    pub path: String,
+    /// The file's text.
+    pub text: String,
+    lexed: OnceCell<Lexed>,
+}
+
+impl SourceFile {
+    /// A file not lexed yet.
+    pub fn new(path: String, text: String) -> SourceFile {
+        SourceFile {
+            path,
+            text,
+            lexed: OnceCell::new(),
+        }
+    }
+
+    /// The file's tokens and comments, lexed on the first call.
+    pub(crate) fn lexed(&self) -> &Lexed {
+        self.lexed.get_or_init(|| lex(&self.text))
+    }
 }
 
 /// Collects every `.rs` file and `Cargo.toml` under `dir`, relative to

@@ -6,7 +6,7 @@
 //! index freely — the invariants protect production decode and reduction
 //! paths, not assertions.
 
-use crate::lexer::{lex, Comment, Token, TokenKind};
+use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 use crate::surface::FileClass;
 
 /// Names of every rule the pass can emit, used by the CLI and docs.
@@ -63,7 +63,11 @@ pub struct FileFindings {
 
 /// Lints one file's source text under the given classification.
 pub fn lint_source(source: &str, class: FileClass) -> FileFindings {
-    let lexed = lex(source);
+    lint_lexed(&lex(source), class)
+}
+
+/// Lints one file's tokens and comments under the given classification.
+pub(crate) fn lint_lexed(lexed: &Lexed, class: FileClass) -> FileFindings {
     let stripped = strip_test_code(&lexed.tokens);
     let mut candidates = scan(&stripped, class);
     if class.crate_root && !has_forbid_unsafe(&lexed.tokens) {

@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 
 use xtask::guards::{check, covers, stale, Form, Guard, Hit, GUARDS};
+use xtask::SourceFile;
 
 /// Workspace files, as (workspace-relative path, source).
 type Files = &'static [(&'static str, &'static str)];
@@ -398,11 +399,11 @@ fn row(name: &str) -> &'static Guard {
 
 /// Runs one row over `files`; a path exists when a file lies under it.
 fn run(guard: &'static Guard, files: &[(&str, &str)]) -> Vec<Hit> {
-    let files: Vec<(String, String)> = files
+    let files: Vec<SourceFile> = files
         .iter()
-        .map(|(path, source)| (path.to_string(), source.to_string()))
+        .map(|(path, source)| SourceFile::new(path.to_string(), source.to_string()))
         .collect();
-    let exists = |path: &str| files.iter().any(|(file, _)| covers(path, file));
+    let exists = |path: &str| files.iter().any(|file| covers(path, &file.path));
     check(std::slice::from_ref(guard), &files, &exists)
 }
 

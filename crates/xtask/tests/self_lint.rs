@@ -26,10 +26,13 @@ fn every_surface_list_entry_names_an_existing_path() {
         let dir = root.join("crates").join(name);
         assert!(dir.is_dir(), "stale crate entry {name:?}: no {dir:?}");
     }
+    // A trailing `/` names a directory, no slash a file.
     for path in DECODE_SURFACE {
-        assert!(
-            root.join(path).exists(),
-            "stale DECODE_SURFACE entry {path:?}"
-        );
+        let exists = if path.ends_with('/') {
+            root.join(path).is_dir()
+        } else {
+            root.join(path).is_file()
+        };
+        assert!(exists, "stale DECODE_SURFACE entry {path:?}");
     }
 }
